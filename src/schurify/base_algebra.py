@@ -17,9 +17,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Hashable, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
-from .rings import QQ, CoefficientRing
+from .exactla import BlockedBasis
 
 Elem = dict[str, int]
 
@@ -31,10 +31,6 @@ def elem_add(x: Mapping[str, int], y: Mapping[str, int], c: int = 1) -> Elem:
         if not out[b]:
             del out[b]
     return out
-
-
-def elem_scale(x: Mapping[str, int], c) -> Elem:
-    return {b: c * v for b, v in x.items()} if c else {}
 
 
 class BasedSuperalgebra:
@@ -135,9 +131,6 @@ class HeredityData:
     def leq(self, i: int, j: int) -> bool:
         return i == j or self.lt(i, j)
 
-    def coideal_above(self, i: int) -> frozenset[int]:
-        return frozenset(j for j in self.labels if self.lt(i, j))
-
     def to_json(self) -> dict:
         return {
             "order": sorted(list(p) for p in self.strictly_less),
@@ -153,9 +146,6 @@ class AntiInvolution:
     """Homogeneous anti-involution given by its permutation of the basis."""
 
     image: dict[str, str]
-
-    def apply_label(self, b: str) -> str:
-        return self.image[b]
 
     def apply(self, x: Mapping[str, int]) -> Elem:
         return {self.image[b]: c for b, c in x.items()}
@@ -191,6 +181,20 @@ def strict_pairs(alg, data: HeredityData) -> tuple[dict[str, tuple[int, str, str
     return of_label, to_label
 
 
+def absorbing_colors(alg, data: HeredityData, side: str) -> dict[str, int]:
+    """For each basis element b, the label j with e_j b = b (side "X") or
+    b e_j = b (side "Y").  The e_j are orthogonal, so j is unique; elements
+    that no initial idempotent absorbs are left out."""
+    out = {}
+    for b in alg.basis:
+        for j in data.labels:
+            ej = data.e[j]
+            if (alg.mul_basis(ej, b) if side == "X" else alg.mul_basis(b, ej)) == {b: 1}:
+                out[b] = j
+                break
+    return out
+
+
 # ---------------------------------------------------------------------------
 # verification
 # ---------------------------------------------------------------------------
@@ -206,127 +210,35 @@ class HeredityReport:
         self.failures.append(f"{axiom}: {witness}")
 
 
-class _PairBasisSolver:
-    """Expresses elements in the heredity pair basis {x*y}, blockwise.
+def _pair_basis(alg, data: HeredityData) -> BlockedBasis:
+    """The change of basis to the heredity pair basis {x*y}: columns (i, x, y)
+    over the basis labels, blocked by (degree, parity), every block factored.
+    Raises AssertionError with a witness when it is not invertible."""
 
-    Columns are pairs (i, x, y); rows are basis labels.  Columns and rows are
-    grouped by a conserved block key (degree, parity, plus anything the caller
-    adds); each block is LU-factored exactly over Q.  Also reports whether the
-    global change of basis is unimodular over Z.
-    """
+    def key_of(b: str):
+        return (alg.degree[b], alg.parity[b])
 
-    def __init__(self, alg, data: HeredityData, row_key: Callable[[str], Hashable] | None = None):
-        self.alg = alg
-        self.data = data
-        self.row_key = row_key or (lambda b: (alg.degree[b], alg.parity[b]))
-        self.blocks: dict[Hashable, dict] = {}
-        self.square = True
-        self.unimodular = True
-        self.singular_witness: str | None = None
-        self._build()
-
-    def _build(self) -> None:
-        alg, data = self.alg, self.data
-        cols: dict[Hashable, list[tuple[tuple[int, str, str], dict[str, int]]]] = {}
-        rows: dict[Hashable, list[str]] = {}
-        for b in alg.basis:
-            rows.setdefault(self.row_key(b), []).append(b)
-        for i in data.labels:
-            for x in data.X[i]:
-                for y in data.Y[i]:
-                    v = alg.mul_basis(x, y)
-                    if not v:
-                        self.square = False
-                        self.singular_witness = f"x*y = 0 for ({i},{x},{y})"
-                        continue
-                    keys = {self.row_key(b) for b in v}
-                    if len(keys) != 1:
-                        raise ValueError(f"pair ({i},{x},{y}) spreads across blocks {keys}")
-                    cols.setdefault(keys.pop(), []).append(((i, x, y), dict(v)))
-        for key in rows:
-            col_list = cols.get(key, [])
-            row_list = rows[key]
-            if len(col_list) != len(row_list):
-                self.square = False
-                self.singular_witness = (
-                    f"block {key}: {len(col_list)} pairs vs {len(row_list)} basis elements"
-                )
-                continue
-            self.blocks[key] = self._factor_block(row_list, col_list)
-
-    def _factor_block(self, row_list: list[str], col_list: list) -> dict:
-        n = len(row_list)
-        ridx = {b: k for k, b in enumerate(row_list)}
-        mat = [[Fraction(0)] * n for _ in range(n)]
-        for j, (_pair, v) in enumerate(col_list):
-            for b, c in v.items():
-                mat[ridx[b]][j] = Fraction(c)
-        # exact LU with partial pivoting by row swaps; determinant tracked
-        lu = [row[:] for row in mat]
-        perm = list(range(n))
-        det = Fraction(1)
-        for k in range(n):
-            piv = next((r for r in range(k, n) if lu[r][k] != 0), None)
-            if piv is None:
-                det = Fraction(0)
-                break
-            if piv != k:
-                lu[k], lu[piv] = lu[piv], lu[k]
-                perm[k], perm[piv] = perm[piv], perm[k]
-                det = -det
-            det *= lu[k][k]
-            for r in range(k + 1, n):
-                if lu[r][k]:
-                    f = lu[r][k] / lu[k][k]
-                    lu[r][k] = f
-                    for cc in range(k + 1, n):
-                        lu[r][cc] -= f * lu[k][cc]
-        if det == 0:
-            self.square = False
-            self.singular_witness = f"singular block with rows {row_list}"
-        elif abs(det) != 1:
-            self.unimodular = False
-        return {"rows": row_list, "ridx": ridx, "cols": [p for p, _v in col_list],
-                "lu": lu, "perm": perm, "det": det, "n": n}
-
-    def solve(self, v: Mapping[str, int]) -> dict[tuple[int, str, str], Fraction]:
-        """Expand an element in the pair basis; exact."""
-        out: dict[tuple[int, str, str], Fraction] = {}
-        by_block: dict[Hashable, dict[str, int]] = {}
-        for b, c in v.items():
-            by_block.setdefault(self.row_key(b), {})[b] = c
-        for key, part in by_block.items():
-            blk = self.blocks.get(key)
-            if blk is None or blk["det"] == 0:
-                raise ValueError(f"cannot solve: singular/missing block {key}")
-            n, lu, perm, ridx = blk["n"], blk["lu"], blk["perm"], blk["ridx"]
-            rhs = [Fraction(0)] * n
-            for b, c in part.items():
-                rhs[ridx[b]] = Fraction(c)
-            permuted = [rhs[perm[k]] for k in range(n)]
-            y = [Fraction(0)] * n
-            for k in range(n):
-                acc = permuted[k]
-                for j in range(k):
-                    acc -= lu[k][j] * y[j]
-                y[k] = acc
-            x = [Fraction(0)] * n
-            for k in range(n - 1, -1, -1):
-                acc = y[k]
-                for j in range(k + 1, n):
-                    acc -= lu[k][j] * x[j]
-                x[k] = acc / lu[k][k]
-            for j, c in enumerate(x):
-                if c:
-                    out[blk["cols"][j]] = c
-        return out
+    blocks: dict = {}
+    for b in alg.basis:
+        blocks.setdefault(key_of(b), ([], []))[0].append(b)
+    for i in data.labels:
+        for x in data.X[i]:
+            for y in data.Y[i]:
+                v = alg.mul_basis(x, y)
+                if not v:
+                    raise AssertionError(f"x*y = 0 for ({i},{x},{y})")
+                blocks[key_of(next(iter(v)))][1].append((i, x, y))
+    pairs = BlockedBasis("pair basis block", blocks, key_of,
+                         lambda pair: alg.mul_basis(pair[1], pair[2]))
+    for key in blocks:
+        pairs.factor(key)
+    return pairs
 
 
 def verify_heredity(
     alg,
     data: HeredityData,
     *,
-    row_key: Callable[[str], Hashable] | None = None,
     left_mult_pairs: Callable[[], list[tuple[str, int, str]]] | None = None,
     right_mult_pairs: Callable[[], list[tuple[str, int, str]]] | None = None,
     check_conforming: bool = True,
@@ -346,12 +258,13 @@ def verify_heredity(
         report.fail("axiom (a)", str(exc))
         return report
 
-    solver = _PairBasisSolver(alg, data, row_key)
-    if not solver.square:
-        report.fail("axiom (a)", solver.singular_witness or "pair matrix singular")
+    try:
+        pairs = _pair_basis(alg, data)
+    except AssertionError as exc:
+        report.fail("axiom (a)", str(exc))
         return report
     report.checked.append("axiom (a): pair basis invertible"
-                          + (" (unimodular over Z)" if solver.unimodular else ""))
+                          + (" (unimodular over Z)" if pairs.unimodular() else ""))
 
     # axiom (c): idempotent absorption
     for i in data.labels:
@@ -406,7 +319,7 @@ def verify_heredity(
         prod = alg.mul_basis(a, x)
         if not prod:
             continue
-        ok, why = support_ok(solver.solve(prod), i, "left")
+        ok, why = support_ok(pairs.solve(prod), i, "left")
         if not ok:
             report.fail("axiom (b)", f"a*x for ({a},{i},{x}): {why}")
     if right_mult_pairs is None:
@@ -417,7 +330,7 @@ def verify_heredity(
         prod = alg.mul_basis(y, a)
         if not prod:
             continue
-        ok, why = support_ok(solver.solve(prod), i, "right")
+        ok, why = support_ok(pairs.solve(prod), i, "right")
         if not ok:
             report.fail("axiom (b)", f"y*a for ({a},{i},{y}): {why}")
     if report.ok:
@@ -430,7 +343,7 @@ def verify_heredity(
                 prod = alg.mul_basis(y, x)
                 f = Fraction(0)
                 if prod:
-                    for (j, xx, yy), c in solver.solve(prod).items():
+                    for (j, xx, yy), c in pairs.solve(prod).items():
                         if data.lt(i, j):
                             continue
                         if (j, xx, yy) == (i, data.e[i], data.e[i]):
@@ -484,25 +397,6 @@ def verify_heredity(
             report.checked.append("conforming: even strata are heredity data for a")
 
     return report
-
-
-# ---------------------------------------------------------------------------
-# basis strata  B = B_a | B_c | B_1
-# ---------------------------------------------------------------------------
-
-def basis_strata(alg: BasedSuperalgebra, data: HeredityData) -> tuple[set[str], set[str], set[str]]:
-    """(B_a, B_c, B_odd): even*even pairs, odd*odd pairs, mixed pairs."""
-    of_label, _ = strict_pairs(alg, data)
-    Ba, Bc, B1 = set(), set(), set()
-    for b, (_i, x, y) in of_label.items():
-        px, py = alg.parity[x], alg.parity[y]
-        if px == 0 and py == 0:
-            Ba.add(b)
-        elif px == 1 and py == 1:
-            Bc.add(b)
-        else:
-            B1.add(b)
-    return Ba, Bc, B1
 
 
 # ---------------------------------------------------------------------------
@@ -636,14 +530,15 @@ class StandardModuleBase:
 
 
 def standard_module_base(alg: BasedSuperalgebra, data: HeredityData, i: int) -> StandardModuleBase:
-    solver = _PairBasisSolver(alg, data)
-    if not solver.square:
-        raise ValueError("heredity axiom (a) fails; verify first")
+    try:
+        pairs = _pair_basis(alg, data)
+    except AssertionError as exc:
+        raise ValueError(f"heredity axiom (a) fails; verify first: {exc}") from exc
     Xi, Yi = data.X[i], data.Y[i]
 
     def project_left(prod: Mapping[str, int]) -> dict[str, Fraction]:
         out: dict[str, Fraction] = {}
-        for (j, x, y), c in solver.solve(prod).items():
+        for (j, x, y), c in pairs.solve(prod).items():
             if j == i and y == data.e[i]:
                 out[x] = c
             elif not data.lt(i, j) and c:
@@ -652,7 +547,7 @@ def standard_module_base(alg: BasedSuperalgebra, data: HeredityData, i: int) -> 
 
     def project_right(prod: Mapping[str, int]) -> dict[str, Fraction]:
         out: dict[str, Fraction] = {}
-        for (j, x, y), c in solver.solve(prod).items():
+        for (j, x, y), c in pairs.solve(prod).items():
             if j == i and x == data.e[i]:
                 out[y] = c
             elif not data.lt(i, j) and c:
@@ -668,7 +563,7 @@ def standard_module_base(alg: BasedSuperalgebra, data: HeredityData, i: int) -> 
             f = Fraction(0)
             prod = alg.mul_basis(y, x)
             if prod:
-                for (j, xx, yy), c in solver.solve(prod).items():
+                for (j, xx, yy), c in pairs.solve(prod).items():
                     if (j, xx, yy) == (i, data.e[i], data.e[i]):
                         f = c
             row.append(f)
@@ -693,12 +588,13 @@ def base_decomp_numbers(alg: BasedSuperalgebra, data: HeredityData):
               if sm.gram[xi][yi] != 0]
         if any(alg.degree[x] + alg.degree[y] != 0 for x, y in nz):
             raise ValueError(f"algebra not basic at i={i}: pairing not concentrated in degree 0")
+    left = absorbing_colors(alg, data, "X")
     out: dict[tuple[int, int], GradedSuperScalar] = {}
     for i in data.labels:
         for j in data.labels:
             acc = GradedSuperScalar.zero()
             for x in data.X[i]:
-                if alg.mul_basis(data.e[j], x) == {x: 1}:
+                if left.get(x) == j:
                     acc = acc + GradedSuperScalar.term(1, alg.degree[x], alg.parity[x])
             if acc:
                 out[(i, j)] = acc
@@ -726,12 +622,13 @@ def truncate_base(alg: BasedSuperalgebra, data: HeredityData, colors: Sequence[i
     if not colors <= set(data.labels):
         raise ValueError("unknown colors in truncating idempotent")
     es = [data.e[i] for i in sorted(colors)]
+    left, right = absorbing_colors(alg, data, "X"), absorbing_colors(alg, data, "Y")
 
     def absorb_left(b: str) -> bool:
-        return any(alg.mul_basis(e, b) == {b: 1} for e in es)
+        return left.get(b) in colors
 
     def absorb_right(b: str) -> bool:
-        return any(alg.mul_basis(b, e) == {b: 1} for e in es)
+        return right.get(b) in colors
 
     adapted = True
     for i in data.labels:
@@ -783,7 +680,7 @@ def truncate_base(alg: BasedSuperalgebra, data: HeredityData, colors: Sequence[i
 
     # surviving simples: i with y*x not in A^{>i} for some truncated pair,
     # detected through the pairing f_i over Q
-    solver = _PairBasisSolver(alg, data)
+    pairs = _pair_basis(alg, data)
     I_prime = []
     for i in I_bar:
         keep_i = False
@@ -792,7 +689,7 @@ def truncate_base(alg: BasedSuperalgebra, data: HeredityData, colors: Sequence[i
                 prod = alg.mul_basis(y, x)
                 if not prod:
                     continue
-                for (j, _xx, _yy), c in solver.solve(prod).items():
+                for (j, _xx, _yy), c in pairs.solve(prod).items():
                     if not data.lt(i, j) and c:
                         keep_i = True
         if keep_i:

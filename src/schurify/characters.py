@@ -24,7 +24,8 @@ from functools import lru_cache
 from itertools import product
 
 from .base_algebra import BasedSuperalgebra, HeredityData, base_decomp_numbers
-from .codeterminants import CodetBasis, standard_module_T
+from . import exactla
+from .codeterminants import standard_module_T
 from .partitions import (
     Multipartition,
     Partition,
@@ -486,7 +487,7 @@ def char_standard_formula(T: SchurAlgebra, bold,
     labels = T.data.labels
     bold = _pad_bold(bold, len(labels))
     alg, data, n = T.alg, T.data, T.n
-    absorber = T.ctx._left_absorber
+    absorber = T.ctx.x_alphabet.absorbers
 
     per_color = [
         _color_assignments(bold[pos], data.X[i], alg, n, cache)
@@ -747,37 +748,16 @@ class DecompMatrix:
         return self.entries.get((lam, mu), GradedSuperScalar.zero())
 
 
-def _field_rank(rows: list[list[int]], ring: CoefficientRing) -> int:
-    mat = [[ring.of(v) for v in row] for row in rows]
-    rank = 0
-    ncols = len(mat[0]) if mat else 0
-    col = 0
-    for col in range(ncols):
-        piv = next((r for r in range(rank, len(mat)) if not ring.is_zero(mat[r][col])), None)
-        if piv is None:
-            continue
-        mat[rank], mat[piv] = mat[piv], mat[rank]
-        inv = ring.inv(mat[rank][col])
-        mat[rank] = [ring.mul(inv, v) for v in mat[rank]]
-        for r in range(len(mat)):
-            if r != rank and not ring.is_zero(mat[r][col]):
-                f = mat[r][col]
-                mat[r] = [ring.sub(a, ring.mul(f, b)) for a, b in zip(mat[r], mat[rank])]
-        rank += 1
-    return rank
-
-
 def _degree_of(tab, alg) -> tuple[int, int]:
     g = tableau_degree(tab, alg)
     ((m, eps),) = g.coeffs.keys()
     return m, eps
 
 
-def char_irreducible(T: SchurAlgebra, bold, ring: CoefficientRing,
-                     basis: CodetBasis | None = None) -> CharacterVector:
+def char_irreducible(T: SchurAlgebra, bold, ring: CoefficientRing) -> CharacterVector:
     """ch L(bold) over the coefficient field: blockwise graded ranks of the
     integral Gram matrix of the standard module."""
-    sm = standard_module_T(T, bold, basis)
+    sm = standard_module_T(T, bold)
     ax, ay = T.ctx.x_alphabet, T.ctx.y_alphabet
     row_meta = [(tableau_weight(S, ax), *_degree_of(S, T.alg)) for S in sm.x_basis]
     col_meta = [(tableau_weight(Tb, ay), *_degree_of(Tb, T.alg)) for Tb in sm.y_basis]
@@ -793,7 +773,7 @@ def char_irreducible(T: SchurAlgebra, bold, ring: CoefficientRing,
         cols = [ti for ti, meta in enumerate(col_meta) if meta == (w, -m, eps)]
         if not rows or not cols:
             continue
-        rank = _field_rank([[sm.gram[si][ti] for ti in cols] for si in rows], ring)
+        rank = exactla.rank([[sm.gram[si][ti] for ti in cols] for si in rows], ring)
         if rank:
             out[w] = out.get(w, GradedSuperScalar.zero()) + GradedSuperScalar.term(rank, m, eps)
     return CharacterVector(out)
@@ -808,9 +788,8 @@ def decomp_oracle(T: SchurAlgebra, ring: CoefficientRing | None = None) -> Decom
     if not ring.is_field:
         raise ValueError("oracle needs a coefficient field")
     labels = gen_multipartitions(T.n, T.d, len(T.data.labels) - 1)
-    cb = CodetBasis(T)
     chd = {lam: char_standard_tableaux(T, lam) for lam in labels}
-    chl = {lam: char_irreducible(T, lam, ring, cb) for lam in labels}
+    chl = {lam: char_irreducible(T, lam, ring) for lam in labels}
     weight_of = {lam: tuple(pad(c, T.n) for c in lam) for lam in labels}
     entries: dict = {}
     order = sorted(labels, key=linear_key, reverse=True)

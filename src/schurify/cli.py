@@ -30,7 +30,7 @@ from .characters import (
     matrix_to_dict,
 )
 from .rings import GF, QQ, ZZ, CoefficientRing, GradedSuperScalar
-from .rsk import rsk
+from .rsk import rsk, rsk_inv
 from .schur import build_schur
 
 
@@ -49,7 +49,6 @@ class RunConfig:
     output: str | None = None
     cache_dir: str | None = None
     seed: int = 0
-    threads: int = 1
 
     def ring(self) -> CoefficientRing:
         f = self.field
@@ -72,7 +71,7 @@ class RunConfig:
         return {
             "algebra": self.algebra, "n": str(self.n), "d": str(self.d),
             "field": self.field, "out": self.out, "method": self.method,
-            "seed": str(self.seed), "threads": str(self.threads),
+            "seed": str(self.seed),
         }
 
 
@@ -132,31 +131,6 @@ def _emit(cfg: RunConfig, payload, csv_rows=None) -> None:
         click.echo(text, nl=False)
 
 
-def scalar_str(g: GradedSuperScalar) -> str:
-    """Human/CSV form: '+'-joined monomials c*q^m*pi^eps."""
-    if not g:
-        return "0"
-    parts = []
-    for (m, eps), c in sorted(g.coeffs.items()):
-        toks = []
-        if c != 1 or (m == 0 and eps == 0):
-            toks.append(str(c))
-        if m:
-            toks.append("q" if m == 1 else f"q^{m}")
-        if eps:
-            toks.append("pi")
-        parts.append("*".join(toks))
-    return "+".join(parts)
-
-
-def _element_json(T, x) -> list:
-    return [
-        {"orbit": triples.TriContext.to_json(o), "coeff": str(c)}
-        for o, c in sorted(x.items(), key=lambda kv: T.index.get(kv[0], -1))
-        if c
-    ]
-
-
 def _make_T(cfg: RunConfig):
     # the cellular truncation only exists inside the ambient algebra, so it
     # is built there and cut down at the Schur level
@@ -188,7 +162,6 @@ def _common(f):
     f = click.option("--output", default=None, help="write to file instead of stdout")(f)
     f = click.option("--cache-dir", default=None)(f)
     f = click.option("--seed", type=int, default=None)(f)
-    f = click.option("--threads", type=int, default=None)(f)
     return f
 
 
@@ -239,7 +212,7 @@ def mul(ctx, left, right, **kw):
     x = T.eta(triples.TriContext.from_json(json.loads(left)))
     y = T.eta(triples.TriContext.from_json(json.loads(right)))
     prod = T.mul(x, y)
-    _emit(cfg, _element_json(T, prod),
+    _emit(cfg, T.element_to_json(prod),
           csv_rows=[[json.dumps(triples.TriContext.to_json(o)), str(c)]
                     for o, c in sorted(prod.items(), key=lambda kv: T.index[kv[0]])])
 
@@ -258,7 +231,7 @@ def straighten(ctx, orbit, backend, **kw):
     rep, sign = T.ctx.canonicalize(word, strict=True)
     results = {}
     if backend in ("solve", "both"):
-        results["solve"] = codet.CodetBasis(T).solve({rep: sign})
+        results["solve"] = T.codet_basis.solve({rep: sign})
     if backend in ("recursive", "both"):
         results["recursive"] = codet.Straightener(T).straighten_element({rep: sign})
     if backend == "both" and results["solve"] != results["recursive"]:
@@ -299,7 +272,7 @@ def char(ctx, label, method, **kw):
         _emit(cfg, {"error": "character methods disagree", "label": partitions.to_json(lam)})
         sys.exit(1)
     vec = vecs.get("tableaux", vecs.get("formula"))
-    rows = [(w, scalar_str(c)) for w, c in sorted(vec.items())]
+    rows = [(w, repr(c)) for w, c in sorted(vec.items())]
     _emit(cfg, [{"weight": [list(comp) for comp in w], "coeff": s} for w, s in rows],
           csv_rows=[[json.dumps([list(comp) for comp in w]), s] for w, s in rows])
 
@@ -341,7 +314,7 @@ def decomp(ctx, method, **kw):
     mat = matrices.get("oracle", matrices.get("formula"))
     rows = [
         (partitions.to_json(lam), partitions.to_json(mu),
-         scalar_str(mat.get((lam, mu), GradedSuperScalar.zero())))
+         repr(mat.get((lam, mu), GradedSuperScalar.zero())))
         for lam in labels for mu in labels
     ]
     _emit(cfg, [{"lam": l, "mu": m, "entry": e} for l, m, e in rows],
@@ -412,24 +385,27 @@ def verify(ctx, **kw):
             # truncation: compare against the cellular pair count in the
             # ambient algebra
             ell = int(cfg.algebra.split(":", 1)[1])
-            alg, data, tau = make_algebra(f"zigzag:{ell}")
-            ambient = build_schur(alg, data, cfg.n, cfg.d, tau)
-            cells = codet.cellular_basis(ambient, range(ell))
+            cells = codet.cellular_basis(T.parent, range(ell))
             assert len(cells) == T.rank, (len(cells), T.rank)
             return f"rank {T.rank} == cellular pair count"
-        total = 0
-        cb = codet.CodetBasis(T)
-        for bold in cb.shapes:
-            total += len(cb.std_x[bold]) * len(cb.std_y[bold])
+        cb = T.codet_basis
+        total = sum(len(cb.std_x[bold]) * len(cb.std_y[bold]) for bold in cb.shapes)
         assert total == T.rank, (total, T.rank)
+        # RSK on a sample: a bijection from orbits onto codeterminant keys
+        keys = set(cb.keys)
+        preimage = {}
         for o in rng.sample(T.orbits, min(30, T.rank)):
-            bold, S, Tb = rsk(T.ctx, o)
+            image = rsk(T.ctx, o)
+            assert image in keys, f"rsk({o}) is not a standard codeterminant"
+            assert rsk_inv(T.ctx, image[1], image[2]) == o, f"rsk_inv(rsk({o})) != {o}"
+            assert image not in preimage, f"rsk({o}) == rsk({preimage[image]})"
+            preimage[image] = o
         return f"rank {T.rank} two ways"
 
     def c_straighten():
         if T.n < T.d:
             return "skipped (n < d)"
-        cb = codet.CodetBasis(T)
+        cb = T.codet_basis
         st = codet.Straightener(T)
         sample = rng.sample(T.orbits, min(25, T.rank))
         for o in sample:

@@ -19,10 +19,10 @@ All expansions are integral; any non-integral coefficient aborts loudly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 
-from .partitions import gen_multipartitions, trim
+from .exactla import BlockedBasis
+from .partitions import comp_row_word, gen_multipartitions, trim
 from .schur import Element, SchurAlgebra
 from .tableaux import (
     Tableau,
@@ -156,7 +156,8 @@ def orbit_to_codet(T: SchurAlgebra, orbit: TriWord) -> tuple[CodetKey, int]:
 
 @dataclass
 class CodetBasis:
-    """Standard codeterminants of T, their expansions, and blocked exact LU."""
+    """Standard codeterminants of T, their expansions, and the blocked change
+    of basis from the orbit basis."""
 
     T: SchurAlgebra
 
@@ -218,101 +219,30 @@ class CodetBasis:
 
     @cached_property
     def _blocks(self) -> dict:
-        """block key -> {"cols": [CodetKey], "rows": [orbit]}; sizes must match."""
-        cols: dict = {}
+        """block key -> (orbits, codeterminant keys)."""
+        blocks: dict = {}
         for (bold, S, Tb) in self.keys:
             alpha = tableau_weight(S, self.T.ctx.x_alphabet)
             beta = tableau_weight(Tb, self.T.ctx.y_alphabet)
             ws = tableau_word(S) + tableau_word(Tb)
             deg = sum(self.T.alg.degree[z] for (_l, z) in ws)
             par = sum(self.T.alg.parity[z] for (_l, z) in ws) % 2
-            cols.setdefault((alpha, beta, deg, par), []).append((bold, S, Tb))
-        rows: dict = {}
+            blocks.setdefault((alpha, beta, deg, par), ([], []))[1].append((bold, S, Tb))
         for orbit in self.T.orbits:
-            rows.setdefault(self._orbit_block(orbit), []).append(orbit)
-        blocks = {}
-        for key in set(cols) | set(rows):
-            c, r = cols.get(key, []), rows.get(key, [])
-            if len(c) != len(r):
-                raise AssertionError(
-                    f"change-of-basis block {key} is not square: {len(c)} codets vs {len(r)} orbits"
-                )
-            blocks[key] = {"cols": c, "rows": r}
+            blocks.setdefault(self._orbit_block(orbit), ([], []))[0].append(orbit)
         return blocks
 
     @cached_property
-    def _lu_cache(self) -> dict:
-        return {}
-
-    def _lu(self, key):
-        if key not in self._lu_cache:
-            blk = self._blocks[key]
-            rows, cols = blk["rows"], blk["cols"]
-            ridx = {o: k for k, o in enumerate(rows)}
-            n = len(rows)
-            mat = [[Fraction(0)] * n for _ in range(n)]
-            for j, ck in enumerate(cols):
-                for orbit, c in self.expansion(ck).items():
-                    mat[ridx[orbit]][j] = Fraction(c)
-            lu = [row[:] for row in mat]
-            perm = list(range(n))
-            det = Fraction(1)
-            for k in range(n):
-                piv = next((r for r in range(k, n) if lu[r][k] != 0), None)
-                if piv is None:
-                    raise AssertionError(f"codeterminant block {key} singular")
-                if piv != k:
-                    lu[k], lu[piv] = lu[piv], lu[k]
-                    perm[k], perm[piv] = perm[piv], perm[k]
-                    det = -det
-                det *= lu[k][k]
-                for r in range(k + 1, n):
-                    if lu[r][k]:
-                        f = lu[r][k] / lu[k][k]
-                        lu[r][k] = f
-                        for cc in range(k + 1, n):
-                            lu[r][cc] -= f * lu[k][cc]
-            self._lu_cache[key] = {"lu": lu, "perm": perm, "det": det,
-                                   "ridx": ridx, "cols": cols, "n": n}
-        return self._lu_cache[key]
+    def _change(self) -> BlockedBasis:
+        return BlockedBasis("codeterminant block", self._blocks, self._orbit_block,
+                            self.expansion)
 
     def unimodular(self) -> bool:
-        return all(abs(self._lu(key)["det"]) == 1 for key in self._blocks)
+        return self._change.unimodular()
 
     def solve(self, x: Element) -> dict[CodetKey, int]:
         """Expand an integral element in the standard codeterminant basis."""
-        by_block: dict = {}
-        for orbit, c in x.items():
-            by_block.setdefault(self._orbit_block(orbit), {})[orbit] = c
-        out: dict[CodetKey, int] = {}
-        for key, part in by_block.items():
-            blk = self._lu(key)
-            n, lu, perm, ridx = blk["n"], blk["lu"], blk["perm"], blk["ridx"]
-            rhs = [Fraction(0)] * n
-            for orbit, c in part.items():
-                rhs[ridx[orbit]] = Fraction(c)
-            permuted = [rhs[perm[k]] for k in range(n)]
-            yv = [Fraction(0)] * n
-            for k in range(n):
-                acc = permuted[k]
-                for j in range(k):
-                    acc -= lu[k][j] * yv[j]
-                yv[k] = acc
-            xv = [Fraction(0)] * n
-            for k in range(n - 1, -1, -1):
-                acc = yv[k]
-                for j in range(k + 1, n):
-                    acc -= lu[k][j] * xv[j]
-                xv[k] = acc / lu[k][k]
-            for j, c in enumerate(xv):
-                if c:
-                    if c.denominator != 1:
-                        raise ArithmeticError(
-                            f"non-integral codeterminant coefficient {c} in block {key}"
-                        )
-                    ck = blk["cols"][j]
-                    out[ck] = out.get(ck, 0) + int(c)
-        return {k: v for k, v in out.items() if v}
+        return self._change.solve_integral(x)
 
 
 # ---------------------------------------------------------------------------
@@ -524,8 +454,8 @@ class Straightener:
         T = self.T
         word = []
         for k, i in enumerate(T.data.labels):
-            srows = _row_word(src_bold[k])
-            drows = _row_word(dst_bold[k])
+            srows = comp_row_word(src_bold[k])
+            drows = comp_row_word(dst_bold[k])
             assert len(srows) == len(drows)
             ei = T.data.e[i]
             for u, v in zip(drows, srows):
@@ -541,18 +471,11 @@ class Straightener:
         out = []
         for k, comp in enumerate(tab):
             content = [entry for row in comp for entry in row]
-            rows = _row_word(shape_bold[k])
+            rows = comp_row_word(shape_bold[k])
             assert len(content) == len(rows)
             for (l, z), m in zip(content, rows):
                 out.append((z, l, m) if side == "X" else (z, m, l))
         return tuple(out)
-
-
-def _row_word(comp) -> list[int]:
-    out = []
-    for m, w in enumerate(comp, start=1):
-        out += [m] * w
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -566,8 +489,7 @@ class SchurHeredityReport:
     checked: list[str]
 
 
-def heredity_of_T(T: SchurAlgebra, basis: CodetBasis | None = None,
-                  sample_b: int | None = None) -> SchurHeredityReport:
+def heredity_of_T(T: SchurAlgebra, sample_b: int | None = None) -> SchurHeredityReport:
     """Verify the heredity axioms for the codeterminant structure on T.
 
     `sample_b` caps, per X/Y element, the number of weight-compatible basis
@@ -575,7 +497,7 @@ def heredity_of_T(T: SchurAlgebra, basis: CodetBasis | None = None,
     """
     if T.n < T.d:
         raise ValueError("requires n >= d")
-    cb = basis or CodetBasis(T)
+    cb = T.codet_basis
     failures: list[str] = []
     checked: list[str] = []
 
@@ -700,10 +622,10 @@ class SchurStandardModule:
     gram: list[list[int]]  # gram[S][T] = coefficient of e_bold in Y_T X_S
 
 
-def standard_module_T(T: SchurAlgebra, bold, basis: CodetBasis | None = None) -> SchurStandardModule:
+def standard_module_T(T: SchurAlgebra, bold) -> SchurStandardModule:
     if T.n < T.d:
         raise ValueError("requires n >= d")
-    cb = basis or CodetBasis(T)
+    cb = T.codet_basis
     Xs = cb.std_x[bold]
     Ys = cb.std_y[bold]
     S0, T0 = cb.initial_tableau_pair(bold)
@@ -722,24 +644,6 @@ def standard_module_T(T: SchurAlgebra, bold, basis: CodetBasis | None = None) ->
     return SchurStandardModule(bold, Xs, Ys, gram)
 
 
-def module_action(T: SchurAlgebra, bold, orbit: TriWord,
-                  basis: CodetBasis | None = None) -> dict[Tableau, dict[Tableau, int]]:
-    """The action of a basis element on the standard module: eta v_S =
-    sum_{S'} l(eta) v_{S'}."""
-    cb = basis or CodetBasis(T)
-    _, T0 = cb.initial_tableau_pair(bold)
-    out: dict[Tableau, dict[Tableau, int]] = {}
-    for S in cb.std_x[bold]:
-        prod = T.mul({orbit: 1}, x_element(T, S))
-        row: dict[Tableau, int] = {}
-        if prod:
-            for (mu, S2, T2), c in cb.solve(prod).items():
-                if mu == bold and T2 == T0:
-                    row[S2] = c
-        out[S] = row
-    return out
-
-
 # ---------------------------------------------------------------------------
 # cellular basis for involution-stable truncations
 # ---------------------------------------------------------------------------
@@ -753,12 +657,12 @@ def cellular_basis(T: SchurAlgebra, colors) -> dict[tuple, Element]:
     if T.tau is None:
         raise ValueError("no anti-involution on the base algebra")
     colors = frozenset(colors)
-    es = [T.data.e[i] for i in sorted(colors)]
+    absorbers = T.ctx.x_alphabet.absorbers
 
     def left_kept(z: str) -> bool:
-        return any(T.alg.mul_basis(e, z) == {z: 1} for e in es)
+        return absorbers.get(z) in colors
 
-    cb = CodetBasis(T)
+    cb = T.codet_basis
     out: dict[tuple, Element] = {}
     for bold in cb.shapes:
         tabs = [

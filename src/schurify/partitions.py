@@ -187,26 +187,11 @@ def gen_multicompositions(n: int, d: int, ell: int) -> tuple[tuple[tuple[int, ..
 
 
 # ---------------------------------------------------------------------------
-# nodes and row words
+# row words
 # ---------------------------------------------------------------------------
 
-def nodes(bold: Multipartition) -> list[tuple[int, int, int]]:
-    """Nodes (i, r, s) in the fixed enumeration order (row-major per component),
-    rows and columns 1-based."""
-    out = []
-    for i, comp in enumerate(bold):
-        for r, width in enumerate(comp, start=1):
-            for s in range(1, width + 1):
-                out.append((i, r, s))
-    return out
-
-
-def row_word(bold: Multipartition) -> tuple[int, ...]:
-    """The letter word of the initial tableau: node (i, r, s) contributes r."""
-    return tuple(r for (_i, r, _s) in nodes(bold))
-
-
 def comp_row_word(comp: tuple[int, ...]) -> tuple[int, ...]:
+    """The row index of each cell of a composition, row-major, 1-based."""
     return tuple(r for r, width in enumerate(comp, start=1) for _ in range(width))
 
 

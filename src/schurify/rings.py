@@ -86,9 +86,6 @@ class CoefficientRing:
         r = a - b
         return r % self.p if self.kind == self.PRIME_FIELD else r
 
-    def neg(self, a):
-        return (-a) % self.p if self.kind == self.PRIME_FIELD else -a
-
     def mul(self, a, b):
         r = a * b
         return r % self.p if self.kind == self.PRIME_FIELD else r
@@ -201,32 +198,14 @@ class GradedSuperScalar:
     def __bool__(self) -> bool:
         return bool(self.coeffs)
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
     # -- queries -------------------------------------------------------
     def __getitem__(self, key: tuple[int, int]) -> int:
         return self.coeffs.get((key[0], key[1] % 2), 0)
 
-    def specialize(self, q0, sign: int = 1):
-        """Evaluate q -> q0, pi -> sign (a ring homomorphism); q0 must be invertible."""
-        if sign not in (1, -1):
-            raise ValueError("sign must be +1 or -1")
-        total = 0
-        for (m, eps), c in self.coeffs.items():
-            if m >= 0:
-                qm = q0 ** m
-            else:
-                if q0 == 0:
-                    raise ZeroDivisionError("q0 must be invertible for negative degrees")
-                qm = Fraction(1, 1) / Fraction(q0) ** (-m)
-            total += c * qm * (sign ** eps)
-        if isinstance(total, Fraction) and total.denominator == 1:
-            total = total.numerator
-        return total
-
     # -- display / serialization --------------------------------------
     def __repr__(self) -> str:
+        """The printed form, as in `1+3*q^2*pi`, `1-2*q` or `2*q^-1`: a
+        coefficient of 1 or -1 is written only on the constant monomial."""
         if not self.coeffs:
             return "0"
         parts = []

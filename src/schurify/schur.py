@@ -12,7 +12,7 @@ coefficient aborts loudly (it would signal an implementation bug).
 """
 from __future__ import annotations
 
-from fractions import Fraction
+from functools import cached_property
 from itertools import permutations, product
 
 from .base_algebra import AntiInvolution, BasedSuperalgebra, HeredityData
@@ -69,6 +69,13 @@ class SchurAlgebra:
     @property
     def rank(self) -> int:
         return len(self.orbits)
+
+    @cached_property
+    def codet_basis(self):
+        """The standard codeterminant basis, built once per algebra."""
+        from .codeterminants import CodetBasis  # codeterminants imports this module
+
+        return CodetBasis(self)
 
     # -- helpers -----------------------------------------------------------
     def profiles(self, orbit: TriWord):
@@ -278,11 +285,10 @@ class SchurAlgebra:
         the span of orbits all of whose basis letters survive the base
         truncation."""
         colors = frozenset(colors)
-        es = [self.data.e[i] for i in sorted(colors)]
+        left = self.ctx.x_alphabet.absorbers
+        right = self.ctx.y_alphabet.absorbers
         keep = frozenset(
-            b for b in self.alg.basis
-            if any(self.alg.mul_basis(e, b) == {b: 1} for e in es)
-            and any(self.alg.mul_basis(b, e) == {b: 1} for e in es)
+            b for b in self.alg.basis if left.get(b) in colors and right.get(b) in colors
         )
         return SchurAlgebra(self.alg, self.data, self.n, self.d, self.tau,
                             keep_basis=keep, parent=self)
@@ -340,20 +346,6 @@ def _sub_multisets(mults: list[tuple[TriLetter, int]], size: int):
             yield from rec(k + 1, left - t, acc + [t])
 
     yield from rec(0, size, [])
-
-
-# ---------------------------------------------------------------------------
-# field reductions
-# ---------------------------------------------------------------------------
-
-def reduce_element(x: Element, ring) -> dict:
-    """Map an integral element into a coefficient ring."""
-    out = {}
-    for k, v in x.items():
-        r = ring.of(v)
-        if not ring.is_zero(r):
-            out[k] = r
-    return out
 
 
 def build_schur(alg, data, n: int, d: int, tau=None) -> SchurAlgebra:

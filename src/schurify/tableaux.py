@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .base_algebra import BasedSuperalgebra, HeredityData
+from .base_algebra import BasedSuperalgebra, HeredityData, absorbing_colors
 from .partitions import Multipartition
 from .rings import GradedSuperScalar
 
@@ -30,14 +30,16 @@ class Alphabet:
     n: int
     side: str  # "X" or "Y"
 
+    @cached_property
+    def absorbers(self) -> dict[str, int]:
+        """Basis element -> the j with e_j z = z (X side) or z e_j = z (Y side)."""
+        return absorbing_colors(self.alg, self.data, self.side)
+
     def _absorbing_color(self, z: str) -> int:
-        """The unique j with e_j z = z (X side) or z e_j = z (Y side)."""
-        for j in self.data.labels:
-            ej = self.data.e[j]
-            prod = self.alg.mul_basis(ej, z) if self.side == "X" else self.alg.mul_basis(z, ej)
-            if prod == {z: 1}:
-                return j
-        raise ValueError(f"no absorbing idempotent for {z!r}")
+        j = self.absorbers.get(z)
+        if j is None:
+            raise ValueError(f"no absorbing idempotent for {z!r}")
+        return j
 
     @cached_property
     def listings(self) -> dict[int, tuple[str, ...]]:
@@ -59,10 +61,6 @@ class Alphabet:
             for i in self.data.labels
             for k, z in enumerate(self.listings[i])
         }
-
-    def color_of(self, z: str) -> int:
-        """The component i with z in X(i) (resp. Y(i))."""
-        return self._pos[z][0]
 
     def key(self, letter: Letter):
         l, z = letter
@@ -98,10 +96,6 @@ def initial_tableau(bold: Multipartition, data: HeredityData) -> Tableau:
 
 def word(T: Tableau) -> tuple[Letter, ...]:
     return tuple(entry for comp in T for row in comp for entry in row)
-
-
-def letter_word(T: Tableau) -> tuple[int, ...]:
-    return tuple(l for (l, _z) in word(T))
 
 
 def color_word(T: Tableau) -> tuple[str, ...]:

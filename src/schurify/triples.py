@@ -100,24 +100,6 @@ class TriContext:
                 odd_c_so_far += 1
         return total % 2
 
-    @staticmethod
-    def perm_stat(sigma: tuple[int, ...], parities: tuple[int, ...]) -> int:
-        """Number of pairs k < l with sigma^-1(k) > sigma^-1(l), both odd, mod 2.
-
-        sigma is given in one-line form: sigma[k] = image of position k (0-based).
-        """
-        d = len(sigma)
-        inverse = [0] * d
-        for k, v in enumerate(sigma):
-            inverse[v] = k
-        inv = sum(
-            1
-            for k in range(d)
-            for l in range(k + 1, d)
-            if inverse[k] > inverse[l] and parities[k] and parities[l]
-        )
-        return inv % 2
-
     # -- orbits ------------------------------------------------------------
     def is_admissible(self, word: TriWord) -> bool:
         seen = set()
@@ -159,33 +141,14 @@ class TriContext:
         return out
 
     # -- weight profiles ---------------------------------------------------
-    @cached_property
-    def _left_absorber(self) -> dict[str, int]:
-        out = {}
-        for b in self.alg.basis:
-            for j in self.data.labels:
-                if self.alg.mul_basis(self.data.e[j], b) == {b: 1}:
-                    out[b] = j
-                    break
-        return out
-
-    @cached_property
-    def _right_absorber(self) -> dict[str, int]:
-        out = {}
-        for b in self.alg.basis:
-            for j in self.data.labels:
-                if self.alg.mul_basis(b, self.data.e[j]) == {b: 1}:
-                    out[b] = j
-                    break
-        return out
-
     def weight_profiles(self, word: TriWord):
         """(alpha(b, r), beta(b, s)): left/right idempotent weight profiles."""
         alpha = {j: [0] * self.n for j in self.data.labels}
         beta = {j: [0] * self.n for j in self.data.labels}
+        left, right = self.x_alphabet.absorbers, self.y_alphabet.absorbers
         for (b, r, s) in word:
-            alpha[self._left_absorber[b]][r - 1] += 1
-            beta[self._right_absorber[b]][s - 1] += 1
+            alpha[left[b]][r - 1] += 1
+            beta[right[b]][s - 1] += 1
         labels = self.data.labels
         return (
             tuple(tuple(alpha[j]) for j in labels),

@@ -2,8 +2,10 @@ import json
 
 from click.testing import CliRunner
 
-from schurify.cli import main, scalar_str
+from schurify.cli import main
 from schurify.rings import GradedSuperScalar
+
+scalar_str = repr  # the one scalar printer is GradedSuperScalar.__repr__
 
 
 def run(*args):
@@ -99,3 +101,51 @@ def test_verify_small():
     assert res.exit_code == 0
     assert "FAIL" not in res.output
     assert "decomposition" in res.output
+
+
+def test_scalar_printer_negative_coefficients():
+    s = GradedSuperScalar.one() + GradedSuperScalar.term(-2, 1, 0)
+    assert scalar_str(s) == "1-2*q"
+    assert scalar_str(GradedSuperScalar.term(-1, 1, 1)) == "-q*pi"
+    assert scalar_str(GradedSuperScalar.term(-3, -1, 0)) == "-3*q^-1"
+
+
+def test_verify_builds_codeterminant_blocks_once(monkeypatch, tmp_path):
+    from functools import cached_property
+
+    from schurify.codeterminants import CodetBasis
+
+    build = CodetBasis._blocks.func
+    builds = []
+
+    def counted(self):
+        builds.append(self.T)
+        return build(self)
+
+    prop = cached_property(counted)
+    prop.__set_name__(CodetBasis, "_blocks")
+    monkeypatch.setattr(CodetBasis, "_blocks", prop)
+    res = run("verify", "--algebra", "zigzag:1", "-n", "2", "-d", "2",
+              "--cache-dir", str(tmp_path))
+    assert res.exit_code == 0, res.output
+    assert len(builds) == 1
+
+
+def test_verify_rank_check_fails_on_a_broken_rsk(monkeypatch, tmp_path):
+    from schurify import cli
+
+    real_rsk = cli.rsk
+    first = []
+
+    def stuck_rsk(ctx, word):
+        """Every orbit gets the image of the first one."""
+        if not first:
+            first.append(real_rsk(ctx, word))
+        return first[0]
+
+    monkeypatch.setattr(cli, "rsk", stuck_rsk)
+    res = run("verify", "--algebra", "trivial", "-n", "2", "-d", "2",
+              "--cache-dir", str(tmp_path))
+    assert res.exit_code == 1
+    failed = [line for line in res.output.splitlines() if line.startswith("FAIL")]
+    assert len(failed) == 1 and failed[0].startswith("FAIL  rank"), res.output

@@ -96,7 +96,7 @@ def test_heredity_refused_for_small_n():
 
 def test_standard_module_gram(T122, cb):
     for bold in cb.shapes:
-        M = codet.standard_module_T(T122, bold, cb)
+        M = codet.standard_module_T(T122, bold)
         k = len(M.x_basis)
         # normalized at the initial tableau
         S0, T0 = cb.initial_tableau_pair(bold)
