@@ -9,19 +9,46 @@ every built-in and for the JSON presentation format).
 
 The verification driver is written against a small protocol (basis, mul_basis,
 degree, parity) so the same checks run on the Schur algebras built downstream,
-where products are computed lazily and the change-of-basis work is blocked by
-conserved weights.
+where products are computed lazily.
+
+X(i) and Y(i) are mirror images of each other, and so is every one-sided step
+built on them; `Side` carries the one difference, the order of a product, so
+each such step is written once for both sides.
 """
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
-from .exactla import BlockedBasis
-
 Elem = dict[str, int]
+
+
+@dataclass(frozen=True)
+class Side:
+    """One side of the heredity data: X (x, X_S, a*x) or its mirror Y (y, Y_T,
+    y*a).  `orient(a, b)` is (a, b) on the X side and (b, a) on the Y side, so
+    a product or a pair written for X reads as its mirror on Y."""
+
+    name: str  # "X" or "Y"; failure texts name an element of the side "x" or "y"
+    orient: Callable[[object, object], tuple]
+
+    def pick(self, x_thing, y_thing):
+        """The member of a mirrored pair that belongs to this side."""
+        return self.orient(x_thing, y_thing)[0]
+
+    @property
+    def other(self) -> "Side":
+        return self.pick(Y_SIDE, X_SIDE)
+
+    def spell(self, a: str, b: str) -> str:
+        """The product a*b written for this side, for failure texts."""
+        return "*".join(self.orient(a, b))
+
+
+X_SIDE = Side("X", lambda a, b: (a, b))
+Y_SIDE = Side("Y", lambda a, b: (b, a))
+SIDES = (X_SIDE, Y_SIDE)
 
 
 def elem_add(x: Mapping[str, int], y: Mapping[str, int], c: int = 1) -> Elem:
@@ -43,7 +70,6 @@ class BasedSuperalgebra:
         degree: Mapping[str, int],
         parity: Mapping[str, int],
         unit: Mapping[str, int] | None = None,
-        validate: bool = True,
     ):
         self.basis = tuple(basis)
         self.kappa = {k: {b: int(c) for b, c in v.items() if c} for k, v in kappa.items()}
@@ -51,8 +77,7 @@ class BasedSuperalgebra:
         self.degree = dict(degree)
         self.parity = {b: p % 2 for b, p in parity.items()}
         self.unit = dict(unit) if unit is not None else None
-        if validate:
-            self._validate()
+        self._validate()
 
     @property
     def dim(self) -> int:
@@ -128,9 +153,6 @@ class HeredityData:
     def lt(self, i: int, j: int) -> bool:
         return (i, j) in self.strictly_less
 
-    def leq(self, i: int, j: int) -> bool:
-        return i == j or self.lt(i, j)
-
     def to_json(self) -> dict:
         return {
             "order": sorted(list(p) for p in self.strictly_less),
@@ -181,15 +203,14 @@ def strict_pairs(alg, data: HeredityData) -> tuple[dict[str, tuple[int, str, str
     return of_label, to_label
 
 
-def absorbing_colors(alg, data: HeredityData, side: str) -> dict[str, int]:
-    """For each basis element b, the label j with e_j b = b (side "X") or
-    b e_j = b (side "Y").  The e_j are orthogonal, so j is unique; elements
+def absorbing_colors(alg, data: HeredityData, side: Side) -> dict[str, int]:
+    """For each basis element b, the label j with e_j b = b (X side) or
+    b e_j = b (Y side).  The e_j are orthogonal, so j is unique; elements
     that no initial idempotent absorbs are left out."""
     out = {}
     for b in alg.basis:
         for j in data.labels:
-            ej = data.e[j]
-            if (alg.mul_basis(ej, b) if side == "X" else alg.mul_basis(b, ej)) == {b: 1}:
+            if alg.mul_basis(*side.orient(data.e[j], b)) == {b: 1}:
                 out[b] = j
                 break
     return out
@@ -210,45 +231,17 @@ class HeredityReport:
         self.failures.append(f"{axiom}: {witness}")
 
 
-def _pair_basis(alg, data: HeredityData) -> BlockedBasis:
-    """The change of basis to the heredity pair basis {x*y}: columns (i, x, y)
-    over the basis labels, blocked by (degree, parity), every block factored.
-    Raises AssertionError with a witness when it is not invertible."""
-
-    def key_of(b: str):
-        return (alg.degree[b], alg.parity[b])
-
-    blocks: dict = {}
-    for b in alg.basis:
-        blocks.setdefault(key_of(b), ([], []))[0].append(b)
-    for i in data.labels:
-        for x in data.X[i]:
-            for y in data.Y[i]:
-                v = alg.mul_basis(x, y)
-                if not v:
-                    raise AssertionError(f"x*y = 0 for ({i},{x},{y})")
-                blocks[key_of(next(iter(v)))][1].append((i, x, y))
-    pairs = BlockedBasis("pair basis block", blocks, key_of,
-                         lambda pair: alg.mul_basis(pair[1], pair[2]))
-    for key in blocks:
-        pairs.factor(key)
-    return pairs
+def _in_pairs(of_label: Mapping[str, tuple[int, str, str]], v: Mapping[str, int]) -> dict:
+    """An element of the algebra in the heredity pair basis {x*y}.  Once
+    `strict_pairs` holds, each x*y is one basis label, so this is a
+    relabelling."""
+    return {of_label[b]: c for b, c in v.items()}
 
 
-def verify_heredity(
-    alg,
-    data: HeredityData,
-    *,
-    left_mult_pairs: Callable[[], list[tuple[str, int, str]]] | None = None,
-    right_mult_pairs: Callable[[], list[tuple[str, int, str]]] | None = None,
-    check_conforming: bool = True,
-) -> HeredityReport:
+def verify_heredity(alg, data: HeredityData, *, check_conforming: bool = True) -> HeredityReport:
     """Check the heredity axioms (a), (b), (c), the f table, and conformity.
 
-    `alg` only needs basis / mul_basis / degree / parity.  `left_mult_pairs`
-    may restrict the (a, i, x) triples checked for axiom (b) to those that can
-    be nonzero (the caller must guarantee the rest vanish); by default all
-    combinations are checked.
+    `alg` only needs basis / mul_basis / degree / parity.
     """
     report = HeredityReport(ok=True)
 
@@ -257,46 +250,34 @@ def verify_heredity(
     except ValueError as exc:
         report.fail("axiom (a)", str(exc))
         return report
-
-    try:
-        pairs = _pair_basis(alg, data)
-    except AssertionError as exc:
-        report.fail("axiom (a)", str(exc))
-        return report
-    report.checked.append("axiom (a): pair basis invertible"
-                          + (" (unimodular over Z)" if pairs.unimodular() else ""))
+    # the pair basis is a relabelling of the basis, so its change of basis is
+    # a permutation matrix
+    report.checked.append("axiom (a): pair basis invertible (unimodular over Z)")
 
     # axiom (c): idempotent absorption
     for i in data.labels:
         ei = data.e[i]
         if ei not in data.X[i] or ei not in data.Y[i]:
             report.fail("axiom (c)", f"e_{i} not in X({i}) and Y({i})")
-        for x in data.X[i]:
-            if alg.mul_basis(x, ei) != {x: 1}:
-                report.fail("axiom (c)", f"x*e_i != x for ({i},{x})")
-            want = {x: 1} if x == ei else {}
-            if alg.mul_basis(ei, x) != want:
-                report.fail("axiom (c)", f"e_i*x wrong for ({i},{x})")
-            for j in data.labels:
-                p = alg.mul_basis(data.e[j], x)
-                if p not in ({x: 1}, {}):
-                    report.fail("axiom (c)", f"e_{j}*x not in {{x,0}} for ({i},{x})")
-        for y in data.Y[i]:
-            if alg.mul_basis(ei, y) != {y: 1}:
-                report.fail("axiom (c)", f"e_i*y != y for ({i},{y})")
-            want = {y: 1} if y == ei else {}
-            if alg.mul_basis(y, ei) != want:
-                report.fail("axiom (c)", f"y*e_i wrong for ({i},{y})")
-            for j in data.labels:
-                p = alg.mul_basis(y, data.e[j])
-                if p not in ({y: 1}, {}):
-                    report.fail("axiom (c)", f"y*e_{j} not in {{y,0}} for ({i},{y})")
+        for side in SIDES:
+            v = side.name.lower()
+            for z in side.pick(data.X, data.Y)[i]:
+                if alg.mul_basis(*side.orient(z, ei)) != {z: 1}:
+                    report.fail("axiom (c)", f"{side.spell(v, 'e_i')} != {v} for ({i},{z})")
+                want = {z: 1} if z == ei else {}
+                if alg.mul_basis(*side.orient(ei, z)) != want:
+                    report.fail("axiom (c)", f"{side.spell('e_i', v)} wrong for ({i},{z})")
+                for j in data.labels:
+                    p = alg.mul_basis(*side.orient(data.e[j], z))
+                    if p not in ({z: 1}, {}):
+                        report.fail("axiom (c)",
+                                    f"{side.spell(f'e_{j}', v)} not in {{{v},0}} for ({i},{z})")
     if report.ok:
         report.checked.append("axiom (c): idempotent absorption")
 
-    def support_ok(expansion, i: int, side: str) -> tuple[bool, str]:
-        """Support must lie in B(j) for j>i, plus pairs (i, x', e_i) [left] or
-        (i, e_i, y') [right]."""
+    def support_ok(expansion, i: int, side: Side) -> tuple[bool, str]:
+        """Support must lie in B(j) for j>i, plus pairs (i, x', e_i) [X side]
+        or (i, e_i, y') [Y side]."""
         for (j, x, y), c in expansion.items():
             if c == 0:
                 continue
@@ -304,35 +285,23 @@ def verify_heredity(
                 continue
             if j != i:
                 return False, f"component B({j}) with {i} not < {j}"
-            if side == "left" and y != data.e[i]:
-                return False, f"pair ({j},{x},{y}) not of the form x'*e_i"
-            if side == "right" and x != data.e[i]:
-                return False, f"pair ({j},{x},{y}) not of the form e_i*y'"
+            if side.orient(x, y)[1] != data.e[i]:
+                form = side.spell(side.name.lower() + "'", "e_i")
+                return False, f"pair ({j},{x},{y}) not of the form {form}"
         return True, ""
 
     # axiom (b)
-    if left_mult_pairs is None:
-        lpairs = [(a, i, x) for a in alg.basis for i in data.labels for x in data.X[i]]
-    else:
-        lpairs = left_mult_pairs()
-    for a, i, x in lpairs:
-        prod = alg.mul_basis(a, x)
-        if not prod:
-            continue
-        ok, why = support_ok(pairs.solve(prod), i, "left")
-        if not ok:
-            report.fail("axiom (b)", f"a*x for ({a},{i},{x}): {why}")
-    if right_mult_pairs is None:
-        rpairs = [(a, i, y) for a in alg.basis for i in data.labels for y in data.Y[i]]
-    else:
-        rpairs = right_mult_pairs()
-    for a, i, y in rpairs:
-        prod = alg.mul_basis(y, a)
-        if not prod:
-            continue
-        ok, why = support_ok(pairs.solve(prod), i, "right")
-        if not ok:
-            report.fail("axiom (b)", f"y*a for ({a},{i},{y}): {why}")
+    for side in SIDES:
+        for a in alg.basis:
+            for i in data.labels:
+                for z in side.pick(data.X, data.Y)[i]:
+                    prod = alg.mul_basis(*side.orient(a, z))
+                    if not prod:
+                        continue
+                    ok, why = support_ok(_in_pairs(of_label, prod), i, side)
+                    if not ok:
+                        report.fail("axiom (b)",
+                                    f"{side.spell('a', side.name.lower())} for ({a},{i},{z}): {why}")
     if report.ok:
         report.checked.append("axiom (b): X(i)/Y(i) span modulo higher ideals")
 
@@ -340,16 +309,14 @@ def verify_heredity(
     for i in data.labels:
         for x in data.X[i]:
             for y in data.Y[i]:
-                prod = alg.mul_basis(y, x)
-                f = Fraction(0)
-                if prod:
-                    for (j, xx, yy), c in pairs.solve(prod).items():
-                        if data.lt(i, j):
-                            continue
-                        if (j, xx, yy) == (i, data.e[i], data.e[i]):
-                            f = c
-                        elif c:
-                            report.fail("f table", f"y*x for ({i},{x},{y}) has stray pair ({j},{xx},{yy})")
+                f = 0
+                for (j, xx, yy), c in _in_pairs(of_label, alg.mul_basis(y, x)).items():
+                    if data.lt(i, j):
+                        continue
+                    if (j, xx, yy) == (i, data.e[i], data.e[i]):
+                        f = c
+                    elif c:
+                        report.fail("f table", f"y*x for ({i},{x},{y}) has stray pair ({j},{xx},{yy})")
                 if x == data.e[i] and y == data.e[i] and f != 1:
                     report.fail("f table", f"f_{i}(e,e) = {f} != 1")
                 hom_trivial = (alg.degree[x] + alg.degree[y] == 0
@@ -524,51 +491,42 @@ class StandardModuleBase:
     x_basis: tuple[str, ...]
     y_basis: tuple[str, ...]
     # action[a][x] = dict over x' of l^x_{x'}(a)
-    action: dict[str, dict[str, dict[str, Fraction]]]
-    right_action: dict[str, dict[str, dict[str, Fraction]]]
-    gram: list[list[Fraction]]  # gram[xi][yi] = f_i(y, x)
+    action: dict[str, dict[str, dict[str, int]]]
+    right_action: dict[str, dict[str, dict[str, int]]]
+    gram: list[list[int]]  # gram[xi][yi] = f_i(y, x)
+
+
+def _pair_labels(alg, data: HeredityData) -> dict[str, tuple[int, str, str]]:
+    """`strict_pairs` for the constructions that need verified heredity data."""
+    try:
+        return strict_pairs(alg, data)[0]
+    except ValueError as exc:
+        raise ValueError(f"heredity axiom (a) fails; verify first: {exc}") from exc
 
 
 def standard_module_base(alg: BasedSuperalgebra, data: HeredityData, i: int) -> StandardModuleBase:
-    try:
-        pairs = _pair_basis(alg, data)
-    except AssertionError as exc:
-        raise ValueError(f"heredity axiom (a) fails; verify first: {exc}") from exc
-    Xi, Yi = data.X[i], data.Y[i]
+    of_label = _pair_labels(alg, data)
 
-    def project_left(prod: Mapping[str, int]) -> dict[str, Fraction]:
-        out: dict[str, Fraction] = {}
-        for (j, x, y), c in pairs.solve(prod).items():
-            if j == i and y == data.e[i]:
-                out[x] = c
+    def project(prod: Mapping[str, int], side: Side) -> dict[str, int]:
+        out: dict[str, int] = {}
+        for (j, *xy), c in _in_pairs(of_label, prod).items():
+            own, other = side.orient(*xy)
+            if j == i and other == data.e[i]:
+                out[own] = c
             elif not data.lt(i, j) and c:
                 raise ValueError("axiom (b) violated; verify first")
         return out
 
-    def project_right(prod: Mapping[str, int]) -> dict[str, Fraction]:
-        out: dict[str, Fraction] = {}
-        for (j, x, y), c in pairs.solve(prod).items():
-            if j == i and x == data.e[i]:
-                out[y] = c
-            elif not data.lt(i, j) and c:
-                raise ValueError("axiom (b) violated; verify first")
-        return out
-
-    action = {a: {x: project_left(alg.mul_basis(a, x)) for x in Xi} for a in alg.basis}
-    right_action = {a: {y: project_right(alg.mul_basis(y, a)) for y in Yi} for a in alg.basis}
-    gram = []
-    for x in Xi:
-        row = []
-        for y in Yi:
-            f = Fraction(0)
-            prod = alg.mul_basis(y, x)
-            if prod:
-                for (j, xx, yy), c in pairs.solve(prod).items():
-                    if (j, xx, yy) == (i, data.e[i], data.e[i]):
-                        f = c
-            row.append(f)
-        gram.append(row)
-    return StandardModuleBase(i, Xi, Yi, action, right_action, gram)
+    action, right_action = (
+        {a: {z: project(alg.mul_basis(*side.orient(a, z)), side)
+             for z in side.pick(data.X, data.Y)[i]}
+         for a in alg.basis}
+        for side in SIDES
+    )
+    unit_pair = (i, data.e[i], data.e[i])
+    gram = [[_in_pairs(of_label, alg.mul_basis(y, x)).get(unit_pair, 0) for y in data.Y[i]]
+            for x in data.X[i]]
+    return StandardModuleBase(i, data.X[i], data.Y[i], action, right_action, gram)
 
 
 def base_decomp_numbers(alg: BasedSuperalgebra, data: HeredityData):
@@ -588,7 +546,7 @@ def base_decomp_numbers(alg: BasedSuperalgebra, data: HeredityData):
               if sm.gram[xi][yi] != 0]
         if any(alg.degree[x] + alg.degree[y] != 0 for x, y in nz):
             raise ValueError(f"algebra not basic at i={i}: pairing not concentrated in degree 0")
-    left = absorbing_colors(alg, data, "X")
+    left = absorbing_colors(alg, data, X_SIDE)
     out: dict[tuple[int, int], GradedSuperScalar] = {}
     for i in data.labels:
         for j in data.labels:
@@ -622,31 +580,22 @@ def truncate_base(alg: BasedSuperalgebra, data: HeredityData, colors: Sequence[i
     if not colors <= set(data.labels):
         raise ValueError("unknown colors in truncating idempotent")
     es = [data.e[i] for i in sorted(colors)]
-    left, right = absorbing_colors(alg, data, "X"), absorbing_colors(alg, data, "Y")
+    absorbers = {side: absorbing_colors(alg, data, side) for side in SIDES}
 
-    def absorb_left(b: str) -> bool:
-        return left.get(b) in colors
-
-    def absorb_right(b: str) -> bool:
-        return right.get(b) in colors
+    def absorbed(b: str, side: Side) -> bool:
+        return absorbers[side].get(b) in colors
 
     adapted = True
-    for i in data.labels:
-        for x in data.X[i]:
-            sums = [alg.mul_basis(e, x) for e in es]
-            tot: Elem = {}
-            for s in sums:
-                tot = elem_add(tot, s)
-            if tot not in ({x: 1}, {}):
-                adapted = False
-        for y in data.Y[i]:
-            tot = {}
-            for e in es:
-                tot = elem_add(tot, alg.mul_basis(y, e))
-            if tot not in ({y: 1}, {}):
-                adapted = False
+    for side in SIDES:
+        for i in data.labels:
+            for z in side.pick(data.X, data.Y)[i]:
+                tot: Elem = {}
+                for e in es:
+                    tot = elem_add(tot, alg.mul_basis(*side.orient(e, z)))
+                if tot not in ({z: 1}, {}):
+                    adapted = False
 
-    sub_basis = [b for b in alg.basis if absorb_left(b) and absorb_right(b)]
+    sub_basis = [b for b in alg.basis if all(absorbed(b, side) for side in SIDES)]
     keep = set(sub_basis)
     kappa = {
         (a, c): out
@@ -666,8 +615,11 @@ def truncate_base(alg: BasedSuperalgebra, data: HeredityData, colors: Sequence[i
         parity={b: alg.parity[b] for b in sub_basis},
         unit=unit,
     )
-    Xb = {i: tuple(x for x in data.X[i] if absorb_left(x)) for i in data.labels}
-    Yb = {i: tuple(y for y in data.Y[i] if absorb_right(y)) for i in data.labels}
+    Xb, Yb = (
+        {i: tuple(z for z in side.pick(data.X, data.Y)[i] if absorbed(z, side))
+         for i in data.labels}
+        for side in SIDES
+    )
     I_bar = tuple(i for i in data.labels if Xb[i] and Yb[i])
     strongly = adapted and all(i in colors for i in I_bar)
     sub_data = HeredityData(
@@ -679,17 +631,14 @@ def truncate_base(alg: BasedSuperalgebra, data: HeredityData, colors: Sequence[i
     )
 
     # surviving simples: i with y*x not in A^{>i} for some truncated pair,
-    # detected through the pairing f_i over Q
-    pairs = _pair_basis(alg, data)
+    # detected through the pairing f_i
+    of_label = _pair_labels(alg, data)
     I_prime = []
     for i in I_bar:
         keep_i = False
         for x in Xb[i]:
             for y in Yb[i]:
-                prod = alg.mul_basis(y, x)
-                if not prod:
-                    continue
-                for (j, _xx, _yy), c in pairs.solve(prod).items():
+                for (j, _xx, _yy), c in _in_pairs(of_label, alg.mul_basis(y, x)).items():
                     if not data.lt(i, j) and c:
                         keep_i = True
         if keep_i:

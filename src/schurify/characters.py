@@ -446,13 +446,9 @@ def _pad_bold(bold, n_labels: int) -> Multipartition:
     return bold + ((),) * (n_labels - len(bold))
 
 
-def _require_basic(alg: BasedSuperalgebra, data: HeredityData) -> None:
-    base_decomp_numbers(alg, data)  # raises for a non-basic base
-
-
 def char_standard_tableaux(T: SchurAlgebra, bold) -> CharacterVector:
     """ch Delta(bold) as the sum of deg(S) . alpha^S over standard X-tableaux."""
-    _require_basic(T.alg, T.data)
+    T.base_decomp  # raises for a non-basic base
     bold = _pad_bold(bold, len(T.data.labels))
     ax = T.ctx.x_alphabet
     out: dict = {}
@@ -482,7 +478,7 @@ def _color_assignments(lam_i: Partition, xs, alg: BasedSuperalgebra, n: int,
 def char_standard_formula(T: SchurAlgebra, bold,
                           cache: LRCache | None = None) -> CharacterVector:
     """ch Delta(bold) by the LR product formula over column multipartitions."""
-    _require_basic(T.alg, T.data)
+    T.base_decomp  # raises for a non-basic base
     cache = cache or _default_cache()
     labels = T.data.labels
     bold = _pad_bold(bold, len(labels))
@@ -552,7 +548,6 @@ class DecompInput:
 
     labels: tuple
     slots: tuple[tuple[int, int, int, int, int], ...]
-    odd_in_radical_assumed: bool = True
 
     @staticmethod
     def from_base(alg: BasedSuperalgebra, data: HeredityData) -> "DecompInput":
@@ -740,7 +735,6 @@ def zig_decomp_simple(lam, mu, n: int, ell: int,
 class DecompMatrix:
     labels: tuple
     entries: dict
-    provenance: str = "ORACLE"
     chars_delta: dict = field(default_factory=dict)
     chars_simple: dict = field(default_factory=dict)
 
@@ -810,7 +804,7 @@ def decomp_oracle(T: SchurAlgebra, ring: CoefficientRing | None = None) -> Decom
         if entries.get((lam, lam)) != GradedSuperScalar.one():
             raise AssertionError(f"diagonal entry at {lam} is not 1")
     return DecompMatrix(labels=tuple(labels), entries=entries,
-                        provenance="ORACLE", chars_delta=chd, chars_simple=chl)
+                        chars_delta=chd, chars_simple=chl)
 
 
 class ClassicalDecomp:

@@ -21,11 +21,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
+from .base_algebra import SIDES, X_SIDE, Y_SIDE, Side
 from .exactla import BlockedBasis
 from .partitions import comp_row_word, gen_multipartitions, trim
 from .schur import Element, SchurAlgebra
 from .tableaux import (
     Tableau,
+    column_violation,
     enumerate_tableaux,
     is_standard,
     row_standardize,
@@ -41,45 +43,42 @@ CodetKey = tuple[tuple[tuple[int, ...], ...], Tableau, Tableau]  # (shape, S, T)
 # tableau <-> orbit words
 # ---------------------------------------------------------------------------
 
-def x_word(T: SchurAlgebra, S: Tableau) -> TriWord:
-    """The orbit word of X_S: entries of S against the row word of its shape."""
-    out = []
-    for comp in S:
-        for m, row in enumerate(comp, start=1):
-            for (r, x) in row:
-                out.append((x, r, m))
-    return tuple(out)
+def _word(tab: Tableau, rows, side: Side) -> TriWord:
+    """The row-major content of `tab` paired with a row word of the same
+    length: an X letter (l, x) against row m gives (x, l, m), a Y letter
+    (y, m, l)."""
+    content = [entry for comp in tab for row in comp for entry in row]
+    assert len(content) == len(rows)
+    r, s = side.orient([l for (l, _z) in content], rows)
+    return tuple(zip([z for (_l, z) in content], r, s))
 
 
-def y_word(T: SchurAlgebra, Tb: Tableau) -> TriWord:
-    out = []
-    for comp in Tb:
-        for m, row in enumerate(comp, start=1):
-            for (s, y) in row:
-                out.append((y, m, s))
-    return tuple(out)
+def side_element(T: SchurAlgebra, tab: Tableau, side: Side) -> Element:
+    """X_S or Y_T: the orbit element of a tableau against its own rows."""
+    rows = [m for comp in tab for m, row in enumerate(comp, start=1) for _ in row]
+    return T.eta(_word(tab, rows, side))
 
 
 def x_element(T: SchurAlgebra, S: Tableau) -> Element:
-    return T.eta(x_word(T, S))
+    return side_element(T, S, X_SIDE)
 
 
 def y_element(T: SchurAlgebra, Tb: Tableau) -> Element:
-    return T.eta(y_word(T, Tb))
+    return side_element(T, Tb, Y_SIDE)
 
 
 def codet_element(T: SchurAlgebra, S: Tableau, Tb: Tableau) -> Element:
     return T.mul(x_element(T, S), y_element(T, Tb))
 
 
-def _leading_word(T: SchurAlgebra, S: Tableau, side: str):
+def _leading_word(T: SchurAlgebra, tab: Tableau, side: Side):
     """Row-major sequence of alphabet keys; the triangular order compares
     these lexicographically."""
-    alphabet = T.ctx.x_alphabet if side == "X" else T.ctx.y_alphabet
-    return tuple(alphabet.key(entry) for entry in tableau_word(S))
+    alphabet = T.ctx.alphabet(side)
+    return tuple(alphabet.key(entry) for entry in tableau_word(tab))
 
 
-def _decompose_one_sided(T: SchurAlgebra, bold, elt: Element, side: str) -> dict[Tableau, int]:
+def _decompose_one_sided(T: SchurAlgebra, bold, elt: Element, side: Side) -> dict[Tableau, int]:
     """Write an element supported on X-type (or Y-type) orbits with shape word
     `bold` as a combination of row-standard tableau elements."""
     ctx = T.ctx
@@ -88,24 +87,19 @@ def _decompose_one_sided(T: SchurAlgebra, bold, elt: Element, side: str) -> dict
     for orbit, c in elt.items():
         comps: list[list[list]] = [[[] for _ in comp] for comp in bold]
         for (b, r, s) in orbit:
-            i, x, y = ctx.pair_of[b]
-            if side == "X":
-                if y != T.data.e.get(i):
-                    raise AssertionError(f"orbit {orbit} is not X-type at {b}")
-                letter, m = (r, x), s
-            else:
-                if x != T.data.e.get(i):
-                    raise AssertionError(f"orbit {orbit} is not Y-type at {b}")
-                letter, m = (s, y), r
-            comps[pos_of[i]][m - 1].append(letter)
+            i, *xy = ctx.pair_of[b]
+            own, other = side.orient(*xy)
+            if other != T.data.e.get(i):
+                raise AssertionError(f"orbit {orbit} is not {side.name}-type at {b}")
+            l, m = side.orient(r, s)
+            comps[pos_of[i]][m - 1].append((l, own))
         if any(len(row) != bold[k][m] for k, comp in enumerate(comps)
                for m, row in enumerate(comp)):
             raise AssertionError(f"orbit {orbit} does not fill shape {bold}")
-        alphabet = ctx.x_alphabet if side == "X" else ctx.y_alphabet
         tab = row_standardize(
-            tuple(tuple(tuple(row) for row in comp) for comp in comps), alphabet
+            tuple(tuple(tuple(row) for row in comp) for comp in comps), ctx.alphabet(side)
         )
-        single = x_element(T, tab) if side == "X" else y_element(T, tab)
+        single = side_element(T, tab, side)
         if single != {orbit: 1} and single != {orbit: -1}:
             raise AssertionError("one-sided decomposition lost an orbit")
         out[tab] = out.get(tab, 0) + c * single[orbit]
@@ -174,15 +168,17 @@ class CodetBasis:
 
     @cached_property
     def std_x(self) -> dict:
-        return {bold: self._std(bold, "X") for bold in self.shapes}
+        return {bold: self._std(bold, X_SIDE) for bold in self.shapes}
 
     @cached_property
     def std_y(self) -> dict:
-        return {bold: self._std(bold, "Y") for bold in self.shapes}
+        return {bold: self._std(bold, Y_SIDE) for bold in self.shapes}
 
-    def _std(self, bold, side: str) -> list[Tableau]:
-        alphabet = self.T.ctx.x_alphabet if side == "X" else self.T.ctx.y_alphabet
-        tabs = enumerate_tableaux(bold, alphabet, "STD")
+    def std(self, side: Side) -> dict:
+        return side.pick(self.std_x, self.std_y)
+
+    def _std(self, bold, side: Side) -> list[Tableau]:
+        tabs = enumerate_tableaux(bold, self.T.ctx.alphabet(side), "STD")
         if self.T.keep_basis is not None:
             keep = self.T.keep_basis
             tabs = [t for t in tabs if all(z in keep for (_l, z) in tableau_word(t))]
@@ -288,11 +284,9 @@ class Straightener:
         key2, sign = self._dominantize(key)
         if key2 != key:
             return {ck: sign * v for ck, v in self.straighten_codet(key2).items()}
-        xa, ya = T.ctx.x_alphabet, T.ctx.y_alphabet
-        if not is_standard(S, xa):
-            return self._one_step(key, "X")
-        if not is_standard(Tb, ya):
-            return self._one_step(key, "Y")
+        for side in SIDES:
+            if not is_standard(side.pick(S, Tb), T.ctx.alphabet(side)):
+                return self._one_step(key, side)
         return {key: 1}
 
     def _dominantize(self, key: CodetKey) -> tuple[CodetKey, int]:
@@ -326,94 +320,47 @@ class Straightener:
             raise AssertionError("elements not related by a global sign")
         return sign
 
-    def _one_step(self, key: CodetKey, side: str) -> dict[CodetKey, int]:
-        """Apply the column-violation rewrite on the given side and recurse."""
+    def _one_step(self, key: CodetKey, side: Side) -> dict[CodetKey, int]:
+        """Apply the column-violation rewrite to the tableau on the given side
+        and recurse; the tableau on the other side rides along."""
         T = self.T
-        bold, S, Tb = key
-        tab = S if side == "X" else Tb
-        alphabet = T.ctx.x_alphabet if side == "X" else T.ctx.y_alphabet
-        pos = next(k for k in range(len(tab)) if not self._comp_standard(tab[k], alphabet))
-        mu = bold[pos]
-        lam = self._aux_shape(mu, tab[pos], alphabet)
+        bold = key[0]
+        tab, other_tab = side.orient(*key[1:])
+        alphabet = T.ctx.alphabet(side)
+        pos, viol = next((k, v) for k, comp in enumerate(tab)
+                         if (v := column_violation(comp, alphabet)))
+        lam = self._aux_shape(bold[pos], tab[pos], alphabet, viol)
         lam_bold = tuple(lam if k == pos else c for k, c in enumerate(bold))
         mid = self._mid_element(bold, lam_bold, side)
 
-        if side == "X":
-            xp = T.eta(self._against(S, lam_bold))
-            if not xp:
-                raise AssertionError("auxiliary X element vanished")
-            Q = T.mul(xp, mid)
-            lead = _decompose_one_sided(T, bold, Q, "X")
-            s = lead.pop(S, 0)
-            if s not in (1, -1):
-                raise AssertionError("leading straightening coefficient not a sign")
-            LS = _leading_word(T, S, "X")
-            out: dict[CodetKey, int] = {}
-            Z = T.mul(mid, y_element(T, Tb))
-            for T2, c in _decompose_one_sided(T, lam_bold, Z, "Y").items():
-                for S2, c2 in _decompose_one_sided(T, lam_bold, xp, "X").items():
-                    sub = self.straighten_codet((lam_bold, S2, T2))
-                    for ck, v in sub.items():
-                        out[ck] = out.get(ck, 0) + s * c * c2 * v
-            for S2, c in lead.items():
-                if not _leading_word(T, S2, "X") < LS:
-                    raise AssertionError("straightening not triangular on leading words")
-                sub = self.straighten_codet((bold, S2, Tb))
+        aux = T.eta(_word(tab, [m for comp in lam_bold for m in comp_row_word(comp)], side))
+        if not aux:
+            raise AssertionError(f"auxiliary {side.name} element vanished")
+        lead = _decompose_one_sided(T, bold, T.mul(*side.orient(aux, mid)), side)
+        s = lead.pop(tab, 0)
+        if s not in (1, -1):
+            raise AssertionError("leading straightening coefficient not a sign")
+        leading = _leading_word(T, tab, side)
+        out: dict[CodetKey, int] = {}
+        Z = T.mul(*side.orient(mid, side_element(T, other_tab, side.other)))
+        for other2, c in _decompose_one_sided(T, lam_bold, Z, side.other).items():
+            for tab2, c2 in _decompose_one_sided(T, lam_bold, aux, side).items():
+                sub = self.straighten_codet((lam_bold, *side.orient(tab2, other2)))
                 for ck, v in sub.items():
-                    out[ck] = out.get(ck, 0) - s * c * v
-        else:
-            yp = T.eta(self._against(Tb, lam_bold, side="Y"))
-            if not yp:
-                raise AssertionError("auxiliary Y element vanished")
-            Q = T.mul(mid, yp)
-            lead = _decompose_one_sided(T, bold, Q, "Y")
-            s = lead.pop(Tb, 0)
-            if s not in (1, -1):
-                raise AssertionError("leading straightening coefficient not a sign")
-            LT = _leading_word(T, Tb, "Y")
-            out = {}
-            Z = T.mul(x_element(T, S), mid)
-            for S2, c in _decompose_one_sided(T, lam_bold, Z, "X").items():
-                for T2, c2 in _decompose_one_sided(T, lam_bold, yp, "Y").items():
-                    sub = self.straighten_codet((lam_bold, S2, T2))
-                    for ck, v in sub.items():
-                        out[ck] = out.get(ck, 0) + s * c * c2 * v
-            for T2, c in lead.items():
-                if not _leading_word(T, T2, "Y") < LT:
-                    raise AssertionError("straightening not triangular on leading words")
-                sub = self.straighten_codet((bold, S, T2))
-                for ck, v in sub.items():
-                    out[ck] = out.get(ck, 0) - s * c * v
+                    out[ck] = out.get(ck, 0) + s * c * c2 * v
+        for tab2, c in lead.items():
+            if not _leading_word(T, tab2, side) < leading:
+                raise AssertionError("straightening not triangular on leading words")
+            sub = self.straighten_codet((bold, *side.orient(tab2, other_tab)))
+            for ck, v in sub.items():
+                out[ck] = out.get(ck, 0) - s * c * v
         return {k: v for k, v in out.items() if v}
 
-    @staticmethod
-    def _comp_standard(comp, alphabet) -> bool:
-        for r in range(1, len(comp)):
-            for c in range(len(comp[r])):
-                a, b = comp[r - 1][c], comp[r][c]
-                ka, kb = alphabet.key(a), alphabet.key(b)
-                if ka > kb or (ka == kb and not alphabet.is_odd(a)):
-                    return False
-        return True
-
-    def _aux_shape(self, mu, comp, alphabet):
-        """The auxiliary composition from the minimal column violation, via
-        the E/F row partitions."""
+    def _aux_shape(self, mu, comp, alphabet, viol):
+        """The auxiliary composition from the minimal column violation `viol`
+        (1-based row and column) of one component, via the E/F row
+        partitions."""
         n = self.T.n
-
-        def arrow(L, M) -> bool:
-            kL, kM = alphabet.key(L), alphabet.key(M)
-            return kL > kM or (kL == kM and not alphabet.is_odd(L))
-
-        viol = None
-        for a in range(len(comp) - 1):
-            for b in range(len(comp[a + 1])):
-                if arrow(comp[a][b], comp[a + 1][b]):
-                    viol = (a + 1, b + 1)  # 1-based
-                    break
-            if viol:
-                break
-        assert viol is not None
         a, b = viol
         mu_full = list(mu) + [0] * (n - len(mu))
         E: dict[int, list[int]] = {}
@@ -423,12 +370,13 @@ class Straightener:
             if t < a:
                 E[t], F[t] = cells, []
             elif t == a:
-                E[t] = [s for s in cells if s < b - 1]
-                F[t] = [s for s in cells if s >= b - 1]
+                E[t] = [s for s in cells if s < b]
+                F[t] = [s for s in cells if s >= b]
             else:
                 E[t] = [
                     s for s in cells
-                    if all(arrow(comp[t - 2][u - 1], comp[t - 1][s - 1]) for u in F[t - 1])
+                    if all(alphabet.breaks_column(comp[t - 2][u - 1], comp[t - 1][s - 1])
+                           for u in F[t - 1])
                 ]
                 F[t] = [s for s in cells if s not in E[t]]
         e = {t: len(E[t]) for t in range(1, n + 1)}
@@ -447,7 +395,7 @@ class Straightener:
         assert tuple(sorted(lam, reverse=True)) > tuple(mu_full)
         return trim(tuple(lam)) if lam and lam[-1] == 0 else tuple(lam)
 
-    def _mid_element(self, src_bold, dst_bold, side: str) -> Element:
+    def _mid_element(self, src_bold, dst_bold, side: Side) -> Element:
         """Connecting element: identity colors positionwise between the two
         shape row words.  For the X side the product runs dst -> src, for the
         Y side src -> dst."""
@@ -459,23 +407,10 @@ class Straightener:
             assert len(srows) == len(drows)
             ei = T.data.e[i]
             for u, v in zip(drows, srows):
-                word.append((ei, u, v) if side == "X" else (ei, v, u))
+                word.append((ei, *side.orient(u, v)))
         elt = T.eta(tuple(word))
         assert elt
         return elt
-
-    def _against(self, tab: Tableau, shape_bold, side: str = "X") -> TriWord:
-        """Pair the row-major content of `tab` against the row word of another
-        shape of the same size."""
-        T = self.T
-        out = []
-        for k, comp in enumerate(tab):
-            content = [entry for row in comp for entry in row]
-            rows = comp_row_word(shape_bold[k])
-            assert len(content) == len(rows)
-            for (l, z), m in zip(content, rows):
-                out.append((z, l, m) if side == "X" else (z, m, l))
-        return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -522,88 +457,65 @@ def heredity_of_T(T: SchurAlgebra, sample_b: int | None = None) -> SchurHeredity
     def padded(bold):
         return tuple(tuple(c) + (0,) * (T.n - len(c)) for c in bold)
 
+    def name(side: Side) -> str:
+        return f"{side.name}_{side.pick('S', 'T')}"
+
     idem = {bold: T.idempotent_bold(bold) for bold in cb.shapes}
     ok_c = True
     for bold in cb.shapes:
-        S0, _ = cb.initial_tableau_pair(bold)
-        for S in cb.std_x[bold]:
-            xs = x_element(T, S)
-            if T.mul(xs, idem[bold]) != xs:
-                ok_c = False
-                failures.append(f"axiom (c): X_S e != X_S at {bold}")
-            want = xs if S == S0 else {}
-            if T.mul(idem[bold], xs) != want:
-                ok_c = False
-                failures.append(f"axiom (c): e X_S wrong at {bold}")
-            alpha = tableau_weight(S, T.ctx.x_alphabet)
-            for bold2 in cb.shapes:
-                prod = T.mul(idem[bold2], xs)
-                want = xs if padded(bold2) == alpha else {}
-                if prod != want:
+        for side in SIDES:
+            nm = name(side)
+            # "X_S e", "e X_S" and "e_mu X_S" on the X side, mirrored on Y
+            elt_e, e_elt, emu_elt = (" ".join(side.orient(a, b))
+                                     for a, b in ((nm, "e"), ("e", nm), ("e_mu", nm)))
+            initial = side.pick(*cb.initial_tableau_pair(bold))
+            for tab in cb.std(side)[bold]:
+                elt = side_element(T, tab, side)
+                if T.mul(*side.orient(elt, idem[bold])) != elt:
                     ok_c = False
-                    failures.append(f"axiom (c): e_mu X_S not diagonal at {bold}, {bold2}")
-        for Tb in cb.std_y[bold]:
-            ys = y_element(T, Tb)
-            if T.mul(idem[bold], ys) != ys:
-                ok_c = False
-                failures.append(f"axiom (c): e Y_T != Y_T at {bold}")
-            beta = tableau_weight(Tb, T.ctx.y_alphabet)
-            for bold2 in cb.shapes:
-                prod = T.mul(ys, idem[bold2])
-                want = ys if padded(bold2) == beta else {}
-                if prod != want:
+                    failures.append(f"axiom (c): {elt_e} != {nm} at {bold}")
+                want = elt if tab == initial else {}
+                if T.mul(*side.orient(idem[bold], elt)) != want:
                     ok_c = False
-                    failures.append(f"axiom (c): Y_T e_mu not diagonal at {bold}, {bold2}")
+                    failures.append(f"axiom (c): {e_elt} wrong at {bold}")
+                weight = tableau_weight(tab, T.ctx.alphabet(side))
+                for bold2 in cb.shapes:
+                    want = elt if padded(bold2) == weight else {}
+                    if T.mul(*side.orient(idem[bold2], elt)) != want:
+                        ok_c = False
+                        failures.append(f"axiom (c): {emu_elt} not diagonal at {bold}, {bold2}")
     if ok_c:
         checked.append("axiom (c): idempotent absorption")
 
-    # axiom (b): products land in X (resp. Y) span modulo strictly greater shapes
-    by_beta: dict = {}
-    by_alpha: dict = {}
+    # axiom (b): products land in X (resp. Y) span modulo strictly greater shapes.
+    # An orbit a meets X_S on its right profile and Y_T on its left profile.
+    meeting: dict = {side: {} for side in SIDES}
     for orbit in T.orbits:
-        al, be = T.profiles(orbit)
-        by_beta.setdefault(be, []).append(orbit)
-        by_alpha.setdefault(al, []).append(orbit)
+        profiles = T.profiles(orbit)
+        for side in SIDES:
+            meeting[side].setdefault(side.orient(*profiles)[1], []).append(orbit)
     ok_b = True
     for bold in cb.shapes:
-        _, T0 = cb.initial_tableau_pair(bold)
-        for S in cb.std_x[bold]:
-            xs = x_element(T, S)
-            alpha = tableau_weight(S, T.ctx.x_alphabet)
-            cands = by_beta.get(alpha, [])
-            if sample_b is not None:
-                cands = cands[:sample_b]
-            for orbit in cands:
-                prod = T.mul({orbit: 1}, xs)
-                if not prod:
-                    continue
-                for (mu, S2, T2) in cb.solve(prod):
-                    if strictly_greater(mu, bold):
+        for side in SIDES:
+            other_initial = side.orient(*cb.initial_tableau_pair(bold))[1]
+            for tab in cb.std(side)[bold]:
+                elt = side_element(T, tab, side)
+                cands = meeting[side].get(tableau_weight(tab, T.ctx.alphabet(side)), [])
+                if sample_b is not None:
+                    cands = cands[:sample_b]
+                for orbit in cands:
+                    prod = T.mul(*side.orient({orbit: 1}, elt))
+                    if not prod:
                         continue
-                    if mu != bold or T2 != T0:
-                        ok_b = False
-                        failures.append(
-                            f"axiom (b): a*X_S escapes the X span at {bold}"
-                        )
-        for Tb in cb.std_y[bold]:
-            ys = y_element(T, Tb)
-            beta = tableau_weight(Tb, T.ctx.y_alphabet)
-            cands = by_alpha.get(beta, [])
-            if sample_b is not None:
-                cands = cands[:sample_b]
-            for orbit in cands:
-                prod = T.mul(ys, {orbit: 1})
-                if not prod:
-                    continue
-                for (mu, S2, T2) in cb.solve(prod):
-                    if strictly_greater(mu, bold):
-                        continue
-                    S0, _ = cb.initial_tableau_pair(bold)
-                    if mu != bold or S2 != S0:
-                        ok_b = False
-                        failures.append(
-                            f"axiom (b): Y_T*a escapes the Y span at {bold}"
-                        )
+                    for (mu, *pair) in cb.solve(prod):
+                        if strictly_greater(mu, bold):
+                            continue
+                        if mu != bold or side.orient(*pair)[1] != other_initial:
+                            ok_b = False
+                            failures.append(
+                                f"axiom (b): {side.spell('a', name(side))} escapes the "
+                                f"{side.name} span at {bold}"
+                            )
     if ok_b:
         checked.append("axiom (b): X/Y spans modulo higher shape ideals")
 
@@ -630,12 +542,13 @@ def standard_module_T(T: SchurAlgebra, bold) -> SchurStandardModule:
     Ys = cb.std_y[bold]
     S0, T0 = cb.initial_tableau_pair(bold)
     unit_key = (bold, S0, T0)
+    ys = [y_element(T, Tb) for Tb in Ys]
     gram = []
     for S in Xs:
         row = []
         xs = x_element(T, S)
-        for Tb in Ys:
-            prod = T.mul(y_element(T, Tb), xs)
+        for y in ys:
+            prod = T.mul(y, xs)
             if not prod:
                 row.append(0)
                 continue

@@ -17,10 +17,6 @@ Multipartition = tuple[Partition, ...]
 Cmp = Literal["LT", "GT", "EQ", "INC"]
 
 
-def is_partition(lam: tuple[int, ...]) -> bool:
-    return all(lam[i] >= lam[i + 1] for i in range(len(lam) - 1)) and (not lam or lam[-1] > 0)
-
-
 def trim(parts: tuple[int, ...]) -> tuple[int, ...]:
     """Drop trailing zeros."""
     n = len(parts)

@@ -15,7 +15,7 @@ from __future__ import annotations
 from functools import cached_property
 from itertools import permutations, product
 
-from .base_algebra import AntiInvolution, BasedSuperalgebra, HeredityData
+from .base_algebra import AntiInvolution, BasedSuperalgebra, HeredityData, base_decomp_numbers
 from .partitions import compositions, gen_multipartitions
 from .triples import TriContext, TriLetter, TriWord
 
@@ -49,8 +49,6 @@ class SchurAlgebra:
         if keep_basis is not None:
             letters = [lt for lt in letters if lt[0] in keep_basis]
         self._letters = letters
-        self.orbits: list[TriWord] = list(_multisets(letters, d, self.ctx))
-        self.index = {o: k for k, o in enumerate(self.orbits)}
         self._arr_cache: dict[TriWord, list[tuple[TriWord, int]]] = {}
         self._mid_cache: dict[TriWord, dict[tuple[int, ...], list[tuple[TriWord, int]]]] = {}
         self._prod_cache: dict[tuple[TriWord, TriWord], Element] = {}
@@ -59,16 +57,33 @@ class SchurAlgebra:
 
     # -- family of degrees (for star products and coproducts) -------------
     def family(self, d: int) -> "SchurAlgebra":
-        root = self.parent or self
-        if d not in root._family:
-            root._family[d] = SchurAlgebra(
-                self.alg, self.data, self.n, d, self.tau, self.keep_basis, parent=root
-            )
-        return root._family[d]
+        """The algebra of degree d over the same base and truncation.  The
+        members of a family share one cache; a truncation starts its own."""
+        if d not in self._family:
+            member = SchurAlgebra(self.alg, self.data, self.n, d, self.tau, self.keep_basis,
+                                  parent=self)
+            member._family = self._family
+            self._family[d] = member
+        return self._family[d]
+
+    @cached_property
+    def orbits(self) -> list[TriWord]:
+        """The canonical orbits, enumerated on first use."""
+        return list(_multisets(self._letters, self.d, self.ctx))
+
+    @cached_property
+    def index(self) -> dict[TriWord, int]:
+        return {o: k for k, o in enumerate(self.orbits)}
 
     @property
     def rank(self) -> int:
         return len(self.orbits)
+
+    @cached_property
+    def base_decomp(self) -> dict:
+        """The base algebra's graded decomposition numbers; raises ValueError
+        when the base is not basic."""
+        return base_decomp_numbers(self.alg, self.data)
 
     @cached_property
     def codet_basis(self):

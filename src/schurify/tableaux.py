@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .base_algebra import BasedSuperalgebra, HeredityData, absorbing_colors
+from .base_algebra import BasedSuperalgebra, HeredityData, Side, absorbing_colors
 from .partitions import Multipartition
 from .rings import GradedSuperScalar
 
@@ -28,7 +28,7 @@ class Alphabet:
     alg: BasedSuperalgebra
     data: HeredityData
     n: int
-    side: str  # "X" or "Y"
+    side: Side
 
     @cached_property
     def absorbers(self) -> dict[str, int]:
@@ -43,7 +43,7 @@ class Alphabet:
 
     @cached_property
     def listings(self) -> dict[int, tuple[str, ...]]:
-        side_sets = self.data.X if self.side == "X" else self.data.Y
+        side_sets = self.side.pick(self.data.X, self.data.Y)
         out = {}
         for i in self.data.labels:
             ei = self.data.e[i]
@@ -75,8 +75,11 @@ class Alphabet:
     def is_odd(self, letter: Letter) -> bool:
         return self.alg.parity[letter[1]] == 1
 
-    def leq(self, a: Letter, b: Letter) -> bool:
-        return self.key(a) <= self.key(b)
+    def breaks_column(self, above: Letter, below: Letter) -> bool:
+        """Whether `below` may not sit right under `above` in a standard
+        tableau: keys increase down a column, strictly unless `above` is odd."""
+        ka, kb = self.key(above), self.key(below)
+        return ka > kb or (ka == kb and not self.is_odd(above))
 
 
 # ---------------------------------------------------------------------------
@@ -85,13 +88,6 @@ class Alphabet:
 
 def shape_of(T: Tableau) -> Multipartition:
     return tuple(tuple(len(row) for row in comp) for comp in T)
-
-
-def initial_tableau(bold: Multipartition, data: HeredityData) -> Tableau:
-    return tuple(
-        tuple(tuple((r, data.e[i]) for _ in range(width)) for r, width in enumerate(comp, start=1))
-        for i, comp in enumerate(bold)
-    )
 
 
 def word(T: Tableau) -> tuple[Letter, ...]:
@@ -125,17 +121,19 @@ def is_row_standard(T: Tableau, alphabet: Alphabet) -> bool:
     return True
 
 
+def column_violation(comp, alphabet: Alphabet) -> tuple[int, int] | None:
+    """The first column violation in one component of a tableau: the 1-based
+    (row, column) of the upper of two cells that break their column, first in
+    row-major order, or None."""
+    for r in range(1, len(comp)):
+        for c in range(len(comp[r])):
+            if alphabet.breaks_column(comp[r - 1][c], comp[r][c]):
+                return r, c + 1
+    return None
+
+
 def is_column_standard(T: Tableau, alphabet: Alphabet) -> bool:
-    if not _tab_rule_ok(T, alphabet):
-        return False
-    for comp in T:
-        for r in range(1, len(comp)):
-            for c in range(len(comp[r])):
-                a, b = comp[r - 1][c], comp[r][c]
-                ka, kb = alphabet.key(a), alphabet.key(b)
-                if ka > kb or (ka == kb and not alphabet.is_odd(a)):
-                    return False
-    return True
+    return _tab_rule_ok(T, alphabet) and not any(column_violation(comp, alphabet) for comp in T)
 
 
 def is_standard(T: Tableau, alphabet: Alphabet) -> bool:
@@ -152,11 +150,10 @@ def row_standardize(T: Tableau, alphabet: Alphabet) -> Tableau:
 def enumerate_tableaux(
     bold: Multipartition, alphabet: Alphabet, flavor: str = "STD"
 ) -> list[Tableau]:
-    """All tableaux of the given shape and flavor (STD | RST | CST | ALL)."""
-    if flavor not in ("STD", "RST", "CST", "ALL"):
+    """All standard (STD) or row-standard (RST) tableaux of the given shape."""
+    if flavor not in ("STD", "RST"):
         raise ValueError(f"unknown flavor {flavor!r}")
-    row_con = flavor in ("STD", "RST")
-    col_con = flavor in ("STD", "CST")
+    col_con = flavor == "STD"
 
     comps: list[list[tuple[tuple[Letter, ...], ...]]] = []
     for i, comp_shape in enumerate(bold):
@@ -174,16 +171,13 @@ def enumerate_tableaux(
             for cand in letters:
                 if cur_row:
                     prev = cur_row[-1]
-                    if row_con:
-                        if alphabet.key(cand) < alphabet.key(prev):
-                            continue
+                    if alphabet.key(cand) < alphabet.key(prev):
+                        continue
                     if cand == prev and alphabet.is_odd(cand):
                         continue  # repetition rule inside a row
-                if col_con and r > 0 and c < len(rows_done[r - 1]):
-                    above = rows_done[r - 1][c]
-                    ka, kc = alphabet.key(above), alphabet.key(cand)
-                    if ka > kc or (ka == kc and not alphabet.is_odd(above)):
-                        continue
+                if (col_con and r > 0 and c < len(rows_done[r - 1])
+                        and alphabet.breaks_column(rows_done[r - 1][c], cand)):
+                    continue
                 cur_row.append(cand)
                 backtrack(rows_done, cur_row, r)
                 cur_row.pop()

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from math import factorial
 
-from .base_algebra import BasedSuperalgebra, HeredityData, strict_pairs
+from .base_algebra import X_SIDE, Y_SIDE, BasedSuperalgebra, HeredityData, Side, strict_pairs
 from .tableaux import Alphabet
 
 TriLetter = tuple[str, int, int]
@@ -36,11 +36,14 @@ class TriContext:
 
     @cached_property
     def x_alphabet(self) -> Alphabet:
-        return Alphabet(self.alg, self.data, self.n, "X")
+        return Alphabet(self.alg, self.data, self.n, X_SIDE)
 
     @cached_property
     def y_alphabet(self) -> Alphabet:
-        return Alphabet(self.alg, self.data, self.n, "Y")
+        return Alphabet(self.alg, self.data, self.n, Y_SIDE)
+
+    def alphabet(self, side: Side) -> Alphabet:
+        return side.pick(self.x_alphabet, self.y_alphabet)
 
     @cached_property
     def strata(self) -> tuple[set[str], set[str], set[str]]:

@@ -187,3 +187,22 @@ def test_ematrix_f2():
                 assert e[(0, 0)] == e.coeffs.get((0, 0), 0)
                 rhs = rhs + sbar[mu].scale(e)
         assert lhs == rhs, lam
+
+
+def test_basicness_checked_once_per_algebra(zz1, monkeypatch):
+    from schurify import base_algebra
+
+    built = []
+    real = base_algebra.standard_module_base
+
+    def counted(alg, data, i):
+        built.append(i)
+        return real(alg, data, i)
+
+    monkeypatch.setattr(base_algebra, "standard_module_base", counted)
+    alg, data, tau = zz1
+    T = build_schur(alg, data, 2, 2, tau)
+    for lam in gen_multipartitions(2, 2, 1):
+        ch.char_standard_tableaux(T, lam)
+        ch.char_standard_formula(T, lam, ch.LRCache(""))
+    assert sorted(built) == list(data.labels)

@@ -149,3 +149,17 @@ def test_verify_rank_check_fails_on_a_broken_rsk(monkeypatch, tmp_path):
     assert res.exit_code == 1
     failed = [line for line in res.output.splitlines() if line.startswith("FAIL")]
     assert len(failed) == 1 and failed[0].startswith("FAIL  rank"), res.output
+
+
+def test_char_and_formula_decomp_enumerate_no_orbits(monkeypatch, tmp_path):
+    from schurify import schur
+
+    def refuse(*_args):
+        raise AssertionError("orbits enumerated")
+
+    monkeypatch.setattr(schur, "_multisets", refuse)
+    common = ["--algebra", "zigzag:1", "-n", "2", "-d", "2", "--cache-dir", str(tmp_path)]
+    res = run("char", *common, "--label", "[[1],[1]]", "--method", "both")
+    assert res.exit_code == 0, res.output
+    res = run("decomp", *common, "--method", "formula")
+    assert res.exit_code == 0, res.output

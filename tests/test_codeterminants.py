@@ -118,3 +118,34 @@ def test_cellularity_zigzag_bar(T122):
     assert T122.involution(e) == e
     for (bold, S, T2), el in cells.items():
         assert T122.involution(el) == cells[(bold, T2, S)]
+
+
+def test_straighten_trivial_d4():
+    """The recursive backend agrees with the linear solve at d = 4, on the
+    orbit whose auxiliary shape once split its violating row a cell early
+    and on a seeded sample."""
+    alg, data, tau = make_algebra("trivial")
+    T = build_schur(alg, data, 4, 4, tau)
+    st = codet.Straightener(T)
+    witness = (("1", 1, 1), ("1", 2, 1), ("1", 3, 1), ("1", 3, 2))
+    rng = random.Random(4)
+    for o in [witness] + rng.sample(T.orbits, 150):
+        assert st.straighten_element({o: 1}) == T.codet_basis.solve({o: 1}), o
+
+
+def test_heredity_checks_both_sides_alike(T122, monkeypatch):
+    """With a wrong initial tableau pair, axiom (c) fails as often on the Y
+    side as on the X side."""
+    real = codet.CodetBasis.initial_tableau_pair
+    bold = ((2,), ())
+
+    def wrong(self, shape):
+        if shape == bold:
+            return self.std_x[bold][-1], self.std_y[bold][-1]
+        return real(self, shape)
+
+    monkeypatch.setattr(codet.CodetBasis, "initial_tableau_pair", wrong)
+    rep = codet.heredity_of_T(T122, sample_b=8)
+    x = rep.failures.count(f"axiom (c): e X_S wrong at {bold}")
+    y = rep.failures.count(f"axiom (c): Y_T e wrong at {bold}")
+    assert x == y > 0, rep.failures

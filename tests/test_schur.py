@@ -240,3 +240,13 @@ def test_n_less_than_d_plain_ops_allowed():
     assert T.rank > 0
     a = T.orbits[0]
     T.mult_orbits(a, a)  # multiplication works in the cellular-only regime
+
+
+def test_family_cache_per_truncation():
+    alg, data, tau = make_algebra("zigzag:1")
+    T = build_schur(alg, data, 2, 2, tau)
+    Tb = T.truncate([0])
+    assert Tb.family(2) is Tb and Tb.rank == 36
+    assert Tb.family(1).rank == 8
+    assert T.family(1).rank == 20
+    assert Tb.family(1).family(2) is Tb
