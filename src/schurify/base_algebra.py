@@ -21,6 +21,8 @@ import json
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
+from .rings import GradedSuperScalar
+
 Elem = dict[str, int]
 
 
@@ -49,15 +51,6 @@ class Side:
 X_SIDE = Side("X", lambda a, b: (a, b))
 Y_SIDE = Side("Y", lambda a, b: (b, a))
 SIDES = (X_SIDE, Y_SIDE)
-
-
-def elem_add(x: Mapping[str, int], y: Mapping[str, int], c: int = 1) -> Elem:
-    out = dict(x)
-    for b, v in y.items():
-        out[b] = out.get(b, 0) + c * v
-        if not out[b]:
-            del out[b]
-    return out
 
 
 class BasedSuperalgebra:
@@ -463,6 +456,8 @@ def make_trivial() -> tuple[BasedSuperalgebra, HeredityData, AntiInvolution]:
 
 def make_semisimple(m: int) -> tuple[BasedSuperalgebra, HeredityData, AntiInvolution]:
     """A = k^(+m): m orthogonal idempotents, discrete poset."""
+    if m < 1:
+        raise ValueError("need m >= 1")
     basis = [f"u{t}" for t in range(m)]
     alg = BasedSuperalgebra(
         basis,
@@ -536,8 +531,6 @@ def base_decomp_numbers(alg: BasedSuperalgebra, data: HeredityData):
     multiplicity [Delta(i) : q^n pi^eps L(j)] is the graded dimension of
     e_j Delta(i), i.e. a sum over x in X(i) absorbed by e_j.
     """
-    from .rings import GradedSuperScalar
-
     # basicness: the Gram pairing of each Delta(i) must have rank exactly 1,
     # concentrated on the (e_i, e_i) entry in degree 0.
     for i in data.labels:
@@ -559,6 +552,38 @@ def base_decomp_numbers(alg: BasedSuperalgebra, data: HeredityData):
     return out
 
 
+@dataclass(frozen=True)
+class DecompInput:
+    """Graded decomposition data of the base algebra, flattened into slots
+    (i, j, m, eps, t): column index of a multipartition tuple, one partition
+    per copy of a graded composition-factor multiplicity.  For a basic base
+    the slots out of i are X(i), each x as (its absorbing color, degree,
+    parity)."""
+
+    labels: tuple
+    slots: tuple[tuple[int, int, int, int, int], ...]
+
+    @staticmethod
+    def from_base(alg: BasedSuperalgebra, data: HeredityData) -> "DecompInput":
+        dd = base_decomp_numbers(alg, data)
+        slots = []
+        for (i, j), g in sorted(dd.items()):
+            if i == j:
+                if g != GradedSuperScalar.one():
+                    raise ValueError(f"diagonal decomposition number at {i} is not 1")
+            elif not data.lt(j, i):
+                raise ValueError(f"nonzero decomposition number above the diagonal: {(i, j)}")
+            for (m, eps), c in sorted(g.coeffs.items()):
+                if c < 0:
+                    raise ValueError("negative multiplicity in base decomposition data")
+                for t in range(1, c + 1):
+                    slots.append((i, j, m, eps, t))
+        return DecompInput(labels=data.labels, slots=tuple(slots))
+
+    def slots_from(self, i) -> list:
+        return [s for s in self.slots if s[0] == i]
+
+
 # ---------------------------------------------------------------------------
 # idempotent truncation
 # ---------------------------------------------------------------------------
@@ -567,11 +592,6 @@ def base_decomp_numbers(alg: BasedSuperalgebra, data: HeredityData):
 class Truncation:
     algebra: BasedSuperalgebra
     data: HeredityData
-    kept_colors: frozenset[int]  # the e_i summed into the truncating idempotent
-    adapted: bool
-    strongly_adapted: bool
-    I_bar: tuple[int, ...]
-    I_bar_prime: tuple[int, ...]
 
 
 def truncate_base(alg: BasedSuperalgebra, data: HeredityData, colors: Sequence[int]) -> Truncation:
@@ -584,16 +604,6 @@ def truncate_base(alg: BasedSuperalgebra, data: HeredityData, colors: Sequence[i
 
     def absorbed(b: str, side: Side) -> bool:
         return absorbers[side].get(b) in colors
-
-    adapted = True
-    for side in SIDES:
-        for i in data.labels:
-            for z in side.pick(data.X, data.Y)[i]:
-                tot: Elem = {}
-                for e in es:
-                    tot = elem_add(tot, alg.mul_basis(*side.orient(e, z)))
-                if tot not in ({z: 1}, {}):
-                    adapted = False
 
     sub_basis = [b for b in alg.basis if all(absorbed(b, side) for side in SIDES)]
     keep = set(sub_basis)
@@ -621,7 +631,6 @@ def truncate_base(alg: BasedSuperalgebra, data: HeredityData, colors: Sequence[i
         for side in SIDES
     )
     I_bar = tuple(i for i in data.labels if Xb[i] and Yb[i])
-    strongly = adapted and all(i in colors for i in I_bar)
     sub_data = HeredityData(
         labels=I_bar,
         strictly_less=frozenset(p for p in data.strictly_less if p[0] in I_bar and p[1] in I_bar),
@@ -629,21 +638,7 @@ def truncate_base(alg: BasedSuperalgebra, data: HeredityData, colors: Sequence[i
         Y={i: Yb[i] for i in I_bar},
         e={i: data.e[i] for i in I_bar if i in colors},
     )
-
-    # surviving simples: i with y*x not in A^{>i} for some truncated pair,
-    # detected through the pairing f_i
-    of_label = _pair_labels(alg, data)
-    I_prime = []
-    for i in I_bar:
-        keep_i = False
-        for x in Xb[i]:
-            for y in Yb[i]:
-                for (j, _xx, _yy), c in _in_pairs(of_label, alg.mul_basis(y, x)).items():
-                    if not data.lt(i, j) and c:
-                        keep_i = True
-        if keep_i:
-            I_prime.append(i)
-    return Truncation(sub, sub_data, colors, adapted, strongly, I_bar, tuple(I_prime))
+    return Truncation(sub, sub_data)
 
 
 def make_zigzag_bar(ell: int) -> tuple[Truncation, AntiInvolution]:

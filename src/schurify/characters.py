@@ -5,9 +5,12 @@ Three layers live here:
   * the classical symmetric-function layer: Kostka numbers, two-factor LR
     expansion by lattice-word skew tableaux, iterated multi-factor
     coefficients with optional conjugate twists, and skew characters;
-  * graded characters of standard modules, computed two independent ways
-    (tableau sums and the LR product formula), and the closed decomposition
-    number formula driven by the base algebra's graded decomposition data;
+  * graded characters of standard modules and graded decomposition numbers
+    by closed formulas.  Both are one sum over column multipartitions driven
+    by the base algebra's graded decomposition data (`_column_terms`): with
+    the classical decomposition matrix it gives d_{lam,mu}, with the Schur
+    characters s_mu it gives ch Delta(lam).  The characters are also summed
+    over standard tableaux, a route independent of the formula;
   * the brute-force decomposition oracle: graded Gram-rank profiles of the
     standard modules over a coefficient field, followed by a unitriangular
     solve of ch Delta = D . ch L.
@@ -19,11 +22,11 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 
-from .base_algebra import BasedSuperalgebra, HeredityData, base_decomp_numbers
+from .base_algebra import BasedSuperalgebra, DecompInput, HeredityData, base_decomp_numbers
 from . import exactla
 from .codeterminants import standard_module_T
 from .partitions import (
@@ -281,19 +284,18 @@ def lr_expand(factors, max_rows: int) -> dict[Partition, int]:
 
 
 class LRCache:
-    """Disk-backed memo for multi-factor LR coefficients.
+    """Memo for multi-factor LR coefficients, kept in memory and, given a
+    file, appended to it one JSON object per line, keyed by the target
+    partition, the sorted twisted factors, and the row bound.
 
-    One JSON object per line, keyed by the target partition, the sorted
-    twisted factors, and the row bound.  Safe for concurrent readers; writes
-    are appended under a process-local lock granularity (single process)."""
+    With no path the file is `lr_cache.jsonl` under SCHURIFY_CACHE_DIR when
+    that is set; otherwise (and for the path "") nothing is written.  Lines
+    that do not parse, such as a record cut short, are skipped on load."""
 
     def __init__(self, path: str | None = None):
         if path is None:
-            root = os.environ.get(
-                "SCHURIFY_CACHE_DIR",
-                os.path.join(os.path.expanduser("~"), ".cache", "schurify"),
-            )
-            path = os.path.join(root, "lr_cache.jsonl")
+            root = os.environ.get("SCHURIFY_CACHE_DIR")
+            path = os.path.join(root, "lr_cache.jsonl") if root else ""
         self.path = path
         self._memo: dict = {}
         self._load()
@@ -303,16 +305,16 @@ class LRCache:
             return
         with open(self.path) as fh:
             for line in fh:
-                line = line.strip()
-                if not line:
+                try:
+                    obj = json.loads(line)
+                    key = (
+                        tuple(obj["lam"]),
+                        tuple(tuple(f) for f in obj["factors"]),
+                        int(obj["rows"]),
+                    )
+                    self._memo[key] = int(obj["coeff"])
+                except (ValueError, KeyError, TypeError):
                     continue
-                obj = json.loads(line)
-                key = (
-                    tuple(obj["lam"]),
-                    tuple(tuple(f) for f in obj["factors"]),
-                    int(obj["rows"]),
-                )
-                self._memo[key] = int(obj["coeff"])
 
     def _store(self, key, value: int) -> None:
         self._memo[key] = value
@@ -458,64 +460,61 @@ def char_standard_tableaux(T: SchurAlgebra, bold) -> CharacterVector:
     return CharacterVector(out)
 
 
-def _color_assignments(lam_i: Partition, xs, alg: BasedSuperalgebra, n: int,
-                       cache: LRCache):
-    """All ways to split lam_i over the column set X(i): tuples of partitions
-    nu_x with nonzero multi-LR coefficient against lam_i after parity twists."""
-    lam_i = trim(tuple(lam_i))
-    d_i = size(lam_i)
-    twists = [alg.parity[x] for x in xs]
-    out = []
-    for sizes in compositions(d_i, len(xs)):
-        pools = [partitions_of(sz, n) for sz in sizes]
-        for parts in product(*pools):
-            c = cache.coeff(lam_i, parts, twists, max_rows=n)
-            if c:
-                out.append((parts, c))
-    return out
+def _column_terms(inp: DecompInput, lam, n: int, cache: LRCache):
+    """The sum over column multipartitions behind both closed formulas.
+
+    A choice nu splits each lam^(i) over the slots out of i, with a nonzero
+    multi-LR coefficient (odd slots conjugated).  For each choice, yields the
+    scalar coefficient * q^(sum m|nu_s|) pi^(sum eps|nu_s|) and, for each
+    target color j in label order, the partitions of the slots landing in j."""
+    labels = inp.labels
+    lam = _pad_bold(lam, len(labels))
+    target = {j: pos for pos, j in enumerate(labels)}
+    per_i = []
+    for pos, i in enumerate(labels):
+        slots_i = inp.slots_from(i)
+        lam_i = trim(lam[pos])
+        twists = [s[3] for s in slots_i]
+        opts = []
+        for sizes in compositions(size(lam_i), len(slots_i)):
+            pools = [partitions_of(sz, n) for sz in sizes]
+            dm = sum(s[2] * sz for s, sz in zip(slots_i, sizes))
+            de = sum(s[3] * sz for s, sz in zip(slots_i, sizes))
+            for parts in product(*pools):
+                c = cache.coeff(lam_i, parts, twists, max_rows=n)
+                if c:
+                    placed = tuple((target[s[1]], p) for s, p in zip(slots_i, parts))
+                    opts.append((c, dm, de, placed))
+        per_i.append(opts)
+
+    for choice in product(*per_i):
+        coeff, m, eps = 1, 0, 0
+        into: list[list] = [[] for _ in labels]
+        for c, dm, de, placed in choice:
+            coeff *= c
+            m += dm
+            eps += de
+            for pos, p in placed:
+                into[pos].append(p)
+        yield GradedSuperScalar.term(coeff, m, eps % 2), into
 
 
 def char_standard_formula(T: SchurAlgebra, bold,
                           cache: LRCache | None = None) -> CharacterVector:
-    """ch Delta(bold) by the LR product formula over column multipartitions."""
-    T.base_decomp  # raises for a non-basic base
+    """ch Delta(bold): the decomposition formula's column sum with the Schur
+    characters s_mu in place of the classical decomposition matrix."""
     cache = cache or _default_cache()
-    labels = T.data.labels
-    bold = _pad_bold(bold, len(labels))
-    alg, data, n = T.alg, T.data, T.n
-    absorber = T.ctx.x_alphabet.absorbers
-
-    per_color = [
-        _color_assignments(bold[pos], data.X[i], alg, n, cache)
-        for pos, i in enumerate(labels)
-    ]
     by_schur: dict = {}
-    for choice in product(*per_color):
-        nu = {}
-        coeff = 1
-        for (parts, c), i in zip(choice, labels):
-            coeff *= c
-            for x, p in zip(data.X[i], parts):
-                nu[x] = p
-        degnu = GradedSuperScalar.one()
-        for x, p in nu.items():
-            degnu = degnu * GradedSuperScalar.term(
-                1, alg.degree[x] * size(p), (alg.parity[x] * size(p)) % 2
-            )
-        expansions = []
-        for j in labels:
-            factors = [nu[x] for x in nu if absorber[x] == j]
-            expansions.append(lr_expand(factors, n))
-        for combo in product(*(e.items() for e in expansions)):
+    for scalar, into in _column_terms(T.base_decomp, bold, T.n, cache):
+        for combo in product(*(lr_expand(parts, T.n).items() for parts in into)):
             mu_bold = tuple(k for k, _ in combo)
-            c2 = coeff
+            c = 1
             for _, v in combo:
-                c2 *= v
-            key = mu_bold
-            by_schur[key] = by_schur.get(key, GradedSuperScalar.zero()) + degnu.scale(c2)
+                c *= v
+            by_schur[mu_bold] = by_schur.get(mu_bold, GradedSuperScalar.zero()) + scalar.scale(c)
     out = CharacterVector()
     for mu_bold, c in by_schur.items():
-        out = out + schur_char_bold(mu_bold, n).scale(c)
+        out = out + schur_char_bold(mu_bold, T.n).scale(c)
     return out
 
 
@@ -540,36 +539,6 @@ def char_standard(T: SchurAlgebra, bold, method: str = "both",
 # decomposition number formula
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class DecompInput:
-    """Graded decomposition data of the base algebra, flattened into slots
-    (i, j, m, eps, t): column index of a multipartition tuple, one partition
-    per copy of a graded composition-factor multiplicity."""
-
-    labels: tuple
-    slots: tuple[tuple[int, int, int, int, int], ...]
-
-    @staticmethod
-    def from_base(alg: BasedSuperalgebra, data: HeredityData) -> "DecompInput":
-        dd = base_decomp_numbers(alg, data)
-        slots = []
-        for (i, j), g in sorted(dd.items()):
-            if i == j:
-                if g != GradedSuperScalar.one():
-                    raise ValueError(f"diagonal decomposition number at {i} is not 1")
-            elif not data.lt(j, i):
-                raise ValueError(f"nonzero decomposition number above the diagonal: {(i, j)}")
-            for (m, eps), c in sorted(g.coeffs.items()):
-                if c < 0:
-                    raise ValueError("negative multiplicity in base decomposition data")
-                for t in range(1, c + 1):
-                    slots.append((i, j, m, eps, t))
-        return DecompInput(labels=data.labels, slots=tuple(slots))
-
-    def slots_from(self, i) -> list:
-        return [s for s in self.slots if s[0] == i]
-
-
 def _identity_classical(gamma: Partition, mu: Partition) -> int:
     return 1 if trim(tuple(gamma)) == trim(tuple(mu)) else 0
 
@@ -582,149 +551,19 @@ def decomp_formula(inp: DecompInput, lam, mu, n: int,
     classical decomposition matrix folded in on the gamma side."""
     classical = classical or _identity_classical
     cache = cache or _default_cache()
-    labels = inp.labels
-    lam = _pad_bold(lam, len(labels))
-    mu = _pad_bold(mu, len(labels))
-
-    # per source color i: splittings of lam^(i) over the slots out of i
-    per_i = []
-    for pos, i in enumerate(labels):
-        slots_i = inp.slots_from(i)
-        lam_i = trim(lam[pos])
-        opts = []
-        for sizes in compositions(size(lam_i), len(slots_i)):
-            pools = [partitions_of(sz, n) for sz in sizes]
-            for parts in product(*pools):
-                c = cache.coeff(lam_i, parts, [s[3] for s in slots_i], max_rows=n)
-                if c:
-                    opts.append((dict(zip(slots_i, parts)), c))
-        per_i.append(opts)
-
-    mu_sizes = {j: size(trim(mu[pos])) for pos, j in enumerate(labels)}
+    mu = [trim(comp) for comp in _pad_bold(mu, len(inp.labels))]
     total = GradedSuperScalar.zero()
-    for choice in product(*per_i):
-        nu: dict = {}
-        coeff = 1
-        for assign, c in choice:
-            coeff *= c
-            nu.update(assign)
+    for scalar, into in _column_terms(inp, lam, n, cache):
         # the classical matrix preserves sizes colorwise
-        into = {j: [nu[s] for s in inp.slots if s[1] == j] for j in labels}
-        if any(sum(size(p) for p in into[j]) != mu_sizes[j] for j in labels):
+        if any(sum(size(p) for p in parts) != size(mu_j) for parts, mu_j in zip(into, mu)):
             continue
-        degnu = GradedSuperScalar.one()
-        for (i, j, m, eps, t), p in nu.items():
-            degnu = degnu * GradedSuperScalar.term(1, m * size(p), (eps * size(p)) % 2)
-        factor = GradedSuperScalar.term(coeff)
-        for pos, j in enumerate(labels):
-            acc = 0
-            for gamma, cg in lr_expand(into[j], n).items():
-                acc += cg * classical(gamma, trim(mu[pos]))
-            factor = factor.scale(acc)
-            if not factor:
+        for parts, mu_j in zip(into, mu):
+            scalar = scalar.scale(sum(cg * classical(gamma, mu_j)
+                                      for gamma, cg in lr_expand(parts, n).items()))
+            if not scalar:
                 break
-        total = total + degnu * factor
+        total = total + scalar
     return total
-
-
-# ---------------------------------------------------------------------------
-# zigzag specialization
-# ---------------------------------------------------------------------------
-
-def zig_decomp(lam, mu, n: int, ell: int, classical=None,
-               cache: LRCache | None = None) -> GradedSuperScalar:
-    """Decomposition numbers over the extended zigzag base, written with the
-    loop-degree prefactor pulled out: columns are a beta-tuple over all colors
-    and an alpha-tuple over colors below the top."""
-    classical = classical or _identity_classical
-    cache = cache or _default_cache()
-    L = ell + 1
-    lam = _pad_bold(lam, L)
-    mu = _pad_bold(mu, L)
-    # the loop-degree exponent: sum of the forced alpha sizes
-    delta = sum(j * (size(trim(lam[j])) - size(trim(mu[j]))) for j in range(L))
-    if delta < 0:
-        return GradedSuperScalar.zero()
-
-    lam_sizes = [size(trim(c)) for c in lam]
-    mu_sizes = [size(trim(c)) for c in mu]
-    total = GradedSuperScalar.zero()
-
-    def rec(i: int, alphas: list, betas: list, coeff: int):
-        nonlocal total
-        if i == L:
-            # gamma side: gamma^(i) from beta^(i) and alpha^(i), alpha^(ell) empty
-            gcoeff = GradedSuperScalar.term(coeff)
-            for j in range(L):
-                a_j = alphas[j] if j < ell else ()
-                acc = 0
-                for gamma, cg in _lr_pair(betas[j], a_j, n).items():
-                    acc += cg * classical(gamma, trim(mu[j]))
-                gcoeff = gcoeff.scale(acc)
-                if not gcoeff:
-                    return
-            total = total + gcoeff
-            return
-        a_prev = alphas[i - 1] if i > 0 else ()
-        la = size(trim(lam[i]))
-        b_size = la - size(a_prev)
-        if b_size < 0:
-            return
-        for beta in partitions_of(b_size, n):
-            c1 = cache.coeff(trim(lam[i]), [beta, a_prev], [0, 1], max_rows=n)
-            if not c1:
-                continue
-            if i == L - 1:
-                rec(i + 1, alphas, betas + [beta], coeff * c1)
-                continue
-            # alpha^(i) size forced by the gamma/mu size constraints
-            a_size = sum(lam_sizes[j] - mu_sizes[j] for j in range(i + 1, L))
-            if a_size < 0:
-                continue
-            for alpha in partitions_of(a_size, n):
-                rec(i + 1, alphas + [alpha], betas + [beta], coeff * c1)
-
-    rec(0, [], [], 1)
-    return GradedSuperScalar.term(1, delta, delta % 2) * total
-
-
-def zig_decomp_simple(lam, mu, n: int, ell: int,
-                      cache: LRCache | None = None) -> GradedSuperScalar:
-    """Semisimple-classical shortcut: the classical matrix is the identity and
-    the beta sizes collapse to the mu sizes shifted by the alpha sizes."""
-    cache = cache or _default_cache()
-    L = ell + 1
-    lam = _pad_bold(lam, L)
-    mu = _pad_bold(mu, L)
-    lam_sizes = [size(trim(c)) for c in lam]
-    mu_sizes = [size(trim(c)) for c in mu]
-    delta = sum(j * (lam_sizes[j] - mu_sizes[j]) for j in range(L))
-    if delta < 0:
-        return GradedSuperScalar.zero()
-    a_sizes = [sum(lam_sizes[j] - mu_sizes[j] for j in range(i + 1, L)) for i in range(-1, L)]
-    b_sizes = [mu_sizes[i] + sum(mu_sizes[j] - lam_sizes[j] for j in range(i + 1, L))
-               for i in range(L)]
-    if any(s < 0 for s in a_sizes) or any(s < 0 for s in b_sizes):
-        return GradedSuperScalar.zero()
-    total = 0
-    alpha_pools = [partitions_of(a_sizes[i + 1], n) for i in range(-1, L)]
-    # alpha^(-1) and alpha^(ell) are forced empty by their sizes (both 0)
-    for alphas in product(*alpha_pools[1:L]):
-        alphas = ((),) + alphas + ((),)
-        term = 1
-        for i in range(L):
-            acc = 0
-            for beta in partitions_of(b_sizes[i], n):
-                c1 = cache.coeff(trim(lam[i]), [beta, alphas[i]], [0, 1], max_rows=n)
-                if not c1:
-                    continue
-                c2 = cache.coeff(trim(mu[i]), [beta, alphas[i + 1]], [0, 0], max_rows=n)
-                acc += c1 * c2
-            term *= acc
-            if not term:
-                break
-        total += term
-    return GradedSuperScalar.term(total, delta, delta % 2)
 
 
 # ---------------------------------------------------------------------------
@@ -735,8 +574,6 @@ def zig_decomp_simple(lam, mu, n: int, ell: int,
 class DecompMatrix:
     labels: tuple
     entries: dict
-    chars_delta: dict = field(default_factory=dict)
-    chars_simple: dict = field(default_factory=dict)
 
     def entry(self, lam, mu) -> GradedSuperScalar:
         return self.entries.get((lam, mu), GradedSuperScalar.zero())
@@ -803,8 +640,7 @@ def decomp_oracle(T: SchurAlgebra, ring: CoefficientRing | None = None) -> Decom
             raise AssertionError(f"character system inconsistent at {lam}")
         if entries.get((lam, lam)) != GradedSuperScalar.one():
             raise AssertionError(f"diagonal entry at {lam} is not 1")
-    return DecompMatrix(labels=tuple(labels), entries=entries,
-                        chars_delta=chd, chars_simple=chl)
+    return DecompMatrix(labels=tuple(labels), entries=entries)
 
 
 class ClassicalDecomp:
@@ -839,12 +675,10 @@ class ClassicalDecomp:
 # blocks
 # ---------------------------------------------------------------------------
 
-def blocks(labels, D, D_op=None) -> tuple[tuple, ...]:
+def blocks(labels, D) -> tuple[tuple, ...]:
     """Connected components of the linking graph: labels i, j are linked when
     some projective has both L(i) and L(j) as composition factors, detected
-    from d^op_{k,i} d_{k,j} != 0."""
-    if D_op is None:
-        D_op = D
+    from d_{k,i} d_{k,j} != 0."""
     labels = list(labels)
     parent = {l: l for l in labels}
 
@@ -865,16 +699,12 @@ def blocks(labels, D, D_op=None) -> tuple[tuple, ...]:
 
     for i in labels:
         for j in labels:
-            if any(nz(D_op, k, i) and nz(D, k, j) for k in labels):
+            if any(nz(D, k, i) and nz(D, k, j) for k in labels):
                 union(i, j)
     comps: dict = {}
     for l in labels:
         comps.setdefault(find(l), []).append(l)
     return tuple(tuple(v) for v in sorted(comps.values(), key=lambda v: min(map(repr, v))))
-
-
-def matrix_to_dict(D: DecompMatrix) -> dict:
-    return dict(D.entries)
 
 
 def block_decomposition(alg: BasedSuperalgebra, data: HeredityData,

@@ -19,7 +19,6 @@ from . import partitions, tableaux, triples
 from .base_algebra import make_algebra, verify_heredity
 from .characters import (
     ClassicalDecomp,
-    DecompInput,
     LRCache,
     block_decomposition,
     blocks as linking_blocks,
@@ -27,7 +26,6 @@ from .characters import (
     char_standard_tableaux,
     decomp_formula,
     decomp_oracle,
-    matrix_to_dict,
 )
 from .rings import GF, QQ, ZZ, CoefficientRing, GradedSuperScalar
 from .rsk import rsk, rsk_inv
@@ -57,8 +55,11 @@ class RunConfig:
         if f == "Q":
             return QQ
         if f.startswith("Fp:"):
-            return GF(int(f.split(":", 1)[1]))
-        raise click.UsageError(f"unknown field {f!r} (expected Z | Q | Fp:p)")
+            try:
+                return GF(int(f.split(":", 1)[1]))
+            except ValueError:
+                pass
+        raise click.UsageError(f"unknown field {f!r} (expected Z | Q | Fp:p, p prime)")
 
     def lr_cache(self) -> LRCache:
         if self.cache_dir is None:
@@ -96,10 +97,16 @@ def _build_config(ctx_obj: dict, **overrides) -> RunConfig:
         if not hasattr(cfg, k):
             raise click.UsageError(f"unknown config key {k!r}")
         cur = getattr(cfg, k)
-        setattr(cfg, k, type(cur)(v) if cur is not None else v)
+        try:
+            setattr(cfg, k, type(cur)(v) if cur is not None else v)
+        except ValueError:
+            raise click.UsageError(f"bad config value {k}={v!r}") from None
     for k, v in overrides.items():
         if v is not None:
             setattr(cfg, k, v)
+    if cfg.n < 1 or cfg.d < 0:
+        raise click.UsageError(f"need n >= 1 and d >= 0, got n={cfg.n}, d={cfg.d}")
+    cfg.ring()  # a bad --field is a usage error for every command
     return cfg
 
 
@@ -134,19 +141,48 @@ def _emit(cfg: RunConfig, payload, csv_rows=None) -> None:
 def _make_T(cfg: RunConfig):
     # the cellular truncation only exists inside the ambient algebra, so it
     # is built there and cut down at the Schur level
-    if cfg.algebra.startswith("zigzag-bar:"):
-        ell = int(cfg.algebra.split(":", 1)[1])
-        alg, data, tau = make_algebra(f"zigzag:{ell}")
-        return build_schur(alg, data, cfg.n, cfg.d, tau).truncate(range(ell))
-    alg, data, tau = make_algebra(cfg.algebra)
-    return build_schur(alg, data, cfg.n, cfg.d, tau)
+    bar = cfg.algebra.startswith("zigzag-bar:")
+    spec = "zigzag:" + cfg.algebra.split(":", 1)[1] if bar else cfg.algebra
+    try:
+        alg, data, tau = make_algebra(spec)
+    except ValueError as exc:
+        raise click.UsageError(f"bad --algebra {cfg.algebra!r}: {exc}") from None
+    T = build_schur(alg, data, cfg.n, cfg.d, tau)
+    return T.truncate(data.labels[:-1]) if bar else T
 
 
-def _label_from_json(text: str, n_labels: int):
-    lam = partitions.from_json(json.loads(text))
+def _int_json(text: str):
+    """JSON given on the command line, whose numbers must be integers."""
+
+    def no_float(token: str):
+        raise ValueError(f"{token} is not an integer")
+
+    return json.loads(text, parse_float=no_float)
+
+
+def _label_from_json(text: str, cfg: RunConfig, n_labels: int):
+    """A multipartition of d with at most n rows per component."""
+    try:
+        lam = partitions.from_json(_int_json(text))
+    except (ValueError, TypeError):
+        raise click.UsageError(f"--label is not a list of lists of integers: {text!r}") from None
     if len(lam) > n_labels:
         raise click.UsageError("label has more components than the base has colors")
+    if any(list(c) != sorted(c, reverse=True) or min(c, default=1) < 1 for c in lam):
+        raise click.UsageError(f"label components must be partitions: {text!r}")
+    if sum(map(sum, lam)) != cfg.d:
+        raise click.UsageError(f"label {text} does not have size d = {cfg.d}")
+    if any(len(c) > cfg.n for c in lam):
+        raise click.UsageError(f"label {text} has a component with more than n = {cfg.n} rows")
     return lam + ((),) * (n_labels - len(lam))
+
+
+def _orbit_from_json(T, text: str):
+    """The eta element of an orbit word given as JSON [{b,r,s},...]."""
+    try:
+        return T.eta(triples.TriContext.from_json(_int_json(text)))
+    except (ValueError, KeyError, TypeError) as exc:
+        raise click.UsageError(f"bad orbit {text}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -209,12 +245,12 @@ def mul(ctx, left, right, **kw):
     """Product of two basis elements on the divided-power basis."""
     cfg = _build_config(ctx.obj, **kw)
     T = _make_T(cfg)
-    x = T.eta(triples.TriContext.from_json(json.loads(left)))
-    y = T.eta(triples.TriContext.from_json(json.loads(right)))
+    x = _orbit_from_json(T, left)
+    y = _orbit_from_json(T, right)
     prod = T.mul(x, y)
     _emit(cfg, T.element_to_json(prod),
           csv_rows=[[json.dumps(triples.TriContext.to_json(o)), str(c)]
-                    for o, c in sorted(prod.items(), key=lambda kv: T.index[kv[0]])])
+                    for o, c in sorted(prod.items(), key=lambda kv: T.orbit_key(kv[0]))])
 
 
 @main.command()
@@ -227,13 +263,15 @@ def straighten(ctx, orbit, backend, **kw):
     cfg = _build_config(ctx.obj, **kw)
     _require_qh(cfg)
     T = _make_T(cfg)
-    word = triples.TriContext.from_json(json.loads(orbit))
-    rep, sign = T.ctx.canonicalize(word, strict=True)
+    x = _orbit_from_json(T, orbit)
+    if not x:
+        raise click.UsageError(f"orbit {orbit} repeats an odd letter")
+    (rep,) = x
     results = {}
     if backend in ("solve", "both"):
-        results["solve"] = T.codet_basis.solve({rep: sign})
+        results["solve"] = T.codet_basis.solve(x)
     if backend in ("recursive", "both"):
-        results["recursive"] = codet.Straightener(T).straighten_element({rep: sign})
+        results["recursive"] = codet.Straightener(T).straighten_element(x)
     if backend == "both" and results["solve"] != results["recursive"]:
         _emit(cfg, {"error": "straightening backends disagree",
                     "orbit": triples.TriContext.to_json(rep)})
@@ -261,7 +299,7 @@ def char(ctx, label, method, **kw):
     """Graded character of a standard module."""
     cfg = _build_config(ctx.obj, method=method, **kw)
     T = _make_T(cfg)
-    lam = _label_from_json(label, len(T.data.labels))
+    lam = _label_from_json(label, cfg, len(T.data.labels))
     cache = cfg.lr_cache()
     vecs = {}
     if cfg.method in ("tableaux", "both"):
@@ -293,9 +331,9 @@ def decomp(ctx, method, **kw):
     cache = cfg.lr_cache()
     matrices = {}
     if cfg.method in ("oracle", "both"):
-        matrices["oracle"] = matrix_to_dict(decomp_oracle(T, ring))
+        matrices["oracle"] = decomp_oracle(T, ring).entries
     if cfg.method in ("formula", "both"):
-        inp = DecompInput.from_base(T.alg, T.data)
+        inp = T.base_decomp
         classical = None if ring == QQ else ClassicalDecomp(cfg.n, ring)
         fm = {}
         for lam in labels:
@@ -333,7 +371,7 @@ def blocks(ctx, **kw):
         raise click.UsageError("block detection needs a field: Q or Fp:p")
     T = _make_T(cfg)
     D = decomp_oracle(T, ring)
-    fine = linking_blocks(D.labels, matrix_to_dict(D))
+    fine = linking_blocks(D.labels, D.entries)
     coarse = block_decomposition(T.alg, T.data, cfg.n, cfg.d)
     _emit(cfg, {
         "linking_blocks": [[partitions.to_json(l) for l in blk] for blk in fine],
@@ -439,7 +477,7 @@ def verify(ctx, **kw):
         if not ring.is_field:
             ring = QQ
         D = decomp_oracle(T, ring)
-        inp = DecompInput.from_base(T.alg, T.data)
+        inp = T.base_decomp
         classical = None if ring == QQ else ClassicalDecomp(T.n, ring)
         for lam in D.labels:
             for mu in D.labels:
@@ -484,7 +522,7 @@ def verify(ctx, **kw):
         check("schur heredity", c_heredity_T)
         check("characters", c_chars)
         try:
-            DecompInput.from_base(T.alg, T.data)
+            T.base_decomp
             basic = True
         except ValueError:
             basic = False

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import product
 
 from .base_algebra import SIDES, X_SIDE, Y_SIDE, Side
 from .exactla import BlockedBasis
@@ -213,17 +214,22 @@ class CodetBasis:
         par = sum(self.T.alg.parity[b] for (b, _r, _s) in orbit) % 2
         return (alpha, beta, deg, par)
 
+    def _tableau_block(self, tab: Tableau, side: Side) -> tuple:
+        """One tableau's share of a block key: (weight, degree, parity)."""
+        zs = [z for (_l, z) in tableau_word(tab)]
+        return (tableau_weight(tab, self.T.ctx.alphabet(side)),
+                sum(self.T.alg.degree[z] for z in zs), sum(self.T.alg.parity[z] for z in zs))
+
     @cached_property
     def _blocks(self) -> dict:
         """block key -> (orbits, codeterminant keys)."""
         blocks: dict = {}
-        for (bold, S, Tb) in self.keys:
-            alpha = tableau_weight(S, self.T.ctx.x_alphabet)
-            beta = tableau_weight(Tb, self.T.ctx.y_alphabet)
-            ws = tableau_word(S) + tableau_word(Tb)
-            deg = sum(self.T.alg.degree[z] for (_l, z) in ws)
-            par = sum(self.T.alg.parity[z] for (_l, z) in ws) % 2
-            blocks.setdefault((alpha, beta, deg, par), ([], []))[1].append((bold, S, Tb))
+        keys = iter(self.keys)  # shape by shape, in the order of product(std_x, std_y)
+        for bold in self.shapes:
+            xs, ys = ([self._tableau_block(tab, side) for tab in self.std(side)[bold]]
+                      for side in SIDES)
+            for ((alpha, dx, px), (beta, dy, py)), key in zip(product(xs, ys), keys):
+                blocks.setdefault((alpha, beta, dx + dy, (px + py) % 2), ([], []))[1].append(key)
         for orbit in self.T.orbits:
             blocks.setdefault(self._orbit_block(orbit), ([], []))[0].append(orbit)
         return blocks

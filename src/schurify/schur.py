@@ -13,10 +13,10 @@ coefficient aborts loudly (it would signal an implementation bug).
 from __future__ import annotations
 
 from functools import cached_property
-from itertools import permutations, product
+from itertools import groupby, permutations, product
 
-from .base_algebra import AntiInvolution, BasedSuperalgebra, HeredityData, base_decomp_numbers
-from .partitions import compositions, gen_multipartitions
+from .base_algebra import AntiInvolution, BasedSuperalgebra, DecompInput, HeredityData
+from .partitions import compositions
 from .triples import TriContext, TriLetter, TriWord
 
 Element = dict[TriWord, int]
@@ -72,18 +72,25 @@ class SchurAlgebra:
         return list(_multisets(self._letters, self.d, self.ctx))
 
     @cached_property
-    def index(self) -> dict[TriWord, int]:
-        return {o: k for k, o in enumerate(self.orbits)}
+    def _letter_pos(self) -> dict[TriLetter, int]:
+        return {lt: k for k, lt in enumerate(self._letters)}
+
+    def orbit_key(self, orbit: TriWord) -> tuple:
+        """The place of a canonical orbit in the order of `orbits`, read off
+        the word: its runs of equal letters as (letter position, multiplicity)."""
+        pos = self._letter_pos
+        return tuple((pos[lt], len(list(run))) for lt, run in groupby(orbit))
 
     @property
     def rank(self) -> int:
         return len(self.orbits)
 
     @cached_property
-    def base_decomp(self) -> dict:
-        """The base algebra's graded decomposition numbers; raises ValueError
+    def base_decomp(self) -> DecompInput:
+        """The base algebra's graded decomposition data, read by both
+        character routes and the decomposition formula; raises ValueError
         when the base is not basic."""
-        return base_decomp_numbers(self.alg, self.data)
+        return DecompInput.from_base(self.alg, self.data)
 
     @cached_property
     def codet_basis(self):
@@ -201,12 +208,13 @@ class SchurAlgebra:
         return out
 
     def eta(self, word: TriWord) -> Element:
-        """The eta basis element of an arbitrary admissible word, with sign."""
+        """The eta basis element of an arbitrary admissible word, with sign;
+        ValueError for a word that is not d letters of this algebra."""
+        if len(word) != self.d or any(lt not in self._letter_pos for lt in word):
+            raise ValueError(f"orbit {word} not in this algebra")
         rep, sign = self.ctx.canonicalize(word)
         if rep is None:
             return {}
-        if rep not in self.index:
-            raise ValueError(f"orbit {rep} not in this algebra")
         return {rep: sign}
 
     # -- distinguished elements -------------------------------------------
@@ -325,7 +333,7 @@ class SchurAlgebra:
     def element_to_json(self, x: Element) -> list:
         return [
             {"orbit": TriContext.to_json(o), "coeff": str(c)}
-            for o, c in sorted(x.items(), key=lambda kv: self.index[kv[0]])
+            for o, c in sorted(x.items(), key=lambda kv: self.orbit_key(kv[0]))
         ]
 
     def element_from_json(self, obj: list) -> Element:

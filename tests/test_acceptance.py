@@ -208,7 +208,7 @@ def test_criterion_10_cellularity(T122):
 
 def test_criterion_11_blocks(T122):
     D = ch.decomp_oracle(T122)
-    parts = ch.blocks(D.labels, ch.matrix_to_dict(D))
+    parts = ch.blocks(D.labels, D.entries)
     assert len(parts) == 1  # T^Z_z(2,2) is a single block
     alg, data, tau = make_algebra("semisimple:2")
     groups = ch.block_decomposition(alg, data, 2, 2)

@@ -206,3 +206,12 @@ def test_basicness_checked_once_per_algebra(zz1, monkeypatch):
         ch.char_standard_tableaux(T, lam)
         ch.char_standard_formula(T, lam, ch.LRCache(""))
     assert sorted(built) == list(data.labels)
+
+
+def test_lr_cache_skips_lines_it_cannot_parse(tmp_path):
+    path = tmp_path / "lr.jsonl"
+    good = '{"lam": [2, 1], "factors": [[1], [1], [1]], "rows": 2, "coeff": "2"}\n'
+    path.write_text(good + "not json at all\n" + good[:30])
+    cache = ch.LRCache(str(path))
+    assert cache._memo == {((2, 1), ((1,), (1,), (1,)), 2): 2}
+    assert cache.coeff((2, 1), [(1,), (1,), (1,)]) == 2

@@ -163,3 +163,108 @@ def test_char_and_formula_decomp_enumerate_no_orbits(monkeypatch, tmp_path):
     assert res.exit_code == 0, res.output
     res = run("decomp", *common, "--method", "formula")
     assert res.exit_code == 0, res.output
+
+
+def test_mul_enumerates_no_orbits(monkeypatch, tmp_path):
+    from schurify import schur
+
+    def refuse(*_args):
+        raise AssertionError("orbits enumerated")
+
+    monkeypatch.setattr(schur, "_multisets", refuse)
+    common = ["mul", "--algebra", "zigzag:1", "-n", "2", "-d", "2",
+              "--left", '[{"b": "e1", "r": 1, "s": 1}, {"b": "a0_1", "r": 1, "s": 1}]',
+              "--right", '[{"b": "a1_0", "r": 1, "s": 1}, {"b": "e1", "r": 1, "s": 2}]']
+    res = run(*common)
+    assert res.exit_code == 0, res.output
+    assert json.loads(res.output) == [
+        {"coeff": "-1", "orbit": [{"b": "a1_0", "r": 1, "s": 1}, {"b": "a0_1", "r": 1, "s": 2}]},
+        {"coeff": "1", "orbit": [{"b": "c0", "r": 1, "s": 1}, {"b": "e1", "r": 1, "s": 2}]},
+    ]
+    res = run(*common, "--out", "csv")
+    assert res.exit_code == 0, res.output
+    assert res.output == (
+        '"[{""b"": ""a1_0"", ""r"": 1, ""s"": 1}, {""b"": ""a0_1"", ""r"": 1, ""s"": 2}]",-1\n'
+        '"[{""b"": ""c0"", ""r"": 1, ""s"": 1}, {""b"": ""e1"", ""r"": 1, ""s"": 2}]",1\n'
+    )
+
+
+def _usage_error(*args):
+    res = run(*args)
+    assert res.exit_code == 2, (args, res.exit_code, res.output)
+    assert isinstance(res.exception, SystemExit), (args, res.exception)
+    return res
+
+
+def test_bad_algebra_exits_2():
+    for spec in ("foo", "zigzag:0", "zigzag:x", "zigzag-bar:0", "semisimple:0"):
+        _usage_error("dim", "--algebra", spec, "-n", "1", "-d", "1")
+
+
+def test_bad_sizes_exit_2():
+    _usage_error("dim", "--algebra", "trivial", "-n", "0", "-d", "1")
+    _usage_error("dim", "--algebra", "trivial", "-n", "1", "-d", "-1")
+
+
+def test_bad_field_exits_2():
+    for field in ("Fp:4", "Fp:x", "R"):
+        _usage_error("decomp", "--algebra", "trivial", "-n", "1", "-d", "1", "--field", field)
+    # verify reads the field only inside a check; a bad one is still a usage error
+    _usage_error("verify", "--algebra", "trivial", "-n", "1", "-d", "1", "--field", "Fp:4")
+
+
+def test_bad_label_exits_2(tmp_path):
+    common = ["char", "--algebra", "zigzag:1", "-n", "2", "--cache-dir", str(tmp_path)]
+    _usage_error(*common, "-d", "1", "--label", "[[1]")           # malformed JSON
+    _usage_error(*common, "-d", "1", "--label", '[["a"]]')
+    _usage_error(*common, "-d", "1", "--label", "[[1.5]]")
+    _usage_error(*common, "-d", "1", "--label", "[[5]]")          # size 5, not d
+    _usage_error(*common, "-d", "3", "--label", "[[1, 1, 1]]")    # more than n rows
+    _usage_error(*common, "-d", "3", "--label", "[[1, 2]]")       # not a partition
+    _usage_error(*common, "-d", "1", "--label", "[[1], [], []]")  # more colors than the base
+
+
+def test_bad_orbit_exits_2():
+    common = ["--algebra", "zigzag:1", "-n", "2", "-d", "1"]
+    good = '[{"b": "e0", "r": 1, "s": 1}]'
+    for bad in ('[{"b": "e0", "r": 1', '[{"b": "zz", "r": 1, "s": 1}]',
+                '[{"b": "e0", "r": 9, "s": 1}]', '[{"b": "e0"}]',
+                '[{"b": "e0", "r": 1.5, "s": 1}]',
+                '[{"b": "e0", "r": 1, "s": 1}, {"b": "e0", "r": 1, "s": 1}]'):
+        _usage_error("mul", *common, "--left", bad, "--right", good)
+        _usage_error("mul", *common, "--left", good, "--right", bad)
+        _usage_error("straighten", *common, "--orbit", bad)
+
+
+def test_verify_checks_basicness_once(monkeypatch, tmp_path):
+    from schurify import base_algebra
+
+    built = []
+    real = base_algebra.standard_module_base
+
+    def counted(alg, data, i):
+        built.append(i)
+        return real(alg, data, i)
+
+    monkeypatch.setattr(base_algebra, "standard_module_base", counted)
+    res = run("verify", "--algebra", "zigzag:1", "-n", "2", "-d", "2",
+              "--cache-dir", str(tmp_path))
+    assert res.exit_code == 0, res.output
+    assert sorted(built) == [0, 1]
+
+
+def test_lr_cache_writes_only_where_asked(monkeypatch, tmp_path):
+    from schurify import characters as ch
+
+    home = tmp_path / "home"
+    home.mkdir()
+    monkeypatch.setenv("HOME", str(home))
+    monkeypatch.delenv("SCHURIFY_CACHE_DIR", raising=False)
+    monkeypatch.setattr(ch, "_CACHE_SINGLETON", [])
+    monkeypatch.chdir(tmp_path)
+    res = run("char", "--algebra", "zigzag:1", "-n", "2", "-d", "2",
+              "--label", "[[1],[1]]", "--method", "formula")
+    assert res.exit_code == 0, res.output
+    assert ch.lr_coeff((2, 1), [(1,), (1,), (1,)]) == 2
+    assert [p.name for p in tmp_path.iterdir()] == ["home"]
+    assert list(home.iterdir()) == []

@@ -73,23 +73,6 @@ def test_formula_equals_oracle_f2(T122):
                 (lam, mu)
 
 
-def test_zig_decomp_agreement(T122):
-    D = ch.decomp_oracle(T122)
-    for lam in D.labels:
-        for mu in D.labels:
-            z = ch.zig_decomp(lam, mu, 2, 1)
-            zs = ch.zig_decomp_simple(lam, mu, 2, 1)
-            assert z == zs == D.entry(lam, mu), (lam, mu)
-
-
-def test_zig_decomp_base_case():
-    one = GradedSuperScalar.one()
-    qpi = GradedSuperScalar.term(1, 1, 1)
-    assert ch.zig_decomp(((), (1,)), ((1,), ()), 1, 1) == qpi
-    assert ch.zig_decomp(((), (1,)), ((), (1,)), 1, 1) == one
-    assert ch.zig_decomp(((1,), ()), ((), (1,)), 1, 1) == GradedSuperScalar.zero()
-
-
 def test_decomp_identity(T122):
     """ch Delta(lam) = sum_mu d_{lam,mu} ch L(mu), char 0 and p = 2."""
     for ring in (QQ, GF(2)):
@@ -112,7 +95,7 @@ def test_oracle_requires_field_and_rows(T122):
 
 def test_blocks_zigzag_single(T122):
     D = ch.decomp_oracle(T122)
-    parts = ch.blocks(D.labels, ch.matrix_to_dict(D))
+    parts = ch.blocks(D.labels, D.entries)
     assert len(parts) == 1
     assert sorted(len(p) for p in parts) == [5]
 
@@ -120,7 +103,7 @@ def test_blocks_zigzag_single(T122):
 def test_blocks_semisimple_singletons():
     T = _T("semisimple:2", 2, 2)
     D = ch.decomp_oracle(T)
-    parts = ch.blocks(D.labels, ch.matrix_to_dict(D))
+    parts = ch.blocks(D.labels, D.entries)
     assert all(len(p) == 1 for p in parts)
     assert len(parts) == len(D.labels)
 

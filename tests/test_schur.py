@@ -250,3 +250,25 @@ def test_family_cache_per_truncation():
     assert Tb.family(1).rank == 8
     assert T.family(1).rank == 20
     assert Tb.family(1).family(2) is Tb
+
+
+def test_orbit_key_gives_the_enumeration_order():
+    for spec, n, d in [("trivial", 3, 3), ("zigzag:1", 2, 2), ("zigzag:1", 3, 2),
+                       ("zigzag:2", 2, 2), ("semisimple:2", 2, 3)]:
+        alg, data, tau = make_algebra(spec)
+        T = build_schur(alg, data, n, d, tau)
+        for A in (T, T.truncate(data.labels[:1])):
+            assert sorted(A.orbits, key=A.orbit_key) == A.orbits, spec
+
+
+def test_eta_checks_membership_from_the_word(T122):
+    word = (("e0", 1, 1), ("e1", 1, 2))
+    assert T122.eta(word) == {(word[1], word[0]): 1}  # colors sort in reverse
+    with pytest.raises(ValueError):
+        T122.eta(word[:1])
+    with pytest.raises(ValueError):
+        T122.eta(word + word[:1])
+    Tb = T122.truncate([0])
+    assert Tb.eta((("e0", 1, 1), ("e0", 1, 2))) == {(("e0", 1, 1), ("e0", 1, 2)): 1}
+    with pytest.raises(ValueError):
+        Tb.eta(word)  # e1 is not in the truncation
