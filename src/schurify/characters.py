@@ -289,8 +289,11 @@ class LRCache:
     partition, the sorted twisted factors, and the row bound.
 
     With no path the file is `lr_cache.jsonl` under SCHURIFY_CACHE_DIR when
-    that is set; otherwise (and for the path "") nothing is written.  Lines
-    that do not parse, such as a record cut short, are skipped on load."""
+    that is set; otherwise (and for the path "") nothing is written.  Each
+    record is one write to a descriptor opened for appending, so concurrent
+    writers do not interleave their lines.  Lines that do not parse, such as
+    a record cut short, are skipped on load; after a torn last line the next
+    record starts on a line of its own."""
 
     def __init__(self, path: str | None = None):
         if path is None:
@@ -298,6 +301,7 @@ class LRCache:
             path = os.path.join(root, "lr_cache.jsonl") if root else ""
         self.path = path
         self._memo: dict = {}
+        self._lead = ""  # "\n" while the file ends in a torn line
         self._load()
 
     def _load(self) -> None:
@@ -305,6 +309,7 @@ class LRCache:
             return
         with open(self.path) as fh:
             for line in fh:
+                self._lead = "" if line.endswith("\n") else "\n"
                 try:
                     obj = json.loads(line)
                     key = (
@@ -320,14 +325,19 @@ class LRCache:
         self._memo[key] = value
         if not self.path:
             return
-        os.makedirs(os.path.dirname(self.path), exist_ok=True)
-        with open(self.path, "a") as fh:
-            fh.write(json.dumps({
-                "lam": list(key[0]),
-                "factors": [list(f) for f in key[1]],
-                "rows": key[2],
-                "coeff": str(value),
-            }) + "\n")
+        os.makedirs(os.path.dirname(self.path) or ".", exist_ok=True)
+        record = self._lead + json.dumps({
+            "lam": list(key[0]),
+            "factors": [list(f) for f in key[1]],
+            "rows": key[2],
+            "coeff": str(value),
+        }) + "\n"
+        fd = os.open(self.path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o644)
+        try:
+            os.write(fd, record.encode())
+        finally:
+            os.close(fd)
+        self._lead = ""
 
     def coeff(self, lam: Partition, factors, twists=None, max_rows: int | None = None) -> int:
         lam = trim(tuple(lam))

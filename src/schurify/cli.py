@@ -101,6 +101,10 @@ def _build_config(ctx_obj: dict, **overrides) -> RunConfig:
             setattr(cfg, k, type(cur)(v) if cur is not None else v)
         except ValueError:
             raise click.UsageError(f"bad config value {k}={v!r}") from None
+        choices = _flag_choices(k)
+        if choices and v not in choices:
+            raise click.UsageError(
+                f"bad config value {k}={v!r} (expected {' | '.join(choices)})")
     for k, v in overrides.items():
         if v is not None:
             setattr(cfg, k, v)
@@ -108,6 +112,19 @@ def _build_config(ctx_obj: dict, **overrides) -> RunConfig:
         raise click.UsageError(f"need n >= 1 and d >= 0, got n={cfg.n}, d={cfg.d}")
     cfg.ring()  # a bad --field is a usage error for every command
     return cfg
+
+
+def _flag_choices(name: str) -> list[str]:
+    """The values the flag --name accepts, checked as strictly for a config
+    file: the running command's choices, or any command's when it has no
+    such flag; empty when the flag takes any value."""
+
+    def of(cmd) -> list[str]:
+        return [c for p in cmd.params if p.name == name and isinstance(p.type, click.Choice)
+                for c in p.type.choices]
+
+    own = of(click.get_current_context().command)
+    return own or list(dict.fromkeys(c for cmd in main.commands.values() for c in of(cmd)))
 
 
 def _require_qh(cfg: RunConfig) -> None:

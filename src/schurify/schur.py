@@ -1,11 +1,14 @@
 """The generalized Schur algebra T^A_a(n, d) on the eta-orbit basis.
 
-Elements are sparse integer combinations of canonical triple orbits.  Products
-are evaluated through the structure-constant formula: arrangements of the two
-factor orbits are matched on the middle letter word, multiplied position-wise
-through the base-algebra structure constants with the super sign rule, and
-only contributions landing on canonical representatives are collected.  The
-d-fold tensor power of M_n(A) is never materialized.
+Elements are sparse integer combinations of canonical triple orbits.  A
+product eta_{o1} * eta_{o2} is read off one arrangement of the left factor,
+its canonical word c1 (Green, Polynomial Representations of GL_n, LNM 830,
+section 2.3): the symmetric group acts on the tensor power by algebra
+automorphisms and fixes xi_{o2}, so xi_{o1} xi_{o2} is the symmetrization of
+e_{c1} xi_{o2} divided by [o1]!.  Only the arrangements of o2 whose row word
+is c1's column word are multiplied, position-wise through the base-algebra
+structure constants with the super sign rule, and each product word is
+canonicalized.  The d-fold tensor power of M_n(A) is never materialized.
 
 All structure constants are integral on the eta lattice; a non-integral
 coefficient aborts loudly (it would signal an implementation bug).
@@ -49,7 +52,6 @@ class SchurAlgebra:
         if keep_basis is not None:
             letters = [lt for lt in letters if lt[0] in keep_basis]
         self._letters = letters
-        self._arr_cache: dict[TriWord, list[tuple[TriWord, int]]] = {}
         self._mid_cache: dict[TriWord, dict[tuple[int, ...], list[tuple[TriWord, int]]]] = {}
         self._prod_cache: dict[tuple[TriWord, TriWord], Element] = {}
         self._profile_cache: dict[TriWord, tuple] = {}
@@ -106,36 +108,32 @@ class SchurAlgebra:
             self._profile_cache[orbit] = self.ctx.weight_profiles(orbit)
         return self._profile_cache[orbit]
 
-    def _arrangements(self, orbit: TriWord) -> list[tuple[TriWord, int]]:
-        if orbit not in self._arr_cache:
-            ctx = self.ctx
-            out = []
-            for w in set(permutations(orbit)):
-                out.append((w, -1 if ctx.triple_stat(w) else 1))
-            self._arr_cache[orbit] = out
-        return self._arr_cache[orbit]
-
     def _by_middle(self, orbit: TriWord) -> dict[tuple[int, ...], list[tuple[TriWord, int]]]:
+        """The signed arrangements of an orbit, grouped by their row word."""
         if orbit not in self._mid_cache:
+            ctx = self.ctx
             by: dict[tuple[int, ...], list[tuple[TriWord, int]]] = {}
-            for w, sgn in self._arrangements(orbit):
-                by.setdefault(tuple(r for (_b, r, _s) in w), []).append((w, sgn))
+            for w in set(permutations(orbit)):
+                by.setdefault(tuple(r for (_b, r, _s) in w), []).append(
+                    (w, -1 if ctx.triple_stat(w) else 1))
             self._mid_cache[orbit] = by
         return self._mid_cache[orbit]
 
-    def _is_canonical(self, w: TriWord) -> bool:
-        ctx = self.ctx
-        for k in range(len(w) - 1):
-            a, b = w[k], w[k + 1]
-            if ctx.key(a) > ctx.key(b):
-                return False
-            if a == b and ctx.is_odd(a):
-                return False
-        return True
-
     # -- multiplication ----------------------------------------------------
     def mult_orbits(self, o1: TriWord, o2: TriWord) -> Element:
-        """Structure constants: eta_{o1} * eta_{o2} as an integer Element."""
+        """Structure constants: eta_{o1} * eta_{o2} as an integer Element.
+
+        o1 must be canonical: it is the one arrangement c1 of the left factor
+        used.  With c_w the coefficient of the pure tensor e_w in
+        e_{c1} xi_{o2}, the coefficient of eta_rep is
+
+            sum_w c_w sign(w) * [o1]_c [o2]_c [rep]! / ([o1]! [rep]_c),
+
+        the sum running over the words w whose canonical representative is
+        rep; [.]! is the product of the multiplicity factorials and [.]_c,
+        [.]_a the same over the c and a strata.  A word repeating an odd
+        letter contributes 0, and on the others [.]! = [.]_a [.]_c, so the
+        weight is [o2]_c [rep]_a / [o1]_a."""
         key = (o1, o2)
         if key in self._prod_cache:
             return self._prod_cache[key]
@@ -144,41 +142,34 @@ class SchurAlgebra:
         res: dict[TriWord, int] = {}
         if self.profiles(o1)[1] == self.profiles(o2)[0]:
             mul = self.alg.mul_basis
-            by_mid = self._by_middle(o2)
-            for w1, s1 in self._arrangements(o1):
-                mid = tuple(s for (_b, _r, s) in w1)
-                for w2, s2 in by_mid.get(mid, []):
-                    sgn = s1 * s2 * (-1 if ctx.pair_stat(
-                        tuple(b for (b, _r, _s) in w1), tuple(b for (b, _r, _s) in w2)
-                    ) else 1)
-                    factors = []
-                    ok = True
-                    for k in range(d):
-                        f = mul(w1[k][0], w2[k][0])
-                        if not f:
-                            ok = False
-                            break
-                        factors.append(list(f.items()))
-                    if not ok:
-                        continue
+            b1 = tuple(b for (b, _r, _s) in o1)
+            mid = tuple(s for (_b, _r, s) in o1)
+            for w2, s2 in self._by_middle(o2).get(mid, ()):
+                factors = []
+                for k in range(d):
+                    f = mul(b1[k], w2[k][0])
+                    if not f:
+                        break
+                    factors.append(f.items())
+                else:
+                    sgn = -s2 if ctx.pair_stat(b1, tuple(b for (b, _r, _s) in w2)) else s2
                     for combo in product(*factors):
-                        word = tuple(
-                            (combo[k][0], w1[k][1], w2[k][2]) for k in range(d)
-                        )
-                        if not self._is_canonical(word):
+                        rep, sign = ctx.canonicalize(tuple(
+                            (combo[k][0], o1[k][1], w2[k][2]) for k in range(d)
+                        ))
+                        if rep is None:
                             continue
-                        coeff = sgn
+                        coeff = sgn * sign
                         for (_b, c) in combo:
                             coeff *= c
-                        res[word] = res.get(word, 0) + coeff
-        # eta normalization: eta = [.]_c * xi
-        m12 = ctx.factorial(o1, "c") * ctx.factorial(o2, "c")
+                        res[rep] = res.get(rep, 0) + coeff
+        m2 = ctx.factorial(o2, "c")
+        den = ctx.factorial(o1, "a")
         out: Element = {}
         for rep, f in res.items():
             if not f:
                 continue
-            num = f * m12
-            den = ctx.factorial(rep, "c")
+            num = f * m2 * ctx.factorial(rep, "a")
             if num % den:
                 raise ArithmeticError(
                     f"non-integral eta structure constant {num}/{den} at {o1} * {o2} -> {rep}"

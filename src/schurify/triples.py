@@ -81,7 +81,8 @@ class TriContext:
     # -- sign statistics ---------------------------------------------------
     def triple_stat(self, word: TriWord) -> int:
         """Number of pairs k < l with both letters odd and letter_k > letter_l, mod 2."""
-        odd_keys = [self.key(w) for w in word if self.is_odd(w)]
+        key, parity = self.letter_key, self.alg.parity
+        odd_keys = [key[w] for w in word if parity[w[0]]]
         inv = sum(
             1
             for k in range(len(odd_keys))
@@ -122,7 +123,7 @@ class TriContext:
             if strict:
                 raise ValueError(f"repeated odd letter in {word}")
             return None, 0
-        rep = tuple(sorted(word, key=self.key))
+        rep = tuple(sorted(word, key=self.letter_key.__getitem__))
         sign = -1 if self.triple_stat(word) else 1
         return rep, sign
 

@@ -2,6 +2,9 @@
 
 - tensor_eta_product: multiplies eta basis elements by materializing them as
   signed sums of pure tensors in M_n(A)^{otimes d} and re-collecting orbits.
+  It sums over all pairs of arrangements of the two factors; production
+  (`SchurAlgebra.mult_orbits`) uses one arrangement of the left factor and
+  symmetrizes, so the two share no loop.
 - lr_brute / multi_lr_brute: Littlewood-Richardson coefficients by direct
   skew-filling enumeration with the reverse lattice word condition.
 - ssyt_count: Kostka numbers by filling enumeration.

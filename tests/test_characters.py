@@ -1,4 +1,6 @@
 import itertools
+import json
+import multiprocessing
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -215,3 +217,53 @@ def test_lr_cache_skips_lines_it_cannot_parse(tmp_path):
     cache = ch.LRCache(str(path))
     assert cache._memo == {((2, 1), ((1,), (1,), (1,)), 2): 2}
     assert cache.coeff((2, 1), [(1,), (1,), (1,)]) == 2
+
+
+def _append_records(path, start, ready, go):
+    cache = ch.LRCache(path)
+    ready.set()
+    go.wait(60)
+    for k in range(start, start + 400):
+        cache._store(((k,), ((k, 1) * 20,), 1), k)
+
+
+def test_lr_cache_concurrent_writers_keep_whole_lines(tmp_path):
+    """More writers than cores append at once; every line still parses."""
+    path = str(tmp_path / "lr.jsonl")
+    mp = multiprocessing.get_context("spawn")
+    go = mp.Event()
+    starts = (0, 1000, 2000)
+    readies = [mp.Event() for _ in starts]
+    procs = [mp.Process(target=_append_records, args=(path, start, ready, go))
+             for start, ready in zip(starts, readies)]
+    for p in procs:
+        p.start()
+    try:
+        for ready in readies:
+            assert ready.wait(60)
+        go.set()
+        for p in procs:
+            p.join(60)
+            assert not p.is_alive() and p.exitcode == 0
+    finally:
+        for p in procs:
+            if p.is_alive():
+                p.kill()
+    with open(path) as fh:
+        lines = fh.read().split("\n")
+    assert lines[-1] == ""
+    assert sorted(int(json.loads(line)["coeff"]) for line in lines[:-1]) == \
+        [k for start in starts for k in range(start, start + 400)]
+    assert len(ch.LRCache(path)._memo) == 1200
+
+
+def test_lr_cache_skips_a_torn_last_line_and_appends_after_it(tmp_path):
+    path = tmp_path / "lr.jsonl"
+    good = '{"lam": [2, 1], "factors": [[1], [1], [1]], "rows": 2, "coeff": "2"}\n'
+    path.write_text(good + good[:40])
+    cache = ch.LRCache(str(path))
+    assert cache._memo == {((2, 1), ((1,), (1,), (1,)), 2): 2}
+    assert cache.coeff((2, 1), [(2,), (1,)]) == 1  # stored after the torn line
+    again = ch.LRCache(str(path))
+    assert again._memo == cache._memo
+    assert path.read_text().count("\n") == 3

@@ -88,6 +88,31 @@ def test_config_file_and_determinism(tmp_path):
     assert a.output == b.output
 
 
+def test_config_out_checked_like_the_flag(tmp_path):
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("algebra=trivial\nn=1\nd=1\nout=xml\n")
+    res = run("--config", str(cfg), "dim")
+    assert res.exit_code == 2, res.output
+    assert "out='xml'" in res.output
+    cfg.write_text("algebra=trivial\nn=1\nd=1\nout=csv\n")
+    res = run("--config", str(cfg), "dim")
+    assert (res.exit_code, res.output) == (0, "1\n")
+
+
+def test_config_method_checked_like_the_flag(tmp_path):
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("algebra=zigzag:1\nn=1\nd=1\nmethod=bogus\n")
+    for cmd in ("decomp", "dim"):
+        res = run("--config", str(cfg), cmd)
+        assert res.exit_code == 2, (cmd, res.output)
+        assert res.exception is None or isinstance(res.exception, SystemExit)
+    # each command checks against its own flag's choices
+    cfg.write_text("algebra=zigzag:1\nn=1\nd=1\nmethod=oracle\n")
+    assert run("--config", str(cfg), "char", "--label", "[[],[1]]").exit_code == 2
+    assert run("--config", str(cfg), "decomp").exit_code == 0
+    assert run("--config", str(cfg), "dim").exit_code == 0
+
+
 def test_output_file(tmp_path):
     out = tmp_path / "r.json"
     res = run("dim", "--algebra", "trivial", "-n", "2", "-d", "2",

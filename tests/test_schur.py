@@ -77,6 +77,34 @@ def test_mult_against_tensor_oracle(T122):
         assert T122.mult_orbits(a, b) == tensor_eta_product(T122, a, b), (a, b)
 
 
+@pytest.mark.parametrize("spec, n, d", [
+    ("trivial", 3, 3), ("zigzag:1", 3, 3), ("zigzag:1", 2, 3), ("zigzag:2", 2, 2),
+    ("trivial", 4, 4),
+])
+def test_mult_against_tensor_oracle_repeated_letters(spec, n, d):
+    """Pairs with matching profiles, every other one with a repeated letter
+    in both factors, so that the weight [rep]!/[o1]! is not always 1."""
+    alg, data, tau = make_algebra(spec)
+    T = build_schur(alg, data, n, d, tau)
+    by_left = {}
+    for o in T.orbits:
+        by_left.setdefault(T.profiles(o)[0], []).append(o)
+    repeats = [o for o in T.orbits if len(set(o)) < d]
+    rng = random.Random(29)
+    nonzero = weighted = 0
+    for k in range(60):
+        a = rng.choice(repeats if k % 2 else T.orbits)
+        right = by_left[T.profiles(a)[1]]
+        if k % 2:
+            right = [o for o in right if len(set(o)) < d] or right
+        b = rng.choice(right)
+        prod = T.mult_orbits(a, b)
+        assert prod == tensor_eta_product(T, a, b), (a, b)
+        nonzero += bool(prod)
+        weighted += any(T.ctx.factorial(rep) != T.ctx.factorial(a) for rep in prod)
+    assert nonzero >= 20 and weighted, (nonzero, weighted)
+
+
 def test_profile_orthogonality(T122):
     """Products vanish unless the middle weight profiles match."""
     rng = random.Random(6)
