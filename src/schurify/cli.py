@@ -475,9 +475,10 @@ def verify(ctx, **kw):
     def c_heredity_T():
         if T.n < T.d:
             return "skipped (n < d)"
-        rep = codet.heredity_of_T(T, sample_b=10)
+        sample_b = 10
+        rep = codet.heredity_of_T(T, sample_b=sample_b)
         assert rep.ok, rep.failures
-        return "axioms (a)-(c)"
+        return f"axioms (a)-(c), (b) on the first {sample_b} orbits per tableau"
 
     def c_chars():
         labels = partitions.gen_multipartitions(T.n, T.d, len(T.data.labels) - 1)

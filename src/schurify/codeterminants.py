@@ -513,14 +513,16 @@ def heredity_of_T(T: SchurAlgebra, sample_b: int | None = None) -> SchurHeredity
                     prod = T.mul(*side.orient({orbit: 1}, elt))
                     if not prod:
                         continue
-                    for (mu, *pair) in cb.solve(prod):
+                    for key in cb.solve(prod):
+                        mu, *pair = key
                         if strictly_greater(mu, bold):
                             continue
                         if mu != bold or side.orient(*pair)[1] != other_initial:
                             ok_b = False
                             failures.append(
                                 f"axiom (b): {side.spell('a', name(side))} escapes the "
-                                f"{side.name} span at {bold}"
+                                f"{side.name} span at {bold}: a = {orbit}, "
+                                f"{side.pick('S', 'T')} = {tab}, codeterminant {key}"
                             )
     if ok_b:
         checked.append("axiom (b): X/Y spans modulo higher shape ideals")

@@ -1,85 +1,82 @@
-"""Exact linear algebra: the one Gaussian elimination of the package.
+"""Exact linear algebra: the one elimination of the package.
+
+`_eliminate` is fraction-free Gauss-Jordan elimination (Bareiss 1968) on
+lists of int rows, over Z or on residues mod a prime, so no entry is ever a
+fraction.  `rank` counts its pivots over Q or F_p.
 
 A change of basis is given by its columns, each a sparse integer expansion
 over row labels, grouped into square blocks by a key that rows and columns
-both conserve.  `BlockedBasis` factors each block on first use by LU with
-first-nonzero row pivoting over Q, reports its determinant, and expands
-sparse vectors in the columns.  `rank` runs the same elimination over Q or
-F_p.
+both conserve.  `BlockedBasis` eliminates each block [M | I] on first use,
+which leaves its integer determinant and its integer adjugate; a sparse
+vector is expanded in the columns as adj . v divided exactly by det.
 """
 from __future__ import annotations
 
-from fractions import Fraction
-from math import prod
+from math import gcd
 from typing import Callable, Hashable, Iterable, Mapping, Sequence
 
-from .rings import QQ, CoefficientRing
+from .rings import CoefficientRing
 
 
-def _eliminate(mat: list[list], ring: CoefficientRing) -> tuple[list[int], list[int], int]:
-    """Forward Gaussian elimination of `mat` in place over a field.
+def _eliminate(mat: list[list[int]], width: int, p: int | None = None) -> tuple[int, int]:
+    """Integer-preserving Gauss-Jordan elimination of `mat` in place,
+    pivoting in its first `width` columns; over Z, or mod p on residues
+    when p is given.
 
-    Row k < rank ends up holding U from its pivot column on; the entries
-    below each pivot are overwritten by the multipliers of L.  Returns the
-    row permutation, the pivot column of each of the first rank rows, and
-    the sign of the permutation."""
+    Each pivot is the first nonzero entry at or below the current row; every
+    other row becomes pivot * row - f * pivot row.  Over Z that is divided
+    by the previous pivot, which is exact (Sylvester's identity) and keeps
+    every entry a minor of `mat`; row k < rank then ends with the last
+    pivot in its k-th pivot column and 0 in the others.  Mod p the division
+    is left out: residues do not grow, and scaling a row by a unit keeps
+    the rank.  Returns the rank and the sign of the row swaps."""
     nrows = len(mat)
-    ncols = len(mat[0]) if mat else 0
-    perm = list(range(nrows))
-    pivots: list[int] = []
-    sign = 1
-    for col in range(ncols):
-        k = len(pivots)
-        piv = next((r for r in range(k, nrows) if not ring.is_zero(mat[r][col])), None)
+    k, prev, sign = 0, 1, 1
+    for col in range(width):
+        piv = next((r for r in range(k, nrows) if mat[r][col]), None)
         if piv is None:
             continue
         if piv != k:
             mat[k], mat[piv] = mat[piv], mat[k]
-            perm[k], perm[piv] = perm[piv], perm[k]
             sign = -sign
-        for r in range(k + 1, nrows):
-            if not ring.is_zero(mat[r][col]):
-                f = ring.div(mat[r][col], mat[k][col])
-                mat[r][col] = f
-                for c in range(col + 1, ncols):
-                    mat[r][c] = ring.sub(mat[r][c], ring.mul(f, mat[k][c]))
-        pivots.append(col)
-    return perm, pivots, sign
+        top = mat[k]
+        a = top[col]
+        for r in range(nrows):
+            if r != k:
+                f = mat[r][col]
+                if p is None:
+                    mat[r] = [(a * x - f * y) // prev for x, y in zip(mat[r], top)]
+                else:
+                    mat[r] = [(a * x - f * y) % p for x, y in zip(mat[r], top)]
+        prev = a
+        k += 1
+    return k, sign
 
 
 def rank(mat: Sequence[Sequence[int]], ring: CoefficientRing) -> int:
-    """Rank of an integer matrix over the field `ring` (Q or F_p)."""
-    return len(_eliminate([[ring.of(v) for v in row] for row in mat], ring)[1])
+    """Rank of an integer matrix over Q, or over F_p when `ring.p` is set."""
+    p = ring.p
+    rows = [[v % p for v in row] if p else list(row) for row in mat]
+    return _eliminate(rows, len(rows[0]) if rows else 0, p)[0]
 
 
 class _Block:
-    """One square block, LU-factored over Q; `det` is 0 when singular."""
+    """One square block M: `det` is its determinant (0 when singular) and
+    `adj` its adjugate, so M^-1 = adj / det; both are integral.  Row k of
+    `adj` belongs to column k, its entries to the rows in `ridx` order."""
 
     def __init__(self, rows: Sequence, cols: Sequence, expansions: Iterable[Mapping]):
         n = len(rows)
         self.cols = list(cols)
         self.ridx = {r: k for k, r in enumerate(rows)}
-        self.lu = [[Fraction(0)] * n for _ in range(n)]
+        mat = [[0] * n + [int(i == j) for j in range(n)] for i in range(n)]
         for j, v in enumerate(expansions):
             for r, c in v.items():
-                self.lu[self.ridx[r]][j] = Fraction(c)
-        self.perm, pivots, sign = _eliminate(self.lu, QQ)
-        self.det = sign * prod(self.lu[k][k] for k in range(n)) if len(pivots) == n else 0
-
-    def solve(self, v: Mapping) -> dict:
-        lu, n = self.lu, len(self.cols)
-        rhs = [Fraction(0)] * n
-        for r, c in v.items():
-            rhs[self.ridx[r]] = Fraction(c)
-        x = [rhs[p] for p in self.perm]
-        for k in range(n):
-            for j in range(k):
-                x[k] -= lu[k][j] * x[j]
-        for k in range(n - 1, -1, -1):
-            for j in range(k + 1, n):
-                x[k] -= lu[k][j] * x[j]
-            x[k] /= lu[k][k]
-        return {col: c for col, c in zip(self.cols, x) if c}
+                mat[self.ridx[r]][j] = c
+        # [M | I] -> [D I | R] with R M = D I, D the last pivot = sign * det
+        full, sign = _eliminate(mat, n)
+        self.det = sign * mat[-1][n - 1] if full == n else 0
+        self.adj = [[sign * c for c in row[n:]] for row in mat]
 
 
 class BlockedBasis:
@@ -118,26 +115,25 @@ class BlockedBasis:
         """Whether every block has determinant +-1; factors all of them."""
         return all(abs(self.factor(key).det) == 1 for key in self.blocks)
 
-    def _by_block(self, v: Mapping):
+    def solve_integral(self, v: Mapping) -> dict:
+        """Expand a sparse integer vector in the columns over Z; a
+        non-integral coefficient raises ArithmeticError naming its column
+        and block."""
         parts: dict = {}
         for r, c in v.items():
             parts.setdefault(self.key_of(r), {})[r] = c
-        return ((key, self.factor(key).solve(part)) for key, part in parts.items())
-
-    def solve(self, v: Mapping) -> dict:
-        """Expand a sparse integer vector in the columns, exactly over Q."""
         out: dict = {}
-        for _key, coeffs in self._by_block(v):
-            out.update(coeffs)
-        return out
-
-    def solve_integral(self, v: Mapping) -> dict:
-        """Expand a sparse integer vector in the columns over Z; a
-        non-integral coefficient raises ArithmeticError naming its block."""
-        out: dict = {}
-        for key, coeffs in self._by_block(v):
-            for col, c in coeffs.items():
-                if c.denominator != 1:
-                    raise ArithmeticError(f"non-integral coefficient {c} in {self.name} {key}")
-                out[col] = int(c)
+        for key, part in parts.items():
+            blk = self.factor(key)
+            for col, row in zip(blk.cols, blk.adj):
+                num = sum(row[blk.ridx[r]] * c for r, c in part.items())
+                coeff, rem = divmod(num, blk.det)
+                if rem:
+                    g = gcd(num, blk.det) * (1 if blk.det > 0 else -1)
+                    raise ArithmeticError(
+                        f"non-integral coefficient {num // g}/{blk.det // g} "
+                        f"of column {col} in {self.name} {key}"
+                    )
+                if coeff:
+                    out[col] = coeff
         return out

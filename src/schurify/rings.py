@@ -1,13 +1,12 @@
 """Exact coefficient rings and the graded super-scalar ring R = Z[q,q^-1][t]/(t^2-1).
 
-Coefficients are always exact: arbitrary-precision integers, Fractions, or
-residues mod a prime.  Graded super-scalars are sparse maps
-(degree m, parity eps) -> integer; pi^2 = 1.
+A coefficient ring names where exact arithmetic happens: Z, Q, or F_p.
+Graded super-scalars are sparse maps (degree m, parity eps) -> integer;
+pi^2 = 1.
 """
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 from typing import Iterable, Mapping
 
 
@@ -25,10 +24,10 @@ def _is_prime(p: int) -> bool:
 
 
 class CoefficientRing:
-    """One of Z, Q, or F_p with exact element arithmetic.
+    """One of Z, Q, or F_p: a kind and, for F_p, the prime `p`.
 
-    Elements are plain ints (Z, F_p as residues in [0, p)) or Fractions (Q).
-    """
+    The arithmetic itself is done on ints by its users (`exactla` works on
+    residues mod `p`)."""
 
     INT = "INT"
     RAT = "RAT"
@@ -57,55 +56,6 @@ class CoefficientRing:
     @property
     def is_field(self) -> bool:
         return self.kind != self.INT
-
-    def of(self, n: int | Fraction):
-        """Coerce an integer (or exact rational, for Q) into this ring."""
-        if self.kind == self.INT:
-            if isinstance(n, Fraction):
-                if n.denominator != 1:
-                    raise ValueError(f"{n} is not an integer")
-                return n.numerator
-            return int(n)
-        if self.kind == self.RAT:
-            return Fraction(n)
-        if isinstance(n, Fraction):
-            return (n.numerator * pow(n.denominator, self.p - 2, self.p)) % self.p
-        return int(n) % self.p
-
-    def zero(self):
-        return self.of(0)
-
-    def one(self):
-        return self.of(1)
-
-    def add(self, a, b):
-        r = a + b
-        return r % self.p if self.kind == self.PRIME_FIELD else r
-
-    def sub(self, a, b):
-        r = a - b
-        return r % self.p if self.kind == self.PRIME_FIELD else r
-
-    def mul(self, a, b):
-        r = a * b
-        return r % self.p if self.kind == self.PRIME_FIELD else r
-
-    def div(self, a, b):
-        if self.is_zero(b):
-            raise ZeroDivisionError("division by zero")
-        if self.kind == self.INT:
-            if a % b != 0:
-                raise ValueError(f"{a} not divisible by {b} over Z")
-            return a // b
-        if self.kind == self.RAT:
-            return Fraction(a) / b
-        return (a * pow(b, self.p - 2, self.p)) % self.p
-
-    def inv(self, a):
-        return self.div(self.one(), a)
-
-    def is_zero(self, a) -> bool:
-        return a == 0
 
 
 ZZ = CoefficientRing(CoefficientRing.INT)

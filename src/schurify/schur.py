@@ -133,36 +133,38 @@ class SchurAlgebra:
         rep; [.]! is the product of the multiplicity factorials and [.]_c,
         [.]_a the same over the c and a strata.  A word repeating an odd
         letter contributes 0, and on the others [.]! = [.]_a [.]_c, so the
-        weight is [o2]_c [rep]_a / [o1]_a."""
+        weight is [o2]_c [rep]_a / [o1]_a.  Factors whose weight profiles
+        do not meet multiply to 0, which is not cached."""
+        if self.profiles(o1)[1] != self.profiles(o2)[0]:
+            return {}
         key = (o1, o2)
         if key in self._prod_cache:
             return self._prod_cache[key]
         ctx = self.ctx
         d = self.d
         res: dict[TriWord, int] = {}
-        if self.profiles(o1)[1] == self.profiles(o2)[0]:
-            mul = self.alg.mul_basis
-            b1 = tuple(b for (b, _r, _s) in o1)
-            mid = tuple(s for (_b, _r, s) in o1)
-            for w2, s2 in self._by_middle(o2).get(mid, ()):
-                factors = []
-                for k in range(d):
-                    f = mul(b1[k], w2[k][0])
-                    if not f:
-                        break
-                    factors.append(f.items())
-                else:
-                    sgn = -s2 if ctx.pair_stat(b1, tuple(b for (b, _r, _s) in w2)) else s2
-                    for combo in product(*factors):
-                        rep, sign = ctx.canonicalize(tuple(
-                            (combo[k][0], o1[k][1], w2[k][2]) for k in range(d)
-                        ))
-                        if rep is None:
-                            continue
-                        coeff = sgn * sign
-                        for (_b, c) in combo:
-                            coeff *= c
-                        res[rep] = res.get(rep, 0) + coeff
+        mul = self.alg.mul_basis
+        b1 = tuple(b for (b, _r, _s) in o1)
+        mid = tuple(s for (_b, _r, s) in o1)
+        for w2, s2 in self._by_middle(o2).get(mid, ()):
+            factors = []
+            for k in range(d):
+                f = mul(b1[k], w2[k][0])
+                if not f:
+                    break
+                factors.append(f.items())
+            else:
+                sgn = -s2 if ctx.pair_stat(b1, tuple(b for (b, _r, _s) in w2)) else s2
+                for combo in product(*factors):
+                    rep, sign = ctx.canonicalize(tuple(
+                        (combo[k][0], o1[k][1], w2[k][2]) for k in range(d)
+                    ))
+                    if rep is None:
+                        continue
+                    coeff = sgn * sign
+                    for (_b, c) in combo:
+                        coeff *= c
+                    res[rep] = res.get(rep, 0) + coeff
         m2 = ctx.factorial(o2, "c")
         den = ctx.factorial(o1, "a")
         out: Element = {}
@@ -182,8 +184,6 @@ class SchurAlgebra:
         out: Element = {}
         for o1, c1 in x.items():
             for o2, c2 in y.items():
-                if self.profiles(o1)[1] != self.profiles(o2)[0]:
-                    continue
                 for rep, f in self.mult_orbits(o1, o2).items():
                     out[rep] = out.get(rep, 0) + c1 * c2 * f
         return {k: v for k, v in out.items() if v}

@@ -8,7 +8,11 @@
 - lr_brute / multi_lr_brute: Littlewood-Richardson coefficients by direct
   skew-filling enumeration with the reverse lattice word condition.
 - ssyt_count: Kostka numbers by filling enumeration.
+- lu_rank / lu_det / lu_solve: LU elimination over Fractions (or residues
+  mod p) with forward and back substitution; production (`exactla`) runs a
+  fraction-free Gauss-Jordan pass on ints and solves with the adjugate.
 """
+from fractions import Fraction
 from itertools import permutations, product
 
 from schurify.partitions import conjugate, trim
@@ -171,3 +175,76 @@ def ssyt_count(lam, mu):
     """Kostka number by direct semistandard filling enumeration (no lattice
     condition; content need not be a partition)."""
     return sum(1 for _g in _skew_fillings(trim(lam), (), tuple(mu)))
+
+
+# ---------------------------------------------------------------------------
+# LU elimination over Q or F_p
+# ---------------------------------------------------------------------------
+
+def _lu(mat, p=None):
+    """Forward elimination of an integer matrix over Q (Fractions) or F_p.
+
+    Returns the reduced rows (row k < rank holds U from its pivot column on,
+    with the multipliers of L below the pivots), the row permutation, the
+    pivot columns and the sign of the permutation."""
+    if p is None:
+        lu = [[Fraction(v) for v in row] for row in mat]
+
+        def div(a, b):
+            return a / b
+    else:
+        lu = [[v % p for v in row] for row in mat]
+
+        def div(a, b):
+            return a * pow(b, p - 2, p) % p
+    nrows, ncols = len(lu), len(lu[0]) if lu else 0
+    perm, pivots, sign = list(range(nrows)), [], 1
+    for col in range(ncols):
+        k = len(pivots)
+        piv = next((r for r in range(k, nrows) if lu[r][col]), None)
+        if piv is None:
+            continue
+        if piv != k:
+            lu[k], lu[piv] = lu[piv], lu[k]
+            perm[k], perm[piv] = perm[piv], perm[k]
+            sign = -sign
+        for r in range(k + 1, nrows):
+            if lu[r][col]:
+                f = div(lu[r][col], lu[k][col])
+                lu[r][col] = f
+                for c in range(col + 1, ncols):
+                    lu[r][c] -= f * lu[k][c]
+                    if p is not None:
+                        lu[r][c] %= p
+        pivots.append(col)
+    return lu, perm, pivots, sign
+
+
+def lu_rank(mat, p=None):
+    return len(_lu(mat, p)[2])
+
+
+def lu_det(mat):
+    lu, _perm, pivots, sign = _lu(mat)
+    if len(pivots) < len(mat):
+        return Fraction(0)
+    out = Fraction(sign)
+    for k in range(len(mat)):
+        out *= lu[k][k]
+    return out
+
+
+def lu_solve(mat, v):
+    """The solution x of mat . x = v over Q for a nonsingular square mat, by
+    forward and back substitution."""
+    lu, perm, _pivots, _sign = _lu(mat)
+    n = len(mat)
+    x = [Fraction(v[p]) for p in perm]
+    for k in range(n):
+        for j in range(k):
+            x[k] -= lu[k][j] * x[j]
+    for k in range(n - 1, -1, -1):
+        for j in range(k + 1, n):
+            x[k] -= lu[k][j] * x[j]
+        x[k] /= lu[k][k]
+    return x

@@ -126,6 +126,9 @@ def test_verify_small():
     assert res.exit_code == 0
     assert "FAIL" not in res.output
     assert "decomposition" in res.output
+    # axiom (b) is checked on a capped set of orbits, and the witness says so
+    assert ("PASS  schur heredity  axioms (a)-(c), (b) on the first 10 orbits per tableau"
+            in res.output.splitlines())
 
 
 def test_scalar_printer_negative_coefficients():

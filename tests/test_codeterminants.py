@@ -149,3 +149,34 @@ def test_heredity_checks_both_sides_alike(T122, monkeypatch):
     x = rep.failures.count(f"axiom (c): e X_S wrong at {bold}")
     y = rep.failures.count(f"axiom (c): Y_T e wrong at {bold}")
     assert x == y > 0, rep.failures
+
+
+def test_axiom_b_failure_names_its_witness(monkeypatch):
+    """A solve that adds a codeterminant of the same shape with a non-initial
+    Y tableau makes axiom (b) fail, naming the orbit, the tableau and the key."""
+    alg, data, tau = make_algebra("zigzag:1")
+    T = build_schur(alg, data, 2, 2, tau)
+    cb = T.codet_basis
+    bad = {}
+    for key in cb.keys:
+        mu, _S, Tb = key
+        if Tb != cb.initial_tableau_pair(mu)[1]:
+            bad.setdefault(mu, key)
+    real = codet.CodetBasis.solve
+
+    def broken(self, x):
+        out = dict(real(self, x))
+        for mu in {key[0] for key in out} & bad.keys():
+            out[bad[mu]] = 1
+        return out
+
+    monkeypatch.setattr(codet.CodetBasis, "solve", broken)
+    rep = codet.heredity_of_T(T, sample_b=4)
+    assert not rep.ok
+    named = [f for f in rep.failures if f.startswith("axiom (b): a*X_S escapes the X span at ")]
+    assert named, rep.failures
+    witnesses = {
+        f"axiom (b): a*X_S escapes the X span at {bold}: a = {o}, S = {S}, codeterminant {key}"
+        for bold, key in bad.items() for S in cb.std_x[bold] for o in T.orbits
+    }
+    assert set(named) <= witnesses, set(named) - witnesses

@@ -1,7 +1,11 @@
-from fractions import Fraction
+import ast
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, strategies as st
 
+import schurify
+from helpers import lu_det, lu_rank, lu_solve
 from schurify.exactla import BlockedBasis, rank
 from schurify.rings import GF, QQ
 
@@ -38,9 +42,8 @@ def test_unimodular_against_determinant_two():
 
     two = single_block([[2, 0], [0, 1]])
     assert two.factor(0).det == 2 and not two.unimodular()
-    assert two.solve({0: 1}) == {"c0": Fraction(1, 2)}
     assert two.solve_integral({0: 2, 1: 5}) == {"c0": 1, "c1": 5}
-    with pytest.raises(ArithmeticError, match="block 0"):
+    with pytest.raises(ArithmeticError, match="1/2 of column c0 in block 0"):
         two.solve_integral({0: 1})
 
 
@@ -48,11 +51,11 @@ def test_singular_and_non_square_blocks_raise():
     singular = single_block([[1, 2], [2, 4]])
     with pytest.raises(AssertionError, match="singular"):
         singular.unimodular()
-    with pytest.raises(AssertionError, match="singular"):
-        singular.solve({0: 1})
+    with pytest.raises(AssertionError, match="block 0 singular"):
+        singular.solve_integral({0: 1})
     tall = BlockedBasis("block", {0: ([0, 1], ["c0"])}, lambda r: 0, lambda c: {0: 1})
-    with pytest.raises(AssertionError, match="not square"):
-        tall.solve({0: 1})
+    with pytest.raises(AssertionError, match="block 0 is not square: 1 columns vs 2 rows"):
+        tall.solve_integral({0: 1})
 
 
 def test_rank_over_q_and_f2():
@@ -70,3 +73,74 @@ def test_blocks_are_solved_separately():
                      lambda r: 1 if r == "x" else 2, expansion.__getitem__)
     assert B.unimodular()
     assert B.solve_integral({"x": 3, "y": 1}) == {"a": 3, "b": 1, "c": -1}
+
+
+def test_non_integral_coefficient_is_reduced_and_named():
+    four = single_block([[4, 0], [0, 1]])
+    assert four.solve_integral({0: 8}) == {"c0": 2}
+    with pytest.raises(ArithmeticError, match="non-integral coefficient 1/2 of column c0 in block 0"):
+        four.solve_integral({0: 2})
+    minus_three = single_block([[0, 1], [3, 0]])  # a row swap, det -3
+    assert minus_three.factor(0).det == -3
+    with pytest.raises(ArithmeticError, match="non-integral coefficient -2/3 of column c0 in block 0"):
+        minus_three.solve_integral({1: -2})
+
+
+# Square blocks of size 1-6 and vectors cut to their size; small entries so
+# that zero pivots (row swaps), singular blocks and |det| > 1 all come up often.
+entries = st.integers(-3, 3)
+blocks = st.integers(1, 6).flatmap(
+    lambda n: st.lists(st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n))
+vectors = st.lists(entries, min_size=6, max_size=6)
+
+
+@given(blocks, vectors, vectors)
+@example([[0, 2, 1], [1, 0, 0], [0, 1, 1]], [3, 1, 2, 0, 0, 0], [1, 1, 1, 0, 0, 0])  # swap, det -1
+@example([[0, 3], [2, 1]], [1, 0, 0, 0, 0, 0], [1, 1, 0, 0, 0, 0])  # swap, det -6
+@example([[2, 1, 0], [0, 2, 1], [1, 0, 2]], [1, 1, 1, 0, 0, 0], [1, -1, 2, 0, 0, 0])  # det 9
+def test_block_against_fraction_oracle(mat, v, x):
+    """det, integral solves and integrality aborts agree with the LU oracle,
+    on an arbitrary right-hand side and on the image of an integral x."""
+    n = len(mat)
+    B = single_block(mat)
+    det = lu_det(mat)
+    if not det:
+        with pytest.raises(AssertionError, match="singular"):
+            B.factor(0)
+        return
+    assert B.factor(0).det == det
+    assert B.unimodular() == (abs(det) == 1)
+    for rhs in (v[:n], [sum(row[j] * x[j] for j in range(n)) for row in mat]):
+        want = lu_solve(mat, rhs)
+        sparse = {i: c for i, c in enumerate(rhs) if c}
+        if all(c.denominator == 1 for c in want):
+            assert B.solve_integral(sparse) == {f"c{j}": int(c) for j, c in enumerate(want) if c}
+        else:
+            with pytest.raises(ArithmeticError, match="non-integral coefficient"):
+                B.solve_integral(sparse)
+
+
+matrices = st.tuples(st.integers(0, 6), st.integers(1, 6)).flatmap(
+    lambda shape: st.lists(st.lists(entries, min_size=shape[1], max_size=shape[1]),
+                           min_size=shape[0], max_size=shape[0]))
+
+
+@given(matrices)
+@example([[0, 1, 2], [0, 2, 4], [1, 0, 0]])
+def test_rank_against_fraction_oracle(mat):
+    assert rank(mat, QQ) == lu_rank(mat)
+    for p in (2, 3):
+        assert rank(mat, GF(p)) == lu_rank(mat, p)
+
+
+def test_package_imports_no_fractions():
+    """The package computes on ints: no module imports `fractions`."""
+    for path in sorted(Path(schurify.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            assert all(nm.split(".")[0] != "fractions" for nm in names), path.name

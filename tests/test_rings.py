@@ -1,6 +1,3 @@
-from fractions import Fraction
-
-import pytest
 from hypothesis import given, strategies as st
 
 from schurify.rings import GF, QQ, ZZ, GradedSuperScalar
@@ -45,15 +42,6 @@ def test_coefficient_rings():
     assert QQ.is_field
     F2 = GF(2)
     assert F2.is_field
-    assert F2.is_zero(F2.of(4))
-    assert F2.add(F2.of(1), F2.of(1)) == F2.zero()
-    assert QQ.of(3) == Fraction(3)
-    # inverses in F_5
-    F5 = GF(5)
-    x = F5.of(3)
-    assert F5.mul(x, F5.inv(x)) == F5.one()
-    with pytest.raises(ZeroDivisionError):
-        F5.inv(F5.zero())
 
 
 def test_graded_scalar_json_roundtrip():

@@ -114,6 +114,31 @@ def test_profile_orthogonality(T122):
             assert T122.mult_orbits(a, b) == {}
 
 
+def test_first_product_compares_profiles_once(monkeypatch):
+    """A first product reads the two weight profiles once each, in
+    mult_orbits; a pair whose profiles do not meet is not cached."""
+    alg, data, tau = make_algebra("zigzag:1")
+    T = build_schur(alg, data, 2, 2, tau)
+    calls = []
+    real = T.profiles
+
+    def counted(orbit):
+        calls.append(orbit)
+        return real(orbit)
+
+    monkeypatch.setattr(T, "profiles", counted)
+    a = T.orbits[0]
+    b = next(o for o in T.orbits if real(a)[1] == real(o)[0] and T.mult_orbits(a, o))
+    c = next(o for o in T.orbits if real(a)[1] != real(o)[0])
+    T._prod_cache.clear()
+    calls.clear()
+    assert T.mul({a: 1}, {b: 1})
+    assert calls == [a, b]
+    calls.clear()
+    assert T.mul({a: 1}, {c: 1}) == {}
+    assert calls == [a, c] and (a, c) not in T._prod_cache
+
+
 def test_star_examples(T122):
     T1 = T122.family(1)
     # even letter in the a-stratum: eta * eta = 2 eta^{bb}
