@@ -162,9 +162,6 @@ class AntiInvolution:
 
     image: dict[str, str]
 
-    def apply(self, x: Mapping[str, int]) -> Elem:
-        return {self.image[b]: c for b, c in x.items()}
-
     def is_standard(self, data: HeredityData) -> bool:
         for i in data.labels:
             if self.image[data.e[i]] != data.e[i]:

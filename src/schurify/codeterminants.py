@@ -12,15 +12,19 @@ express arbitrary elements in that basis:
     connecting idempotent element and recurses along the triangular order
     (shape lex up, then leading words down);
   * an exact blocked linear solve against the codeterminant expansion matrix,
-    blocked by the conserved (left profile, right profile, degree, parity).
+    blocked by the conserved (left profile, right profile, degree, parity);
+    the blocks of one left profile are built together on first use, from
+    the orbits of that profile alone.
 
 All expansions are integral; any non-integral coefficient aborts loudly.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Mapping
+from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import product
+from itertools import islice
+from typing import Callable
 
 from .base_algebra import SIDES, X_SIDE, Y_SIDE, Side
 from .exactla import BlockedBasis
@@ -155,6 +159,7 @@ class CodetBasis:
     of basis from the orbit basis."""
 
     T: SchurAlgebra
+    _side_elements: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         # below n = d the standard codeterminants stop spanning; only the
@@ -203,16 +208,26 @@ class CodetBasis:
         )
         return S, S
 
+    def side_element(self, tab: Tableau, side: Side) -> Element:
+        """X_S or Y_T, made once per tableau; callers must not mutate it."""
+        key = (side.name, tab)
+        if key not in self._side_elements:
+            self._side_elements[key] = side_element(self.T, tab, side)
+        return self._side_elements[key]
+
     def expansion(self, key: CodetKey) -> Element:
         _bold, S, Tb = key
-        return codet_element(self.T, S, Tb)
+        return self.T.mul(self.side_element(S, X_SIDE), self.side_element(Tb, Y_SIDE))
 
     # -- blocked change of basis ------------------------------------------
-    def _orbit_block(self, orbit: TriWord):
-        alpha, beta = self.T.profiles(orbit)
-        deg = sum(self.T.alg.degree[b] for (b, _r, _s) in orbit)
-        par = sum(self.T.alg.parity[b] for (b, _r, _s) in orbit) % 2
-        return (alpha, beta, deg, par)
+    def _orbit_block(self, orbit: TriWord, profiles=None):
+        alpha, beta = profiles or self.T.profiles(orbit)
+        degree, parity = self.T.alg.degree, self.T.alg.parity
+        deg = par = 0
+        for (b, _r, _s) in orbit:
+            deg += degree[b]
+            par += parity[b]
+        return (alpha, beta, deg, par % 2)
 
     def _tableau_block(self, tab: Tableau, side: Side) -> tuple:
         """One tableau's share of a block key: (weight, degree, parity)."""
@@ -221,18 +236,48 @@ class CodetBasis:
                 sum(self.T.alg.degree[z] for z in zs), sum(self.T.alg.parity[z] for z in zs))
 
     @cached_property
-    def _blocks(self) -> dict:
-        """block key -> (orbits, codeterminant keys)."""
+    def _tableau_blocks(self) -> dict:
+        """shape -> ([(S, its share)], [(T, its share)]) of the block keys, in
+        the order of the standard tableaux."""
+        return {bold: tuple([(tab, self._tableau_block(tab, side)) for tab in self.std(side)[bold]]
+                            for side in SIDES)
+                for bold in self.shapes}
+
+    def _block_keys(self) -> list:
+        """The keys of the blocks with codeterminant columns, in the order in
+        which `keys` first meets them."""
+        keys: dict = {}
+        for xs, ys in self._tableau_blocks.values():
+            y_blocks = dict.fromkeys(blk for (_Tb, blk) in ys)
+            for (alpha, dx, px) in dict.fromkeys(blk for (_S, blk) in xs):
+                for (beta, dy, py) in y_blocks:
+                    keys[(alpha, beta, dx + dy, (px + py) % 2)] = None
+        return list(keys)
+
+    def _fill(self, alpha) -> dict:
+        """block key -> (orbits, codeterminant keys) for every block with
+        left profile alpha: the orbits in the order of `T.orbits`, the keys
+        in the order of `keys`."""
         blocks: dict = {}
-        keys = iter(self.keys)  # shape by shape, in the order of product(std_x, std_y)
-        for bold in self.shapes:
-            xs, ys = ([self._tableau_block(tab, side) for tab in self.std(side)[bold]]
-                      for side in SIDES)
-            for ((alpha, dx, px), (beta, dy, py)), key in zip(product(xs, ys), keys):
-                blocks.setdefault((alpha, beta, dx + dy, (px + py) % 2), ([], []))[1].append(key)
-        for orbit in self.T.orbits:
-            blocks.setdefault(self._orbit_block(orbit), ([], []))[0].append(orbit)
+        for bold, (xs, ys) in self._tableau_blocks.items():
+            for S, (a, dx, px) in xs:
+                if a != alpha:
+                    continue
+                for Tb, (beta, dy, py) in ys:
+                    blocks.setdefault((alpha, beta, dx + dy, (px + py) % 2),
+                                      ([], []))[1].append((bold, S, Tb))
+        ctx = self.T.ctx
+        for orbit in self.T.orbits_with_profile(0, alpha):
+            blocks.setdefault(self._orbit_block(orbit, ctx.weight_profiles(orbit)),
+                              ([], []))[0].append(orbit)
         return blocks
+
+    @cached_property
+    def _blocks(self) -> Mapping:
+        """block key -> (orbits, codeterminant keys), over the blocks with
+        codeterminant columns; a left profile's blocks are built on its
+        first lookup."""
+        return _BlocksByLeftProfile(self._block_keys, self._fill)
 
     @cached_property
     def _change(self) -> BlockedBasis:
@@ -240,11 +285,47 @@ class CodetBasis:
                             self.expansion)
 
     def unimodular(self) -> bool:
-        return self._change.unimodular()
+        """Whether every block with columns has determinant +-1 and those
+        blocks hold every orbit, so that none lies in a block of no columns."""
+        return (self._change.unimodular()
+                and sum(len(self._blocks[key][0]) for key in self._blocks) == self.T.rank)
+
+    def non_unimodular_block(self) -> tuple | None:
+        return self._change.non_unimodular_block()
 
     def solve(self, x: Element) -> dict[CodetKey, int]:
         """Expand an integral element in the standard codeterminant basis."""
         return self._change.solve_integral(x)
+
+
+class _BlocksByLeftProfile(Mapping):
+    """Block key -> (rows, columns).  The keys are listed by the `keys`
+    callable on first iteration; `fill(alpha)` makes the values of all keys
+    with left profile alpha on the first lookup of one of them.  A key that
+    a fill makes beyond the listed ones (orbits with no columns) can still
+    be looked up, so that its block fails as not square."""
+
+    def __init__(self, keys: Callable[[], list], fill: Callable[[tuple], dict]):
+        self._list_keys = keys
+        self._fill = fill
+        self._filled: set = set()
+        self._values: dict = {}
+
+    @cached_property
+    def _keys(self) -> list:
+        return self._list_keys()
+
+    def __getitem__(self, key):
+        if key[0] not in self._filled:
+            self._values.update(self._fill(key[0]))
+            self._filled.add(key[0])
+        return self._values[key]
+
+    def __iter__(self):
+        return iter(self._keys)
+
+    def __len__(self) -> int:
+        return len(self._keys)
 
 
 # ---------------------------------------------------------------------------
@@ -434,7 +515,8 @@ def heredity_of_T(T: SchurAlgebra, sample_b: int | None = None) -> SchurHeredity
     """Verify the heredity axioms for the codeterminant structure on T.
 
     `sample_b` caps, per X/Y element, the number of weight-compatible basis
-    orbits multiplied through in the span check; None checks all of them.
+    orbits multiplied through in the span check: the first ones in the order
+    of `T.orbits`, listed one weight at a time.  None checks all of them.
     """
     if T.n < T.d:
         raise ValueError("requires n >= d")
@@ -443,16 +525,20 @@ def heredity_of_T(T: SchurAlgebra, sample_b: int | None = None) -> SchurHeredity
     checked: list[str] = []
 
     # axiom (a): standard codeterminants are a unimodular basis
-    if len(cb.keys) != T.rank:
-        failures.append(f"axiom (a): {len(cb.keys)} codeterminants vs rank {T.rank}")
+    count = sum(len(cb.std_x[bold]) * len(cb.std_y[bold]) for bold in cb.shapes)
+    if count != T.rank:
+        failures.append(f"axiom (a): {count} codeterminants vs rank {T.rank}")
     try:
-        if cb.unimodular():
-            checked.append("axiom (a): codeterminant basis unimodular over Z")
-        else:
-            failures.append("axiom (a): change of basis not unimodular")
+        bad = cb.non_unimodular_block()
     except AssertionError as exc:
         failures.append(f"axiom (a): {exc}")
         return SchurHeredityReport(False, failures, checked)
+    if bad is not None:
+        # axiom (b) needs the integral solve, which a non-unimodular block breaks
+        failures.append(f"axiom (a): change of basis not unimodular: "
+                        f"block {bad[0]} has determinant {bad[1]}")
+        return SchurHeredityReport(False, failures, checked)
+    checked.append("axiom (a): codeterminant basis unimodular over Z")
 
     from .partitions import compare
 
@@ -476,7 +562,7 @@ def heredity_of_T(T: SchurAlgebra, sample_b: int | None = None) -> SchurHeredity
                                      for a, b in ((nm, "e"), ("e", nm), ("e_mu", nm)))
             initial = side.pick(*cb.initial_tableau_pair(bold))
             for tab in cb.std(side)[bold]:
-                elt = side_element(T, tab, side)
+                elt = cb.side_element(tab, side)
                 if T.mul(*side.orient(elt, idem[bold])) != elt:
                     ok_c = False
                     failures.append(f"axiom (c): {elt_e} != {nm} at {bold}")
@@ -495,21 +581,21 @@ def heredity_of_T(T: SchurAlgebra, sample_b: int | None = None) -> SchurHeredity
 
     # axiom (b): products land in X (resp. Y) span modulo strictly greater shapes.
     # An orbit a meets X_S on its right profile and Y_T on its left profile.
-    meeting: dict = {side: {} for side in SIDES}
-    for orbit in T.orbits:
-        profiles = T.profiles(orbit)
-        for side in SIDES:
-            meeting[side].setdefault(side.orient(*profiles)[1], []).append(orbit)
+    meeting: dict = {}
+
+    def candidates(side: Side, weight) -> list:
+        if (side, weight) not in meeting:
+            orbits = T.orbits_with_profile(side.pick(1, 0), weight)
+            meeting[side, weight] = list(islice(orbits, sample_b))
+        return meeting[side, weight]
+
     ok_b = True
     for bold in cb.shapes:
         for side in SIDES:
             other_initial = side.orient(*cb.initial_tableau_pair(bold))[1]
             for tab in cb.std(side)[bold]:
-                elt = side_element(T, tab, side)
-                cands = meeting[side].get(tableau_weight(tab, T.ctx.alphabet(side)), [])
-                if sample_b is not None:
-                    cands = cands[:sample_b]
-                for orbit in cands:
+                elt = cb.side_element(tab, side)
+                for orbit in candidates(side, tableau_weight(tab, T.ctx.alphabet(side))):
                     prod = T.mul(*side.orient({orbit: 1}, elt))
                     if not prod:
                         continue
@@ -550,11 +636,11 @@ def standard_module_T(T: SchurAlgebra, bold) -> SchurStandardModule:
     Ys = cb.std_y[bold]
     S0, T0 = cb.initial_tableau_pair(bold)
     unit_key = (bold, S0, T0)
-    ys = [y_element(T, Tb) for Tb in Ys]
+    ys = [cb.side_element(Tb, Y_SIDE) for Tb in Ys]
     gram = []
     for S in Xs:
         row = []
-        xs = x_element(T, S)
+        xs = cb.side_element(S, X_SIDE)
         for y in ys:
             prod = T.mul(y, xs)
             if not prod:

@@ -111,9 +111,15 @@ class BlockedBasis:
             self._factored[key] = blk
         return self._factored[key]
 
+    def non_unimodular_block(self) -> tuple | None:
+        """The first block key whose determinant is not +-1, with that
+        determinant; None when there is none.  Factors the blocks up to it."""
+        dets = ((key, self.factor(key).det) for key in self.blocks)
+        return next(((key, det) for key, det in dets if abs(det) != 1), None)
+
     def unimodular(self) -> bool:
         """Whether every block has determinant +-1; factors all of them."""
-        return all(abs(self.factor(key).det) == 1 for key in self.blocks)
+        return self.non_unimodular_block() is None
 
     def solve_integral(self, v: Mapping) -> dict:
         """Expand a sparse integer vector in the columns over Z; a

@@ -17,6 +17,8 @@ from __future__ import annotations
 
 from functools import cached_property
 from itertools import groupby, permutations, product
+from math import comb
+from typing import Iterator
 
 from .base_algebra import AntiInvolution, BasedSuperalgebra, DecompInput, HeredityData
 from .partitions import compositions
@@ -73,6 +75,13 @@ class SchurAlgebra:
         """The canonical orbits, enumerated on first use."""
         return list(_multisets(self._letters, self.d, self.ctx))
 
+    def orbits_with_profile(self, side: int, profile) -> Iterator[TriWord]:
+        """The canonical orbits whose left (side 0) or right (side 1) weight
+        profile is `profile`, generated lazily in the order of `orbits`."""
+        slots = [self.ctx.profile_slot(lt, side) for lt in self._letters]
+        counts = [c for comp in profile for c in comp]
+        return _multisets(self._letters, self.d, self.ctx, (slots, counts))
+
     @cached_property
     def _letter_pos(self) -> dict[TriLetter, int]:
         return {lt: k for k, lt in enumerate(self._letters)}
@@ -83,9 +92,14 @@ class SchurAlgebra:
         pos = self._letter_pos
         return tuple((pos[lt], len(list(run))) for lt, run in groupby(orbit))
 
-    @property
+    @cached_property
     def rank(self) -> int:
-        return len(self.orbits)
+        """The number of canonical orbits, counted without listing them: k
+        distinct odd letters beside a multiset of d - k even ones."""
+        odd = sum(map(self.ctx.is_odd, self._letters))
+        even = len(self._letters) - odd
+        return sum(comb(odd, k) * (comb(even + self.d - k - 1, self.d - k) if k < self.d else 1)
+                   for k in range(min(odd, self.d) + 1))
 
     @cached_property
     def base_decomp(self) -> DecompInput:
@@ -331,20 +345,42 @@ class SchurAlgebra:
         return {TriContext.from_json(e["orbit"]): int(e["coeff"]) for e in obj}
 
 
-def _multisets(letters: list[TriLetter], d: int, ctx: TriContext):
-    """Admissible sorted multisets of size d over the (sorted) letter list."""
+def _multisets(letters: list[TriLetter], d: int, ctx: TriContext, budget=None):
+    """Admissible sorted multisets of size d over the (sorted) letter list.
 
-    def rec(start: int, left: int, acc: list[TriLetter]):
+    A `budget` (slots, counts) keeps the multisets in which letter k occurs
+    counts[slots[k]] times in total over the letters of its slot, for every
+    slot, in the same order; with none, all letters share one slot of d."""
+    slots, counts = budget or ([0] * len(letters), [d])
+    if sum(counts) != d:
+        return
+    counts = list(counts)
+    # bit s of reach[k] is set when a letter at or after k uses slot s
+    reach = [0] * (len(letters) + 1)
+    for k in range(len(letters) - 1, -1, -1):
+        reach[k] = reach[k + 1] | 1 << slots[k]
+    odd = [ctx.is_odd(lt) for lt in letters]
+
+    def rec(start: int, left: int, acc: list[TriLetter], need: int):
+        # bit s of need is set while slot s has room
         if left == 0:
             yield tuple(acc)
             return
+        if need & ~reach[start]:
+            return
         for k in range(start, len(letters)):
+            s = slots[k]
+            room = counts[s]
+            if not room:
+                continue
             lt = letters[k]
-            max_rep = 1 if ctx.is_odd(lt) else left
-            for m in range(1, max_rep + 1):
-                yield from rec(k + 1, left - m, acc + [lt] * m)
+            for m in range(1, (1 if odd[k] else room) + 1):
+                counts[s] = room - m
+                yield from rec(k + 1, left - m, acc + [lt] * m,
+                               need if m < room else need & ~(1 << s))
+            counts[s] = room
 
-    yield from rec(0, d, [])
+    yield from rec(0, d, [], sum(1 << s for s, c in enumerate(counts) if c))
 
 
 def _sub_multisets(mults: list[tuple[TriLetter, int]], size: int):

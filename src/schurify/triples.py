@@ -147,17 +147,38 @@ class TriContext:
     # -- weight profiles ---------------------------------------------------
     def weight_profiles(self, word: TriWord):
         """(alpha(b, r), beta(b, s)): left/right idempotent weight profiles."""
-        alpha = {j: [0] * self.n for j in self.data.labels}
-        beta = {j: [0] * self.n for j in self.data.labels}
-        left, right = self.x_alphabet.absorbers, self.y_alphabet.absorbers
-        for (b, r, s) in word:
-            alpha[left[b]][r - 1] += 1
-            beta[right[b]][s - 1] += 1
-        labels = self.data.labels
-        return (
-            tuple(tuple(alpha[j]) for j in labels),
-            tuple(tuple(beta[j]) for j in labels),
-        )
+        size = len(self.data.labels) * self.n
+        alpha, beta = [0] * size, [0] * size
+        slots = self._profile_slots
+        for letter in word:
+            left, right = slots[letter]
+            alpha[left] += 1
+            beta[right] += 1
+        return self._nested(tuple(alpha)), self._nested(tuple(beta))
+
+    def _nested(self, flat: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+        """A flattened profile cut into one block of n per color, made once."""
+        if flat not in self._profiles:
+            n = self.n
+            self._profiles[flat] = tuple(flat[k:k + n] for k in range(0, len(flat), n))
+        return self._profiles[flat]
+
+    @cached_property
+    def _profiles(self) -> dict:
+        return {}
+
+    @cached_property
+    def _profile_slots(self) -> dict[TriLetter, tuple[int, int]]:
+        return {letter: (self.profile_slot(letter, 0), self.profile_slot(letter, 1))
+                for letter in self.letter_key}
+
+    def profile_slot(self, letter: TriLetter, side: int) -> int:
+        """Where a letter counts in the flattened left (side 0) or right
+        (side 1) weight profile: its absorbing color's block of n, at r
+        (left) or s (right)."""
+        b = letter[0]
+        absorber = (self.x_alphabet.absorbers, self.y_alphabet.absorbers)[side][b]
+        return self._color_pos[absorber] * self.n + letter[1 + side] - 1
 
     # -- serialization -----------------------------------------------------
     @staticmethod

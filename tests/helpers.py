@@ -11,10 +11,15 @@
 - lu_rank / lu_det / lu_solve: LU elimination over Fractions (or residues
   mod p) with forward and back substitution; production (`exactla`) runs a
   fraction-free Gauss-Jordan pass on ints and solves with the adjugate.
+- orbit_profiles / eager_codet_blocks: weight profiles counted per color
+  label, and every codeterminant block built in one walk over all tableau
+  pairs and all orbits; production lists the orbits of one left profile at
+  a time and builds a profile's blocks on first use.
 """
 from fractions import Fraction
 from itertools import permutations, product
 
+from schurify.base_algebra import SIDES
 from schurify.partitions import conjugate, trim
 
 
@@ -248,3 +253,39 @@ def lu_solve(mat, v):
             x[k] -= lu[k][j] * x[j]
         x[k] /= lu[k][k]
     return x
+
+
+# ---------------------------------------------------------------------------
+# eager codeterminant blocks
+# ---------------------------------------------------------------------------
+
+def orbit_profiles(T, orbit):
+    """(alpha, beta): per color label, the counts of r (left) and s (right)
+    over the letters whose x (left) or y (right) part that label absorbs."""
+    left, right = T.ctx.x_alphabet.absorbers, T.ctx.y_alphabet.absorbers
+    alpha = {j: [0] * T.n for j in T.data.labels}
+    beta = {j: [0] * T.n for j in T.data.labels}
+    for (b, r, s) in orbit:
+        alpha[left[b]][r - 1] += 1
+        beta[right[b]][s - 1] += 1
+    return (tuple(tuple(alpha[j]) for j in T.data.labels),
+            tuple(tuple(beta[j]) for j in T.data.labels))
+
+
+def eager_codet_blocks(cb):
+    """block key -> (orbits, codeterminant keys) of a `CodetBasis`, every
+    block at once: the keys in the order of `cb.keys`, then every orbit of
+    `T.orbits` under its (alpha, beta, degree, parity)."""
+    T = cb.T
+    blocks = {}
+    keys = iter(cb.keys)  # shape by shape, in the order of product(std_x, std_y)
+    for bold in cb.shapes:
+        xs, ys = ([cb._tableau_block(tab, side) for tab in cb.std(side)[bold]]
+                  for side in SIDES)
+        for ((alpha, dx, px), (beta, dy, py)), key in zip(product(xs, ys), keys):
+            blocks.setdefault((alpha, beta, dx + dy, (px + py) % 2), ([], []))[1].append(key)
+    for orbit in T.orbits:
+        deg = sum(T.alg.degree[b] for (b, _r, _s) in orbit)
+        key = (*orbit_profiles(T, orbit), deg, word_parity(T, orbit))
+        blocks.setdefault(key, ([], []))[0].append(orbit)
+    return blocks

@@ -193,6 +193,18 @@ def test_char_and_formula_decomp_enumerate_no_orbits(monkeypatch, tmp_path):
     assert res.exit_code == 0, res.output
 
 
+def test_dim_enumerates_no_orbits(monkeypatch, tmp_path):
+    from schurify import schur
+
+    def refuse(*_args):
+        raise AssertionError("orbits enumerated")
+
+    monkeypatch.setattr(schur, "_multisets", refuse)
+    res = run("dim", "--algebra", "zigzag:1", "-n", "4", "-d", "4", "--cache-dir", str(tmp_path))
+    assert res.exit_code == 0, res.output
+    assert json.loads(res.output) == {"rank": "1734436"}
+
+
 def test_mul_enumerates_no_orbits(monkeypatch, tmp_path):
     from schurify import schur
 

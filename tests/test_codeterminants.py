@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from helpers import eager_codet_blocks, lu_det, orbit_profiles
 from schurify import codeterminants as codet
 from schurify.base_algebra import make_algebra
 from schurify.partitions import leq
@@ -180,3 +181,113 @@ def test_axiom_b_failure_names_its_witness(monkeypatch):
         for bold, key in bad.items() for S in cb.std_x[bold] for o in T.orbits
     }
     assert set(named) <= witnesses, set(named) - witnesses
+
+
+LAZY_CASES = [("trivial", 3, 3, False), ("zigzag:1", 2, 2, False), ("zigzag:1", 3, 3, False),
+              ("zigzag:2", 2, 2, False), ("zigzag:1", 3, 3, True)]
+
+
+@pytest.mark.parametrize("spec,n,d,truncated", LAZY_CASES)
+def test_lazy_blocks_match_the_eager_walk(spec, n, d, truncated):
+    """The blocks built one left profile at a time are the eager walk's
+    blocks with columns: the same keys, rows and columns, in the same order,
+    with the same determinants."""
+    alg, data, tau = make_algebra(spec)
+    T = build_schur(alg, data, n, d, tau)
+    if truncated:
+        T = T.truncate([0])
+    cb = T.codet_basis
+    eager = eager_codet_blocks(codet.CodetBasis(T))
+    with_columns = [key for key, (_rows, cols) in eager.items() if cols]
+    lazy = cb._blocks
+    assert list(lazy) == with_columns and len(lazy) == len(with_columns)
+    for key in with_columns:
+        rows, cols = eager[key]
+        assert lazy[key] == (rows, cols), key
+        mat = [[0] * len(cols) for _ in rows]
+        for j, col in enumerate(cols):
+            for orbit, c in codet.codet_element(T, *col[1:]).items():
+                mat[rows.index(orbit)][j] = c
+        assert cb._change.factor(key).det == lu_det(mat), key
+    if truncated:
+        # the truncation keeps more orbits than codeterminants; they sit in
+        # blocks with no columns, which the lazy map does not list
+        assert sum(len(rows) for rows, _cols in eager.values()) == T.rank > len(cb.keys)
+        assert not cb.unimodular()
+    else:
+        assert sum(len(eager[key][0]) for key in with_columns) == T.rank == len(cb.keys)
+        assert cb.unimodular()
+
+
+@pytest.mark.parametrize("spec,n,d,truncated", LAZY_CASES)
+def test_one_sided_enumeration_matches_the_grouping(spec, n, d, truncated):
+    """The orbits of one left (or right) profile come out in the order of
+    `T.orbits`, on both sides and for every profile that occurs."""
+    alg, data, tau = make_algebra(spec)
+    T = build_schur(alg, data, n, d, tau)
+    if truncated:
+        T = T.truncate([0])
+    for side in (0, 1):
+        groups = {}
+        for orbit in T.orbits:
+            groups.setdefault(orbit_profiles(T, orbit)[side], []).append(orbit)
+        for profile, orbits in groups.items():
+            assert list(T.orbits_with_profile(side, profile)) == orbits, (side, profile)
+        empty = tuple((0,) * n for _ in data.labels)
+        assert list(T.orbits_with_profile(side, empty)) == ([()] if d == 0 else [])
+
+
+def test_lazy_blocks_fill_one_left_profile_per_lookup():
+    """A solve builds only the blocks of the left profiles it meets, and the
+    decomposition oracle lists no orbits."""
+    from schurify.characters import decomp_oracle
+
+    alg, data, tau = make_algebra("zigzag:2")
+    T = build_schur(alg, data, 2, 2, tau)
+    cb = T.codet_basis
+    key = next(iter(cb._blocks))
+    orbit = cb._blocks[key][0][0]
+    assert cb.solve({orbit: 1})
+    assert cb._blocks._filled == {key[0]}
+    decomp_oracle(T)
+    assert "orbits" not in vars(T)
+
+
+def test_tableau_elements_made_once(monkeypatch):
+    """The unimodularity check makes X_S and Y_T once per tableau."""
+    alg, data, tau = make_algebra("zigzag:1")
+    T = build_schur(alg, data, 2, 2, tau)
+    cb = T.codet_basis
+    made = []
+    real = codet.side_element
+
+    def counted(T_, tab, side):
+        made.append((side.name, tab))
+        return real(T_, tab, side)
+
+    monkeypatch.setattr(codet, "side_element", counted)
+    assert cb.unimodular()
+    assert len(made) == len(set(made)) == sum(
+        len(cb.std_x[bold]) + len(cb.std_y[bold]) for bold in cb.shapes)
+
+
+def test_axiom_a_failure_names_its_witness(monkeypatch):
+    """A doubled codeterminant column makes its block's determinant +-2;
+    axiom (a) names the first such block and its determinant."""
+    alg, data, tau = make_algebra("zigzag:1")
+    T = build_schur(alg, data, 2, 2, tau)
+    doubled = T.codet_basis.keys[7]
+    real = codet.CodetBasis.expansion
+
+    def broken(self, key):
+        out = real(self, key)
+        return {o: 2 * c for o, c in out.items()} if key == doubled else out
+
+    monkeypatch.setattr(codet.CodetBasis, "expansion", broken)
+    rep = codet.heredity_of_T(T, sample_b=4)
+    block = next(key for key, (_rows, cols) in T.codet_basis._blocks.items() if doubled in cols)
+    det = T.codet_basis._change.factor(block).det
+    assert abs(det) == 2
+    assert rep.failures == [
+        f"axiom (a): change of basis not unimodular: block {block} has determinant {det}"
+    ]

@@ -22,6 +22,18 @@ def test_rank_constants():
         assert build_schur(alg, data, n, d, tau).rank == rank, spec
 
 
+def test_rank_closed_count_matches_the_enumeration():
+    """The closed count of canonical orbits equals the length of `orbits`,
+    on the algebras and on their truncations."""
+    for spec in ("trivial", "zigzag:1", "zigzag:2", "zigzag:3", "semisimple:2"):
+        alg, data, tau = make_algebra(spec)
+        for n in range(1, 4):
+            for d in range(4):
+                T = build_schur(alg, data, n, d, tau)
+                for A in (T, T.truncate([0])):
+                    assert A.rank == len(A.orbits), (spec, n, d, A.keep_basis)
+
+
 def test_degenerate_degree_zero():
     alg, data, tau = make_algebra("zigzag:1")
     T = build_schur(alg, data, 2, 0, tau)
