@@ -11,9 +11,10 @@ Three layers live here:
     the classical decomposition matrix it gives d_{lam,mu}, with the Schur
     characters s_mu it gives ch Delta(lam).  The characters are also summed
     over standard tableaux, a route independent of the formula;
-  * the brute-force decomposition oracle: graded Gram-rank profiles of the
-    standard modules over a coefficient field, followed by a unitriangular
-    solve of ch Delta = D . ch L.
+  * the brute-force decomposition oracle: ch L is the graded ranks, over a
+    coefficient field, of the homogeneous blocks of the standard modules'
+    Gram matrices (`codeterminants.gram_blocks`, built one weight block at a
+    time), followed by a unitriangular solve of ch Delta = D . ch L.
 
 Weights are compositions (classical) or tuples of compositions, one per
 color, each padded to length n.
@@ -28,7 +29,7 @@ from itertools import product
 
 from .base_algebra import BasedSuperalgebra, DecompInput, HeredityData, base_decomp_numbers
 from . import exactla
-from .codeterminants import standard_module_T
+from .codeterminants import gram_blocks
 from .partitions import (
     Multipartition,
     Partition,
@@ -589,35 +590,11 @@ class DecompMatrix:
         return self.entries.get((lam, mu), GradedSuperScalar.zero())
 
 
-def _degree_of(tab, alg) -> tuple[int, int]:
-    g = tableau_degree(tab, alg)
-    ((m, eps),) = g.coeffs.keys()
-    return m, eps
-
-
 def char_irreducible(T: SchurAlgebra, bold, ring: CoefficientRing) -> CharacterVector:
-    """ch L(bold) over the coefficient field: blockwise graded ranks of the
-    integral Gram matrix of the standard module."""
-    sm = standard_module_T(T, bold)
-    ax, ay = T.ctx.x_alphabet, T.ctx.y_alphabet
-    row_meta = [(tableau_weight(S, ax), *_degree_of(S, T.alg)) for S in sm.x_basis]
-    col_meta = [(tableau_weight(Tb, ay), *_degree_of(Tb, T.alg)) for Tb in sm.y_basis]
-    # the pairing is weight- and degree-homogeneous: assert cross-block zeros
-    for si, (w1, m1, e1) in enumerate(row_meta):
-        for ti, (w2, m2, e2) in enumerate(col_meta):
-            if sm.gram[si][ti] and (w1 != w2 or m1 + m2 != 0 or e1 != e2):
-                raise AssertionError("Gram pairing not homogeneous")
-    out: dict = {}
-    blocks_seen = sorted({meta for meta in row_meta})
-    for (w, m, eps) in blocks_seen:
-        rows = [si for si, meta in enumerate(row_meta) if meta == (w, m, eps)]
-        cols = [ti for ti, meta in enumerate(col_meta) if meta == (w, -m, eps)]
-        if not rows or not cols:
-            continue
-        rank = exactla.rank([[sm.gram[si][ti] for ti in cols] for si in rows], ring)
-        if rank:
-            out[w] = out.get(w, GradedSuperScalar.zero()) + GradedSuperScalar.term(rank, m, eps)
-    return CharacterVector(out)
+    """ch L(bold) over the coefficient field: the graded ranks of the blocks
+    of the integral Gram matrix of the standard module."""
+    return CharacterVector((weight, GradedSuperScalar.term(exactla.rank(rows, ring), deg, par))
+                           for (weight, deg, par), rows in gram_blocks(T, bold).items())
 
 
 def decomp_oracle(T: SchurAlgebra, ring: CoefficientRing | None = None) -> DecompMatrix:
@@ -703,14 +680,10 @@ def blocks(labels, D) -> tuple[tuple, ...]:
         if ra != rb:
             parent[ra] = rb
 
-    def nz(mat, k, i) -> bool:
-        v = mat.get((k, i))
-        return bool(v)
-
-    for i in labels:
-        for j in labels:
-            if any(nz(D, k, i) and nz(D, k, j) for k in labels):
-                union(i, j)
+    for k in labels:
+        linked = [i for i in labels if D.get((k, i))]
+        for i in linked[1:]:
+            union(linked[0], i)
     comps: dict = {}
     for l in labels:
         comps.setdefault(find(l), []).append(l)

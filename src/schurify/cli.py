@@ -127,7 +127,22 @@ def _flag_choices(name: str) -> list[str]:
     return own or list(dict.fromkeys(c for cmd in main.commands.values() for c in of(cmd)))
 
 
+def _quasi_hereditary(cfg: RunConfig) -> bool:
+    """Whether the algebra is quasi-hereditary; the zigzag-bar truncation is
+    only cellular."""
+    return not cfg.algebra.startswith("zigzag-bar:")
+
+
+def _require_qh_algebra(cfg: RunConfig) -> None:
+    if not _quasi_hereditary(cfg):
+        raise click.UsageError(
+            f"--algebra {cfg.algebra} is cellular but not quasi-hereditary, and this "
+            "command needs a quasi-hereditary algebra"
+        )
+
+
 def _require_qh(cfg: RunConfig) -> None:
+    _require_qh_algebra(cfg)
     if cfg.n < cfg.d:
         raise click.UsageError(
             "quasi-heredity operations need n >= d: the standard codeterminant "
@@ -278,8 +293,8 @@ def mul(ctx, left, right, **kw):
 def straighten(ctx, orbit, backend, **kw):
     """Expand a basis element over standard codeterminants."""
     cfg = _build_config(ctx.obj, **kw)
-    _require_qh(cfg)
     T = _make_T(cfg)
+    _require_qh(cfg)
     x = _orbit_from_json(T, orbit)
     if not x:
         raise click.UsageError(f"orbit {orbit} repeats an odd letter")
@@ -316,6 +331,7 @@ def char(ctx, label, method, **kw):
     """Graded character of a standard module."""
     cfg = _build_config(ctx.obj, method=method, **kw)
     T = _make_T(cfg)
+    _require_qh_algebra(cfg)
     lam = _label_from_json(label, cfg, len(T.data.labels))
     cache = cfg.lr_cache()
     vecs = {}
@@ -339,11 +355,11 @@ def char(ctx, label, method, **kw):
 def decomp(ctx, method, **kw):
     """Graded decomposition matrix, by formula, oracle, or both (compared)."""
     cfg = _build_config(ctx.obj, method=method, **kw)
-    _require_qh(cfg)
     ring = cfg.ring()
     if not ring.is_field:
         raise click.UsageError("decomposition numbers need a field: Q or Fp:p")
     T = _make_T(cfg)
+    _require_qh(cfg)
     labels = partitions.gen_multipartitions(cfg.n, cfg.d, len(T.data.labels) - 1)
     cache = cfg.lr_cache()
     matrices = {}
@@ -382,11 +398,11 @@ def decomp(ctx, method, **kw):
 def blocks(ctx, **kw):
     """Linking-graph blocks and the coarse base-block decomposition."""
     cfg = _build_config(ctx.obj, **kw)
-    _require_qh(cfg)
     ring = cfg.ring()
     if not ring.is_field:
         raise click.UsageError("block detection needs a field: Q or Fp:p")
     T = _make_T(cfg)
+    _require_qh(cfg)
     D = decomp_oracle(T, ring)
     fine = linking_blocks(D.labels, D.entries)
     coarse = block_decomposition(T.alg, T.data, cfg.n, cfg.d)
@@ -531,10 +547,8 @@ def verify(ctx, **kw):
     check("associativity", c_assoc)
     check("rank", c_rank)
     check("involution", c_involution)
-    # the cellular-only truncation is not quasi-hereditary; skip the
-    # highest-weight checks for it
-    qh = not cfg.algebra.startswith("zigzag-bar")
-    if qh:
+    # the cellular-only truncation has no highest-weight checks
+    if _quasi_hereditary(cfg):
         check("straightening", c_straighten)
         check("base heredity", c_heredity_base)
         check("schur heredity", c_heredity_T)

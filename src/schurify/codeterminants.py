@@ -563,19 +563,21 @@ def heredity_of_T(T: SchurAlgebra, sample_b: int | None = None) -> SchurHeredity
             initial = side.pick(*cb.initial_tableau_pair(bold))
             for tab in cb.std(side)[bold]:
                 elt = cb.side_element(tab, side)
+                witness = f"{side.pick('S', 'T')} = {tab}"
                 if T.mul(*side.orient(elt, idem[bold])) != elt:
                     ok_c = False
-                    failures.append(f"axiom (c): {elt_e} != {nm} at {bold}")
+                    failures.append(f"axiom (c): {elt_e} != {nm} at {bold}: {witness}")
                 want = elt if tab == initial else {}
                 if T.mul(*side.orient(idem[bold], elt)) != want:
                     ok_c = False
-                    failures.append(f"axiom (c): {e_elt} wrong at {bold}")
+                    failures.append(f"axiom (c): {e_elt} wrong at {bold}: {witness}")
                 weight = tableau_weight(tab, T.ctx.alphabet(side))
                 for bold2 in cb.shapes:
                     want = elt if padded(bold2) == weight else {}
                     if T.mul(*side.orient(idem[bold2], elt)) != want:
                         ok_c = False
-                        failures.append(f"axiom (c): {emu_elt} not diagonal at {bold}, {bold2}")
+                        failures.append(f"axiom (c): {emu_elt} not diagonal at {bold}: "
+                                        f"{witness}, mu = {bold2}")
     if ok_c:
         checked.append("axiom (c): idempotent absorption")
 
@@ -617,38 +619,38 @@ def heredity_of_T(T: SchurAlgebra, sample_b: int | None = None) -> SchurHeredity
 
 
 # ---------------------------------------------------------------------------
-# standard modules of T
+# Gram matrices of the standard modules of T
 # ---------------------------------------------------------------------------
 
-@dataclass
-class SchurStandardModule:
-    bold: tuple
-    x_basis: list[Tableau]
-    y_basis: list[Tableau]
-    gram: list[list[int]]  # gram[S][T] = coefficient of e_bold in Y_T X_S
+def gram_blocks(T: SchurAlgebra, bold) -> dict[tuple, list[list[int]]]:
+    """The Gram matrix of the standard module of shape `bold`, the
+    coefficient of e_bold in Y_T X_S, cut into its homogeneous blocks.
 
-
-def standard_module_T(T: SchurAlgebra, bold) -> SchurStandardModule:
-    if T.n < T.d:
-        raise ValueError("requires n >= d")
+    A row is a standard X tableau S, keyed by its (weight, degree, parity mod
+    2); its columns are the standard Y tableaux of that weight, degree minus
+    the row's and the same parity, in the order of `std_y`.  Only pairs of
+    equal weight are multiplied: the profiles of the others do not meet.
+    Among those, a nonzero entry outside the block is an error."""
     cb = T.codet_basis
-    Xs = cb.std_x[bold]
-    Ys = cb.std_y[bold]
-    S0, T0 = cb.initial_tableau_pair(bold)
-    unit_key = (bold, S0, T0)
-    ys = [cb.side_element(Tb, Y_SIDE) for Tb in Ys]
-    gram = []
-    for S in Xs:
+    xs, ys = cb._tableau_blocks[bold]
+    unit_key = (bold, *cb.initial_tableau_pair(bold))
+    ys_of: dict = {}
+    for Tb, (weight, deg, par) in ys:
+        ys_of.setdefault(weight, []).append((Tb, cb.side_element(Tb, Y_SIDE), deg, par % 2))
+    blocks: dict = {}
+    for S, (weight, deg, par) in xs:
+        x = cb.side_element(S, X_SIDE)
         row = []
-        xs = cb.side_element(S, X_SIDE)
-        for y in ys:
-            prod = T.mul(y, xs)
-            if not prod:
-                row.append(0)
-                continue
-            row.append(cb.solve(prod).get(unit_key, 0))
-        gram.append(row)
-    return SchurStandardModule(bold, Xs, Ys, gram)
+        for Tb, y, dy, py in ys_of.get(weight, ()):
+            prod = T.mul(y, x)
+            c = cb.solve(prod).get(unit_key, 0) if prod else 0
+            if dy == -deg and py == par % 2:
+                row.append(c)
+            elif c:
+                raise AssertionError(f"Gram pairing not homogeneous at {bold}: "
+                                     f"S = {S}, T = {Tb}")
+        blocks.setdefault((weight, deg, par % 2), []).append(row)
+    return blocks
 
 
 # ---------------------------------------------------------------------------
@@ -676,9 +678,9 @@ def cellular_basis(T: SchurAlgebra, colors) -> dict[tuple, Element]:
             S for S in cb.std_x[bold]
             if all(left_kept(z) for (_l, z) in tableau_word(S))
         ]
-        for S in tabs:
-            xs = x_element(T, S)
-            for T2 in tabs:
-                yt = T.involution(x_element(T, T2))
-                out[(bold, S, T2)] = T.mul(xs, yt)
+        xs = [cb.side_element(S, X_SIDE) for S in tabs]
+        ys = [T.involution(x) for x in xs]
+        for S, x in zip(tabs, xs):
+            for T2, y in zip(tabs, ys):
+                out[(bold, S, T2)] = T.mul(x, y)
     return out

@@ -15,12 +15,19 @@
   label, and every codeterminant block built in one walk over all tableau
   pairs and all orbits; production lists the orbits of one left profile at
   a time and builds a profile's blocks on first use.
+- full_gram / gram_entries: the Gram matrix of a standard module over every
+  pair of standard tableaux, and the blocks of `gram_blocks` read back into
+  pairs; both place a tableau by its own `tableau_weight` and
+  `tableau_degree`, where production multiplies only pairs of equal weight
+  and reads each tableau's share off the codeterminant block keys.
 """
 from fractions import Fraction
 from itertools import permutations, product
 
-from schurify.base_algebra import SIDES
+from schurify import codeterminants as codet
+from schurify.base_algebra import SIDES, X_SIDE, Y_SIDE
 from schurify.partitions import conjugate, trim
+from schurify.tableaux import tableau_degree, tableau_weight
 
 
 # ---------------------------------------------------------------------------
@@ -289,3 +296,45 @@ def eager_codet_blocks(cb):
         key = (*orbit_profiles(T, orbit), deg, word_parity(T, orbit))
         blocks.setdefault(key, ([], []))[0].append(orbit)
     return blocks
+
+
+# ---------------------------------------------------------------------------
+# Gram matrices of standard modules, over all pairs
+# ---------------------------------------------------------------------------
+
+def tableau_share(T, tab, side):
+    """(weight, degree, parity) of a standard tableau."""
+    ((deg, par),) = tableau_degree(tab, T.alg).coeffs
+    return tableau_weight(tab, T.ctx.alphabet(side)), deg, par
+
+
+def full_gram(T, bold):
+    """(S, T) -> the coefficient of e_bold in Y_T X_S, for every pair of
+    standard tableaux of shape bold."""
+    cb = T.codet_basis
+    unit_key = (bold, *cb.initial_tableau_pair(bold))
+    gram = {}
+    for S in cb.std_x[bold]:
+        x = codet.x_element(T, S)
+        for Tb in cb.std_y[bold]:
+            prod = T.mul(codet.y_element(T, Tb), x)
+            gram[S, Tb] = cb.solve(prod).get(unit_key, 0) if prod else 0
+    return gram
+
+
+def gram_entries(T, bold, blocks):
+    """The blocks of `gram_blocks(T, bold)` as (S, T) -> entry: the rows of a
+    block are the X tableaux of its (weight, degree, parity) and its columns
+    the Y tableaux of (weight, -degree, parity), each in standard order."""
+    cb = T.codet_basis
+    rows = {key: iter(block) for key, block in blocks.items()}
+    ys = [(Tb, tableau_share(T, Tb, Y_SIDE)) for Tb in cb.std_y[bold]]
+    out = {}
+    for S in cb.std_x[bold]:
+        weight, deg, par = tableau_share(T, S, X_SIDE)
+        row = next(rows[weight, deg, par])
+        cols = [Tb for Tb, share in ys if share == (weight, -deg, par)]
+        assert len(row) == len(cols), (bold, S)
+        out.update(((S, Tb), c) for Tb, c in zip(cols, row))
+    assert all(next(left, None) is None for left in rows.values()), bold
+    return out

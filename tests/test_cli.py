@@ -1,5 +1,6 @@
 import json
 
+import pytest
 from click.testing import CliRunner
 
 from schurify.cli import main
@@ -308,3 +309,34 @@ def test_lr_cache_writes_only_where_asked(monkeypatch, tmp_path):
     assert ch.lr_coeff((2, 1), [(1,), (1,), (1,)]) == 2
     assert [p.name for p in tmp_path.iterdir()] == ["home"]
     assert list(home.iterdir()) == []
+
+
+
+BAR_CASES = {
+    "straighten": ["--orbit", '[{"b": "e0", "r": 1, "s": 1}, {"b": "e0", "r": 2, "s": 2}]'],
+    "char": ["--label", "[[1], [1]]"],
+    "decomp": ["--method", "formula"],
+    "blocks": [],
+}
+
+
+@pytest.mark.parametrize("cmd", BAR_CASES)
+def test_cellular_only_truncation_is_a_usage_error(cmd, tmp_path):
+    """The zigzag-bar truncation is cellular but not quasi-hereditary; the
+    commands that need quasi-heredity refuse it, naming the spec."""
+    common = ["--algebra", "zigzag-bar:1", "-n", "2", "-d", "2", "--cache-dir", str(tmp_path)]
+    variants = [BAR_CASES[cmd]]
+    if cmd == "decomp":
+        variants += [["--method", "oracle"], ["--method", "both"]]
+    for args in variants:
+        res = _usage_error(cmd, *common, *args)
+        assert "--algebra zigzag-bar:1 is cellular but not quasi-hereditary" in res.output, args
+    # a spec that names no algebra is refused as such
+    res = _usage_error(cmd, *common, "--algebra", "zigzag-bar:0", *BAR_CASES[cmd])
+    assert "bad --algebra 'zigzag-bar:0'" in res.output, res.output
+    if cmd == "char":
+        # below n = d the truncation is refused too, the ambient algebra is not
+        small = ["-n", "1", "-d", "2", "--label", "[[2]]", "--cache-dir", str(tmp_path)]
+        _usage_error("char", "--algebra", "zigzag-bar:1", *small)
+        res = run("char", "--algebra", "zigzag:1", *small)
+        assert res.exit_code == 0, res.output

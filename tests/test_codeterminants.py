@@ -2,11 +2,19 @@ import random
 
 import pytest
 
-from helpers import eager_codet_blocks, lu_det, orbit_profiles
+from helpers import (
+    eager_codet_blocks,
+    full_gram,
+    gram_entries,
+    lu_det,
+    orbit_profiles,
+    tableau_share,
+)
 from schurify import codeterminants as codet
-from schurify.base_algebra import make_algebra
+from schurify.base_algebra import SIDES, X_SIDE, Y_SIDE, make_algebra
 from schurify.partitions import leq
-from schurify.schur import build_schur
+from schurify.schur import SchurAlgebra, build_schur
+from schurify.tableaux import tableau_weight
 
 
 @pytest.fixture(scope="module")
@@ -97,14 +105,50 @@ def test_heredity_refused_for_small_n():
 
 def test_standard_module_gram(T122, cb):
     for bold in cb.shapes:
-        M = codet.standard_module_T(T122, bold)
-        k = len(M.x_basis)
+        blocks = codet.gram_blocks(T122, bold)
         # normalized at the initial tableau
         S0, T0 = cb.initial_tableau_pair(bold)
-        i0 = M.x_basis.index(S0)
-        j0 = M.y_basis.index(T0)
-        assert M.gram[i0][j0] == 1
-        assert len(M.gram) == k
+        assert gram_entries(T122, bold, blocks)[S0, T0] == 1
+        # one row per standard X tableau
+        assert sum(len(rows) for rows in blocks.values()) == len(cb.std_x[bold])
+
+
+GRAM_CASES = [("zigzag:1", 2, 2), ("zigzag:2", 2, 2), ("trivial", 3, 3), ("semisimple:2", 2, 2)]
+
+
+@pytest.mark.parametrize("spec,n,d", GRAM_CASES)
+def test_gram_blocks_match_the_full_gram(spec, n, d):
+    """Over every pair of standard tableaux, the Gram entry is zero unless
+    the two weights are equal, and where they are it is the entry of
+    `gram_blocks` (zero outside its blocks)."""
+    alg, data, tau = make_algebra(spec)
+    T = build_schur(alg, data, n, d, tau)
+    cb = T.codet_basis
+    for bold in cb.shapes:
+        full = full_gram(T, bold)
+        blocks = gram_entries(T, bold, codet.gram_blocks(T, bold))
+        assert any(full.values()), bold
+        for (S, Tb), c in full.items():
+            if tableau_share(T, S, X_SIDE)[0] != tableau_share(T, Tb, Y_SIDE)[0]:
+                assert c == 0, (bold, S, Tb)
+            assert c == blocks.get((S, Tb), 0), (bold, S, Tb)
+
+
+def test_gram_homogeneity_failure_names_its_pair(monkeypatch):
+    """With the initial Y tableau's degree shifted by one, its Gram entry 1
+    falls outside the blocks, and the failure names the pair."""
+    alg, data, tau = make_algebra("zigzag:1")
+    T = build_schur(alg, data, 2, 2, tau)
+    cb = T.codet_basis
+    assert cb.unimodular()  # builds every codeterminant block with the true shares
+    bold = ((1,), (1,))
+    S0, T0 = cb.initial_tableau_pair(bold)
+    xs, ys = cb._tableau_blocks[bold]
+    shifted = [(Tb, (w, deg + (Tb == T0), par)) for Tb, (w, deg, par) in ys]
+    monkeypatch.setitem(cb._tableau_blocks, bold, (xs, shifted))
+    with pytest.raises(AssertionError) as exc:
+        codet.gram_blocks(T, bold)
+    assert str(exc.value) == f"Gram pairing not homogeneous at {bold}: S = {S0}, T = {T0}"
 
 
 def test_cellularity_zigzag_bar(T122):
@@ -147,9 +191,47 @@ def test_heredity_checks_both_sides_alike(T122, monkeypatch):
 
     monkeypatch.setattr(codet.CodetBasis, "initial_tableau_pair", wrong)
     rep = codet.heredity_of_T(T122, sample_b=8)
-    x = rep.failures.count(f"axiom (c): e X_S wrong at {bold}")
-    y = rep.failures.count(f"axiom (c): Y_T e wrong at {bold}")
-    assert x == y > 0, rep.failures
+    x = [f for f in rep.failures if f.startswith(f"axiom (c): e X_S wrong at {bold}: S = ")]
+    y = [f for f in rep.failures if f.startswith(f"axiom (c): Y_T e wrong at {bold}: T = ")]
+    assert len(x) == len(y) > 0, rep.failures
+    # the named tableaux are the true initial one and the wrong one
+    S0, T0 = real(T122.codet_basis, bold)
+    S1, T1 = wrong(T122.codet_basis, bold)
+    assert x == [f"axiom (c): e X_S wrong at {bold}: S = {S}" for S in (S0, S1)]
+    assert y == [f"axiom (c): Y_T e wrong at {bold}: T = {Tb}" for Tb in (T0, T1)]
+
+
+def test_axiom_c_failures_name_their_witness(monkeypatch):
+    """With e_bold replaced by e_other for one shape, axiom (c) names each
+    of that shape's tableaux, and the diagonal check names mu = bold with
+    tableaux of weight bold or other only."""
+    alg, data, tau = make_algebra("zigzag:1")
+    T = build_schur(alg, data, 2, 2, tau)
+    cb = T.codet_basis
+    bold, other = ((1, 1), ()), ((2,), ())
+    real = SchurAlgebra.idempotent_bold
+
+    def broken(self, shape):
+        return real(self, other if shape == bold else shape)
+
+    monkeypatch.setattr(SchurAlgebra, "idempotent_bold", broken)
+    rep = codet.heredity_of_T(T, sample_b=4)
+    assert not rep.ok
+    for S in cb.std_x[bold]:
+        assert f"axiom (c): X_S e != X_S at {bold}: S = {S}" in rep.failures
+    for Tb in cb.std_y[bold]:
+        assert f"axiom (c): e Y_T != Y_T at {bold}: T = {Tb}" in rep.failures
+    diagonal = [f for f in rep.failures if " not diagonal at " in f]
+    assert diagonal, rep.failures
+    weights = {((1, 1), (0, 0)), ((2, 0), (0, 0))}
+    named = set()
+    for shape in cb.shapes:
+        for side in SIDES:
+            for tab in cb.std(side)[shape]:
+                if tableau_weight(tab, T.ctx.alphabet(side)) in weights:
+                    named.add(f"axiom (c): {side.pick('e_mu X_S', 'Y_T e_mu')} not diagonal "
+                              f"at {shape}: {side.pick('S', 'T')} = {tab}, mu = {bold}")
+    assert set(diagonal) <= named, set(diagonal) - named
 
 
 def test_axiom_b_failure_names_its_witness(monkeypatch):

@@ -93,6 +93,31 @@ def test_oracle_requires_field_and_rows(T122):
         ch.decomp_oracle(_T("zigzag:1", 1, 2))
 
 
+def test_oracle_multiplies_only_equal_weight_pairs(monkeypatch):
+    """Once the codeterminant blocks are built, the oracle's Gram matrices
+    make at most one product per pair of standard tableaux of equal weight."""
+    from schurify.schur import SchurAlgebra
+    from schurify.tableaux import tableau_weight
+
+    T = _T("zigzag:2", 2, 2)
+    cb = T.codet_basis
+    assert cb.unimodular()
+    pairs = sum(
+        tableau_weight(S, T.ctx.x_alphabet) == tableau_weight(Tb, T.ctx.y_alphabet)
+        for bold in cb.shapes for S in cb.std_x[bold] for Tb in cb.std_y[bold]
+    )
+    calls = []
+    real = SchurAlgebra.mul
+
+    def counted(self, x, y):
+        calls.append(None)
+        return real(self, x, y)
+
+    monkeypatch.setattr(SchurAlgebra, "mul", counted)
+    ch.decomp_oracle(T)
+    assert 0 < len(calls) <= pairs
+
+
 def test_blocks_zigzag_single(T122):
     D = ch.decomp_oracle(T122)
     parts = ch.blocks(D.labels, D.entries)
