@@ -6,12 +6,14 @@ fraction.  `rank` counts its pivots over Q or F_p.
 
 A change of basis is given by its columns, each a sparse integer expansion
 over row labels, grouped into square blocks by a key that rows and columns
-both conserve.  `BlockedBasis` eliminates each block [M | I] on first use,
-which leaves its integer determinant and its integer adjugate; a sparse
-vector is expanded in the columns as adj . v divided exactly by det.
+both conserve.  `BlockedBasis` checks a block by its determinant alone,
+from eliminating M; the first solve that meets the block eliminates
+[M | I], which leaves its integer adjugate, and a sparse vector is expanded
+in the columns as adj . v divided exactly by det.
 """
 from __future__ import annotations
 
+from functools import cached_property
 from math import gcd
 from typing import Callable, Hashable, Iterable, Mapping, Sequence
 
@@ -61,21 +63,39 @@ def rank(mat: Sequence[Sequence[int]], ring: CoefficientRing) -> int:
 
 
 class _Block:
-    """One square block M: `det` is its determinant (0 when singular) and
-    `adj` its adjugate, so M^-1 = adj / det; both are integral.  Row k of
-    `adj` belongs to column k, its entries to the rows in `ridx` order."""
+    """One square block M, its integer matrix built once.  `det` is its
+    determinant (0 when singular), from eliminating M alone; `invert` sets
+    `adj`, its adjugate, so M^-1 = adj / det, and `det` from one elimination
+    of [M | I].  Row k of `adj` belongs to column k, its entries to the
+    rows in `ridx` order."""
 
     def __init__(self, rows: Sequence, cols: Sequence, expansions: Iterable[Mapping]):
         n = len(rows)
         self.cols = list(cols)
         self.ridx = {r: k for k, r in enumerate(rows)}
-        mat = [[0] * n + [int(i == j) for j in range(n)] for i in range(n)]
+        self.mat = [[0] * n for _ in range(n)]
         for j, v in enumerate(expansions):
             for r, c in v.items():
-                mat[self.ridx[r]][j] = c
-        # [M | I] -> [D I | R] with R M = D I, D the last pivot = sign * det
+                self.mat[self.ridx[r]][j] = c
+
+    def _last_pivot(self, mat: list[list[int]]) -> tuple[int, int]:
+        """Eliminate `mat` (M, possibly widened) in its first n columns:
+        the determinant of M and the sign of the row swaps."""
+        n = len(self.mat)
         full, sign = _eliminate(mat, n)
-        self.det = sign * mat[-1][n - 1] if full == n else 0
+        return (sign * mat[-1][n - 1] if full == n else 0), sign
+
+    @cached_property
+    def det(self) -> int:
+        return self._last_pivot([row[:] for row in self.mat])[0]
+
+    def invert(self) -> None:
+        if "adj" in vars(self):
+            return
+        n = len(self.mat)
+        mat = [row + [int(i == j) for j in range(n)] for i, row in enumerate(self.mat)]
+        # [M | I] -> [D I | R] with R M = D I, D the last pivot = sign * det
+        self.det, sign = self._last_pivot(mat)
         self.adj = [[sign * c for c in row[n:]] for row in mat]
 
 
@@ -85,8 +105,9 @@ class BlockedBasis:
     `blocks` maps each block key to its (rows, cols); `key_of(row)` is the
     key of a row and `expansion(col)` a column as a sparse integer vector
     over its block's rows.  `name` prefixes the key in error messages.  A
-    block is factored on first use; a block that is not square or is
-    singular raises AssertionError.
+    block's matrix is built on first use; the unimodularity check takes
+    its determinant alone, and the first solve that meets it inverts it.
+    A block that is not square or is singular raises AssertionError.
     """
 
     def __init__(self, name: str, blocks: Mapping[Hashable, tuple[Sequence, Sequence]],
@@ -98,18 +119,22 @@ class BlockedBasis:
         self.expansion = expansion
         self._factored: dict = {}
 
-    def factor(self, key) -> _Block:
+    def factor(self, key, invert: bool = False) -> _Block:
+        """The block of `key`, its matrix built on first use, with its
+        determinant; with `invert`, with its adjugate too."""
         if key not in self._factored:
             rows, cols = self.blocks[key]
             if len(rows) != len(cols):
                 raise AssertionError(
                     f"{self.name} {key} is not square: {len(cols)} columns vs {len(rows)} rows"
                 )
-            blk = _Block(rows, cols, map(self.expansion, cols))
-            if not blk.det:
-                raise AssertionError(f"{self.name} {key} singular")
-            self._factored[key] = blk
-        return self._factored[key]
+            self._factored[key] = _Block(rows, cols, map(self.expansion, cols))
+        blk = self._factored[key]
+        if invert:
+            blk.invert()
+        if not blk.det:
+            raise AssertionError(f"{self.name} {key} singular")
+        return blk
 
     def non_unimodular_block(self) -> tuple | None:
         """The first block key whose determinant is not +-1, with that
@@ -130,7 +155,7 @@ class BlockedBasis:
             parts.setdefault(self.key_of(r), {})[r] = c
         out: dict = {}
         for key, part in parts.items():
-            blk = self.factor(key)
+            blk = self.factor(key, invert=True)
             for col, row in zip(blk.cols, blk.adj):
                 num = sum(row[blk.ridx[r]] * c for r, c in part.items())
                 coeff, rem = divmod(num, blk.det)

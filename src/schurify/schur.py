@@ -10,6 +10,12 @@ is c1's column word are multiplied, position-wise through the base-algebra
 structure constants with the super sign rule, and each product word is
 canonicalized.  The d-fold tensor power of M_n(A) is never materialized.
 
+The multiplication works on letter indices (places in
+`TriContext.letters`): words are tuples of ints, letters multiply through
+the context's letter-product table, and a word is sorted with its sign by
+`TriContext.sort_signed`.  Elements, weight profiles and block keys stay
+keyed by `TriWord`; a product term is turned back into one once.
+
 All structure constants are integral on the eta lattice; a non-integral
 coefficient aborts loudly (it would signal an implementation bug).
 """
@@ -50,11 +56,12 @@ class SchurAlgebra:
         self.keep_basis = keep_basis
         self.parent = parent
         self.ctx = parent.ctx if parent is not None else TriContext(alg, data, n)
-        letters = self.ctx.all_letters()
+        letters = list(self.ctx.letters)
         if keep_basis is not None:
             letters = [lt for lt in letters if lt[0] in keep_basis]
         self._letters = letters
-        self._mid_cache: dict[TriWord, dict[tuple[int, ...], list[tuple[TriWord, int]]]] = {}
+        self._left_cache: dict[TriWord, tuple] = {}
+        self._right_cache: dict[TriWord, tuple] = {}
         self._prod_cache: dict[tuple[TriWord, TriWord], Element] = {}
         self._profile_cache: dict[TriWord, tuple] = {}
         self._family: dict[int, SchurAlgebra] = {d: self}
@@ -122,16 +129,39 @@ class SchurAlgebra:
             self._profile_cache[orbit] = self.ctx.weight_profiles(orbit)
         return self._profile_cache[orbit]
 
-    def _by_middle(self, orbit: TriWord) -> dict[tuple[int, ...], list[tuple[TriWord, int]]]:
-        """The signed arrangements of an orbit, grouped by their row word."""
-        if orbit not in self._mid_cache:
+    def _left(self, orbit: TriWord) -> tuple:
+        """A left factor read as its one arrangement: its index word, a mask
+        of the places before each of its odd letters, its column word and
+        [o1]_a."""
+        if orbit not in self._left_cache:
             ctx = self.ctx
-            by: dict[tuple[int, ...], list[tuple[TriWord, int]]] = {}
-            for w in set(permutations(orbit)):
-                by.setdefault(tuple(r for (_b, r, _s) in w), []).append(
-                    (w, -1 if ctx.triple_stat(w) else 1))
-            self._mid_cache[orbit] = by
-        return self._mid_cache[orbit]
+            odd = ctx.odd
+            word = tuple(map(ctx.index.__getitem__, orbit))
+            self._left_cache[orbit] = (
+                word, tuple([(1 << k) - 1 for k, i in enumerate(word) if odd[i]]),
+                tuple([lt[2] for lt in orbit]), ctx.run_factorial(word, "a"))
+        return self._left_cache[orbit]
+
+    def _right(self, orbit: TriWord) -> tuple:
+        """A right factor's arrangements grouped by their row word, each as
+        (index word, sign, bitmask of its odd places), and [o2]_c."""
+        if orbit not in self._right_cache:
+            ctx = self.ctx
+            sort_signed = ctx.sort_signed
+            word = tuple(map(ctx.index.__getitem__, orbit))
+            row_of = {i: lt[1] for i, lt in zip(word, orbit)}.__getitem__
+            odd_of = {i: ctx.odd[i] for i in word}.__getitem__
+            by: dict[tuple[int, ...], list[tuple[tuple[int, ...], int, int]]] = {}
+            for w in set(permutations(word)):
+                mask = 0
+                for k, odd in enumerate(map(odd_of, w)):
+                    if odd:
+                        mask |= 1 << k
+                # a word with fewer than two odd letters has no odd inversion
+                sign = sort_signed(w)[1] if mask & (mask - 1) else 1
+                by.setdefault(tuple(map(row_of, w)), []).append((w, sign, mask))
+            self._right_cache[orbit] = by, ctx.run_factorial(word, "c")
+        return self._right_cache[orbit]
 
     # -- multiplication ----------------------------------------------------
     def mult_orbits(self, o1: TriWord, o2: TriWord) -> Element:
@@ -148,49 +178,51 @@ class SchurAlgebra:
         [.]_a the same over the c and a strata.  A word repeating an odd
         letter contributes 0, and on the others [.]! = [.]_a [.]_c, so the
         weight is [o2]_c [rep]_a / [o1]_a.  Factors whose weight profiles
-        do not meet multiply to 0, which is not cached."""
+        do not meet multiply to 0, which is not cached.
+
+        The words are tuples of letter indices (`TriContext.letters`):
+        c1 times an arrangement of o2 is read place by place off the
+        letter-product table, and each product word is sorted with its sign
+        by `TriContext.sort_signed`; a result term becomes a `TriWord` once."""
         if self.profiles(o1)[1] != self.profiles(o2)[0]:
             return {}
         key = (o1, o2)
         if key in self._prod_cache:
             return self._prod_cache[key]
         ctx = self.ctx
-        d = self.d
-        res: dict[TriWord, int] = {}
-        mul = self.alg.mul_basis
-        b1 = tuple(b for (b, _r, _s) in o1)
-        mid = tuple(s for (_b, _r, s) in o1)
-        for w2, s2 in self._by_middle(o2).get(mid, ()):
-            factors = []
-            for k in range(d):
-                f = mul(b1[k], w2[k][0])
-                if not f:
-                    break
-                factors.append(f.items())
-            else:
-                sgn = -s2 if ctx.pair_stat(b1, tuple(b for (b, _r, _s) in w2)) else s2
-                for combo in product(*factors):
-                    rep, sign = ctx.canonicalize(tuple(
-                        (combo[k][0], o1[k][1], w2[k][2]) for k in range(d)
-                    ))
-                    if rep is None:
-                        continue
-                    coeff = sgn * sign
-                    for (_b, c) in combo:
-                        coeff *= c
-                    res[rep] = res.get(rep, 0) + coeff
-        m2 = ctx.factorial(o2, "c")
-        den = ctx.factorial(o1, "a")
+        word1, before_odd, mid, den = self._left(o1)
+        by_row, m2 = self._right(o2)
+        table = ctx.letter_products
+        sort_signed = ctx.sort_signed
+        res: dict[tuple[int, ...], int] = {}
+        for w2, sgn, mask in by_row.get(mid, ()):
+            factors = [table[pair] for pair in zip(word1, w2)]
+            if not all(factors):
+                continue
+            # the super sign of the interleaving: each odd letter of c1
+            # passes the odd letters of w2 in the places before it
+            if sum((mask & low).bit_count() for low in before_odd) & 1:
+                sgn = -sgn
+            for combo in product(*factors):
+                rep, sign = sort_signed([i for i, _c in combo])
+                if rep is None:
+                    continue
+                coeff = sgn * sign
+                for _i, c in combo:
+                    coeff *= c
+                res[rep] = res.get(rep, 0) + coeff
+        letters = ctx.letters
         out: Element = {}
         for rep, f in res.items():
             if not f:
                 continue
-            num = f * m2 * ctx.factorial(rep, "a")
+            num = f * m2 * ctx.run_factorial(rep, "a")
+            word = tuple(letters[i] for i in rep)
             if num % den:
                 raise ArithmeticError(
-                    f"non-integral eta structure constant {num}/{den} at {o1} * {o2} -> {rep}"
+                    f"non-integral eta structure constant {num}/{den} at {o1} * {o2} -> {word}"
                 )
-            out[rep] = num // den
+            out[word] = num // den
         self._prod_cache[key] = out
         return out
 
@@ -288,7 +320,7 @@ class SchurAlgebra:
                 rest = [m - t for (_lt, m), t in zip(mults, take)]
                 w2 = tuple(lt for (lt, _m), m in zip(mults, rest) for _ in range(m))
                 w = w1 + w2
-                sign = -1 if ctx.triple_stat(w) else 1
+                sign = ctx.canonicalize(w)[1]
                 ratio = fac_t // (ctx.factorial(w1, "c") * ctx.factorial(w2, "c"))
                 key = (w1, w2)
                 out[key] = out.get(key, 0) + c * sign * ratio

@@ -1,4 +1,4 @@
-"""Triples (b, r, s), their S_d-orbits, sign statistics and multiplicity factorials.
+"""Triples (b, r, s), their S_d-orbits, signs and multiplicity factorials.
 
 A letter is a triple (b, r, s) with b a basis label and r, s in [1, n].  Words
 are tuples of letters; the symmetric group permutes places.  An orbit is
@@ -8,12 +8,18 @@ the word sorted under the fixed total order:
 
     (color of b under the REVERSED order on I, then s, then the position of
      the y-part of b in the Y(i) listing, then r, then the x-part position).
+
+A letter's index is its place in that order (`TriContext.letters`).  Signs,
+canonical words and multiplicity factorials are computed one way, on words
+of indices: the sign of a word is the parity of the inversions among its odd
+letters (`sort_signed`), and a factorial is read off the runs of a sorted
+word (`run_factorial`).  The letter-product table and the per-letter flags
+belong to the context, which a family of degrees and its truncations share.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from math import factorial
 
 from .base_algebra import X_SIDE, Y_SIDE, BasedSuperalgebra, HeredityData, Side, strict_pairs
 from .tableaux import Alphabet
@@ -75,43 +81,68 @@ class TriContext:
     def is_odd(self, letter: TriLetter) -> bool:
         return self.alg.parity[letter[0]] == 1
 
-    def all_letters(self) -> list[TriLetter]:
-        return sorted(self.letter_key, key=self.letter_key.get)
+    # -- letters as indices ------------------------------------------------
+    @cached_property
+    def letters(self) -> tuple[TriLetter, ...]:
+        """Every letter in canonical order; a letter's index is its place
+        here, so sorting indices sorts a word into its canonical order."""
+        return tuple(sorted(self.letter_key, key=self.letter_key.get))
 
-    # -- sign statistics ---------------------------------------------------
-    def triple_stat(self, word: TriWord) -> int:
-        """Number of pairs k < l with both letters odd and letter_k > letter_l, mod 2."""
-        key, parity = self.letter_key, self.alg.parity
-        odd_keys = [key[w] for w in word if parity[w[0]]]
-        inv = sum(
-            1
-            for k in range(len(odd_keys))
-            for l in range(k + 1, len(odd_keys))
-            if odd_keys[k] > odd_keys[l]
-        )
-        return inv % 2
+    @cached_property
+    def index(self) -> dict[TriLetter, int]:
+        return {lt: k for k, lt in enumerate(self.letters)}
 
-    def pair_stat(self, a_word: tuple[str, ...], c_word: tuple[str, ...]) -> int:
-        """Number of pairs k > l with a_k odd and c_l odd, mod 2."""
-        par_a = [self.alg.parity[b] for b in a_word]
-        par_c = [self.alg.parity[b] for b in c_word]
-        total = 0
-        odd_c_so_far = 0
-        for k in range(len(par_a)):
-            if par_a[k]:
-                total += odd_c_so_far
-            if par_c[k]:
-                odd_c_so_far += 1
-        return total % 2
+    @cached_property
+    def odd(self) -> tuple[bool, ...]:
+        """Per letter index: whether the letter is odd."""
+        return tuple(map(self.is_odd, self.letters))
+
+    @cached_property
+    def in_stratum(self) -> dict[str, tuple[bool, ...]]:
+        """Per stratum 'all', 'a' or 'c': whether each letter index lies in it."""
+        Ba, Bc, _ = self.strata
+        return {"all": (True,) * len(self.letters),
+                "a": tuple(b in Ba for (b, _r, _s) in self.letters),
+                "c": tuple(b in Bc for (b, _r, _s) in self.letters)}
+
+    @cached_property
+    def letter_products(self) -> dict[tuple[int, int], tuple[tuple[int, int], ...]]:
+        """(i, j) -> the terms (k, coeff) of letter i times letter j, made on
+        first lookup: (b, r, s)(b', s, t) = sum_c coeff (c, r, t) over the
+        basis product b b' = sum_c coeff c; no terms when the letters do
+        not meet or the basis product is 0."""
+        return _LetterProducts(self)
+
+    def sort_signed(self, word) -> tuple[tuple[int, ...] | None, int]:
+        """A word of letter indices sorted into canonical order, and the sign
+        of the sort: the parity of the inversions among its odd letters.
+        (None, 0) when an odd letter repeats (the word is inadmissible)."""
+        odd = self.odd
+        odds = [i for i in word if odd[i]]
+        inv = 0
+        if odds:
+            if len(set(odds)) < len(odds):
+                return None, 0
+            for k, i in enumerate(odds):
+                for j in odds[k + 1:]:
+                    inv += i > j
+        return tuple(sorted(word)), -1 if inv & 1 else 1
+
+    def run_factorial(self, word: tuple[int, ...], stratum: str = "all") -> int:
+        """[word]! over a stratum, for a word of indices in canonical order:
+        the product of the factorials of its runs of equal letters."""
+        keep = self.in_stratum[stratum]
+        out, run = 1, 0
+        for k, i in enumerate(word):
+            run = run + 1 if k and word[k - 1] == i else 1
+            if run > 1 and keep[i]:
+                out *= run
+        return out
 
     # -- orbits ------------------------------------------------------------
     def is_admissible(self, word: TriWord) -> bool:
-        seen = set()
-        for w in word:
-            if w in seen and self.is_odd(w):
-                return False
-            seen.add(w)
-        return True
+        index = self.index
+        return self.sort_signed([index[w] for w in word])[0] is not None
 
     def canonicalize(self, word: TriWord, strict: bool = False) -> tuple[TriWord | None, int]:
         """Sort into the canonical representative; returns (rep, sign).
@@ -119,13 +150,14 @@ class TriContext:
         Returns (None, 0) for an inadmissible word (the element is zero) unless
         strict, in which case a ValueError is raised.
         """
-        if not self.is_admissible(word):
+        index = self.index
+        rep, sign = self.sort_signed([index[w] for w in word])
+        if rep is None:
             if strict:
                 raise ValueError(f"repeated odd letter in {word}")
             return None, 0
-        rep = tuple(sorted(word, key=self.letter_key.__getitem__))
-        sign = -1 if self.triple_stat(word) else 1
-        return rep, sign
+        letters = self.letters
+        return tuple(letters[i] for i in rep), sign
 
     # -- multiplicities ----------------------------------------------------
     def multiplicities(self, word: TriWord) -> dict[TriLetter, int]:
@@ -136,13 +168,8 @@ class TriContext:
 
     def factorial(self, word: TriWord, stratum: str = "all") -> int:
         """[b,r,s]! restricted to a basis stratum: 'all', 'a', or 'c'."""
-        Ba, Bc, _ = self.strata
-        keep = {"all": None, "a": Ba, "c": Bc}[stratum]
-        out = 1
-        for (b, _r, _s), m in self.multiplicities(word).items():
-            if keep is None or b in keep:
-                out *= factorial(m)
-        return out
+        index = self.index
+        return self.run_factorial(sorted(index[w] for w in word), stratum)
 
     # -- weight profiles ---------------------------------------------------
     def weight_profiles(self, word: TriWord):
@@ -188,3 +215,23 @@ class TriContext:
     @staticmethod
     def from_json(obj: list) -> TriWord:
         return tuple((str(e["b"]), int(e["r"]), int(e["s"])) for e in obj)
+
+
+class _LetterProducts(dict):
+    """The letter-product table of a `TriContext`, filled on lookup."""
+
+    def __init__(self, ctx: TriContext):
+        super().__init__()
+        self.ctx = ctx
+
+    def __missing__(self, pair: tuple[int, int]) -> tuple[tuple[int, int], ...]:
+        ctx = self.ctx
+        b, r, s = ctx.letters[pair[0]]
+        b2, r2, t = ctx.letters[pair[1]]
+        terms = ()
+        if s == r2:
+            index = ctx.index
+            terms = tuple([(index[c, r, t], coeff)
+                           for c, coeff in ctx.alg.mul_basis(b, b2).items()])
+        self[pair] = terms
+        return terms

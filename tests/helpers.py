@@ -4,7 +4,10 @@
   signed sums of pure tensors in M_n(A)^{otimes d} and re-collecting orbits.
   It sums over all pairs of arrangements of the two factors; production
   (`SchurAlgebra.mult_orbits`) uses one arrangement of the left factor and
-  symmetrizes, so the two share no loop.
+  symmetrizes, so the two share no loop.  Its signs come from its own
+  `triple_stat` and `pair_stat` on the letter tuples, where production sorts
+  words of letter indices (`TriContext.sort_signed`) and counts the
+  interleaving sign on bitmasks, so the two share no sign code either.
 - lr_brute / multi_lr_brute: Littlewood-Richardson coefficients by direct
   skew-filling enumeration with the reverse lattice word condition.
 - ssyt_count: Kostka numbers by filling enumeration.
@@ -34,13 +37,39 @@ from schurify.tableaux import tableau_degree, tableau_weight
 # tensor-materialization multiplication oracle
 # ---------------------------------------------------------------------------
 
+def triple_stat(T, word):
+    """Number of pairs k < l with both letters odd and letter_k > letter_l, mod 2."""
+    key, parity = T.ctx.letter_key, T.alg.parity
+    odd_keys = [key[w] for w in word if parity[w[0]]]
+    inv = sum(
+        1
+        for k in range(len(odd_keys))
+        for l in range(k + 1, len(odd_keys))
+        if odd_keys[k] > odd_keys[l]
+    )
+    return inv % 2
+
+
+def pair_stat(T, a_word, c_word):
+    """Number of pairs k > l with a_k odd and c_l odd, mod 2."""
+    par_a = [T.alg.parity[b] for b in a_word]
+    par_c = [T.alg.parity[b] for b in c_word]
+    total = 0
+    odd_c_so_far = 0
+    for k in range(len(par_a)):
+        if par_a[k]:
+            total += odd_c_so_far
+        if par_c[k]:
+            odd_c_so_far += 1
+    return total % 2
+
+
 def _eta_tensor_vec(T, orbit):
     """eta_orbit as a vector on the pure-tensor word basis."""
-    ctx = T.ctx
-    m = ctx.factorial(orbit, "c")
+    m = T.ctx.factorial(orbit, "c")
     out = {}
     for w in set(permutations(orbit)):
-        sgn = -1 if ctx.triple_stat(w) else 1
+        sgn = -1 if triple_stat(T, w) else 1
         out[w] = out.get(w, 0) + sgn * m
     return out
 
@@ -51,8 +80,8 @@ def _pure_mul(T, u, v):
     for k in range(d):
         if u[k][2] != v[k][1]:
             return {}
-    sgn = -1 if T.ctx.pair_stat(
-        tuple(b for (b, _r, _s) in u), tuple(b for (b, _r, _s) in v)
+    sgn = -1 if pair_stat(
+        T, tuple(b for (b, _r, _s) in u), tuple(b for (b, _r, _s) in v)
     ) else 1
     factor_items = []
     for k in range(d):

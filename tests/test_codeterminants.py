@@ -7,6 +7,7 @@ from helpers import (
     full_gram,
     gram_entries,
     lu_det,
+    lu_solve,
     orbit_profiles,
     tableau_share,
 )
@@ -373,3 +374,37 @@ def test_axiom_a_failure_names_its_witness(monkeypatch):
     assert rep.failures == [
         f"axiom (a): change of basis not unimodular: block {block} has determinant {det}"
     ]
+
+
+def test_unimodularity_check_takes_determinants_alone(monkeypatch):
+    """`unimodular()` expands each codeterminant once and leaves no block
+    with an adjugate; a later solve makes one from the same matrix, expands
+    nothing again, and agrees with the LU oracle."""
+    alg, data, tau = make_algebra("zigzag:1")
+    T = build_schur(alg, data, 2, 2, tau)
+    cb = T.codet_basis
+    expanded = []
+    real = codet.CodetBasis.expansion
+
+    def counted(self, key):
+        expanded.append(key)
+        return real(self, key)
+
+    monkeypatch.setattr(codet.CodetBasis, "expansion", counted)
+    assert cb.unimodular()
+    assert len(expanded) == len(set(expanded)) == len(cb.keys) and set(expanded) == set(cb.keys)
+    factored = cb._change._factored
+    assert len(factored) == len(cb._blocks)
+    assert all("adj" not in vars(blk) for blk in factored.values())
+
+    key, (rows, cols) = max(cb._blocks.items(), key=lambda kv: len(kv[1][1]))
+    assert len(cols) > 1
+    mat = [[real(cb, col).get(orbit, 0) for col in cols] for orbit in rows]
+    x = [(-1) ** j * (j + 1) for j in range(len(cols))]
+    v = {orbit: c for orbit, row in zip(rows, mat)
+         if (c := sum(m * xj for m, xj in zip(row, x)))}
+    got = cb.solve(v)
+    assert len(expanded) == len(cb.keys)
+    assert "adj" in vars(factored[key])
+    want = lu_solve(mat, [v.get(orbit, 0) for orbit in rows])
+    assert got == {col: int(c) for col, c in zip(cols, want) if c} == dict(zip(cols, x))

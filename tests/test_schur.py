@@ -1,4 +1,5 @@
 import random
+import re
 from itertools import product
 
 import pytest
@@ -91,7 +92,7 @@ def test_mult_against_tensor_oracle(T122):
 
 @pytest.mark.parametrize("spec, n, d", [
     ("trivial", 3, 3), ("zigzag:1", 3, 3), ("zigzag:1", 2, 3), ("zigzag:2", 2, 2),
-    ("trivial", 4, 4),
+    ("zigzag:2", 2, 3), ("trivial", 4, 4),
 ])
 def test_mult_against_tensor_oracle_repeated_letters(spec, n, d):
     """Pairs with matching profiles, every other one with a repeated letter
@@ -115,6 +116,41 @@ def test_mult_against_tensor_oracle_repeated_letters(spec, n, d):
         nonzero += bool(prod)
         weighted += any(T.ctx.factorial(rep) != T.ctx.factorial(a) for rep in prod)
     assert nonzero >= 20 and weighted, (nonzero, weighted)
+
+
+@pytest.mark.parametrize("spec, truncated", [("zigzag:2", False), ("zigzag:1", True)])
+def test_letter_products_lift_the_base_product(spec, truncated):
+    """The kernel's letter-product table is `mul_basis` lifted to letters:
+    (b, r, s)(b', s, t) = sum_c coeff (c, r, t), and 0 when the letters do
+    not meet; products of the letters of a truncation stay in it."""
+    alg, data, tau = make_algebra(spec)
+    T = build_schur(alg, data, 3, 3, tau)
+    if truncated:
+        T = T.truncate([0])
+    ctx = T.ctx
+    for x, y in product(T._letters, repeat=2):
+        got = {ctx.letters[k]: c for k, c in ctx.letter_products[ctx.index[x], ctx.index[y]]}
+        want = ({(c, x[1], y[2]): v for c, v in alg.mul_basis(x[0], y[0]).items()}
+                if x[2] == y[1] else {})
+        assert got == want, (x, y)
+        assert set(got) <= set(T._letters), (x, y)
+
+
+def test_non_integral_structure_constant_names_its_words(monkeypatch):
+    """With the a-stratum flag of one letter cleared in the kernel's table,
+    e_{xx} * eta_{zz} = eta_{zz} comes out as 1/2, and the error names the
+    three words as letter tuples."""
+    alg, data, tau = make_algebra("trivial")
+    T = build_schur(alg, data, 2, 2, tau)
+    x, z = ("1", 1, 1), ("1", 1, 2)
+    assert T.mult_orbits((x, x), (z, z)) == {(z, z): 1}
+    flags = list(T.ctx.in_stratum["a"])
+    flags[T.ctx.index[z]] = False
+    monkeypatch.setitem(T.ctx.in_stratum, "a", tuple(flags))
+    T._prod_cache.clear()
+    text = f"non-integral eta structure constant 1/2 at {(x, x)} * {(z, z)} -> {(z, z)}"
+    with pytest.raises(ArithmeticError, match=re.escape(text)):
+        T.mult_orbits((x, x), (z, z))
 
 
 def test_profile_orthogonality(T122):
