@@ -12,9 +12,11 @@ express arbitrary elements in that basis:
     connecting idempotent element and recurses along the triangular order
     (shape lex up, then leading words down);
   * an exact blocked linear solve against the codeterminant expansion matrix,
-    blocked by the conserved (left profile, right profile, degree, parity);
-    the blocks of one left profile are built together on first use, from
-    the orbits of that profile alone.
+    blocked by the conserved (left profile, right profile, degree, parity).
+    A block is built from its columns alone: the standard codeterminants
+    whose tableau shares add up to its key, expanded without the product
+    cache, and as rows the orbits those expansions reach, each checked to
+    carry the key.  Neither the unimodularity check nor a solve lists orbits.
 
 All expansions are integral; any non-integral coefficient aborts loudly.
 """
@@ -22,9 +24,8 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import islice
-from typing import Callable
 
 from .base_algebra import SIDES, X_SIDE, Y_SIDE, Side
 from .exactla import BlockedBasis
@@ -216,8 +217,14 @@ class CodetBasis:
         return self._side_elements[key]
 
     def expansion(self, key: CodetKey) -> Element:
+        """X_S * Y_T, multiplied without the product cache: an expansion is
+        used once, to build its column.  X_S and Y_T are single signed
+        orbits, so their product's terms need no summing."""
         _bold, S, Tb = key
-        return self.T.mul(self.side_element(S, X_SIDE), self.side_element(Tb, Y_SIDE))
+        return {orbit: cx * cy * c
+                for x, cx in self.side_element(S, X_SIDE).items()
+                for y, cy in self.side_element(Tb, Y_SIDE).items()
+                for orbit, c in self.T.orbit_product(x, y).items()}
 
     # -- blocked change of basis ------------------------------------------
     def _orbit_block(self, orbit: TriWord, profiles=None):
@@ -243,52 +250,78 @@ class CodetBasis:
                             for side in SIDES)
                 for bold in self.shapes}
 
-    def _block_keys(self) -> list:
-        """The keys of the blocks with codeterminant columns, in the order in
-        which `keys` first meets them."""
-        keys: dict = {}
-        for xs, ys in self._tableau_blocks.values():
-            y_blocks = dict.fromkeys(blk for (_Tb, blk) in ys)
-            for (alpha, dx, px) in dict.fromkeys(blk for (_S, blk) in xs):
-                for (beta, dy, py) in y_blocks:
-                    keys[(alpha, beta, dx + dy, (px + py) % 2)] = None
-        return list(keys)
-
-    def _fill(self, alpha) -> dict:
-        """block key -> (orbits, codeterminant keys) for every block with
-        left profile alpha: the orbits in the order of `T.orbits`, the keys
-        in the order of `keys`."""
-        blocks: dict = {}
+    @cached_property
+    def _shares(self) -> tuple[dict, dict]:
+        """The standard tableaux of `_tableau_blocks` indexed by their share,
+        in their order: weight -> [(shape, [(S, degree, parity)])] on the X
+        side, (shape, weight, degree, parity mod 2) -> [T] on the Y side."""
+        xs_of: dict = {}
+        ys_of: dict = {}
         for bold, (xs, ys) in self._tableau_blocks.items():
-            for S, (a, dx, px) in xs:
-                if a != alpha:
-                    continue
-                for Tb, (beta, dy, py) in ys:
-                    blocks.setdefault((alpha, beta, dx + dy, (px + py) % 2),
-                                      ([], []))[1].append((bold, S, Tb))
-        ctx = self.T.ctx
-        for orbit in self.T.orbits_with_profile(0, alpha):
-            blocks.setdefault(self._orbit_block(orbit, ctx.weight_profiles(orbit)),
-                              ([], []))[0].append(orbit)
-        return blocks
+            for S, (weight, deg, par) in xs:
+                by_shape = xs_of.setdefault(weight, [])
+                if not by_shape or by_shape[-1][0] != bold:
+                    by_shape.append((bold, []))
+                by_shape[-1][1].append((S, deg, par))
+            for Tb, (weight, deg, par) in ys:
+                ys_of.setdefault((bold, weight, deg, par % 2), []).append(Tb)
+        return xs_of, ys_of
+
+    def _columns(self, key) -> list[CodetKey]:
+        """The standard codeterminants whose tableau shares add up to the
+        block key (alpha, beta, degree, parity), in the order of `keys`."""
+        alpha, beta, deg, par = key
+        xs_of, ys_of = self._shares
+        cols = []
+        for bold, xs in xs_of.get(alpha, ()):
+            for S, dx, px in xs:
+                right = ys_of.get((bold, beta, deg - dx, (par - px) % 2))
+                if right:
+                    cols.extend((bold, S, Tb) for Tb in right)
+        return cols
+
+    def _block(self, key) -> tuple[list, list, list]:
+        """A block's rows, its columns and their expansions, from the columns
+        alone: the rows are the orbits the expansions reach, in the order of
+        `T.orbits`, each checked to be an orbit of T under `key`.  When they
+        are fewer than the columns, an orbit under `key` that no column
+        reaches is named; only then are the block's orbits listed."""
+        T = self.T
+        cols = self._columns(key)
+        expansions = [self.expansion(col) for col in cols]
+        reached: set = set()
+        for col, v in zip(cols, expansions):
+            for orbit in v.keys() - reached:
+                reached.add(orbit)
+                if any(lt not in T._letter_pos for lt in orbit):
+                    raise AssertionError(f"codeterminant block {key}: column {col} "
+                                         f"reaches {orbit}, which is not an orbit of T")
+                other = self._orbit_block(orbit, T.ctx.weight_profiles(orbit))
+                if other != key:
+                    raise AssertionError(f"codeterminant block {key}: column {col} "
+                                         f"reaches {orbit} of block {other}")
+        if len(reached) < len(cols):
+            for orbit in T.orbits_with_profile(0, key[0]):
+                if orbit not in reached and self._orbit_block(orbit) == key:
+                    raise AssertionError(f"codeterminant block {key}: "
+                                         f"no column reaches its orbit {orbit}")
+        return sorted(reached, key=T.orbit_key), cols, expansions
 
     @cached_property
     def _blocks(self) -> Mapping:
         """block key -> (orbits, codeterminant keys), over the blocks with
-        codeterminant columns; a left profile's blocks are built on its
-        first lookup."""
-        return _BlocksByLeftProfile(self._block_keys, self._fill)
+        codeterminant columns, in the order in which `keys` first meets them;
+        each lookup builds its block afresh by `_block`."""
+        return _CodetBlocks(self)
 
     @cached_property
     def _change(self) -> BlockedBasis:
-        return BlockedBasis("codeterminant block", self._blocks, self._orbit_block,
-                            self.expansion)
+        return _CodetChange(self)
 
     def unimodular(self) -> bool:
         """Whether every block with columns has determinant +-1 and those
         blocks hold every orbit, so that none lies in a block of no columns."""
-        return (self._change.unimodular()
-                and sum(len(self._blocks[key][0]) for key in self._blocks) == self.T.rank)
+        return self._change.unimodular() and self._change.dimension() == self.T.rank
 
     def non_unimodular_block(self) -> tuple | None:
         return self._change.non_unimodular_block()
@@ -298,34 +331,48 @@ class CodetBasis:
         return self._change.solve_integral(x)
 
 
-class _BlocksByLeftProfile(Mapping):
-    """Block key -> (rows, columns).  The keys are listed by the `keys`
-    callable on first iteration; `fill(alpha)` makes the values of all keys
-    with left profile alpha on the first lookup of one of them.  A key that
-    a fill makes beyond the listed ones (orbits with no columns) can still
-    be looked up, so that its block fails as not square."""
+class _CodetBlocks(Mapping):
+    """The blocks of a `CodetBasis` as block key -> (rows, columns).  The
+    keys are listed on first use, from the tableau shares; a value is built
+    on each lookup."""
 
-    def __init__(self, keys: Callable[[], list], fill: Callable[[tuple], dict]):
-        self._list_keys = keys
-        self._fill = fill
-        self._filled: set = set()
-        self._values: dict = {}
+    def __init__(self, cb: CodetBasis):
+        self.cb = cb
 
     @cached_property
-    def _keys(self) -> list:
-        return self._list_keys()
+    def _keys(self) -> dict:
+        keys: dict = {}
+        for xs, ys in self.cb._tableau_blocks.values():
+            y_shares = dict.fromkeys(share for _Tb, share in ys)
+            for (alpha, dx, px) in dict.fromkeys(share for _S, share in xs):
+                for (beta, dy, py) in y_shares:
+                    keys[(alpha, beta, dx + dy, (px + py) % 2)] = None
+        return keys
 
     def __getitem__(self, key):
-        if key[0] not in self._filled:
-            self._values.update(self._fill(key[0]))
-            self._filled.add(key[0])
-        return self._values[key]
+        if key not in self._keys:
+            raise KeyError(key)
+        return self.cb._block(key)[:2]
 
     def __iter__(self):
         return iter(self._keys)
 
     def __len__(self) -> int:
         return len(self._keys)
+
+
+class _CodetChange(BlockedBasis):
+    """The codeterminant change of basis.  A block's rows come from its
+    columns' expansions, so `columns` makes both in one pass
+    (`CodetBasis._block`) rather than expanding twice; a key outside the
+    blocks with columns gets an empty block, which holds no row."""
+
+    def __init__(self, cb: CodetBasis):
+        super().__init__("codeterminant block", cb._blocks, cb._orbit_block, cb.expansion)
+        self.cb = cb
+
+    def columns(self, key):
+        return self.cb._block(key)
 
 
 # ---------------------------------------------------------------------------
@@ -542,6 +589,7 @@ def heredity_of_T(T: SchurAlgebra, sample_b: int | None = None) -> SchurHeredity
 
     from .partitions import compare
 
+    @cache
     def strictly_greater(mu, lam) -> bool:
         return compare(mu, lam) == "GT"
 

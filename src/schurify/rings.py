@@ -7,7 +7,7 @@ pi^2 = 1.
 from __future__ import annotations
 
 import json
-from typing import Iterable, Mapping
+from collections.abc import Iterable, Mapping
 
 
 def _is_prime(p: int) -> bool:

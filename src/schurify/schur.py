@@ -165,7 +165,18 @@ class SchurAlgebra:
 
     # -- multiplication ----------------------------------------------------
     def mult_orbits(self, o1: TriWord, o2: TriWord) -> Element:
-        """Structure constants: eta_{o1} * eta_{o2} as an integer Element.
+        """eta_{o1} * eta_{o2} by `orbit_product`, cached.  Factors whose
+        weight profiles do not meet multiply to 0, which is not cached."""
+        if self.profiles(o1)[1] != self.profiles(o2)[0]:
+            return {}
+        key = (o1, o2)
+        if key not in self._prod_cache:
+            self._prod_cache[key] = self.orbit_product(o1, o2)
+        return self._prod_cache[key]
+
+    def orbit_product(self, o1: TriWord, o2: TriWord) -> Element:
+        """Structure constants: eta_{o1} * eta_{o2} as an integer Element,
+        computed afresh.
 
         o1 must be canonical: it is the one arrangement c1 of the left factor
         used.  With c_w the coefficient of the pure tensor e_w in
@@ -177,18 +188,12 @@ class SchurAlgebra:
         rep; [.]! is the product of the multiplicity factorials and [.]_c,
         [.]_a the same over the c and a strata.  A word repeating an odd
         letter contributes 0, and on the others [.]! = [.]_a [.]_c, so the
-        weight is [o2]_c [rep]_a / [o1]_a.  Factors whose weight profiles
-        do not meet multiply to 0, which is not cached.
+        weight is [o2]_c [rep]_a / [o1]_a.
 
         The words are tuples of letter indices (`TriContext.letters`):
         c1 times an arrangement of o2 is read place by place off the
         letter-product table, and each product word is sorted with its sign
         by `TriContext.sort_signed`; a result term becomes a `TriWord` once."""
-        if self.profiles(o1)[1] != self.profiles(o2)[0]:
-            return {}
-        key = (o1, o2)
-        if key in self._prod_cache:
-            return self._prod_cache[key]
         ctx = self.ctx
         word1, before_odd, mid, den = self._left(o1)
         by_row, m2 = self._right(o2)
@@ -223,7 +228,6 @@ class SchurAlgebra:
                     f"non-integral eta structure constant {num}/{den} at {o1} * {o2} -> {word}"
                 )
             out[word] = num // den
-        self._prod_cache[key] = out
         return out
 
     def mul(self, x: Element, y: Element) -> Element:

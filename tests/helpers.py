@@ -12,12 +12,13 @@
   skew-filling enumeration with the reverse lattice word condition.
 - ssyt_count: Kostka numbers by filling enumeration.
 - lu_rank / lu_det / lu_solve: LU elimination over Fractions (or residues
-  mod p) with forward and back substitution; production (`exactla`) runs a
-  fraction-free Gauss-Jordan pass on ints and solves with the adjugate.
+  mod p) with partial pivoting, dense, and forward and back substitution;
+  production (`exactla`) runs a sparse fraction-free pass on ints that
+  pivots anywhere and solves by replaying its record.
 - orbit_profiles / eager_codet_blocks: weight profiles counted per color
   label, and every codeterminant block built in one walk over all tableau
-  pairs and all orbits; production lists the orbits of one left profile at
-  a time and builds a profile's blocks on first use.
+  pairs and all orbits; production builds a block from its columns alone,
+  its rows being the orbits their expansions reach.
 - full_gram / gram_entries: the Gram matrix of a standard module over every
   pair of standard tableaux, and the blocks of `gram_blocks` read back into
   pairs; both place a tableau by its own `tableau_weight` and

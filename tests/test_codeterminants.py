@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -320,20 +321,45 @@ def test_one_sided_enumeration_matches_the_grouping(spec, n, d, truncated):
         assert list(T.orbits_with_profile(side, empty)) == ([()] if d == 0 else [])
 
 
-def test_lazy_blocks_fill_one_left_profile_per_lookup():
-    """A solve builds only the blocks of the left profiles it meets, and the
-    decomposition oracle lists no orbits."""
+def test_a_solve_builds_only_the_block_it_meets(monkeypatch):
+    """A solve builds the one block its orbit lies in, and the decomposition
+    oracle lists no orbits."""
     from schurify.characters import decomp_oracle
 
     alg, data, tau = make_algebra("zigzag:2")
     T = build_schur(alg, data, 2, 2, tau)
     cb = T.codet_basis
-    key = next(iter(cb._blocks))
-    orbit = cb._blocks[key][0][0]
-    assert cb.solve({orbit: 1})
-    assert cb._blocks._filled == {key[0]}
+    key = list(cb._blocks)[5]
+    rows, _cols = cb._blocks[key]
+    built, listed = [], []
+    real_block, real_list = codet.CodetBasis._block, T.orbits_with_profile
+
+    def counted(self, k):
+        built.append(k)
+        return real_block(self, k)
+
+    monkeypatch.setattr(codet.CodetBasis, "_block", counted)
+    monkeypatch.setattr(T, "orbits_with_profile", lambda *args: listed.append(args) or real_list(*args))
+    assert cb.solve({rows[-1]: 1})
+    assert built == [key]
     decomp_oracle(T)
-    assert "orbits" not in vars(T)
+    assert "orbits" not in vars(T) and not listed
+
+
+def test_unimodularity_lists_no_orbits_and_caches_no_expansion(monkeypatch):
+    """The unimodularity walk builds every block from its columns: it lists
+    no orbits, and the codeterminant expansions bypass the product cache."""
+    alg, data, tau = make_algebra("zigzag:1")
+    T = build_schur(alg, data, 3, 3, tau)
+    listed = []
+    real = T.orbits_with_profile
+    monkeypatch.setattr(T, "orbits_with_profile", lambda *args: listed.append(args) or real(*args))
+    cb = T.codet_basis
+    assert cb.unimodular()
+    assert "orbits" not in vars(T) and not listed
+    pairs = {(x, y) for _bold, S, Tb in cb.keys
+             for x in cb.side_element(S, X_SIDE) for y in cb.side_element(Tb, Y_SIDE)}
+    assert len(pairs) == len(cb.keys) and not pairs & T._prod_cache.keys()
 
 
 def test_tableau_elements_made_once(monkeypatch):
@@ -377,34 +403,94 @@ def test_axiom_a_failure_names_its_witness(monkeypatch):
 
 
 def test_unimodularity_check_takes_determinants_alone(monkeypatch):
-    """`unimodular()` expands each codeterminant once and leaves no block
-    with an adjugate; a later solve makes one from the same matrix, expands
-    nothing again, and agrees with the LU oracle."""
+    """`unimodular()` expands each codeterminant once and keeps of a block
+    only its determinant and order, no matrix and no record of its
+    elimination; a later solve expands its own block's columns alone, once
+    more, and agrees with the LU oracle."""
     alg, data, tau = make_algebra("zigzag:1")
     T = build_schur(alg, data, 2, 2, tau)
     cb = T.codet_basis
+    key, (rows, cols) = max(cb._blocks.items(), key=lambda kv: len(kv[1][1]))
+    assert len(cols) > 1
     expanded = []
     real = codet.CodetBasis.expansion
 
-    def counted(self, key):
-        expanded.append(key)
-        return real(self, key)
+    def counted(self, col):
+        expanded.append(col)
+        return real(self, col)
 
     monkeypatch.setattr(codet.CodetBasis, "expansion", counted)
     assert cb.unimodular()
     assert len(expanded) == len(set(expanded)) == len(cb.keys) and set(expanded) == set(cb.keys)
     factored = cb._change._factored
     assert len(factored) == len(cb._blocks)
-    assert all("adj" not in vars(blk) for blk in factored.values())
+    kept = {name for blk in factored.values() for name in blk.__slots__ if hasattr(blk, name)}
+    assert kept == {"det", "size"}
 
-    key, (rows, cols) = max(cb._blocks.items(), key=lambda kv: len(kv[1][1]))
-    assert len(cols) > 1
     mat = [[real(cb, col).get(orbit, 0) for col in cols] for orbit in rows]
     x = [(-1) ** j * (j + 1) for j in range(len(cols))]
     v = {orbit: c for orbit, row in zip(rows, mat)
          if (c := sum(m * xj for m, xj in zip(row, x)))}
+    expanded.clear()
     got = cb.solve(v)
-    assert len(expanded) == len(cb.keys)
-    assert "adj" in vars(factored[key])
+    assert expanded == cols
+    assert hasattr(factored[key], "steps")
     want = lu_solve(mat, [v.get(orbit, 0) for orbit in rows])
     assert got == {col: int(c) for col, c in zip(cols, want) if c} == dict(zip(cols, x))
+
+
+def test_axiom_a_names_a_column_that_reaches_another_block(monkeypatch):
+    """An expansion that gains an orbit of another block fails axiom (a),
+    naming the column, its block and the orbit's block."""
+    alg, data, tau = make_algebra("zigzag:1")
+    T = build_schur(alg, data, 2, 2, tau)
+    cb = T.codet_basis
+    blocks = dict(cb._blocks)
+    key, (_rows, cols) = list(blocks.items())[3]
+    col = cols[0]
+    other, (other_rows, _other_cols) = list(blocks.items())[9]
+    stray = other_rows[0]
+    real = codet.CodetBasis.expansion
+
+    def broken(self, k):
+        out = real(self, k)
+        return {**out, stray: 1} if k == col else out
+
+    monkeypatch.setattr(codet.CodetBasis, "expansion", broken)
+    rep = codet.heredity_of_T(T, sample_b=4)
+    assert rep.failures == [
+        f"axiom (a): codeterminant block {key}: column {col} reaches {stray} of block {other}"
+    ]
+
+
+def test_axiom_a_names_an_orbit_no_column_reaches(monkeypatch):
+    """An expansion that loses an orbit no other column of its block
+    reaches fails axiom (a), naming the orbit and the block."""
+    alg, data, tau = make_algebra("zigzag:1")
+    T = build_schur(alg, data, 2, 2, tau)
+    cb = T.codet_basis
+    real = codet.CodetBasis.expansion
+    key, col, lost = next(
+        (key, col, orbit)
+        for key, (_rows, cols) in cb._blocks.items() if len(cols) > 1
+        for col in cols for orbit in real(cb, col)
+        if not any(orbit in real(cb, c) for c in cols if c != col))
+
+    def broken(self, k):
+        out = real(self, k)
+        return {o: c for o, c in out.items() if o != lost} if k == col else out
+
+    monkeypatch.setattr(codet.CodetBasis, "expansion", broken)
+    rep = codet.heredity_of_T(T, sample_b=4)
+    assert rep.failures == [f"axiom (a): codeterminant block {key}: no column reaches its orbit {lost}"]
+
+
+def test_a_solve_outside_every_block_names_its_orbit():
+    """An orbit that no codeterminant reaches, as a truncation has, cannot be
+    solved for; the error names it."""
+    alg, data, tau = make_algebra("zigzag:1")
+    T = build_schur(alg, data, 2, 2, tau).truncate([0])
+    eager = eager_codet_blocks(codet.CodetBasis(T))
+    orbit = next(rows[0] for rows, cols in eager.values() if not cols)
+    with pytest.raises(AssertionError, match=re.escape(f"{orbit} is not a row of codeterminant block")):
+        T.codet_basis.solve({orbit: 1})

@@ -133,6 +133,43 @@ def test_rank_against_fraction_oracle(mat):
         assert rank(mat, GF(p)) == lu_rank(mat, p)
 
 
+# Sparse square blocks of size 1-8: most entries 0, the rest in -2..2, so that
+# the elimination runs out of unit pivots, finds them in later rows and
+# columns, and meets singular blocks and |det| > 1.
+sparse_entries = st.sampled_from([0, 0, 0, 0, 0, 0, -2, -1, 1, 2])
+sparse_blocks = st.integers(1, 8).flatmap(
+    lambda n: st.lists(st.lists(sparse_entries, min_size=n, max_size=n), min_size=n, max_size=n))
+rhs = st.lists(st.integers(-2, 2), min_size=8, max_size=8)
+
+
+@given(sparse_blocks, rhs)
+@example([[2, 3], [3, 5]], [1, -1, 0, 0, 0, 0, 0, 0])  # det 1, no +-1 entry
+@example([[2, 1, 0], [3, 1, 0], [0, 0, 1]], [1, 0, 1, 0, 0, 0, 0, 0])  # first pivot in column 2
+@example([[1, 1], [-1, 1]], [1, 0, 0, 0, 0, 0, 0, 0])  # det 2
+def test_sparse_blocks_against_fraction_oracle(mat, v):
+    """The sparse elimination gives the LU oracle's determinant, solutions
+    and integrality aborts, and its ranks over Q, F_2 and F_3."""
+    n = len(mat)
+    assert rank(mat, QQ) == lu_rank(mat)
+    for p in (2, 3):
+        assert rank(mat, GF(p)) == lu_rank(mat, p)
+    B = single_block(mat)
+    det = lu_det(mat)
+    if not det:
+        with pytest.raises(AssertionError, match="singular"):
+            B.solve_integral({0: 1})
+        return
+    assert B.factor(0).det == det
+    assert B.unimodular() == (abs(det) == 1)
+    want = lu_solve(mat, v[:n])
+    sparse = {i: c for i, c in enumerate(v[:n]) if c}
+    if all(c.denominator == 1 for c in want):
+        assert B.solve_integral(sparse) == {f"c{j}": int(c) for j, c in enumerate(want) if c}
+    else:
+        with pytest.raises(ArithmeticError, match="non-integral coefficient"):
+            B.solve_integral(sparse)
+
+
 def test_package_imports_no_fractions():
     """The package computes on ints: no module imports `fractions`."""
     for path in sorted(Path(schurify.__file__).parent.glob("*.py")):
