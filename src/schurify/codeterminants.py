@@ -14,9 +14,12 @@ express arbitrary elements in that basis:
   * an exact blocked linear solve against the codeterminant expansion matrix,
     blocked by the conserved (left profile, right profile, degree, parity).
     A block is built from its columns alone: the standard codeterminants
-    whose tableau shares add up to its key, expanded without the product
-    cache, and as rows the orbits those expansions reach, each checked to
-    carry the key.  Neither the unimodularity check nor a solve lists orbits.
+    whose tableau shares add up to its key, expanded on letter indices by
+    the product kernel without the product cache, from each tableau's
+    kernel-ready factor, and as rows the orbits those expansions reach, each
+    checked through the per-index tables to be an orbit of T carrying the
+    key.  Rows are sorted on indices and become `TriWord`s once each.
+    Neither the unimodularity check nor a solve lists orbits.
 
 All expansions are integral; any non-integral coefficient aborts loudly.
 """
@@ -40,7 +43,7 @@ from .tableaux import (
     tableau_weight,
     word as tableau_word,
 )
-from .triples import TriWord
+from .triples import TriWord, run_key
 
 CodetKey = tuple[tuple[tuple[int, ...], ...], Tableau, Tableau]  # (shape, S, T)
 
@@ -161,6 +164,7 @@ class CodetBasis:
 
     T: SchurAlgebra
     _side_elements: dict = field(default_factory=dict, init=False, repr=False)
+    _factors: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         # below n = d the standard codeterminants stop spanning; only the
@@ -216,25 +220,39 @@ class CodetBasis:
             self._side_elements[key] = side_element(self.T, tab, side)
         return self._side_elements[key]
 
-    def expansion(self, key: CodetKey) -> Element:
-        """X_S * Y_T, multiplied without the product cache: an expansion is
-        used once, to build its column.  X_S and Y_T are single signed
-        orbits, so their product's terms need no summing."""
+    def _factor(self, tab: Tableau, side: Side, left: bool) -> tuple:
+        """X_S or Y_T ready for the product kernel, made on first use: its
+        single orbit read by `SchurAlgebra._left` as the left factor of a
+        product (`left`) or by `_right` as the right one, and its sign."""
+        key = (side.name, tab, left)
+        factor = self._factors.get(key)
+        if factor is None:
+            (orbit, sign), = self.side_element(tab, side).items()
+            factor = self._factors[key] = (self.T._left if left else self.T._right)(orbit), sign
+        return factor
+
+    def index_expansion(self, key: CodetKey) -> dict[tuple[int, ...], int]:
+        """X_S * Y_T keyed by words of letter indices, multiplied without the
+        product cache: an expansion is used once, to build its column."""
         _bold, S, Tb = key
-        return {orbit: cx * cy * c
-                for x, cx in self.side_element(S, X_SIDE).items()
-                for y, cy in self.side_element(Tb, Y_SIDE).items()
-                for orbit, c in self.T.orbit_product(x, y).items()}
+        (x, sx), (y, sy) = self._factor(S, X_SIDE, True), self._factor(Tb, Y_SIDE, False)
+        return self.T.product_terms(x, y, sx * sy)
+
+    def expansion(self, key: CodetKey) -> Element:
+        """X_S * Y_T as an Element."""
+        return self.T.element(self.index_expansion(key))
+
+    def pairing(self, S: Tableau, Tb: Tableau) -> Element:
+        """Y_T * X_S, multiplied without the product cache: a Gram matrix
+        reads each such product once."""
+        (y, sy), (x, sx) = self._factor(Tb, Y_SIDE, True), self._factor(S, X_SIDE, False)
+        return self.T.element(self.T.product_terms(y, x, sy * sx))
 
     # -- blocked change of basis ------------------------------------------
-    def _orbit_block(self, orbit: TriWord, profiles=None):
-        alpha, beta = profiles or self.T.profiles(orbit)
-        degree, parity = self.T.alg.degree, self.T.alg.parity
-        deg = par = 0
-        for (b, _r, _s) in orbit:
-            deg += degree[b]
-            par += parity[b]
-        return (alpha, beta, deg, par % 2)
+    def _orbit_block(self, orbit: TriWord) -> tuple:
+        """The block key (alpha, beta, degree, parity mod 2) of an orbit."""
+        index = self.T.ctx.index
+        return self.T.ctx.block_key([index[lt] for lt in orbit])
 
     def _tableau_block(self, tab: Tableau, side: Side) -> tuple:
         """One tableau's share of a block key: (weight, degree, parity)."""
@@ -281,31 +299,43 @@ class CodetBasis:
         return cols
 
     def _block(self, key) -> tuple[list, list, list]:
-        """A block's rows, its columns and their expansions, from the columns
-        alone: the rows are the orbits the expansions reach, in the order of
-        `T.orbits`, each checked to be an orbit of T under `key`.  When they
-        are fewer than the columns, an orbit under `key` that no column
-        reaches is named; only then are the block's orbits listed."""
+        """A block's rows, its columns and their expansions over the rows'
+        positions, from the columns alone.  The rows are the orbits that the
+        columns' index-word expansions reach.  Each is checked through the
+        per-index tables to be an orbit of T with block key `key`
+        (`TriContext.block_key`).  They are sorted by `run_key`, the order of
+        `T.orbits`, and each becomes a `TriWord` once.  When they are fewer
+        than the columns, an orbit under `key` that no column reaches is
+        named; only then are the block's orbits listed."""
         T = self.T
+        ctx = T.ctx
         cols = self._columns(key)
-        expansions = [self.expansion(col) for col in cols]
+        expansions = [self.index_expansion(col) for col in cols]
+        has_index, block_key = T._has_index, ctx.block_key
         reached: set = set()
         for col, v in zip(cols, expansions):
-            for orbit in v.keys() - reached:
-                reached.add(orbit)
-                if any(lt not in T._letter_pos for lt in orbit):
+            for w in v:
+                if w in reached:
+                    continue
+                reached.add(w)
+                if not all(map(has_index.__getitem__, w)):
                     raise AssertionError(f"codeterminant block {key}: column {col} "
-                                         f"reaches {orbit}, which is not an orbit of T")
-                other = self._orbit_block(orbit, T.ctx.weight_profiles(orbit))
+                                         f"reaches {ctx.word(w)}, which is not an orbit of T")
+                other = block_key(w)
                 if other != key:
                     raise AssertionError(f"codeterminant block {key}: column {col} "
-                                         f"reaches {orbit} of block {other}")
+                                         f"reaches {ctx.word(w)} of block {other}")
         if len(reached) < len(cols):
+            index = ctx.index
             for orbit in T.orbits_with_profile(0, key[0]):
-                if orbit not in reached and self._orbit_block(orbit) == key:
+                if (tuple([index[lt] for lt in orbit]) not in reached
+                        and self._orbit_block(orbit) == key):
                     raise AssertionError(f"codeterminant block {key}: "
                                          f"no column reaches its orbit {orbit}")
-        return sorted(reached, key=T.orbit_key), cols, expansions
+        order = sorted(reached, key=run_key)
+        pos = {w: k for k, w in enumerate(order)}
+        return ([ctx.word(w) for w in order], cols,
+                [{pos[w]: c for w, c in v.items()} for v in expansions])
 
     @cached_property
     def _blocks(self) -> Mapping:
@@ -677,20 +707,20 @@ def gram_blocks(T: SchurAlgebra, bold) -> dict[tuple, list[list[int]]]:
     A row is a standard X tableau S, keyed by its (weight, degree, parity mod
     2); its columns are the standard Y tableaux of that weight, degree minus
     the row's and the same parity, in the order of `std_y`.  Only pairs of
-    equal weight are multiplied: the profiles of the others do not meet.
-    Among those, a nonzero entry outside the block is an error."""
+    equal weight are multiplied, each once by `CodetBasis.pairing`, without
+    the product cache: the profiles of the others do not meet.  Among those,
+    a nonzero entry outside the block is an error."""
     cb = T.codet_basis
     xs, ys = cb._tableau_blocks[bold]
     unit_key = (bold, *cb.initial_tableau_pair(bold))
     ys_of: dict = {}
     for Tb, (weight, deg, par) in ys:
-        ys_of.setdefault(weight, []).append((Tb, cb.side_element(Tb, Y_SIDE), deg, par % 2))
+        ys_of.setdefault(weight, []).append((Tb, deg, par % 2))
     blocks: dict = {}
     for S, (weight, deg, par) in xs:
-        x = cb.side_element(S, X_SIDE)
         row = []
-        for Tb, y, dy, py in ys_of.get(weight, ()):
-            prod = T.mul(y, x)
+        for Tb, dy, py in ys_of.get(weight, ()):
+            prod = cb.pairing(S, Tb)
             c = cb.solve(prod).get(unit_key, 0) if prod else 0
             if dy == -deg and py == par % 2:
                 row.append(c)

@@ -119,21 +119,21 @@ def rank(mat: Sequence[Sequence[int]], ring: CoefficientRing) -> int:
 
 
 class _Block:
-    """One square block M, eliminated once from its columns' expansions.
-    `det` is its determinant (0 when singular) and `size` its order; with
-    `solver`, it keeps its columns, the place of each row and the record of
-    the elimination, from which `solve` expands a vector in its columns."""
+    """One square block M, eliminated once from its columns' expansions, each
+    a sparse vector over the positions of `rows`.  `det` is its determinant
+    (0 when singular) and `size` its order; with `solver`, it keeps its
+    columns, the place of each row and the record of the elimination, from
+    which `solve` expands a vector in its columns."""
 
     __slots__ = ("det", "size", "cols", "ridx", "steps")
 
-    def __init__(self, rows: Sequence, cols: Sequence, expansions: Iterable[Mapping],
+    def __init__(self, rows: Sequence, cols: Sequence, expansions: Iterable[Mapping[int, int]],
                  solver: bool = False):
-        ridx = {r: k for k, r in enumerate(rows)}
         mat: list[dict[int, int]] = [{} for _ in rows]
         for j, v in enumerate(expansions):
-            for r, c in v.items():
+            for k, c in v.items():
                 if c:
-                    mat[ridx[r]][j] = c
+                    mat[k][j] = c
         steps = [] if solver else None
         pivots, last, sign = _eliminate(mat, None, steps)
         n = self.size = len(rows)
@@ -143,7 +143,7 @@ class _Block:
             # has the sign of the two permutations together
             self.det = sign * last * _parity(dict(pivots))
         if solver:
-            self.cols, self.ridx, self.steps = list(cols), ridx, steps
+            self.cols, self.ridx, self.steps = list(cols), {r: k for k, r in enumerate(rows)}, steps
 
     def solve(self, v: Mapping) -> list[int]:
         """det * M^-1 v for a nonsingular block: one integer per column.
@@ -181,8 +181,8 @@ class BlockedBasis:
     unimodularity check keeps only each block's determinant and order; the
     first solve that meets a block builds it again and keeps what a solve
     needs.  A block that is not square or is singular raises AssertionError.
-    `columns` gives a block's rows, columns and expansions; a subclass may
-    derive the rows from the expansions.
+    `columns` gives a block's rows, columns and expansions over the rows'
+    positions; a subclass may derive the rows from the expansions.
     """
 
     def __init__(self, name: str, blocks: Mapping[Hashable, tuple[Sequence, Sequence]],
@@ -194,10 +194,12 @@ class BlockedBasis:
         self.expansion = expansion
         self._factored: dict = {}
 
-    def columns(self, key) -> tuple[Sequence, Sequence, Iterable[Mapping]]:
-        """The rows and columns of a block, and the columns' expansions."""
+    def columns(self, key) -> tuple[Sequence, Sequence, Iterable[Mapping[int, int]]]:
+        """The rows and columns of a block, and the columns' expansions as
+        sparse vectors over the positions of the rows."""
         rows, cols = self.blocks[key]
-        return rows, cols, map(self.expansion, cols)
+        ridx = {r: k for k, r in enumerate(rows)}
+        return rows, cols, ({ridx[r]: c for r, c in self.expansion(col).items()} for col in cols)
 
     def factor(self, key, solver: bool = False) -> _Block:
         """The block of `key` with its determinant, built on first use; with

@@ -5,16 +5,21 @@ product eta_{o1} * eta_{o2} is read off one arrangement of the left factor,
 its canonical word c1 (Green, Polynomial Representations of GL_n, LNM 830,
 section 2.3): the symmetric group acts on the tensor power by algebra
 automorphisms and fixes xi_{o2}, so xi_{o1} xi_{o2} is the symmetrization of
-e_{c1} xi_{o2} divided by [o1]!.  Only the arrangements of o2 whose row word
-is c1's column word are multiplied, position-wise through the base-algebra
-structure constants with the super sign rule, and each product word is
-canonicalized.  The d-fold tensor power of M_n(A) is never materialized.
+e_{c1} xi_{o2} divided by [o1]!.  A letter (b, r, s) has a profile slot on
+each side, (absorbing color, r) on the left and (absorbing color, s) on the
+right, and two letters multiply to nonzero only where the right slot of the
+first is the left slot of the second.  So only the arrangements of o2 whose
+word of left slots is c1's word of right slots are multiplied, position-wise
+through the base-algebra structure constants with the super sign rule, up to
+the first zero factor, and each product word is canonicalized.  The d-fold
+tensor power of M_n(A) is never materialized.
 
-The multiplication works on letter indices (places in
-`TriContext.letters`): words are tuples of ints, letters multiply through
-the context's letter-product table, and a word is sorted with its sign by
-`TriContext.sort_signed`.  Elements, weight profiles and block keys stay
-keyed by `TriWord`; a product term is turned back into one once.
+The kernel, `product_terms`, works on letter indices (places in
+`TriContext.letters`) end to end: words are tuples of ints, letters
+multiply through the context's letter-product table, a word is sorted with
+its sign by `TriContext.sort_signed`, and the terms it returns are keyed by
+index words.  `orbit_product` and `mult_orbits` turn them into `TriWord`s,
+the keys of Elements; the codeterminant walk keeps them on indices.
 
 All structure constants are integral on the eta lattice; a non-integral
 coefficient aborts loudly (it would signal an implementation bug).
@@ -22,13 +27,13 @@ coefficient aborts loudly (it would signal an implementation bug).
 from __future__ import annotations
 
 from functools import cached_property
-from itertools import groupby, permutations, product
+from itertools import permutations, product
 from math import comb
 from typing import Iterator
 
 from .base_algebra import AntiInvolution, BasedSuperalgebra, DecompInput, HeredityData
 from .partitions import compositions
-from .triples import TriContext, TriLetter, TriWord
+from .triples import TriContext, TriLetter, TriWord, run_key
 
 Element = dict[TriWord, int]
 
@@ -93,11 +98,20 @@ class SchurAlgebra:
     def _letter_pos(self) -> dict[TriLetter, int]:
         return {lt: k for k, lt in enumerate(self._letters)}
 
+    @cached_property
+    def _has_index(self) -> tuple[bool, ...]:
+        """Per letter index of the context: whether the letter is one of this
+        algebra's."""
+        pos = self._letter_pos
+        return tuple(lt in pos for lt in self.ctx.letters)
+
     def orbit_key(self, orbit: TriWord) -> tuple:
         """The place of a canonical orbit in the order of `orbits`, read off
-        the word: its runs of equal letters as (letter position, multiplicity)."""
+        the word: `run_key` on the positions of its letters in this algebra's
+        letter list.  Positions increase with letter indices, so `run_key` on
+        the orbit's index word orders orbits alike."""
         pos = self._letter_pos
-        return tuple((pos[lt], len(list(run))) for lt, run in groupby(orbit))
+        return run_key([pos[lt] for lt in orbit])
 
     @cached_property
     def rank(self) -> int:
@@ -131,36 +145,38 @@ class SchurAlgebra:
 
     def _left(self, orbit: TriWord) -> tuple:
         """A left factor read as its one arrangement: its index word, a mask
-        of the places before each of its odd letters, its column word and
-        [o1]_a."""
+        of the places before each of its odd letters, its word of right
+        profile slots and [o1]_a."""
         if orbit not in self._left_cache:
             ctx = self.ctx
             odd = ctx.odd
             word = tuple(map(ctx.index.__getitem__, orbit))
             self._left_cache[orbit] = (
                 word, tuple([(1 << k) - 1 for k, i in enumerate(word) if odd[i]]),
-                tuple([lt[2] for lt in orbit]), ctx.run_factorial(word, "a"))
+                tuple(map(ctx.slots[1].__getitem__, word)), ctx.run_factorial(word, "a"))
         return self._left_cache[orbit]
 
     def _right(self, orbit: TriWord) -> tuple:
-        """A right factor's arrangements grouped by their row word, each as
-        (index word, sign, bitmask of its odd places), and [o2]_c."""
+        """A right factor: its index word, its arrangements grouped by their
+        word of left profile slots, each as (index word, sign, bitmask of
+        its odd places), and [o2]_c."""
         if orbit not in self._right_cache:
             ctx = self.ctx
             sort_signed = ctx.sort_signed
             word = tuple(map(ctx.index.__getitem__, orbit))
-            row_of = {i: lt[1] for i, lt in zip(word, orbit)}.__getitem__
-            odd_of = {i: ctx.odd[i] for i in word}.__getitem__
+            slot, odd, slot_words = ctx.slots[0], ctx.odd, ctx.slot_words
             by: dict[tuple[int, ...], list[tuple[tuple[int, ...], int, int]]] = {}
             for w in set(permutations(word)):
                 mask = 0
-                for k, odd in enumerate(map(odd_of, w)):
-                    if odd:
+                for k, i in enumerate(w):
+                    if odd[i]:
                         mask |= 1 << k
                 # a word with fewer than two odd letters has no odd inversion
                 sign = sort_signed(w)[1] if mask & (mask - 1) else 1
-                by.setdefault(tuple(map(row_of, w)), []).append((w, sign, mask))
-            self._right_cache[orbit] = by, ctx.run_factorial(word, "c")
+                key = tuple(map(slot.__getitem__, w))
+                by.setdefault(slot_words.setdefault(key, key), []).append((w, sign, mask))
+            self._right_cache[orbit] = (word, {k: tuple(v) for k, v in by.items()},
+                                        ctx.run_factorial(word, "c"))
         return self._right_cache[orbit]
 
     # -- multiplication ----------------------------------------------------
@@ -176,7 +192,18 @@ class SchurAlgebra:
 
     def orbit_product(self, o1: TriWord, o2: TriWord) -> Element:
         """Structure constants: eta_{o1} * eta_{o2} as an integer Element,
-        computed afresh.
+        computed afresh by `product_terms`."""
+        return self.element(self.product_terms(self._left(o1), self._right(o2)))
+
+    def element(self, terms: dict[tuple[int, ...], int]) -> Element:
+        """Terms keyed by words of letter indices, keyed by `TriWord`s."""
+        word = self.ctx.word
+        return {word(w): c for w, c in terms.items()}
+
+    def product_terms(self, left: tuple, right: tuple, sign: int = 1) -> dict[tuple[int, ...], int]:
+        """The product kernel: sign * eta_{o1} * eta_{o2}, for o1 read by
+        `_left` and o2 by `_right`, keyed by canonical words of letter
+        indices.
 
         o1 must be canonical: it is the one arrangement c1 of the left factor
         used.  With c_w the coefficient of the pure tensor e_w in
@@ -190,44 +217,49 @@ class SchurAlgebra:
         letter contributes 0, and on the others [.]! = [.]_a [.]_c, so the
         weight is [o2]_c [rep]_a / [o1]_a.
 
-        The words are tuples of letter indices (`TriContext.letters`):
-        c1 times an arrangement of o2 is read place by place off the
-        letter-product table, and each product word is sorted with its sign
-        by `TriContext.sort_signed`; a result term becomes a `TriWord` once."""
+        Letter i times letter j is nonzero only when the right profile slot
+        of i is the left profile slot of j (`TriContext.letter_products`
+        checks it), so only the arrangements of o2 whose word of left slots
+        is c1's word of right slots are multiplied, place by place off the
+        letter-product table, stopping at the first zero factor; each
+        product word is sorted with its sign by `TriContext.sort_signed`."""
         ctx = self.ctx
-        word1, before_odd, mid, den = self._left(o1)
-        by_row, m2 = self._right(o2)
+        word1, before_odd, mid, den = left
+        word2, by_slot, m2 = right
         table = ctx.letter_products
         sort_signed = ctx.sort_signed
         res: dict[tuple[int, ...], int] = {}
-        for w2, sgn, mask in by_row.get(mid, ()):
-            factors = [table[pair] for pair in zip(word1, w2)]
-            if not all(factors):
-                continue
-            # the super sign of the interleaving: each odd letter of c1
-            # passes the odd letters of w2 in the places before it
-            if sum((mask & low).bit_count() for low in before_odd) & 1:
-                sgn = -sgn
-            for combo in product(*factors):
-                rep, sign = sort_signed([i for i, _c in combo])
-                if rep is None:
-                    continue
-                coeff = sgn * sign
-                for _i, c in combo:
-                    coeff *= c
-                res[rep] = res.get(rep, 0) + coeff
-        letters = ctx.letters
-        out: Element = {}
+        for w2, sgn, mask in by_slot.get(mid, ()):
+            factors = []
+            for pair in zip(word1, w2):
+                terms = table[pair]
+                if not terms:
+                    break
+                factors.append(terms)
+            else:
+                # the super sign of the interleaving: each odd letter of c1
+                # passes the odd letters of w2 in the places before it
+                if mask and sum((mask & low).bit_count() for low in before_odd) & 1:
+                    sgn = -sgn
+                for combo in product(*factors):
+                    rep, sort_sign = sort_signed([i for i, _c in combo])
+                    if rep is None:
+                        continue
+                    coeff = sgn * sort_sign
+                    for _i, c in combo:
+                        coeff *= c
+                    res[rep] = res.get(rep, 0) + coeff
+        out: dict[tuple[int, ...], int] = {}
         for rep, f in res.items():
             if not f:
                 continue
             num = f * m2 * ctx.run_factorial(rep, "a")
-            word = tuple(letters[i] for i in rep)
             if num % den:
+                o1, o2, word = map(ctx.word, (word1, word2, rep))
                 raise ArithmeticError(
                     f"non-integral eta structure constant {num}/{den} at {o1} * {o2} -> {word}"
                 )
-            out[word] = num // den
+            out[rep] = sign * (num // den)
         return out
 
     def mul(self, x: Element, y: Element) -> Element:

@@ -13,8 +13,11 @@ A letter's index is its place in that order (`TriContext.letters`).  Signs,
 canonical words and multiplicity factorials are computed one way, on words
 of indices: the sign of a word is the parity of the inversions among its odd
 letters (`sort_signed`), and a factorial is read off the runs of a sorted
-word (`run_factorial`).  The letter-product table and the per-letter flags
-belong to the context, which a family of degrees and its truncations share.
+word (`run_factorial`).  The per-index tables (profile slot on each side,
+degree, parity) give a word of indices its block key (`block_key`), and a
+sorted word's runs give its place among the orbits (`run_key`).  These
+tables and the letter-product table belong to the context, which a family
+of degrees and its truncations share.
 """
 from __future__ import annotations
 
@@ -120,7 +123,7 @@ class TriContext:
         odd = self.odd
         odds = [i for i in word if odd[i]]
         inv = 0
-        if odds:
+        if len(odds) > 1:
             if len(set(odds)) < len(odds):
                 return None, 0
             for k, i in enumerate(odds):
@@ -139,6 +142,11 @@ class TriContext:
                 out *= run
         return out
 
+    def word(self, indices) -> TriWord:
+        """The `TriWord` of a word of letter indices."""
+        letters = self.letters
+        return tuple([letters[i] for i in indices])
+
     # -- orbits ------------------------------------------------------------
     def is_admissible(self, word: TriWord) -> bool:
         index = self.index
@@ -156,8 +164,7 @@ class TriContext:
             if strict:
                 raise ValueError(f"repeated odd letter in {word}")
             return None, 0
-        letters = self.letters
-        return tuple(letters[i] for i in rep), sign
+        return self.word(rep), sign
 
     # -- multiplicities ----------------------------------------------------
     def multiplicities(self, word: TriWord) -> dict[TriLetter, int]:
@@ -171,33 +178,57 @@ class TriContext:
         index = self.index
         return self.run_factorial(sorted(index[w] for w in word), stratum)
 
-    # -- weight profiles ---------------------------------------------------
-    def weight_profiles(self, word: TriWord):
-        """(alpha(b, r), beta(b, s)): left/right idempotent weight profiles."""
+    # -- weight profiles and block keys -----------------------------------
+    @cached_property
+    def slots(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """Per side, left (0) and right (1): the profile slot of each letter
+        index (`profile_slot`)."""
+        return tuple(tuple(self.profile_slot(lt, side) for lt in self.letters) for side in (0, 1))
+
+    @cached_property
+    def degree(self) -> tuple[int, ...]:
+        """Per letter index: the degree of its basis element."""
+        return tuple(self.alg.degree[b] for (b, _r, _s) in self.letters)
+
+    def block_key(self, word) -> tuple:
+        """(alpha, beta, degree, parity mod 2) of a word of letter indices:
+        its left and right idempotent weight profiles, each cut into one
+        block of n per color, and the sums of its letters' degrees and
+        parities, read off the per-index tables."""
         size = len(self.data.labels) * self.n
         alpha, beta = [0] * size, [0] * size
-        slots = self._profile_slots
-        for letter in word:
-            left, right = slots[letter]
-            alpha[left] += 1
-            beta[right] += 1
-        return self._nested(tuple(alpha)), self._nested(tuple(beta))
+        left, right = self.slots
+        degree, odd = self.degree, self.odd
+        deg = par = 0
+        for i in word:
+            alpha[left[i]] += 1
+            beta[right[i]] += 1
+            deg += degree[i]
+            par += odd[i]
+        return self._nested(tuple(alpha)), self._nested(tuple(beta)), deg, par % 2
+
+    def weight_profiles(self, word: TriWord):
+        """(alpha(b, r), beta(b, s)): left/right idempotent weight profiles."""
+        index = self.index
+        return self.block_key([index[lt] for lt in word])[:2]
 
     def _nested(self, flat: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
         """A flattened profile cut into one block of n per color, made once."""
-        if flat not in self._profiles:
+        nested = self._profiles.get(flat)
+        if nested is None:
             n = self.n
-            self._profiles[flat] = tuple(flat[k:k + n] for k in range(0, len(flat), n))
-        return self._profiles[flat]
+            nested = self._profiles[flat] = tuple(flat[k:k + n] for k in range(0, len(flat), n))
+        return nested
 
     @cached_property
     def _profiles(self) -> dict:
         return {}
 
     @cached_property
-    def _profile_slots(self) -> dict[TriLetter, tuple[int, int]]:
-        return {letter: (self.profile_slot(letter, 0), self.profile_slot(letter, 1))
-                for letter in self.letter_key}
+    def slot_words(self) -> dict[tuple[int, ...], tuple[int, ...]]:
+        """Each word of profile slots met so far, keyed by itself, so that
+        the arrangements of every right factor share one copy of it."""
+        return {}
 
     def profile_slot(self, letter: TriLetter, side: int) -> int:
         """Where a letter counts in the flattened left (side 0) or right
@@ -217,6 +248,22 @@ class TriContext:
         return tuple((str(e["b"]), int(e["r"]), int(e["s"])) for e in obj)
 
 
+def run_key(word) -> tuple:
+    """A sorted word as its runs of equal entries, each an entry and its
+    multiplicity, flattened: sorting canonical orbits by it, on letter
+    indices or on positions in an algebra's letter list, gives the order in
+    which they are enumerated."""
+    out: list[int] = []
+    prev = None
+    for x in word:
+        if x == prev:
+            out[-1] += 1
+        else:
+            out += (x, 1)
+            prev = x
+    return tuple(out)
+
+
 class _LetterProducts(dict):
     """The letter-product table of a `TriContext`, filled on lookup."""
 
@@ -233,5 +280,12 @@ class _LetterProducts(dict):
             index = ctx.index
             terms = tuple([(index[c, r, t], coeff)
                            for c, coeff in ctx.alg.mul_basis(b, b2).items()])
+            # the kernel pairs letters by profile slot, so a nonzero product
+            # must join the right slot of its first letter to the left slot
+            # of its second
+            ends, starts = ctx.slots[1][pair[0]], ctx.slots[0][pair[1]]
+            if terms and ends != starts:
+                raise ValueError(f"nonzero letter product {(b, r, s)} * {(b2, r2, t)} joins "
+                                 f"right profile slot {ends} to left profile slot {starts}")
         self[pair] = terms
         return terms

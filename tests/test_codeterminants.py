@@ -386,13 +386,13 @@ def test_axiom_a_failure_names_its_witness(monkeypatch):
     alg, data, tau = make_algebra("zigzag:1")
     T = build_schur(alg, data, 2, 2, tau)
     doubled = T.codet_basis.keys[7]
-    real = codet.CodetBasis.expansion
+    real = codet.CodetBasis.index_expansion
 
     def broken(self, key):
         out = real(self, key)
         return {o: 2 * c for o, c in out.items()} if key == doubled else out
 
-    monkeypatch.setattr(codet.CodetBasis, "expansion", broken)
+    monkeypatch.setattr(codet.CodetBasis, "index_expansion", broken)
     rep = codet.heredity_of_T(T, sample_b=4)
     block = next(key for key, (_rows, cols) in T.codet_basis._blocks.items() if doubled in cols)
     det = T.codet_basis._change.factor(block).det
@@ -413,13 +413,13 @@ def test_unimodularity_check_takes_determinants_alone(monkeypatch):
     key, (rows, cols) = max(cb._blocks.items(), key=lambda kv: len(kv[1][1]))
     assert len(cols) > 1
     expanded = []
-    real = codet.CodetBasis.expansion
+    real = codet.CodetBasis.index_expansion
 
     def counted(self, col):
         expanded.append(col)
         return real(self, col)
 
-    monkeypatch.setattr(codet.CodetBasis, "expansion", counted)
+    monkeypatch.setattr(codet.CodetBasis, "index_expansion", counted)
     assert cb.unimodular()
     assert len(expanded) == len(set(expanded)) == len(cb.keys) and set(expanded) == set(cb.keys)
     factored = cb._change._factored
@@ -427,7 +427,7 @@ def test_unimodularity_check_takes_determinants_alone(monkeypatch):
     kept = {name for blk in factored.values() for name in blk.__slots__ if hasattr(blk, name)}
     assert kept == {"det", "size"}
 
-    mat = [[real(cb, col).get(orbit, 0) for col in cols] for orbit in rows]
+    mat = [[T.element(real(cb, col)).get(orbit, 0) for col in cols] for orbit in rows]
     x = [(-1) ** j * (j + 1) for j in range(len(cols))]
     v = {orbit: c for orbit, row in zip(rows, mat)
          if (c := sum(m * xj for m, xj in zip(row, x)))}
@@ -450,13 +450,13 @@ def test_axiom_a_names_a_column_that_reaches_another_block(monkeypatch):
     col = cols[0]
     other, (other_rows, _other_cols) = list(blocks.items())[9]
     stray = other_rows[0]
-    real = codet.CodetBasis.expansion
+    real = codet.CodetBasis.index_expansion
 
     def broken(self, k):
         out = real(self, k)
-        return {**out, stray: 1} if k == col else out
+        return {**out, tuple(T.ctx.index[lt] for lt in stray): 1} if k == col else out
 
-    monkeypatch.setattr(codet.CodetBasis, "expansion", broken)
+    monkeypatch.setattr(codet.CodetBasis, "index_expansion", broken)
     rep = codet.heredity_of_T(T, sample_b=4)
     assert rep.failures == [
         f"axiom (a): codeterminant block {key}: column {col} reaches {stray} of block {other}"
@@ -469,7 +469,7 @@ def test_axiom_a_names_an_orbit_no_column_reaches(monkeypatch):
     alg, data, tau = make_algebra("zigzag:1")
     T = build_schur(alg, data, 2, 2, tau)
     cb = T.codet_basis
-    real = codet.CodetBasis.expansion
+    real = codet.CodetBasis.index_expansion
     key, col, lost = next(
         (key, col, orbit)
         for key, (_rows, cols) in cb._blocks.items() if len(cols) > 1
@@ -480,8 +480,9 @@ def test_axiom_a_names_an_orbit_no_column_reaches(monkeypatch):
         out = real(self, k)
         return {o: c for o, c in out.items() if o != lost} if k == col else out
 
-    monkeypatch.setattr(codet.CodetBasis, "expansion", broken)
+    monkeypatch.setattr(codet.CodetBasis, "index_expansion", broken)
     rep = codet.heredity_of_T(T, sample_b=4)
+    lost = T.ctx.word(lost)
     assert rep.failures == [f"axiom (a): codeterminant block {key}: no column reaches its orbit {lost}"]
 
 

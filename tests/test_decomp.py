@@ -95,8 +95,9 @@ def test_oracle_requires_field_and_rows(T122):
 
 def test_oracle_multiplies_only_equal_weight_pairs(monkeypatch):
     """Once the codeterminant blocks are built, the oracle's Gram matrices
-    make at most one product per pair of standard tableaux of equal weight."""
-    from schurify.schur import SchurAlgebra
+    make at most one product per pair of standard tableaux of equal weight,
+    each through the uncached pairing Y_T X_S."""
+    from schurify.codeterminants import CodetBasis
     from schurify.tableaux import tableau_weight
 
     T = _T("zigzag:2", 2, 2)
@@ -107,15 +108,16 @@ def test_oracle_multiplies_only_equal_weight_pairs(monkeypatch):
         for bold in cb.shapes for S in cb.std_x[bold] for Tb in cb.std_y[bold]
     )
     calls = []
-    real = SchurAlgebra.mul
+    real = CodetBasis.pairing
 
-    def counted(self, x, y):
+    def counted(self, S, Tb):
         calls.append(None)
-        return real(self, x, y)
+        return real(self, S, Tb)
 
-    monkeypatch.setattr(SchurAlgebra, "mul", counted)
+    monkeypatch.setattr(CodetBasis, "pairing", counted)
     ch.decomp_oracle(T)
     assert 0 < len(calls) <= pairs
+    assert not T._prod_cache
 
 
 def test_blocks_zigzag_single(T122):

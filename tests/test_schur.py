@@ -8,6 +8,7 @@ from helpers import tensor_eta_product, word_parity
 from schurify.base_algebra import make_algebra
 from schurify.partitions import compositions, gen_multicompositions
 from schurify.schur import build_schur
+from schurify.triples import run_key
 
 
 def test_rank_constants():
@@ -118,7 +119,9 @@ def test_mult_against_tensor_oracle_repeated_letters(spec, n, d):
     assert nonzero >= 20 and weighted, (nonzero, weighted)
 
 
-@pytest.mark.parametrize("spec, truncated", [("zigzag:2", False), ("zigzag:1", True)])
+@pytest.mark.parametrize("spec, truncated", [
+    ("zigzag:2", False), ("zigzag:1", True), ("trivial", False), ("semisimple:2", False),
+])
 def test_letter_products_lift_the_base_product(spec, truncated):
     """The kernel's letter-product table is `mul_basis` lifted to letters:
     (b, r, s)(b', s, t) = sum_c coeff (c, r, t), and 0 when the letters do
@@ -134,6 +137,49 @@ def test_letter_products_lift_the_base_product(spec, truncated):
                 if x[2] == y[1] else {})
         assert got == want, (x, y)
         assert set(got) <= set(T._letters), (x, y)
+
+
+def test_letter_product_across_profile_slots_is_refused(monkeypatch):
+    """The kernel pairs letters by profile slot, so the letter-product table
+    refuses a nonzero product of letters whose slots differ, naming both."""
+    alg, data, tau = make_algebra("zigzag:1")
+    T = build_schur(alg, data, 2, 2, tau)
+    ctx = T.ctx
+    x, y = ("e0", 1, 1), ("e1", 1, 2)
+    assert ctx.profile_slot(x, 1) != ctx.profile_slot(y, 0)
+    real = alg.mul_basis
+    monkeypatch.setattr(alg, "mul_basis",
+                        lambda a, c: {"e0": 1} if (a, c) == ("e0", "e1") else real(a, c))
+    text = (f"nonzero letter product {x} * {y} joins right profile slot "
+            f"{ctx.profile_slot(x, 1)} to left profile slot {ctx.profile_slot(y, 0)}")
+    with pytest.raises(ValueError, match=re.escape(text)):
+        ctx.letter_products[ctx.index[x], ctx.index[y]]
+
+
+@pytest.mark.parametrize("spec, truncated", [("zigzag:2", False), ("zigzag:1", True)])
+def test_uncached_product_against_tensor_oracle(spec, truncated):
+    """The uncached kernel on 200 seeded pairs, every other one with meeting
+    profiles; the others' profiles do not meet, and they multiply to 0."""
+    alg, data, tau = make_algebra(spec)
+    T = build_schur(alg, data, 2, 2, tau)
+    if truncated:
+        T = T.truncate([0])
+    by_left = {}
+    for o in T.orbits:
+        by_left.setdefault(T.profiles(o)[0], []).append(o)
+    rng = random.Random(41)
+    apart = nonzero = 0
+    for k in range(200):
+        a = rng.choice(T.orbits)
+        b = rng.choice(by_left[T.profiles(a)[1]] if k % 2 else T.orbits)
+        prod = T.orbit_product(a, b)
+        assert prod == tensor_eta_product(T, a, b), (a, b)
+        if T.profiles(a)[1] != T.profiles(b)[0]:
+            apart += 1
+            assert prod == {}, (a, b)
+        nonzero += bool(prod)
+    assert apart >= 50 and nonzero >= 40, (apart, nonzero)
+    assert not T._prod_cache
 
 
 def test_non_integral_structure_constant_names_its_words(monkeypatch):
@@ -360,6 +406,24 @@ def test_orbit_key_gives_the_enumeration_order():
         T = build_schur(alg, data, n, d, tau)
         for A in (T, T.truncate(data.labels[:1])):
             assert sorted(A.orbits, key=A.orbit_key) == A.orbits, spec
+
+
+@pytest.mark.parametrize("spec, n, d, truncated", [
+    ("trivial", 3, 3, False), ("zigzag:2", 2, 2, False), ("zigzag:1", 3, 3, True),
+])
+def test_run_key_on_indices_orders_orbits_as_orbit_key(spec, n, d, truncated):
+    """The run-length key of an orbit's index word orders every orbit as
+    `orbit_key` does, on positions in the algebra's own letter list."""
+    alg, data, tau = make_algebra(spec)
+    T = build_schur(alg, data, n, d, tau)
+    if truncated:
+        T = T.truncate([0])
+        assert len(T._letters) < len(T.ctx.letters)
+    orbits = list(T.orbits)
+    random.Random(3).shuffle(orbits)
+    index = T.ctx.index
+    by_index = sorted(orbits, key=lambda o: run_key([index[lt] for lt in o]))
+    assert by_index == sorted(orbits, key=T.orbit_key) == T.orbits
 
 
 def test_eta_checks_membership_from_the_word(T122):
