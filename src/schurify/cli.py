@@ -77,17 +77,24 @@ class RunConfig:
 
 
 def _read_config_file(path: str) -> dict:
-    """KEY=VALUE per line; blank lines and #-comments ignored."""
+    """KEY=VALUE per line of UTF-8 text; blank lines and #-comments ignored.
+    A file that cannot be read is a usage error naming it."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+    except OSError as exc:
+        raise click.UsageError(f"cannot read --config {path!r}: {exc.strerror}") from None
+    except UnicodeDecodeError:
+        raise click.UsageError(f"--config {path!r} is not UTF-8 text") from None
     out = {}
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise click.UsageError(f"bad config line: {line!r}")
-            k, v = line.split("=", 1)
-            out[k.strip()] = v.strip()
+    for line in lines:
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise click.UsageError(f"bad config line: {line!r}")
+        k, v = line.split("=", 1)
+        out[k.strip()] = v.strip()
     return out
 
 
@@ -164,8 +171,11 @@ def _emit(cfg: RunConfig, payload, csv_rows=None) -> None:
     else:
         text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
     if cfg.output:
-        with open(cfg.output, "w") as fh:
-            fh.write(text)
+        try:
+            with open(cfg.output, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise click.UsageError(f"cannot write --output {cfg.output!r}: {exc.strerror}") from None
     else:
         click.echo(text, nl=False)
 

@@ -15,20 +15,28 @@ express arbitrary elements in that basis:
     blocked by the conserved (left profile, right profile, degree, parity).
     A block is built from its columns alone: the standard codeterminants
     whose tableau shares add up to its key, expanded on letter indices by
-    the product kernel without the product cache, from each tableau's
-    kernel-ready factor, and as rows the orbits those expansions reach, each
-    checked through the per-index tables to be an orbit of T carrying the
-    key.  Rows are sorted on indices and become `TriWord`s once each.
+    the product kernel without the product cache, from the kernel factor
+    each tableau's share keeps, and as rows the orbits those expansions
+    reach, labelled by their words of letter indices, each checked by one
+    sum over a per-letter table to be an orbit of T carrying the key.
     Neither the unimodularity check nor a solve lists orbits.
+
+The heredity check runs on index words too: its products go through the
+product kernel and its solves take index words.  A codeterminant key is made
+only for a solve's result or a failure message, and a `TriWord` only at the
+boundary: an Element given to `CodetBasis.solve`, an orbit a witness names,
+and the `_blocks` view.
 
 All expansions are integral; any non-integral coefficient aborts loudly.
 """
 from __future__ import annotations
 
-from collections.abc import Mapping
+from collections.abc import Callable, Mapping
 from dataclasses import dataclass, field
 from functools import cache, cached_property
 from itertools import islice
+from operator import mul
+from typing import NamedTuple
 
 from .base_algebra import SIDES, X_SIDE, Y_SIDE, Side
 from .exactla import BlockedBasis
@@ -157,6 +165,30 @@ def orbit_to_codet(T: SchurAlgebra, orbit: TriWord) -> tuple[CodetKey, int]:
 # the standard codeterminant basis
 # ---------------------------------------------------------------------------
 
+class _Share(NamedTuple):
+    """A standard tableau as a factor of the codeterminant walk: its shape,
+    and its orbit element as a factor of the product kernel with its sign,
+    X_S as a left factor and Y_T as a right one."""
+
+    tab: Tableau
+    bold: tuple
+    factor: tuple
+    sign: int
+
+
+class _OnLookup(dict):
+    """A dict that makes the value of a missing key by `make(key)` and
+    keeps it."""
+
+    def __init__(self, make: Callable):
+        super().__init__()
+        self.make = make
+
+    def __missing__(self, key):
+        value = self[key] = self.make(key)
+        return value
+
+
 @dataclass
 class CodetBasis:
     """Standard codeterminants of T, their expansions, and the blocked change
@@ -164,7 +196,6 @@ class CodetBasis:
 
     T: SchurAlgebra
     _side_elements: dict = field(default_factory=dict, init=False, repr=False)
-    _factors: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         # below n = d the standard codeterminants stop spanning; only the
@@ -220,40 +251,42 @@ class CodetBasis:
             self._side_elements[key] = side_element(self.T, tab, side)
         return self._side_elements[key]
 
-    def _factor(self, tab: Tableau, side: Side, left: bool) -> tuple:
-        """X_S or Y_T ready for the product kernel, made on first use: its
-        single orbit read by `SchurAlgebra._left` as the left factor of a
-        product (`left`) or by `_right` as the right one, and its sign."""
-        key = (side.name, tab, left)
-        factor = self._factors.get(key)
-        if factor is None:
-            (orbit, sign), = self.side_element(tab, side).items()
-            factor = self._factors[key] = (self.T._left if left else self.T._right)(orbit), sign
-        return factor
+    def index_word(self, tab: Tableau, side: Side) -> tuple[tuple[int, ...], int]:
+        """X_S or Y_T as the index word of its one orbit, and its sign."""
+        (orbit, sign), = self.side_element(tab, side).items()
+        return tuple(map(self.T.ctx.index.__getitem__, orbit)), sign
+
+    def kernel_factor(self, tab: Tableau, side: Side, left: bool) -> tuple:
+        """X_S or Y_T made afresh as the left factor of the product kernel
+        (`left`) or as the right one, and its sign."""
+        word, sign = self.index_word(tab, side)
+        return (self.T.left_factor if left else self.T.right_factor)(word), sign
+
+    def _expand(self, x: _Share, y: _Share) -> dict[tuple[int, ...], int]:
+        """X_S * Y_T keyed by words of letter indices, from the shares of S
+        and T, multiplied without the product cache: an expansion is used
+        once, to build its column."""
+        return self.T.product_terms(x.factor, y.factor, x.sign * y.sign)
 
     def index_expansion(self, key: CodetKey) -> dict[tuple[int, ...], int]:
-        """X_S * Y_T keyed by words of letter indices, multiplied without the
-        product cache: an expansion is used once, to build its column."""
-        _bold, S, Tb = key
-        (x, sx), (y, sy) = self._factor(S, X_SIDE, True), self._factor(Tb, Y_SIDE, False)
-        return self.T.product_terms(x, y, sx * sy)
+        """X_S * Y_T keyed by words of letter indices, from factors made
+        afresh."""
+        bold, S, Tb = key
+        return self._expand(_Share(S, bold, *self.kernel_factor(S, X_SIDE, True)),
+                            _Share(Tb, bold, *self.kernel_factor(Tb, Y_SIDE, False)))
 
     def expansion(self, key: CodetKey) -> Element:
         """X_S * Y_T as an Element."""
         return self.T.element(self.index_expansion(key))
 
-    def pairing(self, S: Tableau, Tb: Tableau) -> Element:
-        """Y_T * X_S, multiplied without the product cache: a Gram matrix
-        reads each such product once."""
-        (y, sy), (x, sx) = self._factor(Tb, Y_SIDE, True), self._factor(S, X_SIDE, False)
-        return self.T.element(self.T.product_terms(y, x, sy * sx))
+    def pairing(self, y: tuple, x: tuple) -> dict[tuple[int, ...], int]:
+        """Y_T * X_S keyed by words of letter indices, from Y_T as a left
+        factor and X_S as a right one (`kernel_factor`), multiplied without
+        the product cache: a Gram matrix reads each such product once."""
+        (left, sy), (right, sx) = y, x
+        return self.T.product_terms(left, right, sy * sx)
 
     # -- blocked change of basis ------------------------------------------
-    def _orbit_block(self, orbit: TriWord) -> tuple:
-        """The block key (alpha, beta, degree, parity mod 2) of an orbit."""
-        index = self.T.ctx.index
-        return self.T.ctx.block_key([index[lt] for lt in orbit])
-
     def _tableau_block(self, tab: Tableau, side: Side) -> tuple:
         """One tableau's share of a block key: (weight, degree, parity)."""
         zs = [z for (_l, z) in tableau_word(tab)]
@@ -270,72 +303,135 @@ class CodetBasis:
 
     @cached_property
     def _shares(self) -> tuple[dict, dict]:
-        """The standard tableaux of `_tableau_blocks` indexed by their share,
-        in their order: weight -> [(shape, [(S, degree, parity)])] on the X
-        side, (shape, weight, degree, parity mod 2) -> [T] on the Y side."""
-        xs_of: dict = {}
-        ys_of: dict = {}
-        for bold, (xs, ys) in self._tableau_blocks.items():
-            for S, (weight, deg, par) in xs:
-                by_shape = xs_of.setdefault(weight, [])
-                if not by_shape or by_shape[-1][0] != bold:
-                    by_shape.append((bold, []))
-                by_shape[-1][1].append((S, deg, par))
-            for Tb, (weight, deg, par) in ys:
-                ys_of.setdefault((bold, weight, deg, par % 2), []).append(Tb)
-        return xs_of, ys_of
+        """The standard tableaux indexed by their share of the block keys,
+        each with its kernel factor (`_Share`), made on the first lookup of
+        its weight: weight -> [(shape index, degree, parity mod 2, share of
+        S)] on the X side, in the order of `keys`, and weight -> (shape
+        index, degree, parity mod 2) -> [share of T] on the Y side."""
+        entries: tuple[dict, dict] = ({}, {})
+        for k, (bold, shares) in enumerate(self._tableau_blocks.items()):
+            for by_weight, tabs in zip(entries, shares):
+                for tab, (weight, deg, par) in tabs:
+                    by_weight.setdefault(weight, []).append((k, deg, par % 2, tab, bold))
 
-    def _columns(self, key) -> list[CodetKey]:
+        def xs(weight) -> list:
+            return [(k, deg, par, _Share(tab, bold, *self.kernel_factor(tab, X_SIDE, True)))
+                    for k, deg, par, tab, bold in entries[0].get(weight, ())]
+
+        def ys(weight) -> dict:
+            out: dict = {}
+            for k, deg, par, tab, bold in entries[1].get(weight, ()):
+                share = _Share(tab, bold, *self.kernel_factor(tab, Y_SIDE, False))
+                out.setdefault((k, deg, par), []).append(share)
+            return out
+
+        return _OnLookup(xs), _OnLookup(ys)
+
+    def _columns(self, key) -> list[tuple[_Share, _Share]]:
         """The standard codeterminants whose tableau shares add up to the
-        block key (alpha, beta, degree, parity), in the order of `keys`."""
+        block key (alpha, beta, degree, parity), as pairs of shares, in the
+        order of `keys`."""
         alpha, beta, deg, par = key
         xs_of, ys_of = self._shares
-        cols = []
-        for bold, xs in xs_of.get(alpha, ()):
-            for S, dx, px in xs:
-                right = ys_of.get((bold, beta, deg - dx, (par - px) % 2))
+        ys = ys_of[beta]
+        cols: list = []
+        if ys:
+            for k, dx, px, x in xs_of[alpha]:
+                right = ys.get((k, deg - dx, (par - px) % 2))
                 if right:
-                    cols.extend((bold, S, Tb) for Tb in right)
+                    cols += [(x, y) for y in right]
         return cols
 
+    @cached_property
+    def _digits(self) -> tuple[int, ...]:
+        """B^k for B = d + 1 and k = 0, ..., 2m + 2, m the profile slots a
+        side: the digits of `_letter_codes`."""
+        m = len(self.T.data.labels) * self.T.n
+        return tuple((self.T.d + 1) ** k for k in range(2 * m + 3))
+
+    @cached_property
+    def _letter_codes(self) -> tuple[int, ...]:
+        """Per letter index, its share of a row's block key packed into one
+        int, in digits of base B = d + 1 for m profile slots a side: B^l for
+        its left slot l, B^(m + r) for its right slot r, B^(2m) when it is
+        no letter of T, B^(2m + 1) when it is odd, and its degree times
+        B^(2m + 2).  A word of d letters counts at most d in each digit, so
+        the sum of its codes spells exactly its two profiles, how many of
+        its letters are outside T, how many are odd, and its degree."""
+        T, digits = self.T, self._digits
+        ctx, m = T.ctx, len(digits) // 2 - 1
+        left, right = ctx.slots
+        return tuple(digits[left[i]] + digits[m + right[i]] + (not T._has_index[i]) * digits[2 * m]
+                     + ctx.odd[i] * digits[2 * m + 1] + ctx.degree[i] * digits[2 * m + 2]
+                     for i in range(len(ctx.letters)))
+
+    def _row_codes(self, key) -> tuple[int, frozenset[int]]:
+        """The sums of `_letter_codes` over the orbits of T with block key
+        `key`, as a part and the set of what may be added to it: its
+        profiles and degree, no letter outside T, and any number of odd
+        letters up to d of its parity."""
+        alpha, beta, deg, par = key
+        digits, codes = self._digits, self._profile_codes
+        fixed = codes[alpha] + codes[beta] * digits[len(digits) // 2 - 1] + deg * digits[-1]
+        return fixed, self._odd_codes[par]
+
+    @cached_property
+    def _profile_codes(self) -> dict:
+        """profile -> its digits in the base of `_letter_codes`, made on first
+        lookup."""
+        digits = self._digits
+        return _OnLookup(lambda profile: sum(map(mul, [c for comp in profile for c in comp], digits)))
+
+    @cached_property
+    def _odd_codes(self) -> tuple[frozenset[int], frozenset[int]]:
+        """Per parity, the codes of the numbers of odd letters up to d of
+        that parity."""
+        odd = self._digits[-2]
+        return tuple(frozenset(k * odd for k in range(par, self.T.d + 1, 2)) for par in (0, 1))
+
     def _block(self, key) -> tuple[list, list, list]:
-        """A block's rows, its columns and their expansions over the rows'
-        positions, from the columns alone.  The rows are the orbits that the
-        columns' index-word expansions reach.  Each is checked through the
-        per-index tables to be an orbit of T with block key `key`
-        (`TriContext.block_key`).  They are sorted by `run_key`, the order of
-        `T.orbits`, and each becomes a `TriWord` once.  When they are fewer
-        than the columns, an orbit under `key` that no column reaches is
-        named; only then are the block's orbits listed."""
+        """A block's rows, its columns and their expansions over the rows,
+        from the columns alone.  The columns are pairs of tableau shares
+        (`_columns`), expanded on index words by `_expand`.  The rows are the
+        index words those expansions reach, each checked to be an orbit of T
+        (`SchurAlgebra._has_index`) with block key `key` by one sum over the
+        per-letter table `_letter_codes`, and sorted by `run_key`, the order
+        of `T.orbits`.  When they are fewer than the columns, an orbit
+        under `key` that no column reaches is named; only then are the
+        block's orbits listed."""
         T = self.T
-        ctx = T.ctx
         cols = self._columns(key)
-        expansions = [self.index_expansion(col) for col in cols]
-        has_index, block_key = T._has_index, ctx.block_key
+        expand = self._expand
+        expansions = [expand(x, y) for x, y in cols]
         reached: set = set()
-        for col, v in zip(cols, expansions):
-            for w in v:
-                if w in reached:
-                    continue
-                reached.add(w)
-                if not all(map(has_index.__getitem__, w)):
-                    raise AssertionError(f"codeterminant block {key}: column {col} "
-                                         f"reaches {ctx.word(w)}, which is not an orbit of T")
-                other = block_key(w)
-                if other != key:
-                    raise AssertionError(f"codeterminant block {key}: column {col} "
-                                         f"reaches {ctx.word(w)} of block {other}")
+        for v in expansions:
+            reached.update(v)
+        code, (fixed, odd) = self._letter_codes.__getitem__, self._row_codes(key)
+        stray = {w for w in reached if sum(map(code, w)) - fixed not in odd}
+        if stray:
+            self._name_stray(key, cols, expansions, stray)
         if len(reached) < len(cols):
-            index = ctx.index
+            index, block_key = T.ctx.index, T.ctx.block_key
             for orbit in T.orbits_with_profile(0, key[0]):
-                if (tuple([index[lt] for lt in orbit]) not in reached
-                        and self._orbit_block(orbit) == key):
+                w = tuple([index[lt] for lt in orbit])
+                if w not in reached and block_key(w) == key:
                     raise AssertionError(f"codeterminant block {key}: "
                                          f"no column reaches its orbit {orbit}")
-        order = sorted(reached, key=run_key)
-        pos = {w: k for k, w in enumerate(order)}
-        return ([ctx.word(w) for w in order], cols,
-                [{pos[w]: c for w, c in v.items()} for v in expansions])
+        return sorted(reached, key=run_key), cols, expansions
+
+    def _name_stray(self, key, cols, expansions, stray) -> None:
+        """Raise for the first row of `stray` in the order the columns reach
+        their rows, naming the first column that reaches it."""
+        ctx = self.T.ctx
+        for (x, y), v in zip(cols, expansions):
+            for w in v:
+                if w in stray:
+                    col = (x.bold, x.tab, y.tab)
+                    if not all(map(self.T._has_index.__getitem__, w)):
+                        raise AssertionError(f"codeterminant block {key}: column {col} reaches "
+                                             f"{ctx.word(w)}, which is not an orbit of T")
+                    raise AssertionError(f"codeterminant block {key}: column {col} "
+                                         f"reaches {ctx.word(w)} of block {ctx.block_key(w)}")
 
     @cached_property
     def _blocks(self) -> Mapping:
@@ -356,15 +452,21 @@ class CodetBasis:
     def non_unimodular_block(self) -> tuple | None:
         return self._change.non_unimodular_block()
 
+    def solve_terms(self, terms: Mapping[tuple[int, ...], int]) -> dict[CodetKey, int]:
+        """Expand an integral combination of orbits, keyed by words of letter
+        indices, in the standard codeterminant basis."""
+        return self._change.solve_integral(terms)
+
     def solve(self, x: Element) -> dict[CodetKey, int]:
         """Expand an integral element in the standard codeterminant basis."""
-        return self._change.solve_integral(x)
+        index = self.T.ctx.index
+        return self.solve_terms({tuple([index[lt] for lt in orbit]): c for orbit, c in x.items()})
 
 
 class _CodetBlocks(Mapping):
-    """The blocks of a `CodetBasis` as block key -> (rows, columns).  The
-    keys are listed on first use, from the tableau shares; a value is built
-    on each lookup."""
+    """The blocks of a `CodetBasis` as block key -> (orbits, codeterminant
+    keys).  The keys are listed on first use, from the tableau shares; a
+    value is built on each lookup."""
 
     def __init__(self, cb: CodetBasis):
         self.cb = cb
@@ -382,7 +484,8 @@ class _CodetBlocks(Mapping):
     def __getitem__(self, key):
         if key not in self._keys:
             raise KeyError(key)
-        return self.cb._block(key)[:2]
+        rows, cols, _expansions = self.cb._block(key)
+        return [self.cb.T.ctx.word(w) for w in rows], [(x.bold, x.tab, y.tab) for x, y in cols]
 
     def __iter__(self):
         return iter(self._keys)
@@ -392,17 +495,25 @@ class _CodetBlocks(Mapping):
 
 
 class _CodetChange(BlockedBasis):
-    """The codeterminant change of basis.  A block's rows come from its
-    columns' expansions, so `columns` makes both in one pass
-    (`CodetBasis._block`) rather than expanding twice; a key outside the
+    """The codeterminant change of basis, on words of letter indices.  A
+    block's rows come from its columns' expansions, so `columns` makes both
+    in one pass (`CodetBasis._block`) rather than expanding twice, and turns
+    the columns into codeterminant keys only for a solve; a key outside the
     blocks with columns gets an empty block, which holds no row."""
 
     def __init__(self, cb: CodetBasis):
-        super().__init__("codeterminant block", cb._blocks, cb._orbit_block, cb.expansion)
+        super().__init__("codeterminant block", cb._blocks, cb.T.ctx.block_key,
+                         cb.index_expansion)
         self.cb = cb
 
-    def columns(self, key):
-        return self.cb._block(key)
+    def columns(self, key, solver: bool = False):
+        rows, cols, expansions = self.cb._block(key)
+        if solver:
+            cols = [(x.bold, x.tab, y.tab) for x, y in cols]
+        return rows, cols, expansions
+
+    def row_label(self, row):
+        return self.cb.T.ctx.word(row)
 
 
 # ---------------------------------------------------------------------------
@@ -624,13 +735,24 @@ def heredity_of_T(T: SchurAlgebra, sample_b: int | None = None) -> SchurHeredity
         return compare(mu, lam) == "GT"
 
     # axiom (c): idempotent absorption against X and Y elements
-    def padded(bold):
-        return tuple(tuple(c) + (0,) * (T.n - len(c)) for c in bold)
+    padded = {bold: tuple(tuple(c) + (0,) * (T.n - len(c)) for c in bold) for bold in cb.shapes}
 
     def name(side: Side) -> str:
         return f"{side.name}_{side.pick('S', 'T')}"
 
-    idem = {bold: T.idempotent_bold(bold) for bold in cb.shapes}
+    # the products run on index words through the product kernel, each
+    # factor one orbit as (left factor, right factor, coefficient)
+    def factors(word, c) -> tuple:
+        return T.left_factor(word), T.right_factor(word), c
+
+    def times(a, b) -> dict:
+        return T.product_terms(a[0], b[1], a[2] * b[2])
+
+    index = T.ctx.index
+    idem = {}
+    for bold in cb.shapes:
+        (orbit, c), = T.idempotent_bold(bold).items()
+        idem[bold] = factors(tuple([index[lt] for lt in orbit]), c)
     ok_c = True
     for bold in cb.shapes:
         for side in SIDES:
@@ -640,19 +762,20 @@ def heredity_of_T(T: SchurAlgebra, sample_b: int | None = None) -> SchurHeredity
                                      for a, b in ((nm, "e"), ("e", nm), ("e_mu", nm)))
             initial = side.pick(*cb.initial_tableau_pair(bold))
             for tab in cb.std(side)[bold]:
-                elt = cb.side_element(tab, side)
+                word, sign = cb.index_word(tab, side)
+                elt, terms = factors(word, sign), {word: sign}
                 witness = f"{side.pick('S', 'T')} = {tab}"
-                if T.mul(*side.orient(elt, idem[bold])) != elt:
+                if times(*side.orient(elt, idem[bold])) != terms:
                     ok_c = False
                     failures.append(f"axiom (c): {elt_e} != {nm} at {bold}: {witness}")
-                want = elt if tab == initial else {}
-                if T.mul(*side.orient(idem[bold], elt)) != want:
+                want = terms if tab == initial else {}
+                if times(*side.orient(idem[bold], elt)) != want:
                     ok_c = False
                     failures.append(f"axiom (c): {e_elt} wrong at {bold}: {witness}")
                 weight = tableau_weight(tab, T.ctx.alphabet(side))
                 for bold2 in cb.shapes:
-                    want = elt if padded(bold2) == weight else {}
-                    if T.mul(*side.orient(idem[bold2], elt)) != want:
+                    want = terms if padded[bold2] == weight else {}
+                    if times(*side.orient(idem[bold2], elt)) != want:
                         ok_c = False
                         failures.append(f"axiom (c): {emu_elt} not diagonal at {bold}: "
                                         f"{witness}, mu = {bold2}")
@@ -660,13 +783,16 @@ def heredity_of_T(T: SchurAlgebra, sample_b: int | None = None) -> SchurHeredity
         checked.append("axiom (c): idempotent absorption")
 
     # axiom (b): products land in X (resp. Y) span modulo strictly greater shapes.
-    # An orbit a meets X_S on its right profile and Y_T on its left profile.
+    # An orbit a meets X_S on its right profile and Y_T on its left profile;
+    # a * X_S takes a as a left factor, Y_T * a as a right one.
     meeting: dict = {}
 
     def candidates(side: Side, weight) -> list:
         if (side, weight) not in meeting:
             orbits = T.orbits_with_profile(side.pick(1, 0), weight)
-            meeting[side, weight] = list(islice(orbits, sample_b))
+            factor = side.pick(T.left_factor, T.right_factor)
+            meeting[side, weight] = [(orbit, factor(tuple([index[lt] for lt in orbit])))
+                                     for orbit in islice(orbits, sample_b)]
         return meeting[side, weight]
 
     ok_b = True
@@ -674,12 +800,12 @@ def heredity_of_T(T: SchurAlgebra, sample_b: int | None = None) -> SchurHeredity
         for side in SIDES:
             other_initial = side.orient(*cb.initial_tableau_pair(bold))[1]
             for tab in cb.std(side)[bold]:
-                elt = cb.side_element(tab, side)
-                for orbit in candidates(side, tableau_weight(tab, T.ctx.alphabet(side))):
-                    prod = T.mul(*side.orient({orbit: 1}, elt))
+                own, sign = cb.kernel_factor(tab, side, side.pick(False, True))
+                for orbit, a in candidates(side, tableau_weight(tab, T.ctx.alphabet(side))):
+                    prod = T.product_terms(*side.orient(a, own), sign)
                     if not prod:
                         continue
-                    for key in cb.solve(prod):
+                    for key in cb.solve_terms(prod):
                         mu, *pair = key
                         if strictly_greater(mu, bold):
                             continue
@@ -709,19 +835,22 @@ def gram_blocks(T: SchurAlgebra, bold) -> dict[tuple, list[list[int]]]:
     the row's and the same parity, in the order of `std_y`.  Only pairs of
     equal weight are multiplied, each once by `CodetBasis.pairing`, without
     the product cache: the profiles of the others do not meet.  Among those,
-    a nonzero entry outside the block is an error."""
+    a nonzero entry outside the block is an error.  Each X_S is made a right
+    factor for its own row and dropped after it."""
     cb = T.codet_basis
     xs, ys = cb._tableau_blocks[bold]
     unit_key = (bold, *cb.initial_tableau_pair(bold))
     ys_of: dict = {}
     for Tb, (weight, deg, par) in ys:
-        ys_of.setdefault(weight, []).append((Tb, deg, par % 2))
+        ys_of.setdefault(weight, []).append((Tb, cb.kernel_factor(Tb, Y_SIDE, True), deg, par % 2))
     blocks: dict = {}
     for S, (weight, deg, par) in xs:
         row = []
-        for Tb, dy, py in ys_of.get(weight, ()):
-            prod = cb.pairing(S, Tb)
-            c = cb.solve(prod).get(unit_key, 0) if prod else 0
+        same_weight = ys_of.get(weight, ())
+        x = cb.kernel_factor(S, X_SIDE, False) if same_weight else None
+        for Tb, y, dy, py in same_weight:
+            prod = cb.pairing(y, x)
+            c = cb.solve_terms(prod).get(unit_key, 0) if prod else 0
             if dy == -deg and py == par % 2:
                 row.append(c)
             elif c:

@@ -8,10 +8,11 @@ the determinant up to the sign it tracks, and its pivots count the rank;
 `rank` gives that rank over Q or F_p.
 
 A change of basis is given by its columns, each a sparse integer expansion
-over row labels, grouped into square blocks by a key that rows and columns
-both conserve.  `BlockedBasis` checks a block by its determinant alone and
-keeps nothing else of it; the first solve that meets the block eliminates it
-again and keeps a record of the row operations.  A sparse vector is then
+over row labels (any hashable, such as words of letter indices), grouped
+into square blocks by a key that rows and columns both conserve.
+`BlockedBasis` checks a block by its determinant alone and keeps nothing
+else of it; the first solve that meets the block eliminates it again and
+keeps a record of the row operations.  A sparse vector is then
 expanded in the columns by replaying that record on it and substituting
 back, in integers scaled by the last pivot, and dividing exactly by it.
 """
@@ -120,20 +121,21 @@ def rank(mat: Sequence[Sequence[int]], ring: CoefficientRing) -> int:
 
 class _Block:
     """One square block M, eliminated once from its columns' expansions, each
-    a sparse vector over the positions of `rows`.  `det` is its determinant
-    (0 when singular) and `size` its order; with `solver`, it keeps its
-    columns, the place of each row and the record of the elimination, from
-    which `solve` expands a vector in its columns."""
+    a sparse vector over `rows`.  `det` is its determinant (0 when singular)
+    and `size` its order; with `solver`, it keeps its columns, the place of
+    each row and the record of the elimination, from which `solve` expands a
+    vector in its columns."""
 
     __slots__ = ("det", "size", "cols", "ridx", "steps")
 
-    def __init__(self, rows: Sequence, cols: Sequence, expansions: Iterable[Mapping[int, int]],
+    def __init__(self, rows: Sequence, cols: Sequence, expansions: Iterable[Mapping],
                  solver: bool = False):
+        ridx = {r: k for k, r in enumerate(rows)}
         mat: list[dict[int, int]] = [{} for _ in rows]
         for j, v in enumerate(expansions):
-            for k, c in v.items():
+            for r, c in v.items():
                 if c:
-                    mat[k][j] = c
+                    mat[ridx[r]][j] = c
         steps = [] if solver else None
         pivots, last, sign = _eliminate(mat, None, steps)
         n = self.size = len(rows)
@@ -143,7 +145,7 @@ class _Block:
             # has the sign of the two permutations together
             self.det = sign * last * _parity(dict(pivots))
         if solver:
-            self.cols, self.ridx, self.steps = list(cols), {r: k for k, r in enumerate(rows)}, steps
+            self.cols, self.ridx, self.steps = list(cols), ridx, steps
 
     def solve(self, v: Mapping) -> list[int]:
         """det * M^-1 v for a nonsingular block: one integer per column.
@@ -181,8 +183,9 @@ class BlockedBasis:
     unimodularity check keeps only each block's determinant and order; the
     first solve that meets a block builds it again and keeps what a solve
     needs.  A block that is not square or is singular raises AssertionError.
-    `columns` gives a block's rows, columns and expansions over the rows'
-    positions; a subclass may derive the rows from the expansions.
+    `columns` gives a block's rows, columns and expansions over the rows; a
+    subclass may derive the rows from the expansions, and name a row in its
+    messages by `row_label`.
     """
 
     def __init__(self, name: str, blocks: Mapping[Hashable, tuple[Sequence, Sequence]],
@@ -194,19 +197,23 @@ class BlockedBasis:
         self.expansion = expansion
         self._factored: dict = {}
 
-    def columns(self, key) -> tuple[Sequence, Sequence, Iterable[Mapping[int, int]]]:
+    def columns(self, key, solver: bool = False) -> tuple[Sequence, Sequence, Iterable[Mapping]]:
         """The rows and columns of a block, and the columns' expansions as
-        sparse vectors over the positions of the rows."""
+        sparse vectors over the rows.  The columns are the labels a solve
+        returns when `solver` is set; otherwise only their number is read."""
         rows, cols = self.blocks[key]
-        ridx = {r: k for k, r in enumerate(rows)}
-        return rows, cols, ({ridx[r]: c for r, c in self.expansion(col).items()} for col in cols)
+        return rows, cols, (self.expansion(col) for col in cols)
+
+    def row_label(self, row):
+        """A row as error messages name it."""
+        return row
 
     def factor(self, key, solver: bool = False) -> _Block:
         """The block of `key` with its determinant, built on first use; with
         `solver`, with what a solve needs too."""
         blk = self._factored.get(key)
         if blk is None or solver and not hasattr(blk, "steps"):
-            rows, cols, expansions = self.columns(key)
+            rows, cols, expansions = self.columns(key, solver)
             if len(rows) != len(cols):
                 raise AssertionError(
                     f"{self.name} {key} is not square: {len(cols)} columns vs {len(rows)} rows"
@@ -242,7 +249,7 @@ class BlockedBasis:
             blk = self.factor(key, solver=True)
             for r in part:
                 if r not in blk.ridx:
-                    raise AssertionError(f"{r} is not a row of {self.name} {key}")
+                    raise AssertionError(f"{self.row_label(r)} is not a row of {self.name} {key}")
             for col, num in zip(blk.cols, blk.solve(part)):
                 coeff, rem = divmod(num, blk.det)
                 if rem:

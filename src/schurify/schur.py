@@ -19,7 +19,9 @@ The kernel, `product_terms`, works on letter indices (places in
 multiply through the context's letter-product table, a word is sorted with
 its sign by `TriContext.sort_signed`, and the terms it returns are keyed by
 index words.  `orbit_product` and `mult_orbits` turn them into `TriWord`s,
-the keys of Elements; the codeterminant walk keeps them on indices.
+the keys of Elements; the codeterminant walk, the heredity check and the
+Gram matrices keep them on indices, from factors made by `left_factor` and
+`right_factor` without the caches.
 
 All structure constants are integral on the eta lattice; a non-integral
 coefficient aborts loudly (it would signal an implementation bug).
@@ -144,40 +146,45 @@ class SchurAlgebra:
         return self._profile_cache[orbit]
 
     def _left(self, orbit: TriWord) -> tuple:
-        """A left factor read as its one arrangement: its index word, a mask
-        of the places before each of its odd letters, its word of right
-        profile slots and [o1]_a."""
+        """`left_factor` of an orbit, cached."""
         if orbit not in self._left_cache:
-            ctx = self.ctx
-            odd = ctx.odd
-            word = tuple(map(ctx.index.__getitem__, orbit))
-            self._left_cache[orbit] = (
-                word, tuple([(1 << k) - 1 for k, i in enumerate(word) if odd[i]]),
-                tuple(map(ctx.slots[1].__getitem__, word)), ctx.run_factorial(word, "a"))
+            self._left_cache[orbit] = self.left_factor(tuple(map(self.ctx.index.__getitem__, orbit)))
         return self._left_cache[orbit]
 
     def _right(self, orbit: TriWord) -> tuple:
-        """A right factor: its index word, its arrangements grouped by their
-        word of left profile slots, each as (index word, sign, bitmask of
-        its odd places), and [o2]_c."""
+        """`right_factor` of an orbit, cached."""
         if orbit not in self._right_cache:
-            ctx = self.ctx
-            sort_signed = ctx.sort_signed
-            word = tuple(map(ctx.index.__getitem__, orbit))
-            slot, odd, slot_words = ctx.slots[0], ctx.odd, ctx.slot_words
-            by: dict[tuple[int, ...], list[tuple[tuple[int, ...], int, int]]] = {}
-            for w in set(permutations(word)):
-                mask = 0
-                for k, i in enumerate(w):
-                    if odd[i]:
-                        mask |= 1 << k
-                # a word with fewer than two odd letters has no odd inversion
-                sign = sort_signed(w)[1] if mask & (mask - 1) else 1
-                key = tuple(map(slot.__getitem__, w))
-                by.setdefault(slot_words.setdefault(key, key), []).append((w, sign, mask))
-            self._right_cache[orbit] = (word, {k: tuple(v) for k, v in by.items()},
-                                        ctx.run_factorial(word, "c"))
+            self._right_cache[orbit] = self.right_factor(tuple(map(self.ctx.index.__getitem__, orbit)))
         return self._right_cache[orbit]
+
+    def left_factor(self, word: tuple[int, ...]) -> tuple:
+        """A left factor of `product_terms`, made afresh from its canonical
+        index word: the word, a mask of the places before each of its odd
+        letters, its word of right profile slots and [o1]_a."""
+        ctx = self.ctx
+        odd = ctx.odd
+        return (word, tuple([(1 << k) - 1 for k, i in enumerate(word) if odd[i]]),
+                tuple(map(ctx.slots[1].__getitem__, word)), ctx.run_factorial(word, "a"))
+
+    def right_factor(self, word: tuple[int, ...]) -> tuple:
+        """A right factor of `product_terms`, made afresh from its canonical
+        index word: the word, its arrangements grouped by their word of left
+        profile slots, each as (index word, sign, bitmask of its odd places),
+        and [o2]_c."""
+        ctx = self.ctx
+        sort_signed = ctx.sort_signed
+        slot, odd, slot_words = ctx.slots[0], ctx.odd, ctx.slot_words
+        by: dict[tuple[int, ...], list[tuple[tuple[int, ...], int, int]]] = {}
+        for w in set(permutations(word)):
+            mask = 0
+            for k, i in enumerate(w):
+                if odd[i]:
+                    mask |= 1 << k
+            # a word with fewer than two odd letters has no odd inversion
+            sign = sort_signed(w)[1] if mask & (mask - 1) else 1
+            key = tuple(map(slot.__getitem__, w))
+            by.setdefault(slot_words.setdefault(key, key), []).append((w, sign, mask))
+        return word, {k: tuple(v) for k, v in by.items()}, ctx.run_factorial(word, "c")
 
     # -- multiplication ----------------------------------------------------
     def mult_orbits(self, o1: TriWord, o2: TriWord) -> Element:
@@ -202,8 +209,8 @@ class SchurAlgebra:
 
     def product_terms(self, left: tuple, right: tuple, sign: int = 1) -> dict[tuple[int, ...], int]:
         """The product kernel: sign * eta_{o1} * eta_{o2}, for o1 read by
-        `_left` and o2 by `_right`, keyed by canonical words of letter
-        indices.
+        `left_factor` and o2 by `right_factor`, keyed by canonical words of
+        letter indices.
 
         o1 must be canonical: it is the one arrangement c1 of the left factor
         used.  With c_w the coefficient of the pure tensor e_w in

@@ -24,13 +24,20 @@
   pairs; both place a tableau by its own `tableau_weight` and
   `tableau_degree`, where production multiplies only pairs of equal weight
   and reads each tableau's share off the codeterminant block keys.
+- heredity_oracle: the checks of `heredity_of_T`, in its order and with its
+  failure texts, with every product taken by `tensor_eta_product`, the
+  blocks of `eager_codet_blocks` as dense matrices, determinants and solves
+  by `lu_det` and `lu_solve`, weights read off `orbit_profiles` and the
+  candidate orbits of axiom (b) filtered from `T.orbits`; production
+  multiplies on letter indices through its one kernel and solves by sparse
+  elimination.
 """
 from fractions import Fraction
 from itertools import permutations, product
 
 from schurify import codeterminants as codet
 from schurify.base_algebra import SIDES, X_SIDE, Y_SIDE
-from schurify.partitions import conjugate, trim
+from schurify.partitions import compare, conjugate, trim
 from schurify.tableaux import tableau_degree, tableau_weight
 
 
@@ -368,3 +375,126 @@ def gram_entries(T, bold, blocks):
         out.update(((S, Tb), c) for Tb, c in zip(cols, row))
     assert all(next(left, None) is None for left in rows.values()), bold
     return out
+
+
+# ---------------------------------------------------------------------------
+# heredity of T, through the tensor oracle
+# ---------------------------------------------------------------------------
+
+def tensor_mul(T, x, y):
+    """x * y for Elements, each pair of orbits by `tensor_eta_product`."""
+    out = {}
+    for o1, c1 in x.items():
+        for o2, c2 in y.items():
+            for o, c in tensor_eta_product(T, o1, o2).items():
+                out[o] = out.get(o, 0) + c1 * c2 * c
+    return {o: c for o, c in out.items() if c}
+
+
+def heredity_oracle(T, sample_b=None):
+    """(ok, failures) of `heredity_of_T(T, sample_b)`, by the route the
+    module docstring describes."""
+    cb = codet.CodetBasis(T)
+    failures = []
+    elt_of = {}
+
+    def element(tab, side):
+        if (side.name, tab) not in elt_of:
+            elt_of[side.name, tab] = codet.side_element(T, tab, side)
+        return elt_of[side.name, tab]
+
+    # axiom (a): the blocks with columns, in the order the keys meet them
+    count = sum(len(cb.std_x[bold]) * len(cb.std_y[bold]) for bold in cb.shapes)
+    if count != len(T.orbits):
+        failures.append(f"axiom (a): {count} codeterminants vs rank {len(T.orbits)}")
+    blocks = {key: (rows, cols) for key, (rows, cols) in eager_codet_blocks(cb).items() if cols}
+    block_of = {orbit: key for key, (rows, _cols) in blocks.items() for orbit in rows}
+    mats = {}
+    for key, (rows, cols) in blocks.items():
+        assert len(rows) == len(cols), key
+        mat = [[0] * len(cols) for _ in rows]
+        for j, (_bold, S, Tb) in enumerate(cols):
+            for orbit, c in tensor_mul(T, element(S, X_SIDE), element(Tb, Y_SIDE)).items():
+                mat[rows.index(orbit)][j] = c
+        det = lu_det(mat)
+        if det == 0:
+            failures.append(f"axiom (a): codeterminant block {key} singular")
+            return False, failures
+        if abs(det) != 1:
+            failures.append(f"axiom (a): change of basis not unimodular: "
+                            f"block {key} has determinant {int(det)}")
+            return False, failures
+        mats[key] = mat
+
+    def solve(x):
+        keys = {block_of[orbit] for orbit in x}
+        assert len(keys) == 1, x  # a product of homogeneous orbits is homogeneous
+        key = keys.pop()
+        rows, cols = blocks[key]
+        coeffs = lu_solve(mats[key], [x.get(orbit, 0) for orbit in rows])
+        assert all(c.denominator == 1 for c in coeffs), (x, coeffs)
+        return [col for col, c in zip(cols, coeffs) if c]
+
+    def weight(tab, side):
+        (orbit,) = element(tab, side)
+        return orbit_profiles(T, orbit)[side.pick(0, 1)]
+
+    def name(side):
+        return f"{side.name}_{side.pick('S', 'T')}"
+
+    # axiom (c)
+    idem = {bold: T.idempotent_bold(bold) for bold in cb.shapes}
+    padded = {bold: tuple(tuple(c) + (0,) * (T.n - len(c)) for c in bold) for bold in cb.shapes}
+    ok_c = True
+    for bold in cb.shapes:
+        for side in SIDES:
+            nm = name(side)
+            elt_e, e_elt, emu_elt = (" ".join(side.orient(a, b))
+                                     for a, b in ((nm, "e"), ("e", nm), ("e_mu", nm)))
+            initial = side.pick(*cb.initial_tableau_pair(bold))
+            for tab in cb.std(side)[bold]:
+                elt = element(tab, side)
+                witness = f"{side.pick('S', 'T')} = {tab}"
+                if tensor_mul(T, *side.orient(elt, idem[bold])) != elt:
+                    ok_c = False
+                    failures.append(f"axiom (c): {elt_e} != {nm} at {bold}: {witness}")
+                if tensor_mul(T, *side.orient(idem[bold], elt)) != (elt if tab == initial else {}):
+                    ok_c = False
+                    failures.append(f"axiom (c): {e_elt} wrong at {bold}: {witness}")
+                w = weight(tab, side)
+                for bold2 in cb.shapes:
+                    want = elt if padded[bold2] == w else {}
+                    if tensor_mul(T, *side.orient(idem[bold2], elt)) != want:
+                        ok_c = False
+                        failures.append(f"axiom (c): {emu_elt} not diagonal at {bold}: "
+                                        f"{witness}, mu = {bold2}")
+
+    # axiom (b): an orbit meets X_S on its right profile, Y_T on its left one
+    profiles = {o: orbit_profiles(T, o) for o in T.orbits}
+
+    def candidates(side, w):
+        meeting = [o for o in T.orbits if profiles[o][side.pick(1, 0)] == w]
+        return meeting if sample_b is None else meeting[:sample_b]
+
+    ok_b = True
+    for bold in cb.shapes:
+        for side in SIDES:
+            other_initial = side.orient(*cb.initial_tableau_pair(bold))[1]
+            for tab in cb.std(side)[bold]:
+                elt = element(tab, side)
+                for orbit in candidates(side, weight(tab, side)):
+                    prod = tensor_mul(T, *side.orient({orbit: 1}, elt))
+                    if not prod:
+                        continue
+                    for key in solve(prod):
+                        mu, *pair = key
+                        if compare(mu, bold) == "GT":
+                            continue
+                        if mu != bold or side.orient(*pair)[1] != other_initial:
+                            ok_b = False
+                            failures.append(
+                                f"axiom (b): {side.spell('a', name(side))} escapes the "
+                                f"{side.name} span at {bold}: a = {orbit}, "
+                                f"{side.pick('S', 'T')} = {tab}, codeterminant {key}"
+                            )
+    return not failures, failures

@@ -277,6 +277,31 @@ def test_bad_orbit_exits_2():
         _usage_error("straighten", *common, "--orbit", bad)
 
 
+def test_missing_config_file_exits_2(tmp_path):
+    path = str(tmp_path / "nope.txt")
+    res = _usage_error("--config", path, "dim")
+    assert repr(path) in res.output
+
+
+def test_config_directory_exits_2(tmp_path):
+    res = _usage_error("--config", str(tmp_path), "dim")
+    assert repr(str(tmp_path)) in res.output
+
+
+def test_config_file_not_utf8_exits_2(tmp_path):
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_bytes(b"algebra=trivial\nn=\xff\xfe1\n")
+    res = _usage_error("--config", str(cfg), "dim")
+    assert f"--config {str(cfg)!r} is not UTF-8 text" in res.output
+
+
+def test_output_into_a_missing_directory_exits_2(tmp_path):
+    out = str(tmp_path / "missing" / "r.json")
+    res = _usage_error("dim", "--algebra", "trivial", "-n", "1", "-d", "1", "--output", out)
+    assert repr(out) in res.output
+    assert not (tmp_path / "missing").exists()
+
+
 def test_verify_checks_basicness_once(monkeypatch, tmp_path):
     from schurify import base_algebra
 

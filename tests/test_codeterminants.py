@@ -7,6 +7,7 @@ from helpers import (
     eager_codet_blocks,
     full_gram,
     gram_entries,
+    heredity_oracle,
     lu_det,
     lu_solve,
     orbit_profiles,
@@ -247,15 +248,15 @@ def test_axiom_b_failure_names_its_witness(monkeypatch):
         mu, _S, Tb = key
         if Tb != cb.initial_tableau_pair(mu)[1]:
             bad.setdefault(mu, key)
-    real = codet.CodetBasis.solve
+    real = codet.CodetBasis.solve_terms
 
-    def broken(self, x):
-        out = dict(real(self, x))
+    def broken(self, terms):
+        out = dict(real(self, terms))
         for mu in {key[0] for key in out} & bad.keys():
             out[bad[mu]] = 1
         return out
 
-    monkeypatch.setattr(codet.CodetBasis, "solve", broken)
+    monkeypatch.setattr(codet.CodetBasis, "solve_terms", broken)
     rep = codet.heredity_of_T(T, sample_b=4)
     assert not rep.ok
     named = [f for f in rep.failures if f.startswith("axiom (b): a*X_S escapes the X span at ")]
@@ -265,6 +266,51 @@ def test_axiom_b_failure_names_its_witness(monkeypatch):
         for bold, key in bad.items() for S in cb.std_x[bold] for o in T.orbits
     }
     assert set(named) <= witnesses, set(named) - witnesses
+
+
+ORACLE_CASES = [("zigzag:1", 2, 2, None), ("zigzag:1", 2, 2, 4), ("zigzag:2", 2, 2, None),
+                ("trivial", 3, 3, None)]
+
+
+@pytest.mark.parametrize("spec,n,d,sample_b", ORACLE_CASES)
+def test_heredity_matches_the_tensor_oracle(spec, n, d, sample_b):
+    """The heredity check and its oracle, which multiplies every product
+    through the tensor power, agree."""
+    alg, data, tau = make_algebra(spec)
+    T = build_schur(alg, data, n, d, tau)
+    rep = codet.heredity_of_T(T, sample_b=sample_b)
+    assert rep.ok, rep.failures
+    assert heredity_oracle(T, sample_b) == (rep.ok, rep.failures)
+
+
+def test_heredity_failures_match_the_tensor_oracle(monkeypatch):
+    """On a wrong initial tableau pair and on a broken idempotent, the
+    heredity check and its oracle give the same failures in the same
+    order."""
+    alg, data, tau = make_algebra("zigzag:1")
+    real_pair, real_idem = codet.CodetBasis.initial_tableau_pair, SchurAlgebra.idempotent_bold
+    wrong_at, bold, other = ((), (2,)), ((1, 1), ()), ((2,), ())
+
+    def wrong(self, shape):
+        if shape == wrong_at:
+            return self.std_x[shape][-1], self.std_y[shape][-1]
+        return real_pair(self, shape)
+
+    def broken(self, shape):
+        return real_idem(self, other if shape == bold else shape)
+
+    kinds = []
+    for cls, attr, patch, sample_b in ((codet.CodetBasis, "initial_tableau_pair", wrong, 8),
+                                       (SchurAlgebra, "idempotent_bold", broken, 4)):
+        with monkeypatch.context() as m:
+            m.setattr(cls, attr, patch)
+            T = build_schur(alg, data, 2, 2, tau)
+            rep = codet.heredity_of_T(T, sample_b=sample_b)
+            assert not rep.ok
+            assert heredity_oracle(T, sample_b) == (rep.ok, rep.failures), attr
+            kinds.append({f[:len("axiom (c)")] for f in rep.failures})
+    # the wrong pair breaks axioms (b) and (c), the idempotent axiom (c)
+    assert kinds == [{"axiom (b)", "axiom (c)"}, {"axiom (c)"}]
 
 
 LAZY_CASES = [("trivial", 3, 3, False), ("zigzag:1", 2, 2, False), ("zigzag:1", 3, 3, False),
@@ -386,13 +432,13 @@ def test_axiom_a_failure_names_its_witness(monkeypatch):
     alg, data, tau = make_algebra("zigzag:1")
     T = build_schur(alg, data, 2, 2, tau)
     doubled = T.codet_basis.keys[7]
-    real = codet.CodetBasis.index_expansion
+    real = codet.CodetBasis._expand
 
-    def broken(self, key):
-        out = real(self, key)
-        return {o: 2 * c for o, c in out.items()} if key == doubled else out
+    def broken(self, x, y):
+        out = real(self, x, y)
+        return {o: 2 * c for o, c in out.items()} if (x.bold, x.tab, y.tab) == doubled else out
 
-    monkeypatch.setattr(codet.CodetBasis, "index_expansion", broken)
+    monkeypatch.setattr(codet.CodetBasis, "_expand", broken)
     rep = codet.heredity_of_T(T, sample_b=4)
     block = next(key for key, (_rows, cols) in T.codet_basis._blocks.items() if doubled in cols)
     det = T.codet_basis._change.factor(block).det
@@ -413,13 +459,13 @@ def test_unimodularity_check_takes_determinants_alone(monkeypatch):
     key, (rows, cols) = max(cb._blocks.items(), key=lambda kv: len(kv[1][1]))
     assert len(cols) > 1
     expanded = []
-    real = codet.CodetBasis.index_expansion
+    real = codet.CodetBasis._expand
 
-    def counted(self, col):
-        expanded.append(col)
-        return real(self, col)
+    def counted(self, x, y):
+        expanded.append((x.bold, x.tab, y.tab))
+        return real(self, x, y)
 
-    monkeypatch.setattr(codet.CodetBasis, "index_expansion", counted)
+    monkeypatch.setattr(codet.CodetBasis, "_expand", counted)
     assert cb.unimodular()
     assert len(expanded) == len(set(expanded)) == len(cb.keys) and set(expanded) == set(cb.keys)
     factored = cb._change._factored
@@ -427,7 +473,7 @@ def test_unimodularity_check_takes_determinants_alone(monkeypatch):
     kept = {name for blk in factored.values() for name in blk.__slots__ if hasattr(blk, name)}
     assert kept == {"det", "size"}
 
-    mat = [[T.element(real(cb, col)).get(orbit, 0) for col in cols] for orbit in rows]
+    mat = [[cb.expansion(col).get(orbit, 0) for col in cols] for orbit in rows]
     x = [(-1) ** j * (j + 1) for j in range(len(cols))]
     v = {orbit: c for orbit, row in zip(rows, mat)
          if (c := sum(m * xj for m, xj in zip(row, x)))}
@@ -450,17 +496,65 @@ def test_axiom_a_names_a_column_that_reaches_another_block(monkeypatch):
     col = cols[0]
     other, (other_rows, _other_cols) = list(blocks.items())[9]
     stray = other_rows[0]
-    real = codet.CodetBasis.index_expansion
+    real = codet.CodetBasis._expand
 
-    def broken(self, k):
-        out = real(self, k)
-        return {**out, tuple(T.ctx.index[lt] for lt in stray): 1} if k == col else out
+    def broken(self, x, y):
+        out = real(self, x, y)
+        if (x.bold, x.tab, y.tab) == col:
+            return {**out, tuple(T.ctx.index[lt] for lt in stray): 1}
+        return out
 
-    monkeypatch.setattr(codet.CodetBasis, "index_expansion", broken)
+    monkeypatch.setattr(codet.CodetBasis, "_expand", broken)
     rep = codet.heredity_of_T(T, sample_b=4)
     assert rep.failures == [
         f"axiom (a): codeterminant block {key}: column {col} reaches {stray} of block {other}"
     ]
+
+
+def test_a_column_that_leaves_a_truncation_is_named(monkeypatch):
+    """An expansion that gains an orbit with a letter outside a truncation
+    fails the walk, naming the column and the orbit."""
+    alg, data, tau = make_algebra("zigzag:1")
+    ambient = build_schur(alg, data, 2, 2, tau)
+    T = ambient.truncate([0])
+    cb = T.codet_basis
+    index = T.ctx.index
+    key, (_rows, cols) = next(iter(cb._blocks.items()))
+    col = cols[0]
+    stray = next(o for o in ambient.orbits if not all(T._has_index[index[lt]] for lt in o))
+    real = codet.CodetBasis._expand
+
+    def broken(self, x, y):
+        out = real(self, x, y)
+        if (x.bold, x.tab, y.tab) == col:
+            return {**out, tuple(index[lt] for lt in stray): 1}
+        return out
+
+    monkeypatch.setattr(codet.CodetBasis, "_expand", broken)
+    with pytest.raises(AssertionError) as exc:
+        cb.non_unimodular_block()
+    assert str(exc.value) == (f"codeterminant block {key}: column {col} reaches {stray}, "
+                              f"which is not an orbit of T")
+
+
+@pytest.mark.parametrize("spec,n,d,truncated", [("zigzag:1", 2, 2, True), ("zigzag:2", 2, 2, False),
+                                                ("trivial", 3, 3, False)])
+def test_row_codes_read_the_block_key(spec, n, d, truncated):
+    """The walk's packed check passes a word of letter indices for a block
+    key exactly when the word is an orbit of T whose `block_key` is that
+    key, over every orbit of the ambient algebra and every block."""
+    alg, data, tau = make_algebra(spec)
+    ambient = build_schur(alg, data, n, d, tau)
+    T = ambient.truncate([0]) if truncated else ambient
+    cb = T.codet_basis
+    index, code = T.ctx.index, cb._letter_codes
+    keys = list(cb._blocks)
+    for orbit in ambient.orbits:
+        w = tuple(index[lt] for lt in orbit)
+        own = all(T._has_index[i] for i in w) and T.ctx.block_key(w)
+        for key in keys:
+            fixed, odd = cb._row_codes(key)
+            assert (sum(code[i] for i in w) - fixed in odd) == (own == key), (orbit, key)
 
 
 def test_axiom_a_names_an_orbit_no_column_reaches(monkeypatch):
@@ -469,18 +563,19 @@ def test_axiom_a_names_an_orbit_no_column_reaches(monkeypatch):
     alg, data, tau = make_algebra("zigzag:1")
     T = build_schur(alg, data, 2, 2, tau)
     cb = T.codet_basis
-    real = codet.CodetBasis.index_expansion
+    expansion = cb.index_expansion
     key, col, lost = next(
         (key, col, orbit)
         for key, (_rows, cols) in cb._blocks.items() if len(cols) > 1
-        for col in cols for orbit in real(cb, col)
-        if not any(orbit in real(cb, c) for c in cols if c != col))
+        for col in cols for orbit in expansion(col)
+        if not any(orbit in expansion(c) for c in cols if c != col))
+    real = codet.CodetBasis._expand
 
-    def broken(self, k):
-        out = real(self, k)
-        return {o: c for o, c in out.items() if o != lost} if k == col else out
+    def broken(self, x, y):
+        out = real(self, x, y)
+        return {o: c for o, c in out.items() if o != lost} if (x.bold, x.tab, y.tab) == col else out
 
-    monkeypatch.setattr(codet.CodetBasis, "index_expansion", broken)
+    monkeypatch.setattr(codet.CodetBasis, "_expand", broken)
     rep = codet.heredity_of_T(T, sample_b=4)
     lost = T.ctx.word(lost)
     assert rep.failures == [f"axiom (a): codeterminant block {key}: no column reaches its orbit {lost}"]

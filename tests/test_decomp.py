@@ -110,9 +110,9 @@ def test_oracle_multiplies_only_equal_weight_pairs(monkeypatch):
     calls = []
     real = CodetBasis.pairing
 
-    def counted(self, S, Tb):
+    def counted(self, y, x):
         calls.append(None)
-        return real(self, S, Tb)
+        return real(self, y, x)
 
     monkeypatch.setattr(CodetBasis, "pairing", counted)
     ch.decomp_oracle(T)
