@@ -294,7 +294,8 @@ class LRCache:
     record is one write to a descriptor opened for appending, so concurrent
     writers do not interleave their lines.  Lines that do not parse, such as
     a record cut short, are skipped on load; after a torn last line the next
-    record starts on a line of its own."""
+    record starts on a line of its own.  A file that exists but cannot be
+    read, or whose directory is a file, raises its OSError on construction."""
 
     def __init__(self, path: str | None = None):
         if path is None:
@@ -306,9 +307,13 @@ class LRCache:
         self._load()
 
     def _load(self) -> None:
-        if not self.path or not os.path.exists(self.path):
+        if not self.path:
             return
-        with open(self.path) as fh:
+        try:
+            fh = open(self.path)
+        except FileNotFoundError:
+            return
+        with fh:
             for line in fh:
                 self._lead = "" if line.endswith("\n") else "\n"
                 try:

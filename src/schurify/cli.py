@@ -62,11 +62,15 @@ class RunConfig:
         raise click.UsageError(f"unknown field {f!r} (expected Z | Q | Fp:p, p prime)")
 
     def lr_cache(self) -> LRCache:
-        if self.cache_dir is None:
-            return LRCache()
+        """The LR cache; a path that cannot hold it is a usage error."""
         import os
 
-        return LRCache(os.path.join(self.cache_dir, "lr_cache.jsonl"))
+        path = None if self.cache_dir is None else os.path.join(self.cache_dir, "lr_cache.jsonl")
+        try:
+            return LRCache(path)
+        except OSError as exc:
+            raise click.UsageError(f"cannot use the LR cache at {exc.filename!r}: "
+                                   f"{exc.strerror}") from None
 
     def to_json(self) -> dict:
         return {
@@ -340,10 +344,10 @@ def straighten(ctx, orbit, backend, **kw):
 def char(ctx, label, method, **kw):
     """Graded character of a standard module."""
     cfg = _build_config(ctx.obj, method=method, **kw)
+    cache = cfg.lr_cache()
     T = _make_T(cfg)
     _require_qh_algebra(cfg)
     lam = _label_from_json(label, cfg, len(T.data.labels))
-    cache = cfg.lr_cache()
     vecs = {}
     if cfg.method in ("tableaux", "both"):
         vecs["tableaux"] = char_standard_tableaux(T, lam)
@@ -368,10 +372,10 @@ def decomp(ctx, method, **kw):
     ring = cfg.ring()
     if not ring.is_field:
         raise click.UsageError("decomposition numbers need a field: Q or Fp:p")
+    cache = cfg.lr_cache()
     T = _make_T(cfg)
     _require_qh(cfg)
     labels = partitions.gen_multipartitions(cfg.n, cfg.d, len(T.data.labels) - 1)
-    cache = cfg.lr_cache()
     matrices = {}
     if cfg.method in ("oracle", "both"):
         matrices["oracle"] = decomp_oracle(T, ring).entries
@@ -431,9 +435,9 @@ def blocks(ctx, **kw):
 def verify(ctx, **kw):
     """Run the invariant suite and print a pass/fail table."""
     cfg = _build_config(ctx.obj, **kw)
+    cache = cfg.lr_cache()
     T = _make_T(cfg)
     rng = random.Random(cfg.seed)
-    cache = cfg.lr_cache()
     results: list[tuple[str, bool, str]] = []
 
     def check(name: str, fn):

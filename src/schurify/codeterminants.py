@@ -19,13 +19,15 @@ express arbitrary elements in that basis:
     each tableau's share keeps, and as rows the orbits those expansions
     reach, labelled by their words of letter indices, each checked by one
     sum over a per-letter table to be an orbit of T carrying the key.
-    Neither the unimodularity check nor a solve lists orbits.
+    The unimodularity check keeps of a block (an `exactla.Block`) only its
+    determinant; the first solve that meets it builds it again with what a
+    solve needs.  Neither the check nor a solve lists orbits.
 
 The heredity check runs on index words too: its products go through the
 product kernel and its solves take index words.  A codeterminant key is made
 only for a solve's result or a failure message, and a `TriWord` only at the
-boundary: an Element given to `CodetBasis.solve`, an orbit a witness names,
-and the `_blocks` view.
+boundary: an Element given to `CodetBasis.solve` and an orbit that a witness
+or an error names.
 
 All expansions are integral; any non-integral coefficient aborts loudly.
 """
@@ -39,7 +41,7 @@ from operator import mul
 from typing import NamedTuple
 
 from .base_algebra import SIDES, X_SIDE, Y_SIDE, Side
-from .exactla import BlockedBasis
+from .exactla import Block
 from .partitions import comp_row_word, gen_multipartitions, trim
 from .schur import Element, SchurAlgebra
 from .tableaux import (
@@ -196,6 +198,7 @@ class CodetBasis:
 
     T: SchurAlgebra
     _side_elements: dict = field(default_factory=dict, init=False, repr=False)
+    _factored: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         # below n = d the standard codeterminants stop spanning; only the
@@ -434,86 +437,61 @@ class CodetBasis:
                                          f"reaches {ctx.word(w)} of block {ctx.block_key(w)}")
 
     @cached_property
-    def _blocks(self) -> Mapping:
-        """block key -> (orbits, codeterminant keys), over the blocks with
-        codeterminant columns, in the order in which `keys` first meets them;
-        each lookup builds its block afresh by `_block`."""
-        return _CodetBlocks(self)
-
-    @cached_property
-    def _change(self) -> BlockedBasis:
-        return _CodetChange(self)
-
-    def unimodular(self) -> bool:
-        """Whether every block with columns has determinant +-1 and those
-        blocks hold every orbit, so that none lies in a block of no columns."""
-        return self._change.unimodular() and self._change.dimension() == self.T.rank
-
-    def non_unimodular_block(self) -> tuple | None:
-        return self._change.non_unimodular_block()
-
-    def solve_terms(self, terms: Mapping[tuple[int, ...], int]) -> dict[CodetKey, int]:
-        """Expand an integral combination of orbits, keyed by words of letter
-        indices, in the standard codeterminant basis."""
-        return self._change.solve_integral(terms)
-
-    def solve(self, x: Element) -> dict[CodetKey, int]:
-        """Expand an integral element in the standard codeterminant basis."""
-        index = self.T.ctx.index
-        return self.solve_terms({tuple([index[lt] for lt in orbit]): c for orbit, c in x.items()})
-
-
-class _CodetBlocks(Mapping):
-    """The blocks of a `CodetBasis` as block key -> (orbits, codeterminant
-    keys).  The keys are listed on first use, from the tableau shares; a
-    value is built on each lookup."""
-
-    def __init__(self, cb: CodetBasis):
-        self.cb = cb
-
-    @cached_property
-    def _keys(self) -> dict:
+    def block_keys(self) -> dict:
+        """The keys of the blocks with codeterminant columns, in the order in
+        which `keys` first meets them, listed from the tableau shares alone."""
         keys: dict = {}
-        for xs, ys in self.cb._tableau_blocks.values():
+        for xs, ys in self._tableau_blocks.values():
             y_shares = dict.fromkeys(share for _Tb, share in ys)
             for (alpha, dx, px) in dict.fromkeys(share for _S, share in xs):
                 for (beta, dy, py) in y_shares:
                     keys[(alpha, beta, dx + dy, (px + py) % 2)] = None
         return keys
 
-    def __getitem__(self, key):
-        if key not in self._keys:
-            raise KeyError(key)
-        rows, cols, _expansions = self.cb._block(key)
-        return [self.cb.T.ctx.word(w) for w in rows], [(x.bold, x.tab, y.tab) for x, y in cols]
+    def factor(self, key, solver: bool = False) -> Block:
+        """The block of `key`, built by `_block` on first use and kept; with
+        `solver`, with its columns as codeterminant keys and what a solve
+        needs.  A key outside `block_keys` gets an empty block."""
+        blk = self._factored.get(key)
+        if blk is None or solver and not hasattr(blk, "steps"):
+            rows, cols, expansions = self._block(key)
+            labels = [(x.bold, x.tab, y.tab) for x, y in cols] if solver else None
+            blk = self._factored[key] = Block("codeterminant block", key, rows, expansions, labels)
+        return blk
 
-    def __iter__(self):
-        return iter(self._keys)
+    def non_unimodular_block(self) -> tuple | None:
+        """The first block key whose determinant is not +-1, with that
+        determinant; None when there is none.  Factors the blocks up to it."""
+        dets = ((key, self.factor(key).det) for key in self.block_keys)
+        return next(((key, det) for key, det in dets if abs(det) != 1), None)
 
-    def __len__(self) -> int:
-        return len(self._keys)
+    def unimodular(self) -> bool:
+        """Whether every block with columns has determinant +-1 and those
+        blocks hold every orbit, so that none lies in a block of no columns."""
+        return (self.non_unimodular_block() is None
+                and sum(self.factor(key).size for key in self.block_keys) == self.T.rank)
 
+    def solve_terms(self, terms: Mapping[tuple[int, ...], int]) -> dict[CodetKey, int]:
+        """Expand an integral combination of orbits, keyed by words of letter
+        indices, in the standard codeterminant basis, one block at a time.
+        A word that is no row of its block raises AssertionError."""
+        ctx = self.T.ctx
+        parts: dict = {}
+        for w, c in terms.items():
+            parts.setdefault(ctx.block_key(w), {})[w] = c
+        out: dict = {}
+        for key, part in parts.items():
+            blk = self.factor(key, solver=True)
+            for w in part:
+                if w not in blk.ridx:
+                    raise AssertionError(f"{ctx.word(w)} is not a row of codeterminant block {key}")
+            out.update(blk.solve_integral(part))
+        return out
 
-class _CodetChange(BlockedBasis):
-    """The codeterminant change of basis, on words of letter indices.  A
-    block's rows come from its columns' expansions, so `columns` makes both
-    in one pass (`CodetBasis._block`) rather than expanding twice, and turns
-    the columns into codeterminant keys only for a solve; a key outside the
-    blocks with columns gets an empty block, which holds no row."""
-
-    def __init__(self, cb: CodetBasis):
-        super().__init__("codeterminant block", cb._blocks, cb.T.ctx.block_key,
-                         cb.index_expansion)
-        self.cb = cb
-
-    def columns(self, key, solver: bool = False):
-        rows, cols, expansions = self.cb._block(key)
-        if solver:
-            cols = [(x.bold, x.tab, y.tab) for x, y in cols]
-        return rows, cols, expansions
-
-    def row_label(self, row):
-        return self.cb.T.ctx.word(row)
+    def solve(self, x: Element) -> dict[CodetKey, int]:
+        """Expand an integral element in the standard codeterminant basis."""
+        index = self.T.ctx.index
+        return self.solve_terms({tuple([index[lt] for lt in orbit]): c for orbit, c in x.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -741,9 +719,12 @@ def heredity_of_T(T: SchurAlgebra, sample_b: int | None = None) -> SchurHeredity
         return f"{side.name}_{side.pick('S', 'T')}"
 
     # the products run on index words through the product kernel, each
-    # factor one orbit as (left factor, right factor, coefficient)
+    # factor one orbit as (left factor, right factor, coefficient); a word's
+    # factors are made on first use and kept for axioms (c) and (b) both
+    lefts, rights = _OnLookup(T.left_factor), _OnLookup(T.right_factor)
+
     def factors(word, c) -> tuple:
-        return T.left_factor(word), T.right_factor(word), c
+        return lefts[word], rights[word], c
 
     def times(a, b) -> dict:
         return T.product_terms(a[0], b[1], a[2] * b[2])
@@ -790,8 +771,8 @@ def heredity_of_T(T: SchurAlgebra, sample_b: int | None = None) -> SchurHeredity
     def candidates(side: Side, weight) -> list:
         if (side, weight) not in meeting:
             orbits = T.orbits_with_profile(side.pick(1, 0), weight)
-            factor = side.pick(T.left_factor, T.right_factor)
-            meeting[side, weight] = [(orbit, factor(tuple([index[lt] for lt in orbit])))
+            factor = side.pick(lefts, rights)
+            meeting[side, weight] = [(orbit, factor[tuple([index[lt] for lt in orbit])])
                                      for orbit in islice(orbits, sample_b)]
         return meeting[side, weight]
 
@@ -800,7 +781,8 @@ def heredity_of_T(T: SchurAlgebra, sample_b: int | None = None) -> SchurHeredity
         for side in SIDES:
             other_initial = side.orient(*cb.initial_tableau_pair(bold))[1]
             for tab in cb.std(side)[bold]:
-                own, sign = cb.kernel_factor(tab, side, side.pick(False, True))
+                word, sign = cb.index_word(tab, side)
+                own = side.pick(rights, lefts)[word]
                 for orbit, a in candidates(side, tableau_weight(tab, T.ctx.alphabet(side))):
                     prod = T.product_terms(*side.orient(a, own), sign)
                     if not prod:

@@ -7,19 +7,18 @@ sparsest row first, otherwise the entry of least |value|.  Its last pivot is
 the determinant up to the sign it tracks, and its pivots count the rank;
 `rank` gives that rank over Q or F_p.
 
-A change of basis is given by its columns, each a sparse integer expansion
-over row labels (any hashable, such as words of letter indices), grouped
-into square blocks by a key that rows and columns both conserve.
-`BlockedBasis` checks a block by its determinant alone and keeps nothing
-else of it; the first solve that meets the block eliminates it again and
-keeps a record of the row operations.  A sparse vector is then
-expanded in the columns by replaying that record on it and substituting
-back, in integers scaled by the last pivot, and dividing exactly by it.
+A `Block` is one square block of a change of basis, given by its rows
+(any hashable labels, such as words of letter indices) and its columns'
+sparse integer expansions over them.  It is eliminated once, for its
+determinant; given its columns' labels it also keeps a record of the row
+operations, and expands a sparse vector in its columns by replaying that
+record on it and substituting back, in integers scaled by the last pivot,
+and dividing exactly by it.
 """
 from __future__ import annotations
 
 from math import gcd
-from typing import Callable, Hashable, Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .rings import CoefficientRing
 
@@ -44,7 +43,7 @@ def _eliminate(rows: list[dict[int, int]], p: int | None = None,
     Returns the pivots as (row, column) in order, the last pivot and the sign
     of the negations.  With `steps` a list, each step appends its pivot row
     index and column, its pivot row, a, prev, whether it negated the row,
-    and the multipliers f by row, for `_Block.solve` to replay."""
+    and the multipliers f by row, for `Block.solve_integral` to replay."""
     active = {r: row for r, row in enumerate(rows) if row}
     pivots: list[tuple[int, int]] = []
     prev, sign = 1, 1
@@ -119,36 +118,43 @@ def rank(mat: Sequence[Sequence[int]], ring: CoefficientRing) -> int:
     return len(_eliminate(rows, p)[0])
 
 
-class _Block:
-    """One square block M, eliminated once from its columns' expansions, each
-    a sparse vector over `rows`.  `det` is its determinant (0 when singular)
-    and `size` its order; with `solver`, it keeps its columns, the place of
-    each row and the record of the elimination, from which `solve` expands a
-    vector in its columns."""
+class Block:
+    """One square block M of a change of basis, eliminated once: its rows are
+    labels (any hashable, such as words of letter indices) and its columns
+    sparse integer expansions over them.  `det` is its determinant and `size`
+    its order.  Given its columns' labels `cols`, it keeps them, the place of
+    each row and the record of the elimination, from which `solve_integral`
+    expands a vector in its columns.  `name` and `key` name the block in its
+    errors: one that is not square or is singular raises AssertionError."""
 
-    __slots__ = ("det", "size", "cols", "ridx", "steps")
+    __slots__ = ("det", "size", "cols", "ridx", "steps", "where")
 
-    def __init__(self, rows: Sequence, cols: Sequence, expansions: Iterable[Mapping],
-                 solver: bool = False):
+    def __init__(self, name: str, key, rows: Sequence, expansions: Sequence[Mapping],
+                 cols: Sequence | None = None):
+        n = self.size = len(rows)
+        if len(expansions) != n:
+            raise AssertionError(f"{name} {key} is not square: "
+                                 f"{len(expansions)} columns vs {n} rows")
         ridx = {r: k for k, r in enumerate(rows)}
         mat: list[dict[int, int]] = [{} for _ in rows]
         for j, v in enumerate(expansions):
             for r, c in v.items():
                 if c:
                     mat[ridx[r]][j] = c
-        steps = [] if solver else None
+        steps = None if cols is None else []
         pivots, last, sign = _eliminate(mat, None, steps)
-        n = self.size = len(rows)
-        self.det = 0
-        if len(pivots) == n:
-            # the pivots' rows and columns, in order, permute M: r_k -> c_k
-            # has the sign of the two permutations together
-            self.det = sign * last * _parity(dict(pivots))
-        if solver:
-            self.cols, self.ridx, self.steps = list(cols), ridx, steps
+        if len(pivots) < n:
+            raise AssertionError(f"{name} {key} singular")
+        # the pivots' rows and columns, in order, permute M: r_k -> c_k has
+        # the sign of the two permutations together
+        self.det = sign * last * _parity(dict(pivots))
+        if cols is not None:
+            self.cols, self.ridx, self.steps, self.where = cols, ridx, steps, (name, key)
 
-    def solve(self, v: Mapping) -> list[int]:
-        """det * M^-1 v for a nonsingular block: one integer per column.
+    def solve_integral(self, v: Mapping) -> dict:
+        """Expand a sparse integer vector over the rows in the columns over Z,
+        as column label -> nonzero coefficient.  A non-integral coefficient
+        raises ArithmeticError naming its column and the block.
 
         The right-hand side goes through the recorded row operations, then
         back substitution finds y = D x in integers, D the last pivot; each
@@ -170,94 +176,17 @@ class _Block:
         for (_r0, c0, top, a, _prev, _neg, _mults), bp in zip(reversed(self.steps), reversed(rhs)):
             s = last * bp - sum(x * y[c] for c, x in top.items() if c != c0)
             y[c0] = s // a
-        scale = 1 if self.det == last else -1  # det = +-last
-        return [scale * y[j] for j in range(self.size)]
-
-
-class BlockedBasis:
-    """Exact change of basis to the columns of a blocked square matrix.
-
-    `blocks` maps each block key to its (rows, cols); `key_of(row)` is the
-    key of a row and `expansion(col)` a column as a sparse integer vector
-    over its block's rows.  `name` prefixes the key in error messages.  The
-    unimodularity check keeps only each block's determinant and order; the
-    first solve that meets a block builds it again and keeps what a solve
-    needs.  A block that is not square or is singular raises AssertionError.
-    `columns` gives a block's rows, columns and expansions over the rows; a
-    subclass may derive the rows from the expansions, and name a row in its
-    messages by `row_label`.
-    """
-
-    def __init__(self, name: str, blocks: Mapping[Hashable, tuple[Sequence, Sequence]],
-                 key_of: Callable[[Hashable], Hashable],
-                 expansion: Callable[[Hashable], Mapping]):
-        self.name = name
-        self.blocks = blocks
-        self.key_of = key_of
-        self.expansion = expansion
-        self._factored: dict = {}
-
-    def columns(self, key, solver: bool = False) -> tuple[Sequence, Sequence, Iterable[Mapping]]:
-        """The rows and columns of a block, and the columns' expansions as
-        sparse vectors over the rows.  The columns are the labels a solve
-        returns when `solver` is set; otherwise only their number is read."""
-        rows, cols = self.blocks[key]
-        return rows, cols, (self.expansion(col) for col in cols)
-
-    def row_label(self, row):
-        """A row as error messages name it."""
-        return row
-
-    def factor(self, key, solver: bool = False) -> _Block:
-        """The block of `key` with its determinant, built on first use; with
-        `solver`, with what a solve needs too."""
-        blk = self._factored.get(key)
-        if blk is None or solver and not hasattr(blk, "steps"):
-            rows, cols, expansions = self.columns(key, solver)
-            if len(rows) != len(cols):
-                raise AssertionError(
-                    f"{self.name} {key} is not square: {len(cols)} columns vs {len(rows)} rows"
-                )
-            blk = self._factored[key] = _Block(rows, cols, expansions, solver)
-        if not blk.det:
-            raise AssertionError(f"{self.name} {key} singular")
-        return blk
-
-    def non_unimodular_block(self) -> tuple | None:
-        """The first block key whose determinant is not +-1, with that
-        determinant; None when there is none.  Factors the blocks up to it."""
-        dets = ((key, self.factor(key).det) for key in self.blocks)
-        return next(((key, det) for key, det in dets if abs(det) != 1), None)
-
-    def unimodular(self) -> bool:
-        """Whether every block has determinant +-1; factors all of them."""
-        return self.non_unimodular_block() is None
-
-    def dimension(self) -> int:
-        """The number of rows over all blocks; factors all of them."""
-        return sum(self.factor(key).size for key in self.blocks)
-
-    def solve_integral(self, v: Mapping) -> dict:
-        """Expand a sparse integer vector in the columns over Z; a
-        non-integral coefficient raises ArithmeticError naming its column
-        and block, a label that is no row of its block AssertionError."""
-        parts: dict = {}
-        for r, c in v.items():
-            parts.setdefault(self.key_of(r), {})[r] = c
+        det = self.det
+        scale = 1 if det == last else -1  # det = +-last
         out: dict = {}
-        for key, part in parts.items():
-            blk = self.factor(key, solver=True)
-            for r in part:
-                if r not in blk.ridx:
-                    raise AssertionError(f"{self.row_label(r)} is not a row of {self.name} {key}")
-            for col, num in zip(blk.cols, blk.solve(part)):
-                coeff, rem = divmod(num, blk.det)
-                if rem:
-                    g = gcd(num, blk.det) * (1 if blk.det > 0 else -1)
-                    raise ArithmeticError(
-                        f"non-integral coefficient {num // g}/{blk.det // g} "
-                        f"of column {col} in {self.name} {key}"
-                    )
-                if coeff:
-                    out[col] = coeff
+        for j, col in enumerate(self.cols):
+            num = scale * y[j]
+            coeff, rem = divmod(num, det)
+            if rem:
+                g = gcd(num, det) * (1 if det > 0 else -1)
+                name, key = self.where
+                raise ArithmeticError(f"non-integral coefficient {num // g}/{det // g} "
+                                      f"of column {col} in {name} {key}")
+            if coeff:
+                out[col] = coeff
         return out

@@ -18,7 +18,8 @@
 - orbit_profiles / eager_codet_blocks: weight profiles counted per color
   label, and every codeterminant block built in one walk over all tableau
   pairs and all orbits; production builds a block from its columns alone,
-  its rows being the orbits their expansions reach.
+  its rows being the orbits their expansions reach.  codet_blocks reads
+  production's blocks back as orbits and codeterminant keys, to compare.
 - full_gram / gram_entries: the Gram matrix of a standard module over every
   pair of standard tableaux, and the blocks of `gram_blocks` read back into
   pairs; both place a tableau by its own `tableau_weight` and
@@ -332,6 +333,17 @@ def eager_codet_blocks(cb):
         deg = sum(T.alg.degree[b] for (b, _r, _s) in orbit)
         key = (*orbit_profiles(T, orbit), deg, word_parity(T, orbit))
         blocks.setdefault(key, ([], []))[0].append(orbit)
+    return blocks
+
+
+def codet_blocks(cb):
+    """block key -> (orbits, codeterminant keys) of the blocks with columns
+    of a `CodetBasis`, in the order of `cb.block_keys`, each built by
+    `cb._block` as a solve or the unimodularity check builds it."""
+    blocks = {}
+    for key in cb.block_keys:
+        rows, cols, _expansions = cb._block(key)
+        blocks[key] = ([cb.T.ctx.word(w) for w in rows], [(x.bold, x.tab, y.tab) for x, y in cols])
     return blocks
 
 

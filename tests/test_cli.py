@@ -140,20 +140,16 @@ def test_scalar_printer_negative_coefficients():
 
 
 def test_verify_builds_codeterminant_blocks_once(monkeypatch, tmp_path):
-    from functools import cached_property
-
     from schurify.codeterminants import CodetBasis
 
-    build = CodetBasis._blocks.func
+    real = CodetBasis.__post_init__
     builds = []
 
     def counted(self):
         builds.append(self.T)
-        return build(self)
+        real(self)
 
-    prop = cached_property(counted)
-    prop.__set_name__(CodetBasis, "_blocks")
-    monkeypatch.setattr(CodetBasis, "_blocks", prop)
+    monkeypatch.setattr(CodetBasis, "__post_init__", counted)
     res = run("verify", "--algebra", "zigzag:1", "-n", "2", "-d", "2",
               "--cache-dir", str(tmp_path))
     assert res.exit_code == 0, res.output
@@ -335,6 +331,38 @@ def test_lr_cache_writes_only_where_asked(monkeypatch, tmp_path):
     assert [p.name for p in tmp_path.iterdir()] == ["home"]
     assert list(home.iterdir()) == []
 
+
+
+CACHE_CASES = {
+    "char": ["--label", "[[1], [1]]", "--method", "formula"],
+    "decomp": ["--method", "formula"],
+    "verify": [],
+}
+
+
+@pytest.mark.parametrize("cmd", CACHE_CASES)
+def test_unusable_lr_cache_is_a_usage_error(cmd, monkeypatch, tmp_path):
+    """A cache directory that is a file, by --cache-dir or by
+    SCHURIFY_CACHE_DIR, and a cache file that is a directory, stop the
+    command with exit 2 before anything is computed, naming the path."""
+    from schurify import cli
+
+    made = []
+    monkeypatch.setattr(cli, "_make_T", made.append)
+    monkeypatch.delenv("SCHURIFY_CACHE_DIR", raising=False)
+    common = [cmd, "--algebra", "zigzag:1", "-n", "2", "-d", "2", *CACHE_CASES[cmd]]
+    afile = tmp_path / "afile"
+    afile.write_text("")
+    res = run(*common, "--cache-dir", str(afile))
+    assert res.exit_code == 2 and str(afile) in res.output, res.output
+    monkeypatch.setenv("SCHURIFY_CACHE_DIR", str(afile / "sub"))
+    res = run(*common)
+    assert res.exit_code == 2 and str(afile) in res.output, res.output
+    monkeypatch.delenv("SCHURIFY_CACHE_DIR")
+    (tmp_path / "dir" / "lr_cache.jsonl").mkdir(parents=True)
+    res = run(*common, "--cache-dir", str(tmp_path / "dir"))
+    assert res.exit_code == 2 and str(tmp_path / "dir" / "lr_cache.jsonl") in res.output, res.output
+    assert not made
 
 
 BAR_CASES = {

@@ -4,6 +4,7 @@ import re
 import pytest
 
 from helpers import (
+    codet_blocks,
     eager_codet_blocks,
     full_gram,
     gram_entries,
@@ -67,6 +68,22 @@ def test_straighten_backends_agree(T122, cb):
     rng = random.Random(3)
     for o in rng.sample(T122.orbits, 60):
         assert cb.solve({o: 1}) == st.straighten_element({o: 1}), o
+
+
+def test_an_element_over_several_blocks_is_solved_block_by_block(T122, cb):
+    """An element whose orbits lie in several blocks solves to the sum of
+    its orbits' solves, and agrees with the recursive straightening."""
+    index, block_key = T122.ctx.index, T122.ctx.block_key
+    orbits = random.Random(5).sample(T122.orbits, 6)
+    assert len({block_key(tuple(index[lt] for lt in o)) for o in orbits}) >= 2
+    x = {o: (-1) ** k * (k + 1) for k, o in enumerate(orbits)}
+    got = codet.CodetBasis(T122).solve(x)
+    total = {}
+    for o, c in x.items():
+        for key, v in cb.solve({o: 1}).items():
+            total[key] = total.get(key, 0) + c * v
+    assert got == {key: v for key, v in total.items() if v}
+    assert got == codet.Straightener(T122).straighten_element(x)
 
 
 def test_straighten_standard_fixed(T122, cb):
@@ -329,7 +346,7 @@ def test_lazy_blocks_match_the_eager_walk(spec, n, d, truncated):
     cb = T.codet_basis
     eager = eager_codet_blocks(codet.CodetBasis(T))
     with_columns = [key for key, (_rows, cols) in eager.items() if cols]
-    lazy = cb._blocks
+    lazy = codet_blocks(cb)
     assert list(lazy) == with_columns and len(lazy) == len(with_columns)
     for key in with_columns:
         rows, cols = eager[key]
@@ -338,7 +355,7 @@ def test_lazy_blocks_match_the_eager_walk(spec, n, d, truncated):
         for j, col in enumerate(cols):
             for orbit, c in codet.codet_element(T, *col[1:]).items():
                 mat[rows.index(orbit)][j] = c
-        assert cb._change.factor(key).det == lu_det(mat), key
+        assert cb.factor(key).det == lu_det(mat), key
     if truncated:
         # the truncation keeps more orbits than codeterminants; they sit in
         # blocks with no columns, which the lazy map does not list
@@ -375,8 +392,8 @@ def test_a_solve_builds_only_the_block_it_meets(monkeypatch):
     alg, data, tau = make_algebra("zigzag:2")
     T = build_schur(alg, data, 2, 2, tau)
     cb = T.codet_basis
-    key = list(cb._blocks)[5]
-    rows, _cols = cb._blocks[key]
+    key = list(cb.block_keys)[5]
+    rows, _cols = codet_blocks(cb)[key]
     built, listed = [], []
     real_block, real_list = codet.CodetBasis._block, T.orbits_with_profile
 
@@ -426,6 +443,27 @@ def test_tableau_elements_made_once(monkeypatch):
         len(cb.std_x[bold]) + len(cb.std_y[bold]) for bold in cb.shapes)
 
 
+def test_heredity_makes_each_tableau_factor_once(monkeypatch):
+    """After the unimodularity walk, one `heredity_of_T` call makes the left
+    and the right kernel factor of each tableau word at most once each:
+    axiom (b) takes its factors from those axiom (c) made."""
+    alg, data, tau = make_algebra("zigzag:1")
+    T = build_schur(alg, data, 2, 2, tau)
+    cb = T.codet_basis
+    assert cb.unimodular()
+    words = {cb.index_word(tab, side)[0]
+             for side in SIDES for bold in cb.shapes for tab in cb.std(side)[bold]}
+    made = {"left": [], "right": []}
+    for side in made:
+        real = getattr(SchurAlgebra, f"{side}_factor")
+        monkeypatch.setattr(SchurAlgebra, f"{side}_factor",
+                            lambda self, w, real=real, seen=made[side]: seen.append(w) or real(self, w))
+    assert codet.heredity_of_T(T).ok
+    for side, seen in made.items():
+        on_tableaux = [w for w in seen if w in words]
+        assert on_tableaux and len(on_tableaux) == len(set(on_tableaux)), side
+
+
 def test_axiom_a_failure_names_its_witness(monkeypatch):
     """A doubled codeterminant column makes its block's determinant +-2;
     axiom (a) names the first such block and its determinant."""
@@ -440,8 +478,8 @@ def test_axiom_a_failure_names_its_witness(monkeypatch):
 
     monkeypatch.setattr(codet.CodetBasis, "_expand", broken)
     rep = codet.heredity_of_T(T, sample_b=4)
-    block = next(key for key, (_rows, cols) in T.codet_basis._blocks.items() if doubled in cols)
-    det = T.codet_basis._change.factor(block).det
+    block = next(key for key, (_rows, cols) in codet_blocks(T.codet_basis).items() if doubled in cols)
+    det = T.codet_basis.factor(block).det
     assert abs(det) == 2
     assert rep.failures == [
         f"axiom (a): change of basis not unimodular: block {block} has determinant {det}"
@@ -456,7 +494,7 @@ def test_unimodularity_check_takes_determinants_alone(monkeypatch):
     alg, data, tau = make_algebra("zigzag:1")
     T = build_schur(alg, data, 2, 2, tau)
     cb = T.codet_basis
-    key, (rows, cols) = max(cb._blocks.items(), key=lambda kv: len(kv[1][1]))
+    key, (rows, cols) = max(codet_blocks(cb).items(), key=lambda kv: len(kv[1][1]))
     assert len(cols) > 1
     expanded = []
     real = codet.CodetBasis._expand
@@ -468,10 +506,11 @@ def test_unimodularity_check_takes_determinants_alone(monkeypatch):
     monkeypatch.setattr(codet.CodetBasis, "_expand", counted)
     assert cb.unimodular()
     assert len(expanded) == len(set(expanded)) == len(cb.keys) and set(expanded) == set(cb.keys)
-    factored = cb._change._factored
-    assert len(factored) == len(cb._blocks)
+    factored = cb._factored
+    assert len(factored) == len(cb.block_keys)
     kept = {name for blk in factored.values() for name in blk.__slots__ if hasattr(blk, name)}
     assert kept == {"det", "size"}
+    assert not any(hasattr(blk, "steps") or hasattr(blk, "cols") for blk in factored.values())
 
     mat = [[cb.expansion(col).get(orbit, 0) for col in cols] for orbit in rows]
     x = [(-1) ** j * (j + 1) for j in range(len(cols))]
@@ -491,7 +530,7 @@ def test_axiom_a_names_a_column_that_reaches_another_block(monkeypatch):
     alg, data, tau = make_algebra("zigzag:1")
     T = build_schur(alg, data, 2, 2, tau)
     cb = T.codet_basis
-    blocks = dict(cb._blocks)
+    blocks = codet_blocks(cb)
     key, (_rows, cols) = list(blocks.items())[3]
     col = cols[0]
     other, (other_rows, _other_cols) = list(blocks.items())[9]
@@ -519,7 +558,7 @@ def test_a_column_that_leaves_a_truncation_is_named(monkeypatch):
     T = ambient.truncate([0])
     cb = T.codet_basis
     index = T.ctx.index
-    key, (_rows, cols) = next(iter(cb._blocks.items()))
+    key, (_rows, cols) = next(iter(codet_blocks(cb).items()))
     col = cols[0]
     stray = next(o for o in ambient.orbits if not all(T._has_index[index[lt]] for lt in o))
     real = codet.CodetBasis._expand
@@ -548,7 +587,7 @@ def test_row_codes_read_the_block_key(spec, n, d, truncated):
     T = ambient.truncate([0]) if truncated else ambient
     cb = T.codet_basis
     index, code = T.ctx.index, cb._letter_codes
-    keys = list(cb._blocks)
+    keys = list(cb.block_keys)
     for orbit in ambient.orbits:
         w = tuple(index[lt] for lt in orbit)
         own = all(T._has_index[i] for i in w) and T.ctx.block_key(w)
@@ -566,7 +605,7 @@ def test_axiom_a_names_an_orbit_no_column_reaches(monkeypatch):
     expansion = cb.index_expansion
     key, col, lost = next(
         (key, col, orbit)
-        for key, (_rows, cols) in cb._blocks.items() if len(cols) > 1
+        for key, (_rows, cols) in codet_blocks(cb).items() if len(cols) > 1
         for col in cols for orbit in expansion(col)
         if not any(orbit in expansion(c) for c in cols if c != col))
     real = codet.CodetBasis._expand

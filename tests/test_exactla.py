@@ -6,16 +6,17 @@ from hypothesis import example, given, strategies as st
 
 import schurify
 from helpers import lu_det, lu_rank, lu_solve
-from schurify.exactla import BlockedBasis, rank
+from schurify.exactla import Block, rank
 from schurify.rings import GF, QQ
 
 
-def single_block(mat):
-    """One block whose column j has the expansion {i: mat[i][j]} over rows i."""
+def single_block(mat, labelled=True):
+    """Block 0 whose column j has the expansion {i: mat[i][j]} over rows i,
+    labelled c0, c1, ... for solves unless `labelled` is False."""
     rows = list(range(len(mat)))
     cols = [f"c{j}" for j in range(len(mat[0]))]
-    expansion = {c: {i: mat[i][j] for i in rows if mat[i][j]} for j, c in enumerate(cols)}
-    return BlockedBasis("block", {0: (rows, cols)}, lambda r: 0, expansion.__getitem__)
+    expansions = [{i: mat[i][j] for i in rows if mat[i][j]} for j in range(len(cols))]
+    return Block("block", 0, rows, expansions, cols if labelled else None)
 
 
 def times(mat, x):
@@ -27,8 +28,8 @@ def times(mat, x):
 def test_block_that_needs_a_row_swap():
     mat = [[0, 2, 1], [1, 0, 0], [0, 1, 1]]  # column 0 has its pivot in row 1
     B = single_block(mat)
-    assert B.factor(0).det == -1
-    assert B.unimodular()
+    assert B.det == -1
+    assert single_block(mat, labelled=False).det == -1
     v = {0: 3, 1: 1, 2: 2}
     x = B.solve_integral(v)
     assert x == {"c0": 1, "c1": 1, "c2": 1}
@@ -37,25 +38,23 @@ def test_block_that_needs_a_row_swap():
 
 def test_unimodular_against_determinant_two():
     minus_one = single_block([[1, 1], [1, 0]])
-    assert minus_one.factor(0).det == -1 and minus_one.unimodular()
+    assert minus_one.det == -1
     assert minus_one.solve_integral({0: 1}) == {"c1": 1}
 
     two = single_block([[2, 0], [0, 1]])
-    assert two.factor(0).det == 2 and not two.unimodular()
+    assert two.det == 2
     assert two.solve_integral({0: 2, 1: 5}) == {"c0": 1, "c1": 5}
     with pytest.raises(ArithmeticError, match="1/2 of column c0 in block 0"):
         two.solve_integral({0: 1})
 
 
 def test_singular_and_non_square_blocks_raise():
-    singular = single_block([[1, 2], [2, 4]])
     with pytest.raises(AssertionError, match="singular"):
-        singular.unimodular()
+        single_block([[1, 2], [2, 4]], labelled=False)
     with pytest.raises(AssertionError, match="block 0 singular"):
-        singular.solve_integral({0: 1})
-    tall = BlockedBasis("block", {0: ([0, 1], ["c0"])}, lambda r: 0, lambda c: {0: 1})
+        single_block([[1, 2], [2, 4]])
     with pytest.raises(AssertionError, match="block 0 is not square: 1 columns vs 2 rows"):
-        tall.solve_integral({0: 1})
+        Block("block", 0, [0, 1], [{0: 1}], ["c0"])
 
 
 def test_rank_over_q_and_f2():
@@ -67,21 +66,13 @@ def test_rank_over_q_and_f2():
     assert rank([], QQ) == 0
 
 
-def test_blocks_are_solved_separately():
-    expansion = {"a": {"x": 1}, "b": {"y": 2, "z": 1}, "c": {"y": 1, "z": 1}}
-    B = BlockedBasis("block", {1: (["x"], ["a"]), 2: (["y", "z"], ["b", "c"])},
-                     lambda r: 1 if r == "x" else 2, expansion.__getitem__)
-    assert B.unimodular()
-    assert B.solve_integral({"x": 3, "y": 1}) == {"a": 3, "b": 1, "c": -1}
-
-
 def test_non_integral_coefficient_is_reduced_and_named():
     four = single_block([[4, 0], [0, 1]])
     assert four.solve_integral({0: 8}) == {"c0": 2}
     with pytest.raises(ArithmeticError, match="non-integral coefficient 1/2 of column c0 in block 0"):
         four.solve_integral({0: 2})
     minus_three = single_block([[0, 1], [3, 0]])  # a row swap, det -3
-    assert minus_three.factor(0).det == -3
+    assert minus_three.det == -3
     with pytest.raises(ArithmeticError, match="non-integral coefficient -2/3 of column c0 in block 0"):
         minus_three.solve_integral({1: -2})
 
@@ -102,14 +93,14 @@ def test_block_against_fraction_oracle(mat, v, x):
     """det, integral solves and integrality aborts agree with the LU oracle,
     on an arbitrary right-hand side and on the image of an integral x."""
     n = len(mat)
-    B = single_block(mat)
     det = lu_det(mat)
     if not det:
         with pytest.raises(AssertionError, match="singular"):
-            B.factor(0)
+            single_block(mat, labelled=False)
         return
-    assert B.factor(0).det == det
-    assert B.unimodular() == (abs(det) == 1)
+    B = single_block(mat)
+    assert B.det == det
+    assert single_block(mat, labelled=False).det == det
     for rhs in (v[:n], [sum(row[j] * x[j] for j in range(n)) for row in mat]):
         want = lu_solve(mat, rhs)
         sparse = {i: c for i, c in enumerate(rhs) if c}
@@ -153,14 +144,14 @@ def test_sparse_blocks_against_fraction_oracle(mat, v):
     assert rank(mat, QQ) == lu_rank(mat)
     for p in (2, 3):
         assert rank(mat, GF(p)) == lu_rank(mat, p)
-    B = single_block(mat)
     det = lu_det(mat)
     if not det:
         with pytest.raises(AssertionError, match="singular"):
-            B.solve_integral({0: 1})
+            single_block(mat)
         return
-    assert B.factor(0).det == det
-    assert B.unimodular() == (abs(det) == 1)
+    B = single_block(mat)
+    assert B.det == det
+    assert single_block(mat, labelled=False).det == det
     want = lu_solve(mat, v[:n])
     sparse = {i: c for i, c in enumerate(v[:n]) if c}
     if all(c.denominator == 1 for c in want):
