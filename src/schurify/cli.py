@@ -447,9 +447,17 @@ def verify(ctx, **kw):
         except Exception as e:  # any failure is a verification failure
             results.append((name, False, f"{type(e).__name__}: {e}"))
 
+    # samples are drawn by index and unranked (`T.orbit`): the same indices,
+    # and so the same orbits, as sampling the list `T.orbits`, never listed
+    def sample(k: int) -> list:
+        return [T.orbit(i) for i in rng.sample(range(T.rank), k)]
+
+    def choice():
+        return T.orbit(rng.randrange(T.rank))
+
     def c_unit():
         one = T.unit()
-        for o in rng.sample(T.orbits, min(20, T.rank)):
+        for o in sample(min(20, T.rank)):
             x = {o: 1}
             assert T.mul(one, x) == x and T.mul(x, one) == x
         return f"{min(20, T.rank)} samples"
@@ -457,7 +465,7 @@ def verify(ctx, **kw):
     def c_assoc():
         m = min(60, T.rank)
         for _ in range(m):
-            a, b, c = (rng.choice(T.orbits) for _ in range(3))
+            a, b, c = (choice() for _ in range(3))
             lhs = T.mul(T.mult_orbits(a, b), {c: 1})
             rhs = T.mul({a: 1}, T.mult_orbits(b, c))
             assert lhs == rhs
@@ -476,13 +484,16 @@ def verify(ctx, **kw):
         cb = T.codet_basis
         total = sum(len(cb.std_x[bold]) * len(cb.std_y[bold]) for bold in cb.shapes)
         assert total == T.rank, (total, T.rank)
-        # RSK on a sample: a bijection from orbits onto codeterminant keys
-        keys = set(cb.keys)
+        # RSK on a sample: a bijection from orbits onto codeterminant keys,
+        # the standard pairs (S, T) of one shape
+        std = {bold: (set(cb.std_x[bold]), set(cb.std_y[bold])) for bold in cb.shapes}
         preimage = {}
-        for o in rng.sample(T.orbits, min(30, T.rank)):
+        for o in sample(min(30, T.rank)):
             image = rsk(T.ctx, o)
-            assert image in keys, f"rsk({o}) is not a standard codeterminant"
-            assert rsk_inv(T.ctx, image[1], image[2]) == o, f"rsk_inv(rsk({o})) != {o}"
+            bold, S, Tb = image
+            xs, ys = std.get(bold, ((), ()))
+            assert S in xs and Tb in ys, f"rsk({o}) is not a standard codeterminant"
+            assert rsk_inv(T.ctx, S, Tb) == o, f"rsk_inv(rsk({o})) != {o}"
             assert image not in preimage, f"rsk({o}) == rsk({preimage[image]})"
             preimage[image] = o
         return f"rank {T.rank} two ways"
@@ -492,10 +503,10 @@ def verify(ctx, **kw):
             return "skipped (n < d)"
         cb = T.codet_basis
         st = codet.Straightener(T)
-        sample = rng.sample(T.orbits, min(25, T.rank))
-        for o in sample:
+        drawn = sample(min(25, T.rank))
+        for o in drawn:
             assert cb.solve({o: 1}) == st.straighten_element({o: 1})
-        return f"{len(sample)} orbits, both backends"
+        return f"{len(drawn)} orbits, both backends"
 
     def c_heredity_base():
         rep = verify_heredity(T.alg, T.data)
@@ -550,7 +561,7 @@ def verify(ctx, **kw):
 
         m = min(40, T.rank)
         for _ in range(m):
-            a, b = rng.choice(T.orbits), rng.choice(T.orbits)
+            a, b = choice(), choice()
             assert T.involution(T.involution({a: 1})) == {a: 1}
             lhs = signed(T.mult_orbits(a, b))
             rhs = T.mul(signed({b: 1}), signed({a: 1}))

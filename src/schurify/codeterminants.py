@@ -19,9 +19,10 @@ express arbitrary elements in that basis:
     each tableau's share keeps, and as rows the orbits those expansions
     reach, labelled by their words of letter indices, each checked by one
     sum over a per-letter table to be an orbit of T carrying the key.
-    The unimodularity check keeps of a block (an `exactla.Block`) only its
-    determinant; the first solve that meets it builds it again with what a
-    solve needs.  Neither the check nor a solve lists orbits.
+    The unimodularity check walks the blocks (each an `exactla.Block`) in one
+    pass that keeps only the running block's determinant and order; the
+    first solve that meets a block builds it again with what a solve needs
+    and keeps it.  Neither the check nor a solve lists orbits.
 
 The heredity check runs on index words too: its products go through the
 product kernel and its solves take index words.  A codeterminant key is made
@@ -330,6 +331,20 @@ class CodetBasis:
 
         return _OnLookup(xs), _OnLookup(ys)
 
+    def share_factors(self, side: Side) -> dict:
+        """index word -> the kernel factor the shares keep of the standard
+        tableaux of `side`: each X_S as a left factor, each Y_T as a right
+        one.  Looks up every weight of `side` in `_shares`."""
+        k = side.pick(0, 1)
+        weights = dict.fromkeys(weight for shares in self._tableau_blocks.values()
+                                for _tab, (weight, _deg, _par) in shares[k])
+        xs_of, ys_of = self._shares
+        if k == 0:
+            made = [entry[-1] for w in weights for entry in xs_of[w]]
+        else:
+            made = [share for w in weights for group in ys_of[w].values() for share in group]
+        return {share.factor[0]: share.factor for share in made}
+
     def _columns(self, key) -> list[tuple[_Share, _Share]]:
         """The standard codeterminants whose tableau shares add up to the
         block key (alpha, beta, degree, parity), as pairs of shares, in the
@@ -449,27 +464,45 @@ class CodetBasis:
         return keys
 
     def factor(self, key, solver: bool = False) -> Block:
-        """The block of `key`, built by `_block` on first use and kept; with
-        `solver`, with its columns as codeterminant keys and what a solve
-        needs.  A key outside `block_keys` gets an empty block."""
+        """The block of `key`, built by `_block`.  With `solver`, it has its
+        columns as codeterminant keys and what a solve needs, and it is kept
+        for later solves: `_factored` holds only such blocks.  Without, a
+        kept block is reused, and a block built afresh is not kept.  A key
+        outside `block_keys` gets an empty block."""
         blk = self._factored.get(key)
-        if blk is None or solver and not hasattr(blk, "steps"):
+        if blk is None:
             rows, cols, expansions = self._block(key)
             labels = [(x.bold, x.tab, y.tab) for x, y in cols] if solver else None
-            blk = self._factored[key] = Block("codeterminant block", key, rows, expansions, labels)
+            blk = Block("codeterminant block", key, rows, expansions, labels)
+            if solver:
+                self._factored[key] = blk
         return blk
+
+    def _walk(self):
+        """(key, determinant, order) of each block with columns, in the order
+        of `block_keys`: one pass that keeps nothing per block, each built
+        by `factor` and dropped, or a kept solver block reused."""
+        for key in self.block_keys:
+            blk = self.factor(key)
+            yield key, blk.det, blk.size
 
     def non_unimodular_block(self) -> tuple | None:
         """The first block key whose determinant is not +-1, with that
-        determinant; None when there is none.  Factors the blocks up to it."""
-        dets = ((key, self.factor(key).det) for key in self.block_keys)
-        return next(((key, det) for key, det in dets if abs(det) != 1), None)
+        determinant; None when there is none.  Axiom (a) of `heredity_of_T`
+        reads it; it walks the blocks up to that one (`_walk`)."""
+        return next(((key, det) for key, det, _size in self._walk() if abs(det) != 1), None)
 
     def unimodular(self) -> bool:
         """Whether every block with columns has determinant +-1 and those
-        blocks hold every orbit, so that none lies in a block of no columns."""
-        return (self.non_unimodular_block() is None
-                and sum(self.factor(key).size for key in self.block_keys) == self.T.rank)
+        blocks hold every orbit, so that none lies in a block of no columns.
+        One `_walk` gives both the determinants and the orders; the tests
+        and the layer benchmark read it."""
+        total = 0
+        for _key, det, size in self._walk():
+            if abs(det) != 1:
+                return False
+            total += size
+        return total == self.T.rank
 
     def solve_terms(self, terms: Mapping[tuple[int, ...], int]) -> dict[CodetKey, int]:
         """Expand an integral combination of orbits, keyed by words of letter
@@ -720,8 +753,11 @@ def heredity_of_T(T: SchurAlgebra, sample_b: int | None = None) -> SchurHeredity
 
     # the products run on index words through the product kernel, each
     # factor one orbit as (left factor, right factor, coefficient); a word's
-    # factors are made on first use and kept for axioms (c) and (b) both
+    # factors are made on first use and kept for axioms (c) and (b) both,
+    # starting from those the walk's tableau shares already hold
     lefts, rights = _OnLookup(T.left_factor), _OnLookup(T.right_factor)
+    lefts.update(cb.share_factors(X_SIDE))
+    rights.update(cb.share_factors(Y_SIDE))
 
     def factors(word, c) -> tuple:
         return lefts[word], rights[word], c

@@ -28,8 +28,9 @@ coefficient aborts loudly (it would signal an implementation bug).
 """
 from __future__ import annotations
 
+import operator
 from functools import cached_property
-from itertools import permutations, product
+from itertools import accumulate, permutations, product
 from math import comb
 from typing import Iterator
 
@@ -86,8 +87,53 @@ class SchurAlgebra:
 
     @cached_property
     def orbits(self) -> list[TriWord]:
-        """The canonical orbits, enumerated on first use."""
+        """The canonical orbits, enumerated on first use and kept.  Only the
+        tests and the layer benchmark read the list; `verify` draws its
+        samples through `orbit`, which lists nothing."""
         return list(_multisets(self._letters, self.d, self.ctx))
+
+    @cached_property
+    def _counts(self) -> list[list[int]]:
+        """counts[k][m]: the admissible multisets of size m over the letters
+        k, k+1, ... of this algebra, each odd letter used at most once; one
+        row per letter and a last row for none."""
+        d = self.d
+        counts = [[1] + [0] * d]
+        for lt in reversed(self._letters):
+            after = counts[-1]
+            if self.ctx.is_odd(lt):
+                counts.append([after[0]] + [after[m] + after[m - 1] for m in range(1, d + 1)])
+            else:
+                counts.append(list(accumulate(after)))
+        return counts[::-1]
+
+    def orbit(self, i: int) -> TriWord:
+        """The i-th canonical orbit in the order of `orbits`, for 0 <= i <
+        `rank`, unranked through `_counts` without listing the others.
+        `verify` draws its samples by it; IndexError outside that range."""
+        i = operator.index(i)
+        if not 0 <= i < self.rank:
+            raise IndexError(f"orbit index {i} out of range [0, {self.rank})")
+        counts, letters = self._counts, self._letters
+        word: list[TriLetter] = []
+        left, k = self.d, 0
+        while left:
+            # in the order of `_multisets`, the multisets that take letter k
+            # come first, by its multiplicity m, each followed by every
+            # multiset of size left - m over the letters after it
+            after = counts[k + 1]
+            taking = counts[k][left] - after[left]
+            if i < taking:
+                m = 1
+                while i >= after[left - m]:
+                    i -= after[left - m]
+                    m += 1
+                word += [letters[k]] * m
+                left -= m
+            else:
+                i -= taking
+            k += 1
+        return tuple(word)
 
     def orbits_with_profile(self, side: int, profile) -> Iterator[TriWord]:
         """The canonical orbits whose left (side 0) or right (side 1) weight

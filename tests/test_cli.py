@@ -202,6 +202,26 @@ def test_dim_enumerates_no_orbits(monkeypatch, tmp_path):
     assert json.loads(res.output) == {"rank": "1734436"}
 
 
+def test_verify_lists_no_orbits_and_no_codeterminant_keys(monkeypatch, tmp_path):
+    """`verify` draws its samples by unranking and checks RSK images against
+    the standard tableaux of their shape: it never evaluates the orbit list
+    or the list of codeterminant keys, and still passes every check."""
+    from schurify.codeterminants import CodetBasis
+    from schurify.schur import SchurAlgebra
+
+    def refuse(name):
+        def get(_self):
+            raise AssertionError(f"{name} listed")
+        return property(get)
+
+    monkeypatch.setattr(SchurAlgebra, "orbits", refuse("orbits"))
+    monkeypatch.setattr(CodetBasis, "keys", refuse("codeterminant keys"))
+    res = run("verify", "--algebra", "zigzag:1", "-n", "2", "-d", "2", "--seed", "5",
+              "--cache-dir", str(tmp_path))
+    assert res.exit_code == 0, res.output
+    assert "FAIL" not in res.output and res.output.count("PASS") == 9, res.output
+
+
 def test_mul_enumerates_no_orbits(monkeypatch, tmp_path):
     from schurify import schur
 

@@ -443,6 +443,29 @@ def test_tableau_elements_made_once(monkeypatch):
         len(cb.std_x[bold]) + len(cb.std_y[bold]) for bold in cb.shapes)
 
 
+@pytest.mark.parametrize("n", [2, 3])
+def test_walk_and_heredity_make_each_tableau_factor_once(monkeypatch, n):
+    """From a fresh algebra, the unimodularity walk and `heredity_of_T`
+    together make the left and the right kernel factor of each tableau word
+    at most once each: the heredity check starts from the factors the walk's
+    tableau shares hold."""
+    alg, data, tau = make_algebra("zigzag:1")
+    T = build_schur(alg, data, n, n, tau)
+    made = {"left": [], "right": []}
+    for side in made:
+        real = getattr(SchurAlgebra, f"{side}_factor")
+        monkeypatch.setattr(SchurAlgebra, f"{side}_factor",
+                            lambda self, w, real=real, seen=made[side]: seen.append(w) or real(self, w))
+    assert codet.heredity_of_T(T, sample_b=10).ok
+    cb = T.codet_basis
+    words = {cb.index_word(tab, side)[0]
+             for side in SIDES for bold in cb.shapes for tab in cb.std(side)[bold]}
+    for side, seen in made.items():
+        on_tableaux = [w for w in seen if w in words]
+        assert set(on_tableaux) == words, side
+        assert len(on_tableaux) == len(words), side
+
+
 def test_heredity_makes_each_tableau_factor_once(monkeypatch):
     """After the unimodularity walk, one `heredity_of_T` call makes the left
     and the right kernel factor of each tableau word at most once each:
@@ -487,10 +510,9 @@ def test_axiom_a_failure_names_its_witness(monkeypatch):
 
 
 def test_unimodularity_check_takes_determinants_alone(monkeypatch):
-    """`unimodular()` expands each codeterminant once and keeps of a block
-    only its determinant and order, no matrix and no record of its
-    elimination; a later solve expands its own block's columns alone, once
-    more, and agrees with the LU oracle."""
+    """`unimodular()` expands each codeterminant once and keeps no block it
+    built; a later solve expands its own block's columns alone, once more,
+    keeps that block alone, and agrees with the LU oracle."""
     alg, data, tau = make_algebra("zigzag:1")
     T = build_schur(alg, data, 2, 2, tau)
     cb = T.codet_basis
@@ -506,11 +528,7 @@ def test_unimodularity_check_takes_determinants_alone(monkeypatch):
     monkeypatch.setattr(codet.CodetBasis, "_expand", counted)
     assert cb.unimodular()
     assert len(expanded) == len(set(expanded)) == len(cb.keys) and set(expanded) == set(cb.keys)
-    factored = cb._factored
-    assert len(factored) == len(cb.block_keys)
-    kept = {name for blk in factored.values() for name in blk.__slots__ if hasattr(blk, name)}
-    assert kept == {"det", "size"}
-    assert not any(hasattr(blk, "steps") or hasattr(blk, "cols") for blk in factored.values())
+    assert not cb._factored  # no walk-built block is kept
 
     mat = [[cb.expansion(col).get(orbit, 0) for col in cols] for orbit in rows]
     x = [(-1) ** j * (j + 1) for j in range(len(cols))]
@@ -519,7 +537,7 @@ def test_unimodularity_check_takes_determinants_alone(monkeypatch):
     expanded.clear()
     got = cb.solve(v)
     assert expanded == cols
-    assert hasattr(factored[key], "steps")
+    assert list(cb._factored) == [key] and hasattr(cb._factored[key], "steps")
     want = lu_solve(mat, [v.get(orbit, 0) for orbit in rows])
     assert got == {col: int(c) for col, c in zip(cols, want) if c} == dict(zip(cols, x))
 

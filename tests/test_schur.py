@@ -25,15 +25,51 @@ def test_rank_constants():
 
 
 def test_rank_closed_count_matches_the_enumeration():
-    """The closed count of canonical orbits equals the length of `orbits`,
-    on the algebras and on their truncations."""
+    """The closed count of canonical orbits equals the length of `orbits`
+    and the total of the count table `orbit` unranks through, and
+    `orbit(i)` is `orbits[i]`, on the algebras and on their truncations:
+    for every i up to rank 20 000, for every 97th i and the last above."""
     for spec in ("trivial", "zigzag:1", "zigzag:2", "zigzag:3", "semisimple:2"):
         alg, data, tau = make_algebra(spec)
         for n in range(1, 4):
             for d in range(4):
                 T = build_schur(alg, data, n, d, tau)
                 for A in (T, T.truncate([0])):
-                    assert A.rank == len(A.orbits), (spec, n, d, A.keep_basis)
+                    where = (spec, n, d, A.keep_basis)
+                    assert A.rank == len(A.orbits) == A._counts[0][d], where
+                    step = 1 if A.rank <= 20000 else 97
+                    for i in [*range(0, A.rank, step), A.rank - 1]:
+                        assert A.orbit(i) == A.orbits[i], (where, i)
+
+
+def test_unranking_refuses_an_index_out_of_range():
+    """No wrap-around: -1 and `rank` are refused, and so is a non-integer."""
+    alg, data, tau = make_algebra("zigzag:1")
+    T = build_schur(alg, data, 2, 2, tau)
+    for i in (-1, T.rank, T.rank + 5, -T.rank):
+        with pytest.raises(IndexError):
+            T.orbit(i)
+    with pytest.raises(TypeError):
+        T.orbit(1.0)
+    assert "orbits" not in vars(T)
+    empty = build_schur(alg, data, 2, 0, tau)
+    assert empty.orbit(0) == ()
+    with pytest.raises(IndexError):
+        empty.orbit(1)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_unranked_draws_match_draws_from_the_list(seed):
+    """The same seed draws the same orbits by index and unranking as
+    `sample` and `choice` on the list `orbits`."""
+    alg, data, tau = make_algebra("zigzag:1")
+    T = build_schur(alg, data, 3, 2, tau)
+    by_index, by_list = random.Random(seed), random.Random(seed)
+    for k in (1, 20, T.rank):
+        assert ([T.orbit(i) for i in by_index.sample(range(T.rank), k)]
+                == by_list.sample(T.orbits, k))
+        assert ([T.orbit(by_index.randrange(T.rank)) for _ in range(30)]
+                == [by_list.choice(T.orbits) for _ in range(30)])
 
 
 def test_degenerate_degree_zero():
