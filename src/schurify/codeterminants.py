@@ -24,11 +24,13 @@ express arbitrary elements in that basis:
     first solve that meets a block builds it again with what a solve needs
     and keeps it.  Neither the check nor a solve lists orbits.
 
-The heredity check runs on index words too: its products go through the
-product kernel and its solves take index words.  A codeterminant key is made
-only for a solve's result or a failure message, and a `TriWord` only at the
-boundary: an Element given to `CodetBasis.solve` and an orbit that a witness
-or an error names.
+A tableau enters the walk, the heredity check and the Gram matrices as the
+index word of X_S or Y_T and its sign, read straight off the tableau
+(`CodetBasis.index_word`); the basis keeps no Element per tableau.  The
+heredity check's products go through the product kernel and its solves take
+index words.  A codeterminant key is made only for a solve's result or a
+failure message, and a `TriWord` only at the boundary: an Element given to
+`CodetBasis.solve` and an orbit that a witness or an error names.
 
 All expansions are integral; any non-integral coefficient aborts loudly.
 """
@@ -73,10 +75,14 @@ def _word(tab: Tableau, rows, side: Side) -> TriWord:
     return tuple(zip([z for (_l, z) in content], r, s))
 
 
+def _own_word(tab: Tableau, side: Side) -> TriWord:
+    """The word of X_S or Y_T: a tableau against its own rows."""
+    return _word(tab, [m for comp in tab for m, row in enumerate(comp, start=1) for _ in row], side)
+
+
 def side_element(T: SchurAlgebra, tab: Tableau, side: Side) -> Element:
     """X_S or Y_T: the orbit element of a tableau against its own rows."""
-    rows = [m for comp in tab for m, row in enumerate(comp, start=1) for _ in row]
-    return T.eta(_word(tab, rows, side))
+    return T.eta(_own_word(tab, side))
 
 
 def x_element(T: SchurAlgebra, S: Tableau) -> Element:
@@ -198,7 +204,6 @@ class CodetBasis:
     of basis from the orbit basis."""
 
     T: SchurAlgebra
-    _side_elements: dict = field(default_factory=dict, init=False, repr=False)
     _factored: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
@@ -248,17 +253,17 @@ class CodetBasis:
         )
         return S, S
 
-    def side_element(self, tab: Tableau, side: Side) -> Element:
-        """X_S or Y_T, made once per tableau; callers must not mutate it."""
-        key = (side.name, tab)
-        if key not in self._side_elements:
-            self._side_elements[key] = side_element(self.T, tab, side)
-        return self._side_elements[key]
-
     def index_word(self, tab: Tableau, side: Side) -> tuple[tuple[int, ...], int]:
-        """X_S or Y_T as the index word of its one orbit, and its sign."""
-        (orbit, sign), = self.side_element(tab, side).items()
-        return tuple(map(self.T.ctx.index.__getitem__, orbit)), sign
+        """X_S or Y_T as the index word of its one orbit, and its sign, read
+        straight off the tableau: its word (`_own_word`), that word's letter
+        indices, sorted with its sign by `TriContext.sort_signed`.  With the
+        checks of `SchurAlgebra.eta`, a word that is not d letters of T
+        raises ValueError, and so does one that repeats an odd letter."""
+        word = _own_word(tab, side)
+        rep, sign = self.T.ctx.sort_signed(self.T.indices(word))
+        if rep is None:
+            raise ValueError(f"repeated odd letter in {word}")
+        return rep, sign
 
     def kernel_factor(self, tab: Tableau, side: Side, left: bool) -> tuple:
         """X_S or Y_T made afresh as the left factor of the product kernel
@@ -300,8 +305,16 @@ class CodetBasis:
     @cached_property
     def _tableau_blocks(self) -> dict:
         """shape -> ([(S, its share)], [(T, its share)]) of the block keys, in
-        the order of the standard tableaux."""
-        return {bold: tuple([(tab, self._tableau_block(tab, side)) for tab in self.std(side)[bold]]
+        the order of the standard tableaux.  Equal shares are one tuple, and
+        so are equal weights (`shared` maps each to its first copy)."""
+        shared: dict = {}
+
+        def share(tab: Tableau, side: Side) -> tuple:
+            weight, deg, par = self._tableau_block(tab, side)
+            key = (shared.setdefault(weight, weight), deg, par)
+            return shared.setdefault(key, key)
+
+        return {bold: tuple([(tab, share(tab, side)) for tab in self.std(side)[bold]]
                             for side in SIDES)
                 for bold in self.shapes}
 
@@ -903,7 +916,7 @@ def cellular_basis(T: SchurAlgebra, colors) -> dict[tuple, Element]:
             S for S in cb.std_x[bold]
             if all(left_kept(z) for (_l, z) in tableau_word(S))
         ]
-        xs = [cb.side_element(S, X_SIDE) for S in tabs]
+        xs = [side_element(T, S, X_SIDE) for S in tabs]
         ys = [T.involution(x) for x in xs]
         for S, x in zip(tabs, xs):
             for T2, y in zip(tabs, ys):

@@ -18,10 +18,14 @@ The kernel, `product_terms`, works on letter indices (places in
 `TriContext.letters`) end to end: words are tuples of ints, letters
 multiply through the context's letter-product table, a word is sorted with
 its sign by `TriContext.sort_signed`, and the terms it returns are keyed by
-index words.  `orbit_product` and `mult_orbits` turn them into `TriWord`s,
-the keys of Elements; the codeterminant walk, the heredity check and the
-Gram matrices keep them on indices, from factors made by `left_factor` and
-`right_factor` without the caches.
+index words.  A right factor (`right_factor`) makes the arrangements the
+kernel reads one slot group at a time, on the first request for the group's
+slot word, by placing each slot's letters in every distinct order at that
+slot's places; a group no product asks for is never made.  `orbit_product`
+and `mult_orbits` turn the terms into `TriWord`s, the keys of Elements; the
+codeterminant walk, the heredity check and the Gram matrices keep them on
+indices, from factors made by `left_factor` and `right_factor` without the
+caches.
 
 All structure constants are integral on the eta lattice; a non-integral
 coefficient aborts loudly (it would signal an implementation bug).
@@ -215,22 +219,9 @@ class SchurAlgebra:
     def right_factor(self, word: tuple[int, ...]) -> tuple:
         """A right factor of `product_terms`, made afresh from its canonical
         index word: the word, its arrangements grouped by their word of left
-        profile slots, each as (index word, sign, bitmask of its odd places),
+        profile slots, each group made on its first request (`_SlotGroups`),
         and [o2]_c."""
-        ctx = self.ctx
-        sort_signed = ctx.sort_signed
-        slot, odd, slot_words = ctx.slots[0], ctx.odd, ctx.slot_words
-        by: dict[tuple[int, ...], list[tuple[tuple[int, ...], int, int]]] = {}
-        for w in set(permutations(word)):
-            mask = 0
-            for k, i in enumerate(w):
-                if odd[i]:
-                    mask |= 1 << k
-            # a word with fewer than two odd letters has no odd inversion
-            sign = sort_signed(w)[1] if mask & (mask - 1) else 1
-            key = tuple(map(slot.__getitem__, w))
-            by.setdefault(slot_words.setdefault(key, key), []).append((w, sign, mask))
-        return word, {k: tuple(v) for k, v in by.items()}, ctx.run_factorial(word, "c")
+        return word, _SlotGroups(self.ctx, word), self.ctx.run_factorial(word, "c")
 
     # -- multiplication ----------------------------------------------------
     def mult_orbits(self, o1: TriWord, o2: TriWord) -> Element:
@@ -275,14 +266,15 @@ class SchurAlgebra:
         checks it), so only the arrangements of o2 whose word of left slots
         is c1's word of right slots are multiplied, place by place off the
         letter-product table, stopping at the first zero factor; each
-        product word is sorted with its sign by `TriContext.sort_signed`."""
+        product word is sorted with its sign by `TriContext.sort_signed`.
+        The right factor makes that group on its first request."""
         ctx = self.ctx
         word1, before_odd, mid, den = left
         word2, by_slot, m2 = right
         table = ctx.letter_products
         sort_signed = ctx.sort_signed
         res: dict[tuple[int, ...], int] = {}
-        for w2, sgn, mask in by_slot.get(mid, ()):
+        for w2, sgn, mask in by_slot[mid]:
             factors = []
             for pair in zip(word1, w2):
                 terms = table[pair]
@@ -336,12 +328,18 @@ class SchurAlgebra:
     def eta(self, word: TriWord) -> Element:
         """The eta basis element of an arbitrary admissible word, with sign;
         ValueError for a word that is not d letters of this algebra."""
-        if len(word) != self.d or any(lt not in self._letter_pos for lt in word):
-            raise ValueError(f"orbit {word} not in this algebra")
-        rep, sign = self.ctx.canonicalize(word)
+        rep, sign = self.ctx.sort_signed(self.indices(word))
         if rep is None:
             return {}
-        return {rep: sign}
+        return {self.ctx.word(rep): sign}
+
+    def indices(self, word: TriWord) -> list[int]:
+        """The letter indices of a word of d letters of this algebra;
+        ValueError naming any other word."""
+        if len(word) != self.d or any(lt not in self._letter_pos for lt in word):
+            raise ValueError(f"orbit {word} not in this algebra")
+        index = self.ctx.index
+        return [index[lt] for lt in word]
 
     # -- distinguished elements -------------------------------------------
     def idempotent_bold(self, bold) -> Element:
@@ -464,6 +462,55 @@ class SchurAlgebra:
 
     def element_from_json(self, obj: list) -> Element:
         return {TriContext.from_json(e["orbit"]): int(e["coeff"]) for e in obj}
+
+
+class _SlotGroups(dict):
+    """The arrangements of a right factor's canonical index word, grouped by
+    their word of left profile slots, each as (index word, sign, bitmask of
+    its odd places).  A group is made on the first lookup of its slot word
+    and kept: each slot's letters go, in every distinct order, to the places
+    of that slot in the slot word.  A slot word whose slot counts differ from
+    the word's gets an empty group, which is not kept."""
+
+    __slots__ = ("ctx", "word")
+
+    def __init__(self, ctx: TriContext, word: tuple[int, ...]):
+        self.ctx, self.word = ctx, word
+
+    def __missing__(self, mid: tuple[int, ...]) -> tuple:
+        ctx = self.ctx
+        slot, odd, sort_signed = ctx.slots[0], ctx.odd, ctx.sort_signed
+        pools: dict[int, list[int]] = {}
+        for i in self.word:
+            pools.setdefault(slot[i], []).append(i)
+        places: dict[int, list[int]] = {}
+        for k, s in enumerate(mid):
+            places.setdefault(s, []).append(k)
+        if places.keys() != pools.keys():
+            return ()
+        w = list(mid)
+        spread = []  # the slots with more than one place, and their orders
+        for s, ks in places.items():
+            pool = pools[s]
+            if len(pool) != len(ks):
+                return ()
+            if len(ks) == 1:
+                w[ks[0]] = pool[0]
+            else:
+                spread.append((ks, set(permutations(pool))))
+        group = []
+        for orders in product(*[orders for _ks, orders in spread]):
+            for (ks, _orders), order in zip(spread, orders):
+                for k, i in zip(ks, order):
+                    w[k] = i
+            mask = 0
+            for k, i in enumerate(w):
+                if odd[i]:
+                    mask |= 1 << k
+            # a word with fewer than two odd letters has no odd inversion
+            group.append((tuple(w), sort_signed(w)[1] if mask & (mask - 1) else 1, mask))
+        group = self[mid] = tuple(group)
+        return group
 
 
 def _multisets(letters: list[TriLetter], d: int, ctx: TriContext, budget=None):

@@ -224,12 +224,6 @@ class TriContext:
     def _profiles(self) -> dict:
         return {}
 
-    @cached_property
-    def slot_words(self) -> dict[tuple[int, ...], tuple[int, ...]]:
-        """Each word of profile slots met so far, keyed by itself, so that
-        the arrangements of every right factor share one copy of it."""
-        return {}
-
     def profile_slot(self, letter: TriLetter, side: int) -> int:
         """Where a letter counts in the flattened left (side 0) or right
         (side 1) weight profile: its absorbing color's block of n, at r

@@ -8,6 +8,9 @@
   `triple_stat` and `pair_stat` on the letter tuples, where production sorts
   words of letter indices (`TriContext.sort_signed`) and counts the
   interleaving sign on bitmasks, so the two share no sign code either.
+- eager_slot_groups: a right factor's arrangements, every permutation of
+  its word grouped by slot word at once, signed by `triple_stat`; production
+  (`SchurAlgebra.right_factor`) makes one group when a product asks for it.
 - lr_brute / multi_lr_brute: Littlewood-Richardson coefficients by direct
   skew-filling enumeration with the reverse lattice word condition.
 - ssyt_count: Kostka numbers by filling enumeration.
@@ -126,6 +129,28 @@ def tensor_eta_product(T, o1, o2):
         assert c % den == 0, (w, c, den)
         out[w] = c // den
     return out
+
+
+def eager_slot_groups(T, orbit):
+    """The arrangements of an orbit grouped by their word of left profile
+    slots, every group at once: each distinct permutation of the whole word
+    (`set(permutations(orbit))`) as (index word, sign, bitmask of its odd
+    places), grouped under its slots read by `TriContext.profile_slot`, with
+    its sign from `triple_stat`.  Production makes one group on request, by
+    placing each slot's letters at that slot's places."""
+    ctx, parity = T.ctx, T.alg.parity
+    slot = {lt: ctx.profile_slot(lt, 0) for lt in orbit}
+    index = {lt: ctx.index[lt] for lt in orbit}
+    groups = {}
+    for w in set(permutations(orbit)):
+        mask = 0
+        for k, (b, _r, _s) in enumerate(w):
+            if parity[b]:
+                mask |= 1 << k
+        sign = -1 if mask & (mask - 1) and triple_stat(T, w) else 1
+        groups.setdefault(tuple([slot[lt] for lt in w]), []).append(
+            (tuple([index[lt] for lt in w]), sign, mask))
+    return groups
 
 
 def word_parity(T, word):

@@ -421,24 +421,31 @@ def test_unimodularity_lists_no_orbits_and_caches_no_expansion(monkeypatch):
     assert cb.unimodular()
     assert "orbits" not in vars(T) and not listed
     pairs = {(x, y) for _bold, S, Tb in cb.keys
-             for x in cb.side_element(S, X_SIDE) for y in cb.side_element(Tb, Y_SIDE)}
+             for x in codet.side_element(T, S, X_SIDE) for y in codet.side_element(T, Tb, Y_SIDE)}
     assert len(pairs) == len(cb.keys) and not pairs & T._prod_cache.keys()
 
 
 def test_tableau_elements_made_once(monkeypatch):
-    """The unimodularity check makes X_S and Y_T once per tableau."""
+    """The unimodularity check makes no X_S or Y_T Element, and makes the
+    index word of each tableau once."""
     alg, data, tau = make_algebra("zigzag:1")
     T = build_schur(alg, data, 2, 2, tau)
     cb = T.codet_basis
-    made = []
-    real = codet.side_element
+    elements, made = [], []
+    real_element, real_word = codet.side_element, codet.CodetBasis.index_word
 
-    def counted(T_, tab, side):
+    def counted_element(T_, tab, side):
+        elements.append((side.name, tab))
+        return real_element(T_, tab, side)
+
+    def counted_word(self, tab, side):
         made.append((side.name, tab))
-        return real(T_, tab, side)
+        return real_word(self, tab, side)
 
-    monkeypatch.setattr(codet, "side_element", counted)
+    monkeypatch.setattr(codet, "side_element", counted_element)
+    monkeypatch.setattr(codet.CodetBasis, "index_word", counted_word)
     assert cb.unimodular()
+    assert not elements
     assert len(made) == len(set(made)) == sum(
         len(cb.std_x[bold]) + len(cb.std_y[bold]) for bold in cb.shapes)
 
@@ -485,6 +492,28 @@ def test_heredity_makes_each_tableau_factor_once(monkeypatch):
     for side, seen in made.items():
         on_tableaux = [w for w in seen if w in words]
         assert on_tableaux and len(on_tableaux) == len(set(on_tableaux)), side
+
+
+def test_index_word_refuses_words_outside_T():
+    """`index_word` reads X_S off the tableau with the checks of
+    `SchurAlgebra.eta`: a word with a letter outside T or of the wrong
+    length raises ValueError naming it, and so does a word that repeats an
+    odd letter."""
+    alg, data, tau = make_algebra("zigzag:1")
+    T = build_schur(alg, data, 2, 2, tau)
+    cb, truncated = T.codet_basis, T.truncate([0]).codet_basis
+    outside = next(S for bold in cb.shapes for S in cb.std_x[bold]
+                   if S not in truncated.std_x[bold])
+    short = build_schur(alg, data, 2, 1, tau).codet_basis.std_x[((1,), ())][0]
+    for basis, tab in ((truncated, outside), (cb, short)):
+        word = codet._own_word(tab, X_SIDE)
+        with pytest.raises(ValueError, match=re.escape(f"orbit {word} not in this algebra")):
+            basis.index_word(tab, X_SIDE)
+    odd = next(b for b in alg.basis if alg.parity[b])
+    repeated = ((((1, odd), (1, odd)),), ())
+    word = codet._own_word(repeated, X_SIDE)
+    with pytest.raises(ValueError, match=re.escape(f"repeated odd letter in {word}")):
+        cb.index_word(repeated, X_SIDE)
 
 
 def test_axiom_a_failure_names_its_witness(monkeypatch):

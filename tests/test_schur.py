@@ -4,7 +4,7 @@ from itertools import product
 
 import pytest
 
-from helpers import tensor_eta_product, word_parity
+from helpers import eager_slot_groups, tensor_eta_product, word_parity
 from schurify.base_algebra import make_algebra
 from schurify.partitions import compositions, gen_multicompositions
 from schurify.schur import build_schur
@@ -153,6 +153,62 @@ def test_mult_against_tensor_oracle_repeated_letters(spec, n, d):
         nonzero += bool(prod)
         weighted += any(T.ctx.factorial(rep) != T.ctx.factorial(a) for rep in prod)
     assert nonzero >= 20 and weighted, (nonzero, weighted)
+
+
+@pytest.mark.parametrize("n, d, pairs", [(4, 4, 40), (2, 5, 24)])
+def test_mult_against_tensor_oracle_at_production_sizes(n, d, pairs):
+    """zigzag:1 at n=d=4, the largest size `verify` runs, and at n=2, d=5,
+    on seeded pairs that meet: the left factor unranked by `T.orbit`, the
+    right one drawn from the orbits whose left profile is the left factor's
+    right profile (`orbits_with_profile`).  Every other pair repeats a
+    letter in both factors; some nonzero products have odd letters in their
+    factors, and some carry a weight [rep]!/[o1]! other than 1."""
+    alg, data, tau = make_algebra("zigzag:1")
+    T = build_schur(alg, data, n, d, tau)
+    rng = random.Random(53)
+
+    def repeats(orbit) -> bool:
+        return len(set(orbit)) < d
+
+    nonzero = weighted = odd = 0
+    for k in range(pairs):
+        a = T.orbit(rng.randrange(T.rank))
+        while k % 2 and not repeats(a):
+            a = T.orbit(rng.randrange(T.rank))
+        right = list(T.orbits_with_profile(0, T.profiles(a)[1]))
+        if k % 2:
+            right = [o for o in right if repeats(o)] or right
+        b = rng.choice(right)
+        prod = T.mult_orbits(a, b)
+        assert prod == tensor_eta_product(T, a, b), (a, b)
+        nonzero += bool(prod)
+        weighted += any(T.ctx.factorial(rep) != T.ctx.factorial(a) for rep in prod)
+        odd += bool(prod) and any(map(T.ctx.is_odd, a + b))
+    assert nonzero >= pairs // 4 and weighted and odd, (nonzero, weighted, odd)
+
+
+@pytest.mark.parametrize("spec, truncated", [
+    ("trivial", False), ("zigzag:1", False), ("zigzag:2", False), ("zigzag:1", True),
+])
+def test_slot_groups_match_the_eager_grouping(spec, truncated):
+    """At n=d=3, the right factor of every orbit, asked for each slot word
+    of the eager grouping (`helpers.eager_slot_groups`), makes the same
+    arrangements with the same signs and odd masks, order ignored, and
+    makes no other group.  A slot word with other slot counts gets an empty
+    group, which is not kept."""
+    alg, data, tau = make_algebra(spec)
+    T = build_schur(alg, data, 3, 3, tau)
+    if truncated:
+        T = T.truncate([0])
+    index = T.ctx.index
+    for orbit in T.orbits:
+        groups = T.right_factor(tuple(index[lt] for lt in orbit))[1]
+        want = eager_slot_groups(T, orbit)
+        for mid, group in want.items():
+            assert sorted(groups[mid]) == sorted(group), (orbit, mid)
+        assert groups.keys() == want.keys(), orbit
+        other = (mid[0] + 1,) + mid[1:]
+        assert groups[other] == () and other not in groups, orbit
 
 
 @pytest.mark.parametrize("spec, truncated", [
