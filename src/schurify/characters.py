@@ -46,6 +46,7 @@ from .partitions import (
 from .rings import QQ, CoefficientRing, GradedSuperScalar
 from .schur import SchurAlgebra
 from .tableaux import enumerate_tableaux, tableau_degree, tableau_weight
+from .triples import OnLookup
 
 
 # ---------------------------------------------------------------------------
@@ -642,22 +643,20 @@ class ClassicalDecomp:
     def __init__(self, n: int, ring: CoefficientRing):
         self.n = n
         self.ring = ring
-        self._by_size: dict[int, DecompMatrix] = {}
+        self._by_size: dict[int, DecompMatrix] = OnLookup(self._matrix)
 
     def _matrix(self, e: int) -> DecompMatrix:
-        if e not in self._by_size:
-            from .base_algebra import make_trivial
-            from .schur import build_schur
+        from .base_algebra import make_trivial
+        from .schur import build_schur
 
-            alg, data, tau = make_trivial()
-            self._by_size[e] = decomp_oracle(build_schur(alg, data, self.n, e, tau), self.ring)
-        return self._by_size[e]
+        alg, data, tau = make_trivial()
+        return decomp_oracle(build_schur(alg, data, self.n, e, tau), self.ring)
 
     def __call__(self, gamma: Partition, mu: Partition) -> int:
         gamma, mu = trim(tuple(gamma)), trim(tuple(mu))
         if size(gamma) != size(mu):
             return 0
-        g = self._matrix(size(gamma)).entry((gamma,), (mu,))
+        g = self._by_size[size(gamma)].entry((gamma,), (mu,))
         if set(g.coeffs) - {(0, 0)}:
             raise AssertionError("classical matrix not concentrated in degree 0")
         return g[(0, 0)]

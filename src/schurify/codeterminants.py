@@ -15,10 +15,10 @@ express arbitrary elements in that basis:
     blocked by the conserved (left profile, right profile, degree, parity).
     A block is built from its columns alone: the standard codeterminants
     whose tableau shares add up to its key, expanded on letter indices by
-    the product kernel without the product cache, from the kernel factor
-    each tableau's share keeps, and as rows the orbits those expansions
-    reach, labelled by their words of letter indices, each checked by one
-    sum over a per-letter table to be an orbit of T carrying the key.
+    the product kernel without the product cache, and as rows the orbits
+    those expansions reach, labelled by their words of letter indices, each
+    checked by one sum over a per-letter table to be an orbit of T carrying
+    the key.
     The unimodularity check walks the blocks (each an `exactla.Block`) in one
     pass that keeps only the running block's determinant and order; the
     first solve that meets a block builds it again with what a solve needs
@@ -27,7 +27,11 @@ express arbitrary elements in that basis:
 A tableau enters the walk, the heredity check and the Gram matrices as the
 index word of X_S or Y_T and its sign, read straight off the tableau
 (`CodetBasis.index_word`); the basis keeps no Element per tableau.  The
-heredity check's products go through the product kernel and its solves take
+walk's tableau shares take their kernel factors from the algebra's tables
+(`SchurAlgebra.lefts`, `.rights`), kept for its life; `heredity_of_T` keeps
+the factors it makes beyond those for its own call, and `gram_blocks` for
+one call or one row (see `schur` and `gram_blocks` for why).  The heredity
+check's products go through the product kernel and its solves take
 index words.  A codeterminant key is made only for a solve's result or a
 failure message, and a `TriWord` only at the boundary: an Element given to
 `CodetBasis.solve` and an orbit that a witness or an error names.
@@ -56,7 +60,7 @@ from .tableaux import (
     tableau_weight,
     word as tableau_word,
 )
-from .triples import TriWord, run_key
+from .triples import OnLookup, TriWord, run_key
 
 CodetKey = tuple[tuple[tuple[int, ...], ...], Tableau, Tableau]  # (shape, S, T)
 
@@ -185,19 +189,6 @@ class _Share(NamedTuple):
     sign: int
 
 
-class _OnLookup(dict):
-    """A dict that makes the value of a missing key by `make(key)` and
-    keeps it."""
-
-    def __init__(self, make: Callable):
-        super().__init__()
-        self.make = make
-
-    def __missing__(self, key):
-        value = self[key] = self.make(key)
-        return value
-
-
 @dataclass
 class CodetBasis:
     """Standard codeterminants of T, their expansions, and the blocked change
@@ -265,11 +256,11 @@ class CodetBasis:
             raise ValueError(f"repeated odd letter in {word}")
         return rep, sign
 
-    def kernel_factor(self, tab: Tableau, side: Side, left: bool) -> tuple:
-        """X_S or Y_T made afresh as the left factor of the product kernel
-        (`left`) or as the right one, and its sign."""
+    def kernel_factor(self, tab: Tableau, side: Side, make: Callable) -> tuple:
+        """X_S or Y_T as a factor of the product kernel, `make` of its index
+        word (a factor's maker or a table's lookup), and its sign."""
         word, sign = self.index_word(tab, side)
-        return (self.T.left_factor if left else self.T.right_factor)(word), sign
+        return make(word), sign
 
     def _expand(self, x: _Share, y: _Share) -> dict[tuple[int, ...], int]:
         """X_S * Y_T keyed by words of letter indices, from the shares of S
@@ -278,11 +269,12 @@ class CodetBasis:
         return self.T.product_terms(x.factor, y.factor, x.sign * y.sign)
 
     def index_expansion(self, key: CodetKey) -> dict[tuple[int, ...], int]:
-        """X_S * Y_T keyed by words of letter indices, from factors made
-        afresh."""
+        """X_S * Y_T keyed by words of letter indices, from the factors in
+        the algebra's tables, which the walk's shares hold too."""
         bold, S, Tb = key
-        return self._expand(_Share(S, bold, *self.kernel_factor(S, X_SIDE, True)),
-                            _Share(Tb, bold, *self.kernel_factor(Tb, Y_SIDE, False)))
+        T = self.T
+        return self._expand(_Share(S, bold, *self.kernel_factor(S, X_SIDE, T.lefts.__getitem__)),
+                            _Share(Tb, bold, *self.kernel_factor(Tb, Y_SIDE, T.rights.__getitem__)))
 
     def expansion(self, key: CodetKey) -> Element:
         """X_S * Y_T as an Element."""
@@ -321,42 +313,29 @@ class CodetBasis:
     @cached_property
     def _shares(self) -> tuple[dict, dict]:
         """The standard tableaux indexed by their share of the block keys,
-        each with its kernel factor (`_Share`), made on the first lookup of
-        its weight: weight -> [(shape index, degree, parity mod 2, share of
-        S)] on the X side, in the order of `keys`, and weight -> (shape
-        index, degree, parity mod 2) -> [share of T] on the Y side."""
+        each with its factor from `T.lefts` or `T.rights` (`_Share`), on the
+        first lookup of its weight: weight -> [(shape index, degree, parity
+        mod 2, share of S)] on the X side, in the order of `keys`, and weight
+        -> (shape index, degree, parity mod 2) -> [share of T] on the Y side."""
         entries: tuple[dict, dict] = ({}, {})
         for k, (bold, shares) in enumerate(self._tableau_blocks.items()):
             for by_weight, tabs in zip(entries, shares):
                 for tab, (weight, deg, par) in tabs:
                     by_weight.setdefault(weight, []).append((k, deg, par % 2, tab, bold))
+        left, right = self.T.lefts.__getitem__, self.T.rights.__getitem__
 
         def xs(weight) -> list:
-            return [(k, deg, par, _Share(tab, bold, *self.kernel_factor(tab, X_SIDE, True)))
+            return [(k, deg, par, _Share(tab, bold, *self.kernel_factor(tab, X_SIDE, left)))
                     for k, deg, par, tab, bold in entries[0].get(weight, ())]
 
         def ys(weight) -> dict:
             out: dict = {}
             for k, deg, par, tab, bold in entries[1].get(weight, ()):
-                share = _Share(tab, bold, *self.kernel_factor(tab, Y_SIDE, False))
+                share = _Share(tab, bold, *self.kernel_factor(tab, Y_SIDE, right))
                 out.setdefault((k, deg, par), []).append(share)
             return out
 
-        return _OnLookup(xs), _OnLookup(ys)
-
-    def share_factors(self, side: Side) -> dict:
-        """index word -> the kernel factor the shares keep of the standard
-        tableaux of `side`: each X_S as a left factor, each Y_T as a right
-        one.  Looks up every weight of `side` in `_shares`."""
-        k = side.pick(0, 1)
-        weights = dict.fromkeys(weight for shares in self._tableau_blocks.values()
-                                for _tab, (weight, _deg, _par) in shares[k])
-        xs_of, ys_of = self._shares
-        if k == 0:
-            made = [entry[-1] for w in weights for entry in xs_of[w]]
-        else:
-            made = [share for w in weights for group in ys_of[w].values() for share in group]
-        return {share.factor[0]: share.factor for share in made}
+        return OnLookup(xs), OnLookup(ys)
 
     def _columns(self, key) -> list[tuple[_Share, _Share]]:
         """The standard codeterminants whose tableau shares add up to the
@@ -411,7 +390,7 @@ class CodetBasis:
         """profile -> its digits in the base of `_letter_codes`, made on first
         lookup."""
         digits = self._digits
-        return _OnLookup(lambda profile: sum(map(mul, [c for comp in profile for c in comp], digits)))
+        return OnLookup(lambda profile: sum(map(mul, [c for comp in profile for c in comp], digits)))
 
     @cached_property
     def _odd_codes(self) -> tuple[frozenset[int], frozenset[int]]:
@@ -765,12 +744,11 @@ def heredity_of_T(T: SchurAlgebra, sample_b: int | None = None) -> SchurHeredity
         return f"{side.name}_{side.pick('S', 'T')}"
 
     # the products run on index words through the product kernel, each
-    # factor one orbit as (left factor, right factor, coefficient); a word's
-    # factors are made on first use and kept for axioms (c) and (b) both,
-    # starting from those the walk's tableau shares already hold
-    lefts, rights = _OnLookup(T.left_factor), _OnLookup(T.right_factor)
-    lefts.update(cb.share_factors(X_SIDE))
-    rights.update(cb.share_factors(Y_SIDE))
+    # factor one orbit as (left factor, right factor, coefficient).  A word's
+    # factors come from the algebra's tables when they hold it, else are made
+    # and kept for axioms (c) and (b) both, until the call returns
+    lefts = OnLookup(lambda w: T.lefts.get(w) or T.left_factor(w))
+    rights = OnLookup(lambda w: T.rights.get(w) or T.right_factor(w))
 
     def factors(word, c) -> tuple:
         return lefts[word], rights[word], c
@@ -815,15 +793,13 @@ def heredity_of_T(T: SchurAlgebra, sample_b: int | None = None) -> SchurHeredity
     # axiom (b): products land in X (resp. Y) span modulo strictly greater shapes.
     # An orbit a meets X_S on its right profile and Y_T on its left profile;
     # a * X_S takes a as a left factor, Y_T * a as a right one.
-    meeting: dict = {}
+    def meeting(key) -> list:
+        side, weight = key
+        factor = side.pick(lefts, rights)
+        return [(orbit, factor[tuple([index[lt] for lt in orbit])])
+                for orbit in islice(T.orbits_with_profile(side.pick(1, 0), weight), sample_b)]
 
-    def candidates(side: Side, weight) -> list:
-        if (side, weight) not in meeting:
-            orbits = T.orbits_with_profile(side.pick(1, 0), weight)
-            factor = side.pick(lefts, rights)
-            meeting[side, weight] = [(orbit, factor[tuple([index[lt] for lt in orbit])])
-                                     for orbit in islice(orbits, sample_b)]
-        return meeting[side, weight]
+    candidates = OnLookup(meeting)
 
     ok_b = True
     for bold in cb.shapes:
@@ -832,7 +808,7 @@ def heredity_of_T(T: SchurAlgebra, sample_b: int | None = None) -> SchurHeredity
             for tab in cb.std(side)[bold]:
                 word, sign = cb.index_word(tab, side)
                 own = side.pick(rights, lefts)[word]
-                for orbit, a in candidates(side, tableau_weight(tab, T.ctx.alphabet(side))):
+                for orbit, a in candidates[side, tableau_weight(tab, T.ctx.alphabet(side))]:
                     prod = T.product_terms(*side.orient(a, own), sign)
                     if not prod:
                         continue
@@ -866,19 +842,22 @@ def gram_blocks(T: SchurAlgebra, bold) -> dict[tuple, list[list[int]]]:
     the row's and the same parity, in the order of `std_y`.  Only pairs of
     equal weight are multiplied, each once by `CodetBasis.pairing`, without
     the product cache: the profiles of the others do not meet.  Among those,
-    a nonzero entry outside the block is an error.  Each X_S is made a right
-    factor for its own row and dropped after it."""
+    a nonzero entry outside the block is an error.  Each Y_T is made a left
+    factor once per call and each X_S a right factor for its own row, and
+    then dropped: kept in the algebra's tables, they raised the tracemalloc
+    peak of `decomp` on zigzag:2 n=d=3 from 6.14 to 7.14 MB."""
     cb = T.codet_basis
     xs, ys = cb._tableau_blocks[bold]
     unit_key = (bold, *cb.initial_tableau_pair(bold))
     ys_of: dict = {}
     for Tb, (weight, deg, par) in ys:
-        ys_of.setdefault(weight, []).append((Tb, cb.kernel_factor(Tb, Y_SIDE, True), deg, par % 2))
+        ys_of.setdefault(weight, []).append((Tb, cb.kernel_factor(Tb, Y_SIDE, T.left_factor),
+                                             deg, par % 2))
     blocks: dict = {}
     for S, (weight, deg, par) in xs:
         row = []
         same_weight = ys_of.get(weight, ())
-        x = cb.kernel_factor(S, X_SIDE, False) if same_weight else None
+        x = cb.kernel_factor(S, X_SIDE, T.right_factor) if same_weight else None
         for Tb, y, dy, py in same_weight:
             prod = cb.pairing(y, x)
             c = cb.solve_terms(prod).get(unit_key, 0) if prod else 0

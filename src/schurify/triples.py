@@ -21,6 +21,7 @@ of degrees and its truncations share.
 """
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -110,11 +111,26 @@ class TriContext:
 
     @cached_property
     def letter_products(self) -> dict[tuple[int, int], tuple[tuple[int, int], ...]]:
-        """(i, j) -> the terms (k, coeff) of letter i times letter j, made on
-        first lookup: (b, r, s)(b', s, t) = sum_c coeff (c, r, t) over the
-        basis product b b' = sum_c coeff c; no terms when the letters do
-        not meet or the basis product is 0."""
-        return _LetterProducts(self)
+        """(i, j) -> `_letter_product` of the pair, made on first lookup."""
+        return OnLookup(self._letter_product)
+
+    def _letter_product(self, pair: tuple[int, int]) -> tuple[tuple[int, int], ...]:
+        """(b, r, s)(b', s, t) = sum_c coeff (c, r, t) over the basis product
+        b b' = sum_c coeff c, as terms (index of (c, r, t), coeff); no terms
+        when the letters do not meet or the basis product is 0."""
+        b, r, s = self.letters[pair[0]]
+        b2, r2, t = self.letters[pair[1]]
+        if s != r2:
+            return ()
+        index = self.index
+        terms = tuple([(index[c, r, t], coeff) for c, coeff in self.alg.mul_basis(b, b2).items()])
+        # the kernel pairs letters by profile slot, so a nonzero product must
+        # join the right slot of its first letter to the left slot of its second
+        ends, starts = self.slots[1][pair[0]], self.slots[0][pair[1]]
+        if terms and ends != starts:
+            raise ValueError(f"nonzero letter product {(b, r, s)} * {(b2, r2, t)} joins "
+                             f"right profile slot {ends} to left profile slot {starts}")
+        return terms
 
     def sort_signed(self, word) -> tuple[tuple[int, ...] | None, int]:
         """A word of letter indices sorted into canonical order, and the sign
@@ -205,24 +221,20 @@ class TriContext:
             beta[right[i]] += 1
             deg += degree[i]
             par += odd[i]
-        return self._nested(tuple(alpha)), self._nested(tuple(beta)), deg, par % 2
+        nested = self._nested
+        return nested[tuple(alpha)], nested[tuple(beta)], deg, par % 2
 
     def weight_profiles(self, word: TriWord):
         """(alpha(b, r), beta(b, s)): left/right idempotent weight profiles."""
         index = self.index
         return self.block_key([index[lt] for lt in word])[:2]
 
-    def _nested(self, flat: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-        """A flattened profile cut into one block of n per color, made once."""
-        nested = self._profiles.get(flat)
-        if nested is None:
-            n = self.n
-            nested = self._profiles[flat] = tuple(flat[k:k + n] for k in range(0, len(flat), n))
-        return nested
-
     @cached_property
-    def _profiles(self) -> dict:
-        return {}
+    def _nested(self) -> dict[tuple[int, ...], tuple[tuple[int, ...], ...]]:
+        """A flattened profile -> it cut into one block of n per color, made
+        on first lookup."""
+        n = self.n
+        return OnLookup(lambda flat: tuple(flat[k:k + n] for k in range(0, len(flat), n)))
 
     def profile_slot(self, letter: TriLetter, side: int) -> int:
         """Where a letter counts in the flattened left (side 0) or right
@@ -258,28 +270,16 @@ def run_key(word) -> tuple:
     return tuple(out)
 
 
-class _LetterProducts(dict):
-    """The letter-product table of a `TriContext`, filled on lookup."""
+class OnLookup(dict):
+    """A dict that makes the value of a missing key by `make(key)` on its
+    first lookup and keeps it."""
 
-    def __init__(self, ctx: TriContext):
+    __slots__ = ("make",)
+
+    def __init__(self, make: Callable):
         super().__init__()
-        self.ctx = ctx
+        self.make = make
 
-    def __missing__(self, pair: tuple[int, int]) -> tuple[tuple[int, int], ...]:
-        ctx = self.ctx
-        b, r, s = ctx.letters[pair[0]]
-        b2, r2, t = ctx.letters[pair[1]]
-        terms = ()
-        if s == r2:
-            index = ctx.index
-            terms = tuple([(index[c, r, t], coeff)
-                           for c, coeff in ctx.alg.mul_basis(b, b2).items()])
-            # the kernel pairs letters by profile slot, so a nonzero product
-            # must join the right slot of its first letter to the left slot
-            # of its second
-            ends, starts = ctx.slots[1][pair[0]], ctx.slots[0][pair[1]]
-            if terms and ends != starts:
-                raise ValueError(f"nonzero letter product {(b, r, s)} * {(b2, r2, t)} joins "
-                                 f"right profile slot {ends} to left profile slot {starts}")
-        self[pair] = terms
-        return terms
+    def __missing__(self, key):
+        value = self[key] = self.make(key)
+        return value

@@ -494,6 +494,46 @@ def test_heredity_makes_each_tableau_factor_once(monkeypatch):
         assert on_tableaux and len(on_tableaux) == len(set(on_tableaux)), side
 
 
+@pytest.mark.parametrize("spec", ["zigzag:1", "zigzag:2"])
+def test_heredity_and_oracle_keep_nothing_in_the_algebra_tables(spec):
+    """After the unimodularity walk, neither `heredity_of_T` nor the
+    decomposition oracle adds a kernel factor to the algebra's tables: the
+    heredity check keeps what it makes for its own call, and the Gram rows
+    make and drop theirs."""
+    from schurify.characters import decomp_oracle
+
+    alg, data, tau = make_algebra(spec)
+    T = build_schur(alg, data, 2, 2, tau)
+    assert T.codet_basis.unimodular()
+    held = (len(T.lefts), len(T.rights))
+    assert held[0] and held[1]
+    assert codet.heredity_of_T(T).ok
+    assert (len(T.lefts), len(T.rights)) == held
+    decomp_oracle(T)
+    assert (len(T.lefts), len(T.rights)) == held
+
+
+def test_mult_orbits_and_walk_share_the_tableau_factors(monkeypatch):
+    """From a fresh algebra, `mult_orbits` on each X_S word and then the
+    unimodularity walk make the left factor of each such word once: both
+    read it from `SchurAlgebra.lefts`."""
+    alg, data, tau = make_algebra("zigzag:1")
+    T = build_schur(alg, data, 2, 2, tau)
+    made = []
+    real = SchurAlgebra.left_factor
+    monkeypatch.setattr(SchurAlgebra, "left_factor",
+                        lambda self, w: made.append(w) or real(self, w))
+    cb = T.codet_basis
+    words = {cb.index_word(S, X_SIDE)[0] for bold in cb.shapes for S in cb.std_x[bold]}
+    for w in words:
+        orbit = T.ctx.word(w)
+        meets = next(T.orbits_with_profile(0, T.profiles(orbit)[1]))
+        T.mult_orbits(orbit, meets)
+    assert sorted(made) == sorted(words)
+    assert cb.unimodular()
+    assert sorted(made) == sorted(words)
+
+
 def test_index_word_refuses_words_outside_T():
     """`index_word` reads X_S off the tableau with the checks of
     `SchurAlgebra.eta`: a word with a letter outside T or of the wrong
