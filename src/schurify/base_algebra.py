@@ -678,12 +678,11 @@ def dump_presentation(alg: BasedSuperalgebra, data: HeredityData) -> dict:
 
 
 def make_algebra(spec: str):
-    """Resolve a CLI algebra spec: zigzag:L | zigzag-bar:L | trivial | semisimple:m."""
+    """Resolve a base algebra spec: zigzag:L | trivial | semisimple:m.  The
+    CLI's zigzag-bar:L is built from zigzag:L and truncated at the Schur
+    level (`cli._make_T`), so it is no spec here."""
     if spec == "trivial":
         return make_trivial()
-    if spec.startswith("zigzag-bar:"):
-        trunc, tau = make_zigzag_bar(int(spec.split(":", 1)[1]))
-        return trunc.algebra, trunc.data, tau
     if spec.startswith("zigzag:"):
         return make_extended_zigzag(int(spec.split(":", 1)[1]))
     if spec.startswith("semisimple:"):

@@ -135,13 +135,6 @@ class CharacterVector:
         terms = sorted(self.coeffs.items())
         return "CharacterVector(" + ", ".join(f"{w}: {c!r}" for w, c in terms) + ")"
 
-    def to_json(self) -> list:
-        return [
-            {"weight": list(map(list, w)) if w and not isinstance(w[0], int) else list(w),
-             "coeff": c.to_json()}
-            for w, c in sorted(self.coeffs.items())
-        ]
-
 
 # ---------------------------------------------------------------------------
 # Kostka numbers and Littlewood-Richardson expansion

@@ -15,10 +15,9 @@ express arbitrary elements in that basis:
     blocked by the conserved (left profile, right profile, degree, parity).
     A block is built from its columns alone: the standard codeterminants
     whose tableau shares add up to its key, expanded on letter indices by
-    the product kernel without the product cache, and as rows the orbits
-    those expansions reach, labelled by their words of letter indices, each
-    checked by one sum over a per-letter table to be an orbit of T carrying
-    the key.
+    the product kernel, and as rows the orbits those expansions reach,
+    labelled by their words of letter indices, each checked by one sum over
+    a per-letter table to be an orbit of T carrying the key.
     The unimodularity check walks the blocks (each an `exactla.Block`) in one
     pass that keeps only the running block's determinant and order; the
     first solve that meets a block builds it again with what a solve needs
@@ -264,8 +263,7 @@ class CodetBasis:
 
     def _expand(self, x: _Share, y: _Share) -> dict[tuple[int, ...], int]:
         """X_S * Y_T keyed by words of letter indices, from the shares of S
-        and T, multiplied without the product cache: an expansion is used
-        once, to build its column."""
+        and T; an expansion is used once, to build its column."""
         return self.T.product_terms(x.factor, y.factor, x.sign * y.sign)
 
     def index_expansion(self, key: CodetKey) -> dict[tuple[int, ...], int]:
@@ -282,8 +280,8 @@ class CodetBasis:
 
     def pairing(self, y: tuple, x: tuple) -> dict[tuple[int, ...], int]:
         """Y_T * X_S keyed by words of letter indices, from Y_T as a left
-        factor and X_S as a right one (`kernel_factor`), multiplied without
-        the product cache: a Gram matrix reads each such product once."""
+        factor and X_S as a right one (`kernel_factor`); a Gram matrix reads
+        each such product once."""
         (left, sy), (right, sx) = y, x
         return self.T.product_terms(left, right, sy * sx)
 
@@ -840,12 +838,12 @@ def gram_blocks(T: SchurAlgebra, bold) -> dict[tuple, list[list[int]]]:
     A row is a standard X tableau S, keyed by its (weight, degree, parity mod
     2); its columns are the standard Y tableaux of that weight, degree minus
     the row's and the same parity, in the order of `std_y`.  Only pairs of
-    equal weight are multiplied, each once by `CodetBasis.pairing`, without
-    the product cache: the profiles of the others do not meet.  Among those,
-    a nonzero entry outside the block is an error.  Each Y_T is made a left
-    factor once per call and each X_S a right factor for its own row, and
-    then dropped: kept in the algebra's tables, they raised the tracemalloc
-    peak of `decomp` on zigzag:2 n=d=3 from 6.14 to 7.14 MB."""
+    equal weight are multiplied, each once by `CodetBasis.pairing`: the
+    profiles of the others do not meet.  Among those, a nonzero entry
+    outside the block is an error.  Each Y_T is made a left factor once per
+    call and each X_S a right factor for its own row, and then dropped: kept
+    in the algebra's tables, they raised the tracemalloc peak of `decomp` on
+    zigzag:2 n=d=3 from 6.14 to 7.14 MB."""
     cb = T.codet_basis
     xs, ys = cb._tableau_blocks[bold]
     unit_key = (bold, *cb.initial_tableau_pair(bold))

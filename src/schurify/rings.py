@@ -6,7 +6,6 @@ pi^2 = 1.
 """
 from __future__ import annotations
 
-import json
 from collections.abc import Iterable, Mapping
 
 
@@ -185,6 +184,3 @@ class GradedSuperScalar:
         return GradedSuperScalar(
             {(int(t["q"]), int(t["pi"])): int(t["c"]) for t in obj["terms"]}
         )
-
-    def dumps(self) -> str:
-        return json.dumps(self.to_json(), sort_keys=True)

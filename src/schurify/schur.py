@@ -31,7 +31,9 @@ word to its factor, made on first lookup and kept for the life of the
 algebra, so a word that `orbit_product` and the codeterminant walk both use
 is made once.  `heredity_of_T` reads them and keeps what it makes beyond
 them for its own call only: kept here, they raised the tracemalloc peak of
-`verify` on zigzag:1 n=d=3 from 7.00 to 7.25 MB.
+`verify` on zigzag:1 n=d=3 from 7.00 to 7.25 MB.  No product is kept
+(`mult_orbits` says why).  The rank is the count `orbit` unranks through,
+and the idempotent sums run over `partitions.gen_multicompositions`.
 
 All structure constants are integral on the eta lattice; a non-integral
 coefficient aborts loudly (it would signal an implementation bug).
@@ -41,18 +43,17 @@ from __future__ import annotations
 import operator
 from functools import cached_property
 from itertools import accumulate, permutations, product
-from math import comb
 from typing import Iterator
 
 from .base_algebra import AntiInvolution, BasedSuperalgebra, DecompInput, HeredityData
-from .partitions import compositions
+from .partitions import gen_multicompositions
 from .triples import OnLookup, TriContext, TriLetter, TriWord, run_key
 
 Element = dict[TriWord, int]
 
 
 class SchurAlgebra:
-    """T^A_a(n, d): canonical orbit index plus cached multiplication."""
+    """T^A_a(n, d): canonical orbit index and multiplication."""
 
     def __init__(
         self,
@@ -82,8 +83,6 @@ class SchurAlgebra:
         # `self.right_factor` is when the word is first looked up
         self.lefts: dict[tuple[int, ...], tuple] = OnLookup(lambda w: self.left_factor(w))
         self.rights: dict[tuple[int, ...], tuple] = OnLookup(lambda w: self.right_factor(w))
-        self._prod_cache: dict[tuple[TriWord, TriWord], Element] = OnLookup(
-            lambda pair: self.orbit_product(*pair))
         self._profiles: dict[TriWord, tuple] = OnLookup(self.ctx.weight_profiles)
         self._family: dict[int, SchurAlgebra] = {d: self}
 
@@ -91,7 +90,7 @@ class SchurAlgebra:
     def family(self, d: int) -> "SchurAlgebra":
         """The algebra of degree d over the same base and truncation.  A
         family shares one `TriContext` (the letter products), not its members'
-        product caches or factor tables; a truncation starts its own family."""
+        factor tables; a truncation starts its own family."""
         if d not in self._family:
             member = SchurAlgebra(self.alg, self.data, self.n, d, self.tau, self.keep_basis,
                                   parent=self)
@@ -175,14 +174,11 @@ class SchurAlgebra:
         pos = self._letter_pos
         return run_key([pos[lt] for lt in orbit])
 
-    @cached_property
+    @property
     def rank(self) -> int:
-        """The number of canonical orbits, counted without listing them: k
-        distinct odd letters beside a multiset of d - k even ones."""
-        odd = sum(map(self.ctx.is_odd, self._letters))
-        even = len(self._letters) - odd
-        return sum(comb(odd, k) * (comb(even + self.d - k - 1, self.d - k) if k < self.d else 1)
-                   for k in range(min(odd, self.d) + 1))
+        """The number of canonical orbits, read off `_counts` without
+        listing them."""
+        return self._counts[0][self.d]
 
     @cached_property
     def base_decomp(self) -> DecompInput:
@@ -221,11 +217,14 @@ class SchurAlgebra:
 
     # -- multiplication ----------------------------------------------------
     def mult_orbits(self, o1: TriWord, o2: TriWord) -> Element:
-        """eta_{o1} * eta_{o2} by `orbit_product`, cached.  Factors whose
-        weight profiles do not meet multiply to 0, which is not cached."""
+        """eta_{o1} * eta_{o2}: 0 when the factors' weight profiles do not
+        meet, else `orbit_product`.  No product is kept: on `verify` for
+        zigzag:1 n=d=3 (seeds 1-3), about 2 400 calls stop at the profile
+        check and 268-283 compute a product, of which only 24-32 (about one
+        in ten) repeat an earlier pair."""
         if self.profiles(o1)[1] != self.profiles(o2)[0]:
             return {}
-        return self._prod_cache[o1, o2]
+        return self.orbit_product(o1, o2)
 
     def orbit_product(self, o1: TriWord, o2: TriWord) -> Element:
         """Structure constants: eta_{o1} * eta_{o2} as an integer Element, by
@@ -349,26 +348,25 @@ class SchurAlgebra:
         assert sign == 1
         return {rep: 1}
 
-    def idempotent_comp(self, lam: tuple[int, ...]) -> Element:
-        """xi(lambda): the sum of e_mu over color refinements of the weight lambda."""
-        ell = len(self.data.labels) - 1
-        if len(lam) != self.n or sum(lam) != self.d:
-            raise ValueError("lambda must be a weight in Lambda(n, d)")
+    def _idempotent_sum(self, keep) -> Element:
+        """The sum of e_bold over the tuples of compositions `bold` (one per
+        color, n parts each, total size d) that `keep` accepts.  Distinct
+        tuples give distinct orbits, each with coefficient 1."""
         out: Element = {}
-        splits_per_letter = [list(compositions(lr, ell + 1)) for lr in lam]
-        for choice in product(*splits_per_letter):
-            # choice[r-1][i] = number of color-i entries with letter r
-            bold = tuple(
-                tuple(choice[r][i] for r in range(self.n)) for i in range(ell + 1)
-            )
-            out = self.add(out, self.idempotent_bold(bold))
+        for bold in gen_multicompositions(self.n, self.d, len(self.data.labels) - 1):
+            if keep(bold):
+                out.update(self.idempotent_bold(bold))
         return out
 
+    def idempotent_comp(self, lam: tuple[int, ...]) -> Element:
+        """xi(lambda): the sum of e_mu over color refinements of the weight lambda."""
+        if len(lam) != self.n or sum(lam) != self.d:
+            raise ValueError("lambda must be a weight in Lambda(n, d)")
+        lam = tuple(lam)
+        return self._idempotent_sum(lambda bold: tuple(map(sum, zip(*bold))) == lam)
+
     def unit(self) -> Element:
-        out: Element = {}
-        for lam in compositions(self.d, self.n):
-            out = self.add(out, self.idempotent_comp(lam))
-        return out
+        return self._idempotent_sum(lambda bold: True)
 
     # -- star product ------------------------------------------------------
     def star(self, x: Element, y: Element, other: "SchurAlgebra") -> Element:
@@ -396,12 +394,14 @@ class SchurAlgebra:
         ctx = self.ctx
         out: dict[tuple[TriWord, TriWord], int] = {}
         for orbit, c in x.items():
-            mults = list(ctx.multiplicities(orbit).items())
+            mults = ctx.multiplicities(orbit)
             fac_t = ctx.factorial(orbit, "c")
-            for take in _sub_multisets(mults, d1):
-                w1 = tuple(lt for lt, m in zip((lt for lt, _m in mults), take) for _ in range(m))
-                rest = [m - t for (_lt, m), t in zip(mults, take)]
-                w2 = tuple(lt for (lt, _m), m in zip(mults, rest) for _ in range(m))
+            # each sub-multiset of size d1, as a count per letter
+            for take in product(*(range(m + 1) for m in mults.values())):
+                if sum(take) != d1:
+                    continue
+                w1 = tuple(lt for lt, t in zip(mults, take) for _ in range(t))
+                w2 = tuple(lt for (lt, m), t in zip(mults.items(), take) for _ in range(m - t))
                 w = w1 + w2
                 sign = ctx.canonicalize(w)[1]
                 ratio = fac_t // (ctx.factorial(w1, "c") * ctx.factorial(w2, "c"))
@@ -437,17 +437,11 @@ class SchurAlgebra:
                             keep_basis=keep, parent=self)
 
     def truncation_idempotent(self, colors) -> Element:
+        """xi^e: the sum of the e_bold that are empty outside `colors`."""
         colors = frozenset(colors)
-        out: Element = {}
-        for lam in compositions(self.d, self.n):
-            ell = len(self.data.labels) - 1
-            splits = [list(compositions(lr, ell + 1)) for lr in lam]
-            for choice in product(*splits):
-                bold = tuple(tuple(choice[r][i] for r in range(self.n)) for i in range(ell + 1))
-                if all(sum(comp) == 0 for pos, comp in enumerate(bold)
-                       if self.data.labels[pos] not in colors):
-                    out = self.add(out, self.idempotent_bold(bold))
-        return out
+        labels = self.data.labels
+        return self._idempotent_sum(lambda bold: not any(
+            any(comp) for label, comp in zip(labels, bold) if label not in colors))
 
     # -- serialization -----------------------------------------------------
     def element_to_json(self, x: Element) -> list:
@@ -545,21 +539,6 @@ def _multisets(letters: list[TriLetter], d: int, ctx: TriContext, budget=None):
             counts[s] = room
 
     yield from rec(0, d, [], sum(1 << s for s, c in enumerate(counts) if c))
-
-
-def _sub_multisets(mults: list[tuple[TriLetter, int]], size: int):
-    """All ways of taking `size` elements from a multiset, as count vectors."""
-
-    def rec(k: int, left: int, acc: list[int]):
-        if k == len(mults):
-            if left == 0:
-                yield tuple(acc)
-            return
-        m = mults[k][1]
-        for t in range(min(m, left), -1, -1):
-            yield from rec(k + 1, left - t, acc + [t])
-
-    yield from rec(0, size, [])
 
 
 def build_schur(alg, data, n: int, d: int, tau=None) -> SchurAlgebra:

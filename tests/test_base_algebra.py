@@ -109,3 +109,5 @@ def test_make_semisimple():
 def test_make_algebra_rejects_unknown():
     with pytest.raises(ValueError):
         make_algebra("nonsense:3")
+    with pytest.raises(ValueError):
+        make_algebra("zigzag-bar:1")

@@ -1,6 +1,7 @@
 import random
 import re
 from itertools import product
+from math import comb
 
 import pytest
 
@@ -24,9 +25,18 @@ def test_rank_constants():
         assert build_schur(alg, data, n, d, tau).rank == rank, spec
 
 
+def _closed_rank(A) -> int:
+    """The number of canonical orbits in closed form: k distinct odd
+    letters beside a multiset of d - k even ones."""
+    odd = sum(map(A.ctx.is_odd, A._letters))
+    even, d = len(A._letters) - odd, A.d
+    return sum(comb(odd, k) * (comb(even + d - k - 1, d - k) if k < d else 1)
+               for k in range(min(odd, d) + 1))
+
+
 def test_rank_closed_count_matches_the_enumeration():
-    """The closed count of canonical orbits equals the length of `orbits`
-    and the total of the count table `orbit` unranks through, and
+    """The closed count of canonical orbits equals the rank, the length of
+    `orbits` and the total of the count table `orbit` unranks through, and
     `orbit(i)` is `orbits[i]`, on the algebras and on their truncations:
     for every i up to rank 20 000, for every 97th i and the last above."""
     for spec in ("trivial", "zigzag:1", "zigzag:2", "zigzag:3", "semisimple:2"):
@@ -36,7 +46,7 @@ def test_rank_closed_count_matches_the_enumeration():
                 T = build_schur(alg, data, n, d, tau)
                 for A in (T, T.truncate([0])):
                     where = (spec, n, d, A.keep_basis)
-                    assert A.rank == len(A.orbits) == A._counts[0][d], where
+                    assert _closed_rank(A) == A.rank == len(A.orbits) == A._counts[0][d], where
                     step = 1 if A.rank <= 20000 else 97
                     for i in [*range(0, A.rank, step), A.rank - 1]:
                         assert A.orbit(i) == A.orbits[i], (where, i)
@@ -95,6 +105,36 @@ def test_unit_and_idempotents(T122):
             prod = T122.mul(xi, xj)
             assert prod == (xi if lam == mu else {})
     assert total == one
+
+
+def test_idempotent_sums_match_color_splits():
+    """`unit`, `idempotent_comp` (every weight) and `truncation_idempotent`
+    (color 0 and all colors) equal sums of e_bold built here from the
+    compositions of d and each letter's split among the colors."""
+    for spec in ("trivial", "zigzag:1", "zigzag:2", "semisimple:2"):
+        alg, data, tau = make_algebra(spec)
+        labels = data.labels
+        for n in range(1, 4):
+            for d in range(4):
+                T = build_schur(alg, data, n, d, tau)
+                one, xi, trunc = {}, {}, {1: {}, len(labels): {}}
+                for lam in compositions(d, n):
+                    xi[lam] = {}
+                    for choice in product(*(compositions(m, len(labels)) for m in lam)):
+                        # choice[r][i]: the entries of color i with letter r + 1
+                        bold = tuple(tuple(split[i] for split in choice)
+                                     for i in range(len(labels)))
+                        e = T.idempotent_bold(bold)
+                        one, xi[lam] = T.add(one, e), T.add(xi[lam], e)
+                        for k in trunc:  # e_bold within the first k colors
+                            if not any(map(any, bold[k:])):
+                                trunc[k] = T.add(trunc[k], e)
+                where = (spec, n, d)
+                assert T.unit() == one, where
+                for lam, x in xi.items():
+                    assert T.idempotent_comp(lam) == x, (where, lam)
+                assert T.truncation_idempotent([labels[0]]) == trunc[1], where
+                assert T.truncation_idempotent(labels) == trunc[len(labels)] == one, where
 
 
 def test_idempotent_bold_squares(T122):
@@ -271,7 +311,6 @@ def test_uncached_product_against_tensor_oracle(spec, truncated):
             assert prod == {}, (a, b)
         nonzero += bool(prod)
     assert apart >= 50 and nonzero >= 40, (apart, nonzero)
-    assert not T._prod_cache
 
 
 def test_non_integral_structure_constant_names_its_words(monkeypatch):
@@ -285,7 +324,6 @@ def test_non_integral_structure_constant_names_its_words(monkeypatch):
     flags = list(T.ctx.in_stratum["a"])
     flags[T.ctx.index[z]] = False
     monkeypatch.setitem(T.ctx.in_stratum, "a", tuple(flags))
-    T._prod_cache.clear()
     text = f"non-integral eta structure constant 1/2 at {(x, x)} * {(z, z)} -> {(z, z)}"
     with pytest.raises(ArithmeticError, match=re.escape(text)):
         T.mult_orbits((x, x), (z, z))
@@ -316,13 +354,12 @@ def test_first_product_compares_profiles_once(monkeypatch):
     a = T.orbits[0]
     b = next(o for o in T.orbits if real(a)[1] == real(o)[0] and T.mult_orbits(a, o))
     c = next(o for o in T.orbits if real(a)[1] != real(o)[0])
-    T._prod_cache.clear()
     calls.clear()
     assert T.mul({a: 1}, {b: 1})
     assert calls == [a, b]
     calls.clear()
     assert T.mul({a: 1}, {c: 1}) == {}
-    assert calls == [a, c] and (a, c) not in T._prod_cache
+    assert calls == [a, c]
 
 
 def test_star_examples(T122):
