@@ -9,12 +9,17 @@ Three layers live here:
     by closed formulas.  Both are one sum over column multipartitions driven
     by the base algebra's graded decomposition data (`_column_terms`): with
     the classical decomposition matrix it gives d_{lam,mu}, with the Schur
-    characters s_mu it gives ch Delta(lam).  The characters are also summed
-    over standard tableaux, a route independent of the formula;
+    characters s_mu it gives ch Delta(lam).  The decomposition numbers are
+    computed a row at a time (`decomp_formula_row`): one pass over lam's
+    column multipartitions serves every mu, each colour LR-expanded once per
+    term; `decomp_formula` is the row of one label.  The characters are also
+    summed over standard tableaux, counted in ints by (weight, degree,
+    parity), a route independent of the formula;
   * the brute-force decomposition oracle: ch L is the graded ranks, over a
     coefficient field, of the homogeneous blocks of the standard modules'
     Gram matrices (`codeterminants.gram_blocks`, built one weight block at a
-    time), followed by a unitriangular solve of ch Delta = D . ch L.
+    time), followed by a unitriangular solve of ch Delta = D . ch L that
+    reduces one residual per lam in place.
 
 Weights are compositions (classical) or tuples of compositions, one per
 color, each padded to length n.
@@ -45,7 +50,7 @@ from .partitions import (
 )
 from .rings import QQ, CoefficientRing, GradedSuperScalar
 from .schur import SchurAlgebra
-from .tableaux import enumerate_tableaux, tableau_degree, tableau_weight
+from .tableaux import enumerate_tableaux
 from .triples import OnLookup
 
 
@@ -96,9 +101,6 @@ class CharacterVector:
         v = CharacterVector()
         v.coeffs = out
         return v
-
-    def __sub__(self, other: "CharacterVector") -> "CharacterVector":
-        return self + other.scale(GradedSuperScalar.term(-1))
 
     def scale(self, c) -> "CharacterVector":
         if isinstance(c, int):
@@ -459,15 +461,34 @@ def _pad_bold(bold, n_labels: int) -> Multipartition:
 
 
 def char_standard_tableaux(T: SchurAlgebra, bold) -> CharacterVector:
-    """ch Delta(bold) as the sum of deg(S) . alpha^S over standard X-tableaux."""
+    """ch Delta(bold) as the sum of deg(S) . alpha^S over standard X-tableaux,
+    counted by (weight, degree, parity) in one pass over each tableau."""
     T.base_decomp  # raises for a non-basic base
     bold = _pad_bold(bold, len(T.data.labels))
     ax = T.ctx.x_alphabet
-    out: dict = {}
+    n, alg = T.n, T.alg
+    color = {j: k for k, j in enumerate(T.data.labels)}
+    # letter (l, z) -> (its cell in the flat weight, degree of z, parity of z)
+    reads = {(l, z): (n * color[j] + l - 1, alg.degree[z], alg.parity[z])
+             for z, j in ax.absorbers.items() for l in range(1, n + 1)}
+    counts: dict = {}
     for S in enumerate_tableaux(bold, ax, "STD"):
-        w = tableau_weight(S, ax)
-        out[w] = out.get(w, GradedSuperScalar.zero()) + tableau_degree(S, T.alg)
-    return CharacterVector(out)
+        flat = [0] * (n * len(color))
+        m = eps = 0
+        for comp in S:
+            for row in comp:
+                for letter in row:
+                    cell, dm, de = reads[letter]
+                    flat[cell] += 1
+                    m += dm
+                    eps += de
+        key = (tuple(flat), m, eps % 2)
+        counts[key] = counts.get(key, 0) + 1
+    by_weight: dict = {}
+    for (flat, m, eps), c in counts.items():
+        w = tuple(flat[k:k + n] for k in range(0, len(flat), n))
+        by_weight.setdefault(w, {})[(m, eps)] = c
+    return CharacterVector((w, GradedSuperScalar(terms)) for w, terms in by_weight.items())
 
 
 def _column_terms(inp: DecompInput, lam, n: int, cache: LRCache):
@@ -475,8 +496,10 @@ def _column_terms(inp: DecompInput, lam, n: int, cache: LRCache):
 
     A choice nu splits each lam^(i) over the slots out of i, with a nonzero
     multi-LR coefficient (odd slots conjugated).  For each choice, yields the
-    scalar coefficient * q^(sum m|nu_s|) pi^(sum eps|nu_s|) and, for each
-    target color j in label order, the partitions of the slots landing in j."""
+    coefficient, the q-degree sum m|nu_s| and the pi-degree sum eps|nu_s| of
+    its term, and, for each target color j in label order, the partitions of
+    the slots landing in j.  A caller builds a term's scalar only if it keeps
+    the term."""
     labels = inp.labels
     lam = _pad_bold(lam, len(labels))
     target = {j: pos for pos, j in enumerate(labels)}
@@ -506,7 +529,7 @@ def _column_terms(inp: DecompInput, lam, n: int, cache: LRCache):
             eps += de
             for pos, p in placed:
                 into[pos].append(p)
-        yield GradedSuperScalar.term(coeff, m, eps % 2), into
+        yield coeff, m, eps, into
 
 
 def char_standard_formula(T: SchurAlgebra, bold,
@@ -515,13 +538,14 @@ def char_standard_formula(T: SchurAlgebra, bold,
     characters s_mu in place of the classical decomposition matrix."""
     cache = cache or _default_cache()
     by_schur: dict = {}
-    for scalar, into in _column_terms(T.base_decomp, bold, T.n, cache):
+    for coeff, m, eps, into in _column_terms(T.base_decomp, bold, T.n, cache):
         for combo in product(*(lr_expand(parts, T.n).items() for parts in into)):
             mu_bold = tuple(k for k, _ in combo)
             c = 1
             for _, v in combo:
                 c *= v
-            by_schur[mu_bold] = by_schur.get(mu_bold, GradedSuperScalar.zero()) + scalar.scale(c)
+            by_schur[mu_bold] = (by_schur.get(mu_bold, GradedSuperScalar.zero())
+                                 + GradedSuperScalar.term(coeff * c, m, eps))
     out = CharacterVector()
     for mu_bold, c in by_schur.items():
         out = out + schur_char_bold(mu_bold, T.n).scale(c)
@@ -553,27 +577,45 @@ def _identity_classical(gamma: Partition, mu: Partition) -> int:
     return 1 if trim(tuple(gamma)) == trim(tuple(mu)) else 0
 
 
-def decomp_formula(inp: DecompInput, lam, mu, n: int,
-                   classical=None, cache: LRCache | None = None) -> GradedSuperScalar:
-    """Graded decomposition number d_{lam,mu} from the base decomposition
-    data: a sum over column multipartitions nu indexed by the slots, with
-    multi-LR coefficients on the lam side (conjugating odd slots) and the
-    classical decomposition matrix folded in on the gamma side."""
+def decomp_formula_row(inp: DecompInput, lam, mus, n: int, classical=None,
+                       cache: LRCache | None = None) -> dict:
+    """The graded decomposition numbers d_{lam,mu} for every mu in `mus`, from
+    the base decomposition data: one sum over column multipartitions nu
+    indexed by the slots, with multi-LR coefficients on the lam side
+    (conjugating odd slots) and the classical decomposition matrix folded in
+    on the gamma side.  A term counts only for the mu with its colourwise
+    sizes, which the classical matrix preserves; each of its colours is
+    LR-expanded at most once, when the first such mu needs it."""
     classical = classical or _identity_classical
     cache = cache or _default_cache()
-    mu = [trim(comp) for comp in _pad_bold(mu, len(inp.labels))]
-    total = GradedSuperScalar.zero()
-    for scalar, into in _column_terms(inp, lam, n, cache):
-        # the classical matrix preserves sizes colorwise
-        if any(sum(size(p) for p in parts) != size(mu_j) for parts, mu_j in zip(into, mu)):
+    row = dict.fromkeys(mus, GradedSuperScalar.zero())
+    by_sizes: dict = {}
+    for mu in row:
+        comps = [trim(comp) for comp in _pad_bold(mu, len(inp.labels))]
+        by_sizes.setdefault(tuple(map(size, comps)), []).append((mu, comps))
+    for coeff, m, eps, into in _column_terms(inp, lam, n, cache):
+        targets = by_sizes.get(tuple([sum(map(sum, parts)) for parts in into]))
+        if not targets:
             continue
-        for parts, mu_j in zip(into, mu):
-            scalar = scalar.scale(sum(cg * classical(gamma, mu_j)
-                                      for gamma, cg in lr_expand(parts, n).items()))
-            if not scalar:
-                break
-        total = total + scalar
-    return total
+        expanded = [None] * len(into)
+        for mu, comps in targets:
+            c = 1
+            for j, mu_j in enumerate(comps):
+                if expanded[j] is None:
+                    expanded[j] = lr_expand(into[j], n).items()
+                c *= sum(cg * classical(gamma, mu_j) for gamma, cg in expanded[j])
+                if not c:
+                    break
+            else:
+                row[mu] = row[mu] + GradedSuperScalar.term(coeff * c, m, eps)
+    return row
+
+
+def decomp_formula(inp: DecompInput, lam, mu, n: int,
+                   classical=None, cache: LRCache | None = None) -> GradedSuperScalar:
+    """Graded decomposition number d_{lam,mu}: the one-label row."""
+    mu = tuple(map(tuple, mu))  # a row is keyed by its labels
+    return decomp_formula_row(inp, lam, [mu], n, classical, cache)[mu]
 
 
 # ---------------------------------------------------------------------------
@@ -611,17 +653,28 @@ def decomp_oracle(T: SchurAlgebra, ring: CoefficientRing | None = None) -> Decom
     entries: dict = {}
     order = sorted(labels, key=linear_key, reverse=True)
     for lam in labels:
-        residual = chd[lam]
+        # weight -> (degree, parity) -> int, reduced in place by c . ch L(mu)
+        residual = {w: dict(v.coeffs) for w, v in chd[lam].items()}
         for mu in order:
-            c = residual[weight_of[mu]]
-            if not c:
+            terms = residual.get(weight_of[mu])
+            if not terms:
                 continue
+            c = GradedSuperScalar(terms)
             if mu != lam and not leq(mu, lam):
                 raise AssertionError(f"support outside the order ideal: {lam} vs {mu}")
             if any(v < 0 for v in c.coeffs.values()):
                 raise AssertionError(f"negative decomposition number at {(lam, mu)}")
             entries[(lam, mu)] = c
-            residual = residual - chl[mu].scale(c)
+            for w, v in chl[mu].items():
+                acc = residual.setdefault(w, {})
+                for (m1, e1), c1 in v.coeffs.items():
+                    for (m2, e2), c2 in c.coeffs.items():
+                        k = (m1 + m2, (e1 + e2) % 2)
+                        acc[k] = acc.get(k, 0) - c1 * c2
+                        if not acc[k]:
+                            del acc[k]
+                if not acc:
+                    del residual[w]
         if residual:
             raise AssertionError(f"character system inconsistent at {lam}")
         if entries.get((lam, lam)) != GradedSuperScalar.one():

@@ -24,7 +24,7 @@ from .characters import (
     blocks as linking_blocks,
     char_standard_formula,
     char_standard_tableaux,
-    decomp_formula,
+    decomp_formula_row,
     decomp_oracle,
 )
 from .rings import GF, QQ, ZZ, CoefficientRing, GradedSuperScalar
@@ -382,13 +382,9 @@ def decomp(ctx, method, **kw):
     if cfg.method in ("formula", "both"):
         inp = T.base_decomp
         classical = None if ring == QQ else ClassicalDecomp(cfg.n, ring)
-        fm = {}
-        for lam in labels:
-            for mu in labels:
-                v = decomp_formula(inp, lam, mu, cfg.n, classical, cache)
-                if v:
-                    fm[(lam, mu)] = v
-        matrices["formula"] = fm
+        matrices["formula"] = {
+            (lam, mu): v for lam in labels
+            for mu, v in decomp_formula_row(inp, lam, labels, cfg.n, classical, cache).items() if v}
     if cfg.method == "both" and matrices["formula"] != matrices["oracle"]:
         diff = sorted(
             repr(k) for k in set(matrices["formula"]) ^ set(matrices["oracle"])
@@ -539,8 +535,8 @@ def verify(ctx, **kw):
         inp = T.base_decomp
         classical = None if ring == QQ else ClassicalDecomp(T.n, ring)
         for lam in D.labels:
-            for mu in D.labels:
-                f = decomp_formula(inp, lam, mu, T.n, classical, cache)
+            row = decomp_formula_row(inp, lam, D.labels, T.n, classical, cache)
+            for mu, f in row.items():
                 assert f == D.entry(lam, mu), (lam, mu)
         return f"{len(D.labels)}x{len(D.labels)} formula == oracle over {ring!r}"
 

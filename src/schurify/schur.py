@@ -360,7 +360,7 @@ class SchurAlgebra:
 
     def idempotent_comp(self, lam: tuple[int, ...]) -> Element:
         """xi(lambda): the sum of e_mu over color refinements of the weight lambda."""
-        if len(lam) != self.n or sum(lam) != self.d:
+        if len(lam) != self.n or sum(lam) != self.d or any(p < 0 for p in lam):
             raise ValueError("lambda must be a weight in Lambda(n, d)")
         lam = tuple(lam)
         return self._idempotent_sum(lambda bold: tuple(map(sum, zip(*bold))) == lam)

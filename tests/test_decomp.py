@@ -44,12 +44,17 @@ def test_oracle_structure(T122):
                 assert all(c > 0 for c in e.coeffs.values()), (lam, mu)
 
 
+def _oracle_row(D, lam):
+    return {mu: D.entry(lam, mu) for mu in D.labels}
+
+
 def test_formula_equals_oracle_char0(T122):
     D = ch.decomp_oracle(T122)
     inp = ch.DecompInput.from_base(T122.alg, T122.data)
     for lam in D.labels:
         for mu in D.labels:
             assert ch.decomp_formula(inp, lam, mu, 2) == D.entry(lam, mu), (lam, mu)
+        assert ch.decomp_formula_row(inp, lam, D.labels, 2) == _oracle_row(D, lam), lam
 
 
 def test_formula_equals_oracle_char0_ell2():
@@ -59,6 +64,7 @@ def test_formula_equals_oracle_char0_ell2():
     for lam in D.labels:
         for mu in D.labels:
             assert ch.decomp_formula(inp, lam, mu, 2) == D.entry(lam, mu), (lam, mu)
+        assert ch.decomp_formula_row(inp, lam, D.labels, 2) == _oracle_row(D, lam), lam
 
 
 def test_formula_equals_oracle_f2(T122):
@@ -71,6 +77,24 @@ def test_formula_equals_oracle_f2(T122):
         for mu in D.labels:
             assert ch.decomp_formula(inp, lam, mu, 2, classical) == D.entry(lam, mu), \
                 (lam, mu)
+        row = ch.decomp_formula_row(inp, lam, D.labels, 2, classical)
+        assert row == _oracle_row(D, lam), lam
+
+
+def test_formula_rows_entries_and_oracle_agree_zigzag2_f3():
+    """zigzag:2 with n = d = 3 over GF(3): every row of the formula, every
+    entry of the formula computed alone and the oracle agree."""
+    T = _T("zigzag:2", 3, 3)
+    ring = GF(3)
+    D = ch.decomp_oracle(T, ring)
+    inp = T.base_decomp
+    classical = ch.ClassicalDecomp(3, ring)
+    assert len(D.labels) == 22
+    for lam in D.labels:
+        row = ch.decomp_formula_row(inp, lam, D.labels, 3, classical)
+        assert row == _oracle_row(D, lam), lam
+        for mu in D.labels:
+            assert ch.decomp_formula(inp, lam, mu, 3, classical) == row[mu], (lam, mu)
 
 
 def test_decomp_identity(T122):

@@ -1,7 +1,8 @@
 """Standard output of fixed commands, byte for byte.
 
 Each file in tests/data is the stdout of `schurify` with the arguments listed
-here, kept from before the heredity check moved to words of letter indices.
+here, kept from before the heredity check moved to words of letter indices;
+the F_p formula file is kept from before the formula was computed by rows.
 A refactor or speed-up must leave them unchanged; regenerate a file only for
 an intended change of output, by running its command."""
 from pathlib import Path
@@ -23,6 +24,9 @@ GOLDEN = [
      ["verify", "--algebra", "trivial", "-n", "3", "-d", "3", "--field", "Fp:2"]),
     ("decomp-zigzag2-n2-d2-both.csv",
      ["decomp", "--algebra", "zigzag:2", "-n", "2", "-d", "2", "--method", "both", "--out", "csv"]),
+    ("decomp-zigzag1-n3-d3-formula-Fp2.csv",
+     ["decomp", "--algebra", "zigzag:1", "-n", "3", "-d", "3", "--field", "Fp:2",
+      "--method", "formula", "--out", "csv"]),
 ]
 
 

@@ -135,6 +135,10 @@ def test_idempotent_sums_match_color_splits():
                     assert T.idempotent_comp(lam) == x, (where, lam)
                 assert T.truncation_idempotent([labels[0]]) == trunc[1], where
                 assert T.truncation_idempotent(labels) == trunc[len(labels)] == one, where
+    alg, data, tau = make_algebra("zigzag:1")
+    T = build_schur(alg, data, 2, 3, tau)
+    with pytest.raises(ValueError, match=re.escape("lambda must be a weight in Lambda(n, d)")):
+        T.idempotent_comp((4, -1))  # sums to d, but a part is negative
 
 
 def test_idempotent_bold_squares(T122):
