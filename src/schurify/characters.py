@@ -14,12 +14,15 @@ Three layers live here:
     column multipartitions serves every mu, each colour LR-expanded once per
     term; `decomp_formula` is the row of one label.  The characters are also
     summed over standard tableaux, counted in ints by (weight, degree,
-    parity), a route independent of the formula;
+    parity) through the per-letter table that places the codeterminant
+    blocks' tableaux (`tableaux.flat_share`), a route independent of the
+    formula;
   * the brute-force decomposition oracle: ch L is the graded ranks, over a
     coefficient field, of the homogeneous blocks of the standard modules'
-    Gram matrices (`codeterminants.gram_blocks`, built one weight block at a
-    time), followed by a unitriangular solve of ch Delta = D . ch L that
-    reduces one residual per lam in place.
+    Gram matrices (`codeterminants.gram_blocks`: only the degree-0 pairs
+    are multiplied, and each entry is read through one dual row of the unit
+    codeterminant's block), followed by a unitriangular solve of
+    ch Delta = D . ch L that reduces one residual per lam in place.
 
 Weights are compositions (classical) or tuples of compositions, one per
 color, each padded to length n.
@@ -50,7 +53,7 @@ from .partitions import (
 )
 from .rings import QQ, CoefficientRing, GradedSuperScalar
 from .schur import SchurAlgebra
-from .tableaux import enumerate_tableaux
+from .tableaux import enumerate_tableaux, flat_share
 from .triples import OnLookup
 
 
@@ -462,32 +465,18 @@ def _pad_bold(bold, n_labels: int) -> Multipartition:
 
 def char_standard_tableaux(T: SchurAlgebra, bold) -> CharacterVector:
     """ch Delta(bold) as the sum of deg(S) . alpha^S over standard X-tableaux,
-    counted by (weight, degree, parity) in one pass over each tableau."""
+    counted by (weight, degree, parity), each tableau's in one pass over its
+    letters (`flat_share`)."""
     T.base_decomp  # raises for a non-basic base
     bold = _pad_bold(bold, len(T.data.labels))
     ax = T.ctx.x_alphabet
-    n, alg = T.n, T.alg
-    color = {j: k for k, j in enumerate(T.data.labels)}
-    # letter (l, z) -> (its cell in the flat weight, degree of z, parity of z)
-    reads = {(l, z): (n * color[j] + l - 1, alg.degree[z], alg.parity[z])
-             for z, j in ax.absorbers.items() for l in range(1, n + 1)}
     counts: dict = {}
     for S in enumerate_tableaux(bold, ax, "STD"):
-        flat = [0] * (n * len(color))
-        m = eps = 0
-        for comp in S:
-            for row in comp:
-                for letter in row:
-                    cell, dm, de = reads[letter]
-                    flat[cell] += 1
-                    m += dm
-                    eps += de
-        key = (tuple(flat), m, eps % 2)
+        key = flat_share(S, ax)
         counts[key] = counts.get(key, 0) + 1
     by_weight: dict = {}
     for (flat, m, eps), c in counts.items():
-        w = tuple(flat[k:k + n] for k in range(0, len(flat), n))
-        by_weight.setdefault(w, {})[(m, eps)] = c
+        by_weight.setdefault(T.ctx.nested[flat], {})[(m, eps)] = c
     return CharacterVector((w, GradedSuperScalar(terms)) for w, terms in by_weight.items())
 
 

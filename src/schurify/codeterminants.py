@@ -25,15 +25,22 @@ express arbitrary elements in that basis:
 
 A tableau enters the walk, the heredity check and the Gram matrices as the
 index word of X_S or Y_T and its sign, read straight off the tableau
-(`CodetBasis.index_word`); the basis keeps no Element per tableau.  The
-walk's tableau shares take their kernel factors from the algebra's tables
-(`SchurAlgebra.lefts`, `.rights`), kept for its life; `heredity_of_T` keeps
-the factors it makes beyond those for its own call, and `gram_blocks` for
-one call or one row (see `schur` and `gram_blocks` for why).  The heredity
-check's products go through the product kernel and its solves take
-index words.  A codeterminant key is made only for a solve's result or a
-failure message, and a `TriWord` only at the boundary: an Element given to
-`CodetBasis.solve` and an orbit that a witness or an error names.
+(`CodetBasis.index_word`); the basis keeps no Element per tableau.  Its
+share of the block keys, (weight, degree, parity), is read in one pass over
+its letters through a per-letter table (`tableaux.flat_share`), the one
+path that the blocks, the heredity check and the tableau characters share.
+The walk's tableau shares take their kernel factors from the algebra's
+tables (`SchurAlgebra.lefts`, `.rights`), kept for its life;
+`heredity_of_T` keeps the factors it makes beyond those for its own call,
+and `gram_blocks` for one call or one row (see `schur` and `gram_blocks`
+for why).  The heredity check's products go through the product kernel and
+its solves take index words.  A Gram matrix multiplies only the pairs of
+degree 0, the only ones that can reach the unit codeterminant's block, and
+reads each entry through one dual row of that block (`Block.dual_row`),
+with no solve per product.  A codeterminant key is made only for a solve's
+result or a failure message, and a `TriWord` only at the boundary: an
+Element given to `CodetBasis.solve` and an orbit that a witness or an error
+names.
 
 All expansions are integral; any non-integral coefficient aborts loudly.
 """
@@ -48,7 +55,7 @@ from typing import NamedTuple
 
 from .base_algebra import SIDES, X_SIDE, Y_SIDE, Side
 from .exactla import Block
-from .partitions import comp_row_word, gen_multipartitions, trim
+from .partitions import comp_row_word, gen_multipartitions, pad, trim
 from .schur import Element, SchurAlgebra
 from .tableaux import (
     Tableau,
@@ -56,7 +63,7 @@ from .tableaux import (
     enumerate_tableaux,
     is_standard,
     row_standardize,
-    tableau_weight,
+    flat_share,
     word as tableau_word,
 )
 from .triples import OnLookup, TriWord, run_key
@@ -286,26 +293,23 @@ class CodetBasis:
         return self.T.product_terms(left, right, sy * sx)
 
     # -- blocked change of basis ------------------------------------------
-    def _tableau_block(self, tab: Tableau, side: Side) -> tuple:
-        """One tableau's share of a block key: (weight, degree, parity)."""
-        zs = [z for (_l, z) in tableau_word(tab)]
-        return (tableau_weight(tab, self.T.ctx.alphabet(side)),
-                sum(self.T.alg.degree[z] for z in zs), sum(self.T.alg.parity[z] for z in zs))
-
     @cached_property
     def _tableau_blocks(self) -> dict:
-        """shape -> ([(S, its share)], [(T, its share)]) of the block keys, in
-        the order of the standard tableaux.  Equal shares are one tuple, and
-        so are equal weights (`shared` maps each to its first copy)."""
-        shared: dict = {}
+        """shape -> ([(S, its share)], [(T, its share)]) of the block keys,
+        (weight, degree, parity mod 2), in the order of the standard
+        tableaux, each read in one pass over its letters (`flat_share`).
+        Equal shares are one tuple, and so are equal weights, cut from the
+        flat weight by `TriContext.nested`."""
+        ctx, shared = self.T.ctx, {}
+        nested = ctx.nested
 
-        def share(tab: Tableau, side: Side) -> tuple:
-            weight, deg, par = self._tableau_block(tab, side)
-            key = (shared.setdefault(weight, weight), deg, par)
+        def share(tab: Tableau, alphabet) -> tuple:
+            flat, deg, par = flat_share(tab, alphabet)
+            key = (nested[flat], deg, par)
             return shared.setdefault(key, key)
 
-        return {bold: tuple([(tab, share(tab, side)) for tab in self.std(side)[bold]]
-                            for side in SIDES)
+        return {bold: tuple([(tab, share(tab, ctx.alphabet(side)))
+                             for tab in self.std(side)[bold]] for side in SIDES)
                 for bold in self.shapes}
 
     @cached_property
@@ -319,7 +323,7 @@ class CodetBasis:
         for k, (bold, shares) in enumerate(self._tableau_blocks.items()):
             for by_weight, tabs in zip(entries, shares):
                 for tab, (weight, deg, par) in tabs:
-                    by_weight.setdefault(weight, []).append((k, deg, par % 2, tab, bold))
+                    by_weight.setdefault(weight, []).append((k, deg, par, tab, bold))
         left, right = self.T.lefts.__getitem__, self.T.rights.__getitem__
 
         def xs(weight) -> list:
@@ -767,7 +771,7 @@ def heredity_of_T(T: SchurAlgebra, sample_b: int | None = None) -> SchurHeredity
             elt_e, e_elt, emu_elt = (" ".join(side.orient(a, b))
                                      for a, b in ((nm, "e"), ("e", nm), ("e_mu", nm)))
             initial = side.pick(*cb.initial_tableau_pair(bold))
-            for tab in cb.std(side)[bold]:
+            for tab, (weight, _deg, _par) in side.pick(*cb._tableau_blocks[bold]):
                 word, sign = cb.index_word(tab, side)
                 elt, terms = factors(word, sign), {word: sign}
                 witness = f"{side.pick('S', 'T')} = {tab}"
@@ -778,7 +782,6 @@ def heredity_of_T(T: SchurAlgebra, sample_b: int | None = None) -> SchurHeredity
                 if times(*side.orient(idem[bold], elt)) != want:
                     ok_c = False
                     failures.append(f"axiom (c): {e_elt} wrong at {bold}: {witness}")
-                weight = tableau_weight(tab, T.ctx.alphabet(side))
                 for bold2 in cb.shapes:
                     want = terms if padded[bold2] == weight else {}
                     if times(*side.orient(idem[bold2], elt)) != want:
@@ -803,10 +806,10 @@ def heredity_of_T(T: SchurAlgebra, sample_b: int | None = None) -> SchurHeredity
     for bold in cb.shapes:
         for side in SIDES:
             other_initial = side.orient(*cb.initial_tableau_pair(bold))[1]
-            for tab in cb.std(side)[bold]:
+            for tab, (weight, _deg, _par) in side.pick(*cb._tableau_blocks[bold]):
                 word, sign = cb.index_word(tab, side)
                 own = side.pick(rights, lefts)[word]
-                for orbit, a in candidates[side, tableau_weight(tab, T.ctx.alphabet(side))]:
+                for orbit, a in candidates[side, weight]:
                     prod = T.product_terms(*side.orient(a, own), sign)
                     if not prod:
                         continue
@@ -837,34 +840,57 @@ def gram_blocks(T: SchurAlgebra, bold) -> dict[tuple, list[list[int]]]:
 
     A row is a standard X tableau S, keyed by its (weight, degree, parity mod
     2); its columns are the standard Y tableaux of that weight, degree minus
-    the row's and the same parity, in the order of `std_y`.  Only pairs of
-    equal weight are multiplied, each once by `CodetBasis.pairing`: the
-    profiles of the others do not meet.  Among those, a nonzero entry
-    outside the block is an error.  Each Y_T is made a left factor once per
-    call and each X_S a right factor for its own row, and then dropped: kept
-    in the algebra's tables, they raised the tracemalloc peak of `decomp` on
-    zigzag:2 n=d=3 from 6.14 to 7.14 MB."""
-    cb = T.codet_basis
+    the row's and the same parity, in the order of `std_y`.  Only those
+    pairs are multiplied, each once by `CodetBasis.pairing`.  The product is
+    graded, so Y_T X_S is homogeneous of degree deg T + deg S and parity
+    par T + par S; and its profiles are the padded shape on both sides,
+    through T and S of equal weight.  So a pair of another weight, degree or
+    parity cannot reach the unit codeterminant's block (padded shape, padded
+    shape, 0, 0), and the entries outside the blocks are zero.
+
+    The coefficient at the unit codeterminant (`unit_key`) is read through
+    one dual row: the unit block is factored once as a solver block
+    (`CodetBasis.factor`), and `Block.dual_row` gives the coefficient as
+    integer numerators over its determinant on the block's rows.  Each
+    entry is a dot product of a pairing with that row, divided exactly
+    (`Block.quotient`).  A word of a pairing outside the unit block raises
+    AssertionError naming the pair; so does a word with the block's key that
+    is not one of its rows.
+
+    Each Y_T is made a left factor once per call, when a row first meets its
+    (weight, degree, parity), and each X_S a right factor for its own row,
+    and then dropped: kept in the algebra's tables, they raised the
+    tracemalloc peak of `decomp` on zigzag:2 n=d=3 from 6.14 to 7.14 MB."""
+    cb, ctx = T.codet_basis, T.ctx
     xs, ys = cb._tableau_blocks[bold]
     unit_key = (bold, *cb.initial_tableau_pair(bold))
-    ys_of: dict = {}
-    for Tb, (weight, deg, par) in ys:
-        ys_of.setdefault(weight, []).append((Tb, cb.kernel_factor(Tb, Y_SIDE, T.left_factor),
-                                             deg, par % 2))
+    padded = tuple(pad(c, T.n) for c in bold)
+    key = (padded, padded, 0, 0)
+    blk = cb.factor(key, solver=True)
+    dual = blk.dual_row(unit_key)
+    of_share: dict = {}
+    for Tb, share in ys:
+        of_share.setdefault(share, []).append(Tb)
+    lefts = OnLookup(lambda share: [(Tb, cb.kernel_factor(Tb, Y_SIDE, T.left_factor))
+                                    for Tb in of_share.get(share, ())])
     blocks: dict = {}
     for S, (weight, deg, par) in xs:
         row = []
-        same_weight = ys_of.get(weight, ())
-        x = cb.kernel_factor(S, X_SIDE, T.right_factor) if same_weight else None
-        for Tb, y, dy, py in same_weight:
-            prod = cb.pairing(y, x)
-            c = cb.solve_terms(prod).get(unit_key, 0) if prod else 0
-            if dy == -deg and py == par % 2:
-                row.append(c)
-            elif c:
-                raise AssertionError(f"Gram pairing not homogeneous at {bold}: "
-                                     f"S = {S}, T = {Tb}")
-        blocks.setdefault((weight, deg, par % 2), []).append(row)
+        columns = lefts[weight, -deg, par]
+        x = cb.kernel_factor(S, X_SIDE, T.right_factor) if columns else None
+        for Tb, y in columns:
+            num = 0
+            for w, c in cb.pairing(y, x).items():
+                a = dual.get(w)
+                if a is None:
+                    if ctx.block_key(w) == key:
+                        raise AssertionError(f"{ctx.word(w)} is not a row of "
+                                             f"codeterminant block {key}")
+                    raise AssertionError(f"Gram pairing not homogeneous at {bold}: "
+                                         f"S = {S}, T = {Tb}")
+                num += a * c
+            row.append(blk.quotient(num, unit_key))
+        blocks.setdefault((weight, deg, par), []).append(row)
     return blocks
 
 

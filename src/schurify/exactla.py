@@ -13,7 +13,9 @@ sparse integer expansions over them.  It is eliminated once, for its
 determinant; given its columns' labels it also keeps a record of the row
 operations, and expands a sparse vector in its columns by replaying that
 record on it and substituting back, in integers scaled by the last pivot,
-and dividing exactly by it.
+and dividing exactly by it.  The same replay on each row's unit vector gives
+one column's coefficient as a functional on the rows (`Block.dual_row`), in
+numerators over the determinant.
 """
 from __future__ import annotations
 
@@ -124,8 +126,10 @@ class Block:
     sparse integer expansions over them.  `det` is its determinant and `size`
     its order.  Given its columns' labels `cols`, it keeps them, the place of
     each row and the record of the elimination, from which `solve_integral`
-    expands a vector in its columns.  `name` and `key` name the block in its
-    errors: one that is not square or is singular raises AssertionError."""
+    expands a vector in its columns and `dual_row` reads one column's
+    coefficient as a functional on the rows.  `name` and `key` name the
+    block in its errors: one that is not square or is singular raises
+    AssertionError."""
 
     __slots__ = ("det", "size", "cols", "ridx", "steps", "where")
 
@@ -154,7 +158,49 @@ class Block:
     def solve_integral(self, v: Mapping) -> dict:
         """Expand a sparse integer vector over the rows in the columns over Z,
         as column label -> nonzero coefficient.  A non-integral coefficient
-        raises ArithmeticError naming its column and the block.
+        raises ArithmeticError naming its column and the block."""
+        y, scale = self._replay(v)
+        det, out = self.det, {}
+        for j, col in enumerate(self.cols):
+            num = scale * y[j]
+            if num:
+                coeff, rem = divmod(num, det)
+                if rem:
+                    raise self._non_integral(num, col)
+                out[col] = coeff
+        return out
+
+    def dual_row(self, col) -> dict:
+        """The coefficient at column `col` as a functional on the rows, in
+        numerators over `det`: row label -> integer, zeros included, so that
+        a vector v over the rows has the coefficient sum(v[r] * row[r]) / det
+        (`quotient`).  Row r's numerator is that of the solve of its unit
+        vector; kept over `det`, the row needs no unimodular block."""
+        j = self.cols.index(col)
+        out = {}
+        for r in self.ridx:
+            y, scale = self._replay({r: 1})
+            out[r] = scale * y[j]
+        return out
+
+    def quotient(self, num: int, col) -> int:
+        """num / det, exactly: a remainder raises ArithmeticError naming the
+        reduced fraction, the column `col` and the block."""
+        coeff, rem = divmod(num, self.det)
+        if rem:
+            raise self._non_integral(num, col)
+        return coeff
+
+    def _non_integral(self, num: int, col) -> ArithmeticError:
+        det = self.det
+        g = gcd(num, det) * (1 if det > 0 else -1)
+        name, key = self.where
+        return ArithmeticError(f"non-integral coefficient {num // g}/{det // g} "
+                               f"of column {col} in {name} {key}")
+
+    def _replay(self, v: Mapping) -> tuple[dict[int, int], int]:
+        """(y, s) with s * y = det times the expansion of v in the columns,
+        y by column index and s = +-1.
 
         The right-hand side goes through the recorded row operations, then
         back substitution finds y = D x in integers, D the last pivot; each
@@ -176,17 +222,4 @@ class Block:
         for (_r0, c0, top, a, _prev, _neg, _mults), bp in zip(reversed(self.steps), reversed(rhs)):
             s = last * bp - sum(x * y[c] for c, x in top.items() if c != c0)
             y[c0] = s // a
-        det = self.det
-        scale = 1 if det == last else -1  # det = +-last
-        out: dict = {}
-        for j, col in enumerate(self.cols):
-            num = scale * y[j]
-            coeff, rem = divmod(num, det)
-            if rem:
-                g = gcd(num, det) * (1 if det > 0 else -1)
-                name, key = self.where
-                raise ArithmeticError(f"non-integral coefficient {num // g}/{det // g} "
-                                      f"of column {col} in {name} {key}")
-            if coeff:
-                out[col] = coeff
-        return out
+        return y, 1 if self.det == last else -1  # det = +-last

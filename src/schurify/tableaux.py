@@ -35,6 +35,15 @@ class Alphabet:
         """Basis element -> the j with e_j z = z (X side) or z e_j = z (Y side)."""
         return absorbing_colors(self.alg, self.data, self.side)
 
+    @cached_property
+    def letter_shares(self) -> dict[Letter, tuple[int, int, int]]:
+        """Letter (l, z) -> (its cell in a flat weight, the degree of z, the
+        parity of z), for each z with an absorbing color j: a flat weight
+        counts j's letter l at n * (place of j in the labels) + l - 1."""
+        place = {j: k for k, j in enumerate(self.data.labels)}
+        return {(l, z): (self.n * place[j] + l - 1, self.alg.degree[z], self.alg.parity[z])
+                for z, j in self.absorbers.items() for l in range(1, self.n + 1)}
+
     def _absorbing_color(self, z: str) -> int:
         j = self.absorbers.get(z)
         if j is None:
@@ -212,6 +221,23 @@ def tableau_weight(T: Tableau, alphabet: Alphabet) -> tuple[tuple[int, ...], ...
     for (l, z) in word(T):
         counts[alphabet._absorbing_color(z)][l - 1] += 1
     return tuple(tuple(counts[j]) for j in alphabet.data.labels)
+
+
+def flat_share(T: Tableau, alphabet: Alphabet) -> tuple[tuple[int, ...], int, int]:
+    """A tableau's (flat weight, degree, parity mod 2), in one pass over its
+    letters through `Alphabet.letter_shares`; `TriContext.nested` cuts the
+    flat weight into `tableau_weight`."""
+    shares = alphabet.letter_shares
+    flat = [0] * (alphabet.n * len(alphabet.data.labels))
+    deg = par = 0
+    for comp in T:
+        for row in comp:
+            for letter in row:
+                cell, dz, pz = shares[letter]
+                flat[cell] += 1
+                deg += dz
+                par += pz
+    return tuple(flat), deg, par % 2
 
 
 def tableau_degree(T: Tableau, alg: BasedSuperalgebra) -> GradedSuperScalar:

@@ -221,7 +221,7 @@ class TriContext:
             beta[right[i]] += 1
             deg += degree[i]
             par += odd[i]
-        nested = self._nested
+        nested = self.nested
         return nested[tuple(alpha)], nested[tuple(beta)], deg, par % 2
 
     def weight_profiles(self, word: TriWord):
@@ -230,9 +230,10 @@ class TriContext:
         return self.block_key([index[lt] for lt in word])[:2]
 
     @cached_property
-    def _nested(self) -> dict[tuple[int, ...], tuple[tuple[int, ...], ...]]:
+    def nested(self) -> dict[tuple[int, ...], tuple[tuple[int, ...], ...]]:
         """A flattened profile -> it cut into one block of n per color, made
-        on first lookup."""
+        on first lookup: block keys and tableau shares (`flat_share`) are
+        cut through it, so equal weights are one tuple."""
         n = self.n
         return OnLookup(lambda flat: tuple(flat[k:k + n] for k in range(0, len(flat), n)))
 

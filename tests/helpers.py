@@ -24,10 +24,12 @@
   its rows being the orbits their expansions reach.  codet_blocks reads
   production's blocks back as orbits and codeterminant keys, to compare.
 - full_gram / gram_entries: the Gram matrix of a standard module over every
-  pair of standard tableaux, and the blocks of `gram_blocks` read back into
-  pairs; both place a tableau by its own `tableau_weight` and
-  `tableau_degree`, where production multiplies only pairs of equal weight
-  and reads each tableau's share off the codeterminant block keys.
+  pair of standard tableaux, each product solved in the codeterminant
+  basis, and the blocks of `gram_blocks` read back into pairs; both place a
+  tableau by its own `tableau_weight` and `tableau_degree` (`tableau_share`,
+  which `eager_codet_blocks` reads too), where production multiplies only
+  the degree-0 pairs of equal weight, placed by the per-letter table, and
+  reads each entry through one dual row of the unit block.
 - heredity_oracle: the checks of `heredity_of_T`, in its order and with its
   failure texts, with every product taken by `tensor_eta_product`, the
   blocks of `eager_codet_blocks` as dense matrices, determinants and solves
@@ -350,7 +352,7 @@ def eager_codet_blocks(cb):
     blocks = {}
     keys = iter(cb.keys)  # shape by shape, in the order of product(std_x, std_y)
     for bold in cb.shapes:
-        xs, ys = ([cb._tableau_block(tab, side) for tab in cb.std(side)[bold]]
+        xs, ys = ([tableau_share(T, tab, side) for tab in cb.std(side)[bold]]
                   for side in SIDES)
         for ((alpha, dx, px), (beta, dy, py)), key in zip(product(xs, ys), keys):
             blocks.setdefault((alpha, beta, dx + dy, (px + py) % 2), ([], []))[1].append(key)
@@ -387,11 +389,12 @@ def full_gram(T, bold):
     standard tableaux of shape bold."""
     cb = T.codet_basis
     unit_key = (bold, *cb.initial_tableau_pair(bold))
+    ys = [(Tb, codet.y_element(T, Tb)) for Tb in cb.std_y[bold]]
     gram = {}
     for S in cb.std_x[bold]:
         x = codet.x_element(T, S)
-        for Tb in cb.std_y[bold]:
-            prod = T.mul(codet.y_element(T, Tb), x)
+        for Tb, y in ys:
+            prod = T.mul(y, x)
             gram[S, Tb] = cb.solve(prod).get(unit_key, 0) if prod else 0
     return gram
 

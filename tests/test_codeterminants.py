@@ -16,6 +16,7 @@ from helpers import (
 )
 from schurify import codeterminants as codet
 from schurify.base_algebra import SIDES, X_SIDE, Y_SIDE, make_algebra
+from schurify.exactla import Block
 from schurify.partitions import leq
 from schurify.schur import SchurAlgebra, build_schur
 from schurify.tableaux import tableau_weight
@@ -133,7 +134,8 @@ def test_standard_module_gram(T122, cb):
         assert sum(len(rows) for rows in blocks.values()) == len(cb.std_x[bold])
 
 
-GRAM_CASES = [("zigzag:1", 2, 2), ("zigzag:2", 2, 2), ("trivial", 3, 3), ("semisimple:2", 2, 2)]
+GRAM_CASES = [("zigzag:1", 2, 2), ("zigzag:2", 2, 2), ("trivial", 3, 3), ("semisimple:2", 2, 2),
+              ("zigzag:1", 3, 3), ("zigzag:2", 3, 3)]
 
 
 @pytest.mark.parametrize("spec,n,d", GRAM_CASES)
@@ -148,27 +150,111 @@ def test_gram_blocks_match_the_full_gram(spec, n, d):
         full = full_gram(T, bold)
         blocks = gram_entries(T, bold, codet.gram_blocks(T, bold))
         assert any(full.values()), bold
+        weight = {(tab, side): tableau_share(T, tab, side)[0]
+                  for side in SIDES for tab in cb.std(side)[bold]}
         for (S, Tb), c in full.items():
-            if tableau_share(T, S, X_SIDE)[0] != tableau_share(T, Tb, Y_SIDE)[0]:
+            if weight[S, X_SIDE] != weight[Tb, Y_SIDE]:
                 assert c == 0, (bold, S, Tb)
             assert c == blocks.get((S, Tb), 0), (bold, S, Tb)
 
 
 def test_gram_homogeneity_failure_names_its_pair(monkeypatch):
-    """With the initial Y tableau's degree shifted by one, its Gram entry 1
-    falls outside the blocks, and the failure names the pair."""
+    """With a Y tableau T1 of degree 1 filed at degree -1, the X tableau S1
+    of its weight and degree 1 meets it as a degree-0 pair; their product,
+    of degree 2, falls outside the unit block, and the failure names the
+    pair."""
     alg, data, tau = make_algebra("zigzag:1")
     T = build_schur(alg, data, 2, 2, tau)
     cb = T.codet_basis
     assert cb.unimodular()  # builds every codeterminant block with the true shares
     bold = ((1,), (1,))
-    S0, T0 = cb.initial_tableau_pair(bold)
+    S1 = ((((1, "e0"),),), (((1, "a0_1"),),))
+    T1 = ((((1, "e0"),),), (((1, "a1_0"),),))
     xs, ys = cb._tableau_blocks[bold]
-    shifted = [(Tb, (w, deg + (Tb == T0), par)) for Tb, (w, deg, par) in ys]
+    assert dict(xs)[S1] == (((2, 0), (0, 0)), 1, 1) == dict(ys)[T1]
+    shifted = [(Tb, (w, deg - 2 * (Tb == T1), par)) for Tb, (w, deg, par) in ys]
     monkeypatch.setitem(cb._tableau_blocks, bold, (xs, shifted))
     with pytest.raises(AssertionError) as exc:
         codet.gram_blocks(T, bold)
-    assert str(exc.value) == f"Gram pairing not homogeneous at {bold}: S = {S0}, T = {T0}"
+    assert str(exc.value) == f"Gram pairing not homogeneous at {bold}: S = {S1}, T = {T1}"
+
+
+def _unit_block(T, bold):
+    """The key of the unit codeterminant's block, and e_bold's one orbit."""
+    padded = tuple(tuple(c) + (0,) * (T.n - len(c)) for c in bold)
+    ((orbit, _c),) = T.idempotent_bold(bold).items()
+    return (padded, padded, 0, 0), orbit
+
+
+def test_gram_blocks_make_one_product_per_entry(monkeypatch):
+    """`gram_blocks` multiplies once for each entry of its blocks, and
+    factors one solver block per shape, the unit codeterminant's, which is
+    all that `_factored` then holds."""
+    alg, data, tau = make_algebra("zigzag:2")
+    T = build_schur(alg, data, 3, 3, tau)
+    cb = T.codet_basis
+    products, factored = [], []
+    real_pairing, real_factor = codet.CodetBasis.pairing, codet.CodetBasis.factor
+
+    def counted_pairing(self, y, x):
+        products.append(None)
+        return real_pairing(self, y, x)
+
+    def counted_factor(self, key, solver=False):
+        factored.append((key, solver))
+        return real_factor(self, key, solver)
+
+    monkeypatch.setattr(codet.CodetBasis, "pairing", counted_pairing)
+    monkeypatch.setattr(codet.CodetBasis, "factor", counted_factor)
+    units = []
+    for bold in cb.shapes:
+        products.clear()
+        factored.clear()
+        blocks = codet.gram_blocks(T, bold)
+        assert len(products) == sum(len(row) for rows in blocks.values() for row in rows), bold
+        units.append(_unit_block(T, bold)[0])
+        assert factored == [(units[-1], True)], bold
+    assert list(cb._factored) == units
+
+
+def test_gram_pairing_off_the_unit_rows_is_named(monkeypatch):
+    """A degree-0 product whose word has the unit block's key but is not
+    one of its rows raises, naming the word and the block."""
+    alg, data, tau = make_algebra("zigzag:1")
+    T = build_schur(alg, data, 2, 2, tau)
+    bold = ((1,), (1,))
+    key, orbit = _unit_block(T, bold)
+    word = tuple(T.ctx.index[lt] for lt in orbit)
+    real = Block.dual_row
+    monkeypatch.setattr(Block, "dual_row",
+                        lambda self, col: {r: a for r, a in real(self, col).items() if r != word})
+    with pytest.raises(AssertionError) as exc:
+        codet.gram_blocks(T, bold)
+    assert str(exc.value) == f"{orbit} is not a row of codeterminant block {key}"
+
+
+def test_gram_non_integral_coefficient_names_the_unit_block(monkeypatch):
+    """With the unit codeterminant's column doubled, its block has
+    determinant +-2 and e_bold = Y_T0 X_S0 has the coefficient 1/2 there:
+    the entry raises ArithmeticError naming the column and the block."""
+    alg, data, tau = make_algebra("zigzag:1")
+    T = build_schur(alg, data, 2, 2, tau)
+    cb = T.codet_basis
+    bold = ((1,), (1,))
+    unit_key = (bold, *cb.initial_tableau_pair(bold))
+    key, _orbit = _unit_block(T, bold)
+    real = codet.CodetBasis._expand
+
+    def broken(self, x, y):
+        out = real(self, x, y)
+        return {o: 2 * c for o, c in out.items()} if (x.bold, x.tab, y.tab) == unit_key else out
+
+    monkeypatch.setattr(codet.CodetBasis, "_expand", broken)
+    assert abs(cb.factor(key).det) == 2
+    with pytest.raises(ArithmeticError) as exc:
+        codet.gram_blocks(T, bold)
+    assert str(exc.value) == (f"non-integral coefficient 1/2 of column {unit_key} "
+                              f"in codeterminant block {key}")
 
 
 def test_cellularity_zigzag_bar(T122):

@@ -1,4 +1,5 @@
 import ast
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -75,6 +76,35 @@ def test_non_integral_coefficient_is_reduced_and_named():
     assert minus_three.det == -3
     with pytest.raises(ArithmeticError, match="non-integral coefficient -2/3 of column c0 in block 0"):
         minus_three.solve_integral({1: -2})
+
+
+@pytest.mark.parametrize("mat", [
+    [[1, 1], [-1, 1]],                   # det 2
+    [[0, 1], [3, 0]],                    # a row swap, det -3
+    [[2, 1, 0], [0, 1, 1], [1, 0, 1]],   # det 3, no unit pivot first
+    [[0, 2, 1], [1, 0, 0], [0, 1, 1]],   # a row swap, det -1
+])
+def test_dual_row_against_fraction_oracle(mat):
+    """Each column's dual row, in numerators over det, is that column's row
+    of the inverse by the LU oracle, zeros included; a vector read through
+    it is divided exactly, or its non-integral coefficient is named."""
+    n = len(mat)
+    B = single_block(mat)
+    assert B.det == lu_det(mat)
+    inverse = [lu_solve(mat, [int(i == r) for i in range(n)]) for r in range(n)]
+    for j in range(n):
+        row = B.dual_row(f"c{j}")
+        assert list(row) == list(range(n))
+        assert [Fraction(row[r], B.det) for r in range(n)] == [inverse[r][j] for r in range(n)]
+        for r in range(n):
+            want = inverse[r][j]
+            if want.denominator == 1:
+                assert B.quotient(row[r], f"c{j}") == want
+            else:
+                with pytest.raises(ArithmeticError) as exc:
+                    B.quotient(row[r], f"c{j}")
+                assert str(exc.value) == (f"non-integral coefficient {want.numerator}/"
+                                          f"{want.denominator} of column c{j} in block 0")
 
 
 # Square blocks of size 1-6 and vectors cut to their size; small entries so
