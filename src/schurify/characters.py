@@ -14,8 +14,8 @@ Three layers live here:
     column multipartitions serves every mu, each colour LR-expanded once per
     term; `decomp_formula` is the row of one label.  The characters are also
     summed over standard tableaux, counted in ints by (weight, degree,
-    parity) through the per-letter table that places the codeterminant
-    blocks' tableaux (`tableaux.flat_share`), a route independent of the
+    parity) from the table of standard tableaux that the codeterminant
+    blocks read (`TriContext.standard_tableaux`), a route independent of the
     formula;
   * the brute-force decomposition oracle: ch L is the graded ranks, over a
     coefficient field, of the homogeneous blocks of the standard modules'
@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 
-from .base_algebra import BasedSuperalgebra, DecompInput, HeredityData, base_decomp_numbers
+from .base_algebra import X_SIDE, BasedSuperalgebra, DecompInput, HeredityData, base_decomp_numbers
 from . import exactla
 from .codeterminants import gram_blocks
 from .partitions import (
@@ -53,7 +53,6 @@ from .partitions import (
 )
 from .rings import QQ, CoefficientRing, GradedSuperScalar
 from .schur import SchurAlgebra
-from .tableaux import enumerate_tableaux, flat_share
 from .triples import OnLookup
 
 
@@ -465,18 +464,15 @@ def _pad_bold(bold, n_labels: int) -> Multipartition:
 
 def char_standard_tableaux(T: SchurAlgebra, bold) -> CharacterVector:
     """ch Delta(bold) as the sum of deg(S) . alpha^S over standard X-tableaux,
-    counted by (weight, degree, parity), each tableau's in one pass over its
-    letters (`flat_share`)."""
+    counted by their shares (weight, degree, parity) in the context's table
+    (`TriContext.standard_tableaux`), which the codeterminant blocks read
+    too."""
     T.base_decomp  # raises for a non-basic base
-    bold = _pad_bold(bold, len(T.data.labels))
-    ax = T.ctx.x_alphabet
-    counts: dict = {}
-    for S in enumerate_tableaux(bold, ax, "STD"):
-        key = flat_share(S, ax)
-        counts[key] = counts.get(key, 0) + 1
     by_weight: dict = {}
-    for (flat, m, eps), c in counts.items():
-        by_weight.setdefault(T.ctx.nested[flat], {})[(m, eps)] = c
+    bold = _pad_bold(bold, len(T.data.labels))
+    for _S, (weight, deg, par) in T.ctx.standard_tableaux[X_SIDE, bold]:
+        terms = by_weight.setdefault(weight, {})
+        terms[deg, par] = terms.get((deg, par), 0) + 1
     return CharacterVector((w, GradedSuperScalar(terms)) for w, terms in by_weight.items())
 
 
@@ -539,23 +535,6 @@ def char_standard_formula(T: SchurAlgebra, bold,
     for mu_bold, c in by_schur.items():
         out = out + schur_char_bold(mu_bold, T.n).scale(c)
     return out
-
-
-def char_standard(T: SchurAlgebra, bold, method: str = "both",
-                  cache: LRCache | None = None) -> CharacterVector:
-    """Character of the standard module; with method="both" the tableau sum
-    and the LR formula are computed independently and must agree."""
-    if method == "tableaux":
-        return char_standard_tableaux(T, bold)
-    if method == "formula":
-        return char_standard_formula(T, bold, cache)
-    if method != "both":
-        raise ValueError(f"unknown method {method!r}")
-    a = char_standard_tableaux(T, bold)
-    b = char_standard_formula(T, bold, cache)
-    if a != b:
-        raise AssertionError(f"character methods disagree at {bold}")
-    return a
 
 
 # ---------------------------------------------------------------------------

@@ -293,10 +293,8 @@ def mul(ctx, left, right, **kw):
     T = _make_T(cfg)
     x = _orbit_from_json(T, left)
     y = _orbit_from_json(T, right)
-    prod = T.mul(x, y)
-    _emit(cfg, T.element_to_json(prod),
-          csv_rows=[[json.dumps(triples.TriContext.to_json(o)), str(c)]
-                    for o, c in sorted(prod.items(), key=lambda kv: T.orbit_key(kv[0]))])
+    payload = T.element_to_json(T.mul(x, y))
+    _emit(cfg, payload, csv_rows=[[json.dumps(e["orbit"]), e["coeff"]] for e in payload])
 
 
 @main.command()

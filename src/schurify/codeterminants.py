@@ -25,10 +25,13 @@ express arbitrary elements in that basis:
 
 A tableau enters the walk, the heredity check and the Gram matrices as the
 index word of X_S or Y_T and its sign, read straight off the tableau
-(`CodetBasis.index_word`); the basis keeps no Element per tableau.  Its
-share of the block keys, (weight, degree, parity), is read in one pass over
-its letters through a per-letter table (`tableaux.flat_share`), the one
-path that the blocks, the heredity check and the tableau characters share.
+(`CodetBasis.index_word`); the basis keeps no Element per tableau.  The
+standard tableaux and their shares of the block keys, (weight, degree,
+parity), come from one table on the algebra's context
+(`TriContext.standard_tableaux`), each tableau's share read in one pass over
+its letters; the blocks, the heredity check, the Gram matrices and the
+tableau characters all read that table, and a truncation keeps the
+tableaux whose letters survive it (`CodetBasis._tableau_blocks`).
 The walk's tableau shares take their kernel factors from the algebra's
 tables (`SchurAlgebra.lefts`, `.rights`), kept for its life;
 `heredity_of_T` keeps the factors it makes beyond those for its own call,
@@ -60,10 +63,8 @@ from .schur import Element, SchurAlgebra
 from .tableaux import (
     Tableau,
     column_violation,
-    enumerate_tableaux,
     is_standard,
     row_standardize,
-    flat_share,
     word as tableau_word,
 )
 from .triples import OnLookup, TriWord, run_key
@@ -216,21 +217,14 @@ class CodetBasis:
 
     @cached_property
     def std_x(self) -> dict:
-        return {bold: self._std(bold, X_SIDE) for bold in self.shapes}
+        return {bold: [S for S, _share in xs] for bold, (xs, _ys) in self._tableau_blocks.items()}
 
     @cached_property
     def std_y(self) -> dict:
-        return {bold: self._std(bold, Y_SIDE) for bold in self.shapes}
+        return {bold: [Tb for Tb, _share in ys] for bold, (_xs, ys) in self._tableau_blocks.items()}
 
     def std(self, side: Side) -> dict:
         return side.pick(self.std_x, self.std_y)
-
-    def _std(self, bold, side: Side) -> list[Tableau]:
-        tabs = enumerate_tableaux(bold, self.T.ctx.alphabet(side), "STD")
-        if self.T.keep_basis is not None:
-            keep = self.T.keep_basis
-            tabs = [t for t in tabs if all(z in keep for (_l, z) in tableau_word(t))]
-        return tabs
 
     @cached_property
     def keys(self) -> list[CodetKey]:
@@ -297,20 +291,17 @@ class CodetBasis:
     def _tableau_blocks(self) -> dict:
         """shape -> ([(S, its share)], [(T, its share)]) of the block keys,
         (weight, degree, parity mod 2), in the order of the standard
-        tableaux, each read in one pass over its letters (`flat_share`).
-        Equal shares are one tuple, and so are equal weights, cut from the
-        flat weight by `TriContext.nested`."""
-        ctx, shared = self.T.ctx, {}
-        nested = ctx.nested
+        tableaux: the context's table (`TriContext.standard_tableaux`), kept
+        to the tableaux whose letters all survive a truncation."""
+        table, keep = self.T.ctx.standard_tableaux, self.T.keep_basis
 
-        def share(tab: Tableau, alphabet) -> tuple:
-            flat, deg, par = flat_share(tab, alphabet)
-            key = (nested[flat], deg, par)
-            return shared.setdefault(key, key)
+        def kept(tabs: tuple) -> tuple:
+            if keep is None:
+                return tabs
+            return tuple([(tab, share) for tab, share in tabs
+                          if all(z in keep for (_l, z) in tableau_word(tab))])
 
-        return {bold: tuple([(tab, share(tab, ctx.alphabet(side)))
-                             for tab in self.std(side)[bold]] for side in SIDES)
-                for bold in self.shapes}
+        return {bold: tuple(kept(table[side, bold]) for side in SIDES) for bold in self.shapes}
 
     @cached_property
     def _shares(self) -> tuple[dict, dict]:

@@ -170,17 +170,3 @@ class GradedSuperScalar:
             term = "*".join(mon)
             parts.append(("-" if c < 0 else ("+" if parts else "")) + term)
         return "".join(parts)
-
-    def to_json(self) -> dict:
-        return {
-            "terms": [
-                {"q": m, "pi": eps, "c": str(self.coeffs[(m, eps)])}
-                for (m, eps) in sorted(self.coeffs)
-            ]
-        }
-
-    @staticmethod
-    def from_json(obj: dict) -> "GradedSuperScalar":
-        return GradedSuperScalar(
-            {(int(t["q"]), int(t["pi"])): int(t["c"]) for t in obj["terms"]}
-        )

@@ -6,12 +6,19 @@ listing of X(i) (e_i first, then the remaining elements by (absorbing color
 ascending, even before odd)), secondary key the letter.
 
 A tableau of a multipartition is stored as a tuple of components, each a tuple
-of rows, each row a tuple of colored letters.
+of rows, each row a tuple of colored letters.  A tableau is standard when
+the keys weakly increase along each row, strictly after an odd letter, and
+increase strictly down each column, weakly below an odd letter
+(`Alphabet.breaks_row`, `Alphabet.breaks_column`).  `enumerate_tableaux`
+lists the standard tableaux of a shape; the program reads them, with their
+shares (`flat_share`), from the context's table
+(`triples.TriContext.standard_tableaux`).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import product
 
 from .base_algebra import BasedSuperalgebra, HeredityData, Side, absorbing_colors
 from .partitions import Multipartition
@@ -84,6 +91,13 @@ class Alphabet:
     def is_odd(self, letter: Letter) -> bool:
         return self.alg.parity[letter[1]] == 1
 
+    def breaks_row(self, left: Letter, right: Letter) -> bool:
+        """Whether `right` may not sit right after `left` in a row of a
+        standard tableau: keys increase along a row, strictly when `left` is
+        odd."""
+        kl, kr = self.key(left), self.key(right)
+        return kl > kr or (kl == kr and self.is_odd(left))
+
     def breaks_column(self, above: Letter, below: Letter) -> bool:
         """Whether `below` may not sit right under `above` in a standard
         tableau: keys increase down a column, strictly unless `above` is odd."""
@@ -107,29 +121,6 @@ def color_word(T: Tableau) -> tuple[str, ...]:
     return tuple(z for (_l, z) in word(T))
 
 
-def _tab_rule_ok(T: Tableau, alphabet: Alphabet) -> bool:
-    """Equal entries in a row force an even color."""
-    for comp in T:
-        for row in comp:
-            seen: dict[Letter, bool] = {}
-            for entry in row:
-                if entry in seen and alphabet.is_odd(entry):
-                    return False
-                seen[entry] = True
-    return True
-
-
-def is_row_standard(T: Tableau, alphabet: Alphabet) -> bool:
-    if not _tab_rule_ok(T, alphabet):
-        return False
-    for comp in T:
-        for row in comp:
-            for a, b in zip(row, row[1:]):
-                if alphabet.key(a) > alphabet.key(b):
-                    return False
-    return True
-
-
 def column_violation(comp, alphabet: Alphabet) -> tuple[int, int] | None:
     """The first column violation in one component of a tableau: the 1-based
     (row, column) of the upper of two cells that break their column, first in
@@ -141,12 +132,12 @@ def column_violation(comp, alphabet: Alphabet) -> tuple[int, int] | None:
     return None
 
 
-def is_column_standard(T: Tableau, alphabet: Alphabet) -> bool:
-    return _tab_rule_ok(T, alphabet) and not any(column_violation(comp, alphabet) for comp in T)
-
-
 def is_standard(T: Tableau, alphabet: Alphabet) -> bool:
-    return is_row_standard(T, alphabet) and is_column_standard(T, alphabet)
+    """Whether no two neighbours in a row (`Alphabet.breaks_row`) or in a
+    column (`column_violation`) break the order of the alphabet."""
+    return not any(alphabet.breaks_row(a, b) for comp in T for row in comp
+                   for a, b in zip(row, row[1:])) \
+        and not any(column_violation(comp, alphabet) for comp in T)
 
 
 def row_standardize(T: Tableau, alphabet: Alphabet) -> Tableau:
@@ -156,14 +147,14 @@ def row_standardize(T: Tableau, alphabet: Alphabet) -> Tableau:
     )
 
 
-def enumerate_tableaux(
-    bold: Multipartition, alphabet: Alphabet, flavor: str = "STD"
-) -> list[Tableau]:
-    """All standard (STD) or row-standard (RST) tableaux of the given shape."""
-    if flavor not in ("STD", "RST"):
-        raise ValueError(f"unknown flavor {flavor!r}")
-    col_con = flavor == "STD"
-
+def enumerate_tableaux(bold: Multipartition, alphabet: Alphabet) -> list[Tableau]:
+    """All standard tableaux of the given shape: each component filled by
+    backtracking over its letters row by row, and the tableaux the product
+    of the components' fills.  A row refuses a repeated odd letter as it is
+    placed (`Alphabet.breaks_row`): `Alphabet.key` is injective within a
+    component, so equal letters in a row stand side by side.  The program
+    reads the tableaux through `TriContext.standard_tableaux`, which calls
+    this once per side and shape."""
     comps: list[list[tuple[tuple[Letter, ...], ...]]] = []
     for i, comp_shape in enumerate(bold):
         letters = alphabet.letters(i)
@@ -178,13 +169,9 @@ def enumerate_tableaux(
                 backtrack(rows_done + [tuple(cur_row)], [], r + 1)
                 return
             for cand in letters:
-                if cur_row:
-                    prev = cur_row[-1]
-                    if alphabet.key(cand) < alphabet.key(prev):
-                        continue
-                    if cand == prev and alphabet.is_odd(cand):
-                        continue  # repetition rule inside a row
-                if (col_con and r > 0 and c < len(rows_done[r - 1])
+                if cur_row and alphabet.breaks_row(cur_row[-1], cand):
+                    continue
+                if (r > 0 and c < len(rows_done[r - 1])
                         and alphabet.breaks_column(rows_done[r - 1][c], cand)):
                     continue
                 cur_row.append(cand)
@@ -193,20 +180,7 @@ def enumerate_tableaux(
 
         backtrack([], [], 0)
         comps.append(fills)
-
-    out: list[Tableau] = []
-
-    def assemble(i: int, acc: list):
-        if i == len(comps):
-            T = tuple(acc)
-            if _tab_rule_ok(T, alphabet):
-                out.append(T)
-            return
-        for fill in comps[i]:
-            assemble(i + 1, acc + [fill])
-
-    assemble(0, [])
-    return out
+    return list(product(*comps))
 
 
 # ---------------------------------------------------------------------------
@@ -225,8 +199,8 @@ def tableau_weight(T: Tableau, alphabet: Alphabet) -> tuple[tuple[int, ...], ...
 
 def flat_share(T: Tableau, alphabet: Alphabet) -> tuple[tuple[int, ...], int, int]:
     """A tableau's (flat weight, degree, parity mod 2), in one pass over its
-    letters through `Alphabet.letter_shares`; `TriContext.nested` cuts the
-    flat weight into `tableau_weight`."""
+    letters through `Alphabet.letter_shares`; `TriContext.standard_tableaux`
+    cuts the flat weight into `tableau_weight` through `TriContext.nested`."""
     shares = alphabet.letter_shares
     flat = [0] * (alphabet.n * len(alphabet.data.labels))
     deg = par = 0

@@ -16,8 +16,9 @@ letters (`sort_signed`), and a factorial is read off the runs of a sorted
 word (`run_factorial`).  The per-index tables (profile slot on each side,
 degree, parity) give a word of indices its block key (`block_key`), and a
 sorted word's runs give its place among the orbits (`run_key`).  These
-tables and the letter-product table belong to the context, which a family
-of degrees and its truncations share.
+tables, the letter-product table and the table of standard tableaux by side
+and shape (`standard_tableaux`) belong to the context, which a family of
+degrees and its truncations share.
 """
 from __future__ import annotations
 
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .base_algebra import X_SIDE, Y_SIDE, BasedSuperalgebra, HeredityData, Side, strict_pairs
-from .tableaux import Alphabet
+from .tableaux import Alphabet, Tableau, enumerate_tableaux, flat_share
 
 TriLetter = tuple[str, int, int]
 TriWord = tuple[TriLetter, ...]
@@ -232,10 +233,34 @@ class TriContext:
     @cached_property
     def nested(self) -> dict[tuple[int, ...], tuple[tuple[int, ...], ...]]:
         """A flattened profile -> it cut into one block of n per color, made
-        on first lookup: block keys and tableau shares (`flat_share`) are
-        cut through it, so equal weights are one tuple."""
+        on first lookup: block keys and tableau shares
+        (`standard_tableaux`) are cut through it, so equal weights are one
+        tuple."""
         n = self.n
         return OnLookup(lambda flat: tuple(flat[k:k + n] for k in range(0, len(flat), n)))
+
+    @cached_property
+    def standard_tableaux(self) -> dict[tuple[Side, tuple], tuple[tuple[Tableau, tuple], ...]]:
+        """(side, shape with one component per color) -> the shape's standard
+        tableaux over the side's alphabet, in the order of
+        `enumerate_tableaux`, each with its share of the block keys (weight,
+        degree, parity mod 2), made on first lookup: one pass over its
+        letters (`flat_share`), the weight cut through `nested`, and equal
+        shares one tuple.  The codeterminant blocks, the heredity check, the
+        Gram matrices and the tableau characters all read the tableaux here,
+        so a family and its truncations list each side and shape once."""
+        nested, shared = self.nested, {}
+
+        def make(key) -> tuple:
+            alphabet = self.alphabet(key[0])
+            out = []
+            for tab in enumerate_tableaux(key[1], alphabet):
+                flat, deg, par = flat_share(tab, alphabet)
+                share = (nested[flat], deg, par)
+                out.append((tab, shared.setdefault(share, share)))
+            return tuple(out)
+
+        return OnLookup(make)
 
     def profile_slot(self, letter: TriLetter, side: int) -> int:
         """Where a letter counts in the flattened left (side 0) or right

@@ -36,8 +36,8 @@ def test_criterion_01_basis_theorem(T122, cb122):
     by_orbits = T122.rank
     by_tableaux = 0
     for bold in gen_multipartitions(2, 2, 1):
-        nx = len(enumerate_tableaux(bold, T122.ctx.x_alphabet, "STD"))
-        ny = len(enumerate_tableaux(bold, T122.ctx.y_alphabet, "STD"))
+        nx = len(enumerate_tableaux(bold, T122.ctx.x_alphabet))
+        ny = len(enumerate_tableaux(bold, T122.ctx.y_alphabet))
         by_tableaux += nx * ny
     assert by_orbits == by_tableaux == 202
     assert len(cb122.keys) == by_orbits
@@ -148,7 +148,8 @@ def test_criterion_06_characters():
     # trivial base reproduces s_lambda, with Kostka entries cross-checked
     Tt = _T("trivial", 3, 3)
     for lam in partitions_of(3, 3):
-        v = ch.char_standard(Tt, (lam,))
+        v = ch.char_standard_tableaux(Tt, (lam,))
+        assert v == ch.char_standard_formula(Tt, (lam,)), lam
         for w in compositions(3, 3):
             expected = ch.kostka(lam, w)
             assert expected == ssyt_count(lam, w)

@@ -190,6 +190,35 @@ def test_char_and_formula_decomp_enumerate_no_orbits(monkeypatch, tmp_path):
     assert res.exit_code == 0, res.output
 
 
+def test_standard_tableaux_are_listed_once_per_side_and_shape(monkeypatch, tmp_path):
+    """`decomp --method both` and `verify` read the standard tableaux of a
+    side and shape from one table on the algebra's context: the basis, the
+    heredity check, the Gram matrices and the tableau characters share one
+    call of `enumerate_tableaux` per side and shape."""
+    import sys
+
+    from schurify import tableaux
+
+    enumerate_tableaux = tableaux.enumerate_tableaux
+    calls: list = []
+
+    def counted(bold, alphabet):
+        calls.append((alphabet.side.name, bold))
+        return enumerate_tableaux(bold, alphabet)
+
+    # wherever a module of the package holds the enumerator by name
+    for name, module in list(sys.modules.items()):
+        if name.startswith("schurify") and hasattr(module, "enumerate_tableaux"):
+            monkeypatch.setattr(module, "enumerate_tableaux", counted)
+    common = ["--algebra", "zigzag:1", "-n", "3", "-d", "3", "--cache-dir", str(tmp_path)]
+    for args in (["decomp", *common, "--method", "both"], ["verify", *common, "--seed", "1"]):
+        calls.clear()
+        res = run(*args)
+        assert res.exit_code == 0, res.output
+        assert {side for side, _bold in calls} == {"X", "Y"}, args
+        assert len(calls) == len(set(calls)), (args, sorted(calls))
+
+
 def test_dim_enumerates_no_orbits(monkeypatch, tmp_path):
     from schurify import schur
 

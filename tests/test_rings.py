@@ -43,7 +43,3 @@ def test_coefficient_rings():
     F2 = GF(2)
     assert F2.is_field
 
-
-def test_graded_scalar_json_roundtrip():
-    a = GradedSuperScalar.term(2, -1, 1) + GradedSuperScalar.one()
-    assert GradedSuperScalar.from_json(a.to_json()) == a

@@ -1,3 +1,8 @@
+from itertools import product
+
+import pytest
+
+from schurify.base_algebra import SIDES, make_algebra
 from schurify.partitions import gen_multipartitions
 from schurify.rsk import rsk, rsk_inv
 from schurify.tableaux import (
@@ -8,6 +13,7 @@ from schurify.tableaux import (
     tableau_weight,
     to_json,
 )
+from schurify.triples import TriContext
 
 
 def test_rsk_roundtrip_all_orbits(T122):
@@ -23,8 +29,8 @@ def test_rsk_counts(T122):
     """rank = sum over shapes of |Std^X| * |Std^Y|."""
     total = 0
     for bold in gen_multipartitions(2, 2, 1):
-        nx = len(enumerate_tableaux(bold, T122.ctx.x_alphabet, "STD"))
-        ny = len(enumerate_tableaux(bold, T122.ctx.y_alphabet, "STD"))
+        nx = len(enumerate_tableaux(bold, T122.ctx.x_alphabet))
+        ny = len(enumerate_tableaux(bold, T122.ctx.y_alphabet))
         total += nx * ny
     assert total == T122.rank == 202
 
@@ -37,23 +43,49 @@ def test_rsk_injective(T122):
         seen.add(key)
 
 
-def test_enumerate_modes(T122):
-    bold = ((1, 1), ())
-    std = enumerate_tableaux(bold, T122.ctx.x_alphabet, "STD")
-    row = enumerate_tableaux(bold, T122.ctx.x_alphabet, "RST")
-    assert set(std) <= set(row)
-    for t in std:
-        assert is_standard(t, T122.ctx.x_alphabet)
+def _brute_force_standard(bold, alphabet):
+    """Every filling of the shape by its components' letters, cell by cell in
+    row-major order, that passes `is_standard`."""
+    cells = [alphabet.letters(i) for i, comp in enumerate(bold) for width in comp
+             for _ in range(width)]
+    out = []
+    for fill in product(*cells):
+        it = iter(fill)
+        tab = tuple(tuple(tuple(next(it) for _ in range(width)) for width in comp)
+                    for comp in bold)
+        if is_standard(tab, alphabet):
+            out.append(tab)
+    return out
+
+
+@pytest.mark.parametrize("spec", ["trivial", "zigzag:1", "zigzag:2"])
+def test_enumerate_tableaux_matches_brute_force(spec):
+    """On both sides, for n, d <= 3, the standard tableaux of each shape are
+    exactly the fillings that pass `is_standard`, in the same order.  The
+    enumerator refuses a repeated odd letter only next to its equal, which
+    needs `Alphabet.key` injective within each component."""
+    alg, data, _tau = make_algebra(spec)
+    for n in range(1, 4):
+        ctx = TriContext(alg, data, n)
+        for side in SIDES:
+            alphabet = ctx.alphabet(side)
+            for i in range(len(data.labels)):
+                letters = alphabet.letters(i)
+                assert len(set(map(alphabet.key, letters))) == len(letters), (spec, side.name, i)
+            for d in range(4):
+                for bold in gen_multipartitions(n, d, len(data.labels) - 1):
+                    std = enumerate_tableaux(bold, alphabet)
+                    assert std == _brute_force_standard(bold, alphabet), (spec, n, bold, side.name)
 
 
 def test_tableau_weight(T122):
     bold = ((2,), ())
-    for t in enumerate_tableaux(bold, T122.ctx.x_alphabet, "STD"):
+    for t in enumerate_tableaux(bold, T122.ctx.x_alphabet):
         w = tableau_weight(t, T122.ctx.x_alphabet)
         assert sum(sum(c) for c in w) == 2
 
 
 def test_tableau_json_roundtrip(T122):
     for bold in (((2,), ()), ((1,), (1,))):
-        for t in enumerate_tableaux(bold, T122.ctx.x_alphabet, "STD"):
+        for t in enumerate_tableaux(bold, T122.ctx.x_alphabet):
             assert from_json(to_json(t)) == t
