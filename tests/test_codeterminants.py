@@ -423,8 +423,9 @@ LAZY_CASES = [("trivial", 3, 3, False), ("zigzag:1", 2, 2, False), ("zigzag:1", 
 @pytest.mark.parametrize("spec,n,d,truncated", LAZY_CASES)
 def test_lazy_blocks_match_the_eager_walk(spec, n, d, truncated):
     """The blocks built one left profile at a time are the eager walk's
-    blocks with columns: the same keys, rows and columns, in the same order,
-    with the same determinants."""
+    blocks with columns: the same keys, in sorted order and each once, the
+    same rows and columns, in the same order, with the same determinants;
+    and the walk keeps no table of keys."""
     alg, data, tau = make_algebra(spec)
     T = build_schur(alg, data, n, d, tau)
     if truncated:
@@ -432,8 +433,10 @@ def test_lazy_blocks_match_the_eager_walk(spec, n, d, truncated):
     cb = T.codet_basis
     eager = eager_codet_blocks(codet.CodetBasis(T))
     with_columns = [key for key, (_rows, cols) in eager.items() if cols]
+    streamed = list(cb.block_keys)
+    assert len(set(streamed)) == len(streamed)
     lazy = codet_blocks(cb)
-    assert list(lazy) == with_columns and len(lazy) == len(with_columns)
+    assert list(lazy) == sorted(with_columns) and len(lazy) == len(with_columns)
     for key in with_columns:
         rows, cols = eager[key]
         assert lazy[key] == (rows, cols), key
@@ -450,6 +453,11 @@ def test_lazy_blocks_match_the_eager_walk(spec, n, d, truncated):
     else:
         assert sum(len(eager[key][0]) for key in with_columns) == T.rank == len(cb.keys)
         assert cb.unimodular()
+    # after the walk, no attribute of the basis holds a block key
+    keys = set(with_columns)
+    assert not [name for name, value in vars(cb).items()
+                if isinstance(value, (dict, list, tuple, set, frozenset))
+                and any(isinstance(v, tuple) and v in keys for v in value)]
 
 
 @pytest.mark.parametrize("spec,n,d,truncated", LAZY_CASES)
@@ -661,6 +669,34 @@ def test_axiom_a_failure_names_its_witness(monkeypatch):
     assert abs(det) == 2
     assert rep.failures == [
         f"axiom (a): change of basis not unimodular: block {block} has determinant {det}"
+    ]
+
+
+def test_axiom_a_names_the_lesser_of_two_failing_blocks(monkeypatch):
+    """With one column doubled in each of two blocks, axiom (a) names the
+    lesser block key and its signed determinant, though `keys` meets the
+    other block's column first."""
+    alg, data, tau = make_algebra("zigzag:1")
+    T = build_schur(alg, data, 2, 2, tau)
+    cb = T.codet_basis
+    block_of = {col: key for key, (_rows, cols) in codet_blocks(cb).items() for col in cols}
+    doubled = next((a, b) for i, a in enumerate(cb.keys) for b in cb.keys[i + 1:]
+                   if block_of[b] < block_of[a])
+    real = codet.CodetBasis._expand
+
+    def broken(self, x, y):
+        out = real(self, x, y)
+        return {o: 2 * c for o, c in out.items()} if (x.bold, x.tab, y.tab) in doubled else out
+
+    monkeypatch.setattr(codet.CodetBasis, "_expand", broken)
+    rep = codet.heredity_of_T(T, sample_b=4)
+    greater, lesser = (block_of[col] for col in doubled)
+    assert abs(cb.factor(greater).det) == 2
+    det = cb.factor(lesser).det
+    assert abs(det) == 2
+    assert cb.non_unimodular_block() == (lesser, det)
+    assert rep.failures == [
+        f"axiom (a): change of basis not unimodular: block {lesser} has determinant {det}"
     ]
 
 
