@@ -7,9 +7,10 @@ initial idempotents e_i; the products x*y must sweep out the basis bijectively
 (each x*y is required to be a single basis label with coefficient 1 - true for
 every built-in and for the JSON presentation format).
 
-The verification driver is written against a small protocol (basis, mul_basis,
-degree, parity) so the same checks run on the Schur algebras built downstream,
-where products are computed lazily.
+The axiom checks behind `verify_heredity` read an algebra only through basis,
+mul_basis, degree and parity, so they run unchanged on its even subalgebra for
+the conformity check.  The Schur algebras built downstream have their own
+check, `codeterminants.heredity_of_T`.
 
 X(i) and Y(i) are mirror images of each other, and so is every one-sided step
 built on them; `Side` carries the one difference, the order of a product, so
@@ -228,8 +229,9 @@ def _in_pairs(of_label: Mapping[str, tuple[int, str, str]], v: Mapping[str, int]
     return {of_label[b]: c for b, c in v.items()}
 
 
-def verify_heredity(alg, data: HeredityData, *, check_conforming: bool = True) -> HeredityReport:
-    """Check the heredity axioms (a), (b), (c), the f table, and conformity.
+def _check_axioms(alg, data: HeredityData) -> tuple[HeredityReport, dict | None]:
+    """Check the heredity axioms (a), (b), (c) and the f table.  Returns the
+    report and the pair basis of `strict_pairs`, None when axiom (a) fails.
 
     `alg` only needs basis / mul_basis / degree / parity.
     """
@@ -239,7 +241,7 @@ def verify_heredity(alg, data: HeredityData, *, check_conforming: bool = True) -
         of_label, _to_label = strict_pairs(alg, data)
     except ValueError as exc:
         report.fail("axiom (a)", str(exc))
-        return report
+        return report, None
     # the pair basis is a relabelling of the basis, so its change of basis is
     # a permutation matrix
     report.checked.append("axiom (a): pair basis invertible (unimodular over Z)")
@@ -316,43 +318,49 @@ def verify_heredity(alg, data: HeredityData, *, check_conforming: bool = True) -
     if report.ok:
         report.checked.append("f table: pairing shape")
 
-    # conformity: even strata form heredity data for the even subalgebra
-    if check_conforming:
-        even_labels = [b for b in alg.basis
-                       if alg.parity[of_label[b][1]] == 0 and alg.parity[of_label[b][2]] == 0]
-        closed = True
-        for a in even_labels:
-            for c in even_labels:
-                if any(b not in even_labels for b in alg.mul_basis(a, c)):
-                    closed = False
-                    report.fail("conforming", f"even subalgebra not closed at ({a},{c})")
-        if closed:
-            sub_idx = set(even_labels)
+    return report, of_label
 
-            class _Sub:
-                basis = tuple(even_labels)
-                degree = alg.degree
-                parity = alg.parity
 
-                @staticmethod
-                def mul_basis(a, c):
-                    out = alg.mul_basis(a, c)
-                    return out if all(b in sub_idx for b in out) else {}
+def verify_heredity(alg, data: HeredityData) -> HeredityReport:
+    """Check the heredity axioms (a), (b), (c), the f table, and conformity:
+    the even strata are heredity data for the even subalgebra, checked by the
+    same axioms."""
+    report, of_label = _check_axioms(alg, data)
+    if of_label is None:
+        return report
+    even_labels = [b for b in alg.basis
+                   if alg.parity[of_label[b][1]] == 0 and alg.parity[of_label[b][2]] == 0]
+    closed = True
+    for a in even_labels:
+        for c in even_labels:
+            if any(b not in even_labels for b in alg.mul_basis(a, c)):
+                closed = False
+                report.fail("conforming", f"even subalgebra not closed at ({a},{c})")
+    if closed:
+        sub_idx = set(even_labels)
 
-            sub_data = HeredityData(
-                labels=data.labels,
-                strictly_less=data.strictly_less,
-                X={i: tuple(x for x in data.X[i] if alg.parity[x] == 0) for i in data.labels},
-                Y={i: tuple(y for y in data.Y[i] if alg.parity[y] == 0) for i in data.labels},
-                e=dict(data.e),
-            )
-            sub_report = verify_heredity(_Sub, sub_data, check_conforming=False)
-            if not sub_report.ok:
-                for msg in sub_report.failures:
-                    report.fail("conforming", msg)
-        if report.ok:
-            report.checked.append("conforming: even strata are heredity data for a")
+        class _Sub:
+            basis = tuple(even_labels)
+            degree = alg.degree
+            parity = alg.parity
 
+            @staticmethod
+            def mul_basis(a, c):
+                out = alg.mul_basis(a, c)
+                return out if all(b in sub_idx for b in out) else {}
+
+        sub_data = HeredityData(
+            labels=data.labels,
+            strictly_less=data.strictly_less,
+            X={i: tuple(x for x in data.X[i] if alg.parity[x] == 0) for i in data.labels},
+            Y={i: tuple(y for y in data.Y[i] if alg.parity[y] == 0) for i in data.labels},
+            e=dict(data.e),
+        )
+        sub_report, _ = _check_axioms(_Sub, sub_data)
+        for msg in sub_report.failures:
+            report.fail("conforming", msg)
+    if report.ok:
+        report.checked.append("conforming: even strata are heredity data for a")
     return report
 
 

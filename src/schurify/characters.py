@@ -2,9 +2,11 @@
 
 Three layers live here:
 
-  * the classical symmetric-function layer: Kostka numbers, two-factor LR
-    expansion by lattice-word skew tableaux, iterated multi-factor
-    coefficients with optional conjugate twists, and skew characters;
+  * the classical symmetric-function layer: one walk that adds horizontal
+    strips (`_horizontal_strips`) gives the two-factor LR expansion by
+    lattice-word skew tableaux and, one strip per part of the weight
+    (Pieri's rule), the Kostka numbers; iterated multi-factor coefficients
+    with optional conjugate twists, and skew characters;
   * graded characters of standard modules and graded decomposition numbers
     by closed formulas.  Both are one sum over column multipartitions driven
     by the base algebra's graded decomposition data (`_column_terms`): with
@@ -60,21 +62,10 @@ from .triples import OnLookup
 # character vectors
 # ---------------------------------------------------------------------------
 
-def _weight_add(a, b):
-    if not a:
-        return b
-    if not b:
-        return a
-    if isinstance(a[0], int):
-        return tuple(x + y for x, y in zip(a, b))
-    return tuple(_weight_add(x, y) for x, y in zip(a, b))
-
-
 class CharacterVector:
     """Finitely supported map weight -> GradedSuperScalar.
 
-    Addition is pointwise; multiplication adds weights (the monoid-algebra
-    product, matching characters of tensor products)."""
+    Addition is pointwise; `scale` multiplies every coefficient."""
 
     __slots__ = ("coeffs",)
 
@@ -109,20 +100,6 @@ class CharacterVector:
             c = GradedSuperScalar.term(c)
         return CharacterVector({w: v * c for w, v in self.coeffs.items()})
 
-    def __mul__(self, other: "CharacterVector") -> "CharacterVector":
-        out: dict = {}
-        for w1, c1 in self.coeffs.items():
-            for w2, c2 in other.coeffs.items():
-                w = _weight_add(w1, w2)
-                acc = out.get(w, GradedSuperScalar.zero()) + c1 * c2
-                if acc:
-                    out[w] = acc
-                elif w in out:
-                    del out[w]
-        v = CharacterVector()
-        v.coeffs = out
-        return v
-
     def __eq__(self, other) -> bool:
         return isinstance(other, CharacterVector) and self.coeffs == other.coeffs
 
@@ -141,7 +118,7 @@ class CharacterVector:
 
 
 # ---------------------------------------------------------------------------
-# Kostka numbers and Littlewood-Richardson expansion
+# Littlewood-Richardson expansion by horizontal strips, and Kostka numbers
 # ---------------------------------------------------------------------------
 
 def _horizontal_strips(shape: Partition, k: int, max_rows: int):
@@ -172,49 +149,6 @@ def _horizontal_strips(shape: Partition, k: int, max_rows: int):
                 continue
             acc.append(a)
             rec(r + 1, left - a, acc)
-            acc.pop()
-
-    rec(0, k, [])
-    return out
-
-
-@lru_cache(maxsize=None)
-def kostka(lam: Partition, mu) -> int:
-    """Count of semistandard lam-tableaux of weight mu."""
-    lam = trim(tuple(lam))
-    mu = tuple(mu)
-    if size(lam) != sum(mu):
-        raise ValueError("size mismatch")
-    if not mu:
-        return 1 if not lam else 0
-    total = 0
-    # peel the largest entry as a horizontal strip
-    for prev, _added in _horizontal_strips_inside(lam, mu[-1]):
-        total += kostka(prev, mu[:-1])
-    return total
-
-
-def _horizontal_strips_inside(lam: Partition, k: int):
-    """Partitions mu inside lam with lam/mu a horizontal strip of k cells."""
-    out = []
-    rows = len(lam)
-
-    def rec(r: int, left: int, acc: list[int]):
-        if r == rows:
-            if left == 0:
-                out.append((trim(tuple(acc)), None))
-            return
-        below = lam[r + 1] if r + 1 < rows else 0
-        # removed cells in row r: lam[r] - m, need m >= below (strip condition
-        # against the row underneath) and acc stays a partition
-        for m in range(below, lam[r] + 1):
-            rem = lam[r] - m
-            if rem > left:
-                continue
-            if acc and m > acc[-1]:
-                continue
-            acc.append(m)
-            rec(r + 1, left - rem, acc)
             acc.pop()
 
     rec(0, k, [])
@@ -280,6 +214,16 @@ def lr_expand(factors, max_rows: int) -> dict[Partition, int]:
                 nxt[kappa] = nxt.get(kappa, 0) + c * c2
         cur = nxt
     return cur
+
+
+def kostka(lam: Partition, mu) -> int:
+    """Count of semistandard lam-tableaux of weight mu: the coefficient of
+    s_lam in h_{mu_1} ... h_{mu_k}, one horizontal strip per part (Pieri's
+    rule), by the LR walk."""
+    lam = trim(tuple(lam))
+    if size(lam) != sum(mu):
+        raise ValueError("size mismatch")
+    return lr_expand([(m,) for m in mu], max(len(lam), 1)).get(lam, 0)
 
 
 class LRCache:

@@ -113,14 +113,6 @@ class GradedSuperScalar:
         out.coeffs = d
         return out
 
-    def __neg__(self) -> "GradedSuperScalar":
-        out = GradedSuperScalar.zero()
-        out.coeffs = {k: -c for k, c in self.coeffs.items()}
-        return out
-
-    def __sub__(self, other: "GradedSuperScalar") -> "GradedSuperScalar":
-        return self + (-other)
-
     def __mul__(self, other):
         if isinstance(other, int):
             return self.scale(other)

@@ -156,23 +156,17 @@ class SchurAlgebra:
         return _multisets(self._letters, self.d, self.ctx, (slots, counts))
 
     @cached_property
-    def _letter_pos(self) -> dict[TriLetter, int]:
-        return {lt: k for k, lt in enumerate(self._letters)}
-
-    @cached_property
     def _has_index(self) -> tuple[bool, ...]:
         """Per letter index of the context: whether the letter is one of this
-        algebra's."""
-        pos = self._letter_pos
-        return tuple(lt in pos for lt in self.ctx.letters)
+        algebra's, that is, its basis element is kept."""
+        keep = self.keep_basis
+        return tuple(keep is None or lt[0] in keep for lt in self.ctx.letters)
 
     def orbit_key(self, orbit: TriWord) -> tuple:
         """The place of a canonical orbit in the order of `orbits`, read off
-        the word: `run_key` on the positions of its letters in this algebra's
-        letter list.  Positions increase with letter indices, so `run_key` on
-        the orbit's index word orders orbits alike."""
-        pos = self._letter_pos
-        return run_key([pos[lt] for lt in orbit])
+        the word: `run_key` on its letter indices.  This algebra's letters
+        are the context's in index order, so index order is position order."""
+        return run_key(self.indices(orbit))
 
     @property
     def rank(self) -> int:
@@ -331,10 +325,11 @@ class SchurAlgebra:
     def indices(self, word: TriWord) -> list[int]:
         """The letter indices of a word of d letters of this algebra;
         ValueError naming any other word."""
-        if len(word) != self.d or any(lt not in self._letter_pos for lt in word):
+        index, has = self.ctx.index, self._has_index
+        out = [index.get(lt) for lt in word]
+        if len(out) != self.d or not all(i is not None and has[i] for i in out):
             raise ValueError(f"orbit {word} not in this algebra")
-        index = self.ctx.index
-        return [index[lt] for lt in word]
+        return out
 
     # -- distinguished elements -------------------------------------------
     def idempotent_bold(self, bold) -> Element:

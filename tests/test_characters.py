@@ -23,11 +23,15 @@ def test_kostka_examples():
     assert ch.kostka((2, 1), (1, 1, 1)) == 2
     assert ch.kostka((1, 1), (2,)) == 0
     assert ch.kostka((3, 2, 1), (2, 2, 1, 1)) == ssyt_count((3, 2, 1), (2, 2, 1, 1))
+    assert ch.kostka((), ()) == 1
+    assert ch.kostka((2,), (0, 2, 0)) == 1
+    with pytest.raises(ValueError, match="size mismatch"):
+        ch.kostka((2, 1), (2,))
 
 
 def test_kostka_against_enumeration():
     for lam in partitions_of(5, 5):
-        for mu in compositions(5, 3):
+        for mu in itertools.chain(compositions(5, 3), compositions(5, 5)):
             assert ch.kostka(lam, mu) == ssyt_count(lam, mu), (lam, mu)
 
 
