@@ -391,13 +391,12 @@ def decomp(ctx, method, **kw):
         _emit(cfg, {"error": "formula and oracle disagree", "witnesses": diff[:10]})
         sys.exit(1)
     mat = matrices.get("oracle", matrices.get("formula"))
-    rows = [
-        (partitions.to_json(lam), partitions.to_json(mu),
-         repr(mat.get((lam, mu), GradedSuperScalar.zero())))
-        for lam in labels for mu in labels
-    ]
-    _emit(cfg, [{"lam": l, "mu": m, "entry": e} for l, m, e in rows],
-          csv_rows=[[json.dumps(l), json.dumps(m), e] for l, m, e in rows])
+    as_json = {lam: partitions.to_json(lam) for lam in labels}
+    as_text = {lam: json.dumps(obj) for lam, obj in as_json.items()}
+    zero = GradedSuperScalar.zero()
+    rows = [(lam, mu, repr(mat.get((lam, mu), zero))) for lam in labels for mu in labels]
+    _emit(cfg, [{"lam": as_json[l], "mu": as_json[m], "entry": e} for l, m, e in rows],
+          csv_rows=[[as_text[l], as_text[m], e] for l, m, e in rows])
 
 
 @main.command()

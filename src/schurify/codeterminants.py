@@ -18,17 +18,23 @@ express arbitrary elements in that basis:
     the product kernel, and as rows the orbits those expansions reach,
     labelled by their words of letter indices, each checked by one sum over
     a per-letter table to be an orbit of T carrying the key.
-    The unimodularity check walks the blocks (each an `exactla.Block`) in one
-    pass, in the sorted order in which `CodetBasis.block_keys` generates their
-    keys, keeping only the running block's determinant and order; the first
-    solve that meets a block builds it again with what a solve needs and
-    keeps it.  Neither the check nor a solve lists orbits.
+    The unimodularity check walks the blocks in one pass, in sorted key
+    order: for each X weight, one pass over its X tableau shares and their
+    shapes' Y shares files every column under its key (`CodetBasis._filed`,
+    whose keys are `CodetBasis.block_keys`).  A block is taken as its column
+    expansions, its rows checked as a built block's are
+    (`CodetBasis._checked_rows`), and eliminated as its transpose
+    (`exactla.unit_determinant`); only a block that fails is built as an
+    `exactla.Block`, for its failure text or signed determinant.  The first
+    solve that meets a block builds it with what a solve needs and keeps
+    it.  Neither the check nor a solve lists orbits.
 
 A tableau enters the walk, the heredity check and the Gram matrices as the
 index word of X_S or Y_T and its sign, read straight off the tableau
-(`CodetBasis.index_word`); the basis keeps no Element per tableau.  The
-standard tableaux and their shares of the block keys, (weight, degree,
-parity), come from one table on the algebra's context
+(`CodetBasis.index_word`) once per tableau; the heredity check reads them
+off the walk's shares (`CodetBasis.tableau_shares`), and the basis keeps no
+Element per tableau.  The standard tableaux and their shares of the block
+keys, (weight, degree, parity), come from one table on the algebra's context
 (`TriContext.standard_tableaux`), each tableau's share read in one pass over
 its letters; the blocks, the heredity check, the Gram matrices and the
 tableau characters all read that table, and a truncation keeps the
@@ -58,7 +64,7 @@ from operator import mul
 from typing import NamedTuple
 
 from .base_algebra import SIDES, X_SIDE, Y_SIDE, Side
-from .exactla import Block
+from .exactla import Block, unit_determinant
 from .partitions import comp_row_word, gen_multipartitions, pad, trim
 from .schur import Element, SchurAlgebra
 from .tableaux import (
@@ -334,7 +340,7 @@ class CodetBasis:
     def _columns(self, key) -> list[tuple[_Share, _Share]]:
         """The standard codeterminants whose tableau shares add up to the
         block key (alpha, beta, degree, parity), as pairs of shares, in the
-        order of `keys`."""
+        order of `keys`: the columns of a block that `_block` builds."""
         alpha, beta, deg, par = key
         xs_of, ys_of = self._shares
         ys = ys_of[beta]
@@ -345,6 +351,41 @@ class CodetBasis:
                 if right:
                     cols += [(x, y) for y in right]
         return cols
+
+    @cached_property
+    def _weights(self) -> tuple[list, list]:
+        """Per side, the sorted weights of the standard tableaux."""
+        return tuple(sorted({share[0] for tabs in self._tableau_blocks.values()
+                             for _tab, share in tabs[side]}) for side in (0, 1))
+
+    def _filed(self) -> Iterator[tuple[tuple, list]]:
+        """Each block key with codeterminant columns, once and in sorted
+        order, with its columns as [(share of S, [shares of T])], in the
+        order of `keys`.  Each shape's Y shares are grouped by their share
+        of the block keys, and one pass per X weight alpha, over its X
+        shares and each one's shape's groups, files every column under its
+        key (alpha, beta, degree, parity); nothing is kept past the weight
+        (at most 990 keys of 249 944 at zigzag:1 n=d=4)."""
+        xs_of, ys_of = self._shares
+        groups = [[(share, ys_of[share[0]][k, share[1], share[2]])
+                   for share in dict.fromkeys(s for _tab, s in y_tabs)]
+                  for k, (_x_tabs, y_tabs) in enumerate(self._tableau_blocks.values())]
+        for alpha in self._weights[0]:
+            cols: dict = {}
+            for k, dx, px, x in xs_of[alpha]:
+                for (beta, dy, py), ys in groups[k]:
+                    cols.setdefault((alpha, beta, dx + dy, (px + py) % 2), []).append((x, ys))
+            for key in sorted(cols):
+                yield key, cols[key]
+
+    def tableau_shares(self) -> tuple[dict, dict]:
+        """Per side, X then Y, each standard tableau -> its share (`_Share`),
+        every share made: the heredity check reads each tableau's index
+        word and sign here."""
+        xs_of, ys_of = self._shares
+        return ({x.tab: x for weight in self._weights[0] for *_, x in xs_of[weight]},
+                {y.tab: y for weight in self._weights[1]
+                 for ys in ys_of[weight].values() for y in ys})
 
     @cached_property
     def _digits(self) -> tuple[int, ...]:
@@ -396,20 +437,22 @@ class CodetBasis:
     def _block(self, key) -> tuple[list, list, list]:
         """A block's rows, its columns and their expansions over the rows,
         from the columns alone.  The columns are pairs of tableau shares
-        (`_columns`), expanded on index words by `_expand`.  The rows are the
-        index words those expansions reach, each checked to be an orbit of T
-        (`SchurAlgebra._has_index`) with block key `key` by one sum over the
-        per-letter table `_letter_codes`, and sorted by `run_key`, the order
-        of `T.orbits`.  When they are fewer than the columns, an orbit
+        (`_columns`), expanded on index words by `_expand`; the rows are
+        those of `_checked_rows`, sorted by `run_key`, the order of
+        `T.orbits`."""
+        cols = self._columns(key)
+        expansions = [self._expand(x, y) for x, y in cols]
+        return sorted(self._checked_rows(key, cols, expansions), key=run_key), cols, expansions
+
+    def _checked_rows(self, key, cols, expansions) -> set:
+        """The index words that the expansions of the columns `cols` reach,
+        each checked to be an orbit of T (`SchurAlgebra._has_index`) with
+        block key `key` by one sum over the per-letter table
+        `_letter_codes`.  When they are fewer than the columns, an orbit
         under `key` that no column reaches is named; only then are the
         block's orbits listed."""
         T = self.T
-        cols = self._columns(key)
-        expand = self._expand
-        expansions = [expand(x, y) for x, y in cols]
-        reached: set = set()
-        for v in expansions:
-            reached.update(v)
+        reached: set = set().union(*expansions)
         code, (fixed, odd) = self._letter_codes.__getitem__, self._row_codes(key)
         stray = {w for w in reached if sum(map(code, w)) - fixed not in odd}
         if stray:
@@ -421,7 +464,7 @@ class CodetBasis:
                 if w not in reached and block_key(w) == key:
                     raise AssertionError(f"codeterminant block {key}: "
                                          f"no column reaches its orbit {orbit}")
-        return sorted(reached, key=run_key), cols, expansions
+        return reached
 
     def _name_stray(self, key, cols, expansions, stray) -> None:
         """Raise for the first row of `stray` in the order the columns reach
@@ -440,20 +483,8 @@ class CodetBasis:
     @property
     def block_keys(self) -> Iterator[tuple]:
         """The keys of the blocks with codeterminant columns, each once, in
-        sorted order, generated from the tableau shares and kept nowhere:
-        the X shares indexed as weight -> {(shape index, degree, parity)},
-        the Y shares as shape index -> {share}, and each X weight then gives
-        the sorted set of its keys (at most 990 of 249 944 at zigzag:1 n=d=4)."""
-        xs: dict = {}
-        ys: list = []
-        for k, (x_tabs, y_tabs) in enumerate(self._tableau_blocks.values()):
-            for _S, (weight, deg, par) in x_tabs:
-                xs.setdefault(weight, set()).add((k, deg, par))
-            ys.append({share for _Tb, share in y_tabs})
-        for alpha in sorted(xs):
-            for beta, deg, par in sorted({(beta, dx + dy, (px + py) % 2)
-                                          for k, dx, px in xs[alpha] for beta, dy, py in ys[k]}):
-                yield alpha, beta, deg, par
+        sorted order: those of the walk's pass (`_filed`), kept nowhere."""
+        return (key for key, _cols in self._filed())
 
     def factor(self, key, solver: bool = False) -> Block:
         """The block of `key`, built by `_block`.  With `solver`, it has its
@@ -472,11 +503,25 @@ class CodetBasis:
 
     def _walk(self):
         """(key, determinant, order) of each block with columns, in the
-        sorted order of `block_keys`: one pass that keeps no key and nothing
-        per block, each built by `factor` and dropped, or a kept solver block reused."""
-        for key in self.block_keys:
-            blk = self.factor(key)
-            yield key, blk.det, blk.size
+        sorted order of `block_keys`: one pass (`_filed`) that keeps no key
+        and no block.  A block is taken as its column expansions (`_expand`),
+        whose rows `_checked_rows` checks, raising a stray or missing row.
+        A square block is eliminated as the rows of its transpose
+        (`exactla.unit_determinant`) and, when unimodular, yielded with
+        determinant 1, its sign not computed; any other is built as the
+        `exactla.Block` of `factor`, with the same rows and columns, which
+        raises when it is not square or singular, or gives its signed
+        determinant."""
+        expand = self._expand
+        for key, filed in self._filed():
+            cols = [(x, y) for x, ys in filed for y in ys]
+            expansions = [expand(x, y) for x, y in cols]
+            reached = self._checked_rows(key, cols, expansions)
+            if len(reached) == len(cols) and unit_determinant(expansions):
+                yield key, 1, len(cols)
+            else:
+                blk = Block("codeterminant block", key, sorted(reached, key=run_key), expansions)
+                yield key, blk.det, blk.size
 
     def non_unimodular_block(self) -> tuple | None:
         """The least block key whose determinant is not +-1, with that
@@ -745,14 +790,20 @@ def heredity_of_T(T: SchurAlgebra, sample_b: int | None = None) -> SchurHeredity
 
     # the products run on index words through the product kernel, each
     # factor one orbit as (left factor, right factor, coefficient, profiles
-    # of its own word), 0 without the kernel when the profiles do not meet.
-    # A word's factors come from the algebra's tables when they hold it,
-    # else are made and kept for axioms (c) and (b) both, until it returns
+    # of its own word as sorted words of profile slots), 0 without the
+    # kernel when the profiles do not meet.  A tableau's index word and sign
+    # are read off its share of the walk (`CodetBasis.tableau_shares`).  A
+    # word's factors come from the algebra's tables when they hold it, as
+    # they hold each share's own, else are made and kept for axioms (c) and
+    # (b) both, until it returns
     lefts = OnLookup(lambda w: T.lefts.get(w) or T.left_factor(w))
     rights = OnLookup(lambda w: T.rights.get(w) or T.right_factor(w))
+    slots = T.ctx.slots
+    shares = cb.tableau_shares()
 
     def factors(word, c) -> tuple:
-        return lefts[word], rights[word], c, T.ctx.block_key(word)[:2]
+        profiles = tuple(tuple(sorted(map(slot.__getitem__, word))) for slot in slots)
+        return lefts[word], rights[word], c, profiles
 
     def times(a, b) -> dict:
         if a[3][1] != b[3][0]:
@@ -773,8 +824,8 @@ def heredity_of_T(T: SchurAlgebra, sample_b: int | None = None) -> SchurHeredity
                                      for a, b in ((nm, "e"), ("e", nm), ("e_mu", nm)))
             initial = side.pick(*cb.initial_tableau_pair(bold))
             for tab, (weight, _deg, _par) in side.pick(*cb._tableau_blocks[bold]):
-                word, sign = cb.index_word(tab, side)
-                elt, terms = factors(word, sign), {word: sign}
+                share = side.pick(*shares)[tab]
+                elt, terms = factors(share.factor[0], share.sign), {share.factor[0]: share.sign}
                 witness = f"{side.pick('S', 'T')} = {tab}"
                 if times(*side.orient(elt, idem[bold])) != terms:
                     ok_c = False
@@ -808,10 +859,10 @@ def heredity_of_T(T: SchurAlgebra, sample_b: int | None = None) -> SchurHeredity
         for side in SIDES:
             other_initial = side.orient(*cb.initial_tableau_pair(bold))[1]
             for tab, (weight, _deg, _par) in side.pick(*cb._tableau_blocks[bold]):
-                word, sign = cb.index_word(tab, side)
-                own = side.pick(rights, lefts)[word]
+                share = side.pick(*shares)[tab]
+                factor = side.pick(rights, lefts)[share.factor[0]]
                 for orbit, a in candidates[side, weight]:
-                    prod = T.product_terms(*side.orient(a, own), sign)
+                    prod = T.product_terms(*side.orient(a, factor), share.sign)
                     if not prod:
                         continue
                     for key in cb.solve_terms(prod):

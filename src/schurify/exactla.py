@@ -5,7 +5,8 @@ sparse rows, dicts column -> nonzero int, over Z or on residues mod a prime,
 so no entry is ever a fraction.  It pivots anywhere: a +-1 entry in the
 sparsest row first, otherwise the entry of least |value|.  Its last pivot is
 the determinant up to the sign it tracks, and its pivots count the rank;
-`rank` gives that rank over Q or F_p.
+`rank` gives that rank over Q or F_p, and `unit_determinant` whether a
+square matrix given by its sparse columns is unimodular.
 
 A `Block` is one square block of a change of basis, given by its rows
 (any hashable labels, such as words of letter indices) and its columns'
@@ -118,6 +119,14 @@ def rank(mat: Sequence[Sequence[int]], ring: CoefficientRing) -> int:
     rows = [{c: v % p if p else v for c, v in enumerate(row) if (v % p if p else v)}
             for row in mat]
     return len(_eliminate(rows, p)[0])
+
+
+def unit_determinant(columns: Sequence[Mapping]) -> bool:
+    """Whether the square matrix with the sparse columns `columns` (their
+    entries nonzero) over as many rows has determinant +-1, by eliminating
+    its transpose, whose rows the columns are (det M = det M^T)."""
+    pivots, last, _sign = _eliminate(columns)
+    return len(pivots) == len(columns) and last == 1
 
 
 class Block:

@@ -16,8 +16,9 @@ tensor power of M_n(A) is never materialized.
 
 The kernel, `product_terms`, works on letter indices (places in
 `TriContext.letters`) end to end: words are tuples of ints, letters
-multiply through the context's letter-product table, a word is sorted with
-its sign by `TriContext.sort_signed`, and the terms it returns are keyed by
+multiply through the context's flat letter-product table
+(`TriContext.product_table`), a word is signed by the package's one sign
+rule (`triples.odd_sign`) and sorted, and the terms it returns are keyed by
 index words.  A right factor (`right_factor`) makes the arrangements the
 kernel reads one slot group at a time, on the first request for the group's
 slot word, by placing each slot's letters in every distinct order at that
@@ -47,7 +48,7 @@ from typing import Iterator
 
 from .base_algebra import AntiInvolution, BasedSuperalgebra, DecompInput, HeredityData
 from .partitions import gen_multicompositions
-from .triples import OnLookup, TriContext, TriLetter, TriWord, run_key
+from .triples import OnLookup, TriContext, TriLetter, TriWord, odd_sign, run_key
 
 Element = dict[TriWord, int]
 
@@ -195,11 +196,20 @@ class SchurAlgebra:
 
     def left_factor(self, word: tuple[int, ...]) -> tuple:
         """A left factor of `product_terms`, made afresh from its canonical
-        index word: the word, a mask of the places before each of its odd
-        letters, its word of right profile slots and [o1]_a."""
+        index word: the word, where the row of each of its letters starts in
+        the letter product table (`TriContext.product_rows`), the mask of the
+        places with an odd number of its odd letters after them, the mask of
+        its odd places, its word of right profile slots and [o1]_a."""
         ctx = self.ctx
         odd = ctx.odd
-        return (word, tuple([(1 << k) - 1 for k, i in enumerate(word) if odd[i]]),
+        cross = odd_places = after = 0
+        for k in range(len(word) - 1, -1, -1):
+            if after & 1:
+                cross |= 1 << k
+            if odd[word[k]]:
+                odd_places |= 1 << k
+                after += 1
+        return (word, tuple(map(ctx.product_rows.__getitem__, word)), cross, odd_places,
                 tuple(map(ctx.slots[1].__getitem__, word)), ctx.run_factorial(word, "a"))
 
     def right_factor(self, word: tuple[int, ...]) -> tuple:
@@ -248,52 +258,83 @@ class SchurAlgebra:
         rep; [.]! is the product of the multiplicity factorials and [.]_c,
         [.]_a the same over the c and a strata.  A word repeating an odd
         letter contributes 0, and on the others [.]! = [.]_a [.]_c, so the
-        weight is [o2]_c [rep]_a / [o1]_a.
+        weight is [o2]_c [rep]_a / [o1]_a; [rep]_a is read only when rep
+        repeats a letter.
 
         Letter i times letter j is nonzero only when the right profile slot
         of i is the left profile slot of j (`TriContext.letter_products`
         checks it), so only the arrangements of o2 whose word of left slots
         is c1's word of right slots are multiplied, place by place off the
-        letter-product table, stopping at the first zero factor; each
-        product word is sorted with its sign by `TriContext.sort_signed`.
-        The right factor makes that group on its first request."""
+        flat table `TriContext.product_table`, stopping at the first zero
+        factor.  A one-term letter product goes straight into the word and
+        its coefficient; a place with several terms is spread over them after
+        the pass.  The product's odd places are those where exactly one
+        factor is odd, as the base algebra's products keep parity, so a word
+        with two or more is signed by `odd_sign`, the rule of
+        `TriContext.sort_signed`.  The right factor makes the group of
+        arrangements on its first request."""
         ctx = self.ctx
-        word1, before_odd, mid, den = left
+        word1, rows, cross, odd1, mid, den = left
         word2, by_slot, m2 = right
-        table = ctx.letter_products
-        sort_signed = ctx.sort_signed
+        table, fill, odd = ctx.product_table, ctx.fill_product, ctx.odd
         res: dict[tuple[int, ...], int] = {}
         for w2, sgn, mask in by_slot[mid]:
-            factors = []
-            for pair in zip(word1, w2):
-                terms = table[pair]
-                if not terms:
-                    break
-                factors.append(terms)
+            # the super sign of the interleaving: each odd letter of c1
+            # passes the odd letters of w2 in the places before it
+            coeff = -sgn if (mask & cross).bit_count() & 1 else sgn
+            ks: list[int] = []
+            several = None
+            for at in map(operator.add, rows, w2):
+                t = table[at]
+                if not t:
+                    if t is None:
+                        t = fill(at)
+                    if not t:
+                        break
+                k, c = t
+                if k < 0:  # several terms: a place to spread after the pass
+                    several = several or []
+                    several.append((len(ks), c))
+                    c = 1
+                ks.append(k)
+                coeff *= c
             else:
-                # the super sign of the interleaving: each odd letter of c1
-                # passes the odd letters of w2 in the places before it
-                if mask and sum((mask & low).bit_count() for low in before_odd) & 1:
-                    sgn = -sgn
-                for combo in product(*factors):
-                    rep, sort_sign = sort_signed([i for i, _c in combo])
-                    if rep is None:
-                        continue
-                    coeff = sgn * sort_sign
-                    for _i, c in combo:
-                        coeff *= c
-                    res[rep] = res.get(rep, 0) + coeff
+                words = ((ks, coeff),)
+                if several:
+                    words = []
+                    for combo in product(*[terms for _place, terms in several]):
+                        w, cw = ks[:], coeff
+                        for (place, _terms), (k, c) in zip(several, combo):
+                            w[place] = k
+                            cw *= c
+                        words.append((w, cw))
+                m = odd1 ^ mask
+                signed = m & (m - 1)
+                for w, cw in words:
+                    if signed:
+                        s = odd_sign(w, odd)
+                        if not s:
+                            continue
+                        cw *= s
+                    w.sort()
+                    rep = tuple(w)
+                    res[rep] = res.get(rep, 0) + cw
         out: dict[tuple[int, ...], int] = {}
+        d = len(word1)
         for rep, f in res.items():
             if not f:
                 continue
-            num = f * m2 * ctx.run_factorial(rep, "a")
-            if num % den:
-                o1, o2, word = map(ctx.word, (word1, word2, rep))
-                raise ArithmeticError(
-                    f"non-integral eta structure constant {num}/{den} at {o1} * {o2} -> {word}"
-                )
-            out[rep] = sign * (num // den)
+            num = f * m2
+            if len(set(rep)) < d:
+                num *= ctx.run_factorial(rep, "a")
+            if den != 1:
+                if num % den:
+                    o1, o2, word = map(ctx.word, (word1, word2, rep))
+                    raise ArithmeticError(
+                        f"non-integral eta structure constant {num}/{den} at {o1} * {o2} -> {word}"
+                    )
+                num //= den
+            out[rep] = sign * num
         return out
 
     def mul(self, x: Element, y: Element) -> Element:
@@ -464,7 +505,7 @@ class _SlotGroups(dict):
 
     def __missing__(self, mid: tuple[int, ...]) -> tuple:
         ctx = self.ctx
-        slot, odd, sort_signed = ctx.slots[0], ctx.odd, ctx.sort_signed
+        slot, odd = ctx.slots[0], ctx.odd
         pools: dict[int, list[int]] = {}
         for i in self.word:
             pools.setdefault(slot[i], []).append(i)
@@ -493,7 +534,7 @@ class _SlotGroups(dict):
                 if odd[i]:
                     mask |= 1 << k
             # a word with fewer than two odd letters has no odd inversion
-            group.append((tuple(w), sort_signed(w)[1] if mask & (mask - 1) else 1, mask))
+            group.append((tuple(w), odd_sign(w, odd) if mask & (mask - 1) else 1, mask))
         group = self[mid] = tuple(group)
         return group
 

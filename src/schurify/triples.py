@@ -12,11 +12,13 @@ the word sorted under the fixed total order:
 A letter's index is its place in that order (`TriContext.letters`).  Signs,
 canonical words and multiplicity factorials are computed one way, on words
 of indices: the sign of a word is the parity of the inversions among its odd
-letters (`sort_signed`), and a factorial is read off the runs of a sorted
-word (`run_factorial`).  The per-index tables (profile slot on each side,
-degree, parity) give a word of indices its block key (`block_key`), and a
-sorted word's runs give its place among the orbits (`run_key`).  These
-tables, the letter-product table and the table of standard tableaux by side
+letters (`odd_sign`, which `sort_signed` and the product kernel read), and a
+factorial is read off the runs of a sorted word (`run_factorial`).  The
+per-index tables (profile slot on each side, degree, parity) give a word of
+indices its block key (`block_key`), and a sorted word's runs give its place
+among the orbits (`run_key`).  These
+tables, the letter products (`letter_products`, and the kernel's flat
+`product_table` filled from it) and the table of standard tableaux by side
 and shape (`standard_tableaux`) belong to the context, which a family of
 degrees and its truncations share.
 """
@@ -133,20 +135,36 @@ class TriContext:
                              f"right profile slot {ends} to left profile slot {starts}")
         return terms
 
+    @cached_property
+    def product_table(self) -> list:
+        """The letter products in one flat list, the product of letters i
+        and j at i * L + j for L letters, each filled from `letter_products`
+        on its first use by the product kernel (`fill_product`): None until
+        then, () for 0, (k, c) for one term c times letter k, and (-1, terms)
+        for several."""
+        return [None] * len(self.letters) ** 2
+
+    @cached_property
+    def product_rows(self) -> tuple[int, ...]:
+        """Per letter index i, i * L: where its row of `product_table`
+        starts, one int shared by every left factor that reads the row."""
+        size = len(self.letters)
+        return tuple(range(0, size * size, size))
+
+    def fill_product(self, at: int) -> tuple:
+        """Fill place `at` of `product_table` from `letter_products`, which
+        refuses a product across profile slots, and return its entry."""
+        terms = self.letter_products[divmod(at, len(self.letters))]
+        entry = terms[0] if len(terms) == 1 else (-1, terms) if terms else ()
+        self.product_table[at] = entry
+        return entry
+
     def sort_signed(self, word) -> tuple[tuple[int, ...] | None, int]:
         """A word of letter indices sorted into canonical order, and the sign
-        of the sort: the parity of the inversions among its odd letters.
-        (None, 0) when an odd letter repeats (the word is inadmissible)."""
-        odd = self.odd
-        odds = [i for i in word if odd[i]]
-        inv = 0
-        if len(odds) > 1:
-            if len(set(odds)) < len(odds):
-                return None, 0
-            for k, i in enumerate(odds):
-                for j in odds[k + 1:]:
-                    inv += i > j
-        return tuple(sorted(word)), -1 if inv & 1 else 1
+        of the sort (`odd_sign`).  (None, 0) when an odd letter repeats (the
+        word is inadmissible)."""
+        sign = odd_sign(word, self.odd)
+        return (tuple(sorted(word)), sign) if sign else (None, 0)
 
     def run_factorial(self, word: tuple[int, ...], stratum: str = "all") -> int:
         """[word]! over a stratum, for a word of indices in canonical order:
@@ -278,6 +296,23 @@ class TriContext:
     @staticmethod
     def from_json(obj: list) -> TriWord:
         return tuple((str(e["b"]), int(e["r"]), int(e["s"])) for e in obj)
+
+
+def odd_sign(word, odd) -> int:
+    """The sign of sorting a word of letter indices into canonical order:
+    the parity of the inversions among its odd letters (`odd` by index), as
+    +-1; 0 when an odd letter repeats.  The one sign rule of the package:
+    `TriContext.sort_signed` and the product kernel both read it."""
+    odds = [i for i in word if odd[i]]
+    if len(odds) < 2:
+        return 1
+    if len(set(odds)) < len(odds):
+        return 0
+    inv = 0
+    for k, i in enumerate(odds):
+        for j in odds[k + 1:]:
+            inv += i > j
+    return -1 if inv & 1 else 1
 
 
 def run_key(word) -> tuple:

@@ -30,6 +30,10 @@
   which `eager_codet_blocks` reads too), where production multiplies only
   the degree-0 pairs of equal weight, placed by the per-letter table, and
   reads each entry through one dual row of the unit block.
+- twisted_zigzag: zigzag:2 with the cycle 1 -> 0 -> 1 set to -c1, the one
+  test algebra with a structure constant other than 1, made from zigzag:2's
+  presentation through its JSON text (`dump_presentation`,
+  `load_presentation`).
 - heredity_oracle: the checks of `heredity_of_T`, in its order and with its
   failure texts, with every product taken by `tensor_eta_product`, the
   blocks of `eager_codet_blocks` as dense matrices, determinants and solves
@@ -38,11 +42,19 @@
   multiplies on letter indices through its one kernel and solves by sparse
   elimination.
 """
+import json
 from fractions import Fraction
 from itertools import permutations, product
 
 from schurify import codeterminants as codet
-from schurify.base_algebra import SIDES, X_SIDE, Y_SIDE
+from schurify.base_algebra import (
+    SIDES,
+    X_SIDE,
+    Y_SIDE,
+    dump_presentation,
+    load_presentation,
+    make_algebra,
+)
 from schurify.partitions import compare, conjugate, trim
 from schurify.tableaux import tableau_degree, tableau_weight
 
@@ -157,6 +169,21 @@ def eager_slot_groups(T, orbit):
 
 def word_parity(T, word):
     return sum(T.alg.parity[b] for (b, _r, _s) in word) % 2
+
+
+def twisted_zigzag():
+    """(alg, data, tau) of zigzag:2 with a1_0 * a0_1 = -c1 in place of c1:
+    the cycle 1 -> 0 -> 1 negated.  The products of the pairs x * y keep
+    coefficient 1, so the heredity data and zigzag:2's anti-involution
+    still apply; through the kernel the twist reaches the letter products
+    (a1_0, r, s)(a0_1, s, t) = -(c1, r, t)."""
+    alg, data, tau = make_algebra("zigzag:2")
+    obj = dump_presentation(alg, data)
+    (entry,) = [k for k in obj["kappa"] if (k["a"], k["c"]) == ("a1_0", "a0_1")]
+    assert entry["out"] == {"c1": 1}, entry
+    entry["out"] = {"c1": -1}
+    alg, data = load_presentation(json.dumps(obj))
+    return alg, data, tau
 
 
 # ---------------------------------------------------------------------------

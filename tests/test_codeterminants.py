@@ -1,5 +1,6 @@
 import random
 import re
+from collections import Counter
 
 import pytest
 
@@ -16,7 +17,7 @@ from helpers import (
 )
 from schurify import codeterminants as codet
 from schurify.base_algebra import SIDES, X_SIDE, Y_SIDE, make_algebra
-from schurify.exactla import Block
+from schurify.exactla import Block, unit_determinant
 from schurify.partitions import leq
 from schurify.schur import SchurAlgebra, build_schur
 from schurify.tableaux import tableau_weight
@@ -783,6 +784,91 @@ def test_a_column_that_leaves_a_truncation_is_named(monkeypatch):
         cb.non_unimodular_block()
     assert str(exc.value) == (f"codeterminant block {key}: column {col} reaches {stray}, "
                               f"which is not an orbit of T")
+
+
+def test_unit_determinant_against_the_lu_oracle():
+    """`unit_determinant` on sparse columns agrees with |det| = 1 by the
+    Fraction LU oracle: on signed permutation matrices with entries +-1 and
+    +-2, on one-term columns +-1 that share a row, and on seeded sparse
+    matrices of small entries, singular ones included."""
+    rng = random.Random(26)
+    mats = [[[1, 1], [0, 0]], [[1, 0, -1], [0, 1, 0], [0, 0, 0]]]
+    for n in range(1, 6):
+        for _ in range(6):
+            perm = rng.sample(range(n), n)
+            mats.append([[rng.choice((1, -1, 1, -1, 2, -2)) if perm[j] == i else 0
+                          for j in range(n)] for i in range(n)])
+            mats.append([[rng.choice((0, 0, 0, 1, -1, 2)) for _j in range(n)] for _i in range(n)])
+    agree = Counter()
+    for mat in mats:
+        columns = [{(i,): mat[i][j] for i in range(len(mat)) if mat[i][j]} for j in range(len(mat))]
+        want = abs(lu_det(mat)) == 1
+        assert unit_determinant(columns) == want, mat
+        agree[want] += 1
+    assert agree[True] > 10 and agree[False] > 10, agree
+
+
+def _single_term_blocks(cb) -> list:
+    """(key, columns) of the blocks whose every column expands to one term
+    +-1: the signed permutation matrices among the blocks."""
+    return [(key, cols) for key, (_rows, cols) in codet_blocks(cb).items()
+            if all(len(v) == 1 and abs(next(iter(v.values()))) == 1
+                   for v in map(cb.index_expansion, cols))]
+
+
+@pytest.mark.parametrize("size", [1, 2])
+def test_axiom_a_names_a_signed_permutation_block_with_a_non_unit_entry(monkeypatch, size):
+    """A block of one-term columns in which one term is scaled, to 2 in a
+    1x1 block and to -2 times its sign in a larger one, fails axiom (a):
+    the walk's elimination finds |det| = 2 and builds the block, and the
+    failure names the block and its signed determinant."""
+    alg, data, tau = make_algebra("zigzag:1")
+    T = build_schur(alg, data, 2, 2, tau)
+    cb = T.codet_basis
+    key, cols = next((key, cols) for key, cols in _single_term_blocks(cb)
+                     if (len(cols) == 1) == (size == 1))
+    scale = 2 if size == 1 else -2
+    real = codet.CodetBasis._expand
+
+    def broken(self, x, y):
+        out = real(self, x, y)
+        return {o: scale * c for o, c in out.items()} if (x.bold, x.tab, y.tab) == cols[-1] else out
+
+    monkeypatch.setattr(codet.CodetBasis, "_expand", broken)
+    det = cb.factor(key).det
+    assert abs(det) == 2
+    assert cb.non_unimodular_block() == (key, det)
+    rep = codet.heredity_of_T(T, sample_b=4)
+    assert rep.failures == [
+        f"axiom (a): change of basis not unimodular: block {key} has determinant {det}"
+    ]
+
+
+def test_axiom_a_names_a_one_term_column_moved_to_another_block(monkeypatch):
+    """A one-term column of a signed permutation block whose term moves to a
+    row of another block leaves the block square, with one term +-1 in each
+    column on distinct rows; the walk's row check still fails it, naming the
+    column, its block and the row's block."""
+    alg, data, tau = make_algebra("zigzag:1")
+    T = build_schur(alg, data, 2, 2, tau)
+    cb = T.codet_basis
+    blocks = codet_blocks(cb)
+    key, cols = next((key, cols) for key, cols in _single_term_blocks(cb) if len(cols) > 1)
+    other = next(k for k in blocks if k != key)
+    stray = blocks[other][0][0]
+    real = codet.CodetBasis._expand
+
+    def broken(self, x, y):
+        out = real(self, x, y)
+        if (x.bold, x.tab, y.tab) == cols[0]:
+            return {tuple(T.ctx.index[lt] for lt in stray): c for c in out.values()}
+        return out
+
+    monkeypatch.setattr(codet.CodetBasis, "_expand", broken)
+    rep = codet.heredity_of_T(T, sample_b=4)
+    assert rep.failures == [
+        f"axiom (a): codeterminant block {key}: column {cols[0]} reaches {stray} of block {other}"
+    ]
 
 
 @pytest.mark.parametrize("spec,n,d,truncated", [("zigzag:1", 2, 2, True), ("zigzag:2", 2, 2, False),
