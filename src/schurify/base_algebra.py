@@ -10,7 +10,7 @@ every built-in and for the JSON presentation format).
 The axiom checks behind `verify_heredity` read an algebra only through basis,
 mul_basis, degree and parity, so they run unchanged on its even subalgebra for
 the conformity check.  The Schur algebras built downstream have their own
-check, `codeterminants.heredity_of_T`.
+check, `heredity.heredity_of_T`.
 
 X(i) and Y(i) are mirror images of each other, and so is every one-sided step
 built on them; `Side` carries the one difference, the order of a product, so

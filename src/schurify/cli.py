@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import click
 
-from . import codeterminants as codet
 from . import partitions, tableaux, triples
 from .base_algebra import make_algebra, verify_heredity
 from .characters import (
@@ -27,6 +26,7 @@ from .characters import (
     decomp_formula_row,
     decomp_oracle,
 )
+from .codeterminants import cellular_basis
 from .rings import GF, QQ, ZZ, CoefficientRing, GradedSuperScalar
 from .rsk import rsk, rsk_inv
 from .schur import build_schur
@@ -304,6 +304,8 @@ def mul(ctx, left, right, **kw):
 @click.pass_context
 def straighten(ctx, orbit, backend, **kw):
     """Expand a basis element over standard codeterminants."""
+    from .straighten import Straightener  # loaded only where straightening runs
+
     cfg = _build_config(ctx.obj, **kw)
     T = _make_T(cfg)
     _require_qh(cfg)
@@ -315,7 +317,7 @@ def straighten(ctx, orbit, backend, **kw):
     if backend in ("solve", "both"):
         results["solve"] = T.codet_basis.solve(x)
     if backend in ("recursive", "both"):
-        results["recursive"] = codet.Straightener(T).straighten_element(x)
+        results["recursive"] = Straightener(T).straighten_element(x)
     if backend == "both" and results["solve"] != results["recursive"]:
         _emit(cfg, {"error": "straightening backends disagree",
                     "orbit": triples.TriContext.to_json(rep)})
@@ -427,6 +429,11 @@ def blocks(ctx, **kw):
 @click.pass_context
 def verify(ctx, **kw):
     """Run the invariant suite and print a pass/fail table."""
+    # the layers only this command runs, parsed before the algebra is built:
+    # a parse after it would stack on its heap and raise the peak
+    from .heredity import heredity_of_T
+    from .straighten import Straightener
+
     cfg = _build_config(ctx.obj, **kw)
     cache = cfg.lr_cache()
     T = _make_T(cfg)
@@ -471,7 +478,7 @@ def verify(ctx, **kw):
             # truncation: compare against the cellular pair count in the
             # ambient algebra
             ell = int(cfg.algebra.split(":", 1)[1])
-            cells = codet.cellular_basis(T.parent, range(ell))
+            cells = cellular_basis(T.parent, range(ell))
             assert len(cells) == T.rank, (len(cells), T.rank)
             return f"rank {T.rank} == cellular pair count"
         cb = T.codet_basis
@@ -495,7 +502,7 @@ def verify(ctx, **kw):
         if T.n < T.d:
             return "skipped (n < d)"
         cb = T.codet_basis
-        st = codet.Straightener(T)
+        st = Straightener(T)
         drawn = sample(min(25, T.rank))
         for o in drawn:
             assert cb.solve({o: 1}) == st.straighten_element({o: 1})
@@ -510,7 +517,7 @@ def verify(ctx, **kw):
         if T.n < T.d:
             return "skipped (n < d)"
         sample_b = 10
-        rep = codet.heredity_of_T(T, sample_b=sample_b)
+        rep = heredity_of_T(T, sample_b=sample_b)
         assert rep.ok, rep.failures
         return f"axioms (a)-(c), (b) on the first {sample_b} orbits per tableau"
 

@@ -1,33 +1,31 @@
-"""Codeterminant basis of T^A_a(n, d), straightening, and the induced
-quasi-hereditary structure.
+"""Codeterminant basis of T^A_a(n, d): the standard codeterminants, their
+blocked change of basis from the orbit basis and its solve, the Gram
+matrices of the standard modules, and the cellular basis of a truncation.
 
 A codeterminant B^bold_{S,T} = X_S * Y_T is the product of the orbit element
 read off an X-tableau against the row word of its shape and the mirror-image
 Y-tableau element.  Standard codeterminants (dominant shape, both tableaux
-standard) form a Z-basis when n >= d; two independent straightening backends
-express arbitrary elements in that basis:
-
-  * a recursive rewrite that locates the minimal column violation, builds the
-    auxiliary shape from the E/F row partitions, multiplies through the
-    connecting idempotent element and recurses along the triangular order
-    (shape lex up, then leading words down);
-  * an exact blocked linear solve against the codeterminant expansion matrix,
-    blocked by the conserved (left profile, right profile, degree, parity).
-    A block is built from its columns alone: the standard codeterminants
-    whose tableau shares add up to its key, expanded on letter indices by
-    the product kernel, and as rows the orbits those expansions reach,
-    labelled by their words of letter indices, each checked by one sum over
-    a per-letter table to be an orbit of T carrying the key.
-    The unimodularity check walks the blocks in one pass, in sorted key
-    order: for each X weight, one pass over its X tableau shares and their
-    shapes' Y shares files every column under its key (`CodetBasis._filed`,
-    whose keys are `CodetBasis.block_keys`).  A block is taken as its column
-    expansions, its rows checked as a built block's are
-    (`CodetBasis._checked_rows`), and eliminated as its transpose
-    (`exactla.unit_determinant`); only a block that fails is built as an
-    `exactla.Block`, for its failure text or signed determinant.  The first
-    solve that meets a block builds it with what a solve needs and keeps
-    it.  Neither the check nor a solve lists orbits.
+standard) form a Z-basis when n >= d.  `CodetBasis.solve` expresses an
+element in that basis by an exact blocked linear solve against the
+codeterminant expansion matrix, blocked by the conserved (left profile,
+right profile, degree, parity); the recursive rewrite that checks it is
+`straighten.Straightener`, and the heredity axioms on this basis are
+checked by `heredity.heredity_of_T`.  Those two modules import this one and
+are loaded only by the commands that run them (see the README's module map).
+A block is built from its columns alone: the standard codeterminants whose
+tableau shares add up to its key, expanded on letter indices by the product
+kernel, and as rows the orbits those expansions reach, labelled by their
+words of letter indices, each checked by one sum over a per-letter table to
+be an orbit of T carrying the key.
+The unimodularity check walks the blocks in one pass, in sorted key order:
+for each X weight, one pass over its X tableau shares and their shapes' Y
+shares files every column under its key (`CodetBasis._filed`, whose keys
+are `CodetBasis.block_keys`).  A block is taken as its column expansions,
+its rows checked as a built block's are (`CodetBasis._checked_rows`), and
+eliminated as its transpose (`exactla.unit_determinant`); only a block that
+fails is built as an `exactla.Block`, for its failure text or signed
+determinant.  The first solve that meets a block builds it with what a solve
+needs and keeps it.  Neither the check nor a solve lists orbits.
 
 A tableau enters the walk, the heredity check and the Gram matrices as the
 index word of X_S or Y_T and its sign, read straight off the tableau
@@ -43,14 +41,12 @@ The walk's tableau shares take their kernel factors from the algebra's
 tables (`SchurAlgebra.lefts`, `.rights`), kept for its life;
 `heredity_of_T` keeps the factors it makes beyond those for its own call,
 and `gram_blocks` for one call or one row (see `schur` and `gram_blocks`
-for why).  The heredity check's products go through the product kernel and
-its solves take index words.  A Gram matrix multiplies only the pairs of
-degree 0, the only ones that can reach the unit codeterminant's block, and
-reads each entry through one dual row of that block (`Block.dual_row`),
-with no solve per product.  A codeterminant key is made only for a solve's
-result or a failure message, and a `TriWord` only at the boundary: an
-Element given to `CodetBasis.solve` and an orbit that a witness or an error
-names.
+for why).  A Gram matrix multiplies only the pairs of degree 0, the only
+ones that can reach the unit codeterminant's block, and reads each entry
+through one dual row of that block (`Block.dual_row`), with no solve per
+product.  A codeterminant key is made only for a solve's result or a
+failure message, and a `TriWord` only at the boundary: an Element given to
+`CodetBasis.solve` and an orbit that a witness or an error names.
 
 All expansions are integral; any non-integral coefficient aborts loudly.
 """
@@ -58,22 +54,15 @@ from __future__ import annotations
 
 from collections.abc import Callable, Iterator, Mapping
 from dataclasses import dataclass, field
-from functools import cache, cached_property
-from itertools import islice
+from functools import cached_property
 from operator import mul
 from typing import NamedTuple
 
 from .base_algebra import SIDES, X_SIDE, Y_SIDE, Side
 from .exactla import Block, unit_determinant
-from .partitions import comp_row_word, gen_multipartitions, pad, trim
+from .partitions import gen_multipartitions, pad
 from .schur import Element, SchurAlgebra
-from .tableaux import (
-    Tableau,
-    column_violation,
-    is_standard,
-    row_standardize,
-    word as tableau_word,
-)
+from .tableaux import Tableau, word as tableau_word
 from .triples import OnLookup, TriWord, run_key
 
 CodetKey = tuple[tuple[tuple[int, ...], ...], Tableau, Tableau]  # (shape, S, T)
@@ -113,41 +102,6 @@ def y_element(T: SchurAlgebra, Tb: Tableau) -> Element:
 
 def codet_element(T: SchurAlgebra, S: Tableau, Tb: Tableau) -> Element:
     return T.mul(x_element(T, S), y_element(T, Tb))
-
-
-def _leading_word(T: SchurAlgebra, tab: Tableau, side: Side):
-    """Row-major sequence of alphabet keys; the triangular order compares
-    these lexicographically."""
-    alphabet = T.ctx.alphabet(side)
-    return tuple(alphabet.key(entry) for entry in tableau_word(tab))
-
-
-def _decompose_one_sided(T: SchurAlgebra, bold, elt: Element, side: Side) -> dict[Tableau, int]:
-    """Write an element supported on X-type (or Y-type) orbits with shape word
-    `bold` as a combination of row-standard tableau elements."""
-    ctx = T.ctx
-    pos_of = {i: k for k, i in enumerate(T.data.labels)}
-    out: dict[Tableau, int] = {}
-    for orbit, c in elt.items():
-        comps: list[list[list]] = [[[] for _ in comp] for comp in bold]
-        for (b, r, s) in orbit:
-            i, *xy = ctx.pair_of[b]
-            own, other = side.orient(*xy)
-            if other != T.data.e.get(i):
-                raise AssertionError(f"orbit {orbit} is not {side.name}-type at {b}")
-            l, m = side.orient(r, s)
-            comps[pos_of[i]][m - 1].append((l, own))
-        if any(len(row) != bold[k][m] for k, comp in enumerate(comps)
-               for m, row in enumerate(comp)):
-            raise AssertionError(f"orbit {orbit} does not fill shape {bold}")
-        tab = row_standardize(
-            tuple(tuple(tuple(row) for row in comp) for comp in comps), ctx.alphabet(side)
-        )
-        single = side_element(T, tab, side)
-        if single != {orbit: 1} and single != {orbit: -1}:
-            raise AssertionError("one-sided decomposition lost an orbit")
-        out[tab] = out.get(tab, 0) + c * single[orbit]
-    return {k: v for k, v in out.items() if v}
 
 
 # ---------------------------------------------------------------------------
@@ -565,324 +519,6 @@ class CodetBasis:
 
 
 # ---------------------------------------------------------------------------
-# recursive straightening
-# ---------------------------------------------------------------------------
-
-class Straightener:
-    """Rewrites codeterminants into the standard basis constructively."""
-
-    def __init__(self, T: SchurAlgebra):
-        if T.n < T.d:
-            raise ValueError("requires n >= d")
-        self.T = T
-        self._memo: dict[CodetKey, dict[CodetKey, int]] = {}
-        self._in_progress: set[CodetKey] = set()
-
-    # -- public ------------------------------------------------------------
-    def straighten_element(self, x: Element) -> dict[CodetKey, int]:
-        out: dict[CodetKey, int] = {}
-        for orbit, c in x.items():
-            key, sign = orbit_to_codet(self.T, orbit)
-            for ck, v in self.straighten_codet(key).items():
-                out[ck] = out.get(ck, 0) + c * sign * v
-        return {k: v for k, v in out.items() if v}
-
-    def straighten_codet(self, key: CodetKey) -> dict[CodetKey, int]:
-        if key in self._memo:
-            return self._memo[key]
-        if key in self._in_progress:
-            raise RuntimeError(f"straightening cycle at {key}")
-        self._in_progress.add(key)
-        try:
-            result = self._straighten(key)
-        finally:
-            self._in_progress.discard(key)
-        self._memo[key] = result
-        return result
-
-    # -- internals ---------------------------------------------------------
-    def _straighten(self, key: CodetKey) -> dict[CodetKey, int]:
-        T = self.T
-        bold, S, Tb = key
-        key2, sign = self._dominantize(key)
-        if key2 != key:
-            return {ck: sign * v for ck, v in self.straighten_codet(key2).items()}
-        for side in SIDES:
-            if not is_standard(side.pick(S, Tb), T.ctx.alphabet(side)):
-                return self._one_step(key, side)
-        return {key: 1}
-
-    def _dominantize(self, key: CodetKey) -> tuple[CodetKey, int]:
-        """Sort each shape component into a partition, permuting tableau rows
-        along; the sign is pinned by evaluating both products."""
-        bold, S, Tb = key
-        new_bold, new_S, new_T = [], [], []
-        changed = False
-        for comp, Sc, Tc in zip(bold, S, Tb):
-            order = sorted(range(len(comp)), key=lambda m: -comp[m])
-            if order != list(range(len(comp))):
-                changed = True
-            new_bold.append(tuple(comp[m] for m in order))
-            new_S.append(tuple(Sc[m] for m in order))
-            new_T.append(tuple(Tc[m] for m in order))
-        if not changed:
-            return key, 1
-        key2 = (tuple(new_bold), tuple(new_S), tuple(new_T))
-        e1 = codet_element(self.T, S, Tb)
-        e2 = codet_element(self.T, *key2[1:])
-        sign = self._proportionality_sign(e1, e2)
-        return key2, sign
-
-    @staticmethod
-    def _proportionality_sign(e1: Element, e2: Element) -> int:
-        if set(e1) != set(e2) or not e1:
-            raise AssertionError("elements not proportional")
-        o = next(iter(e1))
-        sign = 1 if e1[o] == e2[o] else -1
-        if any(c != sign * e2[k] for k, c in e1.items()):
-            raise AssertionError("elements not related by a global sign")
-        return sign
-
-    def _one_step(self, key: CodetKey, side: Side) -> dict[CodetKey, int]:
-        """Apply the column-violation rewrite to the tableau on the given side
-        and recurse; the tableau on the other side rides along."""
-        T = self.T
-        bold = key[0]
-        tab, other_tab = side.orient(*key[1:])
-        alphabet = T.ctx.alphabet(side)
-        pos, viol = next((k, v) for k, comp in enumerate(tab)
-                         if (v := column_violation(comp, alphabet)))
-        lam = self._aux_shape(bold[pos], tab[pos], alphabet, viol)
-        lam_bold = tuple(lam if k == pos else c for k, c in enumerate(bold))
-        mid = self._mid_element(bold, lam_bold, side)
-
-        aux = T.eta(_word(tab, [m for comp in lam_bold for m in comp_row_word(comp)], side))
-        if not aux:
-            raise AssertionError(f"auxiliary {side.name} element vanished")
-        lead = _decompose_one_sided(T, bold, T.mul(*side.orient(aux, mid)), side)
-        s = lead.pop(tab, 0)
-        if s not in (1, -1):
-            raise AssertionError("leading straightening coefficient not a sign")
-        leading = _leading_word(T, tab, side)
-        out: dict[CodetKey, int] = {}
-        Z = T.mul(*side.orient(mid, side_element(T, other_tab, side.other)))
-        for other2, c in _decompose_one_sided(T, lam_bold, Z, side.other).items():
-            for tab2, c2 in _decompose_one_sided(T, lam_bold, aux, side).items():
-                sub = self.straighten_codet((lam_bold, *side.orient(tab2, other2)))
-                for ck, v in sub.items():
-                    out[ck] = out.get(ck, 0) + s * c * c2 * v
-        for tab2, c in lead.items():
-            if not _leading_word(T, tab2, side) < leading:
-                raise AssertionError("straightening not triangular on leading words")
-            sub = self.straighten_codet((bold, *side.orient(tab2, other_tab)))
-            for ck, v in sub.items():
-                out[ck] = out.get(ck, 0) - s * c * v
-        return {k: v for k, v in out.items() if v}
-
-    def _aux_shape(self, mu, comp, alphabet, viol):
-        """The auxiliary composition from the minimal column violation `viol`
-        (1-based row and column) of one component, via the E/F row
-        partitions."""
-        n = self.T.n
-        a, b = viol
-        mu_full = list(mu) + [0] * (n - len(mu))
-        E: dict[int, list[int]] = {}
-        F: dict[int, list[int]] = {}
-        for t in range(1, n + 1):
-            cells = list(range(1, mu_full[t - 1] + 1))
-            if t < a:
-                E[t], F[t] = cells, []
-            elif t == a:
-                E[t] = [s for s in cells if s < b]
-                F[t] = [s for s in cells if s >= b]
-            else:
-                E[t] = [
-                    s for s in cells
-                    if all(alphabet.breaks_column(comp[t - 2][u - 1], comp[t - 1][s - 1])
-                           for u in F[t - 1])
-                ]
-                F[t] = [s for s in cells if s not in E[t]]
-        e = {t: len(E[t]) for t in range(1, n + 1)}
-        f = {t: len(F[t]) for t in range(1, n + 1)}
-        e[n + 1] = 0
-        f[0] = 0
-        lam = []
-        for t in range(1, n + 1):
-            if t < a:
-                lam.append(mu_full[t - 1])
-            elif b == 1:
-                lam.append(mu_full[a - 1] + e[a + 1] if t == a else e[t + 1] + f[t])
-            else:
-                lam.append(e[t] + f[t - 1])
-        assert sum(lam) == sum(mu)
-        assert tuple(sorted(lam, reverse=True)) > tuple(mu_full)
-        return trim(tuple(lam)) if lam and lam[-1] == 0 else tuple(lam)
-
-    def _mid_element(self, src_bold, dst_bold, side: Side) -> Element:
-        """Connecting element: identity colors positionwise between the two
-        shape row words.  For the X side the product runs dst -> src, for the
-        Y side src -> dst."""
-        T = self.T
-        word = []
-        for k, i in enumerate(T.data.labels):
-            srows = comp_row_word(src_bold[k])
-            drows = comp_row_word(dst_bold[k])
-            assert len(srows) == len(drows)
-            ei = T.data.e[i]
-            for u, v in zip(drows, srows):
-                word.append((ei, *side.orient(u, v)))
-        elt = T.eta(tuple(word))
-        assert elt
-        return elt
-
-
-# ---------------------------------------------------------------------------
-# quasi-hereditary structure of T
-# ---------------------------------------------------------------------------
-
-@dataclass
-class SchurHeredityReport:
-    ok: bool
-    failures: list[str]
-    checked: list[str]
-
-
-def heredity_of_T(T: SchurAlgebra, sample_b: int | None = None) -> SchurHeredityReport:
-    """Verify the heredity axioms for the codeterminant structure on T.
-
-    `sample_b` caps, per X/Y element, the number of weight-compatible basis
-    orbits multiplied through in the span check: the first ones in the order
-    of `T.orbits`, listed one weight at a time.  None checks all of them.
-    """
-    if T.n < T.d:
-        raise ValueError("requires n >= d")
-    cb = T.codet_basis
-    failures: list[str] = []
-    checked: list[str] = []
-
-    # axiom (a): standard codeterminants are a unimodular basis
-    count = sum(len(cb.std_x[bold]) * len(cb.std_y[bold]) for bold in cb.shapes)
-    if count != T.rank:
-        failures.append(f"axiom (a): {count} codeterminants vs rank {T.rank}")
-    try:
-        bad = cb.non_unimodular_block()
-    except AssertionError as exc:
-        failures.append(f"axiom (a): {exc}")
-        return SchurHeredityReport(False, failures, checked)
-    if bad is not None:
-        # axiom (b) needs the integral solve, which a non-unimodular block breaks
-        failures.append(f"axiom (a): change of basis not unimodular: "
-                        f"block {bad[0]} has determinant {bad[1]}")
-        return SchurHeredityReport(False, failures, checked)
-    checked.append("axiom (a): codeterminant basis unimodular over Z")
-
-    from .partitions import compare
-
-    @cache
-    def strictly_greater(mu, lam) -> bool:
-        return compare(mu, lam) == "GT"
-
-    # axiom (c): idempotent absorption against X and Y elements
-    padded = {bold: tuple(tuple(c) + (0,) * (T.n - len(c)) for c in bold) for bold in cb.shapes}
-
-    def name(side: Side) -> str:
-        return f"{side.name}_{side.pick('S', 'T')}"
-
-    # the products run on index words through the product kernel, each
-    # factor one orbit as (left factor, right factor, coefficient, profiles
-    # of its own word as sorted words of profile slots), 0 without the
-    # kernel when the profiles do not meet.  A tableau's index word and sign
-    # are read off its share of the walk (`CodetBasis.tableau_shares`).  A
-    # word's factors come from the algebra's tables when they hold it, as
-    # they hold each share's own, else are made and kept for axioms (c) and
-    # (b) both, until it returns
-    lefts = OnLookup(lambda w: T.lefts.get(w) or T.left_factor(w))
-    rights = OnLookup(lambda w: T.rights.get(w) or T.right_factor(w))
-    slots = T.ctx.slots
-    shares = cb.tableau_shares()
-
-    def factors(word, c) -> tuple:
-        profiles = tuple(tuple(sorted(map(slot.__getitem__, word))) for slot in slots)
-        return lefts[word], rights[word], c, profiles
-
-    def times(a, b) -> dict:
-        if a[3][1] != b[3][0]:
-            return {}
-        return T.product_terms(a[0], b[1], a[2] * b[2])
-
-    index = T.ctx.index
-    idem = {}
-    for bold in cb.shapes:
-        (orbit, c), = T.idempotent_bold(bold).items()
-        idem[bold] = factors(tuple([index[lt] for lt in orbit]), c)
-    ok_c = True
-    for bold in cb.shapes:
-        for side in SIDES:
-            nm = name(side)
-            # "X_S e", "e X_S" and "e_mu X_S" on the X side, mirrored on Y
-            elt_e, e_elt, emu_elt = (" ".join(side.orient(a, b))
-                                     for a, b in ((nm, "e"), ("e", nm), ("e_mu", nm)))
-            initial = side.pick(*cb.initial_tableau_pair(bold))
-            for tab, (weight, _deg, _par) in side.pick(*cb._tableau_blocks[bold]):
-                share = side.pick(*shares)[tab]
-                elt, terms = factors(share.factor[0], share.sign), {share.factor[0]: share.sign}
-                witness = f"{side.pick('S', 'T')} = {tab}"
-                if times(*side.orient(elt, idem[bold])) != terms:
-                    ok_c = False
-                    failures.append(f"axiom (c): {elt_e} != {nm} at {bold}: {witness}")
-                want = terms if tab == initial else {}
-                if times(*side.orient(idem[bold], elt)) != want:
-                    ok_c = False
-                    failures.append(f"axiom (c): {e_elt} wrong at {bold}: {witness}")
-                for bold2 in cb.shapes:
-                    want = terms if padded[bold2] == weight else {}
-                    if times(*side.orient(idem[bold2], elt)) != want:
-                        ok_c = False
-                        failures.append(f"axiom (c): {emu_elt} not diagonal at {bold}: "
-                                        f"{witness}, mu = {bold2}")
-    if ok_c:
-        checked.append("axiom (c): idempotent absorption")
-
-    # axiom (b): products land in X (resp. Y) span modulo strictly greater shapes.
-    # An orbit a meets X_S on its right profile and Y_T on its left profile;
-    # a * X_S takes a as a left factor, Y_T * a as a right one.
-    def meeting(key) -> list:
-        side, weight = key
-        factor = side.pick(lefts, rights)
-        return [(orbit, factor[tuple([index[lt] for lt in orbit])])
-                for orbit in islice(T.orbits_with_profile(side.pick(1, 0), weight), sample_b)]
-
-    candidates = OnLookup(meeting)
-
-    ok_b = True
-    for bold in cb.shapes:
-        for side in SIDES:
-            other_initial = side.orient(*cb.initial_tableau_pair(bold))[1]
-            for tab, (weight, _deg, _par) in side.pick(*cb._tableau_blocks[bold]):
-                share = side.pick(*shares)[tab]
-                factor = side.pick(rights, lefts)[share.factor[0]]
-                for orbit, a in candidates[side, weight]:
-                    prod = T.product_terms(*side.orient(a, factor), share.sign)
-                    if not prod:
-                        continue
-                    for key in cb.solve_terms(prod):
-                        mu, *pair = key
-                        if strictly_greater(mu, bold):
-                            continue
-                        if mu != bold or side.orient(*pair)[1] != other_initial:
-                            ok_b = False
-                            failures.append(
-                                f"axiom (b): {side.spell('a', name(side))} escapes the "
-                                f"{side.name} span at {bold}: a = {orbit}, "
-                                f"{side.pick('S', 'T')} = {tab}, codeterminant {key}"
-                            )
-    if ok_b:
-        checked.append("axiom (b): X/Y spans modulo higher shape ideals")
-
-    return SchurHeredityReport(not failures, failures, checked)
-
-
-# ---------------------------------------------------------------------------
 # Gram matrices of the standard modules of T
 # ---------------------------------------------------------------------------
 
@@ -977,3 +613,23 @@ def cellular_basis(T: SchurAlgebra, colors) -> dict[tuple, Element]:
             for T2, y in zip(tabs, ys):
                 out[(bold, S, T2)] = T.mul(x, y)
     return out
+
+
+# ---------------------------------------------------------------------------
+# the layers that moved out, by their old names
+# ---------------------------------------------------------------------------
+
+_MOVED = {"Straightener": "straighten", "heredity_of_T": "heredity"}
+
+
+def __getattr__(name: str):
+    """`Straightener` and `heredity_of_T` read here load their own modules,
+    `straighten` and `heredity` (PEP 562), for callers that still name them
+    on this module: the layer benchmark (`perfbench/layers.py`) and the
+    tests.  Nothing under `src/` reads them here.  This goes once the
+    benchmark reads the two modules."""
+    if name in _MOVED:
+        from importlib import import_module
+
+        return getattr(import_module(f".{_MOVED[name]}", __package__), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

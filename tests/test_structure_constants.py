@@ -1,8 +1,10 @@
 """Base algebras with structure constants other than 1: a twisted zigzag
 (`twisted_zigzag`), where the product kernel must carry the base algebra's
 coefficients into every letter product and the codeterminant layers on top
-of it must see them, and an algebra whose basis products have two terms
-(`_two_term_presentation`), which the kernel spreads over after its pass."""
+of it (the walk, the solve, straightening, the heredity check, both
+character routes and the decomposition matrix) must see them, and an
+algebra whose basis products have two terms (`_two_term_presentation`),
+which the kernel spreads over after its pass."""
 import json
 import random
 from collections import Counter
@@ -15,6 +17,7 @@ from schurify import codeterminants as codet
 from schurify.base_algebra import load_presentation, make_algebra, verify_heredity
 from schurify.partitions import gen_multipartitions
 from schurify.schur import build_schur
+from schurify.straighten import Straightener
 
 
 @pytest.fixture(scope="module")
@@ -81,6 +84,36 @@ def test_twisted_codeterminants_match_zigzag(twist, n, monkeypatch):
     formula = {(lam, mu): v for lam in labels
                for mu, v in ch.decomp_formula_row(T.base_decomp, lam, labels, n).items() if v}
     assert formula == oracle
+
+
+def test_twisted_characters_agree_by_both_routes(twist):
+    """At n = d = 3, ch Delta by the sum over standard tableaux equals the
+    closed formula on every one of the twist's 22 labels."""
+    alg, data, tau = twist
+    T = build_schur(alg, data, 3, 3, tau)
+    labels = gen_multipartitions(3, 3, len(data.labels) - 1)
+    cache = ch.LRCache("")
+    assert len(labels) == 22
+    for lam in labels:
+        assert ch.char_standard_tableaux(T, lam) == ch.char_standard_formula(T, lam, cache), lam
+
+
+def test_twisted_straightening_matches_the_solve(twist):
+    """At n = d = 3, the recursive rewrite and the blocked solve expand 30
+    seeded orbits, unranked by `T.orbit`, alike; and as zigzag:2's, since a
+    codeterminant multiplies only pairs x * y, whose products the twist
+    keeps."""
+    alg, data, tau = twist
+    T = build_schur(alg, data, 3, 3, tau)
+    plain_alg, plain_data, plain_tau = make_algebra("zigzag:2")
+    plain = build_schur(plain_alg, plain_data, 3, 3, plain_tau)
+    st, cb = Straightener(T), T.codet_basis
+    rng = random.Random(27)
+    for i in rng.sample(range(T.rank), 30):
+        o = T.orbit(i)
+        got = st.straighten_element({o: 1})
+        assert got == cb.solve({o: 1}), o
+        assert got == plain.codet_basis.solve({plain.orbit(i): 1}), o
 
 
 def _two_term_presentation():
