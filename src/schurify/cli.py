@@ -4,32 +4,31 @@ characters, decomposition matrices, blocks, and a runnable verification suite.
 Outputs are deterministic for a fixed (config, seed): all collections are
 emitted in sorted order and JSON integers are rendered as strings.  Exit
 codes: 0 ok, 1 verification failure, 2 usage error.
+
+The module imports at its top only what every command needs: the base
+algebra and the Schur algebra.  Each command imports the layers it runs at
+the top of its own body, before it builds the algebra: `char` the
+characters, `decomp` and `blocks` the decomposition layer, `straighten`
+straightening, and `verify` its checks (`verification`), which load every
+layer.  `dim`, `build` and `mul` load none of them (see the README's module
+map).
 """
 from __future__ import annotations
 
 import json
-import random
 import sys
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import click
 
 from . import partitions, tableaux, triples
-from .base_algebra import make_algebra, verify_heredity
-from .characters import (
-    ClassicalDecomp,
-    LRCache,
-    block_decomposition,
-    blocks as linking_blocks,
-    char_standard_formula,
-    char_standard_tableaux,
-    decomp_formula_row,
-    decomp_oracle,
-)
-from .codeterminants import cellular_basis
+from .base_algebra import make_algebra
 from .rings import GF, QQ, ZZ, CoefficientRing, GradedSuperScalar
-from .rsk import rsk, rsk_inv
 from .schur import build_schur
+
+if TYPE_CHECKING:
+    from .characters import LRCache
 
 
 # ---------------------------------------------------------------------------
@@ -64,6 +63,8 @@ class RunConfig:
     def lr_cache(self) -> LRCache:
         """The LR cache; a path that cannot hold it is a usage error."""
         import os
+
+        from .characters import LRCache
 
         path = None if self.cache_dir is None else os.path.join(self.cache_dir, "lr_cache.jsonl")
         try:
@@ -343,6 +344,8 @@ def straighten(ctx, orbit, backend, **kw):
 @click.pass_context
 def char(ctx, label, method, **kw):
     """Graded character of a standard module."""
+    from .characters import char_standard_formula, char_standard_tableaux
+
     cfg = _build_config(ctx.obj, method=method, **kw)
     cache = cfg.lr_cache()
     T = _make_T(cfg)
@@ -368,6 +371,8 @@ def char(ctx, label, method, **kw):
 @click.pass_context
 def decomp(ctx, method, **kw):
     """Graded decomposition matrix, by formula, oracle, or both (compared)."""
+    from .decomposition import ClassicalDecomp, decomp_formula_row, decomp_oracle
+
     cfg = _build_config(ctx.obj, method=method, **kw)
     ring = cfg.ring()
     if not ring.is_field:
@@ -406,6 +411,8 @@ def decomp(ctx, method, **kw):
 @click.pass_context
 def blocks(ctx, **kw):
     """Linking-graph blocks and the coarse base-block decomposition."""
+    from .decomposition import block_decomposition, blocks as linking_blocks, decomp_oracle
+
     cfg = _build_config(ctx.obj, **kw)
     ring = cfg.ring()
     if not ring.is_field:
@@ -429,162 +436,15 @@ def blocks(ctx, **kw):
 @click.pass_context
 def verify(ctx, **kw):
     """Run the invariant suite and print a pass/fail table."""
-    # the layers only this command runs, parsed before the algebra is built:
-    # a parse after it would stack on its heap and raise the peak
-    from .heredity import heredity_of_T
-    from .straighten import Straightener
+    # the checks and the layers only this command runs, parsed before the
+    # algebra is built: a parse after it would stack on its heap and raise
+    # the peak
+    from .verification import run_checks
 
     cfg = _build_config(ctx.obj, **kw)
     cache = cfg.lr_cache()
     T = _make_T(cfg)
-    rng = random.Random(cfg.seed)
-    results: list[tuple[str, bool, str]] = []
-
-    def check(name: str, fn):
-        try:
-            witness = fn()
-            results.append((name, True, witness or ""))
-        except Exception as e:  # any failure is a verification failure
-            results.append((name, False, f"{type(e).__name__}: {e}"))
-
-    # samples are drawn by index and unranked (`T.orbit`): the same indices,
-    # and so the same orbits, as sampling the list `T.orbits`, never listed
-    def sample(k: int) -> list:
-        return [T.orbit(i) for i in rng.sample(range(T.rank), k)]
-
-    def choice():
-        return T.orbit(rng.randrange(T.rank))
-
-    def c_unit():
-        one = T.unit()
-        for o in sample(min(20, T.rank)):
-            x = {o: 1}
-            assert T.mul(one, x) == x and T.mul(x, one) == x
-        return f"{min(20, T.rank)} samples"
-
-    def c_assoc():
-        m = min(60, T.rank)
-        for _ in range(m):
-            a, b, c = (choice() for _ in range(3))
-            lhs = T.mul(T.mult_orbits(a, b), {c: 1})
-            rhs = T.mul({a: 1}, T.mult_orbits(b, c))
-            assert lhs == rhs
-        return f"{m} triples"
-
-    def c_rank():
-        if T.n < T.d:
-            return "skipped (n < d)"
-        if T.keep_basis is not None:
-            # truncation: compare against the cellular pair count in the
-            # ambient algebra
-            ell = int(cfg.algebra.split(":", 1)[1])
-            cells = cellular_basis(T.parent, range(ell))
-            assert len(cells) == T.rank, (len(cells), T.rank)
-            return f"rank {T.rank} == cellular pair count"
-        cb = T.codet_basis
-        total = sum(len(cb.std_x[bold]) * len(cb.std_y[bold]) for bold in cb.shapes)
-        assert total == T.rank, (total, T.rank)
-        # RSK on a sample: a bijection from orbits onto codeterminant keys,
-        # the standard pairs (S, T) of one shape
-        std = {bold: (set(cb.std_x[bold]), set(cb.std_y[bold])) for bold in cb.shapes}
-        preimage = {}
-        for o in sample(min(30, T.rank)):
-            image = rsk(T.ctx, o)
-            bold, S, Tb = image
-            xs, ys = std.get(bold, ((), ()))
-            assert S in xs and Tb in ys, f"rsk({o}) is not a standard codeterminant"
-            assert rsk_inv(T.ctx, S, Tb) == o, f"rsk_inv(rsk({o})) != {o}"
-            assert image not in preimage, f"rsk({o}) == rsk({preimage[image]})"
-            preimage[image] = o
-        return f"rank {T.rank} two ways"
-
-    def c_straighten():
-        if T.n < T.d:
-            return "skipped (n < d)"
-        cb = T.codet_basis
-        st = Straightener(T)
-        drawn = sample(min(25, T.rank))
-        for o in drawn:
-            assert cb.solve({o: 1}) == st.straighten_element({o: 1})
-        return f"{len(drawn)} orbits, both backends"
-
-    def c_heredity_base():
-        rep = verify_heredity(T.alg, T.data)
-        assert rep.ok, rep.failures
-        return "axioms (a)-(c)"
-
-    def c_heredity_T():
-        if T.n < T.d:
-            return "skipped (n < d)"
-        sample_b = 10
-        rep = heredity_of_T(T, sample_b=sample_b)
-        assert rep.ok, rep.failures
-        return f"axioms (a)-(c), (b) on the first {sample_b} orbits per tableau"
-
-    def c_chars():
-        labels = partitions.gen_multipartitions(T.n, T.d, len(T.data.labels) - 1)
-        for lam in labels:
-            a = char_standard_tableaux(T, lam)
-            b = char_standard_formula(T, lam, cache)
-            assert a == b, lam
-        return f"{len(labels)} labels, two methods"
-
-    def c_decomp():
-        if T.n < T.d:
-            return "skipped (n < d)"
-        ring = cfg.ring()
-        if not ring.is_field:
-            ring = QQ
-        D = decomp_oracle(T, ring)
-        inp = T.base_decomp
-        classical = None if ring == QQ else ClassicalDecomp(T.n, ring)
-        for lam in D.labels:
-            row = decomp_formula_row(inp, lam, D.labels, T.n, classical, cache)
-            for mu, f in row.items():
-                assert f == D.entry(lam, mu), (lam, mu)
-        return f"{len(D.labels)}x{len(D.labels)} formula == oracle over {ring!r}"
-
-    def c_involution():
-        if T.tau is None:
-            return "skipped (no anti-involution)"
-
-        def signed(x):
-            # relabeling involution times the tensor-reversal sign; the
-            # composite is a plain anti-automorphism
-            out = {}
-            for o, c in x.items():
-                j = sum(T.alg.parity[b] for (b, _r, _s) in o)
-                sgn = -1 if (j * (j - 1) // 2) % 2 else 1
-                for k, v in T.involution({o: 1}).items():
-                    out[k] = out.get(k, 0) + sgn * c * v
-            return {k: v for k, v in out.items() if v}
-
-        m = min(40, T.rank)
-        for _ in range(m):
-            a, b = choice(), choice()
-            assert T.involution(T.involution({a: 1})) == {a: 1}
-            lhs = signed(T.mult_orbits(a, b))
-            rhs = T.mul(signed({b: 1}), signed({a: 1}))
-            assert lhs == rhs
-        return f"anti-automorphism on {m} pairs"
-
-    check("unit", c_unit)
-    check("associativity", c_assoc)
-    check("rank", c_rank)
-    check("involution", c_involution)
-    # the cellular-only truncation has no highest-weight checks
-    if _quasi_hereditary(cfg):
-        check("straightening", c_straighten)
-        check("base heredity", c_heredity_base)
-        check("schur heredity", c_heredity_T)
-        check("characters", c_chars)
-        try:
-            T.base_decomp
-            basic = True
-        except ValueError:
-            basic = False
-        if basic:
-            check("decomposition", c_decomp)
+    results = run_checks(cfg, T, cache, _quasi_hereditary(cfg))
 
     width = max(len(n) for n, _ok, _w in results)
     for name, ok, witness in results:

@@ -1,6 +1,6 @@
-"""Codeterminant basis of T^A_a(n, d): the standard codeterminants, their
-blocked change of basis from the orbit basis and its solve, the Gram
-matrices of the standard modules, and the cellular basis of a truncation.
+"""Codeterminant basis of T^A_a(n, d): the standard codeterminants and
+their blocked change of basis from the orbit basis, its unimodularity walk
+and its solve.
 
 A codeterminant B^bold_{S,T} = X_S * Y_T is the product of the orbit element
 read off an X-tableau against the row word of its shape and the mirror-image
@@ -10,8 +10,12 @@ element in that basis by an exact blocked linear solve against the
 codeterminant expansion matrix, blocked by the conserved (left profile,
 right profile, degree, parity); the recursive rewrite that checks it is
 `straighten.Straightener`, and the heredity axioms on this basis are
-checked by `heredity.heredity_of_T`.  Those two modules import this one and
-are loaded only by the commands that run them (see the README's module map).
+checked by `heredity.heredity_of_T`.  Each function built on this basis for
+one caller lives beside that caller: `orbit_to_codet` in `straighten`, the
+Gram matrices of the standard modules (`gram_blocks`) in `decomposition`,
+and the cellular basis of a truncation in `verification`.  Those modules
+import this one and are loaded only by the commands that run them (see the
+README's module map).
 A block is built from its columns alone: the standard codeterminants whose
 tableau shares add up to its key, expanded on letter indices by the product
 kernel, and as rows the orbits those expansions reach, labelled by their
@@ -40,13 +44,11 @@ tableaux whose letters survive it (`CodetBasis._tableau_blocks`).
 The walk's tableau shares take their kernel factors from the algebra's
 tables (`SchurAlgebra.lefts`, `.rights`), kept for its life;
 `heredity_of_T` keeps the factors it makes beyond those for its own call,
-and `gram_blocks` for one call or one row (see `schur` and `gram_blocks`
-for why).  A Gram matrix multiplies only the pairs of degree 0, the only
-ones that can reach the unit codeterminant's block, and reads each entry
-through one dual row of that block (`Block.dual_row`), with no solve per
-product.  A codeterminant key is made only for a solve's result or a
-failure message, and a `TriWord` only at the boundary: an Element given to
-`CodetBasis.solve` and an orbit that a witness or an error names.
+and `decomposition.gram_blocks` for one call or one row (see `schur` and
+`gram_blocks` for why).  A codeterminant key is made only for a solve's
+result or a failure message, and a `TriWord` only at the boundary: an
+Element given to `CodetBasis.solve` and an orbit that a witness or an error
+names.
 
 All expansions are integral; any non-integral coefficient aborts loudly.
 """
@@ -60,7 +62,7 @@ from typing import NamedTuple
 
 from .base_algebra import SIDES, X_SIDE, Y_SIDE, Side
 from .exactla import Block, unit_determinant
-from .partitions import gen_multipartitions, pad
+from .partitions import gen_multipartitions
 from .schur import Element, SchurAlgebra
 from .tableaux import Tableau, word as tableau_word
 from .triples import OnLookup, TriWord, run_key
@@ -102,44 +104,6 @@ def y_element(T: SchurAlgebra, Tb: Tableau) -> Element:
 
 def codet_element(T: SchurAlgebra, S: Tableau, Tb: Tableau) -> Element:
     return T.mul(x_element(T, S), y_element(T, Tb))
-
-
-# ---------------------------------------------------------------------------
-# eta -> single codeterminant (constructive)
-# ---------------------------------------------------------------------------
-
-def orbit_to_codet(T: SchurAlgebra, orbit: TriWord) -> tuple[CodetKey, int]:
-    """Any basis orbit is +-1 times a dominant codeterminant with row-standard
-    tableaux; returns ((shape, S, T), sign).  Needs n >= d."""
-    if T.n < T.d:
-        raise ValueError("requires n >= d")
-    ctx = T.ctx
-    pos_of = {i: k for k, i in enumerate(T.data.labels)}
-    groups: dict[int, dict[tuple, int]] = {pos_of[i]: {} for i in T.data.labels}
-    for (b, r, s) in orbit:
-        i, x, y = ctx.pair_of[b]
-        key = (x, y, r, s)
-        groups[pos_of[i]][key] = groups[pos_of[i]].get(key, 0) + 1
-    shape, S_rows, T_rows = [], [], []
-    for pos in range(len(T.data.labels)):
-        rows: list[tuple[int, tuple, tuple]] = []  # (width, S row fill, T row fill)
-        for (x, y, r, s), m in sorted(groups[pos].items()):
-            even = T.alg.parity[x] == 0 and T.alg.parity[y] == 0
-            widths = [m] if even else [1] * m
-            for w in widths:
-                rows.append((w, tuple((r, x) for _ in range(w)),
-                             tuple((s, y) for _ in range(w))))
-        rows.sort(key=lambda t: -t[0])  # dominant shape
-        shape.append(tuple(w for (w, _a, _b) in rows))
-        S_rows.append(tuple(a for (_w, a, _b) in rows))
-        T_rows.append(tuple(b for (_w, _a, b) in rows))
-    bold = tuple(shape)
-    S = tuple(S_rows)
-    Tb = tuple(T_rows)
-    prod = codet_element(T, S, Tb)
-    if prod not in ({orbit: 1}, {orbit: -1}):
-        raise AssertionError(f"constructed codeterminant is not +-{orbit}: {prod}")
-    return (bold, S, Tb), prod[orbit]
 
 
 # ---------------------------------------------------------------------------
@@ -519,103 +483,6 @@ class CodetBasis:
 
 
 # ---------------------------------------------------------------------------
-# Gram matrices of the standard modules of T
-# ---------------------------------------------------------------------------
-
-def gram_blocks(T: SchurAlgebra, bold) -> dict[tuple, list[list[int]]]:
-    """The Gram matrix of the standard module of shape `bold`, the
-    coefficient of e_bold in Y_T X_S, cut into its homogeneous blocks.
-
-    A row is a standard X tableau S, keyed by its (weight, degree, parity mod
-    2); its columns are the standard Y tableaux of that weight, degree minus
-    the row's and the same parity, in the order of `std_y`.  Only those
-    pairs are multiplied, each once by `CodetBasis.pairing`.  The product is
-    graded, so Y_T X_S is homogeneous of degree deg T + deg S and parity
-    par T + par S; and its profiles are the padded shape on both sides,
-    through T and S of equal weight.  So a pair of another weight, degree or
-    parity cannot reach the unit codeterminant's block (padded shape, padded
-    shape, 0, 0), and the entries outside the blocks are zero.
-
-    The coefficient at the unit codeterminant (`unit_key`) is read through
-    one dual row: the unit block is factored once as a solver block
-    (`CodetBasis.factor`), and `Block.dual_row` gives the coefficient as
-    integer numerators over its determinant on the block's rows.  Each
-    entry is a dot product of a pairing with that row, divided exactly
-    (`Block.quotient`).  A word of a pairing outside the unit block raises
-    AssertionError naming the pair; so does a word with the block's key that
-    is not one of its rows.
-
-    Each Y_T is made a left factor once per call, when a row first meets its
-    (weight, degree, parity), and each X_S a right factor for its own row,
-    and then dropped: kept in the algebra's tables, they raised the
-    tracemalloc peak of `decomp` on zigzag:2 n=d=3 from 6.14 to 7.14 MB."""
-    cb, ctx = T.codet_basis, T.ctx
-    xs, ys = cb._tableau_blocks[bold]
-    unit_key = (bold, *cb.initial_tableau_pair(bold))
-    padded = tuple(pad(c, T.n) for c in bold)
-    key = (padded, padded, 0, 0)
-    blk = cb.factor(key, solver=True)
-    dual = blk.dual_row(unit_key)
-    of_share: dict = {}
-    for Tb, share in ys:
-        of_share.setdefault(share, []).append(Tb)
-    lefts = OnLookup(lambda share: [(Tb, cb.kernel_factor(Tb, Y_SIDE, T.left_factor))
-                                    for Tb in of_share.get(share, ())])
-    blocks: dict = {}
-    for S, (weight, deg, par) in xs:
-        row = []
-        columns = lefts[weight, -deg, par]
-        x = cb.kernel_factor(S, X_SIDE, T.right_factor) if columns else None
-        for Tb, y in columns:
-            num = 0
-            for w, c in cb.pairing(y, x).items():
-                a = dual.get(w)
-                if a is None:
-                    if ctx.block_key(w) == key:
-                        raise AssertionError(f"{ctx.word(w)} is not a row of "
-                                             f"codeterminant block {key}")
-                    raise AssertionError(f"Gram pairing not homogeneous at {bold}: "
-                                         f"S = {S}, T = {Tb}")
-                num += a * c
-            row.append(blk.quotient(num, unit_key))
-        blocks.setdefault((weight, deg, par), []).append(row)
-    return blocks
-
-
-# ---------------------------------------------------------------------------
-# cellular basis for involution-stable truncations
-# ---------------------------------------------------------------------------
-
-def cellular_basis(T: SchurAlgebra, colors) -> dict[tuple, Element]:
-    """C^bold_{S,T} = X_S * tau(X_T) for the truncation by the initial
-    idempotents in `colors`, assuming the truncating element is fixed by the
-    standard anti-involution.  Keys are (shape, S, T) with S, T standard over
-    the one-sided truncated X alphabets; the factors live in the ambient
-    algebra but every product lands in the truncation."""
-    if T.tau is None:
-        raise ValueError("no anti-involution on the base algebra")
-    colors = frozenset(colors)
-    absorbers = T.ctx.x_alphabet.absorbers
-
-    def left_kept(z: str) -> bool:
-        return absorbers.get(z) in colors
-
-    cb = T.codet_basis
-    out: dict[tuple, Element] = {}
-    for bold in cb.shapes:
-        tabs = [
-            S for S in cb.std_x[bold]
-            if all(left_kept(z) for (_l, z) in tableau_word(S))
-        ]
-        xs = [side_element(T, S, X_SIDE) for S in tabs]
-        ys = [T.involution(x) for x in xs]
-        for S, x in zip(tabs, xs):
-            for T2, y in zip(tabs, ys):
-                out[(bold, S, T2)] = T.mul(x, y)
-    return out
-
-
-# ---------------------------------------------------------------------------
 # the layers that moved out, by their old names
 # ---------------------------------------------------------------------------
 
@@ -624,10 +491,10 @@ _MOVED = {"Straightener": "straighten", "heredity_of_T": "heredity"}
 
 def __getattr__(name: str):
     """`Straightener` and `heredity_of_T` read here load their own modules,
-    `straighten` and `heredity` (PEP 562), for callers that still name them
-    on this module: the layer benchmark (`perfbench/layers.py`) and the
-    tests.  Nothing under `src/` reads them here.  This goes once the
-    benchmark reads the two modules."""
+    `straighten` and `heredity` (PEP 562), for the layer benchmark
+    (`perfbench/layers.py`), which still names them on this module.
+    Nothing under `src/` or `tests/` reads them here.  This goes with
+    ROADMAP item 12, once the benchmark reads the two modules."""
     if name in _MOVED:
         from importlib import import_module
 

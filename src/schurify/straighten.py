@@ -2,6 +2,8 @@
 codeterminant basis, the constructive backend beside the blocked solve of
 `codeterminants.CodetBasis`.
 
+`orbit_to_codet` writes a basis orbit as +-1 times one dominant
+codeterminant with row-standard tableaux, where straightening starts.
 `Straightener` locates the minimal column violation of a non-standard
 tableau, builds the auxiliary shape from the E/F row partitions, multiplies
 through the connecting idempotent element and recurses along the triangular
@@ -15,7 +17,7 @@ Only the commands that straighten load this module: `straighten` and
 from __future__ import annotations
 
 from .base_algebra import SIDES, Side
-from .codeterminants import CodetKey, _word, codet_element, orbit_to_codet, side_element
+from .codeterminants import CodetKey, _word, codet_element, side_element
 from .partitions import comp_row_word, trim
 from .schur import Element, SchurAlgebra
 from .tableaux import (
@@ -25,7 +27,50 @@ from .tableaux import (
     row_standardize,
     word as tableau_word,
 )
+from .triples import TriWord
 
+
+# ---------------------------------------------------------------------------
+# eta -> single codeterminant (constructive)
+# ---------------------------------------------------------------------------
+
+def orbit_to_codet(T: SchurAlgebra, orbit: TriWord) -> tuple[CodetKey, int]:
+    """Any basis orbit is +-1 times a dominant codeterminant with row-standard
+    tableaux; returns ((shape, S, T), sign).  Needs n >= d."""
+    if T.n < T.d:
+        raise ValueError("requires n >= d")
+    ctx = T.ctx
+    pos_of = {i: k for k, i in enumerate(T.data.labels)}
+    groups: dict[int, dict[tuple, int]] = {pos_of[i]: {} for i in T.data.labels}
+    for (b, r, s) in orbit:
+        i, x, y = ctx.pair_of[b]
+        key = (x, y, r, s)
+        groups[pos_of[i]][key] = groups[pos_of[i]].get(key, 0) + 1
+    shape, S_rows, T_rows = [], [], []
+    for pos in range(len(T.data.labels)):
+        rows: list[tuple[int, tuple, tuple]] = []  # (width, S row fill, T row fill)
+        for (x, y, r, s), m in sorted(groups[pos].items()):
+            even = T.alg.parity[x] == 0 and T.alg.parity[y] == 0
+            widths = [m] if even else [1] * m
+            for w in widths:
+                rows.append((w, tuple((r, x) for _ in range(w)),
+                             tuple((s, y) for _ in range(w))))
+        rows.sort(key=lambda t: -t[0])  # dominant shape
+        shape.append(tuple(w for (w, _a, _b) in rows))
+        S_rows.append(tuple(a for (_w, a, _b) in rows))
+        T_rows.append(tuple(b for (_w, _a, b) in rows))
+    bold = tuple(shape)
+    S = tuple(S_rows)
+    Tb = tuple(T_rows)
+    prod = codet_element(T, S, Tb)
+    if prod not in ({orbit: 1}, {orbit: -1}):
+        raise AssertionError(f"constructed codeterminant is not +-{orbit}: {prod}")
+    return (bold, S, Tb), prod[orbit]
+
+
+# ---------------------------------------------------------------------------
+# the recursive rewrite
+# ---------------------------------------------------------------------------
 
 def _leading_word(T: SchurAlgebra, tab: Tableau, side: Side):
     """Row-major sequence of alphabet keys; the triangular order compares

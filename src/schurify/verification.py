@@ -1,0 +1,228 @@
+"""The checks of `verify`: the invariant suite that the command runs on one
+algebra, from a fixed seed, and prints as a pass/fail table.
+
+There are nine checks: the unit, associativity, the rank (two ways: the
+standard codeterminant count, and RSK on a sample; a truncation counts its
+cellular basis), the anti-involution, and, on a quasi-hereditary algebra,
+straightening against the solve, the heredity of A and of T, the two
+character routes and the two decomposition routes.  Samples are drawn by
+index and unranked (`T.orbit`), so no check lists the orbits.
+
+`run_checks` takes the command's config, T and the LR cache as arguments
+and returns the result rows; `cli.verify` prints them and keeps the exit
+code.  This module does not import `cli`: run as `python -m schurify.cli`,
+the CLI is `__main__`, and importing it by name would compile and run it a
+second time.  Only `verify` loads this module, and with it the layers that
+only `verify` runs: `base_heredity`, `heredity`, `straighten` and `rsk`
+(see the README's module map).
+"""
+from __future__ import annotations
+
+import random
+
+from . import partitions
+from .base_algebra import X_SIDE
+from .base_heredity import verify_heredity
+from .characters import LRCache, char_standard_formula, char_standard_tableaux
+from .codeterminants import side_element
+from .decomposition import ClassicalDecomp, decomp_formula_row, decomp_oracle
+from .heredity import heredity_of_T
+from .rings import QQ
+from .rsk import rsk, rsk_inv
+from .schur import Element, SchurAlgebra
+from .straighten import Straightener
+from .tableaux import word as tableau_word
+
+
+# ---------------------------------------------------------------------------
+# cellular basis for involution-stable truncations
+# ---------------------------------------------------------------------------
+
+def cellular_basis(T: SchurAlgebra, colors) -> dict[tuple, Element]:
+    """C^bold_{S,T} = X_S * tau(X_T) for the truncation by the initial
+    idempotents in `colors`, assuming the truncating element is fixed by the
+    standard anti-involution.  Keys are (shape, S, T) with S, T standard over
+    the one-sided truncated X alphabets; the factors live in the ambient
+    algebra but every product lands in the truncation."""
+    if T.tau is None:
+        raise ValueError("no anti-involution on the base algebra")
+    colors = frozenset(colors)
+    absorbers = T.ctx.x_alphabet.absorbers
+
+    def left_kept(z: str) -> bool:
+        return absorbers.get(z) in colors
+
+    cb = T.codet_basis
+    out: dict[tuple, Element] = {}
+    for bold in cb.shapes:
+        tabs = [
+            S for S in cb.std_x[bold]
+            if all(left_kept(z) for (_l, z) in tableau_word(S))
+        ]
+        xs = [side_element(T, S, X_SIDE) for S in tabs]
+        ys = [T.involution(x) for x in xs]
+        for S, x in zip(tabs, xs):
+            for T2, y in zip(tabs, ys):
+                out[(bold, S, T2)] = T.mul(x, y)
+    return out
+
+
+# ---------------------------------------------------------------------------
+# the suite
+# ---------------------------------------------------------------------------
+
+def run_checks(cfg, T: SchurAlgebra, cache: LRCache,
+               quasi_hereditary: bool) -> list[tuple[str, bool, str]]:
+    """Run the checks on T, sampled from `cfg.seed`, and return one row
+    (name, passed, witness or failure text) per check, in order.  `cfg` is
+    the command's `RunConfig`.  Without `quasi_hereditary` (the cellular-only
+    truncation) the highest-weight checks are not run."""
+    rng = random.Random(cfg.seed)
+    results: list[tuple[str, bool, str]] = []
+
+    def check(name: str, fn):
+        try:
+            witness = fn()
+            results.append((name, True, witness or ""))
+        except Exception as e:  # any failure is a verification failure
+            results.append((name, False, f"{type(e).__name__}: {e}"))
+
+    # samples are drawn by index and unranked (`T.orbit`): the same indices,
+    # and so the same orbits, as sampling the list `T.orbits`, never listed
+    def sample(k: int) -> list:
+        return [T.orbit(i) for i in rng.sample(range(T.rank), k)]
+
+    def choice():
+        return T.orbit(rng.randrange(T.rank))
+
+    def c_unit():
+        one = T.unit()
+        for o in sample(min(20, T.rank)):
+            x = {o: 1}
+            assert T.mul(one, x) == x and T.mul(x, one) == x
+        return f"{min(20, T.rank)} samples"
+
+    def c_assoc():
+        m = min(60, T.rank)
+        for _ in range(m):
+            a, b, c = (choice() for _ in range(3))
+            lhs = T.mul(T.mult_orbits(a, b), {c: 1})
+            rhs = T.mul({a: 1}, T.mult_orbits(b, c))
+            assert lhs == rhs
+        return f"{m} triples"
+
+    def c_rank():
+        if T.n < T.d:
+            return "skipped (n < d)"
+        if T.keep_basis is not None:
+            # truncation: compare against the cellular pair count in the
+            # ambient algebra
+            ell = int(cfg.algebra.split(":", 1)[1])
+            cells = cellular_basis(T.parent, range(ell))
+            assert len(cells) == T.rank, (len(cells), T.rank)
+            return f"rank {T.rank} == cellular pair count"
+        cb = T.codet_basis
+        total = sum(len(cb.std_x[bold]) * len(cb.std_y[bold]) for bold in cb.shapes)
+        assert total == T.rank, (total, T.rank)
+        # RSK on a sample: a bijection from orbits onto codeterminant keys,
+        # the standard pairs (S, T) of one shape
+        std = {bold: (set(cb.std_x[bold]), set(cb.std_y[bold])) for bold in cb.shapes}
+        preimage = {}
+        for o in sample(min(30, T.rank)):
+            image = rsk(T.ctx, o)
+            bold, S, Tb = image
+            xs, ys = std.get(bold, ((), ()))
+            assert S in xs and Tb in ys, f"rsk({o}) is not a standard codeterminant"
+            assert rsk_inv(T.ctx, S, Tb) == o, f"rsk_inv(rsk({o})) != {o}"
+            assert image not in preimage, f"rsk({o}) == rsk({preimage[image]})"
+            preimage[image] = o
+        return f"rank {T.rank} two ways"
+
+    def c_straighten():
+        if T.n < T.d:
+            return "skipped (n < d)"
+        cb = T.codet_basis
+        st = Straightener(T)
+        drawn = sample(min(25, T.rank))
+        for o in drawn:
+            assert cb.solve({o: 1}) == st.straighten_element({o: 1})
+        return f"{len(drawn)} orbits, both backends"
+
+    def c_heredity_base():
+        rep = verify_heredity(T.alg, T.data)
+        assert rep.ok, rep.failures
+        return "axioms (a)-(c)"
+
+    def c_heredity_T():
+        if T.n < T.d:
+            return "skipped (n < d)"
+        sample_b = 10
+        rep = heredity_of_T(T, sample_b=sample_b)
+        assert rep.ok, rep.failures
+        return f"axioms (a)-(c), (b) on the first {sample_b} orbits per tableau"
+
+    def c_chars():
+        labels = partitions.gen_multipartitions(T.n, T.d, len(T.data.labels) - 1)
+        for lam in labels:
+            a = char_standard_tableaux(T, lam)
+            b = char_standard_formula(T, lam, cache)
+            assert a == b, lam
+        return f"{len(labels)} labels, two methods"
+
+    def c_decomp():
+        if T.n < T.d:
+            return "skipped (n < d)"
+        ring = cfg.ring()
+        if not ring.is_field:
+            ring = QQ
+        D = decomp_oracle(T, ring)
+        inp = T.base_decomp
+        classical = None if ring == QQ else ClassicalDecomp(T.n, ring)
+        for lam in D.labels:
+            row = decomp_formula_row(inp, lam, D.labels, T.n, classical, cache)
+            for mu, f in row.items():
+                assert f == D.entry(lam, mu), (lam, mu)
+        return f"{len(D.labels)}x{len(D.labels)} formula == oracle over {ring!r}"
+
+    def c_involution():
+        if T.tau is None:
+            return "skipped (no anti-involution)"
+
+        def signed(x):
+            # relabeling involution times the tensor-reversal sign; the
+            # composite is a plain anti-automorphism
+            out = {}
+            for o, c in x.items():
+                j = sum(T.alg.parity[b] for (b, _r, _s) in o)
+                sgn = -1 if (j * (j - 1) // 2) % 2 else 1
+                for k, v in T.involution({o: 1}).items():
+                    out[k] = out.get(k, 0) + sgn * c * v
+            return {k: v for k, v in out.items() if v}
+
+        m = min(40, T.rank)
+        for _ in range(m):
+            a, b = choice(), choice()
+            assert T.involution(T.involution({a: 1})) == {a: 1}
+            lhs = signed(T.mult_orbits(a, b))
+            rhs = T.mul(signed({b: 1}), signed({a: 1}))
+            assert lhs == rhs
+        return f"anti-automorphism on {m} pairs"
+
+    check("unit", c_unit)
+    check("associativity", c_assoc)
+    check("rank", c_rank)
+    check("involution", c_involution)
+    # the cellular-only truncation has no highest-weight checks
+    if quasi_hereditary:
+        check("straightening", c_straighten)
+        check("base heredity", c_heredity_base)
+        check("schur heredity", c_heredity_T)
+        check("characters", c_chars)
+        try:
+            T.base_decomp
+            basic = True
+        except ValueError:
+            basic = False
+        if basic:
+            check("decomposition", c_decomp)
+    return results

@@ -8,7 +8,10 @@ import pytest
 from helpers import lr_brute, multi_lr_brute, ssyt_count, tensor_eta_product, word_parity
 from schurify import characters as ch
 from schurify import codeterminants as codet
-from schurify.base_algebra import make_algebra, verify_heredity
+from schurify import decomposition as dec
+from schurify.base_algebra import make_algebra
+from schurify.base_heredity import verify_heredity
+from schurify.heredity import heredity_of_T
 from schurify.partitions import (
     compositions,
     gen_multipartitions,
@@ -18,7 +21,9 @@ from schurify.partitions import (
 from schurify.rings import GF, GradedSuperScalar
 from schurify.rsk import rsk
 from schurify.schur import build_schur
+from schurify.straighten import Straightener, orbit_to_codet
 from schurify.tableaux import enumerate_tableaux
+from schurify.verification import cellular_basis
 
 
 def _T(spec, n, d):
@@ -52,7 +57,7 @@ def test_criterion_02_quasi_heredity():
         T = _T(spec, n, d)
         rep = verify_heredity(T.alg, T.data)
         assert rep.ok, (spec, rep.failures)
-        rep_T = codet.heredity_of_T(T)
+        rep_T = heredity_of_T(T)
         assert rep_T.ok, (spec, n, d, rep_T.failures)
 
 
@@ -77,12 +82,12 @@ def test_criterion_03_multiplication_soundness(T122, Ttriv22):
 
 
 def test_criterion_04_straightening(T122, cb122):
-    st = codet.Straightener(T122)
+    st = Straightener(T122)
     for o in T122.orbits:
         solved = cb122.solve({o: 1})
         recursed = st.straighten_element({o: 1})
         assert solved == recursed, o
-        (mu, _S0, _T0), _sgn = codet.orbit_to_codet(T122, o)
+        (mu, _S0, _T0), _sgn = orbit_to_codet(T122, o)
         back = {}
         for key, c in solved.items():
             assert leq(mu, key[0]), (o, key)  # triangularity of supports
@@ -160,21 +165,21 @@ def test_criterion_06_characters():
 
 def test_criterion_07_decomposition_char0(T122):
     for T in (T122, _T("zigzag:2", 2, 2)):
-        D = ch.decomp_oracle(T)
+        D = dec.decomp_oracle(T)
         inp = ch.DecompInput.from_base(T.alg, T.data)
         for lam in D.labels:
             for mu in D.labels:
-                assert ch.decomp_formula(inp, lam, mu, 2) == D.entry(lam, mu), (lam, mu)
+                assert dec.decomp_formula(inp, lam, mu, 2) == D.entry(lam, mu), (lam, mu)
 
 
 def test_criterion_08_decomposition_char_p(T122):
     F2 = GF(2)
-    D = ch.decomp_oracle(T122, F2)
+    D = dec.decomp_oracle(T122, F2)
     inp = ch.DecompInput.from_base(T122.alg, T122.data)
-    classical = ch.ClassicalDecomp(2, F2)  # oracle-computed S(2,*) over F_2
+    classical = dec.ClassicalDecomp(2, F2)  # oracle-computed S(2,*) over F_2
     for lam in D.labels:
         for mu in D.labels:
-            assert ch.decomp_formula(inp, lam, mu, 2, classical) == D.entry(lam, mu), \
+            assert dec.decomp_formula(inp, lam, mu, 2, classical) == D.entry(lam, mu), \
                 (lam, mu)
 
 
@@ -183,7 +188,7 @@ def test_criterion_09_zigzag_base_case():
     one = GradedSuperScalar.one()
     for ell in (1, 2, 3):
         T = _T(f"zigzag:{ell}", 1, 1)
-        D = ch.decomp_oracle(T)
+        D = dec.decomp_oracle(T)
 
         def label(i, L=ell):
             return tuple((1,) if k == i else () for k in range(L + 1))
@@ -201,18 +206,18 @@ def test_criterion_09_zigzag_base_case():
 def test_criterion_10_cellularity(T122):
     e = T122.truncation_idempotent([0])
     assert T122.involution(e) == e  # tau fixes xi^e
-    cells = codet.cellular_basis(T122, [0])
+    cells = cellular_basis(T122, [0])
     assert len(cells) == T122.truncate([0]).rank == 36
     for (bold, S, Tb), el in cells.items():
         assert T122.involution(el) == cells[(bold, Tb, S)], (bold, S, Tb)
 
 
 def test_criterion_11_blocks(T122):
-    D = ch.decomp_oracle(T122)
-    parts = ch.blocks(D.labels, D.entries)
+    D = dec.decomp_oracle(T122)
+    parts = dec.blocks(D.labels, D.entries)
     assert len(parts) == 1  # T^Z_z(2,2) is a single block
     alg, data, tau = make_algebra("semisimple:2")
-    groups = ch.block_decomposition(alg, data, 2, 2)
+    groups = dec.block_decomposition(alg, data, 2, 2)
     assert len(groups) == 3  # |Lambda(2,2)| summands for A = k + k
 
 

@@ -8,13 +8,12 @@ from schurify.base_algebra import (
     make_extended_zigzag,
     make_semisimple,
     make_trivial,
-    make_zigzag_bar,
     standard_module_base,
     strict_pairs,
-    truncate_base,
-    verify_heredity,
 )
+from schurify.base_heredity import verify_heredity
 from schurify.rings import GradedSuperScalar
+from schurify.truncation import make_zigzag_bar, truncate_base
 
 
 def test_zigzag_dims():

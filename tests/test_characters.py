@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from helpers import lr_brute, multi_lr_brute, ssyt_count
 from schurify import characters as ch
+from schurify import decomposition as dec
 from schurify.base_algebra import make_algebra
 from schurify.partitions import (
     compositions,
@@ -171,7 +172,7 @@ def test_char_requires_basic():
     alg, data, tau = make_algebra("semisimple:2")
     # semisimple base is basic; build a non-basic one by hand is out of scope,
     # but the zigzag-bar data is not strictly based and must be refused
-    from schurify.base_algebra import make_zigzag_bar
+    from schurify.truncation import make_zigzag_bar
 
     trunc, tau2 = make_zigzag_bar(1)
     with pytest.raises(ValueError):
@@ -182,10 +183,10 @@ def test_ematrix_f2():
     """s_lam = sum_mu d^cl_{lam,mu} sbar_mu over F_2 at n = d = 2."""
     alg, data, tau = make_algebra("trivial")
     T = build_schur(alg, data, 2, 2, tau)
-    D = ch.decomp_oracle(T, GF(2))
+    D = dec.decomp_oracle(T, GF(2))
     # sbar comes from the oracle's irreducible characters
     sbar = {
-        mu: ch.char_irreducible(T, mu, GF(2)) for mu in D.labels
+        mu: dec.char_irreducible(T, mu, GF(2)) for mu in D.labels
     }
     for lam in D.labels:
         lhs = ch.char_standard_tableaux(T, lam)

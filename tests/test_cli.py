@@ -157,9 +157,9 @@ def test_verify_builds_codeterminant_blocks_once(monkeypatch, tmp_path):
 
 
 def test_verify_rank_check_fails_on_a_broken_rsk(monkeypatch, tmp_path):
-    from schurify import cli
+    from schurify import verification
 
-    real_rsk = cli.rsk
+    real_rsk = verification.rsk
     first = []
 
     def stuck_rsk(ctx, word):
@@ -168,7 +168,7 @@ def test_verify_rank_check_fails_on_a_broken_rsk(monkeypatch, tmp_path):
             first.append(real_rsk(ctx, word))
         return first[0]
 
-    monkeypatch.setattr(cli, "rsk", stuck_rsk)
+    monkeypatch.setattr(verification, "rsk", stuck_rsk)
     res = run("verify", "--algebra", "trivial", "-n", "2", "-d", "2",
               "--cache-dir", str(tmp_path))
     assert res.exit_code == 1

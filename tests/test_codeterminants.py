@@ -17,10 +17,14 @@ from helpers import (
 )
 from schurify import codeterminants as codet
 from schurify.base_algebra import SIDES, X_SIDE, Y_SIDE, make_algebra
+from schurify.decomposition import gram_blocks
 from schurify.exactla import Block, unit_determinant
+from schurify.heredity import heredity_of_T
 from schurify.partitions import leq
 from schurify.schur import SchurAlgebra, build_schur
+from schurify.straighten import Straightener, orbit_to_codet
 from schurify.tableaux import tableau_weight
+from schurify.verification import cellular_basis
 
 
 @pytest.fixture(scope="module")
@@ -66,7 +70,7 @@ def test_idempotent_action_on_tableau_elements(T122, cb):
 
 
 def test_straighten_backends_agree(T122, cb):
-    st = codet.Straightener(T122)
+    st = Straightener(T122)
     rng = random.Random(3)
     for o in rng.sample(T122.orbits, 60):
         assert cb.solve({o: 1}) == st.straighten_element({o: 1}), o
@@ -85,11 +89,11 @@ def test_an_element_over_several_blocks_is_solved_block_by_block(T122, cb):
         for key, v in cb.solve({o: 1}).items():
             total[key] = total.get(key, 0) + c * v
     assert got == {key: v for key, v in total.items() if v}
-    assert got == codet.Straightener(T122).straighten_element(x)
+    assert got == Straightener(T122).straighten_element(x)
 
 
 def test_straighten_standard_fixed(T122, cb):
-    st = codet.Straightener(T122)
+    st = Straightener(T122)
     rng = random.Random(4)
     for key in rng.sample(cb.keys, 40):
         assert st.straighten_codet(key) == {key: 1}
@@ -102,7 +106,7 @@ def test_straighten_triangular_and_roundtrip(T122, cb):
     reproduces eta."""
     rng = random.Random(5)
     for o in rng.sample(T122.orbits, 50):
-        (mu, _S0, _T0), _sgn = codet.orbit_to_codet(T122, o)
+        (mu, _S0, _T0), _sgn = orbit_to_codet(T122, o)
         exp = cb.solve({o: 1})
         back = {}
         for key, c in exp.items():
@@ -112,7 +116,7 @@ def test_straighten_triangular_and_roundtrip(T122, cb):
 
 
 def test_heredity_of_T(T122):
-    rep = codet.heredity_of_T(T122, sample_b=8)
+    rep = heredity_of_T(T122, sample_b=8)
     assert rep.ok, rep.failures
 
 
@@ -120,14 +124,14 @@ def test_heredity_refused_for_small_n():
     alg, data, tau = make_algebra("zigzag:1")
     T = build_schur(alg, data, 1, 2, tau)
     with pytest.raises(ValueError):
-        codet.heredity_of_T(T)
+        heredity_of_T(T)
     with pytest.raises(ValueError):
         codet.CodetBasis(T).solve({T.orbits[0]: 1})
 
 
 def test_standard_module_gram(T122, cb):
     for bold in cb.shapes:
-        blocks = codet.gram_blocks(T122, bold)
+        blocks = gram_blocks(T122, bold)
         # normalized at the initial tableau
         S0, T0 = cb.initial_tableau_pair(bold)
         assert gram_entries(T122, bold, blocks)[S0, T0] == 1
@@ -149,7 +153,7 @@ def test_gram_blocks_match_the_full_gram(spec, n, d):
     cb = T.codet_basis
     for bold in cb.shapes:
         full = full_gram(T, bold)
-        blocks = gram_entries(T, bold, codet.gram_blocks(T, bold))
+        blocks = gram_entries(T, bold, gram_blocks(T, bold))
         assert any(full.values()), bold
         weight = {(tab, side): tableau_share(T, tab, side)[0]
                   for side in SIDES for tab in cb.std(side)[bold]}
@@ -176,7 +180,7 @@ def test_gram_homogeneity_failure_names_its_pair(monkeypatch):
     shifted = [(Tb, (w, deg - 2 * (Tb == T1), par)) for Tb, (w, deg, par) in ys]
     monkeypatch.setitem(cb._tableau_blocks, bold, (xs, shifted))
     with pytest.raises(AssertionError) as exc:
-        codet.gram_blocks(T, bold)
+        gram_blocks(T, bold)
     assert str(exc.value) == f"Gram pairing not homogeneous at {bold}: S = {S1}, T = {T1}"
 
 
@@ -211,7 +215,7 @@ def test_gram_blocks_make_one_product_per_entry(monkeypatch):
     for bold in cb.shapes:
         products.clear()
         factored.clear()
-        blocks = codet.gram_blocks(T, bold)
+        blocks = gram_blocks(T, bold)
         assert len(products) == sum(len(row) for rows in blocks.values() for row in rows), bold
         units.append(_unit_block(T, bold)[0])
         assert factored == [(units[-1], True)], bold
@@ -230,7 +234,7 @@ def test_gram_pairing_off_the_unit_rows_is_named(monkeypatch):
     monkeypatch.setattr(Block, "dual_row",
                         lambda self, col: {r: a for r, a in real(self, col).items() if r != word})
     with pytest.raises(AssertionError) as exc:
-        codet.gram_blocks(T, bold)
+        gram_blocks(T, bold)
     assert str(exc.value) == f"{orbit} is not a row of codeterminant block {key}"
 
 
@@ -253,13 +257,13 @@ def test_gram_non_integral_coefficient_names_the_unit_block(monkeypatch):
     monkeypatch.setattr(codet.CodetBasis, "_expand", broken)
     assert abs(cb.factor(key).det) == 2
     with pytest.raises(ArithmeticError) as exc:
-        codet.gram_blocks(T, bold)
+        gram_blocks(T, bold)
     assert str(exc.value) == (f"non-integral coefficient 1/2 of column {unit_key} "
                               f"in codeterminant block {key}")
 
 
 def test_cellularity_zigzag_bar(T122):
-    cells = codet.cellular_basis(T122, [0])
+    cells = cellular_basis(T122, [0])
     assert len(cells) == 36
     # shapes contribute 1 + 9 + 16 + 9 + 1
     from collections import Counter
@@ -278,7 +282,7 @@ def test_straighten_trivial_d4():
     and on a seeded sample."""
     alg, data, tau = make_algebra("trivial")
     T = build_schur(alg, data, 4, 4, tau)
-    st = codet.Straightener(T)
+    st = Straightener(T)
     witness = (("1", 1, 1), ("1", 2, 1), ("1", 3, 1), ("1", 3, 2))
     rng = random.Random(4)
     for o in [witness] + rng.sample(T.orbits, 150):
@@ -297,7 +301,7 @@ def test_heredity_checks_both_sides_alike(T122, monkeypatch):
         return real(self, shape)
 
     monkeypatch.setattr(codet.CodetBasis, "initial_tableau_pair", wrong)
-    rep = codet.heredity_of_T(T122, sample_b=8)
+    rep = heredity_of_T(T122, sample_b=8)
     x = [f for f in rep.failures if f.startswith(f"axiom (c): e X_S wrong at {bold}: S = ")]
     y = [f for f in rep.failures if f.startswith(f"axiom (c): Y_T e wrong at {bold}: T = ")]
     assert len(x) == len(y) > 0, rep.failures
@@ -322,7 +326,7 @@ def test_axiom_c_failures_name_their_witness(monkeypatch):
         return real(self, other if shape == bold else shape)
 
     monkeypatch.setattr(SchurAlgebra, "idempotent_bold", broken)
-    rep = codet.heredity_of_T(T, sample_b=4)
+    rep = heredity_of_T(T, sample_b=4)
     assert not rep.ok
     for S in cb.std_x[bold]:
         assert f"axiom (c): X_S e != X_S at {bold}: S = {S}" in rep.failures
@@ -361,7 +365,7 @@ def test_axiom_b_failure_names_its_witness(monkeypatch):
         return out
 
     monkeypatch.setattr(codet.CodetBasis, "solve_terms", broken)
-    rep = codet.heredity_of_T(T, sample_b=4)
+    rep = heredity_of_T(T, sample_b=4)
     assert not rep.ok
     named = [f for f in rep.failures if f.startswith("axiom (b): a*X_S escapes the X span at ")]
     assert named, rep.failures
@@ -382,7 +386,7 @@ def test_heredity_matches_the_tensor_oracle(spec, n, d, sample_b):
     through the tensor power, agree."""
     alg, data, tau = make_algebra(spec)
     T = build_schur(alg, data, n, d, tau)
-    rep = codet.heredity_of_T(T, sample_b=sample_b)
+    rep = heredity_of_T(T, sample_b=sample_b)
     assert rep.ok, rep.failures
     assert heredity_oracle(T, sample_b) == (rep.ok, rep.failures)
 
@@ -409,7 +413,7 @@ def test_heredity_failures_match_the_tensor_oracle(monkeypatch):
         with monkeypatch.context() as m:
             m.setattr(cls, attr, patch)
             T = build_schur(alg, data, 2, 2, tau)
-            rep = codet.heredity_of_T(T, sample_b=sample_b)
+            rep = heredity_of_T(T, sample_b=sample_b)
             assert not rep.ok
             assert heredity_oracle(T, sample_b) == (rep.ok, rep.failures), attr
             kinds.append({f[:len("axiom (c)")] for f in rep.failures})
@@ -558,7 +562,7 @@ def test_walk_and_heredity_make_each_tableau_factor_once(monkeypatch, n):
         real = getattr(SchurAlgebra, f"{side}_factor")
         monkeypatch.setattr(SchurAlgebra, f"{side}_factor",
                             lambda self, w, real=real, seen=made[side]: seen.append(w) or real(self, w))
-    assert codet.heredity_of_T(T, sample_b=10).ok
+    assert heredity_of_T(T, sample_b=10).ok
     cb = T.codet_basis
     words = {cb.index_word(tab, side)[0]
              for side in SIDES for bold in cb.shapes for tab in cb.std(side)[bold]}
@@ -583,7 +587,7 @@ def test_heredity_makes_each_tableau_factor_once(monkeypatch):
         real = getattr(SchurAlgebra, f"{side}_factor")
         monkeypatch.setattr(SchurAlgebra, f"{side}_factor",
                             lambda self, w, real=real, seen=made[side]: seen.append(w) or real(self, w))
-    assert codet.heredity_of_T(T).ok
+    assert heredity_of_T(T).ok
     for side, seen in made.items():
         on_tableaux = [w for w in seen if w in words]
         assert on_tableaux and len(on_tableaux) == len(set(on_tableaux)), side
@@ -602,7 +606,7 @@ def test_heredity_and_oracle_keep_nothing_in_the_algebra_tables(spec):
     assert T.codet_basis.unimodular()
     held = (len(T.lefts), len(T.rights))
     assert held[0] and held[1]
-    assert codet.heredity_of_T(T).ok
+    assert heredity_of_T(T).ok
     assert (len(T.lefts), len(T.rights)) == held
     decomp_oracle(T)
     assert (len(T.lefts), len(T.rights)) == held
@@ -664,7 +668,7 @@ def test_axiom_a_failure_names_its_witness(monkeypatch):
         return {o: 2 * c for o, c in out.items()} if (x.bold, x.tab, y.tab) == doubled else out
 
     monkeypatch.setattr(codet.CodetBasis, "_expand", broken)
-    rep = codet.heredity_of_T(T, sample_b=4)
+    rep = heredity_of_T(T, sample_b=4)
     block = next(key for key, (_rows, cols) in codet_blocks(T.codet_basis).items() if doubled in cols)
     det = T.codet_basis.factor(block).det
     assert abs(det) == 2
@@ -690,7 +694,7 @@ def test_axiom_a_names_the_lesser_of_two_failing_blocks(monkeypatch):
         return {o: 2 * c for o, c in out.items()} if (x.bold, x.tab, y.tab) in doubled else out
 
     monkeypatch.setattr(codet.CodetBasis, "_expand", broken)
-    rep = codet.heredity_of_T(T, sample_b=4)
+    rep = heredity_of_T(T, sample_b=4)
     greater, lesser = (block_of[col] for col in doubled)
     assert abs(cb.factor(greater).det) == 2
     det = cb.factor(lesser).det
@@ -754,7 +758,7 @@ def test_axiom_a_names_a_column_that_reaches_another_block(monkeypatch):
         return out
 
     monkeypatch.setattr(codet.CodetBasis, "_expand", broken)
-    rep = codet.heredity_of_T(T, sample_b=4)
+    rep = heredity_of_T(T, sample_b=4)
     assert rep.failures == [
         f"axiom (a): codeterminant block {key}: column {col} reaches {stray} of block {other}"
     ]
@@ -838,7 +842,7 @@ def test_axiom_a_names_a_signed_permutation_block_with_a_non_unit_entry(monkeypa
     det = cb.factor(key).det
     assert abs(det) == 2
     assert cb.non_unimodular_block() == (key, det)
-    rep = codet.heredity_of_T(T, sample_b=4)
+    rep = heredity_of_T(T, sample_b=4)
     assert rep.failures == [
         f"axiom (a): change of basis not unimodular: block {key} has determinant {det}"
     ]
@@ -865,7 +869,7 @@ def test_axiom_a_names_a_one_term_column_moved_to_another_block(monkeypatch):
         return out
 
     monkeypatch.setattr(codet.CodetBasis, "_expand", broken)
-    rep = codet.heredity_of_T(T, sample_b=4)
+    rep = heredity_of_T(T, sample_b=4)
     assert rep.failures == [
         f"axiom (a): codeterminant block {key}: column {cols[0]} reaches {stray} of block {other}"
     ]
@@ -910,7 +914,7 @@ def test_axiom_a_names_an_orbit_no_column_reaches(monkeypatch):
         return {o: c for o, c in out.items() if o != lost} if (x.bold, x.tab, y.tab) == col else out
 
     monkeypatch.setattr(codet.CodetBasis, "_expand", broken)
-    rep = codet.heredity_of_T(T, sample_b=4)
+    rep = heredity_of_T(T, sample_b=4)
     lost = T.ctx.word(lost)
     assert rep.failures == [f"axiom (a): codeterminant block {key}: no column reaches its orbit {lost}"]
 

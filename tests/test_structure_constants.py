@@ -13,8 +13,10 @@ import pytest
 
 from helpers import tensor_eta_product, twisted_zigzag
 from schurify import characters as ch
-from schurify import codeterminants as codet
-from schurify.base_algebra import load_presentation, make_algebra, verify_heredity
+from schurify import decomposition as dec
+from schurify.base_algebra import load_presentation, make_algebra
+from schurify.base_heredity import verify_heredity
+from schurify.heredity import heredity_of_T
 from schurify.partitions import gen_multipartitions
 from schurify.schur import build_schur
 from schurify.straighten import Straightener
@@ -71,18 +73,18 @@ def test_twisted_codeterminants_match_zigzag(twist, n, monkeypatch):
     cb, walked = T.codet_basis, []
     walk = cb._walk
     monkeypatch.setattr(cb, "_walk", lambda: (walked.append(block) or block for block in walk()))
-    rep = codet.heredity_of_T(T, sample_b=4)
+    rep = heredity_of_T(T, sample_b=4)
     assert rep.ok, rep.failures
 
     def dets(blocks):
         return Counter((key, abs(det)) for key, det, _size in blocks)
 
     assert dets(walked) == dets(plain.codet_basis._walk())
-    oracle = ch.decomp_oracle(T).entries
-    assert oracle == ch.decomp_oracle(plain).entries
+    oracle = dec.decomp_oracle(T).entries
+    assert oracle == dec.decomp_oracle(plain).entries
     labels = gen_multipartitions(n, n, len(data.labels) - 1)
     formula = {(lam, mu): v for lam in labels
-               for mu, v in ch.decomp_formula_row(T.base_decomp, lam, labels, n).items() if v}
+               for mu, v in dec.decomp_formula_row(T.base_decomp, lam, labels, n).items() if v}
     assert formula == oracle
 
 
