@@ -6,7 +6,9 @@ Two layers live here:
     strips (`_horizontal_strips`) gives the two-factor LR expansion by
     lattice-word skew tableaux and, one strip per part of the weight
     (Pieri's rule), the Kostka numbers; iterated multi-factor coefficients
-    with optional conjugate twists, and skew characters;
+    with optional conjugate twists, memoized by an `LRCache` that its caller
+    builds and passes in (the module keeps none, and only a cache given a
+    file writes to disk), and skew characters;
   * graded characters of standard modules, by two routes.  The closed
     formula is one sum over column multipartitions driven by the base
     algebra's graded decomposition data (`_column_terms`), taken with the
@@ -206,22 +208,19 @@ def kostka(lam: Partition, mu) -> int:
 
 
 class LRCache:
-    """Memo for multi-factor LR coefficients, kept in memory and, given a
-    file, appended to it one JSON object per line, keyed by the target
-    partition, the sorted twisted factors, and the row bound.
+    """Memo for multi-factor LR coefficients (`coeff`), kept in memory and,
+    given a file, appended to it one JSON object per line, keyed by the
+    target partition, the sorted twisted factors, and the row bound.
 
-    With no path the file is `lr_cache.jsonl` under SCHURIFY_CACHE_DIR when
-    that is set; otherwise (and for the path "") nothing is written.  Each
-    record is one write to a descriptor opened for appending, so concurrent
-    writers do not interleave their lines.  Lines that do not parse, such as
-    a record cut short, are skipped on load; after a torn last line the next
-    record starts on a line of its own.  A file that exists but cannot be
-    read, or whose directory is a file, raises its OSError on construction."""
+    The caller owns the cache and names its file; for the path "" nothing is
+    written.  Each record is one write to a descriptor opened for appending,
+    so concurrent writers do not interleave their lines.  Lines that do not
+    parse, such as a record cut short, are skipped on load; after a torn
+    last line the next record starts on a line of its own.  A file that
+    exists but cannot be read, or whose directory is a file, raises its
+    OSError on construction."""
 
-    def __init__(self, path: str | None = None):
-        if path is None:
-            root = os.environ.get("SCHURIFY_CACHE_DIR")
-            path = os.path.join(root, "lr_cache.jsonl") if root else ""
+    def __init__(self, path: str):
         self.path = path
         self._memo: dict = {}
         self._lead = ""  # "\n" while the file ends in a torn line
@@ -267,6 +266,8 @@ class LRCache:
         self._lead = ""
 
     def coeff(self, lam: Partition, factors, twists=None, max_rows: int | None = None) -> int:
+        """Multi-factor Littlewood-Richardson coefficient of s_lam in the
+        product of the factors, each conjugated when its twist is odd."""
         lam = trim(tuple(lam))
         factors = [trim(tuple(f)) for f in factors]
         if twists is None:
@@ -284,22 +285,6 @@ class LRCache:
         if key not in self._memo:
             self._store(key, lr_expand(twisted, max_rows).get(lam, 0))
         return self._memo[key]
-
-
-def lr_coeff(lam: Partition, factors, twists=None, max_rows: int | None = None,
-             cache: LRCache | None = None) -> int:
-    """Multi-factor Littlewood-Richardson coefficient; twisted factors are
-    conjugated before composition."""
-    return (cache or _default_cache()).coeff(lam, factors, twists, max_rows)
-
-
-_CACHE_SINGLETON: list = []
-
-
-def _default_cache() -> LRCache:
-    if not _CACHE_SINGLETON:
-        _CACHE_SINGLETON.append(LRCache())
-    return _CACHE_SINGLETON[0]
 
 
 # ---------------------------------------------------------------------------
@@ -440,11 +425,10 @@ def _column_terms(inp: DecompInput, lam, n: int, cache: LRCache):
         yield coeff, m, eps, into
 
 
-def char_standard_formula(T: SchurAlgebra, bold,
-                          cache: LRCache | None = None) -> CharacterVector:
+def char_standard_formula(T: SchurAlgebra, bold, cache: LRCache) -> CharacterVector:
     """ch Delta(bold): the decomposition formula's column sum with the Schur
-    characters s_mu in place of the classical decomposition matrix."""
-    cache = cache or _default_cache()
+    characters s_mu in place of the classical decomposition matrix, its LR
+    coefficients read through the caller's `cache`."""
     by_schur: dict = {}
     for coeff, m, eps, into in _column_terms(T.base_decomp, bold, T.n, cache):
         for combo in product(*(lr_expand(parts, T.n).items() for parts in into)):

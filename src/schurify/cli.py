@@ -61,12 +61,14 @@ class RunConfig:
         raise click.UsageError(f"unknown field {f!r} (expected Z | Q | Fp:p, p prime)")
 
     def lr_cache(self) -> LRCache:
-        """The LR cache; a path that cannot hold it is a usage error."""
+        """The LR cache: `lr_cache.jsonl` under the cache directory, or kept
+        in memory when none is named (an empty name included).  A path that
+        cannot hold it is a usage error."""
         import os
 
         from .characters import LRCache
 
-        path = None if self.cache_dir is None else os.path.join(self.cache_dir, "lr_cache.jsonl")
+        path = os.path.join(self.cache_dir, "lr_cache.jsonl") if self.cache_dir else ""
         try:
             return LRCache(path)
         except OSError as exc:
@@ -199,12 +201,21 @@ def _make_T(cfg: RunConfig):
 
 
 def _int_json(text: str):
-    """JSON given on the command line, whose numbers must be integers."""
+    """JSON given on the command line, whose numbers must be integers: a
+    float, or a boolean, which Python would read as 0 or 1, is refused."""
 
     def no_float(token: str):
         raise ValueError(f"{token} is not an integer")
 
-    return json.loads(text, parse_float=no_float)
+    def no_bool(obj) -> None:
+        if isinstance(obj, bool):
+            raise ValueError(f"{json.dumps(obj)} is not an integer")
+        for v in obj.values() if isinstance(obj, dict) else obj if isinstance(obj, list) else ():
+            no_bool(v)
+
+    obj = json.loads(text, parse_float=no_float)
+    no_bool(obj)
+    return obj
 
 
 def _label_from_json(text: str, cfg: RunConfig, n_labels: int):

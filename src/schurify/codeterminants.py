@@ -404,19 +404,16 @@ class CodetBasis:
         sorted order: those of the walk's pass (`_filed`), kept nowhere."""
         return (key for key, _cols in self._filed())
 
-    def factor(self, key, solver: bool = False) -> Block:
-        """The block of `key`, built by `_block`.  With `solver`, it has its
-        columns as codeterminant keys and what a solve needs, and it is kept
-        for later solves: `_factored` holds only such blocks.  Without, a
-        kept block is reused, and a block built afresh is not kept.  A key
-        with no columns gets an empty block."""
+    def factor(self, key) -> Block:
+        """The block of `key`, built by `_block` on its first request and
+        kept in `_factored` for later solves, with its columns as
+        codeterminant keys and what a solve needs.  A key with no columns
+        gets an empty block.  The walk (`_walk`) keeps none of its blocks."""
         blk = self._factored.get(key)
         if blk is None:
             rows, cols, expansions = self._block(key)
-            labels = [(x.bold, x.tab, y.tab) for x, y in cols] if solver else None
-            blk = Block("codeterminant block", key, rows, expansions, labels)
-            if solver:
-                self._factored[key] = blk
+            labels = [(x.bold, x.tab, y.tab) for x, y in cols]
+            blk = self._factored[key] = Block("codeterminant block", key, rows, expansions, labels)
         return blk
 
     def _walk(self):
@@ -469,7 +466,7 @@ class CodetBasis:
             parts.setdefault(ctx.block_key(w), {})[w] = c
         out: dict = {}
         for key, part in parts.items():
-            blk = self.factor(key, solver=True)
+            blk = self.factor(key)
             for w in part:
                 if w not in blk.ridx:
                     raise AssertionError(f"{ctx.word(w)} is not a row of codeterminant block {key}")

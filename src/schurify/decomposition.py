@@ -7,7 +7,8 @@ and the blocks they link.
     on the gamma side.  It is computed a row at a time
     (`decomp_formula_row`): one pass over lam's column multipartitions
     serves every mu, each colour LR-expanded once per term;
-    `decomp_formula` is the row of one label;
+    `decomp_formula` is the row of one label.  Both take the `LRCache` that
+    their caller owns, and keep no cache of their own;
   * the brute-force oracle: ch L is the graded ranks, over a coefficient
     field, of the homogeneous blocks of the standard modules' Gram matrices
     (`gram_blocks`: only the degree-0 pairs are multiplied, and each entry
@@ -32,7 +33,6 @@ from .characters import (
     CharacterVector,
     LRCache,
     _column_terms,
-    _default_cache,
     _pad_bold,
     char_standard_tableaux,
     lr_expand,
@@ -51,17 +51,17 @@ def _identity_classical(gamma: Partition, mu: Partition) -> int:
     return 1 if trim(tuple(gamma)) == trim(tuple(mu)) else 0
 
 
-def decomp_formula_row(inp: DecompInput, lam, mus, n: int, classical=None,
-                       cache: LRCache | None = None) -> dict:
+def decomp_formula_row(inp: DecompInput, lam, mus, n: int, classical, cache: LRCache) -> dict:
     """The graded decomposition numbers d_{lam,mu} for every mu in `mus`, from
     the base decomposition data: one sum over column multipartitions nu
     indexed by the slots, with multi-LR coefficients on the lam side
     (conjugating odd slots) and the classical decomposition matrix folded in
     on the gamma side.  A term counts only for the mu with its colourwise
     sizes, which the classical matrix preserves; each of its colours is
-    LR-expanded at most once, when the first such mu needs it."""
+    LR-expanded at most once, when the first such mu needs it.  `classical`
+    None stands for the identity (characteristic 0); the multi-LR
+    coefficients are read through the caller's `cache`."""
     classical = classical or _identity_classical
-    cache = cache or _default_cache()
     row = dict.fromkeys(mus, GradedSuperScalar.zero())
     by_sizes: dict = {}
     for mu in row:
@@ -85,8 +85,8 @@ def decomp_formula_row(inp: DecompInput, lam, mus, n: int, classical=None,
     return row
 
 
-def decomp_formula(inp: DecompInput, lam, mu, n: int,
-                   classical=None, cache: LRCache | None = None) -> GradedSuperScalar:
+def decomp_formula(inp: DecompInput, lam, mu, n: int, classical,
+                   cache: LRCache) -> GradedSuperScalar:
     """Graded decomposition number d_{lam,mu}: the one-label row."""
     mu = tuple(map(tuple, mu))  # a row is keyed by its labels
     return decomp_formula_row(inp, lam, [mu], n, classical, cache)[mu]
@@ -111,7 +111,7 @@ def gram_blocks(T: SchurAlgebra, bold) -> dict[tuple, list[list[int]]]:
     shape, 0, 0), and the entries outside the blocks are zero.
 
     The coefficient at the unit codeterminant (`unit_key`) is read through
-    one dual row: the unit block is factored once as a solver block
+    one dual row: the unit block is factored once and kept
     (`CodetBasis.factor`), and `Block.dual_row` gives the coefficient as
     integer numerators over its determinant on the block's rows.  Each
     entry is a dot product of a pairing with that row, divided exactly
@@ -128,7 +128,7 @@ def gram_blocks(T: SchurAlgebra, bold) -> dict[tuple, list[list[int]]]:
     unit_key = (bold, *cb.initial_tableau_pair(bold))
     padded = tuple(pad(c, T.n) for c in bold)
     key = (padded, padded, 0, 0)
-    blk = cb.factor(key, solver=True)
+    blk = cb.factor(key)
     dual = blk.dual_row(unit_key)
     of_share: dict = {}
     for Tb, share in ys:

@@ -18,24 +18,17 @@ other commands do not).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 from itertools import islice
 
 from .base_algebra import SIDES, Side
+from .base_heredity import HeredityReport
 from .partitions import compare
 from .schur import SchurAlgebra
 from .triples import OnLookup
 
 
-@dataclass
-class SchurHeredityReport:
-    ok: bool
-    failures: list[str]
-    checked: list[str]
-
-
-def heredity_of_T(T: SchurAlgebra, sample_b: int | None = None) -> SchurHeredityReport:
+def heredity_of_T(T: SchurAlgebra, sample_b: int | None = None) -> HeredityReport:
     """Verify the heredity axioms for the codeterminant structure on T.
 
     `sample_b` caps, per X/Y element, the number of weight-compatible basis
@@ -56,12 +49,12 @@ def heredity_of_T(T: SchurAlgebra, sample_b: int | None = None) -> SchurHeredity
         bad = cb.non_unimodular_block()
     except AssertionError as exc:
         failures.append(f"axiom (a): {exc}")
-        return SchurHeredityReport(False, failures, checked)
+        return HeredityReport(False, failures, checked)
     if bad is not None:
         # axiom (b) needs the integral solve, which a non-unimodular block breaks
         failures.append(f"axiom (a): change of basis not unimodular: "
                         f"block {bad[0]} has determinant {bad[1]}")
-        return SchurHeredityReport(False, failures, checked)
+        return HeredityReport(False, failures, checked)
     checked.append("axiom (a): codeterminant basis unimodular over Z")
 
     @cache
@@ -165,4 +158,4 @@ def heredity_of_T(T: SchurAlgebra, sample_b: int | None = None) -> SchurHeredity
     if ok_b:
         checked.append("axiom (b): X/Y spans modulo higher shape ideals")
 
-    return SchurHeredityReport(not failures, failures, checked)
+    return HeredityReport(not failures, failures, checked)

@@ -102,7 +102,7 @@ def rsk(ctx: TriContext, word: TriWord) -> tuple[Multipartition, Tableau, Tablea
 def rsk_inv(ctx: TriContext, S: Tableau, T: Tableau) -> TriWord:
     """Inverse of rsk; returns the canonical orbit word."""
     ax, ay = ctx.x_alphabet, ctx.y_alphabet
-    _, to_label = _pair_maps(ctx)
+    to_label = ctx.label_of
     letters: list[tuple[str, int, int]] = []
     for i_pos, i in enumerate(ctx.data.labels):
         P = [list(row) for row in S[i_pos]] if i_pos < len(S) else []
@@ -127,8 +127,3 @@ def rsk_inv(ctx: TriContext, S: Tableau, T: Tableau) -> TriWord:
     rep, _sign = TriContext.canonicalize(ctx, tuple(letters), strict=True)
     assert rep is not None
     return rep
-
-
-def _pair_maps(ctx: TriContext):
-    of_label = ctx.pair_of
-    return of_label, {v: k for k, v in of_label.items()}

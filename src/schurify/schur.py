@@ -262,7 +262,7 @@ class SchurAlgebra:
         repeats a letter.
 
         Letter i times letter j is nonzero only when the right profile slot
-        of i is the left profile slot of j (`TriContext.letter_products`
+        of i is the left profile slot of j (`TriContext.letter_product`
         checks it), so only the arrangements of o2 whose word of left slots
         is c1's word of right slots are multiplied, place by place off the
         flat table `TriContext.product_table`, stopping at the first zero

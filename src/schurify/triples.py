@@ -17,10 +17,10 @@ factorial is read off the runs of a sorted word (`run_factorial`).  The
 per-index tables (profile slot on each side, degree, parity) give a word of
 indices its block key (`block_key`), and a sorted word's runs give its place
 among the orbits (`run_key`).  These
-tables, the letter products (`letter_products`, and the kernel's flat
-`product_table` filled from it) and the table of standard tableaux by side
-and shape (`standard_tableaux`) belong to the context, which a family of
-degrees and its truncations share.
+tables, the pair map both ways (`pair_of`, `label_of`), the letter products
+(the kernel's flat `product_table`, each made by `letter_product`) and the
+table of standard tableaux by side and shape (`standard_tableaux`) belong to
+the context, which a family of degrees and its truncations share.
 """
 from __future__ import annotations
 
@@ -44,8 +44,18 @@ class TriContext:
     n: int
 
     @cached_property
+    def _pairs(self) -> tuple[dict[str, tuple[int, str, str]], dict[tuple[int, str, str], str]]:
+        return strict_pairs(self.alg, self.data)
+
+    @cached_property
     def pair_of(self) -> dict[str, tuple[int, str, str]]:
-        return strict_pairs(self.alg, self.data)[0]
+        """Basis label b -> (i, x, y) with b = x * y (`strict_pairs`)."""
+        return self._pairs[0]
+
+    @cached_property
+    def label_of(self) -> dict[tuple[int, str, str], str]:
+        """(i, x, y) -> the basis label of x * y: `pair_of` inverted."""
+        return self._pairs[1]
 
     @cached_property
     def x_alphabet(self) -> Alphabet:
@@ -112,24 +122,21 @@ class TriContext:
                 "a": tuple(b in Ba for (b, _r, _s) in self.letters),
                 "c": tuple(b in Bc for (b, _r, _s) in self.letters)}
 
-    @cached_property
-    def letter_products(self) -> dict[tuple[int, int], tuple[tuple[int, int], ...]]:
-        """(i, j) -> `_letter_product` of the pair, made on first lookup."""
-        return OnLookup(self._letter_product)
-
-    def _letter_product(self, pair: tuple[int, int]) -> tuple[tuple[int, int], ...]:
-        """(b, r, s)(b', s, t) = sum_c coeff (c, r, t) over the basis product
+    def letter_product(self, i: int, j: int) -> tuple[tuple[int, int], ...]:
+        """The product of letters i and j, made afresh:
+        (b, r, s)(b', s, t) = sum_c coeff (c, r, t) over the basis product
         b b' = sum_c coeff c, as terms (index of (c, r, t), coeff); no terms
-        when the letters do not meet or the basis product is 0."""
-        b, r, s = self.letters[pair[0]]
-        b2, r2, t = self.letters[pair[1]]
+        when the letters do not meet or the basis product is 0.  It is kept
+        only in `product_table`."""
+        b, r, s = self.letters[i]
+        b2, r2, t = self.letters[j]
         if s != r2:
             return ()
         index = self.index
         terms = tuple([(index[c, r, t], coeff) for c, coeff in self.alg.mul_basis(b, b2).items()])
         # the kernel pairs letters by profile slot, so a nonzero product must
         # join the right slot of its first letter to the left slot of its second
-        ends, starts = self.slots[1][pair[0]], self.slots[0][pair[1]]
+        ends, starts = self.slots[1][i], self.slots[0][j]
         if terms and ends != starts:
             raise ValueError(f"nonzero letter product {(b, r, s)} * {(b2, r2, t)} joins "
                              f"right profile slot {ends} to left profile slot {starts}")
@@ -137,11 +144,11 @@ class TriContext:
 
     @cached_property
     def product_table(self) -> list:
-        """The letter products in one flat list, the product of letters i
-        and j at i * L + j for L letters, each filled from `letter_products`
-        on its first use by the product kernel (`fill_product`): None until
-        then, () for 0, (k, c) for one term c times letter k, and (-1, terms)
-        for several."""
+        """The one table of letter products: a flat list with the product of
+        letters i and j at i * L + j for L letters, each made by
+        `letter_product` on its first use by the product kernel
+        (`fill_product`): None until then, () for 0, (k, c) for one term c
+        times letter k, and (-1, terms) for several."""
         return [None] * len(self.letters) ** 2
 
     @cached_property
@@ -152,9 +159,9 @@ class TriContext:
         return tuple(range(0, size * size, size))
 
     def fill_product(self, at: int) -> tuple:
-        """Fill place `at` of `product_table` from `letter_products`, which
+        """Fill place `at` of `product_table` by `letter_product`, which
         refuses a product across profile slots, and return its entry."""
-        terms = self.letter_products[divmod(at, len(self.letters))]
+        terms = self.letter_product(*divmod(at, len(self.letters)))
         entry = terms[0] if len(terms) == 1 else (-1, terms) if terms else ()
         self.product_table[at] = entry
         return entry

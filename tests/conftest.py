@@ -1,7 +1,15 @@
 import pytest
 
 from schurify.base_algebra import make_algebra
+from schurify.characters import LRCache
 from schurify.schur import build_schur
+
+
+@pytest.fixture(scope="session")
+def lr():
+    """The session's LR cache, kept in memory: the tests write no cache file
+    outside their own temporary directories."""
+    return LRCache("")
 
 
 @pytest.fixture(scope="session")

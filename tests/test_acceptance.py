@@ -144,17 +144,17 @@ def test_criterion_05_bialgebra(T122):
                         {k: v for k, v in right.items() if v}, (o, d1, d2)
 
 
-def test_criterion_06_characters():
+def test_criterion_06_characters(lr):
     T = _T("zigzag:1", 3, 3)
     for lam in gen_multipartitions(3, 3, 1):
         a = ch.char_standard_tableaux(T, lam)
-        b = ch.char_standard_formula(T, lam)
+        b = ch.char_standard_formula(T, lam, lr)
         assert a == b, lam
     # trivial base reproduces s_lambda, with Kostka entries cross-checked
     Tt = _T("trivial", 3, 3)
     for lam in partitions_of(3, 3):
         v = ch.char_standard_tableaux(Tt, (lam,))
-        assert v == ch.char_standard_formula(Tt, (lam,)), lam
+        assert v == ch.char_standard_formula(Tt, (lam,), lr), lam
         for w in compositions(3, 3):
             expected = ch.kostka(lam, w)
             assert expected == ssyt_count(lam, w)
@@ -163,23 +163,23 @@ def test_criterion_06_characters():
                            else GradedSuperScalar.zero()), (lam, w)
 
 
-def test_criterion_07_decomposition_char0(T122):
+def test_criterion_07_decomposition_char0(T122, lr):
     for T in (T122, _T("zigzag:2", 2, 2)):
         D = dec.decomp_oracle(T)
         inp = ch.DecompInput.from_base(T.alg, T.data)
         for lam in D.labels:
             for mu in D.labels:
-                assert dec.decomp_formula(inp, lam, mu, 2) == D.entry(lam, mu), (lam, mu)
+                assert dec.decomp_formula(inp, lam, mu, 2, None, lr) == D.entry(lam, mu), (lam, mu)
 
 
-def test_criterion_08_decomposition_char_p(T122):
+def test_criterion_08_decomposition_char_p(T122, lr):
     F2 = GF(2)
     D = dec.decomp_oracle(T122, F2)
     inp = ch.DecompInput.from_base(T122.alg, T122.data)
     classical = dec.ClassicalDecomp(2, F2)  # oracle-computed S(2,*) over F_2
     for lam in D.labels:
         for mu in D.labels:
-            assert dec.decomp_formula(inp, lam, mu, 2, classical) == D.entry(lam, mu), \
+            assert dec.decomp_formula(inp, lam, mu, 2, classical, lr) == D.entry(lam, mu), \
                 (lam, mu)
 
 
@@ -221,15 +221,15 @@ def test_criterion_11_blocks(T122):
     assert len(groups) == 3  # |Lambda(2,2)| summands for A = k + k
 
 
-def test_criterion_12_lr_layer():
-    # lr_coeff vs brute-force lattice-word enumeration, |lam| <= 6, <= 3 factors
+def test_criterion_12_lr_layer(lr):
+    # LRCache.coeff vs brute-force lattice-word enumeration, |lam| <= 6, <= 3 factors
     for total in range(1, 7):
         for lam in partitions_of(total, total):
             for k1 in range(1, total + 1):
                 for mu in partitions_of(k1, k1):
                     rest = total - k1
                     for nu in partitions_of(rest, rest):
-                        assert ch.lr_coeff(lam, [mu, nu]) == lr_brute(lam, mu, nu), \
+                        assert lr.coeff(lam, [mu, nu]) == lr_brute(lam, mu, nu), \
                             (lam, mu, nu)
     for total in (4, 5, 6):
         for lam in partitions_of(total, total):
@@ -239,7 +239,7 @@ def test_criterion_12_lr_layer():
                     for m1 in partitions_of(k1, k1):
                         for m2 in partitions_of(k2, k2):
                             for m3 in partitions_of(k3, k3):
-                                assert ch.lr_coeff(lam, [m1, m2, m3]) == \
+                                assert lr.coeff(lam, [m1, m2, m3]) == \
                                     multi_lr_brute(lam, [m1, m2, m3]), (lam, m1, m2, m3)
     # skew characters match their LR expansion for all |lam| <= 5
     n = 5
@@ -254,7 +254,7 @@ def test_criterion_12_lr_layer():
                     rhs = ch.CharacterVector()
                     rest = total - sum(mu)
                     for nu in partitions_of(rest, rest):
-                        c = ch.lr_coeff(lam, [mu, nu], twists=[0, eps])
+                        c = lr.coeff(lam, [mu, nu], twists=[0, eps])
                         if c:
                             rhs = rhs + ch.schur_char(nu, n).scale(c)
                     assert lhs == rhs, (lam, mu, eps)

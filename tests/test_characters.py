@@ -51,45 +51,45 @@ def test_kostka_weight_permutation_invariance(lam, perm):
         assert ch.kostka(lam, mu) == ch.kostka(lam, permuted)
 
 
-def test_lr_examples():
-    assert ch.lr_coeff((2, 1), [(2, 1)]) == 1
-    assert ch.lr_coeff((2, 1), [(2, 1), ()]) == 1
-    assert ch.lr_coeff((2, 1), [(1,), (1,), (1,)]) == 2
-    assert ch.lr_coeff((2, 2), [(2, 1), (1,)]) == 1
-    assert ch.lr_coeff((3, 2, 1), [(2, 1), (2, 1)]) == 2
+def test_lr_examples(lr):
+    assert lr.coeff((2, 1), [(2, 1)]) == 1
+    assert lr.coeff((2, 1), [(2, 1), ()]) == 1
+    assert lr.coeff((2, 1), [(1,), (1,), (1,)]) == 2
+    assert lr.coeff((2, 2), [(2, 1), (1,)]) == 1
+    assert lr.coeff((3, 2, 1), [(2, 1), (2, 1)]) == 2
     with pytest.raises(ValueError):
-        ch.lr_coeff((2, 1), [(1,)])
+        lr.coeff((2, 1), [(1,)])
 
 
-def test_lr_twists_conjugate():
+def test_lr_twists_conjugate(lr):
     # an odd twist transposes the factor before composing
-    assert ch.lr_coeff((1, 1), [(2,)], twists=[1]) == 1
-    assert ch.lr_coeff((2,), [(2,)], twists=[1]) == 0
-    assert ch.lr_coeff((2, 1), [(2,), (1,)], twists=[1, 0]) == \
-        ch.lr_coeff((2, 1), [(1, 1), (1,)])
+    assert lr.coeff((1, 1), [(2,)], twists=[1]) == 1
+    assert lr.coeff((2,), [(2,)], twists=[1]) == 0
+    assert lr.coeff((2, 1), [(2,), (1,)], twists=[1, 0]) == \
+        lr.coeff((2, 1), [(1, 1), (1,)])
 
 
-def test_lr_factor_order_symmetry():
+def test_lr_factor_order_symmetry(lr):
     for lam in partitions_of(5, 5):
         for a in partitions_of(2, 2):
             for b in partitions_of(3, 3):
-                assert ch.lr_coeff(lam, [a, b]) == ch.lr_coeff(lam, [b, a])
+                assert lr.coeff(lam, [a, b]) == lr.coeff(lam, [b, a])
 
 
-def test_lr_against_brute_force():
+def test_lr_against_brute_force(lr):
     for total in range(1, 6):
         for lam in partitions_of(total, total):
             for k1 in range(1, total + 1):
                 for mu in partitions_of(k1, k1):
                     for nu in partitions_of(total - k1, total - k1):
-                        assert ch.lr_coeff(lam, [mu, nu]) == lr_brute(lam, mu, nu), \
+                        assert lr.coeff(lam, [mu, nu]) == lr_brute(lam, mu, nu), \
                             (lam, mu, nu)
 
 
-def test_lr_max_rows_truncation():
+def test_lr_max_rows_truncation(lr):
     # a factor needing more than max_rows contributes zero
-    assert ch.lr_coeff((1, 1, 1), [(1, 1, 1)], max_rows=2) == 0
-    assert ch.lr_coeff((1, 1), [(1, 1)], max_rows=2) == 1
+    assert lr.coeff((1, 1, 1), [(1, 1, 1)], max_rows=2) == 0
+    assert lr.coeff((1, 1), [(1, 1)], max_rows=2) == 1
 
 
 def test_lr_cache_roundtrip(tmp_path):
@@ -112,7 +112,7 @@ def test_schur_char_weights():
     assert s[(1, 1, 1)] == GradedSuperScalar.term(2)
 
 
-def test_skew_char_lmac():
+def test_skew_char_lmac(lr):
     """s^eps_{lam/mu} = sum_nu c^lam_{mu, nu^eps} s_nu, exactly."""
     n = 5
     for total in range(1, 6):
@@ -130,41 +130,41 @@ def test_skew_char_lmac():
                     rhs = ch.CharacterVector()
                     rest = total - sum(mu)
                     for nu in partitions_of(rest, rest):
-                        c = ch.lr_coeff(lam, [mu, nu], twists=[0, eps])
+                        c = lr.coeff(lam, [mu, nu], twists=[0, eps])
                         if c:
                             rhs = rhs + ch.schur_char(nu, n).scale(c)
                     assert lhs == rhs, (lam, mu, eps)
 
 
-def test_char_standard_trivial_base():
+def test_char_standard_trivial_base(lr):
     alg, data, tau = make_algebra("trivial")
     T = build_schur(alg, data, 3, 3, tau)
     for lam in partitions_of(3, 3):
         bold = ((lam),) if isinstance(lam[0], tuple) else (lam,)
         v = ch.char_standard_tableaux(T, bold)
-        assert v == ch.char_standard_formula(T, bold), lam
+        assert v == ch.char_standard_formula(T, bold, lr), lam
         expected = ch.CharacterVector(
             {(w,): c for w, c in ch.schur_char(lam, 3).items()}
         )
         assert v == expected, lam
 
 
-def test_char_standard_zigzag_example(zz1):
+def test_char_standard_zigzag_example(zz1, lr):
     alg, data, tau = zz1
     T = build_schur(alg, data, 1, 1, tau)
     v = ch.char_standard_tableaux(T, ((), (1,)))
-    assert v == ch.char_standard_formula(T, ((), (1,)))
+    assert v == ch.char_standard_formula(T, ((), (1,)), lr)
     assert v[((0,), (1,))] == GradedSuperScalar.one()
     assert v[((1,), (0,))] == GradedSuperScalar.term(1, 1, 1)
     assert len(list(v.items())) == 2
 
 
-def test_char_methods_agree_33(zz1):
+def test_char_methods_agree_33(zz1, lr):
     alg, data, tau = zz1
     T = build_schur(alg, data, 3, 3, tau)
     for lam in gen_multipartitions(3, 3, 1):
         a = ch.char_standard_tableaux(T, lam)
-        b = ch.char_standard_formula(T, lam)
+        b = ch.char_standard_formula(T, lam, lr)
         assert a == b, lam
 
 

@@ -304,6 +304,8 @@ def test_bad_label_exits_2(tmp_path):
     _usage_error(*common, "-d", "1", "--label", "[[1]")           # malformed JSON
     _usage_error(*common, "-d", "1", "--label", '[["a"]]')
     _usage_error(*common, "-d", "1", "--label", "[[1.5]]")
+    _usage_error(*common, "-d", "1", "--label", "[[true]]")       # a boolean, not 1
+    _usage_error(*common, "-d", "2", "--label", "[[true, true]]")
     _usage_error(*common, "-d", "1", "--label", "[[5]]")          # size 5, not d
     _usage_error(*common, "-d", "3", "--label", "[[1, 1, 1]]")    # more than n rows
     _usage_error(*common, "-d", "3", "--label", "[[1, 2]]")       # not a partition
@@ -315,7 +317,7 @@ def test_bad_orbit_exits_2():
     good = '[{"b": "e0", "r": 1, "s": 1}]'
     for bad in ('[{"b": "e0", "r": 1', '[{"b": "zz", "r": 1, "s": 1}]',
                 '[{"b": "e0", "r": 9, "s": 1}]', '[{"b": "e0"}]',
-                '[{"b": "e0", "r": 1.5, "s": 1}]',
+                '[{"b": "e0", "r": 1.5, "s": 1}]', '[{"b": "e0", "r": true, "s": 1}]',
                 '[{"b": "e0", "r": 1, "s": 1}, {"b": "e0", "r": 1, "s": 1}]'):
         _usage_error("mul", *common, "--left", bad, "--right", good)
         _usage_error("mul", *common, "--left", good, "--right", bad)
@@ -364,24 +366,6 @@ def test_verify_checks_basicness_once(monkeypatch, tmp_path):
     assert sorted(built) == [0, 1]
 
 
-def test_lr_cache_writes_only_where_asked(monkeypatch, tmp_path):
-    from schurify import characters as ch
-
-    home = tmp_path / "home"
-    home.mkdir()
-    monkeypatch.setenv("HOME", str(home))
-    monkeypatch.delenv("SCHURIFY_CACHE_DIR", raising=False)
-    monkeypatch.setattr(ch, "_CACHE_SINGLETON", [])
-    monkeypatch.chdir(tmp_path)
-    res = run("char", "--algebra", "zigzag:1", "-n", "2", "-d", "2",
-              "--label", "[[1],[1]]", "--method", "formula")
-    assert res.exit_code == 0, res.output
-    assert ch.lr_coeff((2, 1), [(1,), (1,), (1,)]) == 2
-    assert [p.name for p in tmp_path.iterdir()] == ["home"]
-    assert list(home.iterdir()) == []
-
-
-
 CACHE_CASES = {
     "char": ["--label", "[[1], [1]]", "--method", "formula"],
     "decomp": ["--method", "formula"],
@@ -389,25 +373,39 @@ CACHE_CASES = {
 }
 
 
+def test_lr_cache_writes_only_where_asked(monkeypatch, tmp_path):
+    """With no --cache-dir, or an empty one, a command keeps its LR cache in
+    memory: it writes nothing to the working directory, the home directory,
+    or the directory that SCHURIFY_CACHE_DIR names, which the package does
+    not read."""
+    home, named = tmp_path / "home", tmp_path / "named"
+    home.mkdir()
+    named.mkdir()
+    monkeypatch.setenv("HOME", str(home))
+    monkeypatch.setenv("SCHURIFY_CACHE_DIR", str(named))
+    monkeypatch.chdir(tmp_path)
+    for cmd, args in CACHE_CASES.items():
+        for unnamed in ([], ["--cache-dir", ""]):
+            res = run(cmd, "--algebra", "zigzag:1", "-n", "2", "-d", "2", *args, *unnamed)
+            assert res.exit_code == 0, (cmd, unnamed, res.output)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["home", "named"]
+    assert list(home.iterdir()) == list(named.iterdir()) == []
+
+
 @pytest.mark.parametrize("cmd", CACHE_CASES)
 def test_unusable_lr_cache_is_a_usage_error(cmd, monkeypatch, tmp_path):
-    """A cache directory that is a file, by --cache-dir or by
-    SCHURIFY_CACHE_DIR, and a cache file that is a directory, stop the
-    command with exit 2 before anything is computed, naming the path."""
+    """A cache directory that is a file, and a cache file that is a
+    directory, stop the command with exit 2 before anything is computed,
+    naming the path."""
     from schurify import cli
 
     made = []
     monkeypatch.setattr(cli, "_make_T", made.append)
-    monkeypatch.delenv("SCHURIFY_CACHE_DIR", raising=False)
     common = [cmd, "--algebra", "zigzag:1", "-n", "2", "-d", "2", *CACHE_CASES[cmd]]
     afile = tmp_path / "afile"
     afile.write_text("")
     res = run(*common, "--cache-dir", str(afile))
     assert res.exit_code == 2 and str(afile) in res.output, res.output
-    monkeypatch.setenv("SCHURIFY_CACHE_DIR", str(afile / "sub"))
-    res = run(*common)
-    assert res.exit_code == 2 and str(afile) in res.output, res.output
-    monkeypatch.delenv("SCHURIFY_CACHE_DIR")
     (tmp_path / "dir" / "lr_cache.jsonl").mkdir(parents=True)
     res = run(*common, "--cache-dir", str(tmp_path / "dir"))
     assert res.exit_code == 2 and str(tmp_path / "dir" / "lr_cache.jsonl") in res.output, res.output

@@ -193,8 +193,8 @@ def _unit_block(T, bold):
 
 def test_gram_blocks_make_one_product_per_entry(monkeypatch):
     """`gram_blocks` multiplies once for each entry of its blocks, and
-    factors one solver block per shape, the unit codeterminant's, which is
-    all that `_factored` then holds."""
+    factors one block per shape, the unit codeterminant's, which is all
+    that `_factored` then holds."""
     alg, data, tau = make_algebra("zigzag:2")
     T = build_schur(alg, data, 3, 3, tau)
     cb = T.codet_basis
@@ -205,9 +205,9 @@ def test_gram_blocks_make_one_product_per_entry(monkeypatch):
         products.append(None)
         return real_pairing(self, y, x)
 
-    def counted_factor(self, key, solver=False):
-        factored.append((key, solver))
-        return real_factor(self, key, solver)
+    def counted_factor(self, key):
+        factored.append(key)
+        return real_factor(self, key)
 
     monkeypatch.setattr(codet.CodetBasis, "pairing", counted_pairing)
     monkeypatch.setattr(codet.CodetBasis, "factor", counted_factor)
@@ -218,7 +218,7 @@ def test_gram_blocks_make_one_product_per_entry(monkeypatch):
         blocks = gram_blocks(T, bold)
         assert len(products) == sum(len(row) for rows in blocks.values() for row in rows), bold
         units.append(_unit_block(T, bold)[0])
-        assert factored == [(units[-1], True)], bold
+        assert factored == [units[-1]], bold
     assert list(cb._factored) == units
 
 
@@ -430,13 +430,14 @@ def test_lazy_blocks_match_the_eager_walk(spec, n, d, truncated):
     """The blocks built one left profile at a time are the eager walk's
     blocks with columns: the same keys, in sorted order and each once, the
     same rows and columns, in the same order, with the same determinants;
-    and the walk keeps no table of keys."""
+    and the walk keeps no table of keys.  The determinants are taken on a
+    second basis, whose `factor` keeps the blocks it builds."""
     alg, data, tau = make_algebra(spec)
     T = build_schur(alg, data, n, d, tau)
     if truncated:
         T = T.truncate([0])
-    cb = T.codet_basis
-    eager = eager_codet_blocks(codet.CodetBasis(T))
+    cb, other = T.codet_basis, codet.CodetBasis(T)
+    eager = eager_codet_blocks(other)
     with_columns = [key for key, (_rows, cols) in eager.items() if cols]
     streamed = list(cb.block_keys)
     assert len(set(streamed)) == len(streamed)
@@ -449,7 +450,7 @@ def test_lazy_blocks_match_the_eager_walk(spec, n, d, truncated):
         for j, col in enumerate(cols):
             for orbit, c in codet.codet_element(T, *col[1:]).items():
                 mat[rows.index(orbit)][j] = c
-        assert cb.factor(key).det == lu_det(mat), key
+        assert other.factor(key).det == lu_det(mat), key
     if truncated:
         # the truncation keeps more orbits than codeterminants; they sit in
         # blocks with no columns, which the lazy map does not list

@@ -49,26 +49,26 @@ def _oracle_row(D, lam):
     return {mu: D.entry(lam, mu) for mu in D.labels}
 
 
-def test_formula_equals_oracle_char0(T122):
+def test_formula_equals_oracle_char0(T122, lr):
     D = dec.decomp_oracle(T122)
     inp = ch.DecompInput.from_base(T122.alg, T122.data)
     for lam in D.labels:
         for mu in D.labels:
-            assert dec.decomp_formula(inp, lam, mu, 2) == D.entry(lam, mu), (lam, mu)
-        assert dec.decomp_formula_row(inp, lam, D.labels, 2) == _oracle_row(D, lam), lam
+            assert dec.decomp_formula(inp, lam, mu, 2, None, lr) == D.entry(lam, mu), (lam, mu)
+        assert dec.decomp_formula_row(inp, lam, D.labels, 2, None, lr) == _oracle_row(D, lam), lam
 
 
-def test_formula_equals_oracle_char0_ell2():
+def test_formula_equals_oracle_char0_ell2(lr):
     T = _T("zigzag:2", 2, 2)
     D = dec.decomp_oracle(T)
     inp = ch.DecompInput.from_base(T.alg, T.data)
     for lam in D.labels:
         for mu in D.labels:
-            assert dec.decomp_formula(inp, lam, mu, 2) == D.entry(lam, mu), (lam, mu)
-        assert dec.decomp_formula_row(inp, lam, D.labels, 2) == _oracle_row(D, lam), lam
+            assert dec.decomp_formula(inp, lam, mu, 2, None, lr) == D.entry(lam, mu), (lam, mu)
+        assert dec.decomp_formula_row(inp, lam, D.labels, 2, None, lr) == _oracle_row(D, lam), lam
 
 
-def test_formula_equals_oracle_f2(T122):
+def test_formula_equals_oracle_f2(T122, lr):
     D = dec.decomp_oracle(T122, GF(2))
     inp = ch.DecompInput.from_base(T122.alg, T122.data)
     classical = dec.ClassicalDecomp(2, GF(2))
@@ -76,13 +76,13 @@ def test_formula_equals_oracle_f2(T122):
     assert classical((2,), (1, 1)) == 1
     for lam in D.labels:
         for mu in D.labels:
-            assert dec.decomp_formula(inp, lam, mu, 2, classical) == D.entry(lam, mu), \
+            assert dec.decomp_formula(inp, lam, mu, 2, classical, lr) == D.entry(lam, mu), \
                 (lam, mu)
-        row = dec.decomp_formula_row(inp, lam, D.labels, 2, classical)
+        row = dec.decomp_formula_row(inp, lam, D.labels, 2, classical, lr)
         assert row == _oracle_row(D, lam), lam
 
 
-def test_formula_rows_entries_and_oracle_agree_zigzag2_f3():
+def test_formula_rows_entries_and_oracle_agree_zigzag2_f3(lr):
     """zigzag:2 with n = d = 3 over GF(3): every row of the formula, every
     entry of the formula computed alone and the oracle agree."""
     T = _T("zigzag:2", 3, 3)
@@ -92,10 +92,10 @@ def test_formula_rows_entries_and_oracle_agree_zigzag2_f3():
     classical = dec.ClassicalDecomp(3, ring)
     assert len(D.labels) == 22
     for lam in D.labels:
-        row = dec.decomp_formula_row(inp, lam, D.labels, 3, classical)
+        row = dec.decomp_formula_row(inp, lam, D.labels, 3, classical, lr)
         assert row == _oracle_row(D, lam), lam
         for mu in D.labels:
-            assert dec.decomp_formula(inp, lam, mu, 3, classical) == row[mu], (lam, mu)
+            assert dec.decomp_formula(inp, lam, mu, 3, classical, lr) == row[mu], (lam, mu)
 
 
 def test_decomp_identity(T122):

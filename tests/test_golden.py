@@ -2,7 +2,9 @@
 
 Each file in tests/data is the stdout of `schurify` with the arguments listed
 here, kept from before the heredity check moved to words of letter indices;
-the F_p formula file is kept from before the formula was computed by rows.
+the F_p formula file is kept from before the formula was computed by rows,
+and the straighten, blocks and zigzag-bar verify files from before the LR
+cache, the letter products and the factored blocks each got one owner.
 A refactor or speed-up must leave them unchanged; regenerate a file only for
 an intended change of output, by running its command."""
 from pathlib import Path
@@ -11,6 +13,7 @@ import pytest
 from click.testing import CliRunner
 
 from schurify.cli import main
+from test_module_layout import ORBIT
 
 DATA = Path(__file__).parent / "data"
 
@@ -27,6 +30,12 @@ GOLDEN = [
     ("decomp-zigzag1-n3-d3-formula-Fp2.csv",
      ["decomp", "--algebra", "zigzag:1", "-n", "3", "-d", "3", "--field", "Fp:2",
       "--method", "formula", "--out", "csv"]),
+    ("straighten-zigzag1-n2-d2-both.json",
+     ["straighten", "--algebra", "zigzag:1", "-n", "2", "-d", "2", "--backend", "both",
+      "--orbit", ORBIT]),
+    ("blocks-zigzag1-n2-d2.json", ["blocks", "--algebra", "zigzag:1", "-n", "2", "-d", "2"]),
+    # the rank check's cellular branch: rank == the cellular pair count
+    ("verify-zigzagbar1-n2-d2.txt", ["verify", "--algebra", "zigzag-bar:1", "-n", "2", "-d", "2"]),
 ]
 
 

@@ -268,7 +268,7 @@ def test_letter_products_lift_the_base_product(spec, truncated):
         T = T.truncate([0])
     ctx = T.ctx
     for x, y in product(T._letters, repeat=2):
-        got = {ctx.letters[k]: c for k, c in ctx.letter_products[ctx.index[x], ctx.index[y]]}
+        got = {ctx.letters[k]: c for k, c in ctx.letter_product(ctx.index[x], ctx.index[y])}
         want = ({(c, x[1], y[2]): v for c, v in alg.mul_basis(x[0], y[0]).items()}
                 if x[2] == y[1] else {})
         assert got == want, (x, y)
@@ -277,7 +277,8 @@ def test_letter_products_lift_the_base_product(spec, truncated):
 
 def test_letter_product_across_profile_slots_is_refused(monkeypatch):
     """The kernel pairs letters by profile slot, so the letter-product table
-    refuses a nonzero product of letters whose slots differ, naming both."""
+    refuses a nonzero product of letters whose slots differ, naming both,
+    and so does the kernel's table before any product reads the pair."""
     alg, data, tau = make_algebra("zigzag:1")
     T = build_schur(alg, data, 2, 2, tau)
     ctx = T.ctx
@@ -289,7 +290,11 @@ def test_letter_product_across_profile_slots_is_refused(monkeypatch):
     text = (f"nonzero letter product {x} * {y} joins right profile slot "
             f"{ctx.profile_slot(x, 1)} to left profile slot {ctx.profile_slot(y, 0)}")
     with pytest.raises(ValueError, match=re.escape(text)):
-        ctx.letter_products[ctx.index[x], ctx.index[y]]
+        ctx.letter_product(ctx.index[x], ctx.index[y])
+    at = ctx.index[x] * len(ctx.letters) + ctx.index[y]
+    with pytest.raises(ValueError, match=re.escape(text)):
+        ctx.fill_product(at)
+    assert ctx.product_table[at] is None
 
 
 @pytest.mark.parametrize("spec, truncated", [("zigzag:2", False), ("zigzag:1", True)])

@@ -60,7 +60,7 @@ def test_twisted_products_against_the_tensor_oracle(twist, d):
 
 
 @pytest.mark.parametrize("n", [2, 3])
-def test_twisted_codeterminants_match_zigzag(twist, n, monkeypatch):
+def test_twisted_codeterminants_match_zigzag(twist, n, monkeypatch, lr):
     """At n = d: the twist has zigzag:2's rank and the same blocks with the
     same |determinants|, read off the walk of its heredity check, which
     passes; and its decomposition matrix by oracle and by formula is
@@ -84,7 +84,7 @@ def test_twisted_codeterminants_match_zigzag(twist, n, monkeypatch):
     assert oracle == dec.decomp_oracle(plain).entries
     labels = gen_multipartitions(n, n, len(data.labels) - 1)
     formula = {(lam, mu): v for lam in labels
-               for mu, v in dec.decomp_formula_row(T.base_decomp, lam, labels, n).items() if v}
+               for mu, v in dec.decomp_formula_row(T.base_decomp, lam, labels, n, None, lr).items() if v}
     assert formula == oracle
 
 
