@@ -12,15 +12,17 @@ characters, `decomp` and `blocks` the decomposition layer, `straighten`
 straightening, and `verify` its checks (`verification`), which load every
 layer.  `dim`, `build` and `mul` load none of them (see the README's module
 map).
+
+The command line is parsed by `argparse`, so the CLI needs nothing beyond
+Python's standard library.
 """
 from __future__ import annotations
 
+import argparse
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import TYPE_CHECKING
-
-import click
 
 from . import partitions, tableaux, triples
 from .base_algebra import make_algebra
@@ -34,6 +36,11 @@ if TYPE_CHECKING:
 # ---------------------------------------------------------------------------
 # configuration
 # ---------------------------------------------------------------------------
+
+class UsageError(Exception):
+    """Bad input: `main` prints it as the parser's one-line `error:` message
+    and exits 2."""
+
 
 @dataclass
 class RunConfig:
@@ -58,7 +65,7 @@ class RunConfig:
                 return GF(int(f.split(":", 1)[1]))
             except ValueError:
                 pass
-        raise click.UsageError(f"unknown field {f!r} (expected Z | Q | Fp:p, p prime)")
+        raise UsageError(f"unknown field {f!r} (expected Z | Q | Fp:p, p prime)")
 
     def lr_cache(self) -> LRCache:
         """The LR cache: `lr_cache.jsonl` under the cache directory, or kept
@@ -72,8 +79,8 @@ class RunConfig:
         try:
             return LRCache(path)
         except OSError as exc:
-            raise click.UsageError(f"cannot use the LR cache at {exc.filename!r}: "
-                                   f"{exc.strerror}") from None
+            raise UsageError(f"cannot use the LR cache at {exc.filename!r}: "
+                             f"{exc.strerror}") from None
 
     def to_json(self) -> dict:
         return {
@@ -90,55 +97,59 @@ def _read_config_file(path: str) -> dict:
         with open(path, encoding="utf-8") as fh:
             lines = fh.read().splitlines()
     except OSError as exc:
-        raise click.UsageError(f"cannot read --config {path!r}: {exc.strerror}") from None
+        raise UsageError(f"cannot read --config {path!r}: {exc.strerror}") from None
     except UnicodeDecodeError:
-        raise click.UsageError(f"--config {path!r} is not UTF-8 text") from None
+        raise UsageError(f"--config {path!r} is not UTF-8 text") from None
     out = {}
     for line in lines:
         line = line.strip()
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
-            raise click.UsageError(f"bad config line: {line!r}")
+            raise UsageError(f"bad config line: {line!r}")
         k, v = line.split("=", 1)
         out[k.strip()] = v.strip()
     return out
 
 
-def _build_config(ctx_obj: dict, **overrides) -> RunConfig:
+def _build_config(file_values: dict, args: argparse.Namespace, commands: dict) -> RunConfig:
+    """The config file's values, then the flags given, over the defaults.
+    A file value is checked as strictly as its flag (`_flag_choices`)."""
     cfg = RunConfig()
-    for k, v in ctx_obj.get("file_values", {}).items():
-        if not hasattr(cfg, k):
-            raise click.UsageError(f"unknown config key {k!r}")
+    keys = {f.name for f in fields(RunConfig)}
+    for k, v in file_values.items():
+        if k not in keys:
+            raise UsageError(f"unknown config key {k!r}")
         cur = getattr(cfg, k)
         try:
             setattr(cfg, k, type(cur)(v) if cur is not None else v)
         except ValueError:
-            raise click.UsageError(f"bad config value {k}={v!r}") from None
-        choices = _flag_choices(k)
+            raise UsageError(f"bad config value {k}={v!r}") from None
+        choices = _flag_choices(commands, args.command, k)
         if choices and v not in choices:
-            raise click.UsageError(
+            raise UsageError(
                 f"bad config value {k}={v!r} (expected {' | '.join(choices)})")
-    for k, v in overrides.items():
+    for k in keys:
+        v = getattr(args, k, None)
         if v is not None:
             setattr(cfg, k, v)
     if cfg.n < 1 or cfg.d < 0:
-        raise click.UsageError(f"need n >= 1 and d >= 0, got n={cfg.n}, d={cfg.d}")
+        raise UsageError(f"need n >= 1 and d >= 0, got n={cfg.n}, d={cfg.d}")
     cfg.ring()  # a bad --field is a usage error for every command
     return cfg
 
 
-def _flag_choices(name: str) -> list[str]:
+def _flag_choices(commands: dict, command: str, name: str) -> list[str]:
     """The values the flag --name accepts, checked as strictly for a config
     file: the running command's choices, or any command's when it has no
-    such flag; empty when the flag takes any value."""
+    such flag; empty when the flag takes any value.  `commands` maps each
+    command's name to its parser."""
 
-    def of(cmd) -> list[str]:
-        return [c for p in cmd.params if p.name == name and isinstance(p.type, click.Choice)
-                for c in p.type.choices]
+    def of(parser) -> list[str]:
+        return [c for a in parser._actions if a.dest == name and a.choices for c in a.choices]
 
-    own = of(click.get_current_context().command)
-    return own or list(dict.fromkeys(c for cmd in main.commands.values() for c in of(cmd)))
+    own = of(commands[command])
+    return own or list(dict.fromkeys(c for p in commands.values() for c in of(p)))
 
 
 def _quasi_hereditary(cfg: RunConfig) -> bool:
@@ -149,7 +160,7 @@ def _quasi_hereditary(cfg: RunConfig) -> bool:
 
 def _require_qh_algebra(cfg: RunConfig) -> None:
     if not _quasi_hereditary(cfg):
-        raise click.UsageError(
+        raise UsageError(
             f"--algebra {cfg.algebra} is cellular but not quasi-hereditary, and this "
             "command needs a quasi-hereditary algebra"
         )
@@ -158,7 +169,7 @@ def _require_qh_algebra(cfg: RunConfig) -> None:
 def _require_qh(cfg: RunConfig) -> None:
     _require_qh_algebra(cfg)
     if cfg.n < cfg.d:
-        raise click.UsageError(
+        raise UsageError(
             "quasi-heredity operations need n >= d: the standard codeterminant "
             "basis is indexed by tableaux with at most n rows per column"
         )
@@ -167,7 +178,7 @@ def _require_qh(cfg: RunConfig) -> None:
 def _emit(cfg: RunConfig, payload, csv_rows=None) -> None:
     if cfg.out == "csv":
         if csv_rows is None:
-            raise click.UsageError("csv output not available for this command")
+            raise UsageError("csv output not available for this command")
         import csv
         import io
 
@@ -182,9 +193,9 @@ def _emit(cfg: RunConfig, payload, csv_rows=None) -> None:
             with open(cfg.output, "w") as fh:
                 fh.write(text)
         except OSError as exc:
-            raise click.UsageError(f"cannot write --output {cfg.output!r}: {exc.strerror}") from None
+            raise UsageError(f"cannot write --output {cfg.output!r}: {exc.strerror}") from None
     else:
-        click.echo(text, nl=False)
+        sys.stdout.write(text)
 
 
 def _make_T(cfg: RunConfig):
@@ -195,7 +206,7 @@ def _make_T(cfg: RunConfig):
     try:
         alg, data, tau = make_algebra(spec)
     except ValueError as exc:
-        raise click.UsageError(f"bad --algebra {cfg.algebra!r}: {exc}") from None
+        raise UsageError(f"bad --algebra {cfg.algebra!r}: {exc}") from None
     T = build_schur(alg, data, cfg.n, cfg.d, tau)
     return T.truncate(data.labels[:-1]) if bar else T
 
@@ -223,15 +234,15 @@ def _label_from_json(text: str, cfg: RunConfig, n_labels: int):
     try:
         lam = partitions.from_json(_int_json(text))
     except (ValueError, TypeError):
-        raise click.UsageError(f"--label is not a list of lists of integers: {text!r}") from None
+        raise UsageError(f"--label is not a list of lists of integers: {text!r}") from None
     if len(lam) > n_labels:
-        raise click.UsageError("label has more components than the base has colors")
+        raise UsageError("label has more components than the base has colors")
     if any(list(c) != sorted(c, reverse=True) or min(c, default=1) < 1 for c in lam):
-        raise click.UsageError(f"label components must be partitions: {text!r}")
+        raise UsageError(f"label components must be partitions: {text!r}")
     if sum(map(sum, lam)) != cfg.d:
-        raise click.UsageError(f"label {text} does not have size d = {cfg.d}")
+        raise UsageError(f"label {text} does not have size d = {cfg.d}")
     if any(len(c) > cfg.n for c in lam):
-        raise click.UsageError(f"label {text} has a component with more than n = {cfg.n} rows")
+        raise UsageError(f"label {text} has a component with more than n = {cfg.n} rows")
     return lam + ((),) * (n_labels - len(lam))
 
 
@@ -240,40 +251,32 @@ def _orbit_from_json(T, text: str):
     try:
         return T.eta(triples.TriContext.from_json(_int_json(text)))
     except (ValueError, KeyError, TypeError) as exc:
-        raise click.UsageError(f"bad orbit {text}: {exc}") from None
+        raise UsageError(f"bad orbit {text}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
 # commands
 # ---------------------------------------------------------------------------
 
-def _common(f):
-    f = click.option("--algebra", default=None, help="zigzag:L | zigzag-bar:L | trivial | semisimple:m")(f)
-    f = click.option("-n", type=int, default=None)(f)
-    f = click.option("-d", type=int, default=None)(f)
-    f = click.option("--field", default=None, help="Z | Q | Fp:p")(f)
-    f = click.option("--out", type=click.Choice(["json", "csv"]), default=None)(f)
-    f = click.option("--output", default=None, help="write to file instead of stdout")(f)
-    f = click.option("--cache-dir", default=None)(f)
-    f = click.option("--seed", type=int, default=None)(f)
-    return f
+COMMANDS: dict = {}  # name -> (the command, its own options)
 
 
-@click.group()
-@click.option("--config", default=None, help="KEY=VALUE config file; flags override")
-@click.pass_context
-def main(ctx, config):
-    """Exact computations in generalized Schur algebras."""
-    ctx.ensure_object(dict)
-    ctx.obj["file_values"] = _read_config_file(config) if config else {}
+def _command(*options):
+    """Register a command under its function's name, with its docstring as
+    its help and its own options besides the common ones (`_parser`), each
+    a flag and its `add_argument` keywords.  A command takes the config
+    and the parsed arguments and returns 1 when a cross-check failed."""
+
+    def register(run):
+        COMMANDS[run.__name__] = (run, options)
+        return run
+
+    return register
 
 
-@main.command()
-@_common
-@click.pass_context
-def build(ctx, **kw):
+@_command()
+def build(cfg: RunConfig, args) -> None:
     """Construct the algebra and report its shape."""
-    cfg = _build_config(ctx.obj, **kw)
     T = _make_T(cfg)
     labels = partitions.gen_multipartitions(cfg.n, cfg.d, len(T.data.labels) - 1)
     _emit(cfg, {
@@ -284,48 +287,38 @@ def build(ctx, **kw):
     })
 
 
-@main.command()
-@_common
-@click.pass_context
-def dim(ctx, **kw):
+@_command()
+def dim(cfg: RunConfig, args) -> None:
     """Rank of the algebra (number of canonical orbits)."""
-    cfg = _build_config(ctx.obj, **kw)
     T = _make_T(cfg)
     _emit(cfg, {"rank": str(T.rank)}, csv_rows=[[T.rank]])
 
 
-@main.command()
-@_common
-@click.option("--left", required=True, help="orbit word as JSON [{b,r,s},...]")
-@click.option("--right", required=True, help="orbit word as JSON")
-@click.pass_context
-def mul(ctx, left, right, **kw):
+@_command(("--left", dict(required=True, help="orbit word as JSON [{b,r,s},...]")),
+          ("--right", dict(required=True, help="orbit word as JSON")))
+def mul(cfg: RunConfig, args) -> None:
     """Product of two basis elements on the divided-power basis."""
-    cfg = _build_config(ctx.obj, **kw)
     T = _make_T(cfg)
-    x = _orbit_from_json(T, left)
-    y = _orbit_from_json(T, right)
+    x = _orbit_from_json(T, args.left)
+    y = _orbit_from_json(T, args.right)
     payload = T.element_to_json(T.mul(x, y))
     _emit(cfg, payload, csv_rows=[[json.dumps(e["orbit"]), e["coeff"]] for e in payload])
 
 
-@main.command()
-@_common
-@click.option("--orbit", required=True, help="orbit word as JSON [{b,r,s},...]")
-@click.option("--backend", type=click.Choice(["recursive", "solve", "both"]), default="both")
-@click.pass_context
-def straighten(ctx, orbit, backend, **kw):
+@_command(("--orbit", dict(required=True, help="orbit word as JSON [{b,r,s},...]")),
+          ("--backend", dict(choices=["recursive", "solve", "both"], default="both")))
+def straighten(cfg: RunConfig, args) -> int | None:
     """Expand a basis element over standard codeterminants."""
     from .straighten import Straightener  # loaded only where straightening runs
 
-    cfg = _build_config(ctx.obj, **kw)
     T = _make_T(cfg)
     _require_qh(cfg)
-    x = _orbit_from_json(T, orbit)
+    x = _orbit_from_json(T, args.orbit)
     if not x:
-        raise click.UsageError(f"orbit {orbit} repeats an odd letter")
+        raise UsageError(f"orbit {args.orbit} repeats an odd letter")
     (rep,) = x
     results = {}
+    backend = args.backend
     if backend in ("solve", "both"):
         results["solve"] = T.codet_basis.solve(x)
     if backend in ("recursive", "both"):
@@ -333,7 +326,7 @@ def straighten(ctx, orbit, backend, **kw):
     if backend == "both" and results["solve"] != results["recursive"]:
         _emit(cfg, {"error": "straightening backends disagree",
                     "orbit": triples.TriContext.to_json(rep)})
-        sys.exit(1)
+        return 1
     expansion = results.get("solve", results.get("recursive"))
     payload = [
         {"shape": partitions.to_json(key[0]),
@@ -348,20 +341,16 @@ def straighten(ctx, orbit, backend, **kw):
                      json.dumps(e["T"]), e["coeff"]] for e in payload])
 
 
-@main.command()
-@_common
-@click.option("--label", required=True, help="multipartition as JSON [[...],[...]]")
-@click.option("--method", type=click.Choice(["tableaux", "formula", "both"]), default=None)
-@click.pass_context
-def char(ctx, label, method, **kw):
+@_command(("--label", dict(required=True, help="multipartition as JSON [[...],[...]]")),
+          ("--method", dict(choices=["tableaux", "formula", "both"])))
+def char(cfg: RunConfig, args) -> int | None:
     """Graded character of a standard module."""
     from .characters import char_standard_formula, char_standard_tableaux
 
-    cfg = _build_config(ctx.obj, method=method, **kw)
     cache = cfg.lr_cache()
     T = _make_T(cfg)
     _require_qh_algebra(cfg)
-    lam = _label_from_json(label, cfg, len(T.data.labels))
+    lam = _label_from_json(args.label, cfg, len(T.data.labels))
     vecs = {}
     if cfg.method in ("tableaux", "both"):
         vecs["tableaux"] = char_standard_tableaux(T, lam)
@@ -369,25 +358,21 @@ def char(ctx, label, method, **kw):
         vecs["formula"] = char_standard_formula(T, lam, cache)
     if cfg.method == "both" and vecs["tableaux"] != vecs["formula"]:
         _emit(cfg, {"error": "character methods disagree", "label": partitions.to_json(lam)})
-        sys.exit(1)
+        return 1
     vec = vecs.get("tableaux", vecs.get("formula"))
     rows = [(w, repr(c)) for w, c in sorted(vec.items())]
     _emit(cfg, [{"weight": [list(comp) for comp in w], "coeff": s} for w, s in rows],
           csv_rows=[[json.dumps([list(comp) for comp in w]), s] for w, s in rows])
 
 
-@main.command()
-@_common
-@click.option("--method", type=click.Choice(["formula", "oracle", "both"]), default=None)
-@click.pass_context
-def decomp(ctx, method, **kw):
+@_command(("--method", dict(choices=["formula", "oracle", "both"])))
+def decomp(cfg: RunConfig, args) -> int | None:
     """Graded decomposition matrix, by formula, oracle, or both (compared)."""
     from .decomposition import ClassicalDecomp, decomp_formula_row, decomp_oracle
 
-    cfg = _build_config(ctx.obj, method=method, **kw)
     ring = cfg.ring()
     if not ring.is_field:
-        raise click.UsageError("decomposition numbers need a field: Q or Fp:p")
+        raise UsageError("decomposition numbers need a field: Q or Fp:p")
     cache = cfg.lr_cache()
     T = _make_T(cfg)
     _require_qh(cfg)
@@ -407,7 +392,7 @@ def decomp(ctx, method, **kw):
             | {k for k in matrices["formula"] if matrices["formula"][k] != matrices["oracle"].get(k)}
         )
         _emit(cfg, {"error": "formula and oracle disagree", "witnesses": diff[:10]})
-        sys.exit(1)
+        return 1
     mat = matrices.get("oracle", matrices.get("formula"))
     as_json = {lam: partitions.to_json(lam) for lam in labels}
     as_text = {lam: json.dumps(obj) for lam, obj in as_json.items()}
@@ -417,17 +402,14 @@ def decomp(ctx, method, **kw):
           csv_rows=[[as_text[l], as_text[m], e] for l, m, e in rows])
 
 
-@main.command()
-@_common
-@click.pass_context
-def blocks(ctx, **kw):
+@_command()
+def blocks(cfg: RunConfig, args) -> None:
     """Linking-graph blocks and the coarse base-block decomposition."""
     from .decomposition import block_decomposition, blocks as linking_blocks, decomp_oracle
 
-    cfg = _build_config(ctx.obj, **kw)
     ring = cfg.ring()
     if not ring.is_field:
-        raise click.UsageError("block detection needs a field: Q or Fp:p")
+        raise UsageError("block detection needs a field: Q or Fp:p")
     T = _make_T(cfg)
     _require_qh(cfg)
     D = decomp_oracle(T, ring)
@@ -442,27 +424,75 @@ def blocks(ctx, **kw):
     })
 
 
-@main.command()
-@_common
-@click.pass_context
-def verify(ctx, **kw):
+@_command()
+def verify(cfg: RunConfig, args) -> int:
     """Run the invariant suite and print a pass/fail table."""
     # the checks and the layers only this command runs, parsed before the
     # algebra is built: a parse after it would stack on its heap and raise
     # the peak
     from .verification import run_checks
 
-    cfg = _build_config(ctx.obj, **kw)
     cache = cfg.lr_cache()
     T = _make_T(cfg)
     results = run_checks(cfg, T, cache, _quasi_hereditary(cfg))
 
     width = max(len(n) for n, _ok, _w in results)
     for name, ok, witness in results:
-        click.echo(f"{'PASS' if ok else 'FAIL'}  {name.ljust(width)}  {witness}")
-    if not all(ok for _n, ok, _w in results):
-        sys.exit(1)
+        sys.stdout.write(f"{'PASS' if ok else 'FAIL'}  {name.ljust(width)}  {witness}\n")
+    return 0 if all(ok for _n, ok, _w in results) else 1
+
+
+# ---------------------------------------------------------------------------
+# the command line
+# ---------------------------------------------------------------------------
+
+def _parser() -> tuple[argparse.ArgumentParser, dict]:
+    """The parser, `--config` then a command, and each command's own
+    parser by name.  Every command takes the common options; no option may
+    be abbreviated."""
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--algebra", help="zigzag:L | zigzag-bar:L | trivial | semisimple:m")
+    common.add_argument("-n", type=int)
+    common.add_argument("-d", type=int)
+    common.add_argument("--field", help="Z | Q | Fp:p")
+    common.add_argument("--out", choices=["json", "csv"])
+    common.add_argument("--output", help="write to file instead of stdout")
+    common.add_argument("--cache-dir")
+    common.add_argument("--seed", type=int)
+    parser = argparse.ArgumentParser(
+        prog="schurify", description="Exact computations in generalized Schur algebras.",
+        allow_abbrev=False)
+    parser.add_argument("--config", help="KEY=VALUE config file; flags override")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (run, options) in COMMANDS.items():
+        cmd = sub.add_parser(name, parents=[common], allow_abbrev=False,
+                             help=run.__doc__, description=run.__doc__)
+        for flag, kw in options:
+            cmd.add_argument(flag, **kw)
+        cmd.set_defaults(run=run)
+    return parser, sub.choices
+
+
+def main(argv: list[str] | None = None) -> int:
+    """Run the command that `argv` (by default the process's arguments)
+    names and return its exit code: 0, or 1 when a check or cross-check
+    failed.  A usage error prints one `error:` line on stderr and exits 2."""
+    parser, commands = _parser()
+    args = parser.parse_args(argv)
+    try:
+        file_values = _read_config_file(args.config) if args.config else {}
+        return args.run(_build_config(file_values, args, commands), args) or 0
+    except UsageError as exc:
+        commands[args.command].error(str(exc))
+
+
+# `perfbench/selftest.py` runs the CLI through click's `CliRunner`, which
+# reads `main.name` and calls `main.main(args=..., prog_name=...)`.  The two
+# stay only until that selftest runs the CLI in a subprocess (ROADMAP item
+# 12).
+main.name = "schurify"
+main.main = lambda args, prog_name: sys.exit(main(list(args)))
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

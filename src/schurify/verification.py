@@ -18,6 +18,7 @@ only `verify` runs: `base_heredity`, `heredity`, `straighten` and `rsk`
 """
 from __future__ import annotations
 
+import json
 import random
 
 from . import partitions
@@ -32,6 +33,7 @@ from .rsk import rsk, rsk_inv
 from .schur import Element, SchurAlgebra
 from .straighten import Straightener
 from .tableaux import word as tableau_word
+from .triples import TriContext
 
 
 # ---------------------------------------------------------------------------
@@ -71,6 +73,12 @@ def cellular_basis(T: SchurAlgebra, colors) -> dict[tuple, Element]:
 # the suite
 # ---------------------------------------------------------------------------
 
+def _orbits_json(*orbits) -> str:
+    """Orbits as the JSON that `mul --left`/`--right` and `straighten
+    --orbit` take, one line, joined by commas: a failure's witness."""
+    return ", ".join(json.dumps(TriContext.to_json(o)) for o in orbits)
+
+
 def run_checks(cfg, T: SchurAlgebra, cache: LRCache,
                quasi_hereditary: bool) -> list[tuple[str, bool, str]]:
     """Run the checks on T, sampled from `cfg.seed`, and return one row
@@ -99,7 +107,8 @@ def run_checks(cfg, T: SchurAlgebra, cache: LRCache,
         one = T.unit()
         for o in sample(min(20, T.rank)):
             x = {o: 1}
-            assert T.mul(one, x) == x and T.mul(x, one) == x
+            assert T.mul(one, x) == x and T.mul(x, one) == x, \
+                f"1*x or x*1 is not x at x = {_orbits_json(o)}"
         return f"{min(20, T.rank)} samples"
 
     def c_assoc():
@@ -108,7 +117,7 @@ def run_checks(cfg, T: SchurAlgebra, cache: LRCache,
             a, b, c = (choice() for _ in range(3))
             lhs = T.mul(T.mult_orbits(a, b), {c: 1})
             rhs = T.mul({a: 1}, T.mult_orbits(b, c))
-            assert lhs == rhs
+            assert lhs == rhs, f"(ab)c != a(bc) at a, b, c = {_orbits_json(a, b, c)}"
         return f"{m} triples"
 
     def c_rank():
@@ -145,7 +154,8 @@ def run_checks(cfg, T: SchurAlgebra, cache: LRCache,
         st = Straightener(T)
         drawn = sample(min(25, T.rank))
         for o in drawn:
-            assert cb.solve({o: 1}) == st.straighten_element({o: 1})
+            assert cb.solve({o: 1}) == st.straighten_element({o: 1}), \
+                f"solve and recursion differ at {_orbits_json(o)}"
         return f"{len(drawn)} orbits, both backends"
 
     def c_heredity_base():
@@ -202,10 +212,11 @@ def run_checks(cfg, T: SchurAlgebra, cache: LRCache,
         m = min(40, T.rank)
         for _ in range(m):
             a, b = choice(), choice()
-            assert T.involution(T.involution({a: 1})) == {a: 1}
+            assert T.involution(T.involution({a: 1})) == {a: 1}, \
+                f"tau(tau(a)) != a at a = {_orbits_json(a)}"
             lhs = signed(T.mult_orbits(a, b))
             rhs = T.mul(signed({b: 1}), signed({a: 1}))
-            assert lhs == rhs
+            assert lhs == rhs, f"tau(ab) != tau(b)tau(a) at a, b = {_orbits_json(a, b)}"
         return f"anti-automorphism on {m} pairs"
 
     check("unit", c_unit)

@@ -41,8 +41,12 @@
   candidate orbits of axiom (b) filtered from `T.orbits`; production
   multiplies on letter indices through its one kernel and solves by sparse
   elimination.
+- run_cli: the `schurify` command line in this process, its output captured.
 """
+import contextlib
+import io
 import json
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations, product
 
@@ -55,8 +59,35 @@ from schurify.base_algebra import (
     load_presentation,
     make_algebra,
 )
+from schurify.cli import main
 from schurify.partitions import compare, conjugate, trim
 from schurify.tableaux import tableau_degree, tableau_weight
+
+
+# ---------------------------------------------------------------------------
+# the command line, in this process
+# ---------------------------------------------------------------------------
+
+@dataclass
+class CliRun:
+    exit_code: int
+    output: str  # stdout, then stderr
+    stdout_bytes: bytes
+    exception: SystemExit | None  # the SystemExit of a usage error
+
+
+def run_cli(*argv: str) -> CliRun:
+    """`schurify` with the arguments `argv`: `cli.main` with stdout and
+    stderr captured.  Only a SystemExit is caught: the parser's, exit 2 on a
+    usage error or 0 after --help."""
+    out, err = io.StringIO(), io.StringIO()
+    exception = None
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code, exception = exc.code, exc if exc.code else None
+    return CliRun(code, out.getvalue() + err.getvalue(), out.getvalue().encode(), exception)
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from schurify.base_algebra import (
@@ -110,3 +112,41 @@ def test_make_algebra_rejects_unknown():
         make_algebra("nonsense:3")
     with pytest.raises(ValueError):
         make_algebra("zigzag-bar:1")
+
+
+def _scale_the_zigzag_cycle(obj):
+    (entry,) = [k for k in obj["kappa"] if (k["a"], k["c"]) == ("a0_1", "a1_0")]
+    entry["out"] = {"c0": 2}
+
+
+# (spec, twist of its presentation's JSON, a failure the check must report):
+# one minimal broken presentation per failure family, each still a graded
+# associative superalgebra, so `load_presentation` takes it
+BROKEN = {
+    # x*y = 2 c0 is no single basis element
+    "axiom (a)": ("zigzag:1", _scale_the_zigzag_cycle,
+                  "axiom (a): x*y for (1,a0_1,a1_0) is not a single basis label: {'c0': 2}"),
+    # 1 < 0: a1_0 * e0 lands in B(1), which is no longer above 0
+    "axiom (b)": ("zigzag:1", lambda obj: obj["heredity"].update(order=[[1, 0]]),
+                  "axiom (b): a*x for (a1_0,0,e0): component B(1) with 0 not < 1"),
+    # the two labels' idempotents swapped
+    "axiom (c)": ("zigzag:1", lambda obj: obj["heredity"].update(e={"0": "e1", "1": "e0"}),
+                  "axiom (c): e_0 not in X(0) and Y(0)"),
+    # 1 and 2 incomparable: y*x = c1 for label 1 lands in B(2)
+    "f table": ("zigzag:2", lambda obj: obj["heredity"].update(order=[[0, 1], [0, 2]]),
+                "f table: y*x for (1,a0_1,a1_0) has stray pair (2,a1_2,a2_1)"),
+    # the arrows between 0 and 1 even: a1_0 * a0_1 = c1, whose pair (a1_2, a2_1) is odd
+    "conforming": ("zigzag:2", lambda obj: obj["parity"].update(a0_1=0, a1_0=0),
+                   "conforming: even subalgebra not closed at (a1_0,a0_1)"),
+}
+
+
+@pytest.mark.parametrize("family", BROKEN)
+def test_heredity_check_reports_each_failure_family(family):
+    spec, twist, failure = BROKEN[family]
+    alg, data, _tau = make_algebra(spec)
+    obj = dump_presentation(alg, data)
+    twist(obj)
+    rep = verify_heredity(*load_presentation(json.dumps(obj)))
+    assert not rep.ok
+    assert failure in rep.failures, rep.failures

@@ -1,16 +1,12 @@
 import json
 
 import pytest
-from click.testing import CliRunner
+from helpers import run_cli as run
+from hypothesis import given, settings, strategies as st
 
-from schurify.cli import main
 from schurify.rings import GradedSuperScalar
 
 scalar_str = repr  # the one scalar printer is GradedSuperScalar.__repr__
-
-
-def run(*args):
-    return CliRunner().invoke(main, list(args))
 
 
 def test_scalar_str():
@@ -174,6 +170,33 @@ def test_verify_rank_check_fails_on_a_broken_rsk(monkeypatch, tmp_path):
     assert res.exit_code == 1
     failed = [line for line in res.output.splitlines() if line.startswith("FAIL")]
     assert len(failed) == 1 and failed[0].startswith("FAIL  rank"), res.output
+
+
+def test_verify_names_the_orbit_where_straightening_fails(monkeypatch, tmp_path):
+    """With the recursive backend's results doubled, `verify` fails its
+    straightening check alone, naming an orbit as the JSON that `straighten
+    --orbit` takes; `straighten` on that orbit shows the two backends
+    disagree."""
+    from schurify.straighten import Straightener
+
+    real = Straightener.straighten_element
+
+    def doubled(self, x):
+        return {k: 2 * c for k, c in real(self, x).items()}
+
+    monkeypatch.setattr(Straightener, "straighten_element", doubled)
+    common = ["--algebra", "zigzag:1", "-n", "2", "-d", "2", "--cache-dir", str(tmp_path)]
+    res = run("verify", *common)
+    assert res.exit_code == 1, res.output
+    lines = res.output.splitlines()
+    failed = [line for line in lines if not line.startswith("PASS")]
+    assert len(lines) == 9 and len(failed) == 1, res.output
+    assert failed[0].startswith("FAIL  straightening  "), res.output
+    assert "AssertionError: solve and recursion differ at [{" in failed[0], res.output
+    orbit = failed[0].split(" at ", 1)[1]
+    res = run("straighten", *common, "--orbit", orbit, "--backend", "both")
+    assert res.exit_code == 1, res.output
+    assert json.loads(res.output)["error"] == "straightening backends disagree"
 
 
 def test_char_and_formula_decomp_enumerate_no_orbits(monkeypatch, tmp_path):
@@ -440,3 +463,76 @@ def test_cellular_only_truncation_is_a_usage_error(cmd, tmp_path):
         _usage_error("char", "--algebra", "zigzag-bar:1", *small)
         res = run("char", "--algebra", "zigzag:1", *small)
         assert res.exit_code == 0, res.output
+
+
+# the argv fuzz: real commands, options and values, good and bad, mixed with
+# junk; every algebra tiny (n, d <= 2, the default zigzag:1 included)
+ORBITS = ['[{"b": "1", "r": 1, "s": 1}]', '[{"b": "e0", "r": 1, "s": 2}, {"b": "e0", "r": 2, "s": 1}]',
+          '[{"b": "e0", "r": 1, "s": 1}]', '[{"b": "a0_1", "r": 1, "s": 2}]',
+          '[{"b": "a0_1", "r": 1, "s": 1}, {"b": "a0_1", "r": 1, "s": 1}]', "[]", '[{"b": "e0"}]',
+          "[1.5]", "nope"]
+LABELS = ["[[1]]", "[[], [1]]", "[[1], [1]]", "[[2]]", "[[1, 1]]", "[[]]", "[[true]]", "[1]", "{}"]
+OPTIONS = {
+    "--algebra": ["trivial", "zigzag:1", "zigzag-bar:1", "semisimple:2", "zigzag:0", "bogus"],
+    "-n": ["1", "2", "0", "-1", "x"],
+    "-d": ["0", "1", "2", "-1", "1.5"],
+    "--field": ["Q", "Z", "Fp:2", "Fp:4", "R"],
+    "--out": ["json", "csv", "xml"],
+    "--output": ["out.txt", "missing/out.txt"],
+    "--cache-dir": ["", "cache", "cfg.txt"],
+    "--seed": ["0", "7", "x"],
+}
+OWN_OPTIONS = {  # each command's own options, the required ones first
+    "mul": {"--left": ORBITS, "--right": ORBITS},
+    "straighten": {"--orbit": ORBITS, "--backend": ["recursive", "solve", "both", "none"]},
+    "char": {"--label": LABELS, "--method": ["tableaux", "formula", "both", "oracle"]},
+    "decomp": {"--method": ["formula", "oracle", "both", "tableaux"]},
+}
+REQUIRED = {"mul": ["--left", "--right"], "straighten": ["--orbit"], "char": ["--label"]}
+COMMAND_NAMES = ["build", "dim", "mul", "straighten", "char", "decomp", "blocks", "verify"]
+JUNK = ["", "x", "-", "--", "-x", "--bogus", "--alg", "-h", "7", "[[1]]", "--algebra=trivial",
+        "-n1", "--config", "dim"]
+CONFIG_LINES = ["algebra=trivial", "n=1", "d=2", "out=xml", "out=csv", "method=oracle", "bogus=1",
+                "ring=Q", "seed=x", "# a comment", "garbage", "field=Fp:2"]
+
+
+@st.composite
+def argvs(draw):
+    """`--config` or not, a command (or junk) with its required options, a
+    few more options, and at most two junk tokens or flags without their
+    values, in any order."""
+    command = draw(st.sampled_from(COMMAND_NAMES * 3 + JUNK))
+    options = {**OPTIONS, **OWN_OPTIONS.get(command, {})}
+
+    def given_flag(flag):
+        return st.sampled_from(options[flag]).map(lambda v: [flag, v])
+
+    pieces = [draw(given_flag(flag)) for flag in REQUIRED.get(command, [])]
+    pieces += draw(st.lists(st.sampled_from(sorted(options)).flatmap(given_flag), max_size=4))
+    pieces += draw(st.lists(st.sampled_from([[t] for t in JUNK + sorted(options)]), max_size=2))
+    argv = draw(st.sampled_from([[], ["--config", "cfg.txt"], ["--config", "missing.txt"]]))
+    return [*argv, command, *(token for piece in draw(st.permutations(pieces)) for token in piece)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(argvs(), st.lists(st.sampled_from(CONFIG_LINES), max_size=3))
+def test_any_argv_exits_0_or_2_with_one_error_line(argv, config_lines):
+    """Whatever the arguments, the CLI exits 0, or 2 with one `error:` line
+    on stderr; no other exception escapes.  Each run has its own working
+    directory, so relative paths land there."""
+    import os
+    import tempfile
+
+    home = os.getcwd()
+    with tempfile.TemporaryDirectory() as work:
+        os.chdir(work)
+        try:
+            with open("cfg.txt", "w") as fh:
+                fh.write("".join(line + "\n" for line in config_lines))
+            res = run(*argv)
+        finally:
+            os.chdir(home)
+    assert res.exit_code in (0, 2), (argv, res.output)
+    if res.exit_code == 2:
+        stderr = res.output[len(res.stdout_bytes.decode()):]
+        assert len([line for line in stderr.splitlines() if "error:" in line]) == 1, (argv, stderr)

@@ -10,9 +10,7 @@ an intended change of output, by running its command."""
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
-
-from schurify.cli import main
+from helpers import run_cli
 from test_module_layout import ORBIT
 
 DATA = Path(__file__).parent / "data"
@@ -41,6 +39,6 @@ GOLDEN = [
 
 @pytest.mark.parametrize("name,args", GOLDEN, ids=[name for name, _args in GOLDEN])
 def test_stdout_matches_the_kept_file(name, args, tmp_path):
-    res = CliRunner().invoke(main, [*args, "--cache-dir", str(tmp_path)])
+    res = run_cli(*args, "--cache-dir", str(tmp_path))
     assert res.exit_code == 0, res.output
     assert res.stdout_bytes == (DATA / name).read_bytes()

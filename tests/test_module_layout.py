@@ -28,12 +28,13 @@ BEYOND_SCHUR = {"schurify.characters", "schurify.decomposition", "schurify.codet
 MODULE_TOKEN_BOUND = 4500
 
 # one CLI command in this process, which exits non-zero if it fails, then
-# the schurify modules it loaded
+# the modules it loaded
 RUN_AND_LIST = """
 import sys
 from schurify.cli import main
-main(sys.argv[1:], standalone_mode=False)
-print(" ".join(sorted(m for m in sys.modules if m.startswith("schurify"))))
+if main(sys.argv[1:]):
+    sys.exit(1)
+print(" ".join(sorted(sys.modules)))
 """
 
 ORBIT = '[{"b":"a1_0","r":1,"s":2},{"b":"e0","r":2,"s":1}]'
@@ -46,8 +47,8 @@ def fresh(code: str, *args: str) -> str:
 
 
 def loaded_by(args, cache_dir) -> set[str]:
-    """The schurify modules loaded by one command on zigzag:1 n=d=2 in a
-    fresh process."""
+    """The modules loaded by one command on zigzag:1 n=d=2 in a fresh
+    process."""
     out = fresh(RUN_AND_LIST, *args, "--algebra", "zigzag:1", "-n", "2", "-d", "2",
                 "--cache-dir", str(cache_dir))
     return set(out.splitlines()[-1].split())
@@ -61,6 +62,14 @@ def loaded_by(args, cache_dir) -> set[str]:
 ])
 def test_commands_that_neither_straighten_nor_check_heredity_load_neither(args, tmp_path):
     assert not loaded_by(args, tmp_path) & VERIFY_ONLY
+
+
+@pytest.mark.parametrize("args", [["dim"], ["decomp", "--method", "both"], ["verify"]])
+def test_commands_load_no_cli_framework(args, tmp_path):
+    """The command line is parsed by the standard library's `argparse`:
+    no command loads click, nor `difflib`, which click's parsing of `-n`
+    and `-d` imported.  (`argparse` itself loads `locale`.)"""
+    assert not loaded_by(args, tmp_path) & {"click", "difflib"}
 
 
 def test_verify_loads_every_layer(tmp_path):
