@@ -20,22 +20,24 @@ each such step is written once for both sides.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 from .rings import GradedSuperScalar
 
 Elem = dict[str, int]
 
 
-@dataclass(frozen=True)
 class Side:
     """One side of the heredity data: X (x, X_S, a*x) or its mirror Y (y, Y_T,
     y*a).  `orient(a, b)` is (a, b) on the X side and (b, a) on the Y side, so
-    a product or a pair written for X reads as its mirror on Y."""
+    a product or a pair written for X reads as its mirror on Y.  `X_SIDE` and
+    `Y_SIDE` are the only two, so a side equals and hashes as itself."""
 
-    name: str  # "X" or "Y"; failure texts name an element of the side "x" or "y"
-    orient: Callable[[object, object], tuple]
+    __slots__ = ("name", "orient")
+
+    def __init__(self, name: str, orient: Callable[[object, object], tuple]):
+        self.name = name  # "X" or "Y"; failure texts name an element of the side "x" or "y"
+        self.orient = orient
 
     def pick(self, x_thing, y_thing):
         """The member of a mirrored pair that belongs to this side."""
@@ -131,8 +133,7 @@ class BasedSuperalgebra:
         }
 
 
-@dataclass(frozen=True)
-class HeredityData:
+class HeredityData(NamedTuple):
     """Poset I with X(i), Y(i) and initial idempotents e_i.
 
     `labels` lists I in the fixed total order refining the partial order;
@@ -158,8 +159,7 @@ class HeredityData:
         }
 
 
-@dataclass(frozen=True)
-class AntiInvolution:
+class AntiInvolution(NamedTuple):
     """Homogeneous anti-involution given by its permutation of the basis."""
 
     image: dict[str, str]
@@ -336,8 +336,7 @@ def make_semisimple(m: int) -> tuple[BasedSuperalgebra, HeredityData, AntiInvolu
 # standard modules and decomposition numbers of the base algebra
 # ---------------------------------------------------------------------------
 
-@dataclass
-class StandardModuleBase:
+class StandardModuleBase(NamedTuple):
     color: int
     x_basis: tuple[str, ...]
     y_basis: tuple[str, ...]
@@ -408,8 +407,7 @@ def base_decomp_numbers(alg: BasedSuperalgebra, data: HeredityData):
     return out
 
 
-@dataclass(frozen=True)
-class DecompInput:
+class DecompInput(NamedTuple):
     """Graded decomposition data of the base algebra, flattened into slots
     (i, j, m, eps, t): column index of a multipartition tuple, one partition
     per copy of a graded composition-factor multiplicity.  For a basic base

@@ -13,16 +13,15 @@ module map).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .base_algebra import SIDES, HeredityData, Side, _in_pairs, strict_pairs
 
 
-@dataclass
 class HeredityReport:
-    ok: bool
-    failures: list[str] = field(default_factory=list)
-    checked: list[str] = field(default_factory=list)
+    def __init__(self, ok: bool, failures: list[str] | None = None,
+                 checked: list[str] | None = None):
+        self.ok = ok
+        self.failures = [] if failures is None else failures
+        self.checked = [] if checked is None else checked
 
     def fail(self, axiom: str, witness: str) -> None:
         self.ok = False

@@ -21,7 +21,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, fields
 from typing import TYPE_CHECKING
 
 from . import partitions, tableaux, triples
@@ -42,8 +41,11 @@ class UsageError(Exception):
     and exits 2."""
 
 
-@dataclass
 class RunConfig:
+    """The run's settings: the defaults here, then a `--config` file's
+    values and the flags given (`_build_config`).  The annotated names are
+    the config keys; the methods are not."""
+
     algebra: str = "zigzag:1"
     n: int = 2
     d: int = 2
@@ -116,7 +118,7 @@ def _build_config(file_values: dict, args: argparse.Namespace, commands: dict) -
     """The config file's values, then the flags given, over the defaults.
     A file value is checked as strictly as its flag (`_flag_choices`)."""
     cfg = RunConfig()
-    keys = {f.name for f in fields(RunConfig)}
+    keys = RunConfig.__annotations__.keys()
     for k, v in file_values.items():
         if k not in keys:
             raise UsageError(f"unknown config key {k!r}")

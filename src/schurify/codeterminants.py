@@ -55,7 +55,6 @@ All expansions are integral; any non-integral coefficient aborts loudly.
 from __future__ import annotations
 
 from collections.abc import Callable, Iterator, Mapping
-from dataclasses import dataclass, field
 from functools import cached_property
 from operator import mul
 from typing import NamedTuple
@@ -121,19 +120,17 @@ class _Share(NamedTuple):
     sign: int
 
 
-@dataclass
 class CodetBasis:
     """Standard codeterminants of T, their expansions, and the blocked change
     of basis from the orbit basis."""
 
-    T: SchurAlgebra
-    _factored: dict = field(default_factory=dict, init=False, repr=False)
-
-    def __post_init__(self):
+    def __init__(self, T: SchurAlgebra):
         # below n = d the standard codeterminants stop spanning; only the
         # plain algebra operations remain available
-        if self.T.n < self.T.d:
+        if T.n < T.d:
             raise ValueError("standard codeterminant basis requires n >= d")
+        self.T = T
+        self._factored: dict = {}
 
     @cached_property
     def shapes(self) -> list:

@@ -25,7 +25,7 @@ module map).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import exactla
 from .base_algebra import X_SIDE, Y_SIDE, BasedSuperalgebra, DecompInput, HeredityData, base_decomp_numbers
@@ -160,8 +160,7 @@ def gram_blocks(T: SchurAlgebra, bold) -> dict[tuple, list[list[int]]]:
 # decomposition oracle
 # ---------------------------------------------------------------------------
 
-@dataclass
-class DecompMatrix:
+class DecompMatrix(NamedTuple):
     labels: tuple
     entries: dict
 

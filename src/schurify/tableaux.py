@@ -16,7 +16,6 @@ shares (`flat_share`), from the context's table
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
 
@@ -28,14 +27,14 @@ Letter = tuple[int, str]                      # (l, color label)
 Tableau = tuple[tuple[tuple[Letter, ...], ...], ...]
 
 
-@dataclass(frozen=True)
 class Alphabet:
     """Ordered colored alphabet for one side (X or Y) of heredity data."""
 
-    alg: BasedSuperalgebra
-    data: HeredityData
-    n: int
-    side: Side
+    def __init__(self, alg: BasedSuperalgebra, data: HeredityData, n: int, side: Side):
+        self.alg = alg
+        self.data = data
+        self.n = n
+        self.side = side
 
     @cached_property
     def absorbers(self) -> dict[str, int]:

@@ -25,7 +25,6 @@ the context, which a family of degrees and its truncations share.
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass
 from functools import cached_property
 
 from .base_algebra import X_SIDE, Y_SIDE, BasedSuperalgebra, HeredityData, Side, strict_pairs
@@ -35,13 +34,13 @@ TriLetter = tuple[str, int, int]
 TriWord = tuple[TriLetter, ...]
 
 
-@dataclass(frozen=True)
 class TriContext:
     """Per-algebra machinery for triple words over [1, n]."""
 
-    alg: BasedSuperalgebra
-    data: HeredityData
-    n: int
+    def __init__(self, alg: BasedSuperalgebra, data: HeredityData, n: int):
+        self.alg = alg
+        self.data = data
+        self.n = n
 
     @cached_property
     def _pairs(self) -> tuple[dict[str, tuple[int, str, str]], dict[tuple[int, str, str], str]]:

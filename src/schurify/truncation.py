@@ -8,8 +8,7 @@ tests check the base-level truncation against it.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .base_algebra import (
     SIDES,
@@ -22,8 +21,7 @@ from .base_algebra import (
 )
 
 
-@dataclass
-class Truncation:
+class Truncation(NamedTuple):
     algebra: BasedSuperalgebra
     data: HeredityData
 

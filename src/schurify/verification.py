@@ -79,6 +79,12 @@ def _orbits_json(*orbits) -> str:
     return ", ".join(json.dumps(TriContext.to_json(o)) for o in orbits)
 
 
+def _labels_json(*labels) -> str:
+    """Labels as the JSON that `char --label` takes, joined by commas: a
+    failure's witness."""
+    return ", ".join(json.dumps(partitions.to_json(lam)) for lam in labels)
+
+
 def run_checks(cfg, T: SchurAlgebra, cache: LRCache,
                quasi_hereditary: bool) -> list[tuple[str, bool, str]]:
     """Run the checks on T, sampled from `cfg.seed`, and return one row
@@ -176,7 +182,7 @@ def run_checks(cfg, T: SchurAlgebra, cache: LRCache,
         for lam in labels:
             a = char_standard_tableaux(T, lam)
             b = char_standard_formula(T, lam, cache)
-            assert a == b, lam
+            assert a == b, f"tableaux and formula characters differ at lam = {_labels_json(lam)}"
         return f"{len(labels)} labels, two methods"
 
     def c_decomp():
@@ -191,7 +197,8 @@ def run_checks(cfg, T: SchurAlgebra, cache: LRCache,
         for lam in D.labels:
             row = decomp_formula_row(inp, lam, D.labels, T.n, classical, cache)
             for mu, f in row.items():
-                assert f == D.entry(lam, mu), (lam, mu)
+                assert f == D.entry(lam, mu), \
+                    f"formula != oracle at lam, mu = {_labels_json(lam, mu)}"
         return f"{len(D.labels)}x{len(D.labels)} formula == oracle over {ring!r}"
 
     def c_involution():

@@ -1,7 +1,7 @@
 import json
 
 import pytest
-from helpers import run_cli as run
+from helpers import BROKEN, broken_presentation, run_cli as run
 from hypothesis import given, settings, strategies as st
 
 from schurify.rings import GradedSuperScalar
@@ -110,6 +110,28 @@ def test_config_method_checked_like_the_flag(tmp_path):
     assert run("--config", str(cfg), "dim").exit_code == 0
 
 
+CONFIG_KEYS = {"algebra": "trivial", "n": "1", "d": "1", "field": "Fp:2", "out": "json",
+               "method": "both", "output": "r.json", "cache_dir": "cache", "seed": "3"}
+
+
+def test_config_keys_are_the_settings_not_the_methods(tmp_path):
+    """A `--config` key names a setting: the methods of the config are
+    unknown keys, a usage error with no traceback; each of the nine
+    settings is accepted."""
+    cfg = tmp_path / "cfg.txt"
+    for line in ("ring=Q", "lr_cache=x", "to_json=x"):
+        cfg.write_text(f"{line}\n")
+        res = _usage_error("--config", str(cfg), "dim", "--algebra", "trivial")
+        assert f"unknown config key {line.split('=')[0]!r}" in res.output, res.output
+    for key, value in CONFIG_KEYS.items():
+        if key in ("output", "cache_dir"):
+            value = str(tmp_path / value)
+        cfg.write_text(f"algebra=trivial\nn=1\nd=1\n{key}={value}\n")
+        res = run("--config", str(cfg), "dim")
+        assert res.exit_code == 0, (key, res.output)
+    assert json.loads((tmp_path / "r.json").read_text()) == {"rank": "1"}
+
+
 def test_output_file(tmp_path):
     out = tmp_path / "r.json"
     res = run("dim", "--algebra", "trivial", "-n", "2", "-d", "2",
@@ -138,14 +160,14 @@ def test_scalar_printer_negative_coefficients():
 def test_verify_builds_codeterminant_blocks_once(monkeypatch, tmp_path):
     from schurify.codeterminants import CodetBasis
 
-    real = CodetBasis.__post_init__
+    real = CodetBasis.__init__
     builds = []
 
-    def counted(self):
-        builds.append(self.T)
-        real(self)
+    def counted(self, T):
+        builds.append(T)
+        real(self, T)
 
-    monkeypatch.setattr(CodetBasis, "__post_init__", counted)
+    monkeypatch.setattr(CodetBasis, "__init__", counted)
     res = run("verify", "--algebra", "zigzag:1", "-n", "2", "-d", "2",
               "--cache-dir", str(tmp_path))
     assert res.exit_code == 0, res.output
@@ -186,17 +208,79 @@ def test_verify_names_the_orbit_where_straightening_fails(monkeypatch, tmp_path)
 
     monkeypatch.setattr(Straightener, "straighten_element", doubled)
     common = ["--algebra", "zigzag:1", "-n", "2", "-d", "2", "--cache-dir", str(tmp_path)]
-    res = run("verify", *common)
+    failed = _verify_fails_only("straightening", *common)
+    assert "AssertionError: solve and recursion differ at [{" in failed, failed
+    orbit = failed.split(" at ", 1)[1]
+    res = run("straighten", *common, "--orbit", orbit, "--backend", "both")
+    assert res.exit_code == 1, res.output
+    assert json.loads(res.output)["error"] == "straightening backends disagree"
+
+
+def _verify_fails_only(row: str, *args: str) -> str:
+    """`verify` with `args` exits 1, and all nine rows but `row` pass: the
+    FAIL line of `row`."""
+    res = run("verify", *args)
     assert res.exit_code == 1, res.output
     lines = res.output.splitlines()
     failed = [line for line in lines if not line.startswith("PASS")]
     assert len(lines) == 9 and len(failed) == 1, res.output
-    assert failed[0].startswith("FAIL  straightening  "), res.output
-    assert "AssertionError: solve and recursion differ at [{" in failed[0], res.output
-    orbit = failed[0].split(" at ", 1)[1]
-    res = run("straighten", *common, "--orbit", orbit, "--backend", "both")
-    assert res.exit_code == 1, res.output
-    assert json.loads(res.output)["error"] == "straightening backends disagree"
+    assert failed[0].startswith(f"FAIL  {row}  "), res.output
+    return failed[0]
+
+
+def test_verify_names_the_label_where_the_characters_differ(monkeypatch, tmp_path):
+    """With the formula character of one label doubled, `verify` fails its
+    characters check alone, naming that label as `char --label` takes it."""
+    from schurify import verification
+
+    real = verification.char_standard_formula
+    target = ((1,), (1,))
+
+    def perturbed(T, lam, cache):
+        ch = real(T, lam, cache)
+        return ch + ch if lam == target else ch
+
+    monkeypatch.setattr(verification, "char_standard_formula", perturbed)
+    common = ["--algebra", "zigzag:1", "-n", "2", "-d", "2", "--cache-dir", str(tmp_path)]
+    failed = _verify_fails_only("characters", *common)
+    assert failed.endswith("characters differ at lam = [[1], [1]]"), failed
+    witness = failed.rsplit(" = ", 1)[1]
+    assert run("char", *common, "--label", witness, "--method", "both").exit_code == 0
+
+
+def test_verify_names_the_entry_where_the_decomposition_routes_differ(monkeypatch, tmp_path):
+    """With one entry of the formula's decomposition matrix raised by 1,
+    `verify` fails its decomposition check alone, naming the row and column
+    labels of that entry."""
+    from schurify import verification
+    from schurify.rings import GradedSuperScalar
+
+    real = verification.decomp_formula_row
+    lam, mu = ((1,), (1,)), ((2,), ())
+
+    def perturbed(inp, row_label, *args):
+        row = real(inp, row_label, *args)
+        if row_label == lam:
+            row[mu] = row[mu] + GradedSuperScalar.one()
+        return row
+
+    monkeypatch.setattr(verification, "decomp_formula_row", perturbed)
+    failed = _verify_fails_only("decomposition", "--algebra", "zigzag:1", "-n", "2", "-d", "2",
+                                "--cache-dir", str(tmp_path))
+    assert failed.endswith("formula != oracle at lam, mu = [[1], [1]], [[2], []]"), failed
+
+
+def test_verify_fails_the_base_heredity_row_on_a_broken_presentation(monkeypatch, tmp_path):
+    """On zigzag:2 with its arrows between 0 and 1 made even, the base
+    heredity check fails, naming the product that leaves the even
+    subalgebra; at n = d = 1 every other check passes."""
+    from schurify import cli
+
+    broken = broken_presentation("conforming")
+    monkeypatch.setattr(cli, "make_algebra", lambda _spec: broken)
+    failed = _verify_fails_only("base heredity", "--algebra", "zigzag:2", "-n", "1", "-d", "1",
+                                "--cache-dir", str(tmp_path))
+    assert BROKEN["conforming"][2] in failed, failed
 
 
 def test_char_and_formula_decomp_enumerate_no_orbits(monkeypatch, tmp_path):

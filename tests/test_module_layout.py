@@ -68,8 +68,12 @@ def test_commands_that_neither_straighten_nor_check_heredity_load_neither(args, 
 def test_commands_load_no_cli_framework(args, tmp_path):
     """The command line is parsed by the standard library's `argparse`:
     no command loads click, nor `difflib`, which click's parsing of `-n`
-    and `-d` imported.  (`argparse` itself loads `locale`.)"""
-    assert not loaded_by(args, tmp_path) & {"click", "difflib"}
+    and `-d` imported.  (`argparse` itself loads `locale`.)  And the
+    package's records are plain classes and named tuples, so no command
+    loads `dataclasses`, nor the `inspect`, `ast`, `dis` and `tokenize`
+    that it imports; a bare interpreter loads none of the five."""
+    assert not loaded_by(args, tmp_path) & {"click", "difflib", "dataclasses", "inspect",
+                                              "ast", "dis", "tokenize"}
 
 
 def test_verify_loads_every_layer(tmp_path):
