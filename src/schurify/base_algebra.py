@@ -1,6 +1,5 @@
 """Based quasi-hereditary graded superalgebras: presentations, built-in
-constructors, heredity data, standard modules and the base decomposition
-numbers.
+constructors, heredity data and the base decomposition numbers.
 
 An algebra is given by structure constants kappa over Z on a finite labelled
 basis.  Heredity data attaches a poset I, sets X(i), Y(i) of basis labels and
@@ -8,10 +7,10 @@ initial idempotents e_i; the products x*y must sweep out the basis bijectively
 (each x*y is required to be a single basis label with coefficient 1 - true for
 every built-in and for the JSON presentation format).
 
-The heredity check of A is `base_heredity.verify_heredity`, and the
-base-level idempotent truncation is `truncation`: each is a module of its
-own, which a command loads only when it runs it (see the README's module
-map).
+The heredity check of A is `base_heredity`, and the base-level idempotent
+truncation is `truncation`: each is a module of its own, which a command
+loads only when it runs it (see the README's module map).  The
+decomposition numbers run the check's axioms first.
 
 X(i) and Y(i) are mirror images of each other, and so is every one-sided step
 built on them; `Side` carries the one difference, the order of a product, so
@@ -208,13 +207,6 @@ def absorbing_colors(alg, data: HeredityData, side: Side) -> dict[str, int]:
     return out
 
 
-def _in_pairs(of_label: Mapping[str, tuple[int, str, str]], v: Mapping[str, int]) -> dict:
-    """An element of the algebra in the heredity pair basis {x*y}.  Once
-    `strict_pairs` holds, each x*y is one basis label, so this is a
-    relabelling."""
-    return {of_label[b]: c for b, c in v.items()}
-
-
 # ---------------------------------------------------------------------------
 # built-in algebras
 # ---------------------------------------------------------------------------
@@ -333,67 +325,25 @@ def make_semisimple(m: int) -> tuple[BasedSuperalgebra, HeredityData, AntiInvolu
 
 
 # ---------------------------------------------------------------------------
-# standard modules and decomposition numbers of the base algebra
+# decomposition numbers of the base algebra
 # ---------------------------------------------------------------------------
 
-class StandardModuleBase(NamedTuple):
-    color: int
-    x_basis: tuple[str, ...]
-    y_basis: tuple[str, ...]
-    # action[a][x] = dict over x' of l^x_{x'}(a)
-    action: dict[str, dict[str, dict[str, int]]]
-    right_action: dict[str, dict[str, dict[str, int]]]
-    gram: list[list[int]]  # gram[xi][yi] = f_i(y, x)
-
-
-def _pair_labels(alg, data: HeredityData) -> dict[str, tuple[int, str, str]]:
-    """`strict_pairs` for the constructions that need verified heredity data."""
-    try:
-        return strict_pairs(alg, data)[0]
-    except ValueError as exc:
-        raise ValueError(f"heredity axiom (a) fails; verify first: {exc}") from exc
-
-
-def standard_module_base(alg: BasedSuperalgebra, data: HeredityData, i: int) -> StandardModuleBase:
-    of_label = _pair_labels(alg, data)
-
-    def project(prod: Mapping[str, int], side: Side) -> dict[str, int]:
-        out: dict[str, int] = {}
-        for (j, *xy), c in _in_pairs(of_label, prod).items():
-            own, other = side.orient(*xy)
-            if j == i and other == data.e[i]:
-                out[own] = c
-            elif not data.lt(i, j) and c:
-                raise ValueError("axiom (b) violated; verify first")
-        return out
-
-    action, right_action = (
-        {a: {z: project(alg.mul_basis(*side.orient(a, z)), side)
-             for z in side.pick(data.X, data.Y)[i]}
-         for a in alg.basis}
-        for side in SIDES
-    )
-    unit_pair = (i, data.e[i], data.e[i])
-    gram = [[_in_pairs(of_label, alg.mul_basis(y, x)).get(unit_pair, 0) for y in data.Y[i]]
-            for x in data.X[i]]
-    return StandardModuleBase(i, data.X[i], data.Y[i], action, right_action, gram)
-
-
 def base_decomp_numbers(alg: BasedSuperalgebra, data: HeredityData):
-    """Graded decomposition matrix d_{i,j}(q, pi) for a basic algebra.
+    """Graded decomposition matrix d_{i,j}(q, pi) of A.
 
-    For basic A (all simples one-dimensional, concentrated in degree 0), the
-    multiplicity [Delta(i) : q^n pi^eps L(j)] is the graded dimension of
-    e_j Delta(i), i.e. a sum over x in X(i) absorbed by e_j.
+    It exists when A's heredity data holds, which `base_heredity.check_axioms`
+    decides; a ValueError names its first failure otherwise.  Its f table
+    puts the pairing of each Delta(i) in degree 0, so A is basic (all simples
+    one-dimensional, concentrated in degree 0), and the multiplicity
+    [Delta(i) : q^n pi^eps L(j)] is the graded dimension of e_j Delta(i),
+    i.e. a sum over x in X(i) absorbed by e_j.
     """
-    # basicness: the Gram pairing of each Delta(i) must have rank exactly 1,
-    # concentrated on the (e_i, e_i) entry in degree 0.
-    for i in data.labels:
-        sm = standard_module_base(alg, data, i)
-        nz = [(x, y) for xi, x in enumerate(sm.x_basis) for yi, y in enumerate(sm.y_basis)
-              if sm.gram[xi][yi] != 0]
-        if any(alg.degree[x] + alg.degree[y] != 0 for x, y in nz):
-            raise ValueError(f"algebra not basic at i={i}: pairing not concentrated in degree 0")
+    # imported here, so that loading this module loads no heredity check
+    from .base_heredity import check_axioms
+
+    report, _of_label = check_axioms(alg, data)
+    if not report.ok:
+        raise ValueError(f"heredity data fails; verify first: {report.failures[0]}")
     left = absorbing_colors(alg, data, X_SIDE)
     out: dict[tuple[int, int], GradedSuperScalar] = {}
     for i in data.labels:
@@ -428,8 +378,6 @@ class DecompInput(NamedTuple):
             elif not data.lt(j, i):
                 raise ValueError(f"nonzero decomposition number above the diagonal: {(i, j)}")
             for (m, eps), c in sorted(g.coeffs.items()):
-                if c < 0:
-                    raise ValueError("negative multiplicity in base decomposition data")
                 for t in range(1, c + 1):
                     slots.append((i, j, m, eps, t))
         return DecompInput(labels=data.labels, slots=tuple(slots))

@@ -7,13 +7,19 @@ parity, so they run unchanged on its even subalgebra for the conformity
 check.  The Schur algebras built downstream have their own check,
 `heredity.heredity_of_T`.
 
-Only `verify` loads this module; `import schurify` reaches
-`verify_heredity` through the package's `__getattr__` (see the README's
-module map).
+`check_axioms` is the one place that decides whether A's heredity data
+holds: `verify_heredity` runs it, and so does
+`base_algebra.base_decomp_numbers`, since the decomposition data exists
+only when the axioms hold.  So the commands that read that data (`char`,
+`decomp`, `blocks` and `verify`) load this module, when they first read
+it; `import schurify` reaches `verify_heredity` through the package's
+`__getattr__` (see the README's module map).
 """
 from __future__ import annotations
 
-from .base_algebra import SIDES, HeredityData, Side, _in_pairs, strict_pairs
+from typing import Mapping
+
+from .base_algebra import SIDES, HeredityData, Side, strict_pairs
 
 
 class HeredityReport:
@@ -28,7 +34,14 @@ class HeredityReport:
         self.failures.append(f"{axiom}: {witness}")
 
 
-def _check_axioms(alg, data: HeredityData) -> tuple[HeredityReport, dict | None]:
+def _in_pairs(of_label: Mapping[str, tuple[int, str, str]], v: Mapping[str, int]) -> dict:
+    """An element of the algebra in the heredity pair basis {x*y}.  Once
+    `strict_pairs` holds, each x*y is one basis label, so this is a
+    relabelling."""
+    return {of_label[b]: c for b, c in v.items()}
+
+
+def check_axioms(alg, data: HeredityData) -> tuple[HeredityReport, dict | None]:
     """Check the heredity axioms (a), (b), (c) and the f table.  Returns the
     report and the pair basis of `strict_pairs`, None when axiom (a) fails.
 
@@ -124,7 +137,7 @@ def verify_heredity(alg, data: HeredityData) -> HeredityReport:
     """Check the heredity axioms (a), (b), (c), the f table, and conformity:
     the even strata are heredity data for the even subalgebra, checked by the
     same axioms."""
-    report, of_label = _check_axioms(alg, data)
+    report, of_label = check_axioms(alg, data)
     if of_label is None:
         return report
     even_labels = [b for b in alg.basis
@@ -155,7 +168,7 @@ def verify_heredity(alg, data: HeredityData) -> HeredityReport:
             Y={i: tuple(y for y in data.Y[i] if alg.parity[y] == 0) for i in data.labels},
             e=dict(data.e),
         )
-        sub_report, _ = _check_axioms(_Sub, sub_data)
+        sub_report, _ = check_axioms(_Sub, sub_data)
         for msg in sub_report.failures:
             report.fail("conforming", msg)
     if report.ok:

@@ -375,7 +375,7 @@ def char_standard_tableaux(T: SchurAlgebra, bold) -> CharacterVector:
     counted by their shares (weight, degree, parity) in the context's table
     (`TriContext.standard_tableaux`), which the codeterminant blocks read
     too."""
-    T.base_decomp  # raises for a non-basic base
+    T.base_decomp  # raises unless A's heredity axioms hold
     by_weight: dict = {}
     bold = _pad_bold(bold, len(T.data.labels))
     for _S, (weight, deg, par) in T.ctx.standard_tableaux[X_SIDE, bold]:

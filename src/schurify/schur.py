@@ -178,8 +178,8 @@ class SchurAlgebra:
     @cached_property
     def base_decomp(self) -> DecompInput:
         """The base algebra's graded decomposition data, read by both
-        character routes and the decomposition formula; raises ValueError
-        when the base is not basic."""
+        character routes and the decomposition formula; raises ValueError,
+        naming the first failure, when A's heredity axioms do not hold."""
         return DecompInput.from_base(self.alg, self.data)
 
     @cached_property

@@ -12,9 +12,9 @@ index and unranked (`T.orbit`), so no check lists the orbits.
 and returns the result rows; `cli.verify` prints them and keeps the exit
 code.  This module does not import `cli`: run as `python -m schurify.cli`,
 the CLI is `__main__`, and importing it by name would compile and run it a
-second time.  Only `verify` loads this module, and with it the layers that
-only `verify` runs: `base_heredity`, `heredity`, `straighten` and `rsk`
-(see the README's module map).
+second time.  Only `verify` loads this module, and with it `heredity` and
+`rsk`, which no other command runs, as well as `straighten` and
+`base_heredity` (see the README's module map).
 """
 from __future__ import annotations
 
@@ -134,11 +134,11 @@ def run_checks(cfg, T: SchurAlgebra, cache: LRCache,
             # ambient algebra
             ell = int(cfg.algebra.split(":", 1)[1])
             cells = cellular_basis(T.parent, range(ell))
-            assert len(cells) == T.rank, (len(cells), T.rank)
+            assert len(cells) == T.rank, f"cellular pair count {len(cells)} != rank {T.rank}"
             return f"rank {T.rank} == cellular pair count"
         cb = T.codet_basis
         total = sum(len(cb.std_x[bold]) * len(cb.std_y[bold]) for bold in cb.shapes)
-        assert total == T.rank, (total, T.rank)
+        assert total == T.rank, f"standard codeterminant count {total} != rank {T.rank}"
         # RSK on a sample: a bijection from orbits onto codeterminant keys,
         # the standard pairs (S, T) of one shape
         std = {bold: (set(cb.std_x[bold]), set(cb.std_y[bold])) for bold in cb.shapes}
@@ -147,9 +147,11 @@ def run_checks(cfg, T: SchurAlgebra, cache: LRCache,
             image = rsk(T.ctx, o)
             bold, S, Tb = image
             xs, ys = std.get(bold, ((), ()))
-            assert S in xs and Tb in ys, f"rsk({o}) is not a standard codeterminant"
-            assert rsk_inv(T.ctx, S, Tb) == o, f"rsk_inv(rsk({o})) != {o}"
-            assert image not in preimage, f"rsk({o}) == rsk({preimage[image]})"
+            assert S in xs and Tb in ys, \
+                f"rsk(o) is not a standard codeterminant at o = {_orbits_json(o)}"
+            assert rsk_inv(T.ctx, S, Tb) == o, f"rsk_inv(rsk(o)) != o at o = {_orbits_json(o)}"
+            assert image not in preimage, \
+                f"rsk(o) == rsk(p) at o, p = {_orbits_json(o, preimage[image])}"
             preimage[image] = o
         return f"rank {T.rank} two ways"
 
@@ -191,8 +193,8 @@ def run_checks(cfg, T: SchurAlgebra, cache: LRCache,
         ring = cfg.ring()
         if not ring.is_field:
             ring = QQ
+        inp = T.base_decomp  # raises, naming the failure, unless A's axioms hold
         D = decomp_oracle(T, ring)
-        inp = T.base_decomp
         classical = None if ring == QQ else ClassicalDecomp(T.n, ring)
         for lam in D.labels:
             row = decomp_formula_row(inp, lam, D.labels, T.n, classical, cache)
@@ -236,11 +238,5 @@ def run_checks(cfg, T: SchurAlgebra, cache: LRCache,
         check("base heredity", c_heredity_base)
         check("schur heredity", c_heredity_T)
         check("characters", c_chars)
-        try:
-            T.base_decomp
-            basic = True
-        except ValueError:
-            basic = False
-        if basic:
-            check("decomposition", c_decomp)
+        check("decomposition", c_decomp)
     return results

@@ -45,6 +45,7 @@
   multiplies on letter indices through its one kernel and solves by sparse
   elimination.
 - run_cli: the `schurify` command line in this process, its output captured.
+- verify_fails_only: `verify` failing exactly one of its nine rows.
 """
 import contextlib
 import io
@@ -91,6 +92,18 @@ def run_cli(*argv: str) -> CliRun:
         except SystemExit as exc:
             code, exception = exc.code, exc if exc.code else None
     return CliRun(code, out.getvalue() + err.getvalue(), out.getvalue().encode(), exception)
+
+
+def verify_fails_only(row: str, *args: str) -> str:
+    """`verify` with `args` exits 1, and all nine rows but `row` pass: the
+    FAIL line of `row`."""
+    res = run_cli("verify", *args)
+    assert res.exit_code == 1, res.output
+    lines = res.output.splitlines()
+    failed = [line for line in lines if not line.startswith("PASS")]
+    assert len(lines) == 9 and len(failed) == 1, res.output
+    assert failed[0].startswith(f"FAIL  {row}  "), res.output
+    return failed[0]
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@ import pytest
 from helpers import BROKEN, broken_presentation
 
 from schurify.base_algebra import (
+    DecompInput,
     base_decomp_numbers,
     dump_presentation,
     load_presentation,
@@ -9,7 +10,6 @@ from schurify.base_algebra import (
     make_extended_zigzag,
     make_semisimple,
     make_trivial,
-    standard_module_base,
     strict_pairs,
 )
 from schurify.base_heredity import verify_heredity
@@ -82,13 +82,6 @@ def test_base_decomp_numbers_zigzag():
                 assert D.get((i, j), GradedSuperScalar.zero()) == expected, (i, j)
 
 
-def test_standard_module_base_dims(zz1):
-    alg, data, tau = zz1
-    # Delta(0) is 1-dimensional, Delta(i) is 2-dimensional for i >= 1
-    assert len(standard_module_base(alg, data, 0).x_basis) == 1
-    assert len(standard_module_base(alg, data, 1).x_basis) == 2
-
-
 def test_presentation_roundtrip(zz1):
     alg, data, tau = zz1
     alg2, data2 = load_presentation(dump_presentation(alg, data))
@@ -119,3 +112,17 @@ def test_heredity_check_reports_each_failure_family(family):
     rep = verify_heredity(alg, data)
     assert not rep.ok
     assert BROKEN[family][2] in rep.failures, rep.failures
+
+
+@pytest.mark.parametrize("family", BROKEN)
+def test_decomposition_data_exists_only_where_the_axioms_hold(family):
+    """The base's decomposition data is refused exactly when the heredity
+    axioms fail, naming the check's first failure; conformity is no
+    precondition of it."""
+    alg, data, _tau = broken_presentation(family)
+    if family == "conforming":
+        assert DecompInput.from_base(alg, data).labels == data.labels
+        return
+    with pytest.raises(ValueError, match="verify first") as exc:
+        DecompInput.from_base(alg, data)
+    assert verify_heredity(alg, data).failures[0] in str(exc.value)

@@ -1,7 +1,7 @@
 import json
 
 import pytest
-from helpers import BROKEN, broken_presentation, run_cli as run
+from helpers import BROKEN, broken_presentation, run_cli as run, verify_fails_only
 from hypothesis import given, settings, strategies as st
 
 from schurify.rings import GradedSuperScalar
@@ -192,6 +192,8 @@ def test_verify_rank_check_fails_on_a_broken_rsk(monkeypatch, tmp_path):
     assert res.exit_code == 1
     failed = [line for line in res.output.splitlines() if line.startswith("FAIL")]
     assert len(failed) == 1 and failed[0].startswith("FAIL  rank"), res.output
+    # the witness is an orbit as `mul --left` takes it
+    assert " at o = [{" in failed[0], failed
 
 
 def test_verify_names_the_orbit_where_straightening_fails(monkeypatch, tmp_path):
@@ -208,24 +210,12 @@ def test_verify_names_the_orbit_where_straightening_fails(monkeypatch, tmp_path)
 
     monkeypatch.setattr(Straightener, "straighten_element", doubled)
     common = ["--algebra", "zigzag:1", "-n", "2", "-d", "2", "--cache-dir", str(tmp_path)]
-    failed = _verify_fails_only("straightening", *common)
+    failed = verify_fails_only("straightening", *common)
     assert "AssertionError: solve and recursion differ at [{" in failed, failed
     orbit = failed.split(" at ", 1)[1]
     res = run("straighten", *common, "--orbit", orbit, "--backend", "both")
     assert res.exit_code == 1, res.output
     assert json.loads(res.output)["error"] == "straightening backends disagree"
-
-
-def _verify_fails_only(row: str, *args: str) -> str:
-    """`verify` with `args` exits 1, and all nine rows but `row` pass: the
-    FAIL line of `row`."""
-    res = run("verify", *args)
-    assert res.exit_code == 1, res.output
-    lines = res.output.splitlines()
-    failed = [line for line in lines if not line.startswith("PASS")]
-    assert len(lines) == 9 and len(failed) == 1, res.output
-    assert failed[0].startswith(f"FAIL  {row}  "), res.output
-    return failed[0]
 
 
 def test_verify_names_the_label_where_the_characters_differ(monkeypatch, tmp_path):
@@ -242,7 +232,7 @@ def test_verify_names_the_label_where_the_characters_differ(monkeypatch, tmp_pat
 
     monkeypatch.setattr(verification, "char_standard_formula", perturbed)
     common = ["--algebra", "zigzag:1", "-n", "2", "-d", "2", "--cache-dir", str(tmp_path)]
-    failed = _verify_fails_only("characters", *common)
+    failed = verify_fails_only("characters", *common)
     assert failed.endswith("characters differ at lam = [[1], [1]]"), failed
     witness = failed.rsplit(" = ", 1)[1]
     assert run("char", *common, "--label", witness, "--method", "both").exit_code == 0
@@ -265,7 +255,7 @@ def test_verify_names_the_entry_where_the_decomposition_routes_differ(monkeypatc
         return row
 
     monkeypatch.setattr(verification, "decomp_formula_row", perturbed)
-    failed = _verify_fails_only("decomposition", "--algebra", "zigzag:1", "-n", "2", "-d", "2",
+    failed = verify_fails_only("decomposition", "--algebra", "zigzag:1", "-n", "2", "-d", "2",
                                 "--cache-dir", str(tmp_path))
     assert failed.endswith("formula != oracle at lam, mu = [[1], [1]], [[2], []]"), failed
 
@@ -278,9 +268,28 @@ def test_verify_fails_the_base_heredity_row_on_a_broken_presentation(monkeypatch
 
     broken = broken_presentation("conforming")
     monkeypatch.setattr(cli, "make_algebra", lambda _spec: broken)
-    failed = _verify_fails_only("base heredity", "--algebra", "zigzag:2", "-n", "1", "-d", "1",
+    failed = verify_fails_only("base heredity", "--algebra", "zigzag:2", "-n", "1", "-d", "1",
                                 "--cache-dir", str(tmp_path))
     assert BROKEN["conforming"][2] in failed, failed
+
+
+def test_verify_fails_the_decomposition_row_where_the_base_axioms_fail(monkeypatch, tmp_path):
+    """On zigzag:1 with its order reversed, axiom (b) fails: `verify` still
+    prints all nine rows, and the decomposition row fails, naming the
+    check's first failure."""
+    from schurify import cli
+    from schurify.base_heredity import verify_heredity
+
+    broken = broken_presentation("axiom (b)")
+    monkeypatch.setattr(cli, "make_algebra", lambda _spec: broken)
+    res = run("verify", "--algebra", "zigzag:1", "-n", "2", "-d", "2",
+              "--cache-dir", str(tmp_path))
+    assert res.exit_code == 1, res.output
+    lines = res.output.splitlines()
+    assert [line.split()[1] for line in lines][-2:] == ["characters", "decomposition"]
+    assert len(lines) == 9, res.output
+    first = verify_heredity(*broken[:2]).failures[0]
+    assert lines[-1].startswith("FAIL  decomposition  ") and first in lines[-1], res.output
 
 
 def test_char_and_formula_decomp_enumerate_no_orbits(monkeypatch, tmp_path):
@@ -460,17 +469,17 @@ def test_verify_checks_basicness_once(monkeypatch, tmp_path):
     from schurify import base_algebra
 
     built = []
-    real = base_algebra.standard_module_base
+    real = base_algebra.base_decomp_numbers
 
-    def counted(alg, data, i):
-        built.append(i)
-        return real(alg, data, i)
+    def counted(alg, data):
+        built.append(data)
+        return real(alg, data)
 
-    monkeypatch.setattr(base_algebra, "standard_module_base", counted)
+    monkeypatch.setattr(base_algebra, "base_decomp_numbers", counted)
     res = run("verify", "--algebra", "zigzag:1", "-n", "2", "-d", "2",
               "--cache-dir", str(tmp_path))
     assert res.exit_code == 0, res.output
-    assert sorted(built) == [0, 1]
+    assert len(built) == 1
 
 
 CACHE_CASES = {

@@ -19,9 +19,12 @@ import schurify
 
 PACKAGE = os.path.dirname(schurify.__file__)
 ENV = dict(os.environ, PYTHONPATH=os.path.dirname(PACKAGE))
-# the modules only `verify` runs, and the layers past the Schur algebra
-VERIFY_ONLY = {"schurify.base_heredity", "schurify.verification", "schurify.heredity",
-               "schurify.straighten", "schurify.rsk"}
+# the modules only `verify` runs, the heredity check of A, which every
+# command that reads A's decomposition data runs, and the layers past the
+# Schur algebra
+VERIFY_ONLY = {"schurify.verification", "schurify.heredity", "schurify.straighten",
+               "schurify.rsk"}
+BASE_CHECK = "schurify.base_heredity"
 BEYOND_SCHUR = {"schurify.characters", "schurify.decomposition", "schurify.codeterminants",
                 "schurify.exactla"}
 # the parser tokens every module stays under
@@ -61,7 +64,21 @@ def loaded_by(args, cache_dir) -> set[str]:
     ["build"],
 ])
 def test_commands_that_neither_straighten_nor_check_heredity_load_neither(args, tmp_path):
+    """No command but `verify` checks the heredity of T, and no command but
+    `verify` and `straighten` straightens."""
     assert not loaded_by(args, tmp_path) & VERIFY_ONLY
+
+
+@pytest.mark.parametrize("args", [
+    ["char", "--label", "[[1],[1]]", "--method", "both"],
+    ["decomp", "--method", "both"],
+    ["blocks"],
+    ["verify"],
+])
+def test_commands_that_read_the_base_decomposition_data_check_its_axioms(args, tmp_path):
+    """A's decomposition data exists only when its heredity data holds, and
+    `base_heredity.check_axioms` alone decides that."""
+    assert BASE_CHECK in loaded_by(args, tmp_path)
 
 
 @pytest.mark.parametrize("args", [["dim"], ["decomp", "--method", "both"], ["verify"]])
@@ -77,7 +94,7 @@ def test_commands_load_no_cli_framework(args, tmp_path):
 
 
 def test_verify_loads_every_layer(tmp_path):
-    assert VERIFY_ONLY | BEYOND_SCHUR <= loaded_by(["verify"], tmp_path)
+    assert VERIFY_ONLY | BEYOND_SCHUR | {BASE_CHECK} <= loaded_by(["verify"], tmp_path)
 
 
 def test_straighten_loads_straightening(tmp_path):
@@ -115,7 +132,7 @@ def test_char_loads_the_characters_but_not_the_decomposition_layer(tmp_path):
 
 @pytest.mark.parametrize("args", [["dim"], ["build"]])
 def test_dim_and_build_load_nothing_beyond_the_schur_algebra(args, tmp_path):
-    assert not loaded_by(args, tmp_path) & BEYOND_SCHUR
+    assert not loaded_by(args, tmp_path) & (BEYOND_SCHUR | {BASE_CHECK})
 
 
 def test_importing_the_package_loads_no_heredity_check():
