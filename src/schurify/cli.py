@@ -154,23 +154,18 @@ def _flag_choices(commands: dict, command: str, name: str) -> list[str]:
     return own or list(dict.fromkeys(c for p in commands.values() for c in of(p)))
 
 
-def _quasi_hereditary(cfg: RunConfig) -> bool:
-    """Whether the algebra is quasi-hereditary; the zigzag-bar truncation is
-    only cellular."""
-    return not cfg.algebra.startswith("zigzag-bar:")
-
-
-def _require_qh_algebra(cfg: RunConfig) -> None:
-    if not _quasi_hereditary(cfg):
+def _require_qh_algebra(cfg: RunConfig, T) -> None:
+    """A truncation (`T.keep_basis`) is only cellular: a usage error here."""
+    if T.keep_basis is not None:
         raise UsageError(
             f"--algebra {cfg.algebra} is cellular but not quasi-hereditary, and this "
             "command needs a quasi-hereditary algebra"
         )
 
 
-def _require_qh(cfg: RunConfig) -> None:
-    _require_qh_algebra(cfg)
-    if cfg.n < cfg.d:
+def _require_qh(cfg: RunConfig, T) -> None:
+    _require_qh_algebra(cfg, T)
+    if T.n < T.d:
         raise UsageError(
             "quasi-heredity operations need n >= d: the standard codeterminant "
             "basis is indexed by tableaux with at most n rows per column"
@@ -205,11 +200,13 @@ def _make_T(cfg: RunConfig):
     # is built there and cut down at the Schur level
     bar = cfg.algebra.startswith("zigzag-bar:")
     spec = "zigzag:" + cfg.algebra.split(":", 1)[1] if bar else cfg.algebra
+    # a presentation whose heredity pairs are not basis labels (axiom (a))
+    # fails in `build_schur`, as bad an --algebra as one that does not parse
     try:
         alg, data, tau = make_algebra(spec)
+        T = build_schur(alg, data, cfg.n, cfg.d, tau)
     except ValueError as exc:
         raise UsageError(f"bad --algebra {cfg.algebra!r}: {exc}") from None
-    T = build_schur(alg, data, cfg.n, cfg.d, tau)
     return T.truncate(data.labels[:-1]) if bar else T
 
 
@@ -314,7 +311,7 @@ def straighten(cfg: RunConfig, args) -> int | None:
     from .straighten import Straightener  # loaded only where straightening runs
 
     T = _make_T(cfg)
-    _require_qh(cfg)
+    _require_qh(cfg, T)
     x = _orbit_from_json(T, args.orbit)
     if not x:
         raise UsageError(f"orbit {args.orbit} repeats an odd letter")
@@ -351,7 +348,7 @@ def char(cfg: RunConfig, args) -> int | None:
 
     cache = cfg.lr_cache()
     T = _make_T(cfg)
-    _require_qh_algebra(cfg)
+    _require_qh_algebra(cfg, T)
     lam = _label_from_json(args.label, cfg, len(T.data.labels))
     vecs = {}
     if cfg.method in ("tableaux", "both"):
@@ -377,7 +374,7 @@ def decomp(cfg: RunConfig, args) -> int | None:
         raise UsageError("decomposition numbers need a field: Q or Fp:p")
     cache = cfg.lr_cache()
     T = _make_T(cfg)
-    _require_qh(cfg)
+    _require_qh(cfg, T)
     labels = partitions.gen_multipartitions(cfg.n, cfg.d, len(T.data.labels) - 1)
     matrices = {}
     if cfg.method in ("oracle", "both"):
@@ -413,7 +410,7 @@ def blocks(cfg: RunConfig, args) -> None:
     if not ring.is_field:
         raise UsageError("block detection needs a field: Q or Fp:p")
     T = _make_T(cfg)
-    _require_qh(cfg)
+    _require_qh(cfg, T)
     D = decomp_oracle(T, ring)
     fine = linking_blocks(D.labels, D.entries)
     coarse = block_decomposition(T.alg, T.data, cfg.n, cfg.d)
@@ -428,7 +425,8 @@ def blocks(cfg: RunConfig, args) -> None:
 
 @_command()
 def verify(cfg: RunConfig, args) -> int:
-    """Run the invariant suite and print a pass/fail table."""
+    """Run the invariant suite and print its rows: PASS, FAIL, or SKIP where
+    a check does not apply."""
     # the checks and the layers only this command runs, parsed before the
     # algebra is built: a parse after it would stack on its heap and raise
     # the peak
@@ -436,12 +434,13 @@ def verify(cfg: RunConfig, args) -> int:
 
     cache = cfg.lr_cache()
     T = _make_T(cfg)
-    results = run_checks(cfg, T, cache, _quasi_hereditary(cfg))
+    results = run_checks(T, cfg.seed, cfg.ring(), cache)
 
     width = max(len(n) for n, _ok, _w in results)
     for name, ok, witness in results:
-        sys.stdout.write(f"{'PASS' if ok else 'FAIL'}  {name.ljust(width)}  {witness}\n")
-    return 0 if all(ok for _n, ok, _w in results) else 1
+        verdict = "SKIP" if ok is None else "PASS" if ok else "FAIL"
+        sys.stdout.write(f"{verdict}  {name.ljust(width)}  {witness}\n")
+    return 1 if any(ok is False for _n, ok, _w in results) else 0
 
 
 # ---------------------------------------------------------------------------

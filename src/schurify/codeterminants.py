@@ -27,9 +27,10 @@ shares files every column under its key (`CodetBasis._filed`, whose keys
 are `CodetBasis.block_keys`).  A block is taken as its column expansions,
 its rows checked as a built block's are (`CodetBasis._checked_rows`), and
 eliminated as its transpose (`exactla.unit_determinant`); only a block that
-fails is built as an `exactla.Block`, for its failure text or signed
-determinant.  The first solve that meets a block builds it with what a solve
-needs and keeps it.  Neither the check nor a solve lists orbits.
+fails is built, as the solves build it (`CodetBasis.factor`), for its
+failure text or signed determinant.  The first solve that meets a block
+builds it with what a solve needs and keeps it.  Neither the check nor a
+solve lists orbits.
 
 A tableau enters the walk, the heredity check and the Gram matrices as the
 index word of X_S or Y_T and its sign, read straight off the tableau
@@ -405,7 +406,8 @@ class CodetBasis:
         """The block of `key`, built by `_block` on its first request and
         kept in `_factored` for later solves, with its columns as
         codeterminant keys and what a solve needs.  A key with no columns
-        gets an empty block.  The walk (`_walk`) keeps none of its blocks."""
+        gets an empty block.  The walk (`_walk`) keeps only a block that is
+        not unimodular, built here."""
         blk = self._factored.get(key)
         if blk is None:
             rows, cols, expansions = self._block(key)
@@ -416,14 +418,13 @@ class CodetBasis:
     def _walk(self):
         """(key, determinant, order) of each block with columns, in the
         sorted order of `block_keys`: one pass (`_filed`) that keeps no key
-        and no block.  A block is taken as its column expansions (`_expand`),
-        whose rows `_checked_rows` checks, raising a stray or missing row.
-        A square block is eliminated as the rows of its transpose
-        (`exactla.unit_determinant`) and, when unimodular, yielded with
-        determinant 1, its sign not computed; any other is built as the
-        `exactla.Block` of `factor`, with the same rows and columns, which
-        raises when it is not square or singular, or gives its signed
-        determinant."""
+        and no unimodular block.  A block is taken as its column expansions
+        (`_expand`), whose rows `_checked_rows` checks, raising a stray or
+        missing row.  A square block is eliminated as the rows of its
+        transpose (`exactla.unit_determinant`) and, when unimodular, yielded
+        with determinant 1, its sign not computed; any other is built by
+        `factor`, which raises when it is not square or singular, or gives
+        its signed determinant."""
         expand = self._expand
         for key, filed in self._filed():
             cols = [(x, y) for x, ys in filed for y in ys]
@@ -432,7 +433,7 @@ class CodetBasis:
             if len(reached) == len(cols) and unit_determinant(expansions):
                 yield key, 1, len(cols)
             else:
-                blk = Block("codeterminant block", key, sorted(reached, key=run_key), expansions)
+                blk = self.factor(key)
                 yield key, blk.det, blk.size
 
     def non_unimodular_block(self) -> tuple | None:
@@ -445,7 +446,8 @@ class CodetBasis:
         """Whether every block with columns has determinant +-1 and those
         blocks hold every orbit, so that none lies in a block of no columns.
         One `_walk` gives both the determinants and the orders, keeping no
-        block and no key; the tests and the layer benchmark read it."""
+        unimodular block and no key; the tests and the layer benchmark read
+        it."""
         total = 0
         for _key, det, size in self._walk():
             if abs(det) != 1:

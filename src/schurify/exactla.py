@@ -132,9 +132,9 @@ def unit_determinant(columns: Sequence[Mapping]) -> bool:
 class Block:
     """One square block M of a change of basis, eliminated once: its rows are
     labels (any hashable, such as words of letter indices) and its columns
-    sparse integer expansions over them.  `det` is its determinant and `size`
-    its order.  Given its columns' labels `cols`, it keeps them, the place of
-    each row and the record of the elimination, from which `solve_integral`
+    sparse integer expansions over them, labelled `cols`.  `det` is its
+    determinant and `size` its order.  It keeps the column labels, the place
+    of each row and the record of the elimination, from which `solve_integral`
     expands a vector in its columns and `dual_row` reads one column's
     coefficient as a functional on the rows.  `name` and `key` name the
     block in its errors: one that is not square or is singular raises
@@ -143,7 +143,7 @@ class Block:
     __slots__ = ("det", "size", "cols", "ridx", "steps", "where")
 
     def __init__(self, name: str, key, rows: Sequence, expansions: Sequence[Mapping],
-                 cols: Sequence | None = None):
+                 cols: Sequence):
         n = self.size = len(rows)
         if len(expansions) != n:
             raise AssertionError(f"{name} {key} is not square: "
@@ -154,15 +154,14 @@ class Block:
             for r, c in v.items():
                 if c:
                     mat[ridx[r]][j] = c
-        steps = None if cols is None else []
+        steps: list = []
         pivots, last, sign = _eliminate(mat, None, steps)
         if len(pivots) < n:
             raise AssertionError(f"{name} {key} singular")
         # the pivots' rows and columns, in order, permute M: r_k -> c_k has
         # the sign of the two permutations together
         self.det = sign * last * _parity(dict(pivots))
-        if cols is not None:
-            self.cols, self.ridx, self.steps, self.where = cols, ridx, steps, (name, key)
+        self.cols, self.ridx, self.steps, self.where = cols, ridx, steps, (name, key)
 
     def solve_integral(self, v: Mapping) -> dict:
         """Expand a sparse integer vector over the rows in the columns over Z,

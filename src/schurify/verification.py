@@ -8,9 +8,12 @@ straightening against the solve, the heredity of A and of T, the two
 character routes and the two decomposition routes.  Samples are drawn by
 index and unranked (`T.orbit`), so no check lists the orbits.
 
-`run_checks` takes the command's config, T and the LR cache as arguments
-and returns the result rows; `cli.verify` prints them and keeps the exit
-code.  This module does not import `cli`: run as `python -m schurify.cli`,
+`run_checks` takes T, the seed, the ring and the LR cache, and returns
+the result rows; `cli.verify` prints them and keeps the exit code.  Which
+rows apply is read off T: a truncation (`T.keep_basis`) is only cellular,
+so its highest-weight checks are not registered, and a check that does
+not apply to T (n < d, or no anti-involution) gives a row with no verdict.
+This module does not import `cli`: run as `python -m schurify.cli`,
 the CLI is `__main__`, and importing it by name would compile and run it a
 second time.  Only `verify` loads this module, and with it `heredity` and
 `rsk`, which no other command runs, as well as `straighten` and
@@ -28,7 +31,7 @@ from .characters import LRCache, char_standard_formula, char_standard_tableaux
 from .codeterminants import side_element
 from .decomposition import ClassicalDecomp, decomp_formula_row, decomp_oracle
 from .heredity import heredity_of_T
-from .rings import QQ
+from .rings import QQ, CoefficientRing
 from .rsk import rsk, rsk_inv
 from .schur import Element, SchurAlgebra
 from .straighten import Straightener
@@ -85,16 +88,20 @@ def _labels_json(*labels) -> str:
     return ", ".join(json.dumps(partitions.to_json(lam)) for lam in labels)
 
 
-def run_checks(cfg, T: SchurAlgebra, cache: LRCache,
-               quasi_hereditary: bool) -> list[tuple[str, bool, str]]:
-    """Run the checks on T, sampled from `cfg.seed`, and return one row
-    (name, passed, witness or failure text) per check, in order.  `cfg` is
-    the command's `RunConfig`.  Without `quasi_hereditary` (the cellular-only
-    truncation) the highest-weight checks are not run."""
-    rng = random.Random(cfg.seed)
-    results: list[tuple[str, bool, str]] = []
+def run_checks(T: SchurAlgebra, seed: int, ring: CoefficientRing,
+               cache: LRCache) -> list[tuple[str, bool | None, str]]:
+    """Run the checks that apply to T, sampled from `seed`, and return one
+    row (name, verdict, witness or failure text) per check, in order.  The
+    decomposition row compares over `ring`, or over Q when it is not a
+    field.  A check that does not apply has the verdict None and its reason
+    as the text."""
+    rng = random.Random(seed)
+    results: list[tuple[str, bool | None, str]] = []
 
-    def check(name: str, fn):
+    def check(name: str, fn, skip: str | None = None):
+        if skip:
+            results.append((name, None, skip))
+            return
         try:
             witness = fn()
             results.append((name, True, witness or ""))
@@ -127,13 +134,11 @@ def run_checks(cfg, T: SchurAlgebra, cache: LRCache,
         return f"{m} triples"
 
     def c_rank():
-        if T.n < T.d:
-            return "skipped (n < d)"
         if T.keep_basis is not None:
             # truncation: compare against the cellular pair count in the
-            # ambient algebra
-            ell = int(cfg.algebra.split(":", 1)[1])
-            cells = cellular_basis(T.parent, range(ell))
+            # ambient algebra, over the colors whose idempotent T keeps
+            colors = [i for i in T.data.labels if T.data.e[i] in T.keep_basis]
+            cells = cellular_basis(T.parent, colors)
             assert len(cells) == T.rank, f"cellular pair count {len(cells)} != rank {T.rank}"
             return f"rank {T.rank} == cellular pair count"
         cb = T.codet_basis
@@ -156,8 +161,6 @@ def run_checks(cfg, T: SchurAlgebra, cache: LRCache,
         return f"rank {T.rank} two ways"
 
     def c_straighten():
-        if T.n < T.d:
-            return "skipped (n < d)"
         cb = T.codet_basis
         st = Straightener(T)
         drawn = sample(min(25, T.rank))
@@ -172,8 +175,6 @@ def run_checks(cfg, T: SchurAlgebra, cache: LRCache,
         return "axioms (a)-(c)"
 
     def c_heredity_T():
-        if T.n < T.d:
-            return "skipped (n < d)"
         sample_b = 10
         rep = heredity_of_T(T, sample_b=sample_b)
         assert rep.ok, rep.failures
@@ -188,25 +189,18 @@ def run_checks(cfg, T: SchurAlgebra, cache: LRCache,
         return f"{len(labels)} labels, two methods"
 
     def c_decomp():
-        if T.n < T.d:
-            return "skipped (n < d)"
-        ring = cfg.ring()
-        if not ring.is_field:
-            ring = QQ
+        field = ring if ring.is_field else QQ
         inp = T.base_decomp  # raises, naming the failure, unless A's axioms hold
-        D = decomp_oracle(T, ring)
-        classical = None if ring == QQ else ClassicalDecomp(T.n, ring)
+        D = decomp_oracle(T, field)
+        classical = None if field == QQ else ClassicalDecomp(T.n, field)
         for lam in D.labels:
             row = decomp_formula_row(inp, lam, D.labels, T.n, classical, cache)
             for mu, f in row.items():
                 assert f == D.entry(lam, mu), \
                     f"formula != oracle at lam, mu = {_labels_json(lam, mu)}"
-        return f"{len(D.labels)}x{len(D.labels)} formula == oracle over {ring!r}"
+        return f"{len(D.labels)}x{len(D.labels)} formula == oracle over {field!r}"
 
     def c_involution():
-        if T.tau is None:
-            return "skipped (no anti-involution)"
-
         def signed(x):
             # relabeling involution times the tensor-reversal sign; the
             # composite is a plain anti-automorphism
@@ -228,15 +222,16 @@ def run_checks(cfg, T: SchurAlgebra, cache: LRCache,
             assert lhs == rhs, f"tau(ab) != tau(b)tau(a) at a, b = {_orbits_json(a, b)}"
         return f"anti-automorphism on {m} pairs"
 
+    short = "n < d" if T.n < T.d else None
     check("unit", c_unit)
     check("associativity", c_assoc)
-    check("rank", c_rank)
-    check("involution", c_involution)
-    # the cellular-only truncation has no highest-weight checks
-    if quasi_hereditary:
-        check("straightening", c_straighten)
+    check("rank", c_rank, short)
+    check("involution", c_involution, "no anti-involution" if T.tau is None else None)
+    # the truncation is only cellular: it has no highest-weight checks
+    if T.keep_basis is None:
+        check("straightening", c_straighten, short)
         check("base heredity", c_heredity_base)
-        check("schur heredity", c_heredity_T)
+        check("schur heredity", c_heredity_T, short)
         check("characters", c_chars)
-        check("decomposition", c_decomp)
+        check("decomposition", c_decomp, short)
     return results

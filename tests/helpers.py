@@ -8,6 +8,10 @@
   `triple_stat` and `pair_stat` on the letter tuples, where production sorts
   words of letter indices (`TriContext.sort_signed`) and counts the
   interleaving sign on bitmasks, so the two share no sign code either.
+  Its weights [w]_c count each letter's multiplicity where its basis
+  element is a product of two odd heredity elements (`_c_factorial`);
+  production reads runs of sorted index words against
+  `TriContext.in_stratum`.
 - eager_slot_groups: a right factor's arrangements, every permutation of
   its word grouped by slot word at once, signed by `triple_stat`; production
   (`SchurAlgebra.right_factor`) makes one group when a product asks for it.
@@ -45,14 +49,17 @@
   multiplies on letter indices through its one kernel and solves by sparse
   elimination.
 - run_cli: the `schurify` command line in this process, its output captured.
-- verify_fails_only: `verify` failing exactly one of its nine rows.
+- verify_fails_only: `verify` failing exactly one of its nine rows, the
+  others passing or not applying.
 """
 import contextlib
 import io
 import json
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations, product
+from math import factorial
 
 from schurify import codeterminants as codet
 from schurify.base_algebra import (
@@ -95,12 +102,12 @@ def run_cli(*argv: str) -> CliRun:
 
 
 def verify_fails_only(row: str, *args: str) -> str:
-    """`verify` with `args` exits 1, and all nine rows but `row` pass: the
-    FAIL line of `row`."""
+    """`verify` with `args` exits 1, and all nine rows but `row` pass or do
+    not apply (`SKIP`): the FAIL line of `row`."""
     res = run_cli("verify", *args)
     assert res.exit_code == 1, res.output
     lines = res.output.splitlines()
-    failed = [line for line in lines if not line.startswith("PASS")]
+    failed = [line for line in lines if not line.startswith(("PASS", "SKIP"))]
     assert len(lines) == 9 and len(failed) == 1, res.output
     assert failed[0].startswith(f"FAIL  {row}  "), res.output
     return failed[0]
@@ -137,9 +144,22 @@ def pair_stat(T, a_word, c_word):
     return total % 2
 
 
+def _c_factorial(T, word):
+    """[w]_c: the product of the factorials of the multiplicities of the
+    letters (b, r, s) of `word` whose b = x * y has x and y both odd, read
+    off the heredity pairs (`ctx.pair_of`) and the parities of A."""
+    parity, pair_of = T.alg.parity, T.ctx.pair_of
+    out = 1
+    for (b, _r, _s), k in Counter(word).items():
+        _i, x, y = pair_of[b]
+        if parity[x] and parity[y]:
+            out *= factorial(k)
+    return out
+
+
 def _eta_tensor_vec(T, orbit):
     """eta_orbit as a vector on the pure-tensor word basis."""
-    m = T.ctx.factorial(orbit, "c")
+    m = _c_factorial(T, orbit)
     out = {}
     for w in set(permutations(orbit)):
         sgn = -1 if triple_stat(T, w) else 1
@@ -186,7 +206,7 @@ def tensor_eta_product(T, o1, o2):
             continue
         if w != tuple(sorted(w, key=ctx.key)):
             continue  # read each orbit off its canonical representative
-        den = ctx.factorial(w, "c")
+        den = _c_factorial(T, w)
         assert c % den == 0, (w, c, den)
         out[w] = c // den
     return out

@@ -12,7 +12,7 @@ from schurify.base_algebra import (
     make_trivial,
     strict_pairs,
 )
-from schurify.base_heredity import verify_heredity
+from schurify.base_heredity import HeredityReport, verify_heredity
 from schurify.rings import GradedSuperScalar
 from schurify.truncation import make_zigzag_bar, truncate_base
 
@@ -112,6 +112,17 @@ def test_heredity_check_reports_each_failure_family(family):
     rep = verify_heredity(alg, data)
     assert not rep.ok
     assert BROKEN[family][2] in rep.failures, rep.failures
+
+
+def test_a_heredity_report_holds_only_its_failures():
+    """A report is its failures: `ok` reads them, and nothing else is
+    kept."""
+    rep = HeredityReport()
+    assert rep.ok and rep.failures == []
+    rep.fail("axiom (c)", "e_0 not in X(0) and Y(0)")
+    assert not rep.ok and rep.failures == ["axiom (c): e_0 not in X(0) and Y(0)"]
+    rep.failures.clear()
+    assert rep.ok and vars(rep) == {"failures": []}
 
 
 @pytest.mark.parametrize("family", BROKEN)

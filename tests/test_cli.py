@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 from helpers import BROKEN, broken_presentation, run_cli as run, verify_fails_only
@@ -150,6 +151,36 @@ def test_verify_small():
             in res.output.splitlines())
 
 
+def test_verify_skips_the_rows_that_need_n_at_least_d():
+    """With n < d the rank, straightening, Schur heredity and decomposition
+    rows do not apply: each prints SKIP with its reason, the other five
+    pass, and the run exits 0."""
+    res = run("verify", "--algebra", "trivial", "-n", "2", "-d", "3")
+    assert res.exit_code == 0, res.output
+    rows = [re.split(" {2,}", line, maxsplit=2) for line in res.output.splitlines()]
+    skipped = ["rank", "straightening", "schur heredity", "decomposition"]
+    assert [(verdict, name) for verdict, name, _text in rows] == [
+        ("SKIP" if name in skipped else "PASS", name) for name in (
+            "unit", "associativity", "rank", "involution", "straightening",
+            "base heredity", "schur heredity", "characters", "decomposition")], res.output
+    assert {text for verdict, _name, text in rows if verdict == "SKIP"} == {"n < d"}
+
+
+def test_the_involution_row_does_not_apply_without_an_anti_involution():
+    """No built-in base lacks an anti-involution, so the suite runs on a
+    Schur algebra built without one: its involution row has no verdict."""
+    from schurify.base_algebra import make_algebra
+    from schurify.characters import LRCache
+    from schurify.rings import QQ
+    from schurify.schur import build_schur
+    from schurify.verification import run_checks
+
+    alg, data, _tau = make_algebra("trivial")
+    rows = run_checks(build_schur(alg, data, 1, 1, None), 0, QQ, LRCache(""))
+    assert ("involution", None, "no anti-involution") in rows
+    assert all(ok for name, ok, _text in rows if name != "involution"), rows
+
+
 def test_scalar_printer_negative_coefficients():
     s = GradedSuperScalar.one() + GradedSuperScalar.term(-2, 1, 0)
     assert scalar_str(s) == "1-2*q"
@@ -290,6 +321,23 @@ def test_verify_fails_the_decomposition_row_where_the_base_axioms_fail(monkeypat
     assert len(lines) == 9, res.output
     first = verify_heredity(*broken[:2]).failures[0]
     assert lines[-1].startswith("FAIL  decomposition  ") and first in lines[-1], res.output
+
+
+@pytest.mark.parametrize("command", ["dim", "verify"])
+def test_a_base_whose_axiom_a_fails_is_a_bad_algebra(command, monkeypatch, tmp_path):
+    """On zigzag:1 with its cycle scaled by 2, a heredity pair is no basis
+    label, so the Schur algebra cannot be built: a usage error naming the
+    pair, exit 2, no traceback."""
+    from schurify import cli
+
+    broken = broken_presentation("axiom (a)")
+    monkeypatch.setattr(cli, "make_algebra", lambda _spec: broken)
+    res = _usage_error(command, "--algebra", "zigzag:1", "-n", "2", "-d", "2",
+                       "--cache-dir", str(tmp_path))
+    errors = [line for line in res.output.splitlines() if "error:" in line]
+    assert len(errors) == 1 and "bad --algebra 'zigzag:1'" in errors[0], res.output
+    assert "is not a single basis label" in errors[0], res.output
+    assert "Traceback" not in res.output, res.output
 
 
 def test_char_and_formula_decomp_enumerate_no_orbits(monkeypatch, tmp_path):

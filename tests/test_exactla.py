@@ -11,13 +11,13 @@ from schurify.exactla import Block, rank
 from schurify.rings import GF, QQ
 
 
-def single_block(mat, labelled=True):
+def single_block(mat):
     """Block 0 whose column j has the expansion {i: mat[i][j]} over rows i,
-    labelled c0, c1, ... for solves unless `labelled` is False."""
+    labelled c0, c1, ... for solves."""
     rows = list(range(len(mat)))
     cols = [f"c{j}" for j in range(len(mat[0]))]
     expansions = [{i: mat[i][j] for i in rows if mat[i][j]} for j in range(len(cols))]
-    return Block("block", 0, rows, expansions, cols if labelled else None)
+    return Block("block", 0, rows, expansions, cols)
 
 
 def times(mat, x):
@@ -30,7 +30,6 @@ def test_block_that_needs_a_row_swap():
     mat = [[0, 2, 1], [1, 0, 0], [0, 1, 1]]  # column 0 has its pivot in row 1
     B = single_block(mat)
     assert B.det == -1
-    assert single_block(mat, labelled=False).det == -1
     v = {0: 3, 1: 1, 2: 2}
     x = B.solve_integral(v)
     assert x == {"c0": 1, "c1": 1, "c2": 1}
@@ -50,8 +49,6 @@ def test_unimodular_against_determinant_two():
 
 
 def test_singular_and_non_square_blocks_raise():
-    with pytest.raises(AssertionError, match="singular"):
-        single_block([[1, 2], [2, 4]], labelled=False)
     with pytest.raises(AssertionError, match="block 0 singular"):
         single_block([[1, 2], [2, 4]])
     with pytest.raises(AssertionError, match="block 0 is not square: 1 columns vs 2 rows"):
@@ -126,11 +123,10 @@ def test_block_against_fraction_oracle(mat, v, x):
     det = lu_det(mat)
     if not det:
         with pytest.raises(AssertionError, match="singular"):
-            single_block(mat, labelled=False)
+            single_block(mat)
         return
     B = single_block(mat)
     assert B.det == det
-    assert single_block(mat, labelled=False).det == det
     for rhs in (v[:n], [sum(row[j] * x[j] for j in range(n)) for row in mat]):
         want = lu_solve(mat, rhs)
         sparse = {i: c for i, c in enumerate(rhs) if c}
@@ -181,7 +177,6 @@ def test_sparse_blocks_against_fraction_oracle(mat, v):
         return
     B = single_block(mat)
     assert B.det == det
-    assert single_block(mat, labelled=False).det == det
     want = lu_solve(mat, v[:n])
     sparse = {i: c for i, c in enumerate(v[:n]) if c}
     if all(c.denominator == 1 for c in want):

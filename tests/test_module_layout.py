@@ -156,6 +156,36 @@ def test_verify_under_dash_m_imports_no_second_cli(tmp_path):
     assert "schurify.cli" not in imported
 
 
+# the suite of `verify` as a library call on the zigzag-bar:1 truncation,
+# built as the CLI builds it, its rows printed as the CLI prints them
+RUN_CHECKS = """
+import sys
+from schurify.base_algebra import make_algebra
+from schurify.characters import LRCache
+from schurify.rings import QQ
+from schurify.schur import build_schur
+from schurify.verification import run_checks
+alg, data, tau = make_algebra("zigzag:1")
+T = build_schur(alg, data, 2, 2, tau).truncate(data.labels[:-1])
+rows = run_checks(T, 0, QQ, LRCache(""))
+width = max(len(name) for name, _ok, _text in rows)
+for name, ok, text in rows:
+    verdict = "SKIP" if ok is None else "PASS" if ok else "FAIL"
+    print(f"{verdict}  {name.ljust(width)}  {text}")
+print("schurify.cli" in sys.modules)
+"""
+
+
+def test_the_verify_suite_runs_off_T_without_the_cli():
+    """`run_checks` reads what it runs off T: on the truncation it gives
+    the golden rows of `verify`, with no config and no CLI loaded."""
+    *rows, cli_loaded = fresh(RUN_CHECKS).splitlines()
+    golden = os.path.join(os.path.dirname(__file__), "data", "verify-zigzagbar1-n2-d2.txt")
+    with open(golden) as fh:
+        assert rows == fh.read().splitlines()
+    assert cli_loaded == "False"
+
+
 # (module, name, the module it lives in): the names the layer benchmark
 # reads from where they lived before the layers were split
 FORWARDED = [
