@@ -55,7 +55,7 @@ All expansions are integral; any non-integral coefficient aborts loudly.
 """
 from __future__ import annotations
 
-from collections.abc import Callable, Iterator, Mapping
+from collections.abc import Callable, Iterable, Iterator, Mapping
 from functools import cached_property
 from operator import mul
 from typing import NamedTuple
@@ -274,19 +274,21 @@ class CodetBasis:
         return tuple(sorted({share[0] for tabs in self._tableau_blocks.values()
                              for _tab, share in tabs[side]}) for side in (0, 1))
 
-    def _filed(self) -> Iterator[tuple[tuple, list]]:
-        """Each block key with codeterminant columns, once and in sorted
-        order, with its columns as [(share of S, [shares of T])], in the
-        order of `keys`.  Each shape's Y shares are grouped by their share
-        of the block keys, and one pass per X weight alpha, over its X
-        shares and each one's shape's groups, files every column under its
-        key (alpha, beta, degree, parity); nothing is kept past the weight
-        (at most 990 keys of 249 944 at zigzag:1 n=d=4)."""
+    def _filed(self, weights: Iterable | None = None) -> Iterator[tuple[tuple, list]]:
+        """Each block key with codeterminant columns whose X weight is in
+        `weights` (by default every X weight, `_weights[0]`), once and in
+        sorted order when the weights are, with its columns as [(share of
+        S, [shares of T])], in the order of `keys`.  Each shape's Y shares
+        are grouped by their share of the block keys, and one pass per X
+        weight alpha, taken from `weights` only when the last one's keys are
+        done, over its X shares and each one's shape's groups, files every
+        column under its key (alpha, beta, degree, parity); nothing is kept
+        past the weight (at most 990 keys of 249 944 at zigzag:1 n=d=4)."""
         xs_of, ys_of = self._shares
         groups = [[(share, ys_of[share[0]][k, share[1], share[2]])
                    for share in dict.fromkeys(s for _tab, s in y_tabs)]
                   for k, (_x_tabs, y_tabs) in enumerate(self._tableau_blocks.values())]
-        for alpha in self._weights[0]:
+        for alpha in self._weights[0] if weights is None else weights:
             cols: dict = {}
             for k, dx, px, x in xs_of[alpha]:
                 for (beta, dy, py), ys in groups[k]:
@@ -415,18 +417,23 @@ class CodetBasis:
             blk = self._factored[key] = Block("codeterminant block", key, rows, expansions, labels)
         return blk
 
-    def _walk(self):
-        """(key, determinant, order) of each block with columns, in the
-        sorted order of `block_keys`: one pass (`_filed`) that keeps no key
-        and no unimodular block.  A block is taken as its column expansions
-        (`_expand`), whose rows `_checked_rows` checks, raising a stray or
-        missing row.  A square block is eliminated as the rows of its
-        transpose (`exactla.unit_determinant`) and, when unimodular, yielded
-        with determinant 1, its sign not computed; any other is built by
+    def _walk(self, weights: Iterable | None = None):
+        """(key, determinant, order) of each block with columns whose X
+        weight is in `weights` (by default all of them), in the sorted order
+        of `block_keys`: one pass (`_filed`) that keeps no key and no
+        unimodular block.  The heredity check walks the X weights on two
+        processes, each pass over the weights its process pulls from a
+        shared queue (`heredity.Started`), so `verify`'s peak RSS is the
+        larger of theirs; a platform without `os.fork` walks in one.  A
+        block is taken as its column expansions (`_expand`), whose rows
+        `_checked_rows` checks, raising a stray or missing row.  A square
+        block is eliminated as the rows of its transpose
+        (`exactla.unit_determinant`) and, when unimodular, yielded with
+        determinant 1, its sign not computed; any other is built by
         `factor`, which raises when it is not square or singular, or gives
         its signed determinant."""
         expand = self._expand
-        for key, filed in self._filed():
+        for key, filed in self._filed(weights):
             cols = [(x, y) for x, ys in filed for y in ys]
             expansions = [expand(x, y) for x, y in cols]
             reached = self._checked_rows(key, cols, expansions)
@@ -436,11 +443,12 @@ class CodetBasis:
                 blk = self.factor(key)
                 yield key, blk.det, blk.size
 
-    def non_unimodular_block(self) -> tuple | None:
-        """The least block key whose determinant is not +-1, with that
-        determinant; None when there is none.  Axiom (a) of `heredity_of_T`
-        reads it; `_walk` takes the blocks in sorted order up to that one."""
-        return next(((key, det) for key, det, _size in self._walk() if abs(det) != 1), None)
+    def non_unimodular_block(self, weights: Iterable | None = None) -> tuple | None:
+        """The least block key whose X weight is in `weights` (by default
+        any) and whose determinant is not +-1, with that determinant; None
+        when there is none.  Axiom (a) of `heredity_of_T` reads it; `_walk`
+        takes the blocks in sorted order up to that one."""
+        return next(((key, det) for key, det, _size in self._walk(weights) if abs(det) != 1), None)
 
     def unimodular(self) -> bool:
         """Whether every block with columns has determinant +-1 and those

@@ -13,6 +13,12 @@ the result rows; `cli.verify` prints them and keeps the exit code.  Which
 rows apply is read off T: a truncation (`T.keep_basis`) is only cellular,
 so its highest-weight checks are not registered, and a check that does
 not apply to T (n < d, or no anti-involution) gives a row with no verdict.
+The Schur heredity check's axiom (a) walk starts on a forked child before
+the first row (`heredity.start`) and shares the blocks with this process,
+which joins it at that check's row, or kills and reaps it on any other way
+out, so no process outlives `run_checks`.  `verify`'s peak RSS is the
+larger of the two processes' peaks; a platform without `os.fork` walks in
+one process.
 This module does not import `cli`: run as `python -m schurify.cli`,
 the CLI is `__main__`, and importing it by name would compile and run it a
 second time.  Only `verify` loads this module, and with it `heredity` and
@@ -30,7 +36,7 @@ from .base_heredity import verify_heredity
 from .characters import LRCache, char_standard_formula, char_standard_tableaux
 from .codeterminants import side_element
 from .decomposition import ClassicalDecomp, decomp_formula_row, decomp_oracle
-from .heredity import heredity_of_T
+from .heredity import start
 from .rings import QQ, CoefficientRing
 from .rsk import rsk, rsk_inv
 from .schur import Element, SchurAlgebra
@@ -175,8 +181,7 @@ def run_checks(T: SchurAlgebra, seed: int, ring: CoefficientRing,
         return "axioms (a)-(c)"
 
     def c_heredity_T():
-        sample_b = 10
-        rep = heredity_of_T(T, sample_b=sample_b)
+        rep = schur()
         assert rep.ok, rep.failures
         return f"axioms (a)-(c), (b) on the first {sample_b} orbits per tableau"
 
@@ -223,15 +228,24 @@ def run_checks(T: SchurAlgebra, seed: int, ring: CoefficientRing,
         return f"anti-automorphism on {m} pairs"
 
     short = "n < d" if T.n < T.d else None
-    check("unit", c_unit)
-    check("associativity", c_assoc)
-    check("rank", c_rank, short)
-    check("involution", c_involution, "no anti-involution" if T.tau is None else None)
     # the truncation is only cellular: it has no highest-weight checks
-    if T.keep_basis is None:
-        check("straightening", c_straighten, short)
-        check("base heredity", c_heredity_base)
-        check("schur heredity", c_heredity_T, short)
-        check("characters", c_chars)
-        check("decomposition", c_decomp, short)
+    highest_weight = T.keep_basis is None
+    # the Schur heredity check's axiom (a) walk starts now, on a second
+    # process, and its row finishes it; on any way out the child is reaped
+    sample_b = 10
+    schur = start(T, sample_b) if highest_weight and not short else None
+    try:
+        check("unit", c_unit)
+        check("associativity", c_assoc)
+        check("rank", c_rank, short)
+        check("involution", c_involution, "no anti-involution" if T.tau is None else None)
+        if highest_weight:
+            check("straightening", c_straighten, short)
+            check("base heredity", c_heredity_base)
+            check("schur heredity", c_heredity_T, short)
+            check("characters", c_chars)
+            check("decomposition", c_decomp, short)
+    finally:
+        if schur is not None:
+            schur.close()
     return results

@@ -1,3 +1,5 @@
+import os
+
 import pytest
 
 from schurify.base_algebra import make_algebra
@@ -10,6 +12,16 @@ def lr():
     """The session's LR cache, kept in memory: the tests write no cache file
     outside their own temporary directories."""
     return LRCache("")
+
+
+@pytest.fixture
+def forks(monkeypatch) -> list[int]:
+    """The pids of the children that `os.fork` makes during the test, for
+    `helpers.assert_reaped`; other children of the test process, such as
+    multiprocessing's resource tracker, are not among them."""
+    pids, real = [], os.fork
+    monkeypatch.setattr(os, "fork", lambda: pids.append(real()) or pids[-1])
+    return pids
 
 
 @pytest.fixture(scope="session")

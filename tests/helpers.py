@@ -51,10 +51,13 @@
 - run_cli: the `schurify` command line in this process, its output captured.
 - verify_fails_only: `verify` failing exactly one of its nine rows, the
   others passing or not applying.
+- assert_reaped: the children a test forked (the `forks` fixture) were
+  all reaped.
 """
 import contextlib
 import io
 import json
+import os
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -111,6 +114,18 @@ def verify_fails_only(row: str, *args: str) -> str:
     assert len(lines) == 9 and len(failed) == 1, res.output
     assert failed[0].startswith(f"FAIL  {row}  "), res.output
     return failed[0]
+
+
+def assert_reaped(forks: list[int]) -> None:
+    """At least one child was forked, and each is reaped: none is left
+    running or unreaped."""
+    assert forks
+    for pid in forks:
+        try:
+            os.waitpid(pid, os.WNOHANG)
+        except ChildProcessError:
+            continue
+        raise AssertionError(f"child {pid} was not reaped")
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,17 @@
+import errno
 import json
+import os
 import re
+from pathlib import Path
 
 import pytest
 from helpers import BROKEN, broken_presentation, run_cli as run, verify_fails_only
 from hypothesis import given, settings, strategies as st
+from test_module_layout import ORBIT
 
 from schurify.rings import GradedSuperScalar
+
+DATA = Path(__file__).parent / "data"
 
 scalar_str = repr  # the one scalar printer is GradedSuperScalar.__repr__
 
@@ -574,6 +580,47 @@ def test_unusable_lr_cache_is_a_usage_error(cmd, monkeypatch, tmp_path):
     res = run(*common, "--cache-dir", str(tmp_path / "dir"))
     assert res.exit_code == 2 and str(tmp_path / "dir" / "lr_cache.jsonl") in res.output, res.output
     assert not made
+
+
+ONE_PROCESS_CASES = {
+    "dim": [],
+    "build": [],
+    "mul": ["--left", ORBIT, "--right", ORBIT],
+    "char": ["--label", "[[1], [1]]", "--method", "both"],
+    "decomp": ["--method", "both"],
+    "blocks": [],
+    "straighten": ["--orbit", ORBIT, "--backend", "both"],
+}
+
+
+@pytest.mark.parametrize("cmd", ONE_PROCESS_CASES)
+def test_no_command_but_verify_forks(cmd, monkeypatch, tmp_path):
+    """Only `verify` starts a second process, for the walk of its Schur
+    heredity check: every other command runs, and exits 0, with `os.fork`
+    raising."""
+    def refused():
+        raise AssertionError(f"{cmd} forked")
+
+    monkeypatch.setattr(os, "fork", refused)
+    res = run(cmd, "--algebra", "zigzag:1", "-n", "2", "-d", "2", *ONE_PROCESS_CASES[cmd],
+              "--cache-dir", str(tmp_path))
+    assert res.exit_code == 0, res.output
+
+
+@pytest.mark.parametrize("fork", ["missing", "failing"])
+def test_verify_walks_in_one_process_where_it_cannot_fork(fork, monkeypatch, tmp_path):
+    """Where `os.fork` does not exist, or raises OSError, `verify` walks in
+    its one process and prints the same rows."""
+    if fork == "missing":
+        monkeypatch.delattr(os, "fork")
+    else:
+        def failing():
+            raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+
+        monkeypatch.setattr(os, "fork", failing)
+    res = run("verify", "--algebra", "zigzag:2", "-n", "2", "-d", "2", "--cache-dir", str(tmp_path))
+    assert res.exit_code == 0, res.output
+    assert res.stdout_bytes == (DATA / "verify-zigzag2-n2-d2.txt").read_bytes()
 
 
 BAR_CASES = {

@@ -1,3 +1,5 @@
+import ast
+import os
 import random
 import re
 from collections import Counter
@@ -5,6 +7,7 @@ from collections import Counter
 import pytest
 
 from helpers import (
+    assert_reaped,
     codet_blocks,
     eager_codet_blocks,
     full_gram,
@@ -929,3 +932,147 @@ def test_a_solve_outside_every_block_names_its_orbit():
     orbit = next(rows[0] for rows, cols in eager.values() if not cols)
     with pytest.raises(AssertionError, match=re.escape(f"{orbit} is not a row of codeterminant block")):
         T.codet_basis.solve({orbit: 1})
+
+
+# ---------------------------------------------------------------------------
+# axiom (a)'s walk on two processes
+# ---------------------------------------------------------------------------
+
+def _log_the_walks(monkeypatch, tmp_path) -> None:
+    """Each process that walks writes the blocks it walks, (key,
+    determinant, order), to a file of its own in `tmp_path`, a line each."""
+    real = codet.CodetBasis._walk
+
+    def logged(self, weights=None):
+        with open(tmp_path / f"walk-{os.getpid()}", "a", buffering=1) as log:
+            for block in real(self, weights):
+                log.write(f"{block!r}\n")
+                yield block
+
+    monkeypatch.setattr(codet.CodetBasis, "_walk", logged)
+
+
+def _walks(tmp_path) -> list[list]:
+    """The blocks each process walked, in its order, the shorter walk first."""
+    return sorted(([ast.literal_eval(line) for line in path.read_text().splitlines()]
+                   for path in tmp_path.glob("walk-*")), key=len)
+
+
+def test_the_two_processes_walk_every_block_once(monkeypatch, tmp_path, forks):
+    """On zigzag:1 n=d=3 (56 X weights), the walk of `heredity_of_T` is
+    shared by at most two processes: together they walk every block once,
+    unimodular, and the blocks' orders sum to the rank.  No child is left
+    to reap."""
+    alg, data, tau = make_algebra("zigzag:1")
+    T = build_schur(alg, data, 3, 3, tau)
+    _log_the_walks(monkeypatch, tmp_path)
+    assert heredity_of_T(T, sample_b=4).ok
+    assert_reaped(forks)
+    walks = _walks(tmp_path)
+    assert 1 <= len(walks) <= 2
+    blocks = [block for walk in walks for block in walk]
+    keys = [key for key, _det, _size in blocks]
+    assert len(keys) == len(set(keys)) and set(keys) == set(T.codet_basis.block_keys)
+    assert all(abs(det) == 1 for _key, det, _size in blocks)
+    assert sum(size for _key, _det, size in blocks) == T.rank
+
+
+def test_the_shared_walk_names_the_least_of_two_failing_blocks(monkeypatch, tmp_path, forks):
+    """With a column doubled in the least block and in the greatest, the
+    process that pulls the first X weight fails at the least block and
+    stops, and the other walks every later weight and fails at the
+    greatest; the report names the least, as a walk in one process does."""
+    alg, data, tau = make_algebra("zigzag:1")
+    T = build_schur(alg, data, 3, 3, tau)
+    cb = T.codet_basis
+    keys = list(cb.block_keys)
+    least, greatest = keys[0], keys[-1]
+    doubled = {(x.bold, x.tab, y.tab) for key in (least, greatest) for x, y in cb._columns(key)[-1:]}
+    real = codet.CodetBasis._expand
+
+    def broken(self, x, y):
+        out = real(self, x, y)
+        return {o: 2 * c for o, c in out.items()} if (x.bold, x.tab, y.tab) in doubled else out
+
+    monkeypatch.setattr(codet.CodetBasis, "_expand", broken)
+    _log_the_walks(monkeypatch, tmp_path)
+    rep = heredity_of_T(T, sample_b=4)
+    assert_reaped(forks)
+    det = cb.factor(least).det
+    assert abs(det) == 2 and abs(cb.factor(greatest).det) == 2
+    assert rep.failures == [
+        f"axiom (a): change of basis not unimodular: block {least} has determinant {det}"
+    ]
+    first, rest = _walks(tmp_path)
+    assert first == [(least, det, cb.factor(least).size)]
+    assert [key for key, _det, _size in rest] == [key for key in keys if key[0] != least[0]]
+    assert rest[-1][:2] == (greatest, cb.factor(greatest).det)
+
+
+@pytest.mark.parametrize("kind", ["stray row", "arithmetic"])
+@pytest.mark.parametrize("where", ["least", "greatest"])
+def test_the_shared_walk_fails_as_one_process_does(monkeypatch, kind, where, forks):
+    """A column that reaches a row of another block (AssertionError) and an
+    ArithmeticError raised in the walk, at the least block or at the
+    greatest, give the failure text, or raise the exception type and text,
+    of the walk in this process.  No child is left to reap."""
+    alg, data, tau = make_algebra("zigzag:1")
+    T = build_schur(alg, data, 2, 2, tau)
+    cb = T.codet_basis
+    keys = list(cb.block_keys)
+    key = keys[0] if where == "least" else keys[-1]
+    col = cb._columns(key)[0]
+    if kind == "stray row":
+        real = codet.CodetBasis._expand
+        stray = next(iter(real(cb, *cb._columns(keys[1])[0])))
+
+        def broken(self, x, y):
+            out = real(self, x, y)
+            return {**out, stray: 1} if (x, y) == col else out
+
+        monkeypatch.setattr(codet.CodetBasis, "_expand", broken)
+        with pytest.raises(AssertionError) as one:
+            cb.non_unimodular_block()
+        assert heredity_of_T(T).failures == [f"axiom (a): {one.value}"]
+    else:
+        real = codet.CodetBasis._checked_rows
+
+        def broken(self, at, cols, expansions):
+            if at == key:
+                raise ArithmeticError(f"planted at {at}")
+            return real(self, at, cols, expansions)
+
+        monkeypatch.setattr(codet.CodetBasis, "_checked_rows", broken)
+        with pytest.raises(ArithmeticError) as one:
+            cb.non_unimodular_block()
+        with pytest.raises(ArithmeticError) as shared:
+            heredity_of_T(T)
+        assert type(shared.value) is ArithmeticError
+        assert str(shared.value) == str(one.value) == f"planted at {key}"
+    assert_reaped(forks)
+
+
+def test_an_axiom_a_failure_hides_what_axioms_c_and_b_raise(monkeypatch, forks):
+    """Axioms (c) and (b) run while the walk runs, and what they raise is
+    raised; but when axiom (a) fails, the report names that failure alone."""
+    alg, data, tau = make_algebra("zigzag:1")
+    T = build_schur(alg, data, 2, 2, tau)
+    first = next(T.codet_basis.block_keys)
+
+    def planted(self, bold):
+        raise RuntimeError("planted in axiom (c)")
+
+    monkeypatch.setattr(SchurAlgebra, "idempotent_bold", planted)
+    with pytest.raises(RuntimeError, match=re.escape("planted in axiom (c)")):
+        heredity_of_T(T)
+    real = codet.CodetBasis._walk
+
+    def skewed(self, weights=None):
+        for key, det, size in real(self, weights):
+            yield key, 2 if key == first else det, size
+
+    monkeypatch.setattr(codet.CodetBasis, "_walk", skewed)
+    assert heredity_of_T(T).failures == [
+        f"axiom (a): change of basis not unimodular: block {first} has determinant 2"
+    ]
+    assert_reaped(forks)

@@ -9,7 +9,8 @@ decomposition, straightening, base heredity and RSK rows have their
 planted defects in `test_cli.py`."""
 import json
 
-from helpers import run_cli as run, verify_fails_only
+import pytest
+from helpers import assert_reaped, run_cli as run, verify_fails_only
 
 from schurify.base_algebra import make_algebra
 from schurify.schur import SchurAlgebra, build_schur
@@ -134,22 +135,40 @@ def test_verify_names_the_two_counts_where_the_rank_differs(monkeypatch, tmp_pat
 
 def test_verify_names_the_block_where_the_schur_heredity_fails(monkeypatch, tmp_path):
     """With the unimodularity walk reporting determinant 2 for its first
-    block, `verify` fails its Schur heredity check alone, naming that
-    block, whose own determinant is +-1."""
+    block, the least key, whichever process walks it, `verify` fails its
+    Schur heredity check alone, naming that block, whose own determinant
+    is +-1."""
     from schurify.codeterminants import CodetBasis
 
+    cb = algebra("zigzag:1", 2, 2).codet_basis
+    first = next(cb.block_keys)
     real = CodetBasis._walk
 
-    def skewed(self):
-        walk = real(self)
-        key, _det, size = next(walk)
-        yield key, 2, size
-        yield from walk
+    def skewed(self, weights=None):
+        for key, det, size in real(self, weights):
+            yield key, 2 if key == first else det, size
 
     monkeypatch.setattr(CodetBasis, "_walk", skewed)
     failed = verify_fails_only("schur heredity", *common("zigzag:1", 2, 2, tmp_path))
-    cb = algebra("zigzag:1", 2, 2).codet_basis
-    first = next(cb.block_keys)
     assert f"axiom (a): change of basis not unimodular: block {first} has determinant 2" \
         in failed, failed
     assert abs(cb.factor(first).det) == 1
+
+
+def test_an_interrupted_verify_leaves_no_process_running(monkeypatch, lr, forks):
+    """The Schur heredity check's walk starts on a forked child before the
+    first row; a KeyboardInterrupt in the first row reaches the caller, and
+    `run_checks` has killed and reaped that child on the way out."""
+    from schurify.rings import QQ
+    from schurify.verification import run_checks
+
+    T = algebra("zigzag:1", 3, 3)
+
+    def interrupted(self):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(SchurAlgebra, "unit", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        run_checks(T, 1, QQ, lr)
+    assert len(forks) == 1
+    assert_reaped(forks)
