@@ -46,7 +46,12 @@ from .schur import SchurAlgebra
 class CharacterVector:
     """Finitely supported map weight -> GradedSuperScalar.
 
-    Addition is pointwise; `scale` multiplies every coefficient."""
+    Addition is pointwise; `scale` multiplies every coefficient.  Given
+    (weight, value) pairs, the constructor sums the values of a weight; a
+    weight's first nonzero scalar is stored as it is, not added to a zero,
+    so the vector shares it: a scalar is never changed once built
+    (`GradedSuperScalar`), and one built by `GradedSuperScalar._normal`
+    holds a dict that its builder no longer changes."""
 
     __slots__ = ("coeffs",)
 
@@ -57,21 +62,13 @@ class CharacterVector:
             if not isinstance(c, GradedSuperScalar):
                 c = GradedSuperScalar.term(int(c))
             if c:
-                acc = d.get(w, GradedSuperScalar.zero()) + c
-                if acc:
-                    d[w] = acc
-                elif w in d:
-                    del d[w]
+                _accumulate(d, w, c)
         self.coeffs = d
 
     def __add__(self, other: "CharacterVector") -> "CharacterVector":
         out = dict(self.coeffs)
         for w, c in other.coeffs.items():
-            acc = out.get(w, GradedSuperScalar.zero()) + c
-            if acc:
-                out[w] = acc
-            elif w in out:
-                del out[w]
+            _accumulate(out, w, c)
         v = CharacterVector()
         v.coeffs = out
         return v
@@ -96,6 +93,18 @@ class CharacterVector:
     def __repr__(self) -> str:
         terms = sorted(self.coeffs.items())
         return "CharacterVector(" + ", ".join(f"{w}: {c!r}" for w, c in terms) + ")"
+
+
+def _accumulate(d: dict, w, c: GradedSuperScalar) -> None:
+    """Add the nonzero scalar c at weight w of d: stored as it is when w is
+    new, dropped with w when the sum is zero."""
+    old = d.get(w)
+    if old is None:
+        d[w] = c
+    elif acc := old + c:
+        d[w] = acc
+    else:
+        del d[w]
 
 
 # ---------------------------------------------------------------------------
@@ -381,7 +390,16 @@ def char_standard_tableaux(T: SchurAlgebra, bold) -> CharacterVector:
     for _S, (weight, deg, par) in T.ctx.standard_tableaux[X_SIDE, bold]:
         terms = by_weight.setdefault(weight, {})
         terms[deg, par] = terms.get((deg, par), 0) + 1
-    return CharacterVector((w, GradedSuperScalar(terms)) for w, terms in by_weight.items())
+    return _character(by_weight)
+
+
+def _character(by_weight: dict) -> CharacterVector:
+    """The character weight -> scalar of `by_weight`, weight -> {(degree,
+    parity mod 2): nonzero int}, each dict wrapped as it is
+    (`GradedSuperScalar._normal`) and kept by no one else."""
+    v = CharacterVector()
+    v.coeffs = {w: GradedSuperScalar._normal(terms) for w, terms in by_weight.items()}
+    return v
 
 
 def _column_terms(inp: DecompInput, lam, n: int, cache: LRCache):

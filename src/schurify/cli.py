@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import TYPE_CHECKING
 
@@ -73,8 +74,6 @@ class RunConfig:
         """The LR cache: `lr_cache.jsonl` under the cache directory, or kept
         in memory when none is named (an empty name included).  A path that
         cannot hold it is a usage error."""
-        import os
-
         from .characters import LRCache
 
         path = os.path.join(self.cache_dir, "lr_cache.jsonl") if self.cache_dir else ""
@@ -496,4 +495,16 @@ main.main = lambda args, prog_name: sys.exit(main(list(args)))
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    # A command that returns has written its output, closed its files and
+    # reaped any child, so the process ends once both streams are flushed,
+    # without tearing the interpreter down (about 15 ms a command); atexit
+    # handlers do not run.  A usage error, an uncaught exception and a
+    # stream that cannot be flushed take the interpreter's own exit, which
+    # reports them as before.
+    code = main()
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except OSError:
+        sys.exit(code)
+    os._exit(code)

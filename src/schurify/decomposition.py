@@ -32,6 +32,7 @@ from .base_algebra import X_SIDE, Y_SIDE, BasedSuperalgebra, DecompInput, Heredi
 from .characters import (
     CharacterVector,
     LRCache,
+    _character,
     _column_terms,
     _pad_bold,
     char_standard_tableaux,
@@ -171,8 +172,11 @@ class DecompMatrix(NamedTuple):
 def char_irreducible(T: SchurAlgebra, bold, ring: CoefficientRing) -> CharacterVector:
     """ch L(bold) over the coefficient field: the graded ranks of the blocks
     of the integral Gram matrix of the standard module."""
-    return CharacterVector((weight, GradedSuperScalar.term(exactla.rank(rows, ring), deg, par))
-                           for (weight, deg, par), rows in gram_blocks(T, bold).items())
+    by_weight: dict = {}
+    for (weight, deg, par), rows in gram_blocks(T, bold).items():
+        if r := exactla.rank(rows, ring):
+            by_weight.setdefault(weight, {})[deg, par] = r
+    return _character(by_weight)
 
 
 def decomp_oracle(T: SchurAlgebra, ring: CoefficientRing | None = None) -> DecompMatrix:
@@ -196,7 +200,7 @@ def decomp_oracle(T: SchurAlgebra, ring: CoefficientRing | None = None) -> Decom
             terms = residual.get(weight_of[mu])
             if not terms:
                 continue
-            c = GradedSuperScalar(terms)
+            c = GradedSuperScalar._normal(dict(terms))  # a copy: the residual is reduced below
             if mu != lam and not leq(mu, lam):
                 raise AssertionError(f"support outside the order ideal: {lam} vs {mu}")
             if any(v < 0 for v in c.coeffs.values()):

@@ -69,7 +69,11 @@ class GradedSuperScalar:
     """Element of R = Z[q, q^-1][t]/(t^2 - 1), stored sparsely.
 
     Keys are (m, eps) with m the q-degree and eps in {0, 1} the pi-exponent;
-    zero coefficients are never stored.
+    zero coefficients are never stored.  The constructor brings what it is
+    given into that normal form.  `_normal` wraps a dict already in it, with
+    int keys (m, 0 | 1) and no zero int coefficient, as it is: the scalar
+    then owns the dict, and its caller never changes it again.  A scalar is
+    never changed once built, so vectors and matrices share scalars freely.
     """
 
     __slots__ = ("coeffs",)
@@ -87,16 +91,25 @@ class GradedSuperScalar:
 
     # -- constructors -------------------------------------------------
     @staticmethod
+    def _normal(coeffs: dict[tuple[int, int], int]) -> "GradedSuperScalar":
+        """The scalar of `coeffs`, a dict in normal form (see the class),
+        which it keeps as it is, unchecked."""
+        out = object.__new__(GradedSuperScalar)
+        out.coeffs = coeffs
+        return out
+
+    @staticmethod
     def zero() -> "GradedSuperScalar":
-        return GradedSuperScalar()
+        return GradedSuperScalar._normal({})
 
     @staticmethod
     def one() -> "GradedSuperScalar":
-        return GradedSuperScalar({(0, 0): 1})
+        return GradedSuperScalar._normal({(0, 0): 1})
 
     @staticmethod
     def term(c: int, m: int = 0, eps: int = 0) -> "GradedSuperScalar":
-        return GradedSuperScalar({(m, eps % 2): c})
+        """c q^m pi^eps, for ints c, m and eps."""
+        return GradedSuperScalar._normal({(m, eps % 2): c} if c else {})
 
     @staticmethod
     def q_power(m: int) -> "GradedSuperScalar":
@@ -109,9 +122,7 @@ class GradedSuperScalar:
             d[k] = d.get(k, 0) + c
             if not d[k]:
                 del d[k]
-        out = GradedSuperScalar.zero()
-        out.coeffs = d
-        return out
+        return GradedSuperScalar._normal(d)
 
     def __mul__(self, other):
         if isinstance(other, int):

@@ -17,8 +17,8 @@ def lr():
 @pytest.fixture
 def forks(monkeypatch) -> list[int]:
     """The pids of the children that `os.fork` makes during the test, for
-    `helpers.assert_reaped`; other children of the test process, such as
-    multiprocessing's resource tracker, are not among them."""
+    `helpers.assert_reaped`; other children of the test process are not
+    among them."""
     pids, real = [], os.fork
     monkeypatch.setattr(os, "fork", lambda: pids.append(real()) or pids[-1])
     return pids

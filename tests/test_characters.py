@@ -1,6 +1,8 @@
 import itertools
 import json
-import multiprocessing
+import os
+import signal
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -227,36 +229,66 @@ def test_lr_cache_skips_lines_it_cannot_parse(tmp_path):
     assert cache.coeff((2, 1), [(1,), (1,), (1,)]) == 2
 
 
-def _append_records(path, start, ready, go):
-    cache = ch.LRCache(path)
-    ready.set()
-    go.wait(60)
-    for k in range(start, start + 400):
-        cache._store(((k,), ((k, 1) * 20,), 1), k)
+def _append_records(path, start, ready, go, parents) -> None:
+    """In a forked writer: close the parent's ends of the pipes, load the
+    cache, say so on `ready`, wait until `go` reaches its end, append 400
+    records, and exit without returning."""
+    code = 1
+    try:
+        for fd in parents:
+            os.close(fd)
+        cache = ch.LRCache(path)
+        os.write(ready, b"r")
+        os.read(go, 1)
+        for k in range(start, start + 400):
+            cache._store(((k,), ((k, 1) * 20,), 1), k)
+        code = 0
+    finally:
+        os._exit(code)
 
 
 def test_lr_cache_concurrent_writers_keep_whole_lines(tmp_path):
-    """More writers than cores append at once; every line still parses."""
+    """More writers than cores append at once; every line still parses.  The
+    writers are forked and released together when this process closes the
+    write end of a pipe they all wait on, so no semaphore and no helper
+    process is made, and none is left behind."""
     path = str(tmp_path / "lr.jsonl")
-    mp = multiprocessing.get_context("spawn")
-    go = mp.Event()
     starts = (0, 1000, 2000)
-    readies = [mp.Event() for _ in starts]
-    procs = [mp.Process(target=_append_records, args=(path, start, ready, go))
-             for start, ready in zip(starts, readies)]
-    for p in procs:
-        p.start()
+    ready_r, ready_w = os.pipe()
+    go_r, go_w = os.pipe()
+    pids = []
     try:
-        for ready in readies:
-            assert ready.wait(60)
-        go.set()
-        for p in procs:
-            p.join(60)
-            assert not p.is_alive() and p.exitcode == 0
+        for start in starts:
+            pid = os.fork()
+            if pid == 0:
+                _append_records(path, start, ready_w, go_r, (ready_r, go_w))
+            pids.append(pid)
+        os.close(ready_w)
+        ready_w = None
+        ready = b""
+        while len(ready) < len(starts) and (more := os.read(ready_r, len(starts))):
+            ready += more
+        assert ready == b"r" * len(starts)
+        os.close(go_w)
+        go_w = None
+        deadline = time.monotonic() + 60
+        while pids and time.monotonic() < deadline:
+            for pid in list(pids):
+                done, status = os.waitpid(pid, os.WNOHANG)
+                if done:
+                    pids.remove(pid)
+                    assert os.waitstatus_to_exitcode(status) == 0
+            time.sleep(0.01)
+        assert not pids
     finally:
-        for p in procs:
-            if p.is_alive():
-                p.kill()
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        for fd in (ready_r, ready_w, go_r, go_w):
+            if fd is not None:
+                os.close(fd)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
     with open(path) as fh:
         lines = fh.read().split("\n")
     assert lines[-1] == ""

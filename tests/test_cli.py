@@ -2,6 +2,8 @@ import errno
 import json
 import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -9,6 +11,7 @@ from helpers import BROKEN, broken_presentation, run_cli as run, verify_fails_on
 from hypothesis import given, settings, strategies as st
 from test_module_layout import ORBIT
 
+import schurify
 from schurify.rings import GradedSuperScalar
 
 DATA = Path(__file__).parent / "data"
@@ -651,6 +654,132 @@ def test_cellular_only_truncation_is_a_usage_error(cmd, tmp_path):
         _usage_error("char", "--algebra", "zigzag-bar:1", *small)
         res = run("char", "--algebra", "zigzag:1", *small)
         assert res.exit_code == 0, res.output
+
+
+# ---------------------------------------------------------------------------
+# a command in a process of its own, which ends without interpreter teardown
+# ---------------------------------------------------------------------------
+
+# the streams buffered, as they are by default, so that output a process
+# does not flush is lost
+PROCESS_ENV = {**{k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"},
+               "PYTHONPATH": os.path.dirname(os.path.dirname(schurify.__file__))}
+PROCESS_CASES = {
+    "dim": ["dim", "--algebra", "zigzag:1", "-n", "2", "-d", "2"],
+    "char": ["char", "--algebra", "zigzag:1", "-n", "2", "-d", "2", "--label", "[[1], [1]]",
+             "--method", "both"],
+    "decomp": ["decomp", "--algebra", "zigzag:2", "-n", "2", "-d", "2", "--method", "both",
+               "--out", "csv"],
+    "verify": ["verify", "--algebra", "zigzag:2", "-n", "2", "-d", "2"],
+}
+# the CLI run as `__main__` in a process where the formula character of the
+# label [[1], [1]] is doubled, so that `verify` fails its characters check
+PLANTED = """
+import runpy
+from schurify import verification
+real = verification.char_standard_formula
+
+def doubled(T, lam, cache):
+    ch = real(T, lam, cache)
+    return ch + ch if lam == ((1,), (1,)) else ch
+
+verification.char_standard_formula = doubled
+runpy.run_module("schurify.cli", run_name="__main__", alter_sys=True)
+"""
+
+
+def _process(*argv: str, env=PROCESS_ENV, stdout=subprocess.PIPE) -> subprocess.CompletedProcess:
+    """`python -m schurify.cli argv` in a fresh process, or, given `-c`
+    first, that code with the rest as its arguments."""
+    argv = argv if argv[0] == "-c" else ("-m", "schurify.cli", *argv)
+    return subprocess.run([sys.executable, *argv], env=env, stdout=stdout,
+                          stderr=subprocess.PIPE, timeout=120)
+
+
+@pytest.mark.parametrize("cmd", PROCESS_CASES)
+def test_a_command_process_writes_what_main_writes(cmd, tmp_path):
+    """Run as `python -m schurify.cli`, a command exits 0 with nothing on
+    stderr, and its stdout, and its `--output` file, hold byte for byte what
+    `main` writes in this process.  `verify` prints its rows and takes no
+    `--output`."""
+    args = [*PROCESS_CASES[cmd], "--cache-dir", str(tmp_path)]
+    want = run(*args).stdout_bytes
+    proc = _process(*args)
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert proc.stdout == want
+    if cmd == "verify":
+        assert want == (DATA / "verify-zigzag2-n2-d2.txt").read_bytes()
+        return
+    here, there = tmp_path / "here", tmp_path / "there"
+    assert run(*args, "--output", str(here)).exit_code == 0
+    proc = _process(*args, "--output", str(there))
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, b"", b"")
+    assert there.read_bytes() == here.read_bytes() == want
+
+
+def test_a_command_process_exits_1_on_a_failing_check(monkeypatch, tmp_path):
+    """A failing check makes the process exit 1 after it prints the rows
+    that `main` prints in this process under the same defect."""
+    from schurify import verification
+
+    args = ["verify", "--algebra", "zigzag:1", "-n", "2", "-d", "2", "--cache-dir", str(tmp_path)]
+    proc = _process("-c", PLANTED, *args)
+    real = verification.char_standard_formula
+
+    def doubled(T, lam, cache):
+        ch = real(T, lam, cache)
+        return ch + ch if lam == ((1,), (1,)) else ch
+
+    monkeypatch.setattr(verification, "char_standard_formula", doubled)
+    failed = verify_fails_only("characters", *args[1:])
+    assert proc.returncode == 1, proc.stderr
+    assert failed.encode() in proc.stdout.splitlines()
+    assert proc.stdout == run(*args).stdout_bytes
+
+
+@pytest.mark.parametrize("args", [["dim", "--algebra", "bogus:9"], ["dim", "-n", "x"], ["--help"]])
+def test_a_command_process_exits_as_the_parser_does(args):
+    """A usage error exits 2 with the one `error:` line that `main` prints
+    in this process, and `--help` exits 0 after its usage text."""
+    res = run(*args)
+    proc = _process(*args)
+    assert proc.returncode == res.exit_code == (0 if args == ["--help"] else 2)
+    if res.exit_code:
+        assert [line for line in proc.stderr.decode().splitlines() if "error:" in line] == \
+            [line for line in res.output.splitlines() if "error:" in line]
+    else:
+        assert proc.stdout.startswith(b"usage: schurify") and proc.stderr == b""
+
+
+@pytest.mark.parametrize("buffered", [True, False])
+@pytest.mark.parametrize("size", ["small", "large"])
+def test_a_command_process_whose_reader_has_gone(size, buffered, tmp_path):
+    """A command whose stdout is a pipe with no reader left fails as the
+    interpreter reports it.  Output larger than the pipe's 64 KB (`decomp`
+    on zigzag:2 n=d=3, 94 KB of JSON), and any output unbuffered
+    (`PYTHONUNBUFFERED`), raise BrokenPipeError at the write in `_emit`: a
+    traceback, exit 1.  A small output that the stream buffers fails only
+    at its flush after `main` returns, which the interpreter's own exit
+    reports as an exception it ignored, exit 120."""
+    args = PROCESS_CASES["dim"] if size == "small" else \
+        ["decomp", "--algebra", "zigzag:2", "-n", "3", "-d", "3", "--method", "formula"]
+    env = PROCESS_ENV if buffered else {**PROCESS_ENV, "PYTHONUNBUFFERED": "1"}
+    reader, writer = os.pipe()
+    os.close(reader)
+    try:
+        proc = _process(*args, "--cache-dir", str(tmp_path), env=env, stdout=writer)
+    finally:
+        os.close(writer)
+    stderr = proc.stderr.decode().splitlines()
+    assert stderr[-1] == "BrokenPipeError: [Errno 32] Broken pipe", stderr
+    if size == "small" and buffered:
+        assert proc.returncode == 120
+        assert len(stderr) == 2
+        assert stderr[0].startswith("Exception ignored in: <_io.TextIOWrapper name='<stdout>'")
+    else:
+        assert proc.returncode == 1
+        assert stderr[0] == "Traceback (most recent call last):"
+        assert stderr[-3].endswith(", in _emit") and stderr[-2] == "    sys.stdout.write(text)"
 
 
 # the argv fuzz: real commands, options and values, good and bad, mixed with

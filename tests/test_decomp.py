@@ -175,3 +175,35 @@ def test_base_blocks_zigzag(zz1):
     alg, data, tau = zz1
     parts = dec.blocks(data.labels, base_decomp_numbers(alg, data))
     assert len(parts) == 1  # the zigzag base is linked through q pi entries
+
+
+def _assert_normal(c) -> None:
+    """c is a scalar in normal form: what the normalizing constructor makes
+    of its coefficients, keyed by (int, 0 | 1) with no zero coefficient."""
+    assert type(c) is GradedSuperScalar and c == GradedSuperScalar(c.coeffs)
+    for (m, eps), v in c.coeffs.items():
+        assert type(m) is int and eps in (0, 1) and type(v) is int and v, c.coeffs
+
+
+@pytest.mark.parametrize("spec, field", [("zigzag:2", "Q"), ("zigzag:2", "Fp:3"), ("zigzag:1", "Q")])
+def test_the_character_and_decomposition_layers_return_normal_scalars(spec, field, lr):
+    """At n = d = 3, every scalar of the tableau and Gram characters, of the
+    oracle's matrix and of the formula's rows is in normal form, and none
+    changes afterwards: the characters and the oracle's entries read the
+    same once the formula rows have run."""
+    T = _T(spec, 3, 3)
+    ring = QQ if field == "Q" else GF(3)
+    labels = gen_multipartitions(3, 3, len(T.data.labels) - 1)
+    chars = [ch.char_standard_tableaux(T, lam) for lam in labels]
+    chars += [dec.char_irreducible(T, lam, ring) for lam in labels]
+    D = dec.decomp_oracle(T, ring)
+    returned = [c for v in chars for _w, c in v.items()] + list(D.entries.values())
+    before = [dict(c.coeffs) for c in returned]
+    classical = None if ring == QQ else dec.ClassicalDecomp(3, ring)
+    rows = [dec.decomp_formula_row(T.base_decomp, lam, labels, 3, classical, lr) for lam in labels]
+    for lam, row in zip(labels, rows):
+        assert row == _oracle_row(D, lam), lam
+        returned += row.values()
+    for c in returned:
+        _assert_normal(c)
+    assert [c.coeffs for c in returned[:len(before)]] == before

@@ -22,6 +22,18 @@ def test_term_accumulation():
     assert (a + a.scale(-1)).coeffs == {}
 
 
+@given(st.integers(-3, 3), st.integers(-3, 3), st.integers(-3, 3))
+def test_named_constructors_make_the_normal_form(c, m, eps):
+    """`term`, `zero` and `one`, built without the normalizing constructor,
+    give what it makes of the same coefficients: a zero term stores nothing
+    and equals 0, and the parity is taken mod 2."""
+    t = GradedSuperScalar.term(c, m, eps)
+    assert t.coeffs == GradedSuperScalar({(m, eps): c}).coeffs
+    assert (t == 0) is (c == 0) and bool(t) is (c != 0)
+    assert GradedSuperScalar.zero().coeffs == GradedSuperScalar().coeffs == {}
+    assert GradedSuperScalar.one().coeffs == GradedSuperScalar({(0, 2): 1}).coeffs == {(0, 0): 1}
+
+
 scalars = st.dictionaries(
     st.tuples(st.integers(-3, 3), st.integers(0, 1)),
     st.integers(-5, 5),
