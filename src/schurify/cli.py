@@ -500,11 +500,13 @@ if __name__ == "__main__":
     # without tearing the interpreter down (about 15 ms a command); atexit
     # handlers do not run.  A usage error, an uncaught exception and a
     # stream that cannot be flushed take the interpreter's own exit, which
-    # reports them as before.
+    # reports them as before.  A stream is None where its descriptor was
+    # closed when the process started.
     code = main()
     try:
-        sys.stdout.flush()
-        sys.stderr.flush()
+        for stream in (sys.stdout, sys.stderr):
+            if stream is not None:
+                stream.flush()
     except OSError:
         sys.exit(code)
     os._exit(code)

@@ -751,6 +751,18 @@ def test_a_command_process_exits_as_the_parser_does(args):
         assert proc.stdout.startswith(b"usage: schurify") and proc.stderr == b""
 
 
+@pytest.mark.parametrize("closed", [1, 2])
+def test_a_command_process_starts_without_a_stream(closed, tmp_path):
+    """A command started with stdout or stderr closed, whose stream is then
+    None, writes its `--output` file and exits 0."""
+    out = tmp_path / "out"
+    proc = subprocess.run([sys.executable, "-m", "schurify.cli", *PROCESS_CASES["dim"],
+                           "--output", str(out)], env=PROCESS_ENV, timeout=120,
+                          preexec_fn=lambda: os.close(closed))
+    assert proc.returncode == 0
+    assert json.loads(out.read_text()) == {"rank": "202"}
+
+
 @pytest.mark.parametrize("buffered", [True, False])
 @pytest.mark.parametrize("size", ["small", "large"])
 def test_a_command_process_whose_reader_has_gone(size, buffered, tmp_path):
