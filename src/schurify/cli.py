@@ -190,8 +190,18 @@ def _emit(cfg: RunConfig, payload, csv_rows=None) -> None:
                 fh.write(text)
         except OSError as exc:
             raise UsageError(f"cannot write --output {cfg.output!r}: {exc.strerror}") from None
-    else:
+        return
+    out = getattr(sys.stdout, "buffer", None)
+    if out is None:  # a text stream with no bytes under it
         sys.stdout.write(text)
+        return
+    # bytes go to the stream's buffer, which writes them whole or raises;
+    # unbuffered (PYTHONUNBUFFERED) it is the raw file, whose write may take
+    # a part only, which the text layer would drop unseen
+    sys.stdout.flush()
+    data = memoryview(text.encode(sys.stdout.encoding, sys.stdout.errors))
+    while data:
+        data = data[out.write(data):]
 
 
 def _make_T(cfg: RunConfig):

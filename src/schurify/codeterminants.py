@@ -422,9 +422,11 @@ class CodetBasis:
         weight is in `weights` (by default all of them), in the sorted order
         of `block_keys`: one pass (`_filed`) that keeps no key and no
         unimodular block.  The heredity check walks the X weights on two
-        processes, each pass over the weights its process pulls from a
-        shared queue (`heredity.Started`), so `verify`'s peak RSS is the
-        larger of theirs; a platform without `os.fork` walks in one.  A
+        processes (`heredity.Started`), each pass over the runs of weights
+        its process pulls from one pipe, a byte a run; the child's exit
+        status is its verdict, and `verify`'s process walks the least
+        failing run again.  `verify`'s peak RSS is the larger of the two
+        processes' peaks; a platform without `os.fork` walks in one.  A
         block is taken as its column expansions (`_expand`), whose rows
         `_checked_rows` checks, raising a stray or missing row.  A square
         block is eliminated as the rows of its transpose

@@ -13,21 +13,21 @@ The products run through the product kernel on index words, each
 tableau's word and sign read off the walk's shares
 (`CodetBasis.tableau_shares`).
 
-Axiom (a)'s walk runs on two processes (`Started`).  `start`, which
-`verify` calls before its first row, queues the X weights in a pipe and
-forks a child that walks the weights it pulls; this process runs the
-other rows and axioms (c) and (b), then walks the weights left, and the two
-first failures merge into the one a walk in one process finds.  A command's
-peak RSS is the larger of the two processes' peaks.  A platform without
-`os.fork` walks in one process.
+Axiom (a)'s walk runs on two processes (`Started`), which exchange only
+the indices of runs of X weights.  `verify` builds a `Started` before its
+first row: it queues the runs in one pipe, a byte each, and forks a child
+that walks the runs it pulls and exits with its verdict as its status.
+This process runs the other rows and axioms (c) and (b), then walks the
+runs left, and walks the least failing run of the two again, so that the
+failure it reports, or the exception it raises, is the one a walk in one
+process finds.  A command's peak RSS is the larger of the two processes'
+peaks.  A platform without `os.fork` walks in one process.
 
 Only `verify` loads this module (see the README's module map for why the
 other commands do not).
 """
 from __future__ import annotations
 
-import builtins
-import marshal
 import os
 from collections.abc import Iterable, Iterator
 from functools import cache
@@ -43,144 +43,106 @@ from .triples import OnLookup
 def heredity_of_T(T: SchurAlgebra, sample_b: int | None = None) -> HeredityReport:
     """Verify the heredity axioms for the codeterminant structure on T, and
     return the failures, each named by its axiom as the base check names
-    its own (`HeredityReport.fail`): `start` and finish at once.
+    its own (`HeredityReport.fail`): a `Started` check finished at once.
 
     `sample_b` caps, per X/Y element, the number of weight-compatible basis
     orbits multiplied through in the span check: the first ones in the order
     of `T.orbits`, listed one weight at a time.  None checks all of them.
     """
-    return start(T, sample_b)()
+    return Started(T, sample_b)()
 
 
-def start(T: SchurAlgebra, sample_b: int | None = None) -> Started:
-    """Start the heredity check of T: axiom (a)'s walk begins on a second
-    process, and calling the result finishes the check (`Started`)."""
-    if T.n < T.d:
-        raise ValueError("requires n >= d")
-    return Started(T, sample_b)
-
-
-# the X weights go into the queue in runs of consecutive weights, one
-# record of two bytes per run, at most 2 048 runs: 4 096 bytes, the least a
-# Linux pipe holds, so the queue is written whole before the fork and no
-# write blocks (zigzag:1 has 56 X weights at n=d=3, 2 002 at n=d=5)
-RECORD_BYTES, RECORDS = 2, 2048
+# the X weights go into the queue in runs of consecutive weights, one byte
+# per run, at most 254 runs: the queue is written whole before the fork, so
+# no write blocks, and a child's exit status 1 + j names its failing run j
+# (zigzag:1 has 56 X weights at n=d=3, 330 at n=d=4, 2 002 at n=d=5)
+RUNS = 254
 
 
 class Started:
-    """A heredity check of T begun by `start`, whose axiom (a) walk runs on
-    two processes.
+    """A heredity check of T whose axiom (a) walk has begun on a second
+    process; calling it finishes the check.
 
     The X weights of the walk, in runs of consecutive weights, are queued
     as their indices in a pipe; a forked child and then this process pull
     runs from it in ascending order, and each walks the blocks of the runs
     it pulls in sorted key order (`CodetBasis.non_unimodular_block`) until
-    its first failure.  The child sends that failure, or None, back through
-    a second pipe (`marshal`).  Every run below the least failing run was
-    pulled and walked whole, so that failure names the least block, with
-    the text and exception type of a walk in one process.  Where `os.fork`
-    does not exist or fails, this process pulls every run.  A command's
-    peak RSS is the larger of the two processes' peaks.
+    its first failure.  The child's exit status is its verdict: 0 when its
+    runs pass, 1 + the index of its first failing run; any other status, a
+    signal included, is no verdict, and this process then walks every run.
+    Every run below the least failing run of the two was pulled and walked
+    whole, so walking that one run again here finds the least failing
+    block, with the text, exception and traceback of a walk in one process.
+    Where `os.fork` does not exist or fails, this process pulls every run.
     """
 
     def __init__(self, T: SchurAlgebra, sample_b: int | None):
-        self.T, self.sample_b, self.pid, self.verdict = T, sample_b, None, None
+        self.T, self.sample_b, self.pid = T, sample_b, None
         weights = T.codet_basis._weights[0]
-        size = max(1, -(-len(weights) // RECORDS))
+        size = max(1, -(-len(weights) // RUNS))
         self.runs = [weights[i:i + size] for i in range(0, len(weights), size)]
         self.queue, fill = os.pipe()
-        os.write(fill, b"".join(j.to_bytes(RECORD_BYTES, "big") for j in range(len(self.runs))))
+        os.write(fill, bytes(range(len(self.runs))))
         os.close(fill)
-        if not hasattr(os, "fork"):
-            return
-        self.verdict, post = os.pipe()
         try:
             self.pid = os.fork()
-        except OSError:
-            self.pid = None
+        except (AttributeError, OSError):  # no fork here: this process walks alone
+            return
         if self.pid == 0:
-            self._child(post)
-        os.close(post)
-
-    def _child(self, post: int) -> None:
-        """Walk the runs pulled from the queue, send the first failure, its
-        exception as its builtin type's name and its text, and exit."""
-        code = 1
-        try:
-            failure = self._first_failure(self._pulled())
-            if failure and failure[2] is not None:
-                j, _text, exc = failure
-                failure = j, None, (type(exc).__name__, str(exc))
-            data = marshal.dumps(failure)
-            while data:
-                data = data[os.write(post, data):]
-            code = 0
-        finally:
-            os._exit(code)
+            code = 255
+            try:
+                failed = self._failing_run(self._pulled())
+                code = 0 if failed is None else 1 + failed
+            finally:
+                os._exit(code)
 
     def _pulled(self) -> Iterator[int]:
-        """The indices of the runs left in the queue, pulled one at a time.
-        The queue holds whole records and every read asks for one, so no
-        read splits a record."""
-        while record := os.read(self.queue, RECORD_BYTES):
-            yield int.from_bytes(record, "big")
+        """The indices of the runs left in the queue, pulled one at a time."""
+        while index := os.read(self.queue, 1):
+            yield index[0]
 
-    def _first_failure(self, pulled: Iterable[int]) -> tuple | None:
-        """The first failure of the walk over the runs `pulled`, as (run,
-        failure text, None) for a block that is not unimodular or whose rows
-        fail their check (AssertionError), (run, None, exception) for any
-        other exception; None when every block passes."""
-        at = -1  # the run last pulled, whose blocks the walk is on
+    def _failing_run(self, pulled: Iterable[int]) -> int | None:
+        """The first run of those `pulled` whose walk fails, by a block that
+        is not unimodular or by any exception raised; None when they pass.
+        An exception raised before the first pull names run 0."""
+        at = 0  # the run last pulled, whose blocks the walk is on
 
         def weights():
             nonlocal at
-            for j in pulled:
-                at = j
-                yield from self.runs[j]
+            for at in pulled:
+                yield from self.runs[at]
 
         try:
-            bad = self.T.codet_basis.non_unimodular_block(weights())
-        except AssertionError as exc:
-            return at, str(exc), None
-        except Exception as exc:  # raised by the check, as in one process
-            return at, None, exc
-        if bad is None:
-            return None
-        return at, f"change of basis not unimodular: block {bad[0]} has determinant {bad[1]}", None
+            return None if self.T.codet_basis.non_unimodular_block(weights()) is None else at
+        except Exception:  # walked again, to raise here
+            return at
 
-    def _walked(self) -> tuple | None:
+    def _least_failing_run(self) -> int | None:
         """Walk the runs left in the queue here, reap the child, and return
-        the failure at the least run of the two, or None.  When the child
-        exits without its verdict, every run is walked here again."""
-        mine = self._first_failure(self._pulled())
-        if self.pid is None:
-            return mine
-        data = b"".join(iter(lambda: os.read(self.verdict, 1 << 16), b""))
-        _pid, status = os.waitpid(self.pid, 0)
-        self.pid = None
-        if status:
-            return self._first_failure(range(len(self.runs)))
-        theirs = marshal.loads(data)
-        if theirs and theirs[2] is not None:
-            name, text = theirs[2]
-            cls = getattr(builtins, name, None)
-            raised = (cls(text) if isinstance(cls, type) and issubclass(cls, Exception)
-                      else RuntimeError(f"{name}: {text}"))
-            theirs = theirs[0], None, raised
-        return min(filter(None, (mine, theirs)), key=lambda failure: failure[0], default=None)
+        the least failing run of the two, or None.  When the child exits
+        without a verdict, every run is walked here again."""
+        failed = [self._failing_run(self._pulled())]
+        if self.pid is not None:
+            _pid, status = os.waitpid(self.pid, 0)
+            self.pid = None
+            code = os.waitstatus_to_exitcode(status)
+            if 0 <= code <= len(self.runs):
+                failed.append(code - 1 if code else None)
+            else:
+                failed = [self._failing_run(range(len(self.runs)))]
+        return min((j for j in failed if j is not None), default=None)
 
     def close(self) -> None:
-        """Kill and reap the child if it still runs, and close the pipes."""
+        """Kill and reap the child if it still runs, and close the queue."""
         if self.pid:
             import signal
 
             os.kill(self.pid, signal.SIGKILL)
             os.waitpid(self.pid, 0)
             self.pid = None
-        for fd in (self.queue, self.verdict):
-            if fd is not None:
-                os.close(fd)
-        self.queue = self.verdict = None
+        if self.queue is not None:
+            os.close(self.queue)
+            self.queue = None
 
     def __call__(self) -> HeredityReport:
         """Finish the check and return its report.  Axioms (c) and (b) run
@@ -198,13 +160,16 @@ class Started:
                 _axioms_c_and_b(T, self.sample_b, products)
             except Exception as exc:  # raised unless axiom (a) fails
                 raised = exc
-            failure = self._walked()
+            failed = self._least_failing_run()
         finally:
             self.close()
-        if failure is not None:
-            _run, text, exc = failure
-            if text is None:
-                raise exc
+        if failed is not None:
+            try:
+                bad = cb.non_unimodular_block(self.runs[failed])
+                text = (f"change of basis not unimodular: block {bad[0]} has determinant {bad[1]}"
+                        if bad else f"X weights {self.runs[failed]} failed one walk, passed the next")
+            except AssertionError as exc:  # a stray or missing row
+                text = str(exc)
             report.fail("axiom (a)", text)
             return report
         if raised is not None:

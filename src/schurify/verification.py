@@ -14,11 +14,14 @@ rows apply is read off T: a truncation (`T.keep_basis`) is only cellular,
 so its highest-weight checks are not registered, and a check that does
 not apply to T (n < d, or no anti-involution) gives a row with no verdict.
 The Schur heredity check's axiom (a) walk starts on a forked child before
-the first row (`heredity.start`) and shares the blocks with this process,
-which joins it at that check's row, or kills and reaps it on any other way
-out, so no process outlives `run_checks`.  `verify`'s peak RSS is the
-larger of the two processes' peaks; a platform without `os.fork` walks in
-one process.
+the first row (`heredity.Started`) and shares the runs of X weights with
+this process through one pipe, a byte a run.  At that check's row this
+process walks the runs left, reaps the child, whose exit status is its
+verdict, and walks the least failing run of the two again, so the row
+reports what a walk in one process finds; on any other way out it kills
+and reaps the child, so no process outlives `run_checks`.  `verify`'s peak
+RSS is the larger of the two processes' peaks; a platform without
+`os.fork` walks in one process.
 This module does not import `cli`: run as `python -m schurify.cli`,
 the CLI is `__main__`, and importing it by name would compile and run it a
 second time.  Only `verify` loads this module, and with it `heredity` and
@@ -36,7 +39,7 @@ from .base_heredity import verify_heredity
 from .characters import LRCache, char_standard_formula, char_standard_tableaux
 from .codeterminants import side_element
 from .decomposition import ClassicalDecomp, decomp_formula_row, decomp_oracle
-from .heredity import start
+from .heredity import Started
 from .rings import QQ, CoefficientRing
 from .rsk import rsk, rsk_inv
 from .schur import Element, SchurAlgebra
@@ -233,7 +236,7 @@ def run_checks(T: SchurAlgebra, seed: int, ring: CoefficientRing,
     # the Schur heredity check's axiom (a) walk starts now, on a second
     # process, and its row finishes it; on any way out the child is reaped
     sample_b = 10
-    schur = start(T, sample_b) if highest_weight and not short else None
+    schur = Started(T, sample_b) if highest_weight and not short else None
     try:
         check("unit", c_unit)
         check("associativity", c_assoc)

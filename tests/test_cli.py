@@ -791,7 +791,40 @@ def test_a_command_process_whose_reader_has_gone(size, buffered, tmp_path):
     else:
         assert proc.returncode == 1
         assert stderr[0] == "Traceback (most recent call last):"
-        assert stderr[-3].endswith(", in _emit") and stderr[-2] == "    sys.stdout.write(text)"
+        assert stderr[-4].endswith(", in _emit") and stderr[-3] == "    data = data[out.write(data):]"
+
+
+def test_an_unbuffered_command_whose_reader_goes_mid_write_fails():
+    """Unbuffered (`PYTHONUNBUFFERED`), `decomp` on zigzag:2 n=d=3 writes its
+    94 KB of JSON in one call that fills the pipe and waits; when the reader
+    then closes without reading, the write has taken only a part, and the
+    command fails at the rest with BrokenPipeError, exit 1, instead of
+    dropping it and exiting 0."""
+    import fcntl
+    import termios
+    import time
+
+    args = ["decomp", "--algebra", "zigzag:2", "-n", "3", "-d", "3", "--method", "formula"]
+    reader, writer = os.pipe()
+    try:
+        proc = subprocess.Popen([sys.executable, "-m", "schurify.cli", *args],
+                                env={**PROCESS_ENV, "PYTHONUNBUFFERED": "1"},
+                                stdout=writer, stderr=subprocess.PIPE)
+    finally:
+        os.close(writer)
+    try:
+        full, deadline = fcntl.fcntl(reader, fcntl.F_GETPIPE_SZ), time.monotonic() + 120
+        held = bytearray(4)
+        while fcntl.ioctl(reader, termios.FIONREAD, held) or int.from_bytes(held, sys.byteorder) < full:
+            assert proc.poll() is None and time.monotonic() < deadline, "the pipe never filled"
+            time.sleep(0.05)
+    finally:
+        os.close(reader)
+    _out, err = proc.communicate(timeout=120)
+    stderr = err.decode().splitlines()
+    assert proc.returncode == 1, stderr
+    assert stderr[-1] == "BrokenPipeError: [Errno 32] Broken pipe", stderr
+    assert stderr[-4].endswith(", in _emit") and stderr[-3] == "    data = data[out.write(data):]"
 
 
 # the argv fuzz: real commands, options and values, good and bad, mixed with

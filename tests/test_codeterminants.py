@@ -1,7 +1,9 @@
 import ast
+import errno
 import os
 import random
 import re
+import signal
 from collections import Counter
 
 import pytest
@@ -18,7 +20,7 @@ from helpers import (
     orbit_profiles,
     tableau_share,
 )
-from schurify import codeterminants as codet
+from schurify import codeterminants as codet, heredity
 from schurify.base_algebra import SIDES, X_SIDE, Y_SIDE, make_algebra
 from schurify.decomposition import gram_blocks
 from schurify.exactla import Block, unit_determinant
@@ -981,7 +983,8 @@ def test_the_shared_walk_names_the_least_of_two_failing_blocks(monkeypatch, tmp_
     """With a column doubled in the least block and in the greatest, the
     process that pulls the first X weight fails at the least block and
     stops, and the other walks every later weight and fails at the
-    greatest; the report names the least, as a walk in one process does."""
+    greatest, then walks the least block's run again; the report names the
+    least, as a walk in one process does."""
     alg, data, tau = make_algebra("zigzag:1")
     T = build_schur(alg, data, 3, 3, tau)
     cb = T.codet_basis
@@ -1005,8 +1008,8 @@ def test_the_shared_walk_names_the_least_of_two_failing_blocks(monkeypatch, tmp_
     ]
     first, rest = _walks(tmp_path)
     assert first == [(least, det, cb.factor(least).size)]
-    assert [key for key, _det, _size in rest] == [key for key in keys if key[0] != least[0]]
-    assert rest[-1][:2] == (greatest, cb.factor(greatest).det)
+    assert [key for key, _det, _size in rest] == [key for key in keys if key[0] != least[0]] + [least]
+    assert rest[-2][:2] == (greatest, cb.factor(greatest).det) and rest[-1] == first[0]
 
 
 @pytest.mark.parametrize("kind", ["stray row", "arithmetic"])
@@ -1076,3 +1079,150 @@ def test_an_axiom_a_failure_hides_what_axioms_c_and_b_raise(monkeypatch, forks):
         f"axiom (a): change of basis not unimodular: block {first} has determinant 2"
     ]
     assert_reaped(forks)
+
+
+def _double_last_columns(monkeypatch, cb, keys) -> None:
+    """Double the last column of each block key in `keys`, so that each
+    of those blocks has determinant +-2."""
+    doubled = {(x.bold, x.tab, y.tab) for key in keys for x, y in cb._columns(key)[-1:]}
+    real = codet.CodetBasis._expand
+
+    def broken(self, x, y):
+        out = real(self, x, y)
+        return {o: 2 * c for o, c in out.items()} if (x.bold, x.tab, y.tab) in doubled else out
+
+    monkeypatch.setattr(codet.CodetBasis, "_expand", broken)
+
+
+def _one_process_failures(cb) -> list[str]:
+    """The axiom (a) failures of the walk in this process alone."""
+    bad = cb.non_unimodular_block()
+    return [] if bad is None else [
+        f"axiom (a): change of basis not unimodular: block {bad[0]} has determinant {bad[1]}"]
+
+
+class Planted(Exception):
+    """An exception class that is no builtin."""
+
+
+@pytest.mark.parametrize("where", ["least block", "before any run"])
+def test_the_shared_walk_raises_an_exception_of_its_own_class(monkeypatch, forks, where):
+    """An exception of a class that is no builtin, raised in the walk at the
+    least block, which the child pulls first, or before either process
+    pulls a run, is raised by `heredity_of_T` with its class and text, from
+    the walk in this process."""
+    alg, data, tau = make_algebra("zigzag:1")
+    T = build_schur(alg, data, 2, 2, tau)
+    least = next(T.codet_basis.block_keys)
+    if where == "least block":
+        real = codet.CodetBasis._checked_rows
+
+        def planted(self, at, cols, expansions):
+            if at == least:
+                raise Planted(f"planted at {at}")
+            return real(self, at, cols, expansions)
+
+        monkeypatch.setattr(codet.CodetBasis, "_checked_rows", planted)
+        text = f"planted at {least}"
+    else:
+        def planted(self, weights=None):
+            raise Planted("planted before the walk")
+            yield
+
+        monkeypatch.setattr(codet.CodetBasis, "_filed", planted)
+        text = "planted before the walk"
+    with pytest.raises(Planted) as shared:
+        heredity_of_T(T)
+    assert_reaped(forks)
+    assert type(shared.value) is Planted and str(shared.value) == text
+    assert shared.traceback[-1].name == "planted"
+
+
+@pytest.mark.parametrize("end", ["exit 255", "SIGKILL"])
+@pytest.mark.parametrize("failing", [False, True])
+def test_a_child_with_no_verdict_leaves_every_run_to_this_process(monkeypatch, tmp_path, forks,
+                                                                    end, failing):
+    """A child that ends with no verdict after its first block, by exit
+    status 255 or by SIGKILL, leaves every run to this process, which walks
+    them all again: the report is the one of a walk in one process, with
+    the least block doubled or without, and the child is reaped."""
+    alg, data, tau = make_algebra("zigzag:1")
+    T = build_schur(alg, data, 2, 2, tau)
+    cb = T.codet_basis
+    keys = list(cb.block_keys)
+    if failing:
+        _double_last_columns(monkeypatch, cb, keys[:1])
+    want = _one_process_failures(cb)
+    assert bool(want) == failing
+    here, real = os.getpid(), codet.CodetBasis._walk
+
+    def ended(self, weights=None):
+        for block in real(self, weights):
+            if os.getpid() != here:
+                if end == "SIGKILL":
+                    os.kill(os.getpid(), signal.SIGKILL)
+                os._exit(255)
+            yield block
+
+    monkeypatch.setattr(codet.CodetBasis, "_walk", ended)
+    _log_the_walks(monkeypatch, tmp_path)
+    assert heredity_of_T(T, sample_b=4).failures == want
+    assert_reaped(forks)
+    if not failing:
+        assert [key for key, _det, _size in _walks(tmp_path)[-1][-len(keys):]] == keys
+
+
+@pytest.mark.parametrize("failing", [False, True])
+def test_runs_of_many_weights_share_the_walk(monkeypatch, tmp_path, forks, failing):
+    """With at most 5 runs, the 56 X weights of zigzag:1 n=d=3 go into runs
+    of 12.  Passing, the two processes together walk every block once;
+    with the last block of the second run's last weight doubled, and the
+    greatest block, the report names the first, as a walk in one process
+    does."""
+    monkeypatch.setattr(heredity, "RUNS", 5)
+    alg, data, tau = make_algebra("zigzag:1")
+    T = build_schur(alg, data, 3, 3, tau)
+    cb = T.codet_basis
+    keys, weights = list(cb.block_keys), cb._weights[0]
+    late = [key for key in keys if key[0] == weights[23]][-1]
+    if failing:
+        _double_last_columns(monkeypatch, cb, [late, keys[-1]])
+    want = _one_process_failures(cb)
+    assert want == ([f"axiom (a): change of basis not unimodular: block {late} has determinant "
+                     f"{cb.factor(late).det}"] if failing else [])
+    _log_the_walks(monkeypatch, tmp_path)
+    started = heredity.Started(T, 4)
+    assert started().failures == want
+    assert_reaped(forks)
+    assert [len(run) for run in started.runs] == [12, 12, 12, 12, 8]
+    if not failing:
+        walked = [key for walk in _walks(tmp_path) for key, _det, _size in walk]
+        assert sorted(walked) == sorted(keys)
+
+
+@pytest.mark.parametrize("fork", ["working", "raising", "missing"])
+@pytest.mark.parametrize("failing", [False, True])
+def test_the_check_leaves_the_descriptors_as_it_found_them(monkeypatch, forks, fork, failing):
+    """`heredity_of_T` closes every descriptor it opens, whether `os.fork`
+    works, raises OSError or does not exist, on passing data and with the
+    least block doubled."""
+    if not os.path.isdir("/proc/self/fd"):
+        pytest.skip("no /proc/self/fd")
+    alg, data, tau = make_algebra("zigzag:1")
+    T = build_schur(alg, data, 2, 2, tau)
+    cb = T.codet_basis
+    if failing:
+        _double_last_columns(monkeypatch, cb, [next(cb.block_keys)])
+    if fork == "missing":
+        monkeypatch.delattr(os, "fork")
+    elif fork == "raising":
+        def raising():
+            raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+
+        monkeypatch.setattr(os, "fork", raising)
+    before = sorted(os.listdir("/proc/self/fd"))
+    rep = heredity_of_T(T, sample_b=4)
+    assert sorted(os.listdir("/proc/self/fd")) == before
+    assert rep.ok != failing
+    if fork == "working":
+        assert_reaped(forks)
