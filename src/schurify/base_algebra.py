@@ -1,11 +1,11 @@
-"""Based quasi-hereditary graded superalgebras: presentations, built-in
-constructors, heredity data and the base decomposition numbers.
+"""Based quasi-hereditary graded superalgebras: the constructors, the
+built-in algebras, heredity data and the base decomposition numbers.
 
 An algebra is given by structure constants kappa over Z on a finite labelled
-basis.  Heredity data attaches a poset I, sets X(i), Y(i) of basis labels and
-initial idempotents e_i; the products x*y must sweep out the basis bijectively
-(each x*y is required to be a single basis label with coefficient 1 - true for
-every built-in and for the JSON presentation format).
+basis (`BasedSuperalgebra`).  Heredity data (`HeredityData`) attaches a poset
+I, sets X(i), Y(i) of basis labels and initial idempotents e_i; the products
+x*y must sweep out the basis bijectively (each x*y is required to be a single
+basis label with coefficient 1 - true for every built-in).
 
 The heredity check of A is `base_heredity`, and the base-level idempotent
 truncation is `truncation`: each is a module of its own, which a command
@@ -18,7 +18,6 @@ each such step is written once for both sides.
 """
 from __future__ import annotations
 
-import json
 from typing import Callable, Mapping, NamedTuple, Sequence
 
 from .rings import GradedSuperScalar
@@ -119,18 +118,6 @@ class BasedSuperalgebra:
                 if self.multiply(self.unit, {b: 1}) != {b: 1} or self.multiply({b: 1}, self.unit) != {b: 1}:
                     raise ValueError(f"declared unit fails on {b!r}")
 
-    # -- serialization ----------------------------------------------------
-    def to_json(self) -> dict:
-        return {
-            "basis": list(self.basis),
-            "kappa": [
-                {"a": a, "c": c, "out": dict(out)} for (a, c), out in sorted(self.kappa.items())
-            ],
-            "degree": dict(self.degree),
-            "parity": dict(self.parity),
-            **({"unit": self.unit} if self.unit is not None else {}),
-        }
-
 
 class HeredityData(NamedTuple):
     """Poset I with X(i), Y(i) and initial idempotents e_i.
@@ -147,15 +134,6 @@ class HeredityData(NamedTuple):
 
     def lt(self, i: int, j: int) -> bool:
         return (i, j) in self.strictly_less
-
-    def to_json(self) -> dict:
-        return {
-            "order": sorted(list(p) for p in self.strictly_less),
-            "labels": list(self.labels),
-            "X": {str(i): list(v) for i, v in self.X.items()},
-            "Y": {str(i): list(v) for i, v in self.Y.items()},
-            "e": {str(i): v for i, v in self.e.items()},
-        }
 
 
 class AntiInvolution(NamedTuple):
@@ -324,6 +302,19 @@ def make_semisimple(m: int) -> tuple[BasedSuperalgebra, HeredityData, AntiInvolu
     return alg, data, AntiInvolution(image={b: b for b in basis})
 
 
+def make_algebra(spec: str):
+    """Resolve a base algebra spec: zigzag:L | trivial | semisimple:m.  The
+    CLI's zigzag-bar:L is built from zigzag:L and truncated at the Schur
+    level (`cli._make_T`), so it is no spec here."""
+    if spec == "trivial":
+        return make_trivial()
+    if spec.startswith("zigzag:"):
+        return make_extended_zigzag(int(spec.split(":", 1)[1]))
+    if spec.startswith("semisimple:"):
+        return make_semisimple(int(spec.split(":", 1)[1]))
+    raise ValueError(f"unknown algebra spec {spec!r}")
+
+
 # ---------------------------------------------------------------------------
 # decomposition numbers of the base algebra
 # ---------------------------------------------------------------------------
@@ -384,51 +375,6 @@ class DecompInput(NamedTuple):
 
     def slots_from(self, i) -> list:
         return [s for s in self.slots if s[0] == i]
-
-
-# ---------------------------------------------------------------------------
-# JSON presentation files
-# ---------------------------------------------------------------------------
-
-def load_presentation(obj: dict | str) -> tuple[BasedSuperalgebra, HeredityData]:
-    if isinstance(obj, str):
-        obj = json.loads(obj)
-    alg = BasedSuperalgebra(
-        obj["basis"],
-        {(k["a"], k["c"]): k["out"] for k in obj["kappa"]},
-        degree=obj["degree"],
-        parity=obj["parity"],
-        unit=obj.get("unit"),
-    )
-    h = obj["heredity"]
-    labels = tuple(int(i) for i in h.get("labels", sorted(int(k) for k in h["e"])))
-    data = HeredityData(
-        labels=labels,
-        strictly_less=frozenset((int(i), int(j)) for i, j in h["order"]),
-        X={int(i): tuple(v) for i, v in h["X"].items()},
-        Y={int(i): tuple(v) for i, v in h["Y"].items()},
-        e={int(i): v for i, v in h["e"].items()},
-    )
-    return alg, data
-
-
-def dump_presentation(alg: BasedSuperalgebra, data: HeredityData) -> dict:
-    out = alg.to_json()
-    out["heredity"] = data.to_json()
-    return out
-
-
-def make_algebra(spec: str):
-    """Resolve a base algebra spec: zigzag:L | trivial | semisimple:m.  The
-    CLI's zigzag-bar:L is built from zigzag:L and truncated at the Schur
-    level (`cli._make_T`), so it is no spec here."""
-    if spec == "trivial":
-        return make_trivial()
-    if spec.startswith("zigzag:"):
-        return make_extended_zigzag(int(spec.split(":", 1)[1]))
-    if spec.startswith("semisimple:"):
-        return make_semisimple(int(spec.split(":", 1)[1]))
-    raise ValueError(f"unknown algebra spec {spec!r}")
 
 
 # ---------------------------------------------------------------------------

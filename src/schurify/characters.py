@@ -46,29 +46,29 @@ from .schur import SchurAlgebra
 class CharacterVector:
     """Finitely supported map weight -> GradedSuperScalar.
 
-    Addition is pointwise; `scale` multiplies every coefficient.  Given
-    (weight, value) pairs, the constructor sums the values of a weight; a
-    weight's first nonzero scalar is stored as it is, not added to a zero,
-    so the vector shares it: a scalar is never changed once built
+    Addition is pointwise; `scale` multiplies every coefficient.  The
+    constructor keeps the nonzero scalars of its dict as they are, so the
+    vector shares them: a scalar is never changed once built
     (`GradedSuperScalar`), and one built by `GradedSuperScalar._normal`
     holds a dict that its builder no longer changes."""
 
     __slots__ = ("coeffs",)
 
-    def __init__(self, coeffs=()):
-        d: dict = {}
-        items = coeffs.items() if isinstance(coeffs, dict) else coeffs
-        for w, c in items:
-            if not isinstance(c, GradedSuperScalar):
-                c = GradedSuperScalar.term(int(c))
-            if c:
-                _accumulate(d, w, c)
-        self.coeffs = d
+    def __init__(self, coeffs: dict | None = None):
+        self.coeffs = {w: c for w, c in coeffs.items() if c} if coeffs else {}
 
     def __add__(self, other: "CharacterVector") -> "CharacterVector":
+        # a weight new to the sum keeps its scalar as it is; one whose sum is
+        # zero is dropped
         out = dict(self.coeffs)
         for w, c in other.coeffs.items():
-            _accumulate(out, w, c)
+            old = out.get(w)
+            if old is None:
+                out[w] = c
+            elif acc := old + c:
+                out[w] = acc
+            else:
+                del out[w]
         v = CharacterVector()
         v.coeffs = out
         return v
@@ -93,18 +93,6 @@ class CharacterVector:
     def __repr__(self) -> str:
         terms = sorted(self.coeffs.items())
         return "CharacterVector(" + ", ".join(f"{w}: {c!r}" for w, c in terms) + ")"
-
-
-def _accumulate(d: dict, w, c: GradedSuperScalar) -> None:
-    """Add the nonzero scalar c at weight w of d: stored as it is when w is
-    new, dropped with w when the sum is zero."""
-    old = d.get(w)
-    if old is None:
-        d[w] = c
-    elif acc := old + c:
-        d[w] = acc
-    else:
-        del d[w]
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,10 @@
 characters, decomposition matrices, blocks, and a runnable verification suite.
 
 Outputs are deterministic for a fixed (config, seed): all collections are
-emitted in sorted order and JSON integers are rendered as strings.  Exit
-codes: 0 ok, 1 verification failure, 2 usage error.
+emitted in sorted order and JSON integers are rendered as strings.  Every
+command writes to the `--output` file when one is given.  Exit codes: 0 ok,
+1 a verification or cross-check failure (a cross-check's witness is JSON
+whatever `--out` says), 2 usage error.
 
 The module imports at its top only what every command needs: the base
 algebra and the Schur algebra.  Each command imports the layers it runs at
@@ -172,6 +174,9 @@ def _require_qh(cfg: RunConfig, T) -> None:
 
 
 def _emit(cfg: RunConfig, payload, csv_rows=None) -> None:
+    """Write `payload`, text as it is and anything else as JSON, or its
+    `csv_rows` under `--out csv`, which a command that gives none refuses;
+    to the `--output` file, or else to stdout."""
     if cfg.out == "csv":
         if csv_rows is None:
             raise UsageError("csv output not available for this command")
@@ -179,9 +184,10 @@ def _emit(cfg: RunConfig, payload, csv_rows=None) -> None:
         import io
 
         buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerows(csv_rows)
+        csv.writer(buf, lineterminator="\n").writerows(csv_rows)
         text = buf.getvalue()
+    elif isinstance(payload, str):
+        text = payload
     else:
         text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
     if cfg.output:
@@ -202,6 +208,14 @@ def _emit(cfg: RunConfig, payload, csv_rows=None) -> None:
     data = memoryview(text.encode(sys.stdout.encoding, sys.stdout.errors))
     while data:
         data = data[out.write(data):]
+
+
+def _witness(cfg: RunConfig, payload) -> int:
+    """A failed cross-check: write its witness as JSON, whatever `--out`
+    says, and return the exit code 1."""
+    cfg.out = "json"
+    _emit(cfg, payload)
+    return 1
 
 
 def _make_T(cfg: RunConfig):
@@ -332,9 +346,8 @@ def straighten(cfg: RunConfig, args) -> int | None:
     if backend in ("recursive", "both"):
         results["recursive"] = Straightener(T).straighten_element(x)
     if backend == "both" and results["solve"] != results["recursive"]:
-        _emit(cfg, {"error": "straightening backends disagree",
-                    "orbit": triples.TriContext.to_json(rep)})
-        return 1
+        return _witness(cfg, {"error": "straightening backends disagree",
+                              "orbit": triples.TriContext.to_json(rep)})
     expansion = results.get("solve", results.get("recursive"))
     payload = [
         {"shape": partitions.to_json(key[0]),
@@ -365,8 +378,8 @@ def char(cfg: RunConfig, args) -> int | None:
     if cfg.method in ("formula", "both"):
         vecs["formula"] = char_standard_formula(T, lam, cache)
     if cfg.method == "both" and vecs["tableaux"] != vecs["formula"]:
-        _emit(cfg, {"error": "character methods disagree", "label": partitions.to_json(lam)})
-        return 1
+        return _witness(cfg, {"error": "character methods disagree",
+                              "label": partitions.to_json(lam)})
     vec = vecs.get("tableaux", vecs.get("formula"))
     rows = [(w, repr(c)) for w, c in sorted(vec.items())]
     _emit(cfg, [{"weight": [list(comp) for comp in w], "coeff": s} for w, s in rows],
@@ -399,8 +412,7 @@ def decomp(cfg: RunConfig, args) -> int | None:
             repr(k) for k in set(matrices["formula"]) ^ set(matrices["oracle"])
             | {k for k in matrices["formula"] if matrices["formula"][k] != matrices["oracle"].get(k)}
         )
-        _emit(cfg, {"error": "formula and oracle disagree", "witnesses": diff[:10]})
-        return 1
+        return _witness(cfg, {"error": "formula and oracle disagree", "witnesses": diff[:10]})
     mat = matrices.get("oracle", matrices.get("formula"))
     as_json = {lam: partitions.to_json(lam) for lam in labels}
     as_text = {lam: json.dumps(obj) for lam, obj in as_json.items()}
@@ -446,9 +458,11 @@ def verify(cfg: RunConfig, args) -> int:
     results = run_checks(T, cfg.seed, cfg.ring(), cache)
 
     width = max(len(n) for n, _ok, _w in results)
+    rows = []
     for name, ok, witness in results:
         verdict = "SKIP" if ok is None else "PASS" if ok else "FAIL"
-        sys.stdout.write(f"{verdict}  {name.ljust(width)}  {witness}\n")
+        rows.append(f"{verdict}  {name.ljust(width)}  {witness}\n")
+    _emit(cfg, "".join(rows))
     return 1 if any(ok is False for _n, ok, _w in results) else 0
 
 

@@ -94,16 +94,8 @@ def side_element(T: SchurAlgebra, tab: Tableau, side: Side) -> Element:
     return T.eta(_own_word(tab, side))
 
 
-def x_element(T: SchurAlgebra, S: Tableau) -> Element:
-    return side_element(T, S, X_SIDE)
-
-
-def y_element(T: SchurAlgebra, Tb: Tableau) -> Element:
-    return side_element(T, Tb, Y_SIDE)
-
-
 def codet_element(T: SchurAlgebra, S: Tableau, Tb: Tableau) -> Element:
-    return T.mul(x_element(T, S), y_element(T, Tb))
+    return T.mul(side_element(T, S, X_SIDE), side_element(T, Tb, Y_SIDE))
 
 
 # ---------------------------------------------------------------------------
@@ -197,10 +189,6 @@ class CodetBasis:
         T = self.T
         return self._expand(_Share(S, bold, *self.kernel_factor(S, X_SIDE, T.lefts.__getitem__)),
                             _Share(Tb, bold, *self.kernel_factor(Tb, Y_SIDE, T.rights.__getitem__)))
-
-    def expansion(self, key: CodetKey) -> Element:
-        """X_S * Y_T as an Element."""
-        return self.T.element(self.index_expansion(key))
 
     def pairing(self, y: tuple, x: tuple) -> dict[tuple[int, ...], int]:
         """Y_T * X_S keyed by words of letter indices, from Y_T as a left

@@ -486,9 +486,6 @@ class SchurAlgebra:
             for o, c in sorted(x.items(), key=lambda kv: self.orbit_key(kv[0]))
         ]
 
-    def element_from_json(self, obj: list) -> Element:
-        return {TriContext.from_json(e["orbit"]): int(e["coeff"]) for e in obj}
-
 
 class _SlotGroups(dict):
     """The arrangements of a right factor's canonical index word, grouped by

@@ -35,12 +35,13 @@
   the degree-0 pairs of equal weight, placed by the per-letter table, and
   reads each entry through one dual row of the unit block.
 - twisted_zigzag: zigzag:2 with the cycle 1 -> 0 -> 1 set to -c1, the one
-  test algebra with a structure constant other than 1, made from zigzag:2's
-  presentation through its JSON text (`dump_presentation`,
-  `load_presentation`).
+  test algebra with a structure constant other than 1, built again from
+  zigzag:2's algebra through `BasedSuperalgebra` with that constant changed.
 - BROKEN / broken_presentation: one minimal broken presentation per failure
-  family of the base heredity check, made the same way, with the failure
-  the check must report.
+  family of the base heredity check, with the failure the check must
+  report: a changed structure constant or parity goes through
+  `BasedSuperalgebra`, a changed order or idempotent through
+  `HeredityData._replace`.
 - heredity_oracle: the checks of `heredity_of_T`, in its order and with its
   failure texts, with every product taken by `tensor_eta_product`, the
   blocks of `eager_codet_blocks` as dense matrices, determinants and solves
@@ -56,7 +57,6 @@
 """
 import contextlib
 import io
-import json
 import os
 from collections import Counter
 from dataclasses import dataclass
@@ -65,14 +65,7 @@ from itertools import permutations, product
 from math import factorial
 
 from schurify import codeterminants as codet
-from schurify.base_algebra import (
-    SIDES,
-    X_SIDE,
-    Y_SIDE,
-    dump_presentation,
-    load_presentation,
-    make_algebra,
-)
+from schurify.base_algebra import SIDES, X_SIDE, Y_SIDE, BasedSuperalgebra, make_algebra
 from schurify.cli import main
 from schurify.partitions import compare, conjugate, trim
 from schurify.tableaux import tableau_degree, tableau_weight
@@ -253,6 +246,13 @@ def word_parity(T, word):
     return sum(T.alg.parity[b] for (b, _r, _s) in word) % 2
 
 
+def _twisted(alg, kappa=(), parity=()):
+    """`alg` built again through `BasedSuperalgebra` with the structure
+    constants `kappa` and the parities `parity` in place of its own."""
+    return BasedSuperalgebra(alg.basis, {**alg.kappa, **dict(kappa)}, alg.degree,
+                             {**alg.parity, **dict(parity)}, alg.unit)
+
+
 def twisted_zigzag():
     """(alg, data, tau) of zigzag:2 with a1_0 * a0_1 = -c1 in place of c1:
     the cycle 1 -> 0 -> 1 negated.  The products of the pairs x * y keep
@@ -260,50 +260,42 @@ def twisted_zigzag():
     still apply; through the kernel the twist reaches the letter products
     (a1_0, r, s)(a0_1, s, t) = -(c1, r, t)."""
     alg, data, tau = make_algebra("zigzag:2")
-    obj = dump_presentation(alg, data)
-    (entry,) = [k for k in obj["kappa"] if (k["a"], k["c"]) == ("a1_0", "a0_1")]
-    assert entry["out"] == {"c1": 1}, entry
-    entry["out"] = {"c1": -1}
-    alg, data = load_presentation(json.dumps(obj))
-    return alg, data, tau
+    assert alg.mul_basis("a1_0", "a0_1") == {"c1": 1}
+    return _twisted(alg, kappa={("a1_0", "a0_1"): {"c1": -1}}), data, tau
 
 
-def _scale_the_zigzag_cycle(obj):
-    (entry,) = [k for k in obj["kappa"] if (k["a"], k["c"]) == ("a0_1", "a1_0")]
-    entry["out"] = {"c0": 2}
-
-
-# (spec, twist of its presentation's JSON, a failure the check must report):
-# one minimal broken presentation per failure family, each still a graded
-# associative superalgebra, so `load_presentation` takes it
+# (spec, twist of its (alg, data), a failure the check must report): one
+# minimal broken presentation per failure family, each still a graded
+# associative superalgebra, so `BasedSuperalgebra` takes it
 BROKEN = {
     # x*y = 2 c0 is no single basis element
-    "axiom (a)": ("zigzag:1", _scale_the_zigzag_cycle,
+    "axiom (a)": ("zigzag:1",
+                  lambda alg, data: (_twisted(alg, kappa={("a0_1", "a1_0"): {"c0": 2}}), data),
                   "axiom (a): x*y for (1,a0_1,a1_0) is not a single basis label: {'c0': 2}"),
     # 1 < 0: a1_0 * e0 lands in B(1), which is no longer above 0
-    "axiom (b)": ("zigzag:1", lambda obj: obj["heredity"].update(order=[[1, 0]]),
+    "axiom (b)": ("zigzag:1",
+                  lambda alg, data: (alg, data._replace(strictly_less=frozenset({(1, 0)}))),
                   "axiom (b): a*x for (a1_0,0,e0): component B(1) with 0 not < 1"),
     # the two labels' idempotents swapped
-    "axiom (c)": ("zigzag:1", lambda obj: obj["heredity"].update(e={"0": "e1", "1": "e0"}),
+    "axiom (c)": ("zigzag:1", lambda alg, data: (alg, data._replace(e={0: "e1", 1: "e0"})),
                   "axiom (c): e_0 not in X(0) and Y(0)"),
     # 1 and 2 incomparable: y*x = c1 for label 1 lands in B(2)
-    "f table": ("zigzag:2", lambda obj: obj["heredity"].update(order=[[0, 1], [0, 2]]),
+    "f table": ("zigzag:2",
+                lambda alg, data: (alg, data._replace(strictly_less=frozenset({(0, 1), (0, 2)}))),
                 "f table: y*x for (1,a0_1,a1_0) has stray pair (2,a1_2,a2_1)"),
     # the arrows between 0 and 1 even: a1_0 * a0_1 = c1, whose pair (a1_2, a2_1) is odd
-    "conforming": ("zigzag:2", lambda obj: obj["parity"].update(a0_1=0, a1_0=0),
+    "conforming": ("zigzag:2",
+                   lambda alg, data: (_twisted(alg, parity={"a0_1": 0, "a1_0": 0}), data),
                    "conforming: even subalgebra not closed at (a1_0,a0_1)"),
 }
 
 
 def broken_presentation(family: str):
     """(alg, data, tau) of the broken presentation of `family` in `BROKEN`:
-    its algebra's presentation, twisted through its JSON text, with that
-    algebra's anti-involution."""
+    its algebra's (alg, data), twisted, with that algebra's anti-involution."""
     spec, twist, _failure = BROKEN[family]
     alg, data, tau = make_algebra(spec)
-    obj = dump_presentation(alg, data)
-    twist(obj)
-    return (*load_presentation(json.dumps(obj)), tau)
+    return (*twist(alg, data), tau)
 
 
 # ---------------------------------------------------------------------------
@@ -536,10 +528,10 @@ def full_gram(T, bold):
     standard tableaux of shape bold."""
     cb = T.codet_basis
     unit_key = (bold, *cb.initial_tableau_pair(bold))
-    ys = [(Tb, codet.y_element(T, Tb)) for Tb in cb.std_y[bold]]
+    ys = [(Tb, codet.side_element(T, Tb, Y_SIDE)) for Tb in cb.std_y[bold]]
     gram = {}
     for S in cb.std_x[bold]:
-        x = codet.x_element(T, S)
+        x = codet.side_element(T, S, X_SIDE)
         for Tb, y in ys:
             prod = T.mul(y, x)
             gram[S, Tb] = cb.solve(prod).get(unit_key, 0) if prod else 0

@@ -91,7 +91,7 @@ def test_criterion_04_straightening(T122, cb122):
         back = {}
         for key, c in solved.items():
             assert leq(mu, key[0]), (o, key)  # triangularity of supports
-            back = T122.add(back, cb122.expansion(key), c)
+            back = T122.add(back, T122.element(cb122.index_expansion(key)), c)
         assert back == {o: 1}, o  # round-trip is the identity
 
 

@@ -4,8 +4,6 @@ from helpers import BROKEN, broken_presentation
 from schurify.base_algebra import (
     DecompInput,
     base_decomp_numbers,
-    dump_presentation,
-    load_presentation,
     make_algebra,
     make_extended_zigzag,
     make_semisimple,
@@ -80,16 +78,6 @@ def test_base_decomp_numbers_zigzag():
                 if i - 1 == j:
                     expected = expected + qpi
                 assert D.get((i, j), GradedSuperScalar.zero()) == expected, (i, j)
-
-
-def test_presentation_roundtrip(zz1):
-    alg, data, tau = zz1
-    alg2, data2 = load_presentation(dump_presentation(alg, data))
-    assert alg2.basis == alg.basis
-    assert data2.labels == data.labels
-    for a in alg.basis:
-        for b in alg.basis:
-            assert alg2.mul_basis(a, b) == alg.mul_basis(a, b)
 
 
 def test_make_semisimple():

@@ -12,7 +12,9 @@ from hypothesis import given, settings, strategies as st
 from test_module_layout import ORBIT
 
 import schurify
+from schurify import characters, decomposition
 from schurify.rings import GradedSuperScalar
+from schurify.straighten import Straightener
 
 DATA = Path(__file__).parent / "data"
 
@@ -148,6 +150,43 @@ def test_output_file(tmp_path):
               "--output", str(out))
     assert res.exit_code == 0
     assert json.loads(out.read_text()) == {"rank": "10"}
+
+
+# each cross-checking command, the route of it that a planted defect
+# doubles, and the error its witness names
+CROSS_CHECKS = {
+    "decomp": (["--method", "both"], (decomposition, "decomp_formula_row"),
+               "formula and oracle disagree"),
+    "char": (["--label", "[[1], [1]]", "--method", "both"], (characters, "char_standard_formula"),
+             "character methods disagree"),
+    "straighten": (["--orbit", ORBIT, "--backend", "both"], (Straightener, "straighten_element"),
+                   "straightening backends disagree"),
+}
+
+
+@pytest.mark.parametrize("cmd", CROSS_CHECKS)
+def test_a_failed_cross_check_exits_1_with_its_witness_under_either_out(cmd, monkeypatch,
+                                                                        tmp_path):
+    """When the two routes of a command disagree, it exits 1 and writes its
+    witness as JSON, under `--out csv` as under `--out json`."""
+    args, (owner, name), error = CROSS_CHECKS[cmd]
+    common = [cmd, "--algebra", "zigzag:1", "-n", "2", "-d", "2", *args,
+              "--cache-dir", str(tmp_path)]
+    assert run(*common).exit_code == 0
+    real = getattr(owner, name)
+
+    def doubled(*args):
+        out = real(*args)
+        return {k: v + v for k, v in out.items()} if isinstance(out, dict) else out + out
+
+    monkeypatch.setattr(owner, name, doubled)
+    outputs = []
+    for out in ("json", "csv"):
+        res = run(*common, "--out", out)
+        assert res.exit_code == 1, (out, res.output)
+        assert json.loads(res.output)["error"] == error, (out, res.output)
+        outputs.append(res.output)
+    assert outputs[0] == outputs[1]
 
 
 def test_verify_small():
@@ -495,6 +534,22 @@ def test_bad_orbit_exits_2():
         _usage_error("mul", *common, "--left", bad, "--right", good)
         _usage_error("mul", *common, "--left", good, "--right", bad)
         _usage_error("straighten", *common, "--orbit", bad)
+    # d = 2 letters, the one odd letter twice: no basis element to straighten
+    odd_twice = '[{"b": "a1_0", "r": 1, "s": 1}, {"b": "a1_0", "r": 1, "s": 1}]'
+    res = _usage_error("straighten", "--algebra", "zigzag:1", "-n", "2", "-d", "2",
+                       "--orbit", odd_twice)
+    errors = [line for line in res.output.splitlines() if "error:" in line]
+    assert len(errors) == 1 and errors[0].endswith(f"orbit {odd_twice} repeats an odd letter")
+
+
+def test_csv_output_is_a_usage_error_where_a_command_has_no_rows(tmp_path):
+    """`build`, `blocks` and `verify` have no CSV form: `--out csv` is a
+    usage error for each, with the same message."""
+    for cmd in ("build", "blocks", "verify"):
+        res = _usage_error(cmd, "--algebra", "trivial", "-n", "1", "-d", "1", "--out", "csv",
+                           "--output", str(tmp_path / cmd))
+        assert "error: csv output not available for this command" in res.output, (cmd, res.output)
+        assert not (tmp_path / cmd).exists()
 
 
 def test_missing_config_file_exits_2(tmp_path):
@@ -700,8 +755,7 @@ def _process(*argv: str, env=PROCESS_ENV, stdout=subprocess.PIPE) -> subprocess.
 def test_a_command_process_writes_what_main_writes(cmd, tmp_path):
     """Run as `python -m schurify.cli`, a command exits 0 with nothing on
     stderr, and its stdout, and its `--output` file, hold byte for byte what
-    `main` writes in this process.  `verify` prints its rows and takes no
-    `--output`."""
+    `main` writes in this process."""
     args = [*PROCESS_CASES[cmd], "--cache-dir", str(tmp_path)]
     want = run(*args).stdout_bytes
     proc = _process(*args)
@@ -709,7 +763,6 @@ def test_a_command_process_writes_what_main_writes(cmd, tmp_path):
     assert proc.stdout == want
     if cmd == "verify":
         assert want == (DATA / "verify-zigzag2-n2-d2.txt").read_bytes()
-        return
     here, there = tmp_path / "here", tmp_path / "there"
     assert run(*args, "--output", str(here)).exit_code == 0
     proc = _process(*args, "--output", str(there))
@@ -880,7 +933,8 @@ def argvs(draw):
 @given(argvs(), st.lists(st.sampled_from(CONFIG_LINES), max_size=3))
 def test_any_argv_exits_0_or_2_with_one_error_line(argv, config_lines):
     """Whatever the arguments, the CLI exits 0, or 2 with one `error:` line
-    on stderr; no other exception escapes.  Each run has its own working
+    on stderr; no other exception escapes.  A command that exits 0 with
+    `--output` given writes nothing on stdout.  Each run has its own working
     directory, so relative paths land there."""
     import os
     import tempfile
@@ -895,6 +949,8 @@ def test_any_argv_exits_0_or_2_with_one_error_line(argv, config_lines):
         finally:
             os.chdir(home)
     assert res.exit_code in (0, 2), (argv, res.output)
+    if res.exit_code == 0 and "--output" in argv and "-h" not in argv:
+        assert res.stdout_bytes == b"", (argv, res.output)  # the output went to the file
     if res.exit_code == 2:
         stderr = res.output[len(res.stdout_bytes.decode()):]
         assert len([line for line in stderr.splitlines() if "error:" in line]) == 1, (argv, stderr)

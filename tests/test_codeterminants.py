@@ -57,7 +57,7 @@ def test_idempotent_action_on_tableau_elements(T122, cb):
     mus = gen_multicompositions(2, 2, 1)
     for bold in cb.shapes:
         for S in cb.std_x[bold]:
-            xs = codet.x_element(T122, S)
+            xs = codet.side_element(T122, S, X_SIDE)
             w = tuple(pad(c, 2) for c in tableau_weight(S, T122.ctx.x_alphabet))
             for mu in mus:
                 e = T122.idempotent_bold(mu)
@@ -65,7 +65,7 @@ def test_idempotent_action_on_tableau_elements(T122, cb):
                 expect = xs if tuple(pad(c, 2) for c in mu) == w else {}
                 assert prod == expect, (bold, S, mu)
         for Tb in cb.std_y[bold]:
-            ys = codet.y_element(T122, Tb)
+            ys = codet.side_element(T122, Tb, Y_SIDE)
             w = tuple(pad(c, 2) for c in tableau_weight(Tb, T122.ctx.y_alphabet))
             for mu in mus:
                 e = T122.idempotent_bold(mu)
@@ -102,7 +102,7 @@ def test_straighten_standard_fixed(T122, cb):
     rng = random.Random(4)
     for key in rng.sample(cb.keys, 40):
         assert st.straighten_codet(key) == {key: 1}
-        assert cb.solve(cb.expansion(key)) == {key: 1}
+        assert cb.solve(T122.element(cb.index_expansion(key))) == {key: 1}
 
 
 def test_straighten_triangular_and_roundtrip(T122, cb):
@@ -116,7 +116,7 @@ def test_straighten_triangular_and_roundtrip(T122, cb):
         back = {}
         for key, c in exp.items():
             assert leq(mu, key[0]), (o, key)
-            back = T122.add(back, cb.expansion(key), c)
+            back = T122.add(back, T122.element(cb.index_expansion(key)), c)
         assert back == {o: 1}, o
 
 
@@ -732,7 +732,7 @@ def test_unimodularity_check_takes_determinants_alone(monkeypatch):
     assert len(expanded) == len(set(expanded)) == len(cb.keys) and set(expanded) == set(cb.keys)
     assert not cb._factored  # no walk-built block is kept
 
-    mat = [[cb.expansion(col).get(orbit, 0) for col in cols] for orbit in rows]
+    mat = [[T.element(cb.index_expansion(col)).get(orbit, 0) for col in cols] for orbit in rows]
     x = [(-1) ** j * (j + 1) for j in range(len(cols))]
     v = {orbit: c for orbit, row in zip(rows, mat)
          if (c := sum(m * xj for m, xj in zip(row, x)))}

@@ -505,11 +505,6 @@ def test_truncation(T122):
     assert T122.truncate([0, 1]).rank == T122.rank
 
 
-def test_element_json_roundtrip(T122):
-    x = {T122.orbits[0]: 3, T122.orbits[5]: -2}
-    assert T122.element_from_json(T122.element_to_json(x)) == x
-
-
 def test_eta_integrality(T122):
     """Structure constants on the eta lattice are integers (no exception)."""
     rng = random.Random(23)

@@ -5,7 +5,6 @@ of it (the walk, the solve, straightening, the heredity check, both
 character routes and the decomposition matrix) must see them, and an
 algebra whose basis products have two terms (`_two_term_presentation`),
 which the kernel spreads over after its pass."""
-import json
 import random
 from collections import Counter
 
@@ -14,7 +13,7 @@ import pytest
 from helpers import tensor_eta_product, twisted_zigzag
 from schurify import characters as ch
 from schurify import decomposition as dec
-from schurify.base_algebra import load_presentation, make_algebra
+from schurify.base_algebra import BasedSuperalgebra, HeredityData, make_algebra
 from schurify.base_heredity import verify_heredity
 from schurify.heredity import heredity_of_T
 from schurify.partitions import gen_multipartitions
@@ -134,15 +133,12 @@ def _two_term_presentation():
         return {names[1, t]: 2, names[0, t]: -3}
 
     basis = list(names.values())
-    kappa = [{"a": names[a], "c": names[b], "out": mul(a, b)}
-             for a in names for b in names if mul(a, b)]
-    return load_presentation(json.dumps({
-        "basis": basis, "kappa": kappa,
-        "degree": {"1": 0, "x": 0, "t": 1, "xt": 1}, "parity": {"1": 0, "x": 0, "t": 1, "xt": 1},
-        "unit": {"1": 1},
-        "heredity": {"order": [], "labels": [0], "X": {"0": ["1"]}, "Y": {"0": basis},
-                     "e": {"0": "1"}},
-    }))
+    kappa = {(names[a], names[b]): mul(a, b) for a in names for b in names}
+    degree = {"1": 0, "x": 0, "t": 1, "xt": 1}  # t odd, of degree 1
+    alg = BasedSuperalgebra(basis, kappa, degree, parity=degree, unit={"1": 1})
+    data = HeredityData(labels=(0,), strictly_less=frozenset(), X={0: ("1",)}, Y={0: tuple(basis)},
+                        e={0: "1"})
+    return alg, data
 
 
 @pytest.mark.parametrize("d", [2, 3])
