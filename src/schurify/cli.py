@@ -1,11 +1,11 @@
 """Command-line surface: build/inspect algebras, multiply, straighten,
 characters, decomposition matrices, blocks, and a runnable verification suite.
 
-Outputs are deterministic for a fixed (config, seed): all collections are
-emitted in sorted order and JSON integers are rendered as strings.  Every
-command writes to the `--output` file when one is given.  Exit codes: 0 ok,
-1 a verification or cross-check failure (a cross-check's witness is JSON
-whatever `--out` says), 2 usage error.
+Outputs are deterministic for fixed flags, `--seed` included: all
+collections are emitted in sorted order and JSON integers are rendered as
+strings.  Every command writes to the `--output` file when one is given.
+Exit codes: 0 ok, 1 a verification or cross-check failure (a cross-check's
+witness is JSON whatever `--out` says), 2 usage error.
 
 The module imports at its top only what every command needs: the base
 algebra and the Schur algebra.  Each command imports the layers it runs at
@@ -36,7 +36,7 @@ if TYPE_CHECKING:
 
 
 # ---------------------------------------------------------------------------
-# configuration
+# settings
 # ---------------------------------------------------------------------------
 
 class UsageError(Exception):
@@ -44,128 +44,45 @@ class UsageError(Exception):
     and exits 2."""
 
 
-class RunConfig:
-    """The run's settings: the defaults here, then a `--config` file's
-    values and the flags given (`_build_config`).  The annotated names are
-    the config keys; the methods are not."""
-
-    algebra: str = "zigzag:1"
-    n: int = 2
-    d: int = 2
-    field: str = "Q"
-    out: str = "json"
-    method: str = "both"
-    output: str | None = None
-    cache_dir: str | None = None
-    seed: int = 0
-
-    def ring(self) -> CoefficientRing:
-        f = self.field
-        if f == "Z":
-            return ZZ
-        if f == "Q":
-            return QQ
-        if f.startswith("Fp:"):
-            try:
-                return GF(int(f.split(":", 1)[1]))
-            except ValueError:
-                pass
-        raise UsageError(f"unknown field {f!r} (expected Z | Q | Fp:p, p prime)")
-
-    def lr_cache(self) -> LRCache:
-        """The LR cache: `lr_cache.jsonl` under the cache directory, or kept
-        in memory when none is named (an empty name included).  A path that
-        cannot hold it is a usage error."""
-        from .characters import LRCache
-
-        path = os.path.join(self.cache_dir, "lr_cache.jsonl") if self.cache_dir else ""
+def _ring(args: argparse.Namespace) -> CoefficientRing:
+    f = args.field
+    if f == "Z":
+        return ZZ
+    if f == "Q":
+        return QQ
+    if f.startswith("Fp:"):
         try:
-            return LRCache(path)
-        except OSError as exc:
-            raise UsageError(f"cannot use the LR cache at {exc.filename!r}: "
-                             f"{exc.strerror}") from None
-
-    def to_json(self) -> dict:
-        return {
-            "algebra": self.algebra, "n": str(self.n), "d": str(self.d),
-            "field": self.field, "out": self.out, "method": self.method,
-            "seed": str(self.seed),
-        }
-
-
-def _read_config_file(path: str) -> dict:
-    """KEY=VALUE per line of UTF-8 text; blank lines and #-comments ignored.
-    A file that cannot be read is a usage error naming it."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
-    except OSError as exc:
-        raise UsageError(f"cannot read --config {path!r}: {exc.strerror}") from None
-    except UnicodeDecodeError:
-        raise UsageError(f"--config {path!r} is not UTF-8 text") from None
-    out = {}
-    for line in lines:
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise UsageError(f"bad config line: {line!r}")
-        k, v = line.split("=", 1)
-        out[k.strip()] = v.strip()
-    return out
-
-
-def _build_config(file_values: dict, args: argparse.Namespace, commands: dict) -> RunConfig:
-    """The config file's values, then the flags given, over the defaults.
-    A file value is checked as strictly as its flag (`_flag_choices`)."""
-    cfg = RunConfig()
-    keys = RunConfig.__annotations__.keys()
-    for k, v in file_values.items():
-        if k not in keys:
-            raise UsageError(f"unknown config key {k!r}")
-        cur = getattr(cfg, k)
-        try:
-            setattr(cfg, k, type(cur)(v) if cur is not None else v)
+            return GF(int(f.split(":", 1)[1]))
         except ValueError:
-            raise UsageError(f"bad config value {k}={v!r}") from None
-        choices = _flag_choices(commands, args.command, k)
-        if choices and v not in choices:
-            raise UsageError(
-                f"bad config value {k}={v!r} (expected {' | '.join(choices)})")
-    for k in keys:
-        v = getattr(args, k, None)
-        if v is not None:
-            setattr(cfg, k, v)
-    if cfg.n < 1 or cfg.d < 0:
-        raise UsageError(f"need n >= 1 and d >= 0, got n={cfg.n}, d={cfg.d}")
-    cfg.ring()  # a bad --field is a usage error for every command
-    return cfg
+            pass
+    raise UsageError(f"unknown field {f!r} (expected Z | Q | Fp:p, p a prime below 2^31)")
 
 
-def _flag_choices(commands: dict, command: str, name: str) -> list[str]:
-    """The values the flag --name accepts, checked as strictly for a config
-    file: the running command's choices, or any command's when it has no
-    such flag; empty when the flag takes any value.  `commands` maps each
-    command's name to its parser."""
+def _lr_cache(args: argparse.Namespace) -> LRCache:
+    """The LR cache: `lr_cache.jsonl` under the cache directory, or kept
+    in memory when none is named (an empty name included).  A path that
+    cannot hold it is a usage error."""
+    from .characters import LRCache
 
-    def of(parser) -> list[str]:
-        return [c for a in parser._actions if a.dest == name and a.choices for c in a.choices]
+    path = os.path.join(args.cache_dir, "lr_cache.jsonl") if args.cache_dir else ""
+    try:
+        return LRCache(path)
+    except OSError as exc:
+        raise UsageError(f"cannot use the LR cache at {exc.filename!r}: "
+                         f"{exc.strerror}") from None
 
-    own = of(commands[command])
-    return own or list(dict.fromkeys(c for p in commands.values() for c in of(p)))
 
-
-def _require_qh_algebra(cfg: RunConfig, T) -> None:
+def _require_qh_algebra(args: argparse.Namespace, T) -> None:
     """A truncation (`T.keep_basis`) is only cellular: a usage error here."""
     if T.keep_basis is not None:
         raise UsageError(
-            f"--algebra {cfg.algebra} is cellular but not quasi-hereditary, and this "
+            f"--algebra {args.algebra} is cellular but not quasi-hereditary, and this "
             "command needs a quasi-hereditary algebra"
         )
 
 
-def _require_qh(cfg: RunConfig, T) -> None:
-    _require_qh_algebra(cfg, T)
+def _require_qh(args: argparse.Namespace, T) -> None:
+    _require_qh_algebra(args, T)
     if T.n < T.d:
         raise UsageError(
             "quasi-heredity operations need n >= d: the standard codeterminant "
@@ -173,13 +90,11 @@ def _require_qh(cfg: RunConfig, T) -> None:
         )
 
 
-def _emit(cfg: RunConfig, payload, csv_rows=None) -> None:
+def _emit(args: argparse.Namespace, payload, csv_rows=None) -> None:
     """Write `payload`, text as it is and anything else as JSON, or its
-    `csv_rows` under `--out csv`, which a command that gives none refuses;
-    to the `--output` file, or else to stdout."""
-    if cfg.out == "csv":
-        if csv_rows is None:
-            raise UsageError("csv output not available for this command")
+    `csv_rows` under `--out csv` (`main` refuses that option for a command
+    that has none); to the `--output` file, or else to stdout."""
+    if args.out == "csv":
         import csv
         import io
 
@@ -190,12 +105,12 @@ def _emit(cfg: RunConfig, payload, csv_rows=None) -> None:
         text = payload
     else:
         text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
-    if cfg.output:
+    if args.output:
         try:
-            with open(cfg.output, "w") as fh:
+            with open(args.output, "w") as fh:
                 fh.write(text)
         except OSError as exc:
-            raise UsageError(f"cannot write --output {cfg.output!r}: {exc.strerror}") from None
+            raise UsageError(f"cannot write --output {args.output!r}: {exc.strerror}") from None
         return
     out = getattr(sys.stdout, "buffer", None)
     if out is None:  # a text stream with no bytes under it
@@ -210,26 +125,26 @@ def _emit(cfg: RunConfig, payload, csv_rows=None) -> None:
         data = data[out.write(data):]
 
 
-def _witness(cfg: RunConfig, payload) -> int:
+def _witness(args: argparse.Namespace, payload) -> int:
     """A failed cross-check: write its witness as JSON, whatever `--out`
     says, and return the exit code 1."""
-    cfg.out = "json"
-    _emit(cfg, payload)
+    args.out = "json"
+    _emit(args, payload)
     return 1
 
 
-def _make_T(cfg: RunConfig):
+def _make_T(args: argparse.Namespace):
     # the cellular truncation only exists inside the ambient algebra, so it
     # is built there and cut down at the Schur level
-    bar = cfg.algebra.startswith("zigzag-bar:")
-    spec = "zigzag:" + cfg.algebra.split(":", 1)[1] if bar else cfg.algebra
+    bar = args.algebra.startswith("zigzag-bar:")
+    spec = "zigzag:" + args.algebra.split(":", 1)[1] if bar else args.algebra
     # a presentation whose heredity pairs are not basis labels (axiom (a))
     # fails in `build_schur`, as bad an --algebra as one that does not parse
     try:
         alg, data, tau = make_algebra(spec)
-        T = build_schur(alg, data, cfg.n, cfg.d, tau)
+        T = build_schur(alg, data, args.n, args.d, tau)
     except ValueError as exc:
-        raise UsageError(f"bad --algebra {cfg.algebra!r}: {exc}") from None
+        raise UsageError(f"bad --algebra {args.algebra!r}: {exc}") from None
     return T.truncate(data.labels[:-1]) if bar else T
 
 
@@ -251,8 +166,10 @@ def _int_json(text: str):
     return obj
 
 
-def _label_from_json(text: str, cfg: RunConfig, n_labels: int):
-    """A multipartition of d with at most n rows per component."""
+def _label_from_json(args: argparse.Namespace, n_labels: int):
+    """The `--label`: a multipartition of d with at most n rows per
+    component."""
+    text = args.label
     try:
         lam = partitions.from_json(_int_json(text))
     except (ValueError, TypeError):
@@ -261,10 +178,10 @@ def _label_from_json(text: str, cfg: RunConfig, n_labels: int):
         raise UsageError("label has more components than the base has colors")
     if any(list(c) != sorted(c, reverse=True) or min(c, default=1) < 1 for c in lam):
         raise UsageError(f"label components must be partitions: {text!r}")
-    if sum(map(sum, lam)) != cfg.d:
-        raise UsageError(f"label {text} does not have size d = {cfg.d}")
-    if any(len(c) > cfg.n for c in lam):
-        raise UsageError(f"label {text} has a component with more than n = {cfg.n} rows")
+    if sum(map(sum, lam)) != args.d:
+        raise UsageError(f"label {text} does not have size d = {args.d}")
+    if any(len(c) > args.n for c in lam):
+        raise UsageError(f"label {text} has a component with more than n = {args.n} rows")
     return lam + ((),) * (n_labels - len(lam))
 
 
@@ -280,29 +197,31 @@ def _orbit_from_json(T, text: str):
 # commands
 # ---------------------------------------------------------------------------
 
-COMMANDS: dict = {}  # name -> (the command, its own options)
+COMMANDS: dict = {}  # name -> (the command, whether it has a CSV form, its own options)
 
 
-def _command(*options):
+def _command(*options, csv=True):
     """Register a command under its function's name, with its docstring as
     its help and its own options besides the common ones (`_parser`), each
-    a flag and its `add_argument` keywords.  A command takes the config
-    and the parsed arguments and returns 1 when a cross-check failed."""
+    a flag and its `add_argument` keywords; `csv=False` for a command whose
+    output has no rows.  A command takes the parsed arguments and returns 1
+    when a cross-check failed."""
 
     def register(run):
-        COMMANDS[run.__name__] = (run, options)
+        COMMANDS[run.__name__] = (run, csv, options)
         return run
 
     return register
 
 
-@_command()
-def build(cfg: RunConfig, args) -> None:
+@_command(csv=False)
+def build(args: argparse.Namespace) -> None:
     """Construct the algebra and report its shape."""
-    T = _make_T(cfg)
-    labels = partitions.gen_multipartitions(cfg.n, cfg.d, len(T.data.labels) - 1)
-    _emit(cfg, {
-        "config": cfg.to_json(),
+    T = _make_T(args)
+    labels = partitions.gen_multipartitions(args.n, args.d, len(T.data.labels) - 1)
+    _emit(args, {
+        "config": {"algebra": args.algebra, "n": str(args.n), "d": str(args.d),
+                   "field": args.field, "out": args.out, "seed": str(args.seed)},
         "base_dim": str(T.alg.dim),
         "rank": str(T.rank),
         "labels": [partitions.to_json(l) for l in labels],
@@ -310,31 +229,31 @@ def build(cfg: RunConfig, args) -> None:
 
 
 @_command()
-def dim(cfg: RunConfig, args) -> None:
+def dim(args: argparse.Namespace) -> None:
     """Rank of the algebra (number of canonical orbits)."""
-    T = _make_T(cfg)
-    _emit(cfg, {"rank": str(T.rank)}, csv_rows=[[T.rank]])
+    T = _make_T(args)
+    _emit(args, {"rank": str(T.rank)}, csv_rows=[[T.rank]])
 
 
 @_command(("--left", dict(required=True, help="orbit word as JSON [{b,r,s},...]")),
           ("--right", dict(required=True, help="orbit word as JSON")))
-def mul(cfg: RunConfig, args) -> None:
+def mul(args: argparse.Namespace) -> None:
     """Product of two basis elements on the divided-power basis."""
-    T = _make_T(cfg)
+    T = _make_T(args)
     x = _orbit_from_json(T, args.left)
     y = _orbit_from_json(T, args.right)
     payload = T.element_to_json(T.mul(x, y))
-    _emit(cfg, payload, csv_rows=[[json.dumps(e["orbit"]), e["coeff"]] for e in payload])
+    _emit(args, payload, csv_rows=[[json.dumps(e["orbit"]), e["coeff"]] for e in payload])
 
 
 @_command(("--orbit", dict(required=True, help="orbit word as JSON [{b,r,s},...]")),
           ("--backend", dict(choices=["recursive", "solve", "both"], default="both")))
-def straighten(cfg: RunConfig, args) -> int | None:
+def straighten(args: argparse.Namespace) -> int | None:
     """Expand a basis element over standard codeterminants."""
     from .straighten import Straightener  # loaded only where straightening runs
 
-    T = _make_T(cfg)
-    _require_qh(cfg, T)
+    T = _make_T(args)
+    _require_qh(args, T)
     x = _orbit_from_json(T, args.orbit)
     if not x:
         raise UsageError(f"orbit {args.orbit} repeats an odd letter")
@@ -346,7 +265,7 @@ def straighten(cfg: RunConfig, args) -> int | None:
     if backend in ("recursive", "both"):
         results["recursive"] = Straightener(T).straighten_element(x)
     if backend == "both" and results["solve"] != results["recursive"]:
-        return _witness(cfg, {"error": "straightening backends disagree",
+        return _witness(args, {"error": "straightening backends disagree",
                               "orbit": triples.TriContext.to_json(rep)})
     expansion = results.get("solve", results.get("recursive"))
     payload = [
@@ -357,85 +276,85 @@ def straighten(cfg: RunConfig, args) -> int | None:
         for key, c in sorted(expansion.items(), key=lambda kv: repr(kv[0]))
         if c
     ]
-    _emit(cfg, payload,
+    _emit(args, payload,
           csv_rows=[[json.dumps(e["shape"]), json.dumps(e["S"]),
                      json.dumps(e["T"]), e["coeff"]] for e in payload])
 
 
 @_command(("--label", dict(required=True, help="multipartition as JSON [[...],[...]]")),
-          ("--method", dict(choices=["tableaux", "formula", "both"])))
-def char(cfg: RunConfig, args) -> int | None:
+          ("--method", dict(choices=["tableaux", "formula", "both"], default="both")))
+def char(args: argparse.Namespace) -> int | None:
     """Graded character of a standard module."""
     from .characters import char_standard_formula, char_standard_tableaux
 
-    cache = cfg.lr_cache()
-    T = _make_T(cfg)
-    _require_qh_algebra(cfg, T)
-    lam = _label_from_json(args.label, cfg, len(T.data.labels))
+    cache = _lr_cache(args)
+    T = _make_T(args)
+    _require_qh_algebra(args, T)
+    lam = _label_from_json(args, len(T.data.labels))
     vecs = {}
-    if cfg.method in ("tableaux", "both"):
+    if args.method in ("tableaux", "both"):
         vecs["tableaux"] = char_standard_tableaux(T, lam)
-    if cfg.method in ("formula", "both"):
+    if args.method in ("formula", "both"):
         vecs["formula"] = char_standard_formula(T, lam, cache)
-    if cfg.method == "both" and vecs["tableaux"] != vecs["formula"]:
-        return _witness(cfg, {"error": "character methods disagree",
+    if args.method == "both" and vecs["tableaux"] != vecs["formula"]:
+        return _witness(args, {"error": "character methods disagree",
                               "label": partitions.to_json(lam)})
     vec = vecs.get("tableaux", vecs.get("formula"))
     rows = [(w, repr(c)) for w, c in sorted(vec.items())]
-    _emit(cfg, [{"weight": [list(comp) for comp in w], "coeff": s} for w, s in rows],
+    _emit(args, [{"weight": [list(comp) for comp in w], "coeff": s} for w, s in rows],
           csv_rows=[[json.dumps([list(comp) for comp in w]), s] for w, s in rows])
 
 
-@_command(("--method", dict(choices=["formula", "oracle", "both"])))
-def decomp(cfg: RunConfig, args) -> int | None:
+@_command(("--method", dict(choices=["formula", "oracle", "both"], default="both")))
+def decomp(args: argparse.Namespace) -> int | None:
     """Graded decomposition matrix, by formula, oracle, or both (compared)."""
     from .decomposition import ClassicalDecomp, decomp_formula_row, decomp_oracle
 
-    ring = cfg.ring()
+    ring = _ring(args)
     if not ring.is_field:
         raise UsageError("decomposition numbers need a field: Q or Fp:p")
-    cache = cfg.lr_cache()
-    T = _make_T(cfg)
-    _require_qh(cfg, T)
-    labels = partitions.gen_multipartitions(cfg.n, cfg.d, len(T.data.labels) - 1)
+    cache = _lr_cache(args)
+    T = _make_T(args)
+    _require_qh(args, T)
+    labels = partitions.gen_multipartitions(args.n, args.d, len(T.data.labels) - 1)
     matrices = {}
-    if cfg.method in ("oracle", "both"):
+    if args.method in ("oracle", "both"):
         matrices["oracle"] = decomp_oracle(T, ring).entries
-    if cfg.method in ("formula", "both"):
+    if args.method in ("formula", "both"):
         inp = T.base_decomp
-        classical = None if ring == QQ else ClassicalDecomp(cfg.n, ring)
+        classical = None if ring == QQ else ClassicalDecomp(args.n, ring)
         matrices["formula"] = {
             (lam, mu): v for lam in labels
-            for mu, v in decomp_formula_row(inp, lam, labels, cfg.n, classical, cache).items() if v}
-    if cfg.method == "both" and matrices["formula"] != matrices["oracle"]:
+            for mu, v in decomp_formula_row(inp, lam, labels, args.n, classical, cache).items() if v}
+    if args.method == "both" and matrices["formula"] != matrices["oracle"]:
         diff = sorted(
             repr(k) for k in set(matrices["formula"]) ^ set(matrices["oracle"])
             | {k for k in matrices["formula"] if matrices["formula"][k] != matrices["oracle"].get(k)}
         )
-        return _witness(cfg, {"error": "formula and oracle disagree", "witnesses": diff[:10]})
+        return _witness(args, {"error": "formula and oracle disagree", "witnesses": diff[:10]})
     mat = matrices.get("oracle", matrices.get("formula"))
     as_json = {lam: partitions.to_json(lam) for lam in labels}
     as_text = {lam: json.dumps(obj) for lam, obj in as_json.items()}
     zero = GradedSuperScalar.zero()
     rows = [(lam, mu, repr(mat.get((lam, mu), zero))) for lam in labels for mu in labels]
-    _emit(cfg, [{"lam": as_json[l], "mu": as_json[m], "entry": e} for l, m, e in rows],
+    _emit(args, [{"lam": as_json[l], "mu": as_json[m], "entry": e} for l, m, e in rows],
           csv_rows=[[as_text[l], as_text[m], e] for l, m, e in rows])
 
 
-@_command()
-def blocks(cfg: RunConfig, args) -> None:
+@_command(csv=False)
+def blocks(args: argparse.Namespace) -> None:
     """Linking-graph blocks and the coarse base-block decomposition."""
     from .decomposition import block_decomposition, blocks as linking_blocks, decomp_oracle
 
-    ring = cfg.ring()
+    ring = _ring(args)
     if not ring.is_field:
         raise UsageError("block detection needs a field: Q or Fp:p")
-    T = _make_T(cfg)
-    _require_qh(cfg, T)
+    T = _make_T(args)
+    _require_qh(args, T)
     D = decomp_oracle(T, ring)
     fine = linking_blocks(D.labels, D.entries)
-    coarse = block_decomposition(T.alg, T.data, cfg.n, cfg.d)
-    _emit(cfg, {
+    coarse = block_decomposition(T.alg, T.data, args.n, args.d)
+    _emit(args, {
         "linking_blocks": [[partitions.to_json(l) for l in blk] for blk in fine],
         "base_block_decomposition": [
             {"sizes": [str(s) for s in nu], "labels": [partitions.to_json(l) for l in labs]}
@@ -444,8 +363,8 @@ def blocks(cfg: RunConfig, args) -> None:
     })
 
 
-@_command()
-def verify(cfg: RunConfig, args) -> int:
+@_command(csv=False)
+def verify(args: argparse.Namespace) -> int:
     """Run the invariant suite and print its rows: PASS, FAIL, or SKIP where
     a check does not apply."""
     # the checks and the layers only this command runs, parsed before the
@@ -453,16 +372,16 @@ def verify(cfg: RunConfig, args) -> int:
     # the peak
     from .verification import run_checks
 
-    cache = cfg.lr_cache()
-    T = _make_T(cfg)
-    results = run_checks(T, cfg.seed, cfg.ring(), cache)
+    cache = _lr_cache(args)
+    T = _make_T(args)
+    results = run_checks(T, args.seed, _ring(args), cache)
 
     width = max(len(n) for n, _ok, _w in results)
     rows = []
     for name, ok, witness in results:
         verdict = "SKIP" if ok is None else "PASS" if ok else "FAIL"
         rows.append(f"{verdict}  {name.ljust(width)}  {witness}\n")
-    _emit(cfg, "".join(rows))
+    _emit(args, "".join(rows))
     return 1 if any(ok is False for _n, ok, _w in results) else 0
 
 
@@ -471,24 +390,24 @@ def verify(cfg: RunConfig, args) -> int:
 # ---------------------------------------------------------------------------
 
 def _parser() -> tuple[argparse.ArgumentParser, dict]:
-    """The parser, `--config` then a command, and each command's own
-    parser by name.  Every command takes the common options; no option may
-    be abbreviated."""
+    """The parser, which reads a command, and each command's own parser by
+    name.  Every command takes the common options, whose defaults are the
+    settings of a run; no option may be abbreviated."""
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--algebra", help="zigzag:L | zigzag-bar:L | trivial | semisimple:m")
-    common.add_argument("-n", type=int)
-    common.add_argument("-d", type=int)
-    common.add_argument("--field", help="Z | Q | Fp:p")
-    common.add_argument("--out", choices=["json", "csv"])
+    common.add_argument("--algebra", default="zigzag:1",
+                        help="zigzag:L | zigzag-bar:L | trivial | semisimple:m")
+    common.add_argument("-n", type=int, default=2)
+    common.add_argument("-d", type=int, default=2)
+    common.add_argument("--field", default="Q", help="Z | Q | Fp:p")
+    common.add_argument("--out", choices=["json", "csv"], default="json")
     common.add_argument("--output", help="write to file instead of stdout")
     common.add_argument("--cache-dir")
-    common.add_argument("--seed", type=int)
+    common.add_argument("--seed", type=int, default=0)
     parser = argparse.ArgumentParser(
         prog="schurify", description="Exact computations in generalized Schur algebras.",
         allow_abbrev=False)
-    parser.add_argument("--config", help="KEY=VALUE config file; flags override")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (run, options) in COMMANDS.items():
+    for name, (run, _csv, options) in COMMANDS.items():
         cmd = sub.add_parser(name, parents=[common], allow_abbrev=False,
                              help=run.__doc__, description=run.__doc__)
         for flag, kw in options:
@@ -500,12 +419,18 @@ def _parser() -> tuple[argparse.ArgumentParser, dict]:
 def main(argv: list[str] | None = None) -> int:
     """Run the command that `argv` (by default the process's arguments)
     names and return its exit code: 0, or 1 when a check or cross-check
-    failed.  A usage error prints one `error:` line on stderr and exits 2."""
+    failed.  A usage error prints one `error:` line on stderr and exits 2;
+    sizes out of range, an unknown field and `--out csv` for a command with
+    no CSV form are refused before the command runs."""
     parser, commands = _parser()
     args = parser.parse_args(argv)
     try:
-        file_values = _read_config_file(args.config) if args.config else {}
-        return args.run(_build_config(file_values, args, commands), args) or 0
+        if args.n < 1 or args.d < 0:
+            raise UsageError(f"need n >= 1 and d >= 0, got n={args.n}, d={args.d}")
+        _ring(args)  # a bad --field is a usage error for every command
+        if args.out == "csv" and not COMMANDS[args.command][1]:
+            raise UsageError("csv output not available for this command")
+        return args.run(args) or 0
     except UsageError as exc:
         commands[args.command].error(str(exc))
 

@@ -62,6 +62,10 @@ QQ = CoefficientRing(CoefficientRing.RAT)
 
 
 def GF(p: int) -> CoefficientRing:
+    """F_p for a prime p below 2^31, the bound that keeps the primality
+    test's trial division quick."""
+    if p >= 2**31:
+        raise ValueError(f"GF needs a prime below 2^31, got {p!r}")
     return CoefficientRing(CoefficientRing.PRIME_FIELD, p)
 
 

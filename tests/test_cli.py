@@ -43,6 +43,9 @@ def test_build_labels():
     assert out["rank"] == "10"
     assert out["base_dim"] == "1"
     assert len(out["labels"]) == 2
+    res = run("build", "--algebra", "trivial", "-n", "2", "-d", "2", "--field", "Fp:3", "--seed", "4")
+    assert json.loads(res.output)["config"] == {
+        "algebra": "trivial", "d": "2", "field": "Fp:3", "n": "2", "out": "json", "seed": "4"}
 
 
 def test_decomp_example_matrix():
@@ -86,62 +89,6 @@ def test_mul_command():
     assert res.exit_code == 0
     out = json.loads(res.output)
     assert out == [{"orbit": [{"b": "1", "r": 1, "s": 1}], "coeff": "1"}]
-
-
-def test_config_file_and_determinism(tmp_path):
-    cfg = tmp_path / "cfg.txt"
-    cfg.write_text("algebra=zigzag:1\nn=1\nd=1\nfield=Q\n")
-    a = run("--config", str(cfg), "decomp")
-    b = run("--config", str(cfg), "decomp")
-    assert a.exit_code == 0
-    assert a.output == b.output
-
-
-def test_config_out_checked_like_the_flag(tmp_path):
-    cfg = tmp_path / "cfg.txt"
-    cfg.write_text("algebra=trivial\nn=1\nd=1\nout=xml\n")
-    res = run("--config", str(cfg), "dim")
-    assert res.exit_code == 2, res.output
-    assert "out='xml'" in res.output
-    cfg.write_text("algebra=trivial\nn=1\nd=1\nout=csv\n")
-    res = run("--config", str(cfg), "dim")
-    assert (res.exit_code, res.output) == (0, "1\n")
-
-
-def test_config_method_checked_like_the_flag(tmp_path):
-    cfg = tmp_path / "cfg.txt"
-    cfg.write_text("algebra=zigzag:1\nn=1\nd=1\nmethod=bogus\n")
-    for cmd in ("decomp", "dim"):
-        res = run("--config", str(cfg), cmd)
-        assert res.exit_code == 2, (cmd, res.output)
-        assert res.exception is None or isinstance(res.exception, SystemExit)
-    # each command checks against its own flag's choices
-    cfg.write_text("algebra=zigzag:1\nn=1\nd=1\nmethod=oracle\n")
-    assert run("--config", str(cfg), "char", "--label", "[[],[1]]").exit_code == 2
-    assert run("--config", str(cfg), "decomp").exit_code == 0
-    assert run("--config", str(cfg), "dim").exit_code == 0
-
-
-CONFIG_KEYS = {"algebra": "trivial", "n": "1", "d": "1", "field": "Fp:2", "out": "json",
-               "method": "both", "output": "r.json", "cache_dir": "cache", "seed": "3"}
-
-
-def test_config_keys_are_the_settings_not_the_methods(tmp_path):
-    """A `--config` key names a setting: the methods of the config are
-    unknown keys, a usage error with no traceback; each of the nine
-    settings is accepted."""
-    cfg = tmp_path / "cfg.txt"
-    for line in ("ring=Q", "lr_cache=x", "to_json=x"):
-        cfg.write_text(f"{line}\n")
-        res = _usage_error("--config", str(cfg), "dim", "--algebra", "trivial")
-        assert f"unknown config key {line.split('=')[0]!r}" in res.output, res.output
-    for key, value in CONFIG_KEYS.items():
-        if key in ("output", "cache_dir"):
-            value = str(tmp_path / value)
-        cfg.write_text(f"algebra=trivial\nn=1\nd=1\n{key}={value}\n")
-        res = run("--config", str(cfg), "dim")
-        assert res.exit_code == 0, (key, res.output)
-    assert json.loads((tmp_path / "r.json").read_text()) == {"rank": "1"}
 
 
 def test_output_file(tmp_path):
@@ -511,6 +458,24 @@ def test_bad_field_exits_2():
     _usage_error("verify", "--algebra", "trivial", "-n", "1", "-d", "1", "--field", "Fp:4")
 
 
+def test_a_prime_field_needs_a_prime_below_2_to_the_31():
+    """A prime p >= 2^31, here 2^61 - 1, is refused at once, not tested for
+    primality by trial division; the largest prime below the bound works."""
+    res = _usage_error("dim", "--algebra", "trivial", "-n", "1", "-d", "1",
+                       "--field", "Fp:2305843009213693951")
+    errors = [line for line in res.output.splitlines() if "error:" in line]
+    assert len(errors) == 1 and errors[0].endswith(
+        "(expected Z | Q | Fp:p, p a prime below 2^31)"), res.output
+    res = run("dim", "--algebra", "trivial", "-n", "1", "-d", "1", "--field", "Fp:2147483647")
+    assert (res.exit_code, json.loads(res.output)) == (0, {"rank": "1"}), res.output
+
+
+def test_config_is_an_unknown_option():
+    """Every setting is a flag; there is no settings file."""
+    res = _usage_error("--config", "f", "dim")
+    assert len([line for line in res.output.splitlines() if "error:" in line]) == 1, res.output
+
+
 def test_bad_label_exits_2(tmp_path):
     common = ["char", "--algebra", "zigzag:1", "-n", "2", "--cache-dir", str(tmp_path)]
     _usage_error(*common, "-d", "1", "--label", "[[1]")           # malformed JSON
@@ -552,22 +517,20 @@ def test_csv_output_is_a_usage_error_where_a_command_has_no_rows(tmp_path):
         assert not (tmp_path / cmd).exists()
 
 
-def test_missing_config_file_exits_2(tmp_path):
-    path = str(tmp_path / "nope.txt")
-    res = _usage_error("--config", path, "dim")
-    assert repr(path) in res.output
+def test_csv_output_is_refused_before_the_algebra_is_built(monkeypatch):
+    """A command with no CSV form refuses `--out csv` before it builds the
+    algebra."""
+    from schurify import cli
 
+    def unbuilt(args):
+        raise AssertionError("the algebra was built")
 
-def test_config_directory_exits_2(tmp_path):
-    res = _usage_error("--config", str(tmp_path), "dim")
-    assert repr(str(tmp_path)) in res.output
-
-
-def test_config_file_not_utf8_exits_2(tmp_path):
-    cfg = tmp_path / "cfg.txt"
-    cfg.write_bytes(b"algebra=trivial\nn=\xff\xfe1\n")
-    res = _usage_error("--config", str(cfg), "dim")
-    assert f"--config {str(cfg)!r} is not UTF-8 text" in res.output
+    monkeypatch.setattr(cli, "_make_T", unbuilt)
+    for cmd in ("build", "blocks", "verify"):
+        res = _usage_error(cmd, "--algebra", "trivial", "-n", "1", "-d", "1", "--out", "csv")
+        errors = [line for line in res.output.splitlines() if "error:" in line]
+        assert errors == [f"schurify {cmd}: error: csv output not available for this command"], \
+            (cmd, res.output)
 
 
 def test_output_into_a_missing_directory_exits_2(tmp_path):
@@ -907,15 +870,13 @@ REQUIRED = {"mul": ["--left", "--right"], "straighten": ["--orbit"], "char": ["-
 COMMAND_NAMES = ["build", "dim", "mul", "straighten", "char", "decomp", "blocks", "verify"]
 JUNK = ["", "x", "-", "--", "-x", "--bogus", "--alg", "-h", "7", "[[1]]", "--algebra=trivial",
         "-n1", "--config", "dim"]
-CONFIG_LINES = ["algebra=trivial", "n=1", "d=2", "out=xml", "out=csv", "method=oracle", "bogus=1",
-                "ring=Q", "seed=x", "# a comment", "garbage", "field=Fp:2"]
 
 
 @st.composite
 def argvs(draw):
-    """`--config` or not, a command (or junk) with its required options, a
-    few more options, and at most two junk tokens or flags without their
-    values, in any order."""
+    """A command (or junk) with its required options, a few more options,
+    and at most two junk tokens or flags without their values, in any
+    order."""
     command = draw(st.sampled_from(COMMAND_NAMES * 3 + JUNK))
     options = {**OPTIONS, **OWN_OPTIONS.get(command, {})}
 
@@ -925,17 +886,17 @@ def argvs(draw):
     pieces = [draw(given_flag(flag)) for flag in REQUIRED.get(command, [])]
     pieces += draw(st.lists(st.sampled_from(sorted(options)).flatmap(given_flag), max_size=4))
     pieces += draw(st.lists(st.sampled_from([[t] for t in JUNK + sorted(options)]), max_size=2))
-    argv = draw(st.sampled_from([[], ["--config", "cfg.txt"], ["--config", "missing.txt"]]))
-    return [*argv, command, *(token for piece in draw(st.permutations(pieces)) for token in piece)]
+    return [command, *(token for piece in draw(st.permutations(pieces)) for token in piece)]
 
 
 @settings(max_examples=150, deadline=None)
-@given(argvs(), st.lists(st.sampled_from(CONFIG_LINES), max_size=3))
-def test_any_argv_exits_0_or_2_with_one_error_line(argv, config_lines):
+@given(argvs())
+def test_any_argv_exits_0_or_2_with_one_error_line(argv):
     """Whatever the arguments, the CLI exits 0, or 2 with one `error:` line
     on stderr; no other exception escapes.  A command that exits 0 with
     `--output` given writes nothing on stdout.  Each run has its own working
-    directory, so relative paths land there."""
+    directory, so relative paths land there; it holds the regular file
+    `cfg.txt`, which `--cache-dir cfg.txt` cannot use."""
     import os
     import tempfile
 
@@ -943,8 +904,7 @@ def test_any_argv_exits_0_or_2_with_one_error_line(argv, config_lines):
     with tempfile.TemporaryDirectory() as work:
         os.chdir(work)
         try:
-            with open("cfg.txt", "w") as fh:
-                fh.write("".join(line + "\n" for line in config_lines))
+            open("cfg.txt", "w").close()
             res = run(*argv)
         finally:
             os.chdir(home)
