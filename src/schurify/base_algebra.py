@@ -7,9 +7,8 @@ I, sets X(i), Y(i) of basis labels and initial idempotents e_i; the products
 x*y must sweep out the basis bijectively (each x*y is required to be a single
 basis label with coefficient 1 - true for every built-in).
 
-The heredity check of A is `base_heredity`, and the base-level idempotent
-truncation is `truncation`: each is a module of its own, which a command
-loads only when it runs it (see the README's module map).  The
+The heredity check of A is `base_heredity`, a module of its own, which a
+command loads only when it runs it (see the README's module map).  The
 decomposition numbers run the check's axioms first.
 
 X(i) and Y(i) are mirror images of each other, and so is every one-sided step

@@ -8,7 +8,7 @@ Two layers live here:
     (Pieri's rule), the Kostka numbers; iterated multi-factor coefficients
     with optional conjugate twists, memoized by an `LRCache` that its caller
     builds and passes in (the module keeps none, and only a cache given a
-    file writes to disk), and skew characters;
+    file writes to disk);
   * graded characters of standard modules, by two routes.  The closed
     formula is one sum over column multipartitions driven by the base
     algebra's graded decomposition data (`_column_terms`), taken with the
@@ -34,7 +34,7 @@ from functools import lru_cache
 from itertools import product
 
 from .base_algebra import X_SIDE, DecompInput
-from .partitions import Multipartition, Partition, compositions, conjugate, pad, partitions_of, size, trim
+from .partitions import Multipartition, Partition, compositions, conjugate, partitions_of, size, trim
 from .rings import GradedSuperScalar
 from .schur import SchurAlgebra
 
@@ -314,47 +314,6 @@ def schur_char_bold(bold, n: int) -> CharacterVector:
         out = nxt
         if not out:
             break
-    return CharacterVector(out)
-
-
-def skew_char(lam: Partition, mu: Partition, eps: int, n: int) -> CharacterVector:
-    """s^eps_{lam/mu}: weight sum of even (rows weak, columns strict) or odd
-    (rows strict, columns weak) standard skew tableaux with entries in [1,n]."""
-    lam, mu = trim(tuple(lam)), trim(tuple(mu))
-    mu_full = pad(mu, len(lam)) if lam else ()
-    if len(mu) > len(lam) or any(m > l for m, l in zip(mu_full, lam)):
-        raise ValueError("mu not contained in lam")
-    cells = [(r, c) for r in range(len(lam)) for c in range(mu_full[r], lam[r])]
-    out: dict = {}
-
-    def rec(k: int, filling: dict):
-        if k == len(cells):
-            w = [0] * n
-            for v in filling.values():
-                w[v - 1] += 1
-            wt = tuple(w)
-            out[wt] = out.get(wt, GradedSuperScalar.zero()) + GradedSuperScalar.one()
-            return
-        r, c = cells[k]
-        lo = 1
-        for v in range(lo, n + 1):
-            left = filling.get((r, c - 1))
-            up = filling.get((r - 1, c))
-            if left is not None:
-                if eps % 2 == 0 and v < left:
-                    continue
-                if eps % 2 == 1 and v <= left:
-                    continue
-            if up is not None:
-                if eps % 2 == 0 and v <= up:
-                    continue
-                if eps % 2 == 1 and v < up:
-                    continue
-            filling[(r, c)] = v
-            rec(k + 1, filling)
-            del filling[(r, c)]
-
-    rec(0, {})
     return CharacterVector(out)
 
 

@@ -23,8 +23,8 @@ words of letter indices, each checked by one sum over a per-letter table to
 be an orbit of T carrying the key.
 The unimodularity check walks the blocks in one pass, in sorted key order:
 for each X weight, one pass over its X tableau shares and their shapes' Y
-shares files every column under its key (`CodetBasis._filed`, whose keys
-are `CodetBasis.block_keys`).  A block is taken as its column expansions,
+shares files every column under its key (`CodetBasis._filed`, which
+yields each key once).  A block is taken as its column expansions,
 its rows checked as a built block's are (`CodetBasis._checked_rows`), and
 eliminated as its transpose (`exactla.unit_determinant`); only a block that
 fails is built, as the solves build it (`CodetBasis.factor`), for its
@@ -181,14 +181,6 @@ class CodetBasis:
         """X_S * Y_T keyed by words of letter indices, from the shares of S
         and T; an expansion is used once, to build its column."""
         return self.T.product_terms(x.factor, y.factor, x.sign * y.sign)
-
-    def index_expansion(self, key: CodetKey) -> dict[tuple[int, ...], int]:
-        """X_S * Y_T keyed by words of letter indices, from the factors in
-        the algebra's tables, which the walk's shares hold too."""
-        bold, S, Tb = key
-        T = self.T
-        return self._expand(_Share(S, bold, *self.kernel_factor(S, X_SIDE, T.lefts.__getitem__)),
-                            _Share(Tb, bold, *self.kernel_factor(Tb, Y_SIDE, T.rights.__getitem__)))
 
     def pairing(self, y: tuple, x: tuple) -> dict[tuple[int, ...], int]:
         """Y_T * X_S keyed by words of letter indices, from Y_T as a left
@@ -386,12 +378,6 @@ class CodetBasis:
                     raise AssertionError(f"codeterminant block {key}: column {col} "
                                          f"reaches {ctx.word(w)} of block {ctx.block_key(w)}")
 
-    @property
-    def block_keys(self) -> Iterator[tuple]:
-        """The keys of the blocks with codeterminant columns, each once, in
-        sorted order: those of the walk's pass (`_filed`), kept nowhere."""
-        return (key for key, _cols in self._filed())
-
     def factor(self, key) -> Block:
         """The block of `key`, built by `_block` on its first request and
         kept in `_factored` for later solves, with its columns as
@@ -408,7 +394,7 @@ class CodetBasis:
     def _walk(self, weights: Iterable | None = None):
         """(key, determinant, order) of each block with columns whose X
         weight is in `weights` (by default all of them), in the sorted order
-        of `block_keys`: one pass (`_filed`) that keeps no key and no
+        of their keys: one pass (`_filed`) that keeps no key and no
         unimodular block.  The heredity check walks the X weights on two
         processes (`heredity.Started`), each pass over the runs of weights
         its process pulls from one pipe, a byte a run; the child's exit

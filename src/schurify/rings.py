@@ -115,10 +115,6 @@ class GradedSuperScalar:
         """c q^m pi^eps, for ints c, m and eps."""
         return GradedSuperScalar._normal({(m, eps % 2): c} if c else {})
 
-    @staticmethod
-    def q_power(m: int) -> "GradedSuperScalar":
-        return GradedSuperScalar.term(1, m, 0)
-
     # -- ring structure -----------------------------------------------
     def __add__(self, other: "GradedSuperScalar") -> "GradedSuperScalar":
         d = dict(self.coeffs)

@@ -85,19 +85,6 @@ class SchurAlgebra:
         self.lefts: dict[tuple[int, ...], tuple] = OnLookup(lambda w: self.left_factor(w))
         self.rights: dict[tuple[int, ...], tuple] = OnLookup(lambda w: self.right_factor(w))
         self._profiles: dict[TriWord, tuple] = OnLookup(self.ctx.weight_profiles)
-        self._family: dict[int, SchurAlgebra] = {d: self}
-
-    # -- family of degrees (for star products and coproducts) -------------
-    def family(self, d: int) -> "SchurAlgebra":
-        """The algebra of degree d over the same base and truncation.  A
-        family shares one `TriContext` (the letter products), not its members'
-        factor tables; a truncation starts its own family."""
-        if d not in self._family:
-            member = SchurAlgebra(self.alg, self.data, self.n, d, self.tau, self.keep_basis,
-                                  parent=self)
-            member._family = self._family
-            self._family[d] = member
-        return self._family[d]
 
     @cached_property
     def orbits(self) -> list[TriWord]:
@@ -394,56 +381,8 @@ class SchurAlgebra:
                 out.update(self.idempotent_bold(bold))
         return out
 
-    def idempotent_comp(self, lam: tuple[int, ...]) -> Element:
-        """xi(lambda): the sum of e_mu over color refinements of the weight lambda."""
-        if len(lam) != self.n or sum(lam) != self.d or any(p < 0 for p in lam):
-            raise ValueError("lambda must be a weight in Lambda(n, d)")
-        lam = tuple(lam)
-        return self._idempotent_sum(lambda bold: tuple(map(sum, zip(*bold))) == lam)
-
     def unit(self) -> Element:
         return self._idempotent_sum(lambda bold: True)
-
-    # -- star product ------------------------------------------------------
-    def star(self, x: Element, y: Element, other: "SchurAlgebra") -> Element:
-        """eta_x (degree self.d) star eta_y (degree other.d) in degree d1+d2."""
-        target = self.family(self.d + other.d)
-        ctx = target.ctx
-        out: Element = {}
-        for o1, c1 in x.items():
-            for o2, c2 in y.items():
-                cat = o1 + o2
-                rep, sign = ctx.canonicalize(cat)
-                if rep is None:
-                    continue
-                num = ctx.factorial(rep, "a")
-                den = ctx.factorial(o1, "a") * ctx.factorial(o2, "a")
-                assert num % den == 0
-                out[rep] = out.get(rep, 0) + c1 * c2 * sign * (num // den)
-        return {k: v for k, v in out.items() if v}
-
-    # -- coproduct ---------------------------------------------------------
-    def coproduct(self, x: Element, d1: int) -> dict[tuple[TriWord, TriWord], int]:
-        """The (d1, d - d1) component of the coproduct, as a sparse tensor."""
-        if not 0 <= d1 <= self.d:
-            raise ValueError("invalid split degree")
-        ctx = self.ctx
-        out: dict[tuple[TriWord, TriWord], int] = {}
-        for orbit, c in x.items():
-            mults = ctx.multiplicities(orbit)
-            fac_t = ctx.factorial(orbit, "c")
-            # each sub-multiset of size d1, as a count per letter
-            for take in product(*(range(m + 1) for m in mults.values())):
-                if sum(take) != d1:
-                    continue
-                w1 = tuple(lt for lt, t in zip(mults, take) for _ in range(t))
-                w2 = tuple(lt for (lt, m), t in zip(mults.items(), take) for _ in range(m - t))
-                w = w1 + w2
-                sign = ctx.canonicalize(w)[1]
-                ratio = fac_t // (ctx.factorial(w1, "c") * ctx.factorial(w2, "c"))
-                key = (w1, w2)
-                out[key] = out.get(key, 0) + c * sign * ratio
-        return {k: v for k, v in out.items() if v}
 
     # -- anti-involution ---------------------------------------------------
     def involution(self, x: Element) -> Element:
@@ -471,13 +410,6 @@ class SchurAlgebra:
         )
         return SchurAlgebra(self.alg, self.data, self.n, self.d, self.tau,
                             keep_basis=keep, parent=self)
-
-    def truncation_idempotent(self, colors) -> Element:
-        """xi^e: the sum of the e_bold that are empty outside `colors`."""
-        colors = frozenset(colors)
-        labels = self.data.labels
-        return self._idempotent_sum(lambda bold: not any(
-            any(comp) for label, comp in zip(labels, bold) if label not in colors))
 
     # -- serialization -----------------------------------------------------
     def element_to_json(self, x: Element) -> list:

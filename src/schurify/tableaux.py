@@ -21,7 +21,6 @@ from itertools import product
 
 from .base_algebra import BasedSuperalgebra, HeredityData, Side, absorbing_colors
 from .partitions import Multipartition
-from .rings import GradedSuperScalar
 
 Letter = tuple[int, str]                      # (l, color label)
 Tableau = tuple[tuple[tuple[Letter, ...], ...], ...]
@@ -108,16 +107,8 @@ class Alphabet:
 # tableaux
 # ---------------------------------------------------------------------------
 
-def shape_of(T: Tableau) -> Multipartition:
-    return tuple(tuple(len(row) for row in comp) for comp in T)
-
-
 def word(T: Tableau) -> tuple[Letter, ...]:
     return tuple(entry for comp in T for row in comp for entry in row)
-
-
-def color_word(T: Tableau) -> tuple[str, ...]:
-    return tuple(z for (_l, z) in word(T))
 
 
 def column_violation(comp, alphabet: Alphabet) -> tuple[int, int] | None:
@@ -186,20 +177,11 @@ def enumerate_tableaux(bold: Multipartition, alphabet: Alphabet) -> list[Tableau
 # weights and degrees
 # ---------------------------------------------------------------------------
 
-def tableau_weight(T: Tableau, alphabet: Alphabet) -> tuple[tuple[int, ...], ...]:
-    """The profile alpha^S (X side) or beta^T (Y side): component j, letter r
-    counts of cells whose color is absorbed by e_j."""
-    n = alphabet.n
-    counts = {j: [0] * n for j in alphabet.data.labels}
-    for (l, z) in word(T):
-        counts[alphabet._absorbing_color(z)][l - 1] += 1
-    return tuple(tuple(counts[j]) for j in alphabet.data.labels)
-
-
 def flat_share(T: Tableau, alphabet: Alphabet) -> tuple[tuple[int, ...], int, int]:
     """A tableau's (flat weight, degree, parity mod 2), in one pass over its
     letters through `Alphabet.letter_shares`; `TriContext.standard_tableaux`
-    cuts the flat weight into `tableau_weight` through `TriContext.nested`."""
+    cuts the flat weight into one composition per color label through
+    `TriContext.nested`."""
     shares = alphabet.letter_shares
     flat = [0] * (alphabet.n * len(alphabet.data.labels))
     deg = par = 0
@@ -213,17 +195,5 @@ def flat_share(T: Tableau, alphabet: Alphabet) -> tuple[tuple[int, ...], int, in
     return tuple(flat), deg, par % 2
 
 
-def tableau_degree(T: Tableau, alg: BasedSuperalgebra) -> GradedSuperScalar:
-    m = sum(alg.degree[z] for z in color_word(T))
-    eps = sum(alg.parity[z] for z in color_word(T)) % 2
-    return GradedSuperScalar.term(1, m, eps)
-
-
 def to_json(T: Tableau) -> list:
     return [[[{"l": l, "c": z} for (l, z) in row] for row in comp] for comp in T]
-
-
-def from_json(obj: list) -> Tableau:
-    return tuple(
-        tuple(tuple((int(e["l"]), str(e["c"])) for e in row) for row in comp) for comp in obj
-    )

@@ -20,7 +20,7 @@ among the orbits (`run_key`).  These
 tables, the pair map both ways (`pair_of`, `label_of`), the letter products
 (the kernel's flat `product_table`, each made by `letter_product`) and the
 table of standard tableaux by side and shape (`standard_tableaux`) belong to
-the context, which a family of degrees and its truncations share.
+the context, which an algebra and its truncations share.
 """
 from __future__ import annotations
 
@@ -115,10 +115,9 @@ class TriContext:
 
     @cached_property
     def in_stratum(self) -> dict[str, tuple[bool, ...]]:
-        """Per stratum 'all', 'a' or 'c': whether each letter index lies in it."""
+        """Per stratum 'a' or 'c': whether each letter index lies in it."""
         Ba, Bc, _ = self.strata
-        return {"all": (True,) * len(self.letters),
-                "a": tuple(b in Ba for (b, _r, _s) in self.letters),
+        return {"a": tuple(b in Ba for (b, _r, _s) in self.letters),
                 "c": tuple(b in Bc for (b, _r, _s) in self.letters)}
 
     def letter_product(self, i: int, j: int) -> tuple[tuple[int, int], ...]:
@@ -172,7 +171,7 @@ class TriContext:
         sign = odd_sign(word, self.odd)
         return (tuple(sorted(word)), sign) if sign else (None, 0)
 
-    def run_factorial(self, word: tuple[int, ...], stratum: str = "all") -> int:
+    def run_factorial(self, word: tuple[int, ...], stratum: str) -> int:
         """[word]! over a stratum, for a word of indices in canonical order:
         the product of the factorials of its runs of equal letters."""
         keep = self.in_stratum[stratum]
@@ -206,18 +205,6 @@ class TriContext:
                 raise ValueError(f"repeated odd letter in {word}")
             return None, 0
         return self.word(rep), sign
-
-    # -- multiplicities ----------------------------------------------------
-    def multiplicities(self, word: TriWord) -> dict[TriLetter, int]:
-        out: dict[TriLetter, int] = {}
-        for w in word:
-            out[w] = out.get(w, 0) + 1
-        return out
-
-    def factorial(self, word: TriWord, stratum: str = "all") -> int:
-        """[b,r,s]! restricted to a basis stratum: 'all', 'a', or 'c'."""
-        index = self.index
-        return self.run_factorial(sorted(index[w] for w in word), stratum)
 
     # -- weight profiles and block keys -----------------------------------
     @cached_property
@@ -272,7 +259,7 @@ class TriContext:
         letters (`flat_share`), the weight cut through `nested`, and equal
         shares one tuple.  The codeterminant blocks, the heredity check, the
         Gram matrices and the tableau characters all read the tableaux here,
-        so a family and its truncations list each side and shape once."""
+        so an algebra and its truncations list each side and shape once."""
         nested, shared = self.nested, {}
 
         def make(key) -> tuple:

@@ -30,7 +30,7 @@
 - full_gram / gram_entries: the Gram matrix of a standard module over every
   pair of standard tableaux, each product solved in the codeterminant
   basis, and the blocks of `gram_blocks` read back into pairs; both place a
-  tableau by its own `tableau_weight` and `tableau_degree` (`tableau_share`,
+  tableau by its own `tableau_weight` and letter sums (`tableau_share`,
   which `eager_codet_blocks` reads too), where production multiplies only
   the degree-0 pairs of equal weight, placed by the per-letter table, and
   reads each entry through one dual row of the unit block.
@@ -49,6 +49,15 @@
   candidate orbits of axiom (b) filtered from `T.orbits`; production
   multiplies on letter indices through its one kernel and solves by sparse
   elimination.
+- family / star / coproduct / double_coproduct / coproducts_star: the
+  superbialgebra structure across degrees, and idempotent_comp /
+  truncation_idempotent: the idempotents xi(lambda) and xi^e; with
+  truncate_base / make_zigzag_bar (the base-level truncation eAe),
+  skew_char (skew characters by filling enumeration), shape_of,
+  tableau_weight, tableau_from_json, block_keys and index_expansion.  They
+  are the paper's structures and readings that no command runs, kept here
+  for the tests that check them; they read the production algebra's
+  contexts, kernel factors and `_idempotent_sum`.
 - run_cli: the `schurify` command line in this process, its output captured.
 - verify_fails_only: `verify` failing exactly one of its nine rows, the
   others passing or not applying.
@@ -63,12 +72,26 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations, product
 from math import factorial
+from typing import NamedTuple
 
 from schurify import codeterminants as codet
-from schurify.base_algebra import SIDES, X_SIDE, Y_SIDE, BasedSuperalgebra, make_algebra
+from schurify.base_algebra import (
+    SIDES,
+    X_SIDE,
+    Y_SIDE,
+    AntiInvolution,
+    BasedSuperalgebra,
+    HeredityData,
+    absorbing_colors,
+    make_algebra,
+    make_extended_zigzag,
+)
+from schurify.characters import CharacterVector
 from schurify.cli import main
-from schurify.partitions import compare, conjugate, trim
-from schurify.tableaux import tableau_degree, tableau_weight
+from schurify.partitions import compare, conjugate, pad, trim
+from schurify.rings import GradedSuperScalar
+from schurify.schur import SchurAlgebra
+from schurify.tableaux import word as tableau_word
 
 
 # ---------------------------------------------------------------------------
@@ -504,13 +527,275 @@ def eager_codet_blocks(cb):
 
 def codet_blocks(cb):
     """block key -> (orbits, codeterminant keys) of the blocks with columns
-    of a `CodetBasis`, in the order of `cb.block_keys`, each built by
+    of a `CodetBasis`, in the order of `block_keys`, each built by
     `cb._block` as a solve or the unimodularity check builds it."""
     blocks = {}
-    for key in cb.block_keys:
+    for key in block_keys(cb):
         rows, cols, _expansions = cb._block(key)
         blocks[key] = ([cb.T.ctx.word(w) for w in rows], [(x.bold, x.tab, y.tab) for x, y in cols])
     return blocks
+
+
+def block_keys(cb):
+    """The keys of the blocks with codeterminant columns of a `CodetBasis`,
+    each once, in sorted order: those of the walk's pass (`cb._filed`)."""
+    return (key for key, _cols in cb._filed())
+
+
+def index_expansion(cb, key):
+    """The codeterminant X_S * Y_T of `key` keyed by words of letter indices:
+    the product kernel on the factors of S and T in the algebra's tables."""
+    _bold, S, Tb = key
+    T = cb.T
+    left, sx = cb.kernel_factor(S, X_SIDE, T.lefts.__getitem__)
+    right, sy = cb.kernel_factor(Tb, Y_SIDE, T.rights.__getitem__)
+    return T.product_terms(left, right, sx * sy)
+
+
+# ---------------------------------------------------------------------------
+# tableaux: shapes, weights and their JSON form
+# ---------------------------------------------------------------------------
+
+def shape_of(tab):
+    return tuple(tuple(len(row) for row in comp) for comp in tab)
+
+
+def tableau_weight(tab, alphabet):
+    """The profile alpha^S (X side) or beta^T (Y side): component j, letter r
+    counts of cells whose color is absorbed by e_j."""
+    counts = {j: [0] * alphabet.n for j in alphabet.data.labels}
+    for (l, z) in tableau_word(tab):
+        counts[alphabet.absorbers[z]][l - 1] += 1
+    return tuple(tuple(counts[j]) for j in alphabet.data.labels)
+
+
+def tableau_from_json(obj):
+    """The tableau that `tableaux.to_json` wrote as `obj`."""
+    return tuple(
+        tuple(tuple((int(e["l"]), str(e["c"])) for e in row) for row in comp) for comp in obj
+    )
+
+
+# ---------------------------------------------------------------------------
+# the superbialgebra structure and the idempotents, which no command runs
+# ---------------------------------------------------------------------------
+
+def family(T, d):
+    """The algebra of degree d over T's base and truncation, made once and
+    kept with T's other degrees.  A family shares one `TriContext` (the
+    letter products), not its members' factor tables; a truncation starts
+    its own family."""
+    members = vars(T).setdefault("_family", {T.d: T})
+    if d not in members:
+        member = SchurAlgebra(T.alg, T.data, T.n, d, T.tau, T.keep_basis, parent=T)
+        member._family = members
+        members[d] = member
+    return members[d]
+
+
+def word_factorial(T, word, stratum=None):
+    """[w]!: the product of the factorials of the multiplicities of the
+    letters of `word`, over the letters of the basis stratum 'a' or 'c'
+    (`TriContext.in_stratum`) when `stratum` names one."""
+    keep = T.ctx.in_stratum[stratum] if stratum else None
+    index = T.ctx.index
+    out = 1
+    for lt, m in Counter(word).items():
+        if keep is None or keep[index[lt]]:
+            out *= factorial(m)
+    return out
+
+
+def star(T, x, y):
+    """x star y for Elements x and y of any degrees in T's family, in the
+    sum of their degrees: eta_{o1} star eta_{o2} is the concatenated word,
+    canonicalized with its sign, times [o1 o2]_a / ([o1]_a [o2]_a)."""
+    out = {}
+    for o1, c1 in x.items():
+        for o2, c2 in y.items():
+            rep, sign = T.ctx.canonicalize(o1 + o2)
+            if rep is None:
+                continue
+            num = word_factorial(T, rep, "a")
+            den = word_factorial(T, o1, "a") * word_factorial(T, o2, "a")
+            assert num % den == 0
+            out[rep] = out.get(rep, 0) + c1 * c2 * sign * (num // den)
+    return {k: v for k, v in out.items() if v}
+
+
+def coproduct(T, x, d1):
+    """The (d1, d - d1) component of the coproduct of an Element x of T, as
+    a sparse tensor keyed by pairs of words: each orbit splits into every
+    sub-multiset of size d1 and its complement, with the sign of the split
+    word and [o]_c / ([w1]_c [w2]_c)."""
+    if not 0 <= d1 <= T.d:
+        raise ValueError("invalid split degree")
+    out = {}
+    for orbit, c in x.items():
+        mults = Counter(orbit)
+        fac_t = word_factorial(T, orbit, "c")
+        for take in product(*(range(m + 1) for m in mults.values())):
+            if sum(take) != d1:
+                continue
+            w1 = tuple(lt for lt, t in zip(mults, take) for _ in range(t))
+            w2 = tuple(lt for (lt, m), t in zip(mults.items(), take) for _ in range(m - t))
+            sign = T.ctx.canonicalize(w1 + w2)[1]
+            ratio = fac_t // (word_factorial(T, w1, "c") * word_factorial(T, w2, "c"))
+            out[w1, w2] = out.get((w1, w2), 0) + c * sign * ratio
+    return {k: v for k, v in out.items() if v}
+
+
+def double_coproduct(T, x, d1, d2, left):
+    """The (d1, d2, d - d1 - d2) component of (nabla tensor 1) nabla
+    (`left`) or of (1 tensor nabla) nabla, keyed by triples of words."""
+    out = {}
+    for (w1, w2), c in coproduct(T, x, d1 + d2 if left else d1).items():
+        inner = w1 if left else w2
+        for (u1, u2), c2 in coproduct(family(T, len(inner)), {inner: 1}, d1 if left else d2).items():
+            k = (u1, u2, w2) if left else (w1, u1, u2)
+            out[k] = out.get(k, 0) + c * c2
+    return {k: v for k, v in out.items() if v}
+
+
+def coproducts_star(Tx, x, Ty, y, d1):
+    """The (d1, dx + dy - d1) component of nabla(x) star nabla(y), for x in
+    Tx (degree dx) and y in Ty (degree dy) of one family, with the super
+    sign rule: the sign of passing x's right factor past y's left one."""
+    out = {}
+    for e1 in range(max(0, d1 - Ty.d), min(Tx.d, d1) + 1):
+        for (x1, x2), cx in coproduct(Tx, x, e1).items():
+            for (y1, y2), cy in coproduct(Ty, y, d1 - e1).items():
+                sgn = -1 if word_parity(Tx, x2) and word_parity(Tx, y1) else 1
+                for w1, c1 in star(Tx, {x1: 1}, {y1: 1}).items():
+                    for w2, c2 in star(Tx, {x2: 1}, {y2: 1}).items():
+                        out[w1, w2] = out.get((w1, w2), 0) + cx * cy * sgn * c1 * c2
+    return {k: v for k, v in out.items() if v}
+
+
+def idempotent_comp(T, lam):
+    """xi(lambda): the sum of the e_bold over the color refinements of the
+    weight lambda."""
+    if len(lam) != T.n or sum(lam) != T.d or any(p < 0 for p in lam):
+        raise ValueError("lambda must be a weight in Lambda(n, d)")
+    lam = tuple(lam)
+    return T._idempotent_sum(lambda bold: tuple(map(sum, zip(*bold))) == lam)
+
+
+def truncation_idempotent(T, colors):
+    """xi^e: the sum of the e_bold that are empty outside `colors`."""
+    colors = frozenset(colors)
+    labels = T.data.labels
+    return T._idempotent_sum(lambda bold: not any(
+        any(comp) for label, comp in zip(labels, bold) if label not in colors))
+
+
+# ---------------------------------------------------------------------------
+# the base-level truncation eAe
+# ---------------------------------------------------------------------------
+
+class Truncation(NamedTuple):
+    algebra: BasedSuperalgebra
+    data: HeredityData
+
+
+def truncate_base(alg, data, colors):
+    """eAe for e the sum of the distinct initial idempotents e_i, i in
+    `colors`, with the heredity data that survives it.  The CLI's
+    zigzag-bar:L is zigzag:L truncated at the Schur level
+    (`SchurAlgebra.truncate`) instead."""
+    colors = frozenset(colors)
+    if not colors <= set(data.labels):
+        raise ValueError("unknown colors in truncating idempotent")
+    absorbers = {side: absorbing_colors(alg, data, side) for side in SIDES}
+
+    def absorbed(b, side):
+        return absorbers[side].get(b) in colors
+
+    sub_basis = [b for b in alg.basis if all(absorbed(b, side) for side in SIDES)]
+    keep = set(sub_basis)
+    kappa = {
+        (a, c): out
+        for (a, c), out in alg.kappa.items()
+        if a in keep and c in keep and all(b in keep for b in out)
+    }
+    # products of kept elements stay in the truncation automatically
+    for a in sub_basis:
+        for c in sub_basis:
+            out = alg.mul_basis(a, c)
+            if out and any(b not in keep for b in out):
+                raise AssertionError("truncation not closed; adapted assumption broken")
+    sub = BasedSuperalgebra(
+        sub_basis, kappa,
+        degree={b: alg.degree[b] for b in sub_basis},
+        parity={b: alg.parity[b] for b in sub_basis},
+        unit={data.e[i]: 1 for i in sorted(colors)},
+    )
+    Xb, Yb = (
+        {i: tuple(z for z in side.pick(data.X, data.Y)[i] if absorbed(z, side))
+         for i in data.labels}
+        for side in SIDES
+    )
+    I_bar = tuple(i for i in data.labels if Xb[i] and Yb[i])
+    sub_data = HeredityData(
+        labels=I_bar,
+        strictly_less=frozenset(p for p in data.strictly_less if p[0] in I_bar and p[1] in I_bar),
+        X={i: Xb[i] for i in I_bar},
+        Y={i: Yb[i] for i in I_bar},
+        e={i: data.e[i] for i in I_bar if i in colors},
+    )
+    return Truncation(sub, sub_data)
+
+
+def make_zigzag_bar(ell):
+    """(eAe, tau restricted to it) for the extended zigzag algebra of
+    length `ell` truncated at its first `ell` colors."""
+    alg, data, tau = make_extended_zigzag(ell)
+    trunc = truncate_base(alg, data, range(ell))
+    return trunc, AntiInvolution(image={b: tau.image[b] for b in trunc.algebra.basis})
+
+
+# ---------------------------------------------------------------------------
+# skew characters
+# ---------------------------------------------------------------------------
+
+def skew_char(lam, mu, eps, n):
+    """s^eps_{lam/mu}: weight sum of even (rows weak, columns strict) or odd
+    (rows strict, columns weak) standard skew tableaux with entries in [1,n]."""
+    lam, mu = trim(tuple(lam)), trim(tuple(mu))
+    mu_full = pad(mu, len(lam)) if lam else ()
+    if len(mu) > len(lam) or any(m > l for m, l in zip(mu_full, lam)):
+        raise ValueError("mu not contained in lam")
+    cells = [(r, c) for r in range(len(lam)) for c in range(mu_full[r], lam[r])]
+    out = {}
+
+    def rec(k, filling):
+        if k == len(cells):
+            w = [0] * n
+            for v in filling.values():
+                w[v - 1] += 1
+            wt = tuple(w)
+            out[wt] = out.get(wt, GradedSuperScalar.zero()) + GradedSuperScalar.one()
+            return
+        r, c = cells[k]
+        for v in range(1, n + 1):
+            left = filling.get((r, c - 1))
+            up = filling.get((r - 1, c))
+            if left is not None:
+                if eps % 2 == 0 and v < left:
+                    continue
+                if eps % 2 == 1 and v <= left:
+                    continue
+            if up is not None:
+                if eps % 2 == 0 and v <= up:
+                    continue
+                if eps % 2 == 1 and v < up:
+                    continue
+            filling[(r, c)] = v
+            rec(k + 1, filling)
+            del filling[(r, c)]
+
+    rec(0, {})
+    return CharacterVector(out)
 
 
 # ---------------------------------------------------------------------------
@@ -518,9 +803,11 @@ def codet_blocks(cb):
 # ---------------------------------------------------------------------------
 
 def tableau_share(T, tab, side):
-    """(weight, degree, parity) of a standard tableau."""
-    ((deg, par),) = tableau_degree(tab, T.alg).coeffs
-    return tableau_weight(tab, T.ctx.alphabet(side)), deg, par
+    """(weight, degree, parity) of a standard tableau: `tableau_weight`, and
+    the sums of the degrees and parities of its letters' basis elements."""
+    colors = [z for (_l, z) in tableau_word(tab)]
+    return (tableau_weight(tab, T.ctx.alphabet(side)), sum(T.alg.degree[z] for z in colors),
+            sum(T.alg.parity[z] for z in colors) % 2)
 
 
 def full_gram(T, bold):

@@ -1,5 +1,5 @@
 import pytest
-from helpers import BROKEN, broken_presentation
+from helpers import BROKEN, broken_presentation, make_zigzag_bar, truncate_base
 
 from schurify.base_algebra import (
     DecompInput,
@@ -12,7 +12,6 @@ from schurify.base_algebra import (
 )
 from schurify.base_heredity import HeredityReport, verify_heredity
 from schurify.rings import GradedSuperScalar
-from schurify.truncation import make_zigzag_bar, truncate_base
 
 
 def test_zigzag_dims():

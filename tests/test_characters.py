@@ -7,7 +7,7 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import lr_brute, multi_lr_brute, ssyt_count
+from helpers import lr_brute, make_zigzag_bar, multi_lr_brute, skew_char, ssyt_count
 from schurify import characters as ch
 from schurify import decomposition as dec
 from schurify.base_algebra import make_algebra
@@ -128,7 +128,7 @@ def test_skew_char_lmac(lr):
                 ):
                     continue
                 for eps in (0, 1):
-                    lhs = ch.skew_char(lam, mu, eps, n)
+                    lhs = skew_char(lam, mu, eps, n)
                     rhs = ch.CharacterVector()
                     rest = total - sum(mu)
                     for nu in partitions_of(rest, rest):
@@ -174,8 +174,6 @@ def test_char_requires_basic():
     alg, data, tau = make_algebra("semisimple:2")
     # semisimple base is basic; build a non-basic one by hand is out of scope,
     # but the zigzag-bar data is not strictly based and must be refused
-    from schurify.truncation import make_zigzag_bar
-
     trunc, tau2 = make_zigzag_bar(1)
     with pytest.raises(ValueError):
         ch.DecompInput.from_base(trunc.algebra, trunc.data)

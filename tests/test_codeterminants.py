@@ -10,25 +10,28 @@ import pytest
 
 from helpers import (
     assert_reaped,
+    block_keys,
     codet_blocks,
     eager_codet_blocks,
     full_gram,
     gram_entries,
     heredity_oracle,
+    index_expansion,
     lu_det,
     lu_solve,
     orbit_profiles,
     tableau_share,
+    tableau_weight,
+    truncation_idempotent,
 )
 from schurify import codeterminants as codet, heredity
 from schurify.base_algebra import SIDES, X_SIDE, Y_SIDE, make_algebra
-from schurify.decomposition import gram_blocks
+from schurify.decomposition import decomp_oracle, gram_blocks
 from schurify.exactla import Block, unit_determinant
 from schurify.heredity import heredity_of_T
 from schurify.partitions import leq
 from schurify.schur import SchurAlgebra, build_schur
 from schurify.straighten import Straightener, orbit_to_codet
-from schurify.tableaux import tableau_weight
 from schurify.verification import cellular_basis
 
 
@@ -52,7 +55,6 @@ def test_initial_codeterminant_is_idempotent(T122, cb):
 def test_idempotent_action_on_tableau_elements(T122, cb):
     """e_mu * X_S = delta_{mu, alpha^S} X_S and Y_T * e_mu symmetrically."""
     from schurify.partitions import gen_multicompositions, pad
-    from schurify.tableaux import tableau_weight
 
     mus = gen_multicompositions(2, 2, 1)
     for bold in cb.shapes:
@@ -102,7 +104,7 @@ def test_straighten_standard_fixed(T122, cb):
     rng = random.Random(4)
     for key in rng.sample(cb.keys, 40):
         assert st.straighten_codet(key) == {key: 1}
-        assert cb.solve(T122.element(cb.index_expansion(key))) == {key: 1}
+        assert cb.solve(T122.element(index_expansion(cb, key))) == {key: 1}
 
 
 def test_straighten_triangular_and_roundtrip(T122, cb):
@@ -116,7 +118,7 @@ def test_straighten_triangular_and_roundtrip(T122, cb):
         back = {}
         for key, c in exp.items():
             assert leq(mu, key[0]), (o, key)
-            back = T122.add(back, T122.element(cb.index_expansion(key)), c)
+            back = T122.add(back, T122.element(index_expansion(cb, key)), c)
         assert back == {o: 1}, o
 
 
@@ -275,7 +277,7 @@ def test_cellularity_zigzag_bar(T122):
 
     by_shape = Counter(bold for (bold, _S, _T) in cells)
     assert sorted(by_shape.values()) == [1, 1, 9, 9, 16]
-    e = T122.truncation_idempotent([0])
+    e = truncation_idempotent(T122, [0])
     assert T122.involution(e) == e
     for (bold, S, T2), el in cells.items():
         assert T122.involution(el) == cells[(bold, T2, S)]
@@ -444,7 +446,7 @@ def test_lazy_blocks_match_the_eager_walk(spec, n, d, truncated):
     cb, other = T.codet_basis, codet.CodetBasis(T)
     eager = eager_codet_blocks(other)
     with_columns = [key for key, (_rows, cols) in eager.items() if cols]
-    streamed = list(cb.block_keys)
+    streamed = list(block_keys(cb))
     assert len(set(streamed)) == len(streamed)
     lazy = codet_blocks(cb)
     assert list(lazy) == sorted(with_columns) and len(lazy) == len(with_columns)
@@ -492,12 +494,10 @@ def test_one_sided_enumeration_matches_the_grouping(spec, n, d, truncated):
 def test_a_solve_builds_only_the_block_it_meets(monkeypatch):
     """A solve builds the one block its orbit lies in, and the decomposition
     oracle lists no orbits."""
-    from schurify.characters import decomp_oracle
-
     alg, data, tau = make_algebra("zigzag:2")
     T = build_schur(alg, data, 2, 2, tau)
     cb = T.codet_basis
-    key = list(cb.block_keys)[5]
+    key = list(block_keys(cb))[5]
     rows, _cols = codet_blocks(cb)[key]
     built, listed = [], []
     real_block, real_list = codet.CodetBasis._block, T.orbits_with_profile
@@ -605,8 +605,6 @@ def test_heredity_and_oracle_keep_nothing_in_the_algebra_tables(spec):
     decomposition oracle adds a kernel factor to the algebra's tables: the
     heredity check keeps what it makes for its own call, and the Gram rows
     make and drop theirs."""
-    from schurify.characters import decomp_oracle
-
     alg, data, tau = make_algebra(spec)
     T = build_schur(alg, data, 2, 2, tau)
     assert T.codet_basis.unimodular()
@@ -732,7 +730,7 @@ def test_unimodularity_check_takes_determinants_alone(monkeypatch):
     assert len(expanded) == len(set(expanded)) == len(cb.keys) and set(expanded) == set(cb.keys)
     assert not cb._factored  # no walk-built block is kept
 
-    mat = [[T.element(cb.index_expansion(col)).get(orbit, 0) for col in cols] for orbit in rows]
+    mat = [[T.element(index_expansion(cb, col)).get(orbit, 0) for col in cols] for orbit in rows]
     x = [(-1) ** j * (j + 1) for j in range(len(cols))]
     v = {orbit: c for orbit, row in zip(rows, mat)
          if (c := sum(m * xj for m, xj in zip(row, x)))}
@@ -823,7 +821,7 @@ def _single_term_blocks(cb) -> list:
     +-1: the signed permutation matrices among the blocks."""
     return [(key, cols) for key, (_rows, cols) in codet_blocks(cb).items()
             if all(len(v) == 1 and abs(next(iter(v.values()))) == 1
-                   for v in map(cb.index_expansion, cols))]
+                   for v in (index_expansion(cb, col) for col in cols))]
 
 
 @pytest.mark.parametrize("size", [1, 2])
@@ -892,7 +890,7 @@ def test_row_codes_read_the_block_key(spec, n, d, truncated):
     T = ambient.truncate([0]) if truncated else ambient
     cb = T.codet_basis
     index, code = T.ctx.index, cb._letter_codes
-    keys = list(cb.block_keys)
+    keys = list(block_keys(cb))
     for orbit in ambient.orbits:
         w = tuple(index[lt] for lt in orbit)
         own = all(T._has_index[i] for i in w) and T.ctx.block_key(w)
@@ -907,12 +905,11 @@ def test_axiom_a_names_an_orbit_no_column_reaches(monkeypatch):
     alg, data, tau = make_algebra("zigzag:1")
     T = build_schur(alg, data, 2, 2, tau)
     cb = T.codet_basis
-    expansion = cb.index_expansion
     key, col, lost = next(
         (key, col, orbit)
         for key, (_rows, cols) in codet_blocks(cb).items() if len(cols) > 1
-        for col in cols for orbit in expansion(col)
-        if not any(orbit in expansion(c) for c in cols if c != col))
+        for col in cols for orbit in index_expansion(cb, col)
+        if not any(orbit in index_expansion(cb, c) for c in cols if c != col))
     real = codet.CodetBasis._expand
 
     def broken(self, x, y):
@@ -974,7 +971,7 @@ def test_the_two_processes_walk_every_block_once(monkeypatch, tmp_path, forks):
     assert 1 <= len(walks) <= 2
     blocks = [block for walk in walks for block in walk]
     keys = [key for key, _det, _size in blocks]
-    assert len(keys) == len(set(keys)) and set(keys) == set(T.codet_basis.block_keys)
+    assert len(keys) == len(set(keys)) and set(keys) == set(block_keys(T.codet_basis))
     assert all(abs(det) == 1 for _key, det, _size in blocks)
     assert sum(size for _key, _det, size in blocks) == T.rank
 
@@ -988,7 +985,7 @@ def test_the_shared_walk_names_the_least_of_two_failing_blocks(monkeypatch, tmp_
     alg, data, tau = make_algebra("zigzag:1")
     T = build_schur(alg, data, 3, 3, tau)
     cb = T.codet_basis
-    keys = list(cb.block_keys)
+    keys = list(block_keys(cb))
     least, greatest = keys[0], keys[-1]
     doubled = {(x.bold, x.tab, y.tab) for key in (least, greatest) for x, y in cb._columns(key)[-1:]}
     real = codet.CodetBasis._expand
@@ -1022,7 +1019,7 @@ def test_the_shared_walk_fails_as_one_process_does(monkeypatch, kind, where, for
     alg, data, tau = make_algebra("zigzag:1")
     T = build_schur(alg, data, 2, 2, tau)
     cb = T.codet_basis
-    keys = list(cb.block_keys)
+    keys = list(block_keys(cb))
     key = keys[0] if where == "least" else keys[-1]
     col = cb._columns(key)[0]
     if kind == "stray row":
@@ -1060,7 +1057,7 @@ def test_an_axiom_a_failure_hides_what_axioms_c_and_b_raise(monkeypatch, forks):
     raised; but when axiom (a) fails, the report names that failure alone."""
     alg, data, tau = make_algebra("zigzag:1")
     T = build_schur(alg, data, 2, 2, tau)
-    first = next(T.codet_basis.block_keys)
+    first = next(block_keys(T.codet_basis))
 
     def planted(self, bold):
         raise RuntimeError("planted in axiom (c)")
@@ -1113,7 +1110,7 @@ def test_the_shared_walk_raises_an_exception_of_its_own_class(monkeypatch, forks
     the walk in this process."""
     alg, data, tau = make_algebra("zigzag:1")
     T = build_schur(alg, data, 2, 2, tau)
-    least = next(T.codet_basis.block_keys)
+    least = next(block_keys(T.codet_basis))
     if where == "least block":
         real = codet.CodetBasis._checked_rows
 
@@ -1149,7 +1146,7 @@ def test_a_child_with_no_verdict_leaves_every_run_to_this_process(monkeypatch, t
     alg, data, tau = make_algebra("zigzag:1")
     T = build_schur(alg, data, 2, 2, tau)
     cb = T.codet_basis
-    keys = list(cb.block_keys)
+    keys = list(block_keys(cb))
     if failing:
         _double_last_columns(monkeypatch, cb, keys[:1])
     want = _one_process_failures(cb)
@@ -1183,7 +1180,7 @@ def test_runs_of_many_weights_share_the_walk(monkeypatch, tmp_path, forks, faili
     alg, data, tau = make_algebra("zigzag:1")
     T = build_schur(alg, data, 3, 3, tau)
     cb = T.codet_basis
-    keys, weights = list(cb.block_keys), cb._weights[0]
+    keys, weights = list(block_keys(cb)), cb._weights[0]
     late = [key for key in keys if key[0] == weights[23]][-1]
     if failing:
         _double_last_columns(monkeypatch, cb, [late, keys[-1]])
@@ -1212,7 +1209,7 @@ def test_the_check_leaves_the_descriptors_as_it_found_them(monkeypatch, forks, f
     T = build_schur(alg, data, 2, 2, tau)
     cb = T.codet_basis
     if failing:
-        _double_last_columns(monkeypatch, cb, [next(cb.block_keys)])
+        _double_last_columns(monkeypatch, cb, [next(block_keys(cb))])
     if fork == "missing":
         monkeypatch.delattr(os, "fork")
     elif fork == "raising":

@@ -1,9 +1,10 @@
 import pytest
 
+from helpers import tableau_weight
 from schurify import characters as ch
 from schurify import decomposition as dec
 from schurify.base_algebra import make_algebra
-from schurify.partitions import gen_multipartitions, leq
+from schurify.partitions import gen_multipartitions, leq, partitions_of
 from schurify.rings import GF, QQ, GradedSuperScalar
 from schurify.schur import build_schur
 
@@ -82,6 +83,46 @@ def test_formula_equals_oracle_f2(T122, lr):
         assert row == _oracle_row(D, lam), lam
 
 
+# the off-diagonal classical decomposition numbers [Delta(gamma) : L(mu)] of
+# S(3, 3) over F_p, read off GL_3 rather than computed: over F_2 the Weyl
+# module Delta(2,1) is the Steinberg module, simple, and Delta(3) = S^3 V
+# (dimension 10) is L(3) = V (x) V^[1] (Steinberg's tensor product theorem,
+# dimension 9) and the determinant; over F_3, Delta(3) (dimension 10) is
+# L(3) = V^[1] (dimension 3) and L(2,1), the adjoint module of dimension 8
+# less its trivial submodule (dimension 7), and Delta(2,1) is L(2,1) and the
+# determinant
+CLASSICAL_S33_OFF_DIAGONAL = {
+    2: {((3,), (1, 1, 1)): 1},
+    3: {((3,), (2, 1)): 1, ((2, 1), (1, 1, 1)): 1},
+}
+
+
+@pytest.mark.parametrize("p", sorted(CLASSICAL_S33_OFF_DIAGONAL))
+def test_classical_decomposition_numbers_of_s33_in_char_p(p):
+    """The classical matrix that the char-p formula route reads, pinned at
+    n = d = 3 from GL_3's modules, not from the Gram-rank oracle it is
+    computed by: unitriangular, with exactly the off-diagonal entries above."""
+    classical = dec.ClassicalDecomp(3, GF(p))
+    labels = partitions_of(3, 3)
+    assert all(classical(lam, lam) == 1 for lam in labels)
+    off = {(lam, mu): c for lam in labels for mu in labels
+           if lam != mu and (c := classical(lam, mu))}
+    assert off == CLASSICAL_S33_OFF_DIAGONAL[p]
+
+
+@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_classical_matrix_is_the_identity_exactly_when_p_exceeds_the_size(n, p):
+    """S(n, e) with n >= e is semisimple over F_p exactly when p > e
+    (Doty-Erdmann-Martin-Nakano, Math. Z. 232, 1999), so its classical
+    decomposition matrix is the identity exactly then."""
+    classical = dec.ClassicalDecomp(n, GF(p))
+    for e in range(1, n + 1):
+        labels = partitions_of(e, e)
+        identity = all(classical(lam, mu) == (lam == mu) for lam in labels for mu in labels)
+        assert identity == (p > e), (n, p, e)
+
+
 def test_formula_rows_entries_and_oracle_agree_zigzag2_f3(lr):
     """zigzag:2 with n = d = 3 over GF(3): every row of the formula, every
     entry of the formula computed alone and the oracle agree."""
@@ -123,7 +164,6 @@ def test_oracle_multiplies_only_equal_weight_pairs(monkeypatch):
     make at most one product per pair of standard tableaux of equal weight,
     each through the uncached pairing Y_T X_S."""
     from schurify.codeterminants import CodetBasis
-    from schurify.tableaux import tableau_weight
 
     T = _T("zigzag:2", 2, 2)
     cb = T.codet_basis

@@ -8,6 +8,7 @@ each command imports its layers in its own body.  The layer benchmark still
 reads some names from their old modules, which forward exactly those names.
 And no module reaches the token bound past which a late compile raises a
 command's peak."""
+import ast
 import os
 import subprocess
 import sys
@@ -122,6 +123,59 @@ def test_every_module_stays_under_the_late_compile_token_bound():
              for name in sorted(os.listdir(PACKAGE)) if name.endswith(".py")}
     assert {"codeterminants.py", "straighten.py", "heredity.py"} <= sizes.keys()
     assert max(sizes.values()) < MODULE_TOKEN_BOUND, sizes
+
+
+# the names nothing in the package reads, each kept for the layer benchmark
+READ_OUTSIDE_SRC = {
+    "codeterminants.CodetBasis.unimodular",  # perfbench/layers.py reads it (ROADMAP item 12)
+    "decomposition.decomp_formula",  # perfbench/layers.py reads it (ROADMAP item 12)
+    "heredity.heredity_of_T",  # perfbench/layers.py reads it (ROADMAP item 12)
+}
+PLAIN_DECORATORS = {"property", "cached_property", "staticmethod"}
+
+
+def unread_definitions(package: str) -> set[str]:
+    """The top-level functions and classes of the package's modules, and
+    the methods of its classes, that are undecorated or decorated only by
+    `PLAIN_DECORATORS` and whose name nothing in the package reads outside
+    their own body, as a `Name`, an `Attribute` or an import alias; dunder
+    names are exempt.  The scan is by name, so it cannot tell two
+    definitions of one name apart."""
+    defined, reads = [], []
+    for name in sorted(os.listdir(package)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(package, name), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        module = name[:-3]
+        for node in tree.body:
+            members = [(None, node)]
+            if isinstance(node, ast.ClassDef):
+                members += [(node.name, sub) for sub in node.body]
+            for owner, sub in members:
+                if (isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                        and all(isinstance(dec, ast.Name) and dec.id in PLAIN_DECORATORS
+                                for dec in sub.decorator_list)
+                        and not (sub.name.startswith("__") and sub.name.endswith("__"))):
+                    defined.append((".".join(filter(None, (module, owner, sub.name))), module, sub))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                reads.append((node.id, module, node.lineno))
+            elif isinstance(node, ast.Attribute):
+                reads.append((node.attr, module, node.lineno))
+            elif isinstance(node, ast.alias):
+                reads.append((node.name.rpartition(".")[2], module, node.lineno))
+    return {qualified for qualified, module, node in defined
+            if not any(read == node.name
+                       and not (where == module and node.lineno <= line <= node.end_lineno)
+                       for read, where, line in reads)}
+
+
+def test_src_holds_no_code_that_only_the_tests_read():
+    """Every function, class and method of the package is read somewhere
+    in the package outside its own body, but for the names the layer
+    benchmark reads: what only the tests read lives under `tests/`."""
+    assert unread_definitions(PACKAGE) == READ_OUTSIDE_SRC
 
 
 def test_char_loads_the_characters_but_not_the_decomposition_layer(tmp_path):

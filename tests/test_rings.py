@@ -5,12 +5,12 @@ from schurify.rings import GF, QQ, ZZ, GradedSuperScalar
 
 def test_basic_arithmetic():
     one = GradedSuperScalar.one()
-    q = GradedSuperScalar.q_power(1)
+    q = GradedSuperScalar.term(1, 1)
     pi = GradedSuperScalar.term(1, 0, 1)
-    assert q * GradedSuperScalar.q_power(-1) == one
+    assert q * GradedSuperScalar.term(1, -1) == one
     # pi squares to 1
     assert pi * pi == one
-    assert (q * pi) * (q * pi) == GradedSuperScalar.q_power(2)
+    assert (q * pi) * (q * pi) == GradedSuperScalar.term(1, 2)
     assert GradedSuperScalar.zero() * q == GradedSuperScalar.zero()
     assert not GradedSuperScalar.zero()
 

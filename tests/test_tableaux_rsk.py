@@ -2,17 +2,11 @@ from itertools import product
 
 import pytest
 
+from helpers import shape_of, tableau_from_json, tableau_weight
 from schurify.base_algebra import SIDES, make_algebra
 from schurify.partitions import gen_multipartitions
 from schurify.rsk import rsk, rsk_inv
-from schurify.tableaux import (
-    enumerate_tableaux,
-    from_json,
-    is_standard,
-    shape_of,
-    tableau_weight,
-    to_json,
-)
+from schurify.tableaux import enumerate_tableaux, is_standard, to_json
 from schurify.triples import TriContext
 
 
@@ -88,4 +82,4 @@ def test_tableau_weight(T122):
 def test_tableau_json_roundtrip(T122):
     for bold in (((2,), ()), ((1,), (1,))):
         for t in enumerate_tableaux(bold, T122.ctx.x_alphabet):
-            assert from_json(to_json(t)) == t
+            assert tableau_from_json(to_json(t)) == t

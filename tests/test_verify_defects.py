@@ -10,7 +10,7 @@ planted defects in `test_cli.py`."""
 import json
 
 import pytest
-from helpers import assert_reaped, run_cli as run, verify_fails_only
+from helpers import assert_reaped, block_keys, run_cli as run, verify_fails_only
 
 from schurify.base_algebra import make_algebra
 from schurify.schur import SchurAlgebra, build_schur
@@ -141,7 +141,7 @@ def test_verify_names_the_block_where_the_schur_heredity_fails(monkeypatch, tmp_
     from schurify.codeterminants import CodetBasis
 
     cb = algebra("zigzag:1", 2, 2).codet_basis
-    first = next(cb.block_keys)
+    first = next(block_keys(cb))
     real = CodetBasis._walk
 
     def skewed(self, weights=None):
