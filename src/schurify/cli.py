@@ -73,8 +73,8 @@ def _lr_cache(args: argparse.Namespace) -> LRCache:
 
 
 def _require_qh_algebra(args: argparse.Namespace, T) -> None:
-    """A truncation (`T.keep_basis`) is only cellular: a usage error here."""
-    if T.keep_basis is not None:
+    """A truncation (`T.is_truncation`) is only cellular: a usage error here."""
+    if T.is_truncation:
         raise UsageError(
             f"--algebra {args.algebra} is cellular but not quasi-hereditary, and this "
             "command needs a quasi-hereditary algebra"

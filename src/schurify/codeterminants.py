@@ -10,12 +10,13 @@ element in that basis by an exact blocked linear solve against the
 codeterminant expansion matrix, blocked by the conserved (left profile,
 right profile, degree, parity); the recursive rewrite that checks it is
 `straighten.Straightener`, and the heredity axioms on this basis are
-checked by `heredity.heredity_of_T`.  Each function built on this basis for
-one caller lives beside that caller: `orbit_to_codet` in `straighten`, the
-Gram matrices of the standard modules (`gram_blocks`) in `decomposition`,
-and the cellular basis of a truncation in `verification`.  Those modules
-import this one and are loaded only by the commands that run them (see the
-README's module map).
+checked by `heredity.heredity_of_T`.  A truncation (`T.is_truncation`) is
+only cellular, and its cellular basis lies in the ambient algebra, so the
+basis refuses it, as it refuses n < d.  Each function built on this basis
+for one caller lives beside that caller: `orbit_to_codet` in `straighten`
+and the Gram matrices of the standard modules (`gram_blocks`) in
+`decomposition`.  Those modules import this one and are loaded only by
+the commands that run them (see the README's module map).
 A block is built from its columns alone: the standard codeterminants whose
 tableau shares add up to its key, expanded on letter indices by the product
 kernel, and as rows the orbits those expansions reach, labelled by their
@@ -40,8 +41,7 @@ Element per tableau.  The standard tableaux and their shares of the block
 keys, (weight, degree, parity), come from one table on the algebra's context
 (`TriContext.standard_tableaux`), each tableau's share read in one pass over
 its letters; the blocks, the heredity check, the Gram matrices and the
-tableau characters all read that table, and a truncation keeps the
-tableaux whose letters survive it (`CodetBasis._tableau_blocks`).
+tableau characters all read that table.
 The walk's tableau shares take their kernel factors from the algebra's
 tables (`SchurAlgebra.lefts`, `.rights`), kept for its life;
 `heredity_of_T` keeps the factors it makes beyond those for its own call,
@@ -64,7 +64,7 @@ from .base_algebra import SIDES, X_SIDE, Y_SIDE, Side
 from .exactla import Block, unit_determinant
 from .partitions import gen_multipartitions
 from .schur import Element, SchurAlgebra
-from .tableaux import Tableau, word as tableau_word
+from .tableaux import Tableau
 from .triples import OnLookup, TriWord, run_key
 
 CodetKey = tuple[tuple[tuple[int, ...], ...], Tableau, Tableau]  # (shape, S, T)
@@ -118,10 +118,14 @@ class CodetBasis:
     of basis from the orbit basis."""
 
     def __init__(self, T: SchurAlgebra):
-        # below n = d the standard codeterminants stop spanning; only the
-        # plain algebra operations remain available
+        # below n = d the standard codeterminants stop spanning, and a
+        # truncation is only cellular; only the plain algebra operations
+        # remain available
         if T.n < T.d:
             raise ValueError("standard codeterminant basis requires n >= d")
+        if T.is_truncation:
+            raise ValueError("standard codeterminant basis requires a quasi-hereditary "
+                             "algebra, not a truncation")
         self.T = T
         self._factored: dict = {}
 
@@ -137,9 +141,6 @@ class CodetBasis:
     @cached_property
     def std_y(self) -> dict:
         return {bold: [Tb for Tb, _share in ys] for bold, (_xs, ys) in self._tableau_blocks.items()}
-
-    def std(self, side: Side) -> dict:
-        return side.pick(self.std_x, self.std_y)
 
     @cached_property
     def keys(self) -> list[CodetKey]:
@@ -194,17 +195,9 @@ class CodetBasis:
     def _tableau_blocks(self) -> dict:
         """shape -> ([(S, its share)], [(T, its share)]) of the block keys,
         (weight, degree, parity mod 2), in the order of the standard
-        tableaux: the context's table (`TriContext.standard_tableaux`), kept
-        to the tableaux whose letters all survive a truncation."""
-        table, keep = self.T.ctx.standard_tableaux, self.T.keep_basis
-
-        def kept(tabs: tuple) -> tuple:
-            if keep is None:
-                return tabs
-            return tuple([(tab, share) for tab, share in tabs
-                          if all(z in keep for (_l, z) in tableau_word(tab))])
-
-        return {bold: tuple(kept(table[side, bold]) for side in SIDES) for bold in self.shapes}
+        tableaux: the context's table (`TriContext.standard_tableaux`)."""
+        table = self.T.ctx.standard_tableaux
+        return {bold: tuple(table[side, bold] for side in SIDES) for bold in self.shapes}
 
     @cached_property
     def _shares(self) -> tuple[dict, dict]:
@@ -287,32 +280,30 @@ class CodetBasis:
 
     @cached_property
     def _digits(self) -> tuple[int, ...]:
-        """B^k for B = d + 1 and k = 0, ..., 2m + 2, m the profile slots a
+        """B^k for B = d + 1 and k = 0, ..., 2m + 1, m the profile slots a
         side: the digits of `_letter_codes`."""
         m = len(self.T.data.labels) * self.T.n
-        return tuple((self.T.d + 1) ** k for k in range(2 * m + 3))
+        return tuple((self.T.d + 1) ** k for k in range(2 * m + 2))
 
     @cached_property
     def _letter_codes(self) -> tuple[int, ...]:
         """Per letter index, its share of a row's block key packed into one
         int, in digits of base B = d + 1 for m profile slots a side: B^l for
         its left slot l, B^(m + r) for its right slot r, B^(2m) when it is
-        no letter of T, B^(2m + 1) when it is odd, and its degree times
-        B^(2m + 2).  A word of d letters counts at most d in each digit, so
-        the sum of its codes spells exactly its two profiles, how many of
-        its letters are outside T, how many are odd, and its degree."""
-        T, digits = self.T, self._digits
-        ctx, m = T.ctx, len(digits) // 2 - 1
+        odd, and its degree times B^(2m + 1).  A word of d letters counts at
+        most d in each digit, so the sum of its codes spells exactly its two
+        profiles, how many of its letters are odd, and its degree."""
+        digits, ctx = self._digits, self.T.ctx
+        m = len(digits) // 2 - 1
         left, right = ctx.slots
-        return tuple(digits[left[i]] + digits[m + right[i]] + (not T._has_index[i]) * digits[2 * m]
-                     + ctx.odd[i] * digits[2 * m + 1] + ctx.degree[i] * digits[2 * m + 2]
-                     for i in range(len(ctx.letters)))
+        return tuple(digits[left[i]] + digits[m + right[i]] + ctx.odd[i] * digits[2 * m]
+                     + ctx.degree[i] * digits[2 * m + 1] for i in range(len(ctx.letters)))
 
     def _row_codes(self, key) -> tuple[int, frozenset[int]]:
         """The sums of `_letter_codes` over the orbits of T with block key
         `key`, as a part and the set of what may be added to it: its
-        profiles and degree, no letter outside T, and any number of odd
-        letters up to d of its parity."""
+        profiles and degree, and any number of odd letters up to d of its
+        parity."""
         alpha, beta, deg, par = key
         digits, codes = self._digits, self._profile_codes
         fixed = codes[alpha] + codes[beta] * digits[len(digits) // 2 - 1] + deg * digits[-1]
@@ -344,10 +335,9 @@ class CodetBasis:
 
     def _checked_rows(self, key, cols, expansions) -> set:
         """The index words that the expansions of the columns `cols` reach,
-        each checked to be an orbit of T (`SchurAlgebra._has_index`) with
-        block key `key` by one sum over the per-letter table
-        `_letter_codes`.  When they are fewer than the columns, an orbit
-        under `key` that no column reaches is named; only then are the
+        each checked to carry block key `key` by one sum over the per-letter
+        table `_letter_codes`.  When they are fewer than the columns, an
+        orbit under `key` that no column reaches is named; only then are the
         block's orbits listed."""
         T = self.T
         reached: set = set().union(*expansions)
@@ -372,9 +362,6 @@ class CodetBasis:
             for w in v:
                 if w in stray:
                     col = (x.bold, x.tab, y.tab)
-                    if not all(map(self.T._has_index.__getitem__, w)):
-                        raise AssertionError(f"codeterminant block {key}: column {col} reaches "
-                                             f"{ctx.word(w)}, which is not an orbit of T")
                     raise AssertionError(f"codeterminant block {key}: column {col} "
                                          f"reaches {ctx.word(w)} of block {ctx.block_key(w)}")
 

@@ -124,20 +124,13 @@ class GradedSuperScalar:
                 del d[k]
         return GradedSuperScalar._normal(d)
 
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return self.scale(other)
+    def __mul__(self, other: "GradedSuperScalar") -> "GradedSuperScalar":
         d: dict[tuple[int, int], int] = {}
         for (m1, e1), c1 in self.coeffs.items():
             for (m2, e2), c2 in other.coeffs.items():
                 k = (m1 + m2, (e1 + e2) % 2)
                 d[k] = d.get(k, 0) + c1 * c2
         return GradedSuperScalar(d)
-
-    __rmul__ = __mul__
-
-    def scale(self, c: int) -> "GradedSuperScalar":
-        return GradedSuperScalar({k: c * v for k, v in self.coeffs.items()})
 
     def __eq__(self, other) -> bool:
         if isinstance(other, int):

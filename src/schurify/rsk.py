@@ -124,6 +124,5 @@ def rsk_inv(ctx: TriContext, S: Tableau, T: Tableau) -> TriWord:
             s, y = t
             rr, x = bottom
             letters.append((to_label[(i, x, y)], rr, s))
-    rep, _sign = TriContext.canonicalize(ctx, tuple(letters), strict=True)
-    assert rep is not None
+    rep, _sign = ctx.canonicalize(tuple(letters))
     return rep

@@ -34,7 +34,7 @@ is made once.  `heredity_of_T` reads them and keeps what it makes beyond
 them for its own call only: kept here, they raised the tracemalloc peak of
 `verify` on zigzag:1 n=d=3 from 7.00 to 7.25 MB.  No product is kept
 (`mult_orbits` says why).  The rank is the count `orbit` unranks through,
-and the idempotent sums run over `partitions.gen_multicompositions`.
+and the unit is a sum over `partitions.gen_multicompositions`.
 
 All structure constants are integral on the eta lattice; a non-integral
 coefficient aborts loudly (it would signal an implementation bug).
@@ -142,6 +142,12 @@ class SchurAlgebra:
         slots = [self.ctx.profile_slot(lt, side) for lt in self._letters]
         counts = [c for comp in profile for c in comp]
         return _multisets(self._letters, self.d, self.ctx, (slots, counts))
+
+    @property
+    def is_truncation(self) -> bool:
+        """Whether this is a truncation xi^e T xi^e (`truncate`): only
+        cellular, with no codeterminant basis and no highest-weight theory."""
+        return self.keep_basis is not None
 
     @cached_property
     def _has_index(self) -> tuple[bool, ...]:
@@ -333,15 +339,6 @@ class SchurAlgebra:
         return {k: v for k, v in out.items() if v}
 
     # -- linear structure --------------------------------------------------
-    @staticmethod
-    def add(x: Element, y: Element, c: int = 1) -> Element:
-        out = dict(x)
-        for k, v in y.items():
-            out[k] = out.get(k, 0) + c * v
-            if not out[k]:
-                del out[k]
-        return out
-
     def eta(self, word: TriWord) -> Element:
         """The eta basis element of an arbitrary admissible word, with sign;
         ValueError for a word that is not d letters of this algebra."""
@@ -367,22 +364,18 @@ class SchurAlgebra:
             i = self.data.labels[pos]
             for r, width in enumerate(comp, start=1):
                 word += [(self.data.e[i], r, r)] * width
-        rep, sign = self.ctx.canonicalize(tuple(word), strict=True)
+        rep, sign = self.ctx.canonicalize(tuple(word))
         assert sign == 1
         return {rep: 1}
 
-    def _idempotent_sum(self, keep) -> Element:
+    def unit(self) -> Element:
         """The sum of e_bold over the tuples of compositions `bold` (one per
-        color, n parts each, total size d) that `keep` accepts.  Distinct
-        tuples give distinct orbits, each with coefficient 1."""
+        color, n parts each, total size d).  Distinct tuples give distinct
+        orbits, each with coefficient 1."""
         out: Element = {}
         for bold in gen_multicompositions(self.n, self.d, len(self.data.labels) - 1):
-            if keep(bold):
-                out.update(self.idempotent_bold(bold))
+            out.update(self.idempotent_bold(bold))
         return out
-
-    def unit(self) -> Element:
-        return self._idempotent_sum(lambda bold: True)
 
     # -- anti-involution ---------------------------------------------------
     def involution(self, x: Element) -> Element:
@@ -393,7 +386,7 @@ class SchurAlgebra:
         out: Element = {}
         for orbit, c in x.items():
             word = tuple((self.tau.image[b], s, r) for (b, r, s) in orbit)
-            rep, sign = self.ctx.canonicalize(word, strict=True)
+            rep, sign = self.ctx.canonicalize(word)
             out[rep] = out.get(rep, 0) + c * sign
         return {k: v for k, v in out.items() if v}
 

@@ -91,9 +91,6 @@ class TriContext:
                     out[(b, r, s)] = (-self._color_pos[i], s, yi, r, xi)
         return out
 
-    def key(self, letter: TriLetter):
-        return self.letter_key[letter]
-
     def is_odd(self, letter: TriLetter) -> bool:
         return self.alg.parity[letter[0]] == 1
 
@@ -192,18 +189,13 @@ class TriContext:
         index = self.index
         return self.sort_signed([index[w] for w in word])[0] is not None
 
-    def canonicalize(self, word: TriWord, strict: bool = False) -> tuple[TriWord | None, int]:
-        """Sort into the canonical representative; returns (rep, sign).
-
-        Returns (None, 0) for an inadmissible word (the element is zero) unless
-        strict, in which case a ValueError is raised.
-        """
+    def canonicalize(self, word: TriWord) -> tuple[TriWord, int]:
+        """Sort into the canonical representative; returns (rep, sign).  An
+        inadmissible word, which repeats an odd letter, raises ValueError."""
         index = self.index
         rep, sign = self.sort_signed([index[w] for w in word])
         if rep is None:
-            if strict:
-                raise ValueError(f"repeated odd letter in {word}")
-            return None, 0
+            raise ValueError(f"repeated odd letter in {word}")
         return self.word(rep), sign
 
     # -- weight profiles and block keys -----------------------------------

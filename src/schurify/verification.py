@@ -2,17 +2,21 @@
 algebra, from a fixed seed, and prints as a pass/fail table.
 
 There are nine checks: the unit, associativity, the rank (two ways: the
-standard codeterminant count, and RSK on a sample; a truncation counts its
-cellular basis), the anti-involution, and, on a quasi-hereditary algebra,
-straightening against the solve, the heredity of A and of T, the two
-character routes and the two decomposition routes.  Samples are drawn by
-index and unranked (`T.orbit`), so no check lists the orbits.
+standard codeterminant count, and RSK on a sample; a truncation counts the
+pairs of its cellular basis), the anti-involution, and, on a
+quasi-hereditary algebra, straightening against the solve, the heredity
+of A and of T, the two character routes and the two decomposition routes.
+Samples are drawn by index and unranked (`T.orbit`), so no check lists
+the orbits.
 
 `run_checks` takes T, the seed, the ring and the LR cache, and returns
 the result rows; `cli.verify` prints them and keeps the exit code.  Which
-rows apply is read off T: a truncation (`T.keep_basis`) is only cellular,
-so its highest-weight checks are not registered, and a check that does
-not apply to T (n < d, or no anti-involution) gives a row with no verdict.
+rows apply is read off T.  A truncation (`T.is_truncation`) is only
+cellular, its cellular basis X_S tau(X_T) lying in the ambient algebra
+(Graham and Lehrer, Cellular algebras, Invent. Math. 123, 1996): its rank
+row counts the pairs (S, T) without multiplying them, and its
+highest-weight checks are not registered.  A check that does not apply to
+T (n < d, or no anti-involution) gives a row with no verdict.
 The Schur heredity check's axiom (a) walk starts on a forked child before
 the first row (`heredity.Started`) and shares the runs of X weights with
 this process through one pipe, a byte a run.  At that check's row this
@@ -37,48 +41,14 @@ from . import partitions
 from .base_algebra import X_SIDE
 from .base_heredity import verify_heredity
 from .characters import LRCache, char_standard_formula, char_standard_tableaux
-from .codeterminants import side_element
 from .decomposition import ClassicalDecomp, decomp_formula_row, decomp_oracle
 from .heredity import Started
 from .rings import QQ, CoefficientRing
 from .rsk import rsk, rsk_inv
-from .schur import Element, SchurAlgebra
+from .schur import SchurAlgebra
 from .straighten import Straightener
 from .tableaux import word as tableau_word
 from .triples import TriContext
-
-
-# ---------------------------------------------------------------------------
-# cellular basis for involution-stable truncations
-# ---------------------------------------------------------------------------
-
-def cellular_basis(T: SchurAlgebra, colors) -> dict[tuple, Element]:
-    """C^bold_{S,T} = X_S * tau(X_T) for the truncation by the initial
-    idempotents in `colors`, assuming the truncating element is fixed by the
-    standard anti-involution.  Keys are (shape, S, T) with S, T standard over
-    the one-sided truncated X alphabets; the factors live in the ambient
-    algebra but every product lands in the truncation."""
-    if T.tau is None:
-        raise ValueError("no anti-involution on the base algebra")
-    colors = frozenset(colors)
-    absorbers = T.ctx.x_alphabet.absorbers
-
-    def left_kept(z: str) -> bool:
-        return absorbers.get(z) in colors
-
-    cb = T.codet_basis
-    out: dict[tuple, Element] = {}
-    for bold in cb.shapes:
-        tabs = [
-            S for S in cb.std_x[bold]
-            if all(left_kept(z) for (_l, z) in tableau_word(S))
-        ]
-        xs = [side_element(T, S, X_SIDE) for S in tabs]
-        ys = [T.involution(x) for x in xs]
-        for S, x in zip(tabs, xs):
-            for T2, y in zip(tabs, ys):
-                out[(bold, S, T2)] = T.mul(x, y)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -102,8 +72,9 @@ def run_checks(T: SchurAlgebra, seed: int, ring: CoefficientRing,
     """Run the checks that apply to T, sampled from `seed`, and return one
     row (name, verdict, witness or failure text) per check, in order.  The
     decomposition row compares over `ring`, or over Q when it is not a
-    field.  A check that does not apply has the verdict None and its reason
-    as the text."""
+    field; over F_p its text names that the formula's classical part is the
+    oracle run on the trivial base.  A check that does not apply has the
+    verdict None and its reason as the text."""
     rng = random.Random(seed)
     results: list[tuple[str, bool | None, str]] = []
 
@@ -143,13 +114,8 @@ def run_checks(T: SchurAlgebra, seed: int, ring: CoefficientRing,
         return f"{m} triples"
 
     def c_rank():
-        if T.keep_basis is not None:
-            # truncation: compare against the cellular pair count in the
-            # ambient algebra, over the colors whose idempotent T keeps
-            colors = [i for i in T.data.labels if T.data.e[i] in T.keep_basis]
-            cells = cellular_basis(T.parent, colors)
-            assert len(cells) == T.rank, f"cellular pair count {len(cells)} != rank {T.rank}"
-            return f"rank {T.rank} == cellular pair count"
+        if T.is_truncation:
+            return cellular_rank()
         cb = T.codet_basis
         total = sum(len(cb.std_x[bold]) * len(cb.std_y[bold]) for bold in cb.shapes)
         assert total == T.rank, f"standard codeterminant count {total} != rank {T.rank}"
@@ -168,6 +134,22 @@ def run_checks(T: SchurAlgebra, seed: int, ring: CoefficientRing,
                 f"rsk(o) == rsk(p) at o, p = {_orbits_json(o, preimage[image])}"
             preimage[image] = o
         return f"rank {T.rank} two ways"
+
+    def cellular_rank():
+        # the cellular basis X_S tau(X_T) of a truncation: per shape, a pair
+        # of the ambient standard X tableaux whose letters' left absorbers
+        # are colors whose idempotent T keeps
+        if T.tau is None:
+            raise ValueError("no anti-involution on the base algebra")
+        colors = {i for i in T.data.labels if T.data.e[i] in T.keep_basis}
+        absorbers, table = T.ctx.x_alphabet.absorbers, T.ctx.standard_tableaux
+        count = 0
+        for bold in partitions.gen_multipartitions(T.n, T.d, len(T.data.labels) - 1):
+            kept = sum(all(absorbers.get(z) in colors for _l, z in tableau_word(S))
+                       for S, _share in table[X_SIDE, bold])
+            count += kept * kept
+        assert count == T.rank, f"cellular pair count {count} != rank {T.rank}"
+        return f"rank {T.rank} == cellular pair count"
 
     def c_straighten():
         cb = T.codet_basis
@@ -206,7 +188,14 @@ def run_checks(T: SchurAlgebra, seed: int, ring: CoefficientRing,
             for mu, f in row.items():
                 assert f == D.entry(lam, mu), \
                     f"formula != oracle at lam, mu = {_labels_json(lam, mu)}"
-        return f"{len(D.labels)}x{len(D.labels)} formula == oracle over {field!r}"
+        compared = f"{len(D.labels)}x{len(D.labels)} formula == oracle over {field!r}"
+        if classical is None:
+            return compared
+        # over F_p the formula's classical part is the oracle run on the
+        # trivial base, which on that base (A = k) is the whole formula
+        if T.alg.dim == 1:
+            return f"{compared}, both routes the oracle on the trivial base"
+        return f"{compared}, the formula's classical part the oracle on the trivial base"
 
     def c_involution():
         def signed(x):
@@ -232,7 +221,7 @@ def run_checks(T: SchurAlgebra, seed: int, ring: CoefficientRing,
 
     short = "n < d" if T.n < T.d else None
     # the truncation is only cellular: it has no highest-weight checks
-    highest_weight = T.keep_basis is None
+    highest_weight = not T.is_truncation
     # the Schur heredity check's axiom (a) walk starts now, on a second
     # process, and its row finishes it; on any way out the child is reaped
     sample_b = 10

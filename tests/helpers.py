@@ -34,6 +34,9 @@
   which `eager_codet_blocks` reads too), where production multiplies only
   the degree-0 pairs of equal weight, placed by the per-letter table, and
   reads each entry through one dual row of the unit block.
+- gram_rank_character: ch L over F_p as the ranks mod p, by `lu_rank`, of
+  `full_gram`'s homogeneous blocks; production (`char_irreducible`) ranks
+  the blocks of `gram_blocks` by `exactla.rank`.
 - twisted_zigzag: zigzag:2 with the cycle 1 -> 0 -> 1 set to -c1, the one
   test algebra with a structure constant other than 1, built again from
   zigzag:2's algebra through `BasedSuperalgebra` with that constant changed.
@@ -52,12 +55,16 @@
 - family / star / coproduct / double_coproduct / coproducts_star: the
   superbialgebra structure across degrees, and idempotent_comp /
   truncation_idempotent: the idempotents xi(lambda) and xi^e; with
-  truncate_base / make_zigzag_bar (the base-level truncation eAe),
-  skew_char (skew characters by filling enumeration), shape_of,
-  tableau_weight, tableau_from_json, block_keys and index_expansion.  They
-  are the paper's structures and readings that no command runs, kept here
-  for the tests that check them; they read the production algebra's
-  contexts, kernel factors and `_idempotent_sum`.
+  cellular_basis (the cellular basis X_S tau(X_T) of a truncation, whose
+  pairs `verify` only counts), truncate_base / make_zigzag_bar (the
+  base-level truncation eAe), skew_char (skew characters by filling
+  enumeration) and check_skew_chars, shape_of, tableau_weight,
+  tableau_from_json, block_keys and index_expansion.  They are the paper's
+  structures and readings that no command runs, kept here for the tests
+  that check them; they read the production algebra's contexts, kernel
+  factors and `idempotent_bold`.
+- add / scale / std: sums of Elements, an integer multiple of a graded
+  super-scalar, and a `CodetBasis`'s standard tableaux of one side.
 - run_cli: the `schurify` command line in this process, its output captured.
 - verify_fails_only: `verify` failing exactly one of its nine rows, the
   others passing or not applying.
@@ -86,9 +93,9 @@ from schurify.base_algebra import (
     make_algebra,
     make_extended_zigzag,
 )
-from schurify.characters import CharacterVector
+from schurify.characters import CharacterVector, schur_char
 from schurify.cli import main
-from schurify.partitions import compare, conjugate, pad, trim
+from schurify.partitions import compare, conjugate, gen_multicompositions, pad, partitions_of, trim
 from schurify.rings import GradedSuperScalar
 from schurify.schur import SchurAlgebra
 from schurify.tableaux import word as tableau_word
@@ -142,6 +149,30 @@ def assert_reaped(forks: list[int]) -> None:
         except ChildProcessError:
             continue
         raise AssertionError(f"child {pid} was not reaped")
+
+
+# ---------------------------------------------------------------------------
+# sums, multiples and sides
+# ---------------------------------------------------------------------------
+
+def add(x, y, c=1):
+    """x + c * y for Elements x and y."""
+    out = dict(x)
+    for k, v in y.items():
+        out[k] = out.get(k, 0) + c * v
+        if not out[k]:
+            del out[k]
+    return out
+
+
+def scale(a, c):
+    """c * a for a graded super-scalar a and an int c."""
+    return GradedSuperScalar({k: c * v for k, v in a.coeffs.items()})
+
+
+def std(cb, side):
+    """shape -> the standard tableaux of `side` of a `CodetBasis`."""
+    return side.pick(cb.std_x, cb.std_y)
 
 
 # ---------------------------------------------------------------------------
@@ -235,7 +266,7 @@ def tensor_eta_product(T, o1, o2):
     for w, c in acc.items():
         if not c:
             continue
-        if w != tuple(sorted(w, key=ctx.key)):
+        if w != tuple(sorted(w, key=ctx.letter_key.__getitem__)):
             continue  # read each orbit off its canonical representative
         den = _c_factorial(T, w)
         assert c % den == 0, (w, c, den)
@@ -514,7 +545,7 @@ def eager_codet_blocks(cb):
     blocks = {}
     keys = iter(cb.keys)  # shape by shape, in the order of product(std_x, std_y)
     for bold in cb.shapes:
-        xs, ys = ([tableau_share(T, tab, side) for tab in cb.std(side)[bold]]
+        xs, ys = ([tableau_share(T, tab, side) for tab in std(cb, side)[bold]]
                   for side in SIDES)
         for ((alpha, dx, px), (beta, dy, py)), key in zip(product(xs, ys), keys):
             blocks.setdefault((alpha, beta, dx + dy, (px + py) % 2), ([], []))[1].append(key)
@@ -610,12 +641,13 @@ def star(T, x, y):
     """x star y for Elements x and y of any degrees in T's family, in the
     sum of their degrees: eta_{o1} star eta_{o2} is the concatenated word,
     canonicalized with its sign, times [o1 o2]_a / ([o1]_a [o2]_a)."""
-    out = {}
+    ctx, out = T.ctx, {}
     for o1, c1 in x.items():
         for o2, c2 in y.items():
-            rep, sign = T.ctx.canonicalize(o1 + o2)
+            rep, sign = ctx.sort_signed([ctx.index[lt] for lt in o1 + o2])
             if rep is None:
                 continue
+            rep = ctx.word(rep)
             num = word_factorial(T, rep, "a")
             den = word_factorial(T, o1, "a") * word_factorial(T, o2, "a")
             assert num % den == 0
@@ -639,7 +671,7 @@ def coproduct(T, x, d1):
                 continue
             w1 = tuple(lt for lt, t in zip(mults, take) for _ in range(t))
             w2 = tuple(lt for (lt, m), t in zip(mults.items(), take) for _ in range(m - t))
-            sign = T.ctx.canonicalize(w1 + w2)[1]
+            sign = T.ctx.sort_signed([T.ctx.index[lt] for lt in w1 + w2])[1]
             ratio = fac_t // (word_factorial(T, w1, "c") * word_factorial(T, w2, "c"))
             out[w1, w2] = out.get((w1, w2), 0) + c * sign * ratio
     return {k: v for k, v in out.items() if v}
@@ -672,21 +704,56 @@ def coproducts_star(Tx, x, Ty, y, d1):
     return {k: v for k, v in out.items() if v}
 
 
+def _idempotent_sum(T, keep):
+    """The sum of e_bold over the tuples of compositions `bold` (one per
+    color, n parts each, total size d) that `keep` accepts: distinct orbits,
+    each with coefficient 1."""
+    out = {}
+    for bold in gen_multicompositions(T.n, T.d, len(T.data.labels) - 1):
+        if keep(bold):
+            out.update(T.idempotent_bold(bold))
+    return out
+
+
 def idempotent_comp(T, lam):
     """xi(lambda): the sum of the e_bold over the color refinements of the
     weight lambda."""
     if len(lam) != T.n or sum(lam) != T.d or any(p < 0 for p in lam):
         raise ValueError("lambda must be a weight in Lambda(n, d)")
     lam = tuple(lam)
-    return T._idempotent_sum(lambda bold: tuple(map(sum, zip(*bold))) == lam)
+    return _idempotent_sum(T, lambda bold: tuple(map(sum, zip(*bold))) == lam)
 
 
 def truncation_idempotent(T, colors):
     """xi^e: the sum of the e_bold that are empty outside `colors`."""
     colors = frozenset(colors)
     labels = T.data.labels
-    return T._idempotent_sum(lambda bold: not any(
+    return _idempotent_sum(T, lambda bold: not any(
         any(comp) for label, comp in zip(labels, bold) if label not in colors))
+
+
+def cellular_basis(T, colors):
+    """C^bold_{S,T} = X_S * tau(X_T) for the truncation by the initial
+    idempotents in `colors`, assuming the truncating element is fixed by the
+    standard anti-involution.  Keys are (shape, S, T) with S, T standard over
+    the one-sided truncated X alphabets; the factors live in the ambient
+    algebra but every product lands in the truncation.  `verify` counts
+    these pairs without multiplying them."""
+    if T.tau is None:
+        raise ValueError("no anti-involution on the base algebra")
+    colors = frozenset(colors)
+    absorbers = T.ctx.x_alphabet.absorbers
+    cb = T.codet_basis
+    out = {}
+    for bold in cb.shapes:
+        tabs = [S for S in cb.std_x[bold]
+                if all(absorbers.get(z) in colors for (_l, z) in tableau_word(S))]
+        xs = [codet.side_element(T, S, X_SIDE) for S in tabs]
+        ys = [T.involution(x) for x in xs]
+        for S, x in zip(tabs, xs):
+            for T2, y in zip(tabs, ys):
+                out[(bold, S, T2)] = T.mul(x, y)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -798,6 +865,28 @@ def skew_char(lam, mu, eps, n):
     return CharacterVector(out)
 
 
+def check_skew_chars(lr):
+    """s^eps_{lam/mu} = sum_nu c^lam_{mu, nu^eps} s_nu, exactly, for every
+    |lam| <= 5, every mu inside lam and eps = 0, 1, with n = 5: `skew_char`
+    against `lr.coeff(..., twists=[0, eps])` times the Schur characters."""
+    n = 5
+    for total in range(1, 6):
+        for lam in partitions_of(total, total):
+            subs = [()] + [m for k in range(1, total + 1) for m in partitions_of(k, k)]
+            for mu in subs:
+                if len(mu) > len(lam) or any(m > l for m, l in zip(mu, lam)):
+                    continue
+                for eps in (0, 1):
+                    lhs = skew_char(lam, mu, eps, n)
+                    rhs = CharacterVector()
+                    rest = total - sum(mu)
+                    for nu in partitions_of(rest, rest):
+                        c = lr.coeff(lam, [mu, nu], twists=[0, eps])
+                        if c:
+                            rhs = rhs + schur_char(nu, n).scale(c)
+                    assert lhs == rhs, (lam, mu, eps)
+
+
 # ---------------------------------------------------------------------------
 # Gram matrices of standard modules, over all pairs
 # ---------------------------------------------------------------------------
@@ -823,6 +912,24 @@ def full_gram(T, bold):
             prod = T.mul(y, x)
             gram[S, Tb] = cb.solve(prod).get(unit_key, 0) if prod else 0
     return gram
+
+
+def gram_rank_character(T, bold, p):
+    """ch L(bold) over F_p: `full_gram` cut into blocks, a row per X
+    tableau S under its share (weight, degree, parity) and against the Y
+    tableaux of share (weight, -degree, parity), each block's rank mod p
+    (`lu_rank`) the coefficient of q^degree pi^parity at that weight."""
+    cb, gram = T.codet_basis, full_gram(T, bold)
+    ys = [(Tb, tableau_share(T, Tb, Y_SIDE)) for Tb in cb.std_y[bold]]
+    blocks = {}
+    for S in cb.std_x[bold]:
+        weight, deg, par = tableau_share(T, S, X_SIDE)
+        cols = [Tb for Tb, share in ys if share == (weight, -deg, par)]
+        blocks.setdefault((weight, deg, par), []).append([gram[S, Tb] for Tb in cols])
+    by_weight = {}
+    for (weight, deg, par), mat in blocks.items():
+        by_weight.setdefault(weight, {})[deg, par] = lu_rank(mat, p)
+    return CharacterVector({w: GradedSuperScalar(terms) for w, terms in by_weight.items()})
 
 
 def gram_entries(T, bold, blocks):
@@ -918,7 +1025,7 @@ def heredity_oracle(T, sample_b=None):
             elt_e, e_elt, emu_elt = (" ".join(side.orient(a, b))
                                      for a, b in ((nm, "e"), ("e", nm), ("e_mu", nm)))
             initial = side.pick(*cb.initial_tableau_pair(bold))
-            for tab in cb.std(side)[bold]:
+            for tab in std(cb, side)[bold]:
                 elt = element(tab, side)
                 witness = f"{side.pick('S', 'T')} = {tab}"
                 if tensor_mul(T, *side.orient(elt, idem[bold])) != elt:
@@ -946,7 +1053,7 @@ def heredity_oracle(T, sample_b=None):
     for bold in cb.shapes:
         for side in SIDES:
             other_initial = side.orient(*cb.initial_tableau_pair(bold))[1]
-            for tab in cb.std(side)[bold]:
+            for tab in std(cb, side)[bold]:
                 elt = element(tab, side)
                 for orbit in candidates(side, weight(tab, side)):
                     prod = tensor_mul(T, *side.orient({orbit: 1}, elt))

@@ -6,6 +6,9 @@ from itertools import product
 import pytest
 
 from helpers import (
+    add,
+    cellular_basis,
+    check_skew_chars,
     coproduct,
     coproducts_star,
     double_coproduct,
@@ -13,7 +16,6 @@ from helpers import (
     index_expansion,
     lr_brute,
     multi_lr_brute,
-    skew_char,
     ssyt_count,
     star,
     tensor_eta_product,
@@ -36,7 +38,6 @@ from schurify.rsk import rsk
 from schurify.schur import build_schur
 from schurify.straighten import Straightener, orbit_to_codet
 from schurify.tableaux import enumerate_tableaux
-from schurify.verification import cellular_basis
 
 
 def _T(spec, n, d):
@@ -104,7 +105,7 @@ def test_criterion_04_straightening(T122, cb122):
         back = {}
         for key, c in solved.items():
             assert leq(mu, key[0]), (o, key)  # triangularity of supports
-            back = T122.add(back, T122.element(index_expansion(cb122, key)), c)
+            back = add(back, T122.element(index_expansion(cb122, key)), c)
         assert back == {o: 1}, o  # round-trip is the identity
 
 
@@ -232,19 +233,4 @@ def test_criterion_12_lr_layer(lr):
                                 assert lr.coeff(lam, [m1, m2, m3]) == \
                                     multi_lr_brute(lam, [m1, m2, m3]), (lam, m1, m2, m3)
     # skew characters match their LR expansion for all |lam| <= 5
-    n = 5
-    for total in range(1, 6):
-        for lam in partitions_of(total, total):
-            subs = [()] + [m for k in range(1, total + 1) for m in partitions_of(k, k)]
-            for mu in subs:
-                if len(mu) > len(lam) or any(m > l for m, l in zip(mu, lam)):
-                    continue
-                for eps in (0, 1):
-                    lhs = skew_char(lam, mu, eps, n)
-                    rhs = ch.CharacterVector()
-                    rest = total - sum(mu)
-                    for nu in partitions_of(rest, rest):
-                        c = lr.coeff(lam, [mu, nu], twists=[0, eps])
-                        if c:
-                            rhs = rhs + ch.schur_char(nu, n).scale(c)
-                    assert lhs == rhs, (lam, mu, eps)
+    check_skew_chars(lr)

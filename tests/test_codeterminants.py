@@ -9,8 +9,10 @@ from collections import Counter
 import pytest
 
 from helpers import (
+    add,
     assert_reaped,
     block_keys,
+    cellular_basis,
     codet_blocks,
     eager_codet_blocks,
     full_gram,
@@ -20,6 +22,7 @@ from helpers import (
     lu_det,
     lu_solve,
     orbit_profiles,
+    std,
     tableau_share,
     tableau_weight,
     truncation_idempotent,
@@ -32,7 +35,6 @@ from schurify.heredity import heredity_of_T
 from schurify.partitions import leq
 from schurify.schur import SchurAlgebra, build_schur
 from schurify.straighten import Straightener, orbit_to_codet
-from schurify.verification import cellular_basis
 
 
 @pytest.fixture(scope="module")
@@ -118,7 +120,7 @@ def test_straighten_triangular_and_roundtrip(T122, cb):
         back = {}
         for key, c in exp.items():
             assert leq(mu, key[0]), (o, key)
-            back = T122.add(back, T122.element(index_expansion(cb, key)), c)
+            back = add(back, T122.element(index_expansion(cb, key)), c)
         assert back == {o: 1}, o
 
 
@@ -134,6 +136,17 @@ def test_heredity_refused_for_small_n():
         heredity_of_T(T)
     with pytest.raises(ValueError):
         codet.CodetBasis(T).solve({T.orbits[0]: 1})
+
+
+def test_a_truncation_is_refused():
+    """A truncation is only cellular, its cellular basis lying in the
+    ambient algebra: the codeterminant basis, the heredity check and the
+    decomposition oracle all refuse it."""
+    alg, data, tau = make_algebra("zigzag:1")
+    T = build_schur(alg, data, 2, 2, tau).truncate([0])
+    for build in (codet.CodetBasis, heredity_of_T, decomp_oracle):
+        with pytest.raises(ValueError, match="not a truncation"):
+            build(T)
 
 
 def test_standard_module_gram(T122, cb):
@@ -163,7 +176,7 @@ def test_gram_blocks_match_the_full_gram(spec, n, d):
         blocks = gram_entries(T, bold, gram_blocks(T, bold))
         assert any(full.values()), bold
         weight = {(tab, side): tableau_share(T, tab, side)[0]
-                  for side in SIDES for tab in cb.std(side)[bold]}
+                  for side in SIDES for tab in std(cb, side)[bold]}
         for (S, Tb), c in full.items():
             if weight[S, X_SIDE] != weight[Tb, Y_SIDE]:
                 assert c == 0, (bold, S, Tb)
@@ -345,7 +358,7 @@ def test_axiom_c_failures_name_their_witness(monkeypatch):
     named = set()
     for shape in cb.shapes:
         for side in SIDES:
-            for tab in cb.std(side)[shape]:
+            for tab in std(cb, side)[shape]:
                 if tableau_weight(tab, T.ctx.alphabet(side)) in weights:
                     named.add(f"axiom (c): {side.pick('e_mu X_S', 'Y_T e_mu')} not diagonal "
                               f"at {shape}: {side.pick('S', 'T')} = {tab}, mu = {bold}")
@@ -430,10 +443,14 @@ def test_heredity_failures_match_the_tensor_oracle(monkeypatch):
 
 LAZY_CASES = [("trivial", 3, 3, False), ("zigzag:1", 2, 2, False), ("zigzag:1", 3, 3, False),
               ("zigzag:2", 2, 2, False), ("zigzag:1", 3, 3, True)]
+# the cases without a truncation, which has no codeterminant basis, under
+# their ids in LAZY_CASES, truncation flag included
+AMBIENT_CASES = [pytest.param(*case[:3], id="-".join(map(str, case)))
+                 for case in LAZY_CASES if not case[3]]
 
 
-@pytest.mark.parametrize("spec,n,d,truncated", LAZY_CASES)
-def test_lazy_blocks_match_the_eager_walk(spec, n, d, truncated):
+@pytest.mark.parametrize("spec,n,d", AMBIENT_CASES)
+def test_lazy_blocks_match_the_eager_walk(spec, n, d):
     """The blocks built one left profile at a time are the eager walk's
     blocks with columns: the same keys, in sorted order and each once, the
     same rows and columns, in the same order, with the same determinants;
@@ -441,8 +458,6 @@ def test_lazy_blocks_match_the_eager_walk(spec, n, d, truncated):
     second basis, whose `factor` keeps the blocks it builds."""
     alg, data, tau = make_algebra(spec)
     T = build_schur(alg, data, n, d, tau)
-    if truncated:
-        T = T.truncate([0])
     cb, other = T.codet_basis, codet.CodetBasis(T)
     eager = eager_codet_blocks(other)
     with_columns = [key for key, (_rows, cols) in eager.items() if cols]
@@ -458,14 +473,8 @@ def test_lazy_blocks_match_the_eager_walk(spec, n, d, truncated):
             for orbit, c in codet.codet_element(T, *col[1:]).items():
                 mat[rows.index(orbit)][j] = c
         assert other.factor(key).det == lu_det(mat), key
-    if truncated:
-        # the truncation keeps more orbits than codeterminants; they sit in
-        # blocks with no columns, which the lazy map does not list
-        assert sum(len(rows) for rows, _cols in eager.values()) == T.rank > len(cb.keys)
-        assert not cb.unimodular()
-    else:
-        assert sum(len(eager[key][0]) for key in with_columns) == T.rank == len(cb.keys)
-        assert cb.unimodular()
+    assert sum(len(eager[key][0]) for key in with_columns) == T.rank == len(cb.keys)
+    assert cb.unimodular()
     # after the walk, no attribute of the basis holds a block key
     keys = set(with_columns)
     assert not [name for name, value in vars(cb).items()
@@ -571,7 +580,7 @@ def test_walk_and_heredity_make_each_tableau_factor_once(monkeypatch, n):
     assert heredity_of_T(T, sample_b=10).ok
     cb = T.codet_basis
     words = {cb.index_word(tab, side)[0]
-             for side in SIDES for bold in cb.shapes for tab in cb.std(side)[bold]}
+             for side in SIDES for bold in cb.shapes for tab in std(cb, side)[bold]}
     for side, seen in made.items():
         on_tableaux = [w for w in seen if w in words]
         assert set(on_tableaux) == words, side
@@ -587,7 +596,7 @@ def test_heredity_makes_each_tableau_factor_once(monkeypatch):
     cb = T.codet_basis
     assert cb.unimodular()
     words = {cb.index_word(tab, side)[0]
-             for side in SIDES for bold in cb.shapes for tab in cb.std(side)[bold]}
+             for side in SIDES for bold in cb.shapes for tab in std(cb, side)[bold]}
     made = {"left": [], "right": []}
     for side in made:
         real = getattr(SchurAlgebra, f"{side}_factor")
@@ -639,19 +648,21 @@ def test_mult_orbits_and_walk_share_the_tableau_factors(monkeypatch):
 
 def test_index_word_refuses_words_outside_T():
     """`index_word` reads X_S off the tableau with the checks of
-    `SchurAlgebra.eta`: a word with a letter outside T or of the wrong
-    length raises ValueError naming it, and so does a word that repeats an
-    odd letter."""
+    `SchurAlgebra.eta`: a word of the wrong length raises ValueError naming
+    it, and so does a word that repeats an odd letter.  A word with a letter
+    outside a truncation is refused the same way by the truncation's
+    `indices` and `eta`, which guard its products."""
     alg, data, tau = make_algebra("zigzag:1")
     T = build_schur(alg, data, 2, 2, tau)
-    cb, truncated = T.codet_basis, T.truncate([0]).codet_basis
-    outside = next(S for bold in cb.shapes for S in cb.std_x[bold]
-                   if S not in truncated.std_x[bold])
+    cb, truncated = T.codet_basis, T.truncate([0])
+    outside = next(o for o in T.orbits if any(b not in truncated.keep_basis for b, _r, _s in o))
+    for refuse in (truncated.indices, truncated.eta):
+        with pytest.raises(ValueError, match=re.escape(f"orbit {outside} not in this algebra")):
+            refuse(outside)
     short = build_schur(alg, data, 2, 1, tau).codet_basis.std_x[((1,), ())][0]
-    for basis, tab in ((truncated, outside), (cb, short)):
-        word = codet._own_word(tab, X_SIDE)
-        with pytest.raises(ValueError, match=re.escape(f"orbit {word} not in this algebra")):
-            basis.index_word(tab, X_SIDE)
+    word = codet._own_word(short, X_SIDE)
+    with pytest.raises(ValueError, match=re.escape(f"orbit {word} not in this algebra")):
+        cb.index_word(short, X_SIDE)
     odd = next(b for b in alg.basis if alg.parity[b])
     repeated = ((((1, odd), (1, odd)),), ())
     word = codet._own_word(repeated, X_SIDE)
@@ -768,32 +779,6 @@ def test_axiom_a_names_a_column_that_reaches_another_block(monkeypatch):
     ]
 
 
-def test_a_column_that_leaves_a_truncation_is_named(monkeypatch):
-    """An expansion that gains an orbit with a letter outside a truncation
-    fails the walk, naming the column and the orbit."""
-    alg, data, tau = make_algebra("zigzag:1")
-    ambient = build_schur(alg, data, 2, 2, tau)
-    T = ambient.truncate([0])
-    cb = T.codet_basis
-    index = T.ctx.index
-    key, (_rows, cols) = next(iter(codet_blocks(cb).items()))
-    col = cols[0]
-    stray = next(o for o in ambient.orbits if not all(T._has_index[index[lt]] for lt in o))
-    real = codet.CodetBasis._expand
-
-    def broken(self, x, y):
-        out = real(self, x, y)
-        if (x.bold, x.tab, y.tab) == col:
-            return {**out, tuple(index[lt] for lt in stray): 1}
-        return out
-
-    monkeypatch.setattr(codet.CodetBasis, "_expand", broken)
-    with pytest.raises(AssertionError) as exc:
-        cb.non_unimodular_block()
-    assert str(exc.value) == (f"codeterminant block {key}: column {col} reaches {stray}, "
-                              f"which is not an orbit of T")
-
-
 def test_unit_determinant_against_the_lu_oracle():
     """`unit_determinant` on sparse columns agrees with |det| = 1 by the
     Fraction LU oracle: on signed permutation matrices with entries +-1 and
@@ -879,21 +864,22 @@ def test_axiom_a_names_a_one_term_column_moved_to_another_block(monkeypatch):
     ]
 
 
-@pytest.mark.parametrize("spec,n,d,truncated", [("zigzag:1", 2, 2, True), ("zigzag:2", 2, 2, False),
-                                                ("trivial", 3, 3, False)])
-def test_row_codes_read_the_block_key(spec, n, d, truncated):
+# the ids keep the truncation flag the cases had while a truncation had a
+# codeterminant basis
+@pytest.mark.parametrize("spec,n,d", [pytest.param("zigzag:2", 2, 2, id="zigzag:2-2-2-False"),
+                                     pytest.param("trivial", 3, 3, id="trivial-3-3-False")])
+def test_row_codes_read_the_block_key(spec, n, d):
     """The walk's packed check passes a word of letter indices for a block
-    key exactly when the word is an orbit of T whose `block_key` is that
-    key, over every orbit of the ambient algebra and every block."""
+    key exactly when that key is the word's `block_key`, over every orbit of
+    T and every block."""
     alg, data, tau = make_algebra(spec)
-    ambient = build_schur(alg, data, n, d, tau)
-    T = ambient.truncate([0]) if truncated else ambient
+    T = build_schur(alg, data, n, d, tau)
     cb = T.codet_basis
     index, code = T.ctx.index, cb._letter_codes
     keys = list(block_keys(cb))
-    for orbit in ambient.orbits:
+    for orbit in T.orbits:
         w = tuple(index[lt] for lt in orbit)
-        own = all(T._has_index[i] for i in w) and T.ctx.block_key(w)
+        own = T.ctx.block_key(w)
         for key in keys:
             fixed, odd = cb._row_codes(key)
             assert (sum(code[i] for i in w) - fixed in odd) == (own == key), (orbit, key)
@@ -923,14 +909,13 @@ def test_axiom_a_names_an_orbit_no_column_reaches(monkeypatch):
 
 
 def test_a_solve_outside_every_block_names_its_orbit():
-    """An orbit that no codeterminant reaches, as a truncation has, cannot be
-    solved for; the error names it."""
+    """A word that is no row of any block, as an orbit's word out of the
+    canonical order is, cannot be solved for; the error names it."""
     alg, data, tau = make_algebra("zigzag:1")
-    T = build_schur(alg, data, 2, 2, tau).truncate([0])
-    eager = eager_codet_blocks(codet.CodetBasis(T))
-    orbit = next(rows[0] for rows, cols in eager.values() if not cols)
-    with pytest.raises(AssertionError, match=re.escape(f"{orbit} is not a row of codeterminant block")):
-        T.codet_basis.solve({orbit: 1})
+    T = build_schur(alg, data, 2, 2, tau)
+    word = next(o for o in T.orbits if o[0] != o[1])[::-1]
+    with pytest.raises(AssertionError, match=re.escape(f"{word} is not a row of codeterminant block")):
+        T.codet_basis.solve({word: 1})
 
 
 # ---------------------------------------------------------------------------

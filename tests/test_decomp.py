@@ -1,6 +1,6 @@
 import pytest
 
-from helpers import tableau_weight
+from helpers import gram_rank_character, tableau_weight
 from schurify import characters as ch
 from schurify import decomposition as dec
 from schurify.base_algebra import make_algebra
@@ -121,6 +121,19 @@ def test_classical_matrix_is_the_identity_exactly_when_p_exceeds_the_size(n, p):
         labels = partitions_of(e, e)
         identity = all(classical(lam, mu) == (lam == mu) for lam in labels for mu in labels)
         assert identity == (p > e), (n, p, e)
+
+
+@pytest.mark.parametrize("spec,n,d,p", [("trivial", 3, 3, 2), ("trivial", 3, 3, 3),
+                                         ("zigzag:1", 2, 2, 2)])
+def test_char_irreducible_matches_the_ranks_of_the_full_gram(spec, n, d, p):
+    """ch L over F_p, which both char-p routes read (the formula through
+    the classical matrix), equals the ranks mod p of the full Gram matrix's
+    homogeneous blocks, taken by dense LU over every pair of standard
+    tableaux (`gram_rank_character`), not by `gram_blocks` and
+    `exactla.rank`."""
+    T = _T(spec, n, d)
+    for bold in gen_multipartitions(n, d, len(T.data.labels) - 1):
+        assert dec.char_irreducible(T, bold, GF(p)) == gram_rank_character(T, bold, p), bold
 
 
 def test_formula_rows_entries_and_oracle_agree_zigzag2_f3(lr):

@@ -9,6 +9,7 @@ reads some names from their old modules, which forward exactly those names.
 And no module reaches the token bound past which a late compile raises a
 command's peak."""
 import ast
+import json
 import os
 import subprocess
 import sys
@@ -176,6 +177,97 @@ def test_src_holds_no_code_that_only_the_tests_read():
     in the package outside its own body, but for the names the layer
     benchmark reads: what only the tests read lives under `tests/`."""
     assert unread_definitions(PACKAGE) == READ_OUTSIDE_SRC
+
+
+# the commands of the reachability run, each as its arguments: `dim`,
+# `build` and `verify` over Q and F_2 on an algebra, its truncation and a
+# semisimple one, and every other command once, each product nonzero; a
+# second `straighten` at n = d = 3, where a rewrite first meets a shape that
+# is no partition (`Straightener._dominantize`)
+REACH_ALGEBRAS = ["zigzag:1", "zigzag-bar:1", "semisimple:2"]
+REACH_COMMANDS = [
+    *([command, *field, "--algebra", spec] for spec in REACH_ALGEBRAS
+      for command, field in [("dim", []), ("build", []), ("verify", []),
+                             ("verify", ["--field", "Fp:2"])]),
+    ["mul", "--left", ORBIT, "--right", '[{"b":"e0","r":1,"s":1},{"b":"e0","r":2,"s":2}]'],
+    ["straighten", "--orbit", ORBIT],
+    ["straighten", "--algebra", "trivial", "-n", "3", "-d", "3",
+     "--orbit", '[{"b":"1","r":1,"s":1},{"b":"1","r":2,"s":1},{"b":"1","r":2,"s":2}]'],
+    ["char", "--label", "[[1],[1]]"],
+    ["decomp"],
+    ["decomp", "--field", "Fp:3", "--out", "csv"],
+    ["blocks"],
+]
+# the commands of argv[1] (JSON), at n = d = 2 unless they say otherwise, in
+# one process, traced from before the package is imported; with no
+# `os.fork`, `verify` walks axiom (a) in this process too.  The last line is
+# the (file, first line) of every code object of the package that was
+# entered.
+RUN_TRACED = """
+import json, os, sys
+del os.fork
+package, entered = sys.argv[2], set()
+
+def profile(frame, event, arg):
+    if event == "call" and frame.f_code.co_filename.startswith(package):
+        entered.add((frame.f_code.co_filename, frame.f_code.co_firstlineno))
+
+sys.setprofile(profile)
+from schurify.cli import main
+for argv in json.loads(sys.argv[1]):
+    if main([argv[0], "-n", "2", "-d", "2", "--cache-dir", sys.argv[3], *argv[1:]]):
+        sys.exit(1)
+sys.setprofile(None)
+print(json.dumps(sorted(entered)))
+"""
+# the functions no command of the run enters
+NOT_REACHED = READ_OUTSIDE_SRC | {
+    # read by the layer benchmark (perfbench/layers.py) too
+    "codeterminants.CodetBasis.keys", "schur.SchurAlgebra.orbits",
+    # run only on a failure
+    "codeterminants.CodetBasis._name_stray", "exactla.Block._non_integral", "cli._witness",
+    "cli._int_json.no_float", "verification._orbits_json", "verification._labels_json",
+    "base_heredity.HeredityReport.fail", "base_algebra.Side.spell",
+}
+
+
+def package_functions(package: str) -> dict[tuple[str, int], str]:
+    """(file, first line) -> qualified name of every function and method
+    of the package's modules, nested ones included and dunders left out; the
+    first line is that of its first decorator, as on its code object."""
+    out = {}
+
+    def visit(node, path, prefix):
+        for sub in ast.iter_child_nodes(node):
+            if isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                name = f"{prefix}.{sub.name}"
+                if not isinstance(sub, ast.ClassDef) and not (
+                        sub.name.startswith("__") and sub.name.endswith("__")):
+                    first = min([sub.lineno] + [dec.lineno for dec in sub.decorator_list])
+                    out[path, first] = name
+                visit(sub, path, name)
+            else:
+                visit(sub, path, prefix)
+
+    for name in sorted(os.listdir(package)):
+        if name.endswith(".py"):
+            path = os.path.join(package, name)
+            with open(path, encoding="utf-8") as fh:
+                visit(ast.parse(fh.read()), path, name[:-3])
+    return out
+
+
+def test_every_function_of_the_package_runs_under_some_command(tmp_path):
+    """Every function and method of the package is entered by one of the
+    commands of `REACH_COMMANDS`, but for those of `NOT_REACHED`: what only
+    the tests run lives under `tests/`.  This sees what the name scan of
+    `unread_definitions` cannot: a method that shares its name with one the
+    package reads."""
+    out = fresh(RUN_TRACED, json.dumps(REACH_COMMANDS), PACKAGE + os.sep, str(tmp_path))
+    entered = {tuple(place) for place in json.loads(out.splitlines()[-1])}
+    functions = package_functions(PACKAGE)
+    assert NOT_REACHED <= set(functions.values())
+    assert {name for place, name in functions.items() if place not in entered} == NOT_REACHED
 
 
 def test_char_loads_the_characters_but_not_the_decomposition_layer(tmp_path):

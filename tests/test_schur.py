@@ -6,6 +6,7 @@ from math import comb
 import pytest
 
 from helpers import (
+    add,
     coproduct,
     coproducts_star,
     double_coproduct,
@@ -111,7 +112,7 @@ def test_unit_and_idempotents(T122):
     xis = {lam: idempotent_comp(T122, lam) for lam in compositions(2, 2)}
     total = {}
     for lam, xi in xis.items():
-        total = T122.add(total, xi)
+        total = add(total, xi)
         for mu, xj in xis.items():
             prod = T122.mul(xi, xj)
             assert prod == (xi if lam == mu else {})
@@ -136,10 +137,10 @@ def test_idempotent_sums_match_color_splits():
                         bold = tuple(tuple(split[i] for split in choice)
                                      for i in range(len(labels)))
                         e = T.idempotent_bold(bold)
-                        one, xi[lam] = T.add(one, e), T.add(xi[lam], e)
+                        one, xi[lam] = add(one, e), add(xi[lam], e)
                         for k in trunc:  # e_bold within the first k colors
                             if not any(map(any, bold[k:])):
-                                trunc[k] = T.add(trunc[k], e)
+                                trunc[k] = add(trunc[k], e)
                 where = (spec, n, d)
                 assert T.unit() == one, where
                 for lam, x in xi.items():
