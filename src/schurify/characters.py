@@ -23,8 +23,10 @@ The decomposition numbers, by formula and by oracle, and the blocks they
 link are `decomposition`, which only the commands that compute them load
 (see the README's module map).
 
-Weights are compositions (classical) or tuples of compositions, one per
-color, each padded to length n.
+A character is a dict from weight to `GradedSuperScalar` that stores no
+zero scalar, as an Element is a dict from orbit to int.  Weights are
+compositions (classical) or tuples of compositions, one per color, each
+padded to length n.
 """
 from __future__ import annotations
 
@@ -37,62 +39,6 @@ from .base_algebra import X_SIDE, DecompInput
 from .partitions import Multipartition, Partition, compositions, conjugate, partitions_of, size, trim
 from .rings import GradedSuperScalar
 from .schur import SchurAlgebra
-
-
-# ---------------------------------------------------------------------------
-# character vectors
-# ---------------------------------------------------------------------------
-
-class CharacterVector:
-    """Finitely supported map weight -> GradedSuperScalar.
-
-    Addition is pointwise; `scale` multiplies every coefficient.  The
-    constructor keeps the nonzero scalars of its dict as they are, so the
-    vector shares them: a scalar is never changed once built
-    (`GradedSuperScalar`), and one built by `GradedSuperScalar._normal`
-    holds a dict that its builder no longer changes."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: dict | None = None):
-        self.coeffs = {w: c for w, c in coeffs.items() if c} if coeffs else {}
-
-    def __add__(self, other: "CharacterVector") -> "CharacterVector":
-        # a weight new to the sum keeps its scalar as it is; one whose sum is
-        # zero is dropped
-        out = dict(self.coeffs)
-        for w, c in other.coeffs.items():
-            old = out.get(w)
-            if old is None:
-                out[w] = c
-            elif acc := old + c:
-                out[w] = acc
-            else:
-                del out[w]
-        v = CharacterVector()
-        v.coeffs = out
-        return v
-
-    def scale(self, c) -> "CharacterVector":
-        if isinstance(c, int):
-            c = GradedSuperScalar.term(c)
-        return CharacterVector({w: v * c for w, v in self.coeffs.items()})
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, CharacterVector) and self.coeffs == other.coeffs
-
-    def __bool__(self) -> bool:
-        return bool(self.coeffs)
-
-    def __getitem__(self, w) -> GradedSuperScalar:
-        return self.coeffs.get(w, GradedSuperScalar.zero())
-
-    def items(self):
-        return self.coeffs.items()
-
-    def __repr__(self) -> str:
-        terms = sorted(self.coeffs.items())
-        return "CharacterVector(" + ", ".join(f"{w}: {c!r}" for w, c in terms) + ")"
 
 
 # ---------------------------------------------------------------------------
@@ -289,32 +235,26 @@ class LRCache:
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
-def schur_char(lam: Partition, n: int) -> CharacterVector:
-    """s_lam as a weight sum over Lambda(n, |lam|) with Kostka coefficients."""
+def schur_char(lam: Partition, n: int) -> dict:
+    """s_lam as a weight sum over Lambda(n, |lam|) with Kostka coefficients.
+    The dict is cached and shared, so no caller changes it."""
     lam = trim(tuple(lam))
     if len(lam) > n:
-        return CharacterVector()
-    out = {}
-    for w in compositions(size(lam), n):
-        k = kostka(lam, w)
-        if k:
-            out[w] = GradedSuperScalar.term(k)
-    return CharacterVector(out)
+        return {}
+    return {w: GradedSuperScalar.term(k) for w in compositions(size(lam), n)
+            if (k := kostka(lam, w))}
 
 
-def schur_char_bold(bold, n: int) -> CharacterVector:
+def schur_char_bold(bold, n: int) -> dict:
     """Tensor product of the per-color classical characters."""
     out: dict = {(): GradedSuperScalar.one()}
     for comp in bold:
         vec = schur_char(trim(tuple(comp)), n)
-        nxt: dict = {}
-        for w, c in out.items():
-            for u, cu in vec.items():
-                nxt[w + (u,)] = c * cu
-        out = nxt
+        # Kostka numbers are positive, so no product is zero
+        out = {w + (u,): c * cu for w, c in out.items() for u, cu in vec.items()}
         if not out:
             break
-    return CharacterVector(out)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -326,7 +266,7 @@ def _pad_bold(bold, n_labels: int) -> Multipartition:
     return bold + ((),) * (n_labels - len(bold))
 
 
-def char_standard_tableaux(T: SchurAlgebra, bold) -> CharacterVector:
+def char_standard_tableaux(T: SchurAlgebra, bold) -> dict:
     """ch Delta(bold) as the sum of deg(S) . alpha^S over standard X-tableaux,
     counted by their shares (weight, degree, parity) in the context's table
     (`TriContext.standard_tableaux`), which the codeterminant blocks read
@@ -337,16 +277,7 @@ def char_standard_tableaux(T: SchurAlgebra, bold) -> CharacterVector:
     for _S, (weight, deg, par) in T.ctx.standard_tableaux[X_SIDE, bold]:
         terms = by_weight.setdefault(weight, {})
         terms[deg, par] = terms.get((deg, par), 0) + 1
-    return _character(by_weight)
-
-
-def _character(by_weight: dict) -> CharacterVector:
-    """The character weight -> scalar of `by_weight`, weight -> {(degree,
-    parity mod 2): nonzero int}, each dict wrapped as it is
-    (`GradedSuperScalar._normal`) and kept by no one else."""
-    v = CharacterVector()
-    v.coeffs = {w: GradedSuperScalar._normal(terms) for w, terms in by_weight.items()}
-    return v
+    return {w: GradedSuperScalar(terms) for w, terms in by_weight.items()}
 
 
 def _column_terms(inp: DecompInput, lam, n: int, cache: LRCache):
@@ -390,7 +321,7 @@ def _column_terms(inp: DecompInput, lam, n: int, cache: LRCache):
         yield coeff, m, eps, into
 
 
-def char_standard_formula(T: SchurAlgebra, bold, cache: LRCache) -> CharacterVector:
+def char_standard_formula(T: SchurAlgebra, bold, cache: LRCache) -> dict:
     """ch Delta(bold): the decomposition formula's column sum with the Schur
     characters s_mu in place of the classical decomposition matrix, its LR
     coefficients read through the caller's `cache`."""
@@ -403,9 +334,14 @@ def char_standard_formula(T: SchurAlgebra, bold, cache: LRCache) -> CharacterVec
                 c *= v
             by_schur[mu_bold] = (by_schur.get(mu_bold, GradedSuperScalar.zero())
                                  + GradedSuperScalar.term(coeff * c, m, eps))
-    out = CharacterVector()
+    out: dict = {}
     for mu_bold, c in by_schur.items():
-        out = out + schur_char_bold(mu_bold, T.n).scale(c)
+        for w, s in schur_char_bold(mu_bold, T.n).items():
+            acc = out[w] + s * c if w in out else s * c
+            if acc:
+                out[w] = acc
+            else:
+                out.pop(w, None)
     return out
 
 

@@ -18,10 +18,10 @@ and the blocks they link.
   * the linking-graph blocks of a decomposition matrix, and the coarse
     decomposition induced by the base algebra's blocks.
 
-The characters and the Littlewood-Richardson engine both routes read are
-`characters`.  The commands that compute decomposition numbers, `decomp`,
-`blocks` and `verify`, load this module; `char` does not (see the README's
-module map).
+The characters, dicts from weight to `GradedSuperScalar`, and the
+Littlewood-Richardson engine that both routes read are `characters`.  The
+commands that compute decomposition numbers, `decomp`, `blocks` and
+`verify`, load this module; `char` does not (see the README's module map).
 """
 from __future__ import annotations
 
@@ -29,15 +29,7 @@ from typing import NamedTuple
 
 from . import exactla
 from .base_algebra import X_SIDE, Y_SIDE, BasedSuperalgebra, DecompInput, HeredityData, base_decomp_numbers
-from .characters import (
-    CharacterVector,
-    LRCache,
-    _character,
-    _column_terms,
-    _pad_bold,
-    char_standard_tableaux,
-    lr_expand,
-)
+from .characters import LRCache, _column_terms, _pad_bold, char_standard_tableaux, lr_expand
 from .partitions import Partition, gen_multipartitions, leq, linear_key, pad, size, trim
 from .rings import QQ, CoefficientRing, GradedSuperScalar
 from .schur import SchurAlgebra
@@ -169,14 +161,14 @@ class DecompMatrix(NamedTuple):
         return self.entries.get((lam, mu), GradedSuperScalar.zero())
 
 
-def char_irreducible(T: SchurAlgebra, bold, ring: CoefficientRing) -> CharacterVector:
+def char_irreducible(T: SchurAlgebra, bold, ring: CoefficientRing) -> dict:
     """ch L(bold) over the coefficient field: the graded ranks of the blocks
     of the integral Gram matrix of the standard module."""
     by_weight: dict = {}
     for (weight, deg, par), rows in gram_blocks(T, bold).items():
         if r := exactla.rank(rows, ring):
             by_weight.setdefault(weight, {})[deg, par] = r
-    return _character(by_weight)
+    return {w: GradedSuperScalar(terms) for w, terms in by_weight.items()}
 
 
 def decomp_oracle(T: SchurAlgebra, ring: CoefficientRing | None = None) -> DecompMatrix:
@@ -200,7 +192,7 @@ def decomp_oracle(T: SchurAlgebra, ring: CoefficientRing | None = None) -> Decom
             terms = residual.get(weight_of[mu])
             if not terms:
                 continue
-            c = GradedSuperScalar._normal(dict(terms))  # a copy: the residual is reduced below
+            c = GradedSuperScalar(dict(terms))  # a copy: the residual is reduced below
             if mu != lam and not leq(mu, lam):
                 raise AssertionError(f"support outside the order ideal: {lam} vs {mu}")
             if any(v < 0 for v in c.coeffs.values()):

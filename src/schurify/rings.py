@@ -6,8 +6,6 @@ pi^2 = 1.
 """
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping
-
 
 def _is_prime(p: int) -> bool:
     if p < 2:
@@ -73,47 +71,31 @@ class GradedSuperScalar:
     """Element of R = Z[q, q^-1][t]/(t^2 - 1), stored sparsely.
 
     Keys are (m, eps) with m the q-degree and eps in {0, 1} the pi-exponent;
-    zero coefficients are never stored.  The constructor brings what it is
-    given into that normal form.  `_normal` wraps a dict already in it, with
-    int keys (m, 0 | 1) and no zero int coefficient, as it is: the scalar
-    then owns the dict, and its caller never changes it again.  A scalar is
-    never changed once built, so vectors and matrices share scalars freely.
+    zero coefficients are never stored.  The constructor takes a dict already
+    in that normal form, with int keys (m, 0 | 1) and no zero int
+    coefficient, and keeps it as it is, unchecked: the scalar then owns the
+    dict, and its caller never changes it again.  A scalar is never changed
+    once built, so characters and matrices share scalars freely.
     """
 
     __slots__ = ("coeffs",)
 
-    def __init__(self, coeffs: Mapping[tuple[int, int], int] | Iterable[tuple[tuple[int, int], int]] = ()):
-        d: dict[tuple[int, int], int] = {}
-        items = coeffs.items() if isinstance(coeffs, Mapping) else coeffs
-        for (m, eps), c in items:
-            if c:
-                k = (int(m), int(eps) % 2)
-                d[k] = d.get(k, 0) + int(c)
-                if not d[k]:
-                    del d[k]
-        self.coeffs = d
+    def __init__(self, coeffs: dict[tuple[int, int], int]):
+        self.coeffs = coeffs
 
     # -- constructors -------------------------------------------------
     @staticmethod
-    def _normal(coeffs: dict[tuple[int, int], int]) -> "GradedSuperScalar":
-        """The scalar of `coeffs`, a dict in normal form (see the class),
-        which it keeps as it is, unchecked."""
-        out = object.__new__(GradedSuperScalar)
-        out.coeffs = coeffs
-        return out
-
-    @staticmethod
     def zero() -> "GradedSuperScalar":
-        return GradedSuperScalar._normal({})
+        return GradedSuperScalar({})
 
     @staticmethod
     def one() -> "GradedSuperScalar":
-        return GradedSuperScalar._normal({(0, 0): 1})
+        return GradedSuperScalar({(0, 0): 1})
 
     @staticmethod
     def term(c: int, m: int = 0, eps: int = 0) -> "GradedSuperScalar":
         """c q^m pi^eps, for ints c, m and eps."""
-        return GradedSuperScalar._normal({(m, eps % 2): c} if c else {})
+        return GradedSuperScalar({(m, eps % 2): c} if c else {})
 
     # -- ring structure -----------------------------------------------
     def __add__(self, other: "GradedSuperScalar") -> "GradedSuperScalar":
@@ -122,7 +104,7 @@ class GradedSuperScalar:
             d[k] = d.get(k, 0) + c
             if not d[k]:
                 del d[k]
-        return GradedSuperScalar._normal(d)
+        return GradedSuperScalar(d)
 
     def __mul__(self, other: "GradedSuperScalar") -> "GradedSuperScalar":
         d: dict[tuple[int, int], int] = {}
@@ -130,7 +112,8 @@ class GradedSuperScalar:
             for (m2, e2), c2 in other.coeffs.items():
                 k = (m1 + m2, (e1 + e2) % 2)
                 d[k] = d.get(k, 0) + c1 * c2
-        return GradedSuperScalar(d)
+        # products cancel: (1 + pi)(1 - pi) = 0
+        return GradedSuperScalar({k: c for k, c in d.items() if c})
 
     def __eq__(self, other) -> bool:
         if isinstance(other, int):

@@ -64,7 +64,7 @@ class SchurAlgebra:
         d: int,
         tau: AntiInvolution | None = None,
         keep_basis: frozenset[str] | None = None,
-        parent: "SchurAlgebra | None" = None,
+        ctx: TriContext | None = None,
     ):
         if n < 1 or d < 0:
             raise ValueError("need n >= 1, d >= 0")
@@ -74,8 +74,7 @@ class SchurAlgebra:
         self.d = d
         self.tau = tau
         self.keep_basis = keep_basis
-        self.parent = parent
-        self.ctx = parent.ctx if parent is not None else TriContext(alg, data, n)
+        self.ctx = ctx if ctx is not None else TriContext(alg, data, n)
         letters = list(self.ctx.letters)
         if keep_basis is not None:
             letters = [lt for lt in letters if lt[0] in keep_basis]
@@ -402,7 +401,7 @@ class SchurAlgebra:
             b for b in self.alg.basis if left.get(b) in colors and right.get(b) in colors
         )
         return SchurAlgebra(self.alg, self.data, self.n, self.d, self.tau,
-                            keep_basis=keep, parent=self)
+                            keep_basis=keep, ctx=self.ctx)
 
     # -- serialization -----------------------------------------------------
     def element_to_json(self, x: Element) -> list:

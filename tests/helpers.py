@@ -63,8 +63,9 @@
   structures and readings that no command runs, kept here for the tests
   that check them; they read the production algebra's contexts, kernel
   factors and `idempotent_bold`.
-- add / scale / std: sums of Elements, an integer multiple of a graded
-  super-scalar, and a `CodetBasis`'s standard tableaux of one side.
+- add / scale / std: x + c * y for Elements or characters, an integer
+  multiple of a graded super-scalar, and a `CodetBasis`'s standard tableaux
+  of one side.
 - run_cli: the `schurify` command line in this process, its output captured.
 - verify_fails_only: `verify` failing exactly one of its nine rows, the
   others passing or not applying.
@@ -93,7 +94,7 @@ from schurify.base_algebra import (
     make_algebra,
     make_extended_zigzag,
 )
-from schurify.characters import CharacterVector, schur_char
+from schurify.characters import schur_char
 from schurify.cli import main
 from schurify.partitions import compare, conjugate, gen_multicompositions, pad, partitions_of, trim
 from schurify.rings import GradedSuperScalar
@@ -156,18 +157,21 @@ def assert_reaped(forks: list[int]) -> None:
 # ---------------------------------------------------------------------------
 
 def add(x, y, c=1):
-    """x + c * y for Elements x and y."""
+    """x + c * y for Elements x and y and an int c, or for characters x and
+    y and a scalar c; a key whose sum is zero is dropped."""
     out = dict(x)
     for k, v in y.items():
-        out[k] = out.get(k, 0) + c * v
-        if not out[k]:
-            del out[k]
+        s = out[k] + c * v if k in out else c * v
+        if s:
+            out[k] = s
+        else:
+            out.pop(k, None)
     return out
 
 
 def scale(a, c):
     """c * a for a graded super-scalar a and an int c."""
-    return GradedSuperScalar({k: c * v for k, v in a.coeffs.items()})
+    return GradedSuperScalar({k: c * v for k, v in a.coeffs.items()} if c else {})
 
 
 def std(cb, side):
@@ -618,7 +622,7 @@ def family(T, d):
     its own family."""
     members = vars(T).setdefault("_family", {T.d: T})
     if d not in members:
-        member = SchurAlgebra(T.alg, T.data, T.n, d, T.tau, T.keep_basis, parent=T)
+        member = SchurAlgebra(T.alg, T.data, T.n, d, T.tau, T.keep_basis, ctx=T.ctx)
         member._family = members
         members[d] = member
     return members[d]
@@ -862,7 +866,7 @@ def skew_char(lam, mu, eps, n):
             del filling[(r, c)]
 
     rec(0, {})
-    return CharacterVector(out)
+    return out
 
 
 def check_skew_chars(lr):
@@ -878,12 +882,12 @@ def check_skew_chars(lr):
                     continue
                 for eps in (0, 1):
                     lhs = skew_char(lam, mu, eps, n)
-                    rhs = CharacterVector()
+                    rhs = {}
                     rest = total - sum(mu)
                     for nu in partitions_of(rest, rest):
                         c = lr.coeff(lam, [mu, nu], twists=[0, eps])
                         if c:
-                            rhs = rhs + schur_char(nu, n).scale(c)
+                            rhs = add(rhs, schur_char(nu, n), GradedSuperScalar.term(c))
                     assert lhs == rhs, (lam, mu, eps)
 
 
@@ -918,7 +922,8 @@ def gram_rank_character(T, bold, p):
     """ch L(bold) over F_p: `full_gram` cut into blocks, a row per X
     tableau S under its share (weight, degree, parity) and against the Y
     tableaux of share (weight, -degree, parity), each block's rank mod p
-    (`lu_rank`) the coefficient of q^degree pi^parity at that weight."""
+    (`lu_rank`) the coefficient of q^degree pi^parity at that weight, where
+    it is nonzero."""
     cb, gram = T.codet_basis, full_gram(T, bold)
     ys = [(Tb, tableau_share(T, Tb, Y_SIDE)) for Tb in cb.std_y[bold]]
     blocks = {}
@@ -928,8 +933,9 @@ def gram_rank_character(T, bold, p):
         blocks.setdefault((weight, deg, par), []).append([gram[S, Tb] for Tb in cols])
     by_weight = {}
     for (weight, deg, par), mat in blocks.items():
-        by_weight.setdefault(weight, {})[deg, par] = lu_rank(mat, p)
-    return CharacterVector({w: GradedSuperScalar(terms) for w, terms in by_weight.items()})
+        if r := lu_rank(mat, p):
+            by_weight.setdefault(weight, {})[deg, par] = r
+    return {w: GradedSuperScalar(terms) for w, terms in by_weight.items()}
 
 
 def gram_entries(T, bold, blocks):

@@ -7,7 +7,6 @@ from schurify.base_algebra import (
     make_algebra,
     make_extended_zigzag,
     make_semisimple,
-    make_trivial,
     strict_pairs,
 )
 from schurify.base_heredity import HeredityReport, verify_heredity

@@ -123,8 +123,7 @@ def test_a_failed_cross_check_exits_1_with_its_witness_under_either_out(cmd, mon
     real = getattr(owner, name)
 
     def doubled(*args):
-        out = real(*args)
-        return {k: v + v for k, v in out.items()} if isinstance(out, dict) else out + out
+        return {k: v + v for k, v in real(*args).items()}
 
     monkeypatch.setattr(owner, name, doubled)
     outputs = []
@@ -254,7 +253,7 @@ def test_verify_names_the_label_where_the_characters_differ(monkeypatch, tmp_pat
 
     def perturbed(T, lam, cache):
         ch = real(T, lam, cache)
-        return ch + ch if lam == target else ch
+        return {w: c + c for w, c in ch.items()} if lam == target else ch
 
     monkeypatch.setattr(verification, "char_standard_formula", perturbed)
     common = ["--algebra", "zigzag:1", "-n", "2", "-d", "2", "--cache-dir", str(tmp_path)]
@@ -699,7 +698,7 @@ real = verification.char_standard_formula
 
 def doubled(T, lam, cache):
     ch = real(T, lam, cache)
-    return ch + ch if lam == ((1,), (1,)) else ch
+    return {w: c + c for w, c in ch.items()} if lam == ((1,), (1,)) else ch
 
 verification.char_standard_formula = doubled
 runpy.run_module("schurify.cli", run_name="__main__", alter_sys=True)
@@ -744,7 +743,7 @@ def test_a_command_process_exits_1_on_a_failing_check(monkeypatch, tmp_path):
 
     def doubled(T, lam, cache):
         ch = real(T, lam, cache)
-        return ch + ch if lam == ((1,), (1,)) else ch
+        return {w: c + c for w, c in ch.items()} if lam == ((1,), (1,)) else ch
 
     monkeypatch.setattr(verification, "char_standard_formula", doubled)
     failed = verify_fails_only("characters", *args[1:])

@@ -1,6 +1,6 @@
 import pytest
 
-from helpers import gram_rank_character, tableau_weight
+from helpers import add, gram_rank_character, tableau_weight
 from schurify import characters as ch
 from schurify import decomposition as dec
 from schurify.base_algebra import make_algebra
@@ -97,17 +97,46 @@ CLASSICAL_S33_OFF_DIAGONAL = {
 }
 
 
+# the same for S(4, 4), derived by hand: each weight split as lam0 + p lam1
+# with lam0 p-restricted (Steinberg's tensor product theorem), the weight
+# multiplicities of a restricted L(lam) at (1^4) read through the Schur
+# functor (f L(lam) = D^{lam'} when lam' is p-regular, 0 otherwise; James,
+# LNM 682, the tables of S_4), and s_lam peeled into monomial symmetric
+# functions.  Over F_3, (3, 1) and (2, 1, 1) lie in blocks of defect 0.
+CLASSICAL_S44_OFF_DIAGONAL = {
+    2: {((4,), (3, 1)): 1, ((4,), (2, 2)): 1, ((4,), (1, 1, 1, 1)): 1,
+        ((3, 1), (2, 2)): 1, ((3, 1), (2, 1, 1)): 1, ((3, 1), (1, 1, 1, 1)): 1,
+        ((2, 2), (2, 1, 1)): 1, ((2, 1, 1), (1, 1, 1, 1)): 1},
+    3: {((4,), (2, 2)): 1, ((2, 2), (1, 1, 1, 1)): 1},
+}
+
+
+def _classical_off_diagonal(n: int, p: int) -> dict:
+    """The off-diagonal entries of `ClassicalDecomp(n, GF(p))` at size n,
+    after checking its diagonal is 1.  `classical(gamma, mu)` is
+    [Delta(gamma) : L(mu)], nonzero only for mu dominated by gamma, so a key
+    (gamma, mu) names the Weyl module first and its composition factor
+    second."""
+    classical = dec.ClassicalDecomp(n, GF(p))
+    labels = partitions_of(n, n)
+    assert all(classical(lam, lam) == 1 for lam in labels)
+    return {(lam, mu): c for lam in labels for mu in labels
+            if lam != mu and (c := classical(lam, mu))}
+
+
 @pytest.mark.parametrize("p", sorted(CLASSICAL_S33_OFF_DIAGONAL))
 def test_classical_decomposition_numbers_of_s33_in_char_p(p):
     """The classical matrix that the char-p formula route reads, pinned at
     n = d = 3 from GL_3's modules, not from the Gram-rank oracle it is
     computed by: unitriangular, with exactly the off-diagonal entries above."""
-    classical = dec.ClassicalDecomp(3, GF(p))
-    labels = partitions_of(3, 3)
-    assert all(classical(lam, lam) == 1 for lam in labels)
-    off = {(lam, mu): c for lam in labels for mu in labels
-           if lam != mu and (c := classical(lam, mu))}
-    assert off == CLASSICAL_S33_OFF_DIAGONAL[p]
+    assert _classical_off_diagonal(3, p) == CLASSICAL_S33_OFF_DIAGONAL[p]
+
+
+@pytest.mark.parametrize("p", sorted(CLASSICAL_S44_OFF_DIAGONAL))
+def test_classical_decomposition_numbers_of_s44_in_char_p(p):
+    """The classical matrix at n = d = 4, pinned from GL_4's modules through
+    the Schur functor: unitriangular, with exactly the entries above."""
+    assert _classical_off_diagonal(4, p) == CLASSICAL_S44_OFF_DIAGONAL[p]
 
 
 @pytest.mark.parametrize("n", [3, 4])
@@ -159,11 +188,11 @@ def test_decomp_identity(T122):
         chl = {mu: dec.char_irreducible(T122, mu, ring) for mu in D.labels}
         for lam in D.labels:
             lhs = ch.char_standard_tableaux(T122, lam)
-            rhs = ch.CharacterVector()
+            rhs = {}
             for mu in D.labels:
                 e = D.entry(lam, mu)
                 if e:
-                    rhs = rhs + chl[mu].scale(e)
+                    rhs = add(rhs, chl[mu], e)
             assert lhs == rhs, (ring, lam)
 
 
@@ -231,9 +260,9 @@ def test_base_blocks_zigzag(zz1):
 
 
 def _assert_normal(c) -> None:
-    """c is a scalar in normal form: what the normalizing constructor makes
-    of its coefficients, keyed by (int, 0 | 1) with no zero coefficient."""
-    assert type(c) is GradedSuperScalar and c == GradedSuperScalar(c.coeffs)
+    """c is a scalar in normal form: its dict is keyed by (int, 0 | 1) and
+    holds no zero coefficient."""
+    assert type(c) is GradedSuperScalar and type(c.coeffs) is dict
     for (m, eps), v in c.coeffs.items():
         assert type(m) is int and eps in (0, 1) and type(v) is int and v, c.coeffs
 
@@ -260,3 +289,20 @@ def test_the_character_and_decomposition_layers_return_normal_scalars(spec, fiel
     for c in returned:
         _assert_normal(c)
     assert [c.coeffs for c in returned[:len(before)]] == before
+
+
+def test_every_character_route_returns_a_dict_of_nonzero_normal_scalars(lr):
+    """On zigzag:2 at n = d = 3, the tableau, formula and Gram characters of
+    every label, its Schur characters and those of its colours are plain
+    dicts whose values are nonzero scalars in normal form."""
+    T = _T("zigzag:2", 3, 3)
+    labels = gen_multipartitions(3, 3, len(T.data.labels) - 1)
+    chars = [ch.schur_char(lam, 3) for e in range(4) for lam in partitions_of(e, 3)]
+    for lam in labels:
+        chars += [ch.char_standard_tableaux(T, lam), ch.char_standard_formula(T, lam, lr),
+                  dec.char_irreducible(T, lam, QQ), ch.schur_char_bold(lam, 3)]
+    for v in chars:
+        assert type(v) is dict
+        for c in v.values():
+            _assert_normal(c)
+            assert c, v

@@ -126,57 +126,33 @@ def test_every_module_stays_under_the_late_compile_token_bound():
     assert max(sizes.values()) < MODULE_TOKEN_BOUND, sizes
 
 
-# the names nothing in the package reads, each kept for the layer benchmark
-READ_OUTSIDE_SRC = {
-    "codeterminants.CodetBasis.unimodular",  # perfbench/layers.py reads it (ROADMAP item 12)
-    "decomposition.decomp_formula",  # perfbench/layers.py reads it (ROADMAP item 12)
-    "heredity.heredity_of_T",  # perfbench/layers.py reads it (ROADMAP item 12)
-}
-PLAIN_DECORATORS = {"property", "cached_property", "staticmethod"}
+def unused_imports(path: str) -> set[str]:
+    """The names a module binds by an import and never reads.  A read is a
+    loaded `Name` anywhere in the module, annotations and `if TYPE_CHECKING:`
+    blocks included, or a string of its `__all__`; a quoted annotation is
+    not parsed."""
+    with open(path, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    imported, read = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import) or (isinstance(node, ast.ImportFrom)
+                                            and node.module != "__future__"):
+            imported |= {(alias.asname or alias.name).partition(".")[0] for alias in node.names}
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Assign) and [t.id for t in node.targets
+                                               if isinstance(t, ast.Name)] == ["__all__"]:
+            read |= {elt.value for elt in node.value.elts}
+    return imported - read
 
 
-def unread_definitions(package: str) -> set[str]:
-    """The top-level functions and classes of the package's modules, and
-    the methods of its classes, that are undecorated or decorated only by
-    `PLAIN_DECORATORS` and whose name nothing in the package reads outside
-    their own body, as a `Name`, an `Attribute` or an import alias; dunder
-    names are exempt.  The scan is by name, so it cannot tell two
-    definitions of one name apart."""
-    defined, reads = [], []
-    for name in sorted(os.listdir(package)):
-        if not name.endswith(".py"):
-            continue
-        with open(os.path.join(package, name), encoding="utf-8") as fh:
-            tree = ast.parse(fh.read())
-        module = name[:-3]
-        for node in tree.body:
-            members = [(None, node)]
-            if isinstance(node, ast.ClassDef):
-                members += [(node.name, sub) for sub in node.body]
-            for owner, sub in members:
-                if (isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-                        and all(isinstance(dec, ast.Name) and dec.id in PLAIN_DECORATORS
-                                for dec in sub.decorator_list)
-                        and not (sub.name.startswith("__") and sub.name.endswith("__"))):
-                    defined.append((".".join(filter(None, (module, owner, sub.name))), module, sub))
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
-                reads.append((node.id, module, node.lineno))
-            elif isinstance(node, ast.Attribute):
-                reads.append((node.attr, module, node.lineno))
-            elif isinstance(node, ast.alias):
-                reads.append((node.name.rpartition(".")[2], module, node.lineno))
-    return {qualified for qualified, module, node in defined
-            if not any(read == node.name
-                       and not (where == module and node.lineno <= line <= node.end_lineno)
-                       for read, where, line in reads)}
-
-
-def test_src_holds_no_code_that_only_the_tests_read():
-    """Every function, class and method of the package is read somewhere
-    in the package outside its own body, but for the names the layer
-    benchmark reads: what only the tests read lives under `tests/`."""
-    assert unread_definitions(PACKAGE) == READ_OUTSIDE_SRC
+def test_no_module_imports_a_name_it_never_reads():
+    """Neither the package's modules nor the tests import a name they do
+    not read."""
+    tests = os.path.dirname(os.path.abspath(__file__))
+    paths = [os.path.join(folder, name) for folder in (PACKAGE, tests)
+             for name in sorted(os.listdir(folder)) if name.endswith(".py")]
+    assert {path: names for path in paths if (names := unused_imports(path))} == {}
 
 
 # the commands of the reachability run, each as its arguments: `dim`,
@@ -220,21 +196,26 @@ for argv in json.loads(sys.argv[1]):
 sys.setprofile(None)
 print(json.dumps(sorted(entered)))
 """
-# the functions no command of the run enters
-NOT_REACHED = READ_OUTSIDE_SRC | {
-    # read by the layer benchmark (perfbench/layers.py) too
-    "codeterminants.CodetBasis.keys", "schur.SchurAlgebra.orbits",
-    # run only on a failure
+# the functions no command of the run enters: those the layer benchmark
+# (perfbench/layers.py) reads, which nothing in the package reads (ROADMAP
+# item 12), and those run only on a failure
+READ_OUTSIDE_SRC = {
+    "codeterminants.CodetBasis.unimodular", "codeterminants.CodetBasis.keys",
+    "decomposition.decomp_formula", "heredity.heredity_of_T", "schur.SchurAlgebra.orbits",
+}
+FAILURE_ONLY = {
     "codeterminants.CodetBasis._name_stray", "exactla.Block._non_integral", "cli._witness",
     "cli._int_json.no_float", "verification._orbits_json", "verification._labels_json",
     "base_heredity.HeredityReport.fail", "base_algebra.Side.spell",
 }
+NOT_REACHED = READ_OUTSIDE_SRC | FAILURE_ONLY
 
 
-def package_functions(package: str) -> dict[tuple[str, int], str]:
-    """(file, first line) -> qualified name of every function and method
-    of the package's modules, nested ones included and dunders left out; the
-    first line is that of its first decorator, as on its code object."""
+def package_functions(package: str) -> dict[tuple[str, int], tuple[str, int]]:
+    """(file, first line) -> (qualified name, last line) of every function
+    and method of the package's modules, nested ones included and dunders
+    left out; the first line is that of its first decorator, as on its code
+    object."""
     out = {}
 
     def visit(node, path, prefix):
@@ -244,7 +225,7 @@ def package_functions(package: str) -> dict[tuple[str, int], str]:
                 if not isinstance(sub, ast.ClassDef) and not (
                         sub.name.startswith("__") and sub.name.endswith("__")):
                     first = min([sub.lineno] + [dec.lineno for dec in sub.decorator_list])
-                    out[path, first] = name
+                    out[path, first] = name, sub.end_lineno
                 visit(sub, path, name)
             else:
                 visit(sub, path, prefix)
@@ -257,17 +238,45 @@ def package_functions(package: str) -> dict[tuple[str, int], str]:
     return out
 
 
+def unread_functions(package: str, names: set[str]) -> set[str]:
+    """The functions of `names`, qualified as `package_functions` names
+    them, whose name nothing in the package reads outside their own body,
+    as a `Name` or an `Attribute`.  The scan is by name, so a read of any
+    same-named attribute counts."""
+    reads = []
+    for name in sorted(os.listdir(package)):
+        if name.endswith(".py"):
+            path = os.path.join(package, name)
+            with open(path, encoding="utf-8") as fh:
+                for node in ast.walk(ast.parse(fh.read())):
+                    if isinstance(node, ast.Name):
+                        reads.append((node.id, path, node.lineno))
+                    elif isinstance(node, ast.Attribute):
+                        reads.append((node.attr, path, node.lineno))
+    return {qualified for (path, first), (qualified, last) in package_functions(package).items()
+            if qualified in names
+            and not any(read == qualified.rpartition(".")[2]
+                        and not (where == path and first <= line <= last)
+                        for read, where, line in reads)}
+
+
 def test_every_function_of_the_package_runs_under_some_command(tmp_path):
     """Every function and method of the package is entered by one of the
     commands of `REACH_COMMANDS`, but for those of `NOT_REACHED`: what only
-    the tests run lives under `tests/`.  This sees what the name scan of
-    `unread_definitions` cannot: a method that shares its name with one the
-    package reads."""
+    the tests run lives under `tests/`."""
     out = fresh(RUN_TRACED, json.dumps(REACH_COMMANDS), PACKAGE + os.sep, str(tmp_path))
     entered = {tuple(place) for place in json.loads(out.splitlines()[-1])}
     functions = package_functions(PACKAGE)
-    assert NOT_REACHED <= set(functions.values())
-    assert {name for place, name in functions.items() if place not in entered} == NOT_REACHED
+    assert NOT_REACHED <= {name for name, _last in functions.values()}
+    assert {name for place, (name, _last) in functions.items() if place not in entered} \
+        == NOT_REACHED
+
+
+def test_src_holds_no_code_that_only_the_tests_read():
+    """Each function of `FAILURE_ONLY` is read in the package outside its
+    own body.  The traced run cannot tell a failure path from a function
+    whose only caller is gone, since it enters neither."""
+    assert unread_functions(PACKAGE, FAILURE_ONLY) == set()
 
 
 def test_char_loads_the_characters_but_not_the_decomposition_layer(tmp_path):

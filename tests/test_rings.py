@@ -25,19 +25,27 @@ def test_term_accumulation():
 
 @given(st.integers(-3, 3), st.integers(-3, 3), st.integers(-3, 3))
 def test_named_constructors_make_the_normal_form(c, m, eps):
-    """`term`, `zero` and `one`, built without the normalizing constructor,
-    give what it makes of the same coefficients: a zero term stores nothing
-    and equals 0, and the parity is taken mod 2."""
+    """`term`, `zero` and `one` store the normal form: a zero term stores
+    nothing and equals 0, and the parity is taken mod 2."""
     t = GradedSuperScalar.term(c, m, eps)
-    assert t.coeffs == GradedSuperScalar({(m, eps): c}).coeffs
+    assert t.coeffs == ({(m, eps % 2): c} if c else {})
     assert (t == 0) is (c == 0) and bool(t) is (c != 0)
-    assert GradedSuperScalar.zero().coeffs == GradedSuperScalar().coeffs == {}
-    assert GradedSuperScalar.one().coeffs == GradedSuperScalar({(0, 2): 1}).coeffs == {(0, 0): 1}
+    assert GradedSuperScalar.zero().coeffs == {}
+    assert GradedSuperScalar.one().coeffs == {(0, 0): 1}
 
 
+def test_a_product_that_cancels_stores_nothing():
+    """pi^2 = 1, so (1 + pi)(1 - pi) = 1 - pi^2 = 0: the product drops the
+    zero coefficients its terms cancel to."""
+    one, pi = GradedSuperScalar.one(), GradedSuperScalar.term(1, 0, 1)
+    product = (one + pi) * (one + scale(pi, -1))
+    assert product.coeffs == {} and not product and product == 0
+
+
+# scalars in normal form: nonzero coefficients, parities 0 and 1
 scalars = st.dictionaries(
     st.tuples(st.integers(-3, 3), st.integers(0, 1)),
-    st.integers(-5, 5),
+    st.integers(-5, 5).filter(bool),
     max_size=4,
 ).map(GradedSuperScalar)
 
