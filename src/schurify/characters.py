@@ -2,13 +2,15 @@
 
 Two layers live here:
 
-  * the classical symmetric-function layer: one walk that adds horizontal
-    strips (`_horizontal_strips`) gives the two-factor LR expansion by
-    lattice-word skew tableaux and, one strip per part of the weight
-    (Pieri's rule), the Kostka numbers; iterated multi-factor coefficients
-    with optional conjugate twists, memoized by an `LRCache` that its caller
-    builds and passes in (the module keeps none, and only a cache given a
-    file writes to disk);
+  * the classical symmetric-function layer: one step that adds a
+    horizontal strip (`_horizontal_strips`, Pieri's rule) gives the
+    two-factor LR expansion, by the Jacobi-Trudi determinant of the second
+    factor over strips added to the first, and, one strip per part of the
+    weight, the Kostka numbers; iterated multi-factor coefficients with
+    optional conjugate twists, memoized by an `LRCache` that its caller
+    builds and passes in (only a cache given a file writes to disk).  The
+    module keeps two memos for its whole life: `_PAIR_MEMO` of two-factor
+    expansions and the `lru_cache` of `schur_char`;
   * graded characters of standard modules, by two routes.  The closed
     formula is one sum over column multipartitions driven by the base
     algebra's graded decomposition data (`_column_terms`), taken with the
@@ -45,37 +47,26 @@ from .schur import SchurAlgebra
 # Littlewood-Richardson expansion by horizontal strips, and Kostka numbers
 # ---------------------------------------------------------------------------
 
-def _horizontal_strips(shape: Partition, k: int, max_rows: int):
+def _horizontal_strips(shape: Partition, k: int, max_rows: int) -> list[Partition]:
     """All partitions obtained from `shape` by adding a horizontal strip of k
-    cells within max_rows rows, with the added cells per row."""
-    rows = len(shape)
-    if rows > max_rows:
+    cells within max_rows rows."""
+    if len(shape) > max_rows:
         return []
+    old = tuple(shape) + (0,) * (max_rows - len(shape))
     out = []
 
-    def rec(r: int, left: int, acc: list[int]):
+    def rec(r: int, left: int, new: tuple):
         if r == max_rows:
             if left == 0:
-                new = tuple(shape[i] + acc[i] if i < rows else acc[i]
-                            for i in range(max_rows))
-                out.append((trim(new), tuple(acc)))
+                out.append(trim(new))
             return
-        base = shape[r] if r < rows else 0
-        above_old = shape[r - 1] if 0 < r <= rows else 0
-        above_new = above_old + acc[r - 1] if r > 0 else 0
-        for a in range(left + 1):
-            new_len = base + a
-            # horizontal strip: no two added cells share a column
-            if r > 0 and new_len > above_old:
-                continue
-            # stay a partition
-            if r > 0 and new_len > above_new:
-                continue
-            acc.append(a)
-            rec(r + 1, left - a, acc)
-            acc.pop()
+        # row r grows at most to the old length of the row above it, so no
+        # two added cells share a column
+        room = left if r == 0 else min(left, old[r - 1] - old[r])
+        for a in range(room + 1):
+            rec(r + 1, left - a, new + (old[r] + a,))
 
-    rec(0, k, [])
+    rec(0, k, ())
     return out
 
 
@@ -83,48 +74,38 @@ _PAIR_MEMO: dict = {}
 
 
 def _lr_pair(nu: Partition, mu: Partition, max_rows: int) -> dict[Partition, int]:
-    """Expansion s_nu * s_mu = sum c^kappa s_kappa within max_rows rows,
-    by counting lattice-word skew semistandard tableaux of content mu."""
+    """Expansion s_nu * s_mu = sum c^kappa s_kappa within max_rows rows, with
+    s_mu by the Jacobi-Trudi determinant: the sum over permutations sigma of
+    sgn(sigma) h_{mu_1-1+sigma(1)} ... h_{mu_l-l+sigma(l)}, each h_k added to
+    nu as one horizontal strip of k cells (Pieri's rule).  Cutting every
+    strip to max_rows rows is the ring map onto symmetric polynomials in
+    max_rows variables, so the signed terms cancel there as they do uncut."""
     nu, mu = trim(tuple(nu)), trim(tuple(mu))
     for key in ((nu, mu, max_rows), (mu, nu, max_rows)):
         if key in _PAIR_MEMO:
             return _PAIR_MEMO[key]
     out: dict[Partition, int] = {}
 
-    def rec(v: int, shape: Partition, cells: list):
-        if v == len(mu):
-            if _lattice_ok(nu, cells):
-                out[shape] = out.get(shape, 0) + 1
+    def rec(i: int, free: tuple, sign: int, shapes: dict):
+        # row i of the determinant takes a free column j; the sign flips once
+        # per free column left of j, which a later row takes
+        if i == len(mu):
+            for shape, c in shapes.items():
+                out[shape] = out.get(shape, 0) + sign * c
             return
-        for new, added in _horizontal_strips(shape, mu[v], max_rows):
-            rec(v + 1, new, cells + [(shape, added)])
+        for pos, j in enumerate(free):
+            if mu[i] - i + j < 0:
+                continue
+            nxt: dict[Partition, int] = {}
+            for shape, c in shapes.items():
+                for new in _horizontal_strips(shape, mu[i] - i + j, max_rows):
+                    nxt[new] = nxt.get(new, 0) + c
+            rec(i + 1, free[:pos] + free[pos + 1:], -sign if pos % 2 else sign, nxt)
 
-    rec(0, nu, [])
+    rec(0, tuple(range(len(mu))), 1, {nu: 1})
+    out = {shape: c for shape, c in out.items() if c}
     _PAIR_MEMO[(nu, mu, max_rows)] = out
     return out
-
-
-def _lattice_ok(nu: Partition, cells: list) -> bool:
-    """Reverse reading word (rows top to bottom, right to left) is lattice."""
-    if not cells:
-        return True
-    grid: dict[tuple[int, int], int] = {}
-    depth = 0
-    for v, (base, added) in enumerate(cells, start=1):
-        for r, a in enumerate(added):
-            start = base[r] if r < len(base) else 0
-            for c in range(start, start + a):
-                grid[(r, c)] = v
-            depth = max(depth, r + 1)
-    counts = [0] * (len(cells) + 1)
-    for r in range(depth):
-        row = sorted((c for (rr, c) in grid if rr == r), reverse=True)
-        for c in row:
-            v = grid[(r, c)]
-            counts[v] += 1
-            if v > 1 and counts[v] > counts[v - 1]:
-                return False
-    return True
 
 
 def lr_expand(factors, max_rows: int) -> dict[Partition, int]:
@@ -143,7 +124,7 @@ def lr_expand(factors, max_rows: int) -> dict[Partition, int]:
 def kostka(lam: Partition, mu) -> int:
     """Count of semistandard lam-tableaux of weight mu: the coefficient of
     s_lam in h_{mu_1} ... h_{mu_k}, one horizontal strip per part (Pieri's
-    rule), by the LR walk."""
+    rule), each h_m being the one-row factor (m,) of `lr_expand`."""
     lam = trim(tuple(lam))
     if size(lam) != sum(mu):
         raise ValueError("size mismatch")

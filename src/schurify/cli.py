@@ -90,16 +90,29 @@ def _require_qh(args: argparse.Namespace, T) -> None:
         )
 
 
-def _emit(args: argparse.Namespace, payload, csv_rows=None) -> None:
-    """Write `payload`, text as it is and anything else as JSON, or its
-    `csv_rows` under `--out csv` (`main` refuses that option for a command
-    that has none); to the `--output` file, or else to stdout."""
+def _emit(args: argparse.Namespace, payload) -> None:
+    """Write `payload`, text as it is and anything else as JSON, to the
+    `--output` file or else to stdout.  Under `--out csv` (`main` refuses it
+    for a command whose output has no rows) each record, the payload or an
+    item of its list, is one row of its values in order, a string as it is
+    and anything else as JSON."""
     if args.out == "csv":
         import csv
         import io
 
+        dumped: dict = {}  # id -> JSON, once per object: decomp's labels recur
+
+        def cell(v) -> str:
+            if isinstance(v, str):
+                return v
+            if id(v) not in dumped:
+                dumped[id(v)] = json.dumps(v)
+            return dumped[id(v)]
+
         buf = io.StringIO()
-        csv.writer(buf, lineterminator="\n").writerows(csv_rows)
+        csv.writer(buf, lineterminator="\n").writerows(
+            [cell(v) for v in record.values()]
+            for record in (payload if isinstance(payload, list) else [payload]))
         text = buf.getvalue()
     elif isinstance(payload, str):
         text = payload
@@ -232,7 +245,7 @@ def build(args: argparse.Namespace) -> None:
 def dim(args: argparse.Namespace) -> None:
     """Rank of the algebra (number of canonical orbits)."""
     T = _make_T(args)
-    _emit(args, {"rank": str(T.rank)}, csv_rows=[[T.rank]])
+    _emit(args, {"rank": str(T.rank)})
 
 
 @_command(("--left", dict(required=True, help="orbit word as JSON [{b,r,s},...]")),
@@ -242,8 +255,7 @@ def mul(args: argparse.Namespace) -> None:
     T = _make_T(args)
     x = _orbit_from_json(T, args.left)
     y = _orbit_from_json(T, args.right)
-    payload = T.element_to_json(T.mul(x, y))
-    _emit(args, payload, csv_rows=[[json.dumps(e["orbit"]), e["coeff"]] for e in payload])
+    _emit(args, T.element_to_json(T.mul(x, y)))
 
 
 @_command(("--orbit", dict(required=True, help="orbit word as JSON [{b,r,s},...]")),
@@ -268,17 +280,14 @@ def straighten(args: argparse.Namespace) -> int | None:
         return _witness(args, {"error": "straightening backends disagree",
                               "orbit": triples.TriContext.to_json(rep)})
     expansion = results.get("solve", results.get("recursive"))
-    payload = [
+    _emit(args, [
         {"shape": partitions.to_json(key[0]),
          "S": tableaux.to_json(key[1]),
          "T": tableaux.to_json(key[2]),
          "coeff": str(c)}
         for key, c in sorted(expansion.items(), key=lambda kv: repr(kv[0]))
         if c
-    ]
-    _emit(args, payload,
-          csv_rows=[[json.dumps(e["shape"]), json.dumps(e["S"]),
-                     json.dumps(e["T"]), e["coeff"]] for e in payload])
+    ])
 
 
 @_command(("--label", dict(required=True, help="multipartition as JSON [[...],[...]]")),
@@ -300,9 +309,8 @@ def char(args: argparse.Namespace) -> int | None:
         return _witness(args, {"error": "character methods disagree",
                               "label": partitions.to_json(lam)})
     vec = vecs.get("tableaux", vecs.get("formula"))
-    rows = [(w, repr(c)) for w, c in sorted(vec.items())]
-    _emit(args, [{"weight": [list(comp) for comp in w], "coeff": s} for w, s in rows],
-          csv_rows=[[json.dumps([list(comp) for comp in w]), s] for w, s in rows])
+    _emit(args, [{"weight": [list(comp) for comp in w], "coeff": repr(c)}
+                 for w, c in sorted(vec.items())])
 
 
 @_command(("--method", dict(choices=["formula", "oracle", "both"], default="both")))
@@ -334,11 +342,9 @@ def decomp(args: argparse.Namespace) -> int | None:
         return _witness(args, {"error": "formula and oracle disagree", "witnesses": diff[:10]})
     mat = matrices.get("oracle", matrices.get("formula"))
     as_json = {lam: partitions.to_json(lam) for lam in labels}
-    as_text = {lam: json.dumps(obj) for lam, obj in as_json.items()}
     zero = GradedSuperScalar.zero()
-    rows = [(lam, mu, repr(mat.get((lam, mu), zero))) for lam in labels for mu in labels]
-    _emit(args, [{"lam": as_json[l], "mu": as_json[m], "entry": e} for l, m, e in rows],
-          csv_rows=[[as_text[l], as_text[m], e] for l, m, e in rows])
+    _emit(args, [{"lam": as_json[lam], "mu": as_json[mu], "entry": repr(mat.get((lam, mu), zero))}
+                 for lam in labels for mu in labels])
 
 
 @_command(csv=False)

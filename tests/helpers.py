@@ -16,7 +16,10 @@
   its word grouped by slot word at once, signed by `triple_stat`; production
   (`SchurAlgebra.right_factor`) makes one group when a product asks for it.
 - lr_brute / multi_lr_brute: Littlewood-Richardson coefficients by direct
-  skew-filling enumeration with the reverse lattice word condition.
+  skew-filling enumeration with the reverse lattice word condition;
+  production (`characters._lr_pair`) expands the second factor by the
+  Jacobi-Trudi determinant over horizontal strips (Pieri's rule) and tests
+  no lattice word, so the two share no rule.
 - ssyt_count: Kostka numbers by filling enumeration.
 - lu_rank / lu_det / lu_solve: LU elimination over Fractions (or residues
   mod p) with partial pivoting, dense, and forward and back substitution;

@@ -66,11 +66,18 @@ def test_lr_twists_conjugate(lr):
         lr.coeff((2, 1), [(1, 1), (1,)])
 
 
-def test_lr_factor_order_symmetry(lr):
-    for lam in partitions_of(5, 5):
+def test_lr_factor_order_symmetry(monkeypatch):
+    """s_a s_b = s_b s_a, each order expanded from an empty pair memo, so
+    the two expand different determinants."""
+
+    def fresh(factors, rows):
+        monkeypatch.setattr(ch, "_PAIR_MEMO", {})
+        return ch.lr_expand(factors, rows)
+
+    for rows in range(1, 6):
         for a in partitions_of(2, 2):
             for b in partitions_of(3, 3):
-                assert lr.coeff(lam, [a, b]) == lr.coeff(lam, [b, a])
+                assert fresh([a, b], rows) == fresh([b, a], rows), (a, b, rows)
 
 
 def test_lr_against_brute_force(lr):
@@ -87,6 +94,24 @@ def test_lr_max_rows_truncation(lr):
     # a factor needing more than max_rows contributes zero
     assert lr.coeff((1, 1, 1), [(1, 1, 1)], max_rows=2) == 0
     assert lr.coeff((1, 1), [(1, 1)], max_rows=2) == 1
+
+
+def test_lr_expand_within_n_rows_is_the_uncut_expansion_cut():
+    """Every factor list of total size <= 6 (1-3 nonempty factors), expanded
+    within N = 1..4 rows, gives the terms of the uncut expansion with at
+    most N rows."""
+    cases = 0
+    for count in (1, 2, 3):
+        for sizes in itertools.product(range(1, 7), repeat=count):
+            if sum(sizes) > 6:
+                continue
+            for factors in itertools.product(*(partitions_of(k, k) for k in sizes)):
+                uncut = ch.lr_expand(factors, sum(sizes))
+                for rows in range(1, 5):
+                    assert ch.lr_expand(factors, rows) == \
+                        {k: c for k, c in uncut.items() if len(k) <= rows}, (factors, rows)
+                    cases += 1
+    assert cases == 784
 
 
 def test_lr_cache_roundtrip(tmp_path):

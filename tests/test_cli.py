@@ -1,4 +1,7 @@
+import argparse
+import csv
 import errno
+import io
 import json
 import os
 import re
@@ -613,6 +616,41 @@ ONE_PROCESS_CASES = {
 }
 
 
+CSV_CASES = {
+    "dim": [],
+    "mul": ["--left", '[{"b": "e1", "r": 1, "s": 1}, {"b": "a0_1", "r": 1, "s": 1}]',
+            "--right", '[{"b": "a1_0", "r": 1, "s": 1}, {"b": "e1", "r": 1, "s": 2}]'],
+    "straighten": ["--orbit", '[{"b": "e1", "r": 1, "s": 1}, {"b": "a0_1", "r": 1, "s": 1}]'],
+    "char": ["--label", "[[1], [1]]"],
+    "decomp": [],
+}
+
+
+@pytest.mark.parametrize("cmd", CSV_CASES)
+def test_a_csv_row_is_a_json_record(cmd):
+    """Under `--out csv` each record of the JSON output, the output or each
+    item of its list, is one row with a cell per value."""
+    common = [cmd, "--algebra", "zigzag:1", "-n", "2", "-d", "2", *CSV_CASES[cmd]]
+    records = json.loads(run(*common).output)
+    records = records if isinstance(records, list) else [records]
+    rows = list(csv.reader(io.StringIO(run(*common, "--out", "csv").output)))
+    assert rows and [len(row) for row in rows] == [len(record) for record in records]
+
+
+def test_a_csv_cell_is_a_string_as_it_is_and_else_json(capsys):
+    """`_emit` writes a record's values in order, a string as it is and
+    anything else as JSON, quoted as CSV quotes it."""
+    from schurify import cli
+
+    args = argparse.Namespace(out="csv", output=None)
+    shared = [[1], []]
+    cli._emit(args, [{"b": shared, "a": "s,t", "c": 2}, {"b": shared, "a": "u", "c": {"x": "y"}}])
+    assert capsys.readouterr().out == \
+        '"[[1], []]","s,t",2\n"[[1], []]",u,"{""x"": ""y""}"\n'
+    cli._emit(args, {"rank": "15"})
+    assert capsys.readouterr().out == "15\n"
+
+
 @pytest.mark.parametrize("cmd", ONE_PROCESS_CASES)
 def test_no_command_but_verify_forks(cmd, monkeypatch, tmp_path):
     """Only `verify` starts a second process, for the walk of its Schur
@@ -747,6 +785,7 @@ def test_a_command_process_exits_1_on_a_failing_check(monkeypatch, tmp_path):
 
     monkeypatch.setattr(verification, "char_standard_formula", doubled)
     failed = verify_fails_only("characters", *args[1:])
+    assert failed.endswith("characters differ at lam = [[1], [1]]"), failed
     assert proc.returncode == 1, proc.stderr
     assert failed.encode() in proc.stdout.splitlines()
     assert proc.stdout == run(*args).stdout_bytes
