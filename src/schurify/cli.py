@@ -90,6 +90,29 @@ def _require_qh(args: argparse.Namespace, T) -> None:
         )
 
 
+def _output_error(path: str, exc: OSError) -> UsageError:
+    return UsageError(f"cannot write --output {path!r}: {exc.strerror}")
+
+
+def _check_output(path: str) -> None:
+    """Refuse an `--output` path that cannot be written before the command
+    runs: it is opened to append, which truncates nothing, and removed again
+    where that made it.  A FIFO, a device or a dangling link is left to the
+    write, since opening one may block or act.  No path means stdout."""
+    if not path:
+        return
+    made = not os.path.lexists(path)
+    if not (made or os.path.isfile(path) or os.path.isdir(path)):
+        return
+    try:
+        with open(path, "a"):
+            pass
+    except OSError as exc:
+        raise _output_error(path, exc) from None
+    if made:
+        os.remove(path)
+
+
 def _emit(args: argparse.Namespace, payload) -> None:
     """Write `payload`, text as it is and anything else as JSON, to the
     `--output` file or else to stdout.  Under `--out csv` (`main` refuses it
@@ -123,7 +146,7 @@ def _emit(args: argparse.Namespace, payload) -> None:
             with open(args.output, "w") as fh:
                 fh.write(text)
         except OSError as exc:
-            raise UsageError(f"cannot write --output {args.output!r}: {exc.strerror}") from None
+            raise _output_error(args.output, exc) from None
         return
     out = getattr(sys.stdout, "buffer", None)
     if out is None:  # a text stream with no bytes under it
@@ -426,8 +449,9 @@ def main(argv: list[str] | None = None) -> int:
     """Run the command that `argv` (by default the process's arguments)
     names and return its exit code: 0, or 1 when a check or cross-check
     failed.  A usage error prints one `error:` line on stderr and exits 2;
-    sizes out of range, an unknown field and `--out csv` for a command with
-    no CSV form are refused before the command runs."""
+    sizes out of range, an unknown field, `--out csv` for a command with no
+    CSV form and an `--output` path that cannot be written are refused
+    before the command runs."""
     parser, commands = _parser()
     args = parser.parse_args(argv)
     try:
@@ -436,6 +460,7 @@ def main(argv: list[str] | None = None) -> int:
         _ring(args)  # a bad --field is a usage error for every command
         if args.out == "csv" and not COMMANDS[args.command][1]:
             raise UsageError("csv output not available for this command")
+        _check_output(args.output)
         return args.run(args) or 0
     except UsageError as exc:
         commands[args.command].error(str(exc))

@@ -23,6 +23,14 @@ failure it reports, or the exception it raises, is the one a walk in one
 process finds.  A command's peak RSS is the larger of the two processes'
 peaks.  A platform without `os.fork` walks in one process.
 
+Right after the fork, this process moves to the lowest CPU it may run on
+and the child to the next, and each then allows itself every one of them
+again (`_place`).  A host whose cpusets do not balance load
+(`cpuset.sched_load_balance` 0) leaves a forked child on its parent's CPU,
+where the two walkers would take turns; a moved process stays where it was
+moved.  With one CPU allowed, no affinity API, or a call that fails, both
+stay where the fork left them, and the walk is the same.
+
 Only `verify` loads this module (see the README's module map for why the
 other commands do not).
 """
@@ -59,6 +67,24 @@ def heredity_of_T(T: SchurAlgebra, sample_b: int | None = None) -> HeredityRepor
 RUNS = 254
 
 
+def _place(rank: int) -> None:
+    """Move this process to the allowed CPU of this `rank` in ascending order
+    (0 for `verify`'s process, 1 for its child), then allow it every one
+    again: the kernel moves a process when its own mask changes, and a host
+    that does not balance load leaves it there.  With fewer than two CPUs
+    allowed, no affinity API, or a call that fails, it stays where it is."""
+    try:
+        allowed = os.sched_getaffinity(0)
+        if len(allowed) < 2:
+            return
+        try:
+            os.sched_setaffinity(0, {sorted(allowed)[rank]})
+        finally:
+            os.sched_setaffinity(0, allowed)
+    except (AttributeError, OSError):
+        pass
+
+
 class Started:
     """A heredity check of T whose axiom (a) walk has begun on a second
     process; calling it finishes the check.
@@ -74,6 +100,8 @@ class Started:
     whole, so walking that one run again here finds the least failing
     block, with the text, exception and traceback of a walk in one process.
     Where `os.fork` does not exist or fails, this process pulls every run.
+    After the fork, this process and the child each move to an allowed CPU
+    of their own, the lowest and the next (`_place`).
     """
 
     def __init__(self, T: SchurAlgebra, sample_b: int | None):
@@ -91,10 +119,12 @@ class Started:
         if self.pid == 0:
             code = 255
             try:
+                _place(1)
                 failed = self._failing_run(self._pulled())
                 code = 0 if failed is None else 1 + failed
             finally:
                 os._exit(code)
+        _place(0)
 
     def _pulled(self) -> Iterator[int]:
         """The indices of the runs left in the queue, pulled one at a time."""

@@ -18,7 +18,8 @@ row counts the pairs (S, T) without multiplying them, and its
 highest-weight checks are not registered.  A check that does not apply to
 T (n < d, or no anti-involution) gives a row with no verdict.
 The Schur heredity check's axiom (a) walk starts on a forked child before
-the first row (`heredity.Started`) and shares the runs of X weights with
+the first row (`heredity.Started`), which runs on another allowed CPU than
+this process where there are two, and shares the runs of X weights with
 this process through one pipe, a byte a run.  At that check's row this
 process walks the runs left, reaps the child, whose exit status is its
 verdict, and walks the least failing run of the two again, so the row

@@ -542,6 +542,34 @@ def test_output_into_a_missing_directory_exits_2(tmp_path):
     assert not (tmp_path / "missing").exists()
 
 
+def test_an_unwritable_output_is_refused_before_any_work(monkeypatch, tmp_path):
+    """A directory, and a path in a missing directory, are refused as
+    `--output` before the algebra is built."""
+    from schurify import cli
+
+    def unbuilt(*args):
+        raise AssertionError("the algebra was built")
+
+    monkeypatch.setattr(cli, "build_schur", unbuilt)
+    for cmd, out in [("verify", tmp_path), ("decomp", tmp_path / "missing" / "r.csv")]:
+        res = _usage_error(cmd, "--algebra", "zigzag:1", "-n", "3", "-d", "3", "--output", str(out))
+        errors = [line for line in res.output.splitlines() if "error:" in line]
+        assert len(errors) == 1 and errors[0].startswith(
+            f"schurify {cmd}: error: cannot write --output {str(out)!r}: "), res.output
+
+
+def test_a_usage_error_leaves_the_output_path_as_it_was(tmp_path):
+    """The check of `--output` neither truncates a file nor leaves one it
+    made, when the command then stops at a usage error."""
+    kept, new = tmp_path / "kept", tmp_path / "new"
+    kept.write_text("earlier output\n")
+    for out in (kept, new):
+        _usage_error("char", "--algebra", "zigzag:1", "-n", "2", "-d", "2", "--label", "[[5]]",
+                     "--output", str(out))
+    assert kept.read_text() == "earlier output\n"
+    assert not new.exists()
+
+
 def test_verify_checks_basicness_once(monkeypatch, tmp_path):
     from schurify import base_algebra
 
@@ -660,6 +688,20 @@ def test_no_command_but_verify_forks(cmd, monkeypatch, tmp_path):
         raise AssertionError(f"{cmd} forked")
 
     monkeypatch.setattr(os, "fork", refused)
+    res = run(cmd, "--algebra", "zigzag:1", "-n", "2", "-d", "2", *ONE_PROCESS_CASES[cmd],
+              "--cache-dir", str(tmp_path))
+    assert res.exit_code == 0, res.output
+
+
+@pytest.mark.parametrize("cmd", ONE_PROCESS_CASES)
+def test_no_command_but_verify_moves_between_cpus(cmd, monkeypatch, tmp_path):
+    """Only `verify` sets its CPU affinity, to place the two walkers of its
+    Schur heredity check: every other command runs, and exits 0, with
+    `os.sched_setaffinity` raising."""
+    def refused(pid, mask):
+        raise AssertionError(f"{cmd} set its CPU affinity")
+
+    monkeypatch.setattr(os, "sched_setaffinity", refused, raising=False)
     res = run(cmd, "--algebra", "zigzag:1", "-n", "2", "-d", "2", *ONE_PROCESS_CASES[cmd],
               "--cache-dir", str(tmp_path))
     assert res.exit_code == 0, res.output

@@ -1208,3 +1208,75 @@ def test_the_check_leaves_the_descriptors_as_it_found_them(monkeypatch, forks, f
     assert rep.ok != failing
     if fork == "working":
         assert_reaped(forks)
+
+
+def _log_the_affinity(monkeypatch, tmp_path, allowed) -> None:
+    """Make `os.sched_getaffinity` answer `allowed`, and have each process
+    log the masks it passes to `os.sched_setaffinity` to a file of its pid,
+    setting none."""
+    def getaffinity(pid):
+        assert pid == 0
+        return set(allowed)
+
+    def setaffinity(pid, mask):
+        with open(tmp_path / f"affinity-{os.getpid()}", "a") as log:
+            log.write(f"{pid} {sorted(mask)}\n")
+
+    monkeypatch.setattr(os, "sched_getaffinity", getaffinity, raising=False)
+    monkeypatch.setattr(os, "sched_setaffinity", setaffinity, raising=False)
+
+
+def _affinity_calls(tmp_path) -> dict[int, list[str]]:
+    """pid -> the masks that process passed to `os.sched_setaffinity`."""
+    return {int(path.name.split("-")[1]): path.read_text().splitlines()
+            for path in tmp_path.glob("affinity-*")}
+
+
+@pytest.mark.parametrize("allowed", [{9, 3, 5}, {4}])
+def test_the_two_walkers_start_on_two_allowed_cpus(monkeypatch, tmp_path, forks, allowed):
+    """Right after the fork, this process asks for the lowest allowed CPU
+    and the child for the next, and each then for the whole mask again;
+    with one CPU allowed, neither asks."""
+    alg, data, tau = make_algebra("zigzag:1")
+    T = build_schur(alg, data, 2, 2, tau)
+    _log_the_affinity(monkeypatch, tmp_path, allowed)
+    assert heredity_of_T(T).ok
+    assert_reaped(forks)
+    placed = {os.getpid(): ["0 [3]", "0 [3, 5, 9]"], forks[0]: ["0 [5]", "0 [3, 5, 9]"]}
+    assert _affinity_calls(tmp_path) == (placed if len(allowed) > 1 else {})
+
+
+@pytest.mark.parametrize("call", ["sched_getaffinity", "sched_setaffinity"])
+@pytest.mark.parametrize("how", ["missing", "raising"])
+@pytest.mark.parametrize("failing", [False, True])
+def test_the_walk_is_the_same_where_no_walker_can_move(monkeypatch, forks, call, how, failing):
+    """A missing affinity API, or an OSError from either call, leaves both
+    processes where they are: the report is that of a walk in one process,
+    with the least block doubled or without, and the child is reaped."""
+    alg, data, tau = make_algebra("zigzag:1")
+    T = build_schur(alg, data, 2, 2, tau)
+    cb = T.codet_basis
+    if failing:
+        _double_last_columns(monkeypatch, cb, [next(block_keys(cb))])
+    want = _one_process_failures(cb)
+    assert bool(want) == failing
+    if how == "missing":
+        monkeypatch.delattr(os, call, raising=False)
+    else:
+        def raising(*args):
+            raise OSError(errno.EINVAL, "Invalid argument")
+
+        monkeypatch.setattr(os, call, raising, raising=False)
+    assert heredity_of_T(T).failures == want
+    assert_reaped(forks)
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity API")
+def test_the_check_leaves_this_process_free_to_run_where_it_was(forks):
+    """After the check, this process may run on the CPUs it could before."""
+    alg, data, tau = make_algebra("zigzag:1")
+    T = build_schur(alg, data, 2, 2, tau)
+    before = os.sched_getaffinity(0)
+    assert heredity_of_T(T).ok
+    assert_reaped(forks)
+    assert os.sched_getaffinity(0) == before

@@ -198,7 +198,8 @@ print(json.dumps(sorted(entered)))
 """
 # the functions no command of the run enters: those the layer benchmark
 # (perfbench/layers.py) reads, which nothing in the package reads (ROADMAP
-# item 12), and those run only on a failure
+# item 12), those run only on a failure, and those run only once `os.fork`
+# has made a child, which the run removes
 READ_OUTSIDE_SRC = {
     "codeterminants.CodetBasis.unimodular", "codeterminants.CodetBasis.keys",
     "decomposition.decomp_formula", "heredity.heredity_of_T", "schur.SchurAlgebra.orbits",
@@ -206,9 +207,10 @@ READ_OUTSIDE_SRC = {
 FAILURE_ONLY = {
     "codeterminants.CodetBasis._name_stray", "exactla.Block._non_integral", "cli._witness",
     "cli._int_json.no_float", "verification._orbits_json", "verification._labels_json",
-    "base_heredity.HeredityReport.fail", "base_algebra.Side.spell",
+    "base_heredity.HeredityReport.fail", "base_algebra.Side.spell", "cli._output_error",
 }
-NOT_REACHED = READ_OUTSIDE_SRC | FAILURE_ONLY
+AFTER_A_FORK = {"heredity._place"}
+NOT_REACHED = READ_OUTSIDE_SRC | FAILURE_ONLY | AFTER_A_FORK
 
 
 def package_functions(package: str) -> dict[tuple[str, int], tuple[str, int]]:
@@ -273,10 +275,11 @@ def test_every_function_of_the_package_runs_under_some_command(tmp_path):
 
 
 def test_src_holds_no_code_that_only_the_tests_read():
-    """Each function of `FAILURE_ONLY` is read in the package outside its
-    own body.  The traced run cannot tell a failure path from a function
-    whose only caller is gone, since it enters neither."""
-    assert unread_functions(PACKAGE, FAILURE_ONLY) == set()
+    """Each function of `FAILURE_ONLY` and `AFTER_A_FORK` is read in the
+    package outside its own body.  The traced run cannot tell a failure path
+    or a forked one from a function whose only caller is gone, since it
+    enters neither."""
+    assert unread_functions(PACKAGE, FAILURE_ONLY | AFTER_A_FORK) == set()
 
 
 def test_char_loads_the_characters_but_not_the_decomposition_layer(tmp_path):
