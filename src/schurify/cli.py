@@ -28,7 +28,7 @@ from typing import TYPE_CHECKING
 
 from . import partitions, tableaux, triples
 from .base_algebra import make_algebra
-from .rings import GF, QQ, ZZ, CoefficientRing, GradedSuperScalar
+from .rings import GF, QQ, CoefficientRing, GradedSuperScalar
 from .schur import build_schur
 
 if TYPE_CHECKING:
@@ -46,8 +46,6 @@ class UsageError(Exception):
 
 def _ring(args: argparse.Namespace) -> CoefficientRing:
     f = args.field
-    if f == "Z":
-        return ZZ
     if f == "Q":
         return QQ
     if f.startswith("Fp:"):
@@ -55,7 +53,7 @@ def _ring(args: argparse.Namespace) -> CoefficientRing:
             return GF(int(f.split(":", 1)[1]))
         except ValueError:
             pass
-    raise UsageError(f"unknown field {f!r} (expected Z | Q | Fp:p, p a prime below 2^31)")
+    raise UsageError(f"unknown field {f!r} (expected Q | Fp:p, p a prime below 2^31)")
 
 
 def _lr_cache(args: argparse.Namespace) -> LRCache:
@@ -342,8 +340,6 @@ def decomp(args: argparse.Namespace) -> int | None:
     from .decomposition import ClassicalDecomp, decomp_formula_row, decomp_oracle
 
     ring = _ring(args)
-    if not ring.is_field:
-        raise UsageError("decomposition numbers need a field: Q or Fp:p")
     cache = _lr_cache(args)
     T = _make_T(args)
     _require_qh(args, T)
@@ -376,8 +372,6 @@ def blocks(args: argparse.Namespace) -> None:
     from .decomposition import block_decomposition, blocks as linking_blocks, decomp_oracle
 
     ring = _ring(args)
-    if not ring.is_field:
-        raise UsageError("block detection needs a field: Q or Fp:p")
     T = _make_T(args)
     _require_qh(args, T)
     D = decomp_oracle(T, ring)
@@ -427,7 +421,7 @@ def _parser() -> tuple[argparse.ArgumentParser, dict]:
                         help="zigzag:L | zigzag-bar:L | trivial | semisimple:m")
     common.add_argument("-n", type=int, default=2)
     common.add_argument("-d", type=int, default=2)
-    common.add_argument("--field", default="Q", help="Z | Q | Fp:p")
+    common.add_argument("--field", default="Q", help="Q | Fp:p")
     common.add_argument("--out", choices=["json", "csv"], default="json")
     common.add_argument("--output", help="write to file instead of stdout")
     common.add_argument("--cache-dir")

@@ -177,8 +177,6 @@ def decomp_oracle(T: SchurAlgebra, ring: CoefficientRing | None = None) -> Decom
     if T.n < T.d:
         raise ValueError("requires n >= d")
     ring = ring or QQ
-    if not ring.is_field:
-        raise ValueError("oracle needs a coefficient field")
     labels = gen_multipartitions(T.n, T.d, len(T.data.labels) - 1)
     chd = {lam: char_standard_tableaux(T, lam) for lam in labels}
     chl = {lam: char_irreducible(T, lam, ring) for lam in labels}

@@ -223,21 +223,19 @@ def _axioms_c_and_b(T: SchurAlgebra, sample_b: int | None, report: HeredityRepor
         return f"{side.name}_{side.pick('S', 'T')}"
 
     # the products run on index words through the product kernel, each
-    # factor one orbit as (left factor, right factor, coefficient, profiles
-    # of its own word as sorted words of profile slots), 0 without the
-    # kernel when the profiles do not meet.  A tableau's index word and sign
+    # factor one orbit as (left factor, right factor, coefficient, weight
+    # profiles of its own word as in its block key), 0 without the kernel
+    # when the profiles do not meet.  A tableau's index word and sign
     # are read off its share of the walk (`CodetBasis.tableau_shares`).  A
     # word's factors come from the algebra's tables when they hold it, as
     # they hold each share's own, else are made and kept for axioms (c) and
     # (b) both, until it returns
     lefts = OnLookup(lambda w: T.lefts.get(w) or T.left_factor(w))
     rights = OnLookup(lambda w: T.rights.get(w) or T.right_factor(w))
-    slots = T.ctx.slots
     shares = cb.tableau_shares()
 
     def factors(word, c) -> tuple:
-        profiles = tuple(tuple(sorted(map(slot.__getitem__, word))) for slot in slots)
-        return lefts[word], rights[word], c, profiles
+        return lefts[word], rights[word], c, T.ctx.block_key(word)[:2]
 
     def times(a, b) -> dict:
         if a[3][1] != b[3][0]:

@@ -1,10 +1,13 @@
-"""Exact coefficient rings and the graded super-scalar ring R = Z[q,q^-1][t]/(t^2-1).
+"""Coefficient fields and the graded super-scalar ring R = Z[q,q^-1][t]/(t^2-1).
 
-A coefficient ring names where exact arithmetic happens: Z, Q, or F_p.
-Graded super-scalars are sparse maps (degree m, parity eps) -> integer;
-pi^2 = 1.
+A coefficient ring names the field where the decomposition layer takes its
+exact ranks: Q or F_p.  The Schur algebra and its products are integral
+whatever the field.  Graded super-scalars are sparse maps (degree m, parity
+eps) -> integer; pi^2 = 1.
 """
 from __future__ import annotations
+
+from typing import NamedTuple
 
 
 def _is_prime(p: int) -> bool:
@@ -20,51 +23,29 @@ def _is_prime(p: int) -> bool:
     return True
 
 
-class CoefficientRing:
-    """One of Z, Q, or F_p: a kind and, for F_p, the prime `p`.
+class CoefficientRing(NamedTuple):
+    """The field where exact ranks are taken: Q when `p` is None, else F_p,
+    a record equal and hashed by `p`.  Build one through `QQ` or `GF`, the
+    one place that checks the prime.
 
     The arithmetic itself is done on ints by its users (`exactla` works on
     residues mod `p`)."""
 
-    INT = "INT"
-    RAT = "RAT"
-    PRIME_FIELD = "PRIME_FIELD"
-
-    def __init__(self, kind: str, p: int | None = None):
-        if kind not in (self.INT, self.RAT, self.PRIME_FIELD):
-            raise ValueError(f"unknown ring kind {kind!r}")
-        if kind == self.PRIME_FIELD:
-            if p is None or not _is_prime(p):
-                raise ValueError(f"PRIME_FIELD requires a prime, got {p!r}")
-        elif p is not None:
-            raise ValueError("p only makes sense for PRIME_FIELD")
-        self.kind = kind
-        self.p = p
+    p: int | None = None
 
     def __repr__(self) -> str:
-        return f"F{self.p}" if self.kind == self.PRIME_FIELD else ("Z" if self.kind == self.INT else "Q")
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, CoefficientRing) and (self.kind, self.p) == (other.kind, other.p)
-
-    def __hash__(self) -> int:
-        return hash((self.kind, self.p))
-
-    @property
-    def is_field(self) -> bool:
-        return self.kind != self.INT
+        return "Q" if self.p is None else f"F{self.p}"
 
 
-ZZ = CoefficientRing(CoefficientRing.INT)
-QQ = CoefficientRing(CoefficientRing.RAT)
+QQ = CoefficientRing()
 
 
 def GF(p: int) -> CoefficientRing:
     """F_p for a prime p below 2^31, the bound that keeps the primality
     test's trial division quick."""
-    if p >= 2**31:
+    if not (p < 2**31 and _is_prime(p)):
         raise ValueError(f"GF needs a prime below 2^31, got {p!r}")
-    return CoefficientRing(CoefficientRing.PRIME_FIELD, p)
+    return CoefficientRing(p)
 
 
 class GradedSuperScalar:

@@ -72,10 +72,10 @@ def run_checks(T: SchurAlgebra, seed: int, ring: CoefficientRing,
                cache: LRCache) -> list[tuple[str, bool | None, str]]:
     """Run the checks that apply to T, sampled from `seed`, and return one
     row (name, verdict, witness or failure text) per check, in order.  The
-    decomposition row compares over `ring`, or over Q when it is not a
-    field; over F_p its text names that the formula's classical part is the
-    oracle run on the trivial base.  A check that does not apply has the
-    verdict None and its reason as the text."""
+    decomposition row compares over the field `ring`; over F_p its text
+    names that the formula's classical part is the oracle run on the
+    trivial base.  A check that does not apply has the verdict None and its
+    reason as the text."""
     rng = random.Random(seed)
     results: list[tuple[str, bool | None, str]] = []
 
@@ -180,16 +180,15 @@ def run_checks(T: SchurAlgebra, seed: int, ring: CoefficientRing,
         return f"{len(labels)} labels, two methods"
 
     def c_decomp():
-        field = ring if ring.is_field else QQ
         inp = T.base_decomp  # raises, naming the failure, unless A's axioms hold
-        D = decomp_oracle(T, field)
-        classical = None if field == QQ else ClassicalDecomp(T.n, field)
+        D = decomp_oracle(T, ring)
+        classical = None if ring == QQ else ClassicalDecomp(T.n, ring)
         for lam in D.labels:
             row = decomp_formula_row(inp, lam, D.labels, T.n, classical, cache)
             for mu, f in row.items():
                 assert f == D.entry(lam, mu), \
                     f"formula != oracle at lam, mu = {_labels_json(lam, mu)}"
-        compared = f"{len(D.labels)}x{len(D.labels)} formula == oracle over {field!r}"
+        compared = f"{len(D.labels)}x{len(D.labels)} formula == oracle over {ring!r}"
         if classical is None:
             return compared
         # over F_p the formula's classical part is the oracle run on the

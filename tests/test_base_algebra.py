@@ -92,6 +92,25 @@ def test_make_algebra_rejects_unknown():
         make_algebra("zigzag-bar:1")
 
 
+def test_make_algebra_bounds_each_parameter(monkeypatch):
+    """`zigzag:L` and `semisimple:m` take a parameter up to `MAX_PARAMETER`
+    and refuse one past it, naming the bound, before the builder runs.  The
+    builders are stubbed: at the bound a real build costs about 1 s."""
+    from schurify import base_algebra
+
+    built = []
+    for name in ("make_extended_zigzag", "make_semisimple"):
+        monkeypatch.setattr(base_algebra, name, lambda k, name=name: built.append((name, k)))
+    bounds = base_algebra.MAX_PARAMETER
+    assert bounds == {"zigzag": 300, "semisimple": 800}
+    for family, bound in bounds.items():
+        make_algebra(f"{family}:{bound}")
+        for k in (bound + 1, 10**11):
+            with pytest.raises(ValueError, match=f"^{family} takes a parameter of at most {bound}, got {k}$"):
+                make_algebra(f"{family}:{k}")
+    assert built == [("make_extended_zigzag", 300), ("make_semisimple", 800)]
+
+
 @pytest.mark.parametrize("family", BROKEN)
 def test_heredity_check_reports_each_failure_family(family):
     alg, data, _tau = broken_presentation(family)

@@ -448,6 +448,25 @@ def test_bad_algebra_exits_2():
         _usage_error("dim", "--algebra", spec, "-n", "1", "-d", "1")
 
 
+def test_an_algebra_past_its_bound_exits_2_before_any_work(monkeypatch):
+    """A parameter past `MAX_PARAMETER`, `zigzag-bar:L` included, is one
+    `error:` line naming the bound, before the base algebra is built: at
+    zigzag:99999999999 the build itself ran out of memory."""
+    from schurify import base_algebra
+
+    def unbuilt(*args):
+        raise AssertionError("the base algebra was built")
+
+    for name in ("make_extended_zigzag", "make_semisimple"):
+        monkeypatch.setattr(base_algebra, name, unbuilt)
+    for spec, bound in [("zigzag:301", 300), ("zigzag-bar:301", 300), ("semisimple:801", 800),
+                        ("zigzag:99999999999", 300)]:
+        res = _usage_error("dim", "--algebra", spec, "-n", "1", "-d", "1")
+        errors = [line for line in res.output.splitlines() if "error:" in line]
+        assert len(errors) == 1 and errors[0].endswith(
+            f"takes a parameter of at most {bound}, got {spec.split(':')[1]}"), res.output
+
+
 def test_bad_sizes_exit_2():
     _usage_error("dim", "--algebra", "trivial", "-n", "0", "-d", "1")
     _usage_error("dim", "--algebra", "trivial", "-n", "1", "-d", "-1")
@@ -467,9 +486,27 @@ def test_a_prime_field_needs_a_prime_below_2_to_the_31():
                        "--field", "Fp:2305843009213693951")
     errors = [line for line in res.output.splitlines() if "error:" in line]
     assert len(errors) == 1 and errors[0].endswith(
-        "(expected Z | Q | Fp:p, p a prime below 2^31)"), res.output
+        "(expected Q | Fp:p, p a prime below 2^31)"), res.output
     res = run("dim", "--algebra", "trivial", "-n", "1", "-d", "1", "--field", "Fp:2147483647")
     assert (res.exit_code, json.loads(res.output)) == (0, {"rank": "1"}), res.output
+
+
+def test_z_is_an_unknown_field_for_every_command(monkeypatch):
+    """`--field` names a field: `Z`, like `R`, is refused by every command
+    with one `error:` line, before the algebra is built."""
+    from schurify import cli
+
+    def unbuilt(*args):
+        raise AssertionError("the algebra was built")
+
+    monkeypatch.setattr(cli, "build_schur", unbuilt)
+    for cmd, own in [*ONE_PROCESS_CASES.items(), ("verify", [])]:
+        for field in ("Z", "R"):
+            res = _usage_error(cmd, "--algebra", "zigzag:1", "-n", "2", "-d", "2", *own,
+                               "--field", field)
+            errors = [line for line in res.output.splitlines() if "error:" in line]
+            assert errors == [f"schurify {cmd}: error: unknown field {field!r} "
+                              "(expected Q | Fp:p, p a prime below 2^31)"], (cmd, res.output)
 
 
 def test_config_is_an_unknown_option():
@@ -924,14 +961,19 @@ def test_an_unbuffered_command_whose_reader_goes_mid_write_fails():
 
 
 # the argv fuzz: real commands, options and values, good and bad, mixed with
-# junk; every algebra tiny (n, d <= 2, the default zigzag:1 included)
+# junk; every algebra tiny (n, d <= 2, the default zigzag:1 included).  The
+# fuzz lowers the parameter bounds to zigzag:1 and semisimple:2, so that a
+# value at a bound stays tiny; a value past a real bound is past these too
+FUZZ_BOUNDS = {"zigzag": 1, "semisimple": 2}
 ORBITS = ['[{"b": "1", "r": 1, "s": 1}]', '[{"b": "e0", "r": 1, "s": 2}, {"b": "e0", "r": 2, "s": 1}]',
           '[{"b": "e0", "r": 1, "s": 1}]', '[{"b": "a0_1", "r": 1, "s": 2}]',
           '[{"b": "a0_1", "r": 1, "s": 1}, {"b": "a0_1", "r": 1, "s": 1}]', "[]", '[{"b": "e0"}]',
           "[1.5]", "nope"]
 LABELS = ["[[1]]", "[[], [1]]", "[[1], [1]]", "[[2]]", "[[1, 1]]", "[[]]", "[[true]]", "[1]", "{}"]
 OPTIONS = {
-    "--algebra": ["trivial", "zigzag:1", "zigzag-bar:1", "semisimple:2", "zigzag:0", "bogus"],
+    "--algebra": ["trivial", "zigzag:1", "zigzag-bar:1", "semisimple:2", "zigzag:0", "bogus",
+                  "zigzag:2", "zigzag-bar:2", "semisimple:3", "zigzag:301", "zigzag-bar:301",
+                  "semisimple:801", "zigzag:99999999999"],
     "-n": ["1", "2", "0", "-1", "x"],
     "-d": ["0", "1", "2", "-1", "1.5"],
     "--field": ["Q", "Z", "Fp:2", "Fp:4", "R"],
@@ -979,9 +1021,12 @@ def test_any_argv_exits_0_or_2_with_one_error_line(argv):
     `cfg.txt`, which `--cache-dir cfg.txt` cannot use."""
     import os
     import tempfile
+    from unittest import mock
+
+    from schurify import base_algebra
 
     home = os.getcwd()
-    with tempfile.TemporaryDirectory() as work:
+    with tempfile.TemporaryDirectory() as work, mock.patch.dict(base_algebra.MAX_PARAMETER, FUZZ_BOUNDS):
         os.chdir(work)
         try:
             open("cfg.txt", "w").close()

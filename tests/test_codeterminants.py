@@ -1,5 +1,6 @@
 import ast
 import errno
+import hashlib
 import os
 import random
 import re
@@ -447,6 +448,53 @@ LAZY_CASES = [("trivial", 3, 3, False), ("zigzag:1", 2, 2, False), ("zigzag:1", 
 # their ids in LAZY_CASES, truncation flag included
 AMBIENT_CASES = [pytest.param(*case[:3], id="-".join(map(str, case)))
                  for case in LAZY_CASES if not case[3]]
+
+
+def test_the_n4_walk_on_every_15th_x_weight_is_pinned(monkeypatch):
+    """zigzag:1 n=d=4 walked in one process over every 15th X weight (22 of
+    them): 16 256 blocks with 127 104 columns, every determinant 1 (the walk
+    yields a unimodular block's |det|), the (key, det, order) list pinned by
+    its sha256, and the column expansions by their 312 388 terms and their
+    coefficient sum 52 574.  Then one column of the first block of several
+    columns is doubled, and the walk over its weight finds |det| 2.
+
+    The pins were read off this walk, with the same code as below, on the
+    kernel whose n=d=4 `verify` passes; the digest is that of
+    `repr(walked).encode()`.  Dropping `[rep]_a` from `product_terms` raises
+    in the walk; reversing `odd_sign`'s inversion test leaves the list alone
+    (its blocks stay unimodular) and moves the coefficient sum; letting
+    `unit_determinant` accept any nonzero last pivot leaves the walk alone
+    (every block here has last pivot 1) and passes the doubled block."""
+    alg, data, tau = make_algebra("zigzag:1")
+    cb = build_schur(alg, data, 4, 4, tau).codet_basis
+    weights = cb._weights[0][::15]
+    real = codet.CodetBasis._expand
+    tally = [0, 0]
+
+    def tallied(self, x, y):
+        out = real(self, x, y)
+        tally[0] += len(out)
+        tally[1] += sum(out.values())
+        return out
+
+    monkeypatch.setattr(codet.CodetBasis, "_expand", tallied)
+    walked = list(cb._walk(weights))
+    assert len(weights) == 22 and len(walked) == 16256
+    assert sum(size for *_, size in walked) == 127104
+    assert {det for _key, det, _size in walked} == {1}
+    assert hashlib.sha256(repr(walked).encode()).hexdigest() == \
+        "75e26e56dcb79a52f8eeb491fa05160f8ee1d0db3e2425584c0de3beae850671"
+    assert tally == [312388, 52574]
+
+    key = next(key for key, _det, size in walked if size > 1)
+    x0, y0 = cb._columns(key)[0]
+
+    def doubled(self, x, y):
+        out = real(self, x, y)
+        return {w: 2 * c for w, c in out.items()} if (x.tab, y.tab) == (x0.tab, y0.tab) else out
+
+    monkeypatch.setattr(codet.CodetBasis, "_expand", doubled)
+    assert cb.non_unimodular_block([key[0]]) in {(key, 2), (key, -2)}
 
 
 @pytest.mark.parametrize("spec,n,d", AMBIENT_CASES)

@@ -382,3 +382,72 @@ def test_importing_the_old_modules_loads_none_of_the_new():
     assert "schurify.codeterminants" in loaded
     assert not {"schurify.base_heredity", "schurify.decomposition", "schurify.straighten",
                 "schurify.heredity", "schurify.verification"} & set(loaded)
+
+
+PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
+
+
+def _benchmark_sources() -> dict[str, ast.Module]:
+    """Each module of the benchmark, and the set-up code that `run.py` runs
+    in a process of its own (`SETUP_CODE`), parsed and not run."""
+    trees = {}
+    for name in sorted(os.listdir(PERFBENCH)):
+        if name.endswith(".py"):
+            with open(os.path.join(PERFBENCH, name), encoding="utf-8") as fh:
+                trees[name] = ast.parse(fh.read())
+    setup, = [node.value.value for node in trees["run.py"].body
+              if isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "SETUP_CODE"]
+    trees["run.py SETUP_CODE"] = ast.parse(setup)
+    return trees
+
+
+def test_every_package_name_the_benchmark_reads_resolves():
+    """The benchmark reads names off the package that nothing in it reads,
+    and tier-1 never runs it: every name that `perfbench/` imports from a
+    `schurify` module, and every attribute it reads off an imported
+    `schurify` module (`ch.decomp_oracle`), exists."""
+    from importlib import import_module
+    from types import ModuleType
+
+    def member(module: ModuleType, name: str):
+        """`from module import name`: an attribute, else a submodule."""
+        if hasattr(module, name):
+            return getattr(module, name)
+        try:
+            return import_module(f"{module.__name__}.{name}")
+        except ImportError:
+            return None
+
+    missing, read = [], set()
+    for source, tree in _benchmark_sources().items():
+        bound: dict[str, object] = {}  # a local name -> the package object bound to it
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    if alias.name.split(".")[0] == "schurify":
+                        module = import_module(alias.name)
+                        bound[alias.asname or "schurify"] = (
+                            module if alias.asname else import_module("schurify"))
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "schurify":
+                module = import_module(node.module)
+                for alias in node.names:
+                    if (obj := member(module, alias.name)) is None:
+                        missing.append(f"{source}: from {node.module} import {alias.name}")
+                    bound[alias.asname or alias.name] = obj
+        for node in ast.walk(tree):
+            chain = []  # a read a.b.c as [a, b, c]
+            while isinstance(node, ast.Attribute):
+                chain.insert(0, node.attr)
+                node = node.value
+            if not (chain and isinstance(node, ast.Name)):
+                continue
+            chain.insert(0, node.id)
+            obj = bound.get(node.id)
+            for depth, name in enumerate(chain[1:], 2):
+                if not isinstance(obj, ModuleType):
+                    break  # past the modules: an attribute of a package object
+                read.add(".".join(chain[:depth]))
+                if (obj := member(obj, name)) is None:
+                    missing.append(f"{source}: {'.'.join(chain[:depth])}")
+    assert not missing, missing
+    assert {"ch.decomp_oracle", "codet.CodetBasis", "codet.heredity_of_T"} <= read, sorted(read)

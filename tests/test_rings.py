@@ -1,7 +1,8 @@
+import pytest
 from hypothesis import given, strategies as st
 
 from helpers import scale
-from schurify.rings import GF, QQ, ZZ, GradedSuperScalar
+from schurify.rings import GF, QQ, GradedSuperScalar
 
 
 def test_basic_arithmetic():
@@ -59,8 +60,13 @@ def test_ring_laws(a, b, c):
 
 
 def test_coefficient_rings():
-    assert not ZZ.is_field
-    assert QQ.is_field
+    """A coefficient ring is a field: Q, or F_p through `GF`, which refuses
+    a p that is not a prime below 2^31.  Its repr is what `verify`'s
+    decomposition row prints."""
     F2 = GF(2)
-    assert F2.is_field
-
+    assert (repr(QQ), repr(F2), repr(GF(2147483647))) == ("Q", "F2", "F2147483647")
+    assert (QQ.p, F2.p) == (None, 2)
+    assert F2 == GF(2) and hash(F2) == hash(GF(2)) and F2 != QQ != GF(3)
+    for p in (-3, 0, 1, 4, 2**31 - 3, 2**31, 2**61 - 1):
+        with pytest.raises(ValueError, match=rf"GF needs a prime below 2\^31, got {p}$"):
+            GF(p)
