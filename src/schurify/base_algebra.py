@@ -303,22 +303,22 @@ def make_semisimple(m: int) -> tuple[BasedSuperalgebra, HeredityData, AntiInvolu
 
 # the largest parameter of each family: `dim -n 1 -d 1` stays under 1 s at
 # zigzag:300 and at semisimple:800 on a 2-vCPU host, and grows about as the
-# square of the parameter past them.  `partitions.compositions` recurses
-# once per heredity label: `build -n 2 -d 2` on semisimple:1000 exceeds
-# Python's default recursion limit, so semisimple stops well short of it
+# square of the parameter past them
 MAX_PARAMETER = {"zigzag": 300, "semisimple": 800}
 
 
 def make_algebra(spec: str):
     """Resolve a base algebra spec: zigzag:L | trivial | semisimple:m, with
-    L and m at most `MAX_PARAMETER`, refused above it before anything is
-    built.  The CLI's zigzag-bar:L is built from zigzag:L and truncated at
-    the Schur level (`cli._make_T`), so it is no spec here."""
+    L and m written in ASCII digits alone and at most `MAX_PARAMETER`,
+    refused above it before anything is built.  The CLI's zigzag-bar:L is
+    built from zigzag:L and truncated at the Schur level (`cli._make_T`), so
+    it is no spec here."""
     if spec == "trivial":
         return make_trivial()
     for family, make in (("zigzag", make_extended_zigzag), ("semisimple", make_semisimple)):
-        if spec.startswith(family + ":"):
-            k, bound = int(spec.split(":", 1)[1]), MAX_PARAMETER[family]
+        digits = spec.removeprefix(family + ":")
+        if digits != spec and digits.isascii() and digits.isdigit():
+            k, bound = int(digits), MAX_PARAMETER[family]
             if k > bound:
                 raise ValueError(f"{family} takes a parameter of at most {bound}, got {k}")
             return make(k)

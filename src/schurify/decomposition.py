@@ -30,7 +30,7 @@ from typing import NamedTuple
 from . import exactla
 from .base_algebra import X_SIDE, Y_SIDE, BasedSuperalgebra, DecompInput, HeredityData, base_decomp_numbers
 from .characters import LRCache, _column_terms, _pad_bold, char_standard_tableaux, lr_expand
-from .partitions import Partition, gen_multipartitions, leq, linear_key, pad, size, trim
+from .partitions import Partition, gen_multipartitions, leq, pad, size, trim
 from .rings import QQ, CoefficientRing, GradedSuperScalar
 from .schur import SchurAlgebra
 from .triples import OnLookup
@@ -182,30 +182,25 @@ def decomp_oracle(T: SchurAlgebra, ring: CoefficientRing | None = None) -> Decom
     chl = {lam: char_irreducible(T, lam, ring) for lam in labels}
     weight_of = {lam: tuple(pad(c, T.n) for c in lam) for lam in labels}
     entries: dict = {}
-    order = sorted(labels, key=linear_key, reverse=True)
+    order = labels[::-1]  # by `linear_key`, the largest first
     for lam in labels:
-        # weight -> (degree, parity) -> int, reduced in place by c . ch L(mu)
-        residual = {w: dict(v.coeffs) for w, v in chd[lam].items()}
+        # weight -> scalar, reduced in place by c . ch L(mu)
+        residual = dict(chd[lam])
         for mu in order:
-            terms = residual.get(weight_of[mu])
-            if not terms:
+            c = residual.get(weight_of[mu])
+            if not c:
                 continue
-            c = GradedSuperScalar(dict(terms))  # a copy: the residual is reduced below
             if mu != lam and not leq(mu, lam):
                 raise AssertionError(f"support outside the order ideal: {lam} vs {mu}")
             if any(v < 0 for v in c.coeffs.values()):
                 raise AssertionError(f"negative decomposition number at {(lam, mu)}")
             entries[(lam, mu)] = c
+            minus_c = c * GradedSuperScalar.term(-1)
             for w, v in chl[mu].items():
-                acc = residual.setdefault(w, {})
-                for (m1, e1), c1 in v.coeffs.items():
-                    for (m2, e2), c2 in c.coeffs.items():
-                        k = (m1 + m2, (e1 + e2) % 2)
-                        acc[k] = acc.get(k, 0) - c1 * c2
-                        if not acc[k]:
-                            del acc[k]
-                if not acc:
-                    del residual[w]
+                if rest := residual.get(w, GradedSuperScalar.zero()) + v * minus_c:
+                    residual[w] = rest
+                else:
+                    residual.pop(w, None)
         if residual:
             raise AssertionError(f"character system inconsistent at {lam}")
         if entries.get((lam, lam)) != GradedSuperScalar.one():

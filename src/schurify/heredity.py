@@ -43,7 +43,7 @@ from itertools import islice
 
 from .base_algebra import SIDES, Side
 from .base_heredity import HeredityReport
-from .partitions import compare
+from .partitions import leq
 from .schur import SchurAlgebra
 from .triples import OnLookup
 
@@ -214,7 +214,7 @@ def _axioms_c_and_b(T: SchurAlgebra, sample_b: int | None, report: HeredityRepor
 
     @cache
     def strictly_greater(mu, lam) -> bool:
-        return compare(mu, lam) == "GT"
+        return mu != lam and leq(lam, mu)
 
     # axiom (c): idempotent absorption against X and Y elements
     padded = {bold: tuple(tuple(c) + (0,) * (T.n - len(c)) for c in bold) for bold in cb.shapes}

@@ -1,20 +1,24 @@
-"""Compositions, partitions, multipartitions, and their orders.
+"""Compositions, partitions, multipartitions, and their order.
 
 A composition is a tuple of nonnegative ints; a partition additionally has
 weakly decreasing parts and no trailing zeros.  A multipartition is a tuple of
 ell+1 partitions; components are indexed by colors 0..ell.  Nodes of a
 multipartition are enumerated row-major through the components in color order.
+
+The multipartitions label the standard modules, and a label's components are
+trimmed: `gen_multipartitions` and `from_json` give no trailing zeros.  The
+labels are ordered first by the color order on their component sizes (tail
+sums bounded), then, where the sizes agree, by dominance in each component
+(running sums bounded): `leq`.
 """
 from __future__ import annotations
 
 from functools import cache
-from itertools import product
-from typing import Iterator, Literal
+from itertools import accumulate, product
+from typing import Iterator
 
 Partition = tuple[int, ...]
 Multipartition = tuple[Partition, ...]
-
-Cmp = Literal["LT", "GT", "EQ", "INC"]
 
 
 def trim(parts: tuple[int, ...]) -> tuple[int, ...]:
@@ -32,29 +36,48 @@ def pad(parts: tuple[int, ...], n: int) -> tuple[int, ...]:
 
 
 def compositions(d: int, n: int) -> Iterator[tuple[int, ...]]:
-    """All compositions of d into exactly n (possibly zero) parts."""
-    if n == 0:
-        if d == 0:
+    """All compositions of d into exactly n (possibly zero) parts, in
+    decreasing lexicographic order: the first part from d down."""
+    if d < 0 or n < 1:
+        if d == n == 0:
             yield ()
         return
-    for first in range(d, -1, -1):
-        for rest in compositions(d - first, n - 1):
-            yield (first,) + rest
+    comp = [d] + [0] * (n - 1)
+    while True:
+        yield tuple(comp)
+        # the next one down: the last nonzero part before the last gives one
+        # to the part after it, which takes the last part's all too
+        i = next((i for i in range(n - 2, -1, -1) if comp[i]), -1)
+        if i < 0:
+            return
+        comp[i:] = [comp[i] - 1, comp[-1] + 1] + [0] * (n - i - 2)
+
+
+def _largest(total: int, max_parts: int, max_part: int) -> Partition | None:
+    """The lexicographically largest partition of total with at most
+    max_parts parts, each at most max_part; None if there is none."""
+    if not 0 <= total <= max_parts * max_part:
+        return None
+    q, r = divmod(total, max_part or 1)
+    return (max_part,) * q + (r,) * (r > 0)
 
 
 @cache
 def partitions_of(d: int, max_parts: int, max_part: int | None = None) -> tuple[Partition, ...]:
-    """All partitions of d with at most max_parts parts, parts bounded by max_part."""
-    if max_part is None:
-        max_part = d
-    if d == 0:
-        return ((),)
-    if max_parts == 0:
-        return ()
-    out = []
-    for first in range(min(d, max_part), 0, -1):
-        for rest in partitions_of(d - first, max_parts - 1, first):
-            out.append((first,) + rest)
+    """All partitions of d with at most max_parts parts, parts bounded by
+    max_part, in decreasing lexicographic order: the first part from the
+    largest down."""
+    out, lam = [], _largest(d, max_parts, d if max_part is None else max_part)
+    while lam is not None:
+        out.append(lam)
+        # the next one down: the last part that can drop by one does, and
+        # the parts after it are refilled as large as they go
+        for i in range(len(lam) - 1, -1, -1):
+            if rest := _largest(sum(lam[i + 1:]) + 1, max_parts - i - 1, lam[i] - 1):
+                lam = lam[:i] + (lam[i] - 1,) + rest
+                break
+        else:
+            lam = None
     return tuple(out)
 
 
@@ -68,118 +91,51 @@ def size(lam: Partition) -> int:
     return sum(lam)
 
 
-def msize(bold: Multipartition) -> int:
-    return sum(sum(c) for c in bold)
-
-
-def mnorm(bold: Multipartition) -> tuple[int, ...]:
-    """The tuple of component sizes (the image in Lambda(I, d))."""
-    return tuple(sum(c) for c in bold)
-
-
 # ---------------------------------------------------------------------------
-# orders
+# the order
 # ---------------------------------------------------------------------------
 
-def dominance_leq(lam: tuple[int, ...], mu: tuple[int, ...]) -> bool:
-    """lam trianglelefteq mu: partial sums of lam bounded by those of mu."""
-    if sum(lam) != sum(mu):
-        raise ValueError("dominance compares equal sizes only")
-    a = b = 0
-    for k in range(max(len(lam), len(mu))):
-        a += lam[k] if k < len(lam) else 0
-        b += mu[k] if k < len(mu) else 0
-        if a > b:
-            return False
-    return True
-
-
-def _tail_sums(w: tuple[int, ...]) -> tuple[int, ...]:
-    out = []
-    t = 0
-    for v in reversed(w):
-        t += v
-        out.append(t)
-    return tuple(reversed(out))
-
-
-def color_order_leq(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
-    """The order on Lambda(I, d): tail sums of a bounded by tail sums of b."""
-    if len(a) != len(b) or sum(a) != sum(b):
-        raise ValueError("color order compares equal-length, equal-size tuples")
-    ta, tb = _tail_sums(a), _tail_sums(b)
-    return all(x <= y for x, y in zip(ta, tb))
-
-
-def compare(lam: Multipartition, mu: Multipartition) -> Cmp:
-    """The partial order on multipartitions: color order on norms, then
-    componentwise dominance when the norms agree."""
-    if len(lam) != len(mu):
-        raise ValueError("different numbers of components")
-    if msize(lam) != msize(mu):
-        raise ValueError("sizes differ")
-    if lam == mu:
-        return "EQ"
-    na, nb = mnorm(lam), mnorm(mu)
-    if na != nb:
-        le = color_order_leq(na, nb)
-        ge = color_order_leq(nb, na)
-        if le and not ge:
-            return "LT"
-        if ge and not le:
-            return "GT"
-        return "INC"
-    le = all(dominance_leq(a, b) for a, b in zip(lam, mu))
-    ge = all(dominance_leq(b, a) for a, b in zip(lam, mu))
-    if le and not ge:
-        return "LT"
-    if ge and not le:
-        return "GT"
-    return "INC"
+def _running(parts: tuple[int, ...]) -> tuple[int, ...]:
+    """The running sums (a_0, a_0 + a_1, ...)."""
+    return tuple(accumulate(parts))
 
 
 def leq(lam: Multipartition, mu: Multipartition) -> bool:
-    return compare(lam, mu) in ("LT", "EQ")
+    """lam <= mu in the order on labels, for labels of one size and color
+    count.  No caller passes an untrimmed label, since `gen_multipartitions`
+    and `from_json` trim: padded with trailing zeros, a label would be <= its
+    trimmed form and that form <= it."""
+    sizes, other = tuple(map(sum, lam)), tuple(map(sum, mu))
+    # the color order reads the sizes' tail sums, dominance the components'
+    pairs = [(sizes[::-1], other[::-1])] if sizes != other else zip(lam, mu)
+    return all(x <= y for a, b in pairs for x, y in zip(_running(a), _running(b)))
 
 
 def linear_key(lam: Multipartition):
-    """Sort key giving a deterministic linear extension of the partial order."""
-    norm_key = _tail_sums(mnorm(lam))
-    comp_key = tuple(_partial_sums_padded(c) for c in lam)
-    return (norm_key, comp_key)
+    """Sort key of a linear extension of `leq`: the tail sums of the
+    component sizes, then each component's running sums."""
+    return _running(tuple(map(sum, lam))[::-1])[::-1], tuple(map(_running, lam))
 
 
-def _partial_sums_padded(c: Partition) -> tuple[int, ...]:
-    out, t = [], 0
-    for v in c:
-        t += v
-        out.append(t)
-    # pad so lexicographic comparison refines dominance on equal sizes
-    out += [t] * (sum(c) - len(out) if sum(c) > len(out) else 0)
-    return tuple(out)
+def _per_color(d: int, ell: int, parts) -> tuple:
+    """Every tuple of ell+1 entries, one per color, of total size d: the
+    sizes a composition of d, the entry of size k one of `parts(k)`."""
+    return tuple(combo for sizes in compositions(d, ell + 1)
+                 for combo in product(*map(parts, sizes)))
 
 
 @cache
 def gen_multipartitions(n: int, d: int, ell: int) -> tuple[Multipartition, ...]:
     """All multipartitions of d with ell+1 components, each with at most n parts,
-    sorted by a linear extension of the partial order (smallest first)."""
+    sorted by `linear_key` (smallest first)."""
     if n < 1 or d < 0 or ell < 0:
         raise ValueError("need n >= 1, d >= 0, ell >= 0")
-    out: list[Multipartition] = []
-    for norm in compositions(d, ell + 1):
-        for combo in product(*(partitions_of(di, n) for di in norm)):
-            out.append(tuple(combo))
-    out.sort(key=linear_key)
-    return tuple(out)
+    return tuple(sorted(_per_color(d, ell, lambda k: partitions_of(k, n)), key=linear_key))
 
 
 def gen_multicompositions(n: int, d: int, ell: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
     """All tuples of ell+1 compositions with n parts each, total size d."""
-    out = []
-    for norm in compositions(d, ell + 1):
-        for combo in product(*(tuple(compositions(di, n)) for di in norm)):
-            out.append(tuple(combo))
-    return tuple(out)
+    return _per_color(d, ell, lambda k: tuple(compositions(k, n)))
 
 
 # ---------------------------------------------------------------------------

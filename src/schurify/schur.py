@@ -53,6 +53,12 @@ from .triples import OnLookup, TriContext, TriLetter, TriWord, odd_sign, run_key
 Element = dict[TriWord, int]
 
 
+# the most letters (b, r, s), dim(A) n^2 of them, an algebra lists: `dim -d 1`
+# stays under 1 s up to it on a 2-vCPU host (zigzag:1 at n=223, trivial at
+# n=500), and 5 000 000 letters (zigzag:1 at n=1000) ran out of memory
+MAX_LETTERS = 250_000
+
+
 class SchurAlgebra:
     """T^A_a(n, d): canonical orbit index and multiplication."""
 
@@ -68,6 +74,9 @@ class SchurAlgebra:
     ):
         if n < 1 or d < 0:
             raise ValueError("need n >= 1, d >= 0")
+        if (count := len(alg.basis) * n * n) > MAX_LETTERS:
+            raise ValueError(f"dim(A) n^2 = {len(alg.basis)} * {n}^2 = {count} letters "
+                             f"is past the bound of {MAX_LETTERS}")
         self.alg = alg
         self.data = data
         self.n = n

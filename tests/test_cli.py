@@ -467,6 +467,41 @@ def test_an_algebra_past_its_bound_exits_2_before_any_work(monkeypatch):
             f"takes a parameter of at most {bound}, got {spec.split(':')[1]}"), res.output
 
 
+@pytest.mark.parametrize("spec", ["zigzag: 3", "zigzag:1_0", "semisimple:+2", "zigzag:\u0663",
+                                  "zigzag-bar:1_0", "zigzag-bar: 1"])
+def test_an_algebra_parameter_is_ascii_digits_only(spec, monkeypatch):
+    """A parameter that `int` would read but that is not ASCII digits alone
+    (a space, an underscore, a sign, an Arabic-Indic three) is an unknown
+    spec: one `error:` line, before the base algebra is built."""
+    from schurify import base_algebra
+
+    def unbuilt(*args):
+        raise AssertionError("the base algebra was built")
+
+    for name in ("make_extended_zigzag", "make_semisimple"):
+        monkeypatch.setattr(base_algebra, name, unbuilt)
+    res = _usage_error("dim", "--algebra", spec, "-n", "1", "-d", "1")
+    errors = [line for line in res.output.splitlines() if "error:" in line]
+    inner = spec.replace("zigzag-bar:", "zigzag:")  # the spec the bar is built from
+    assert len(errors) == 1 and errors[0].endswith(f"unknown algebra spec {inner!r}"), res.output
+
+
+def test_a_letter_count_past_its_bound_exits_2_before_any_work(monkeypatch):
+    """`dim` on zigzag:1 at n = 1000 would list 5 000 000 letters and ran
+    out of memory: it is one `error:` line naming the bound, before a
+    letter is listed."""
+    from schurify import schur, triples
+
+    def unlisted(self):
+        raise AssertionError("a letter was listed")
+
+    monkeypatch.setattr(triples.TriContext, "letter_key", property(unlisted))
+    res = _usage_error("dim", "--algebra", "zigzag:1", "-n", "1000", "-d", "1")
+    errors = [line for line in res.output.splitlines() if "error:" in line]
+    assert len(errors) == 1 and errors[0].endswith(
+        f"= 5000000 letters is past the bound of {schur.MAX_LETTERS}"), res.output
+
+
 def test_bad_sizes_exit_2():
     _usage_error("dim", "--algebra", "trivial", "-n", "0", "-d", "1")
     _usage_error("dim", "--algebra", "trivial", "-n", "1", "-d", "-1")
@@ -973,7 +1008,8 @@ LABELS = ["[[1]]", "[[], [1]]", "[[1], [1]]", "[[2]]", "[[1, 1]]", "[[]]", "[[tr
 OPTIONS = {
     "--algebra": ["trivial", "zigzag:1", "zigzag-bar:1", "semisimple:2", "zigzag:0", "bogus",
                   "zigzag:2", "zigzag-bar:2", "semisimple:3", "zigzag:301", "zigzag-bar:301",
-                  "semisimple:801", "zigzag:99999999999"],
+                  "semisimple:801", "zigzag:99999999999", "zigzag: 3", "zigzag:1_0",
+                  "semisimple:+2", "zigzag:\u0663"],
     "-n": ["1", "2", "0", "-1", "x"],
     "-d": ["0", "1", "2", "-1", "1.5"],
     "--field": ["Q", "Z", "Fp:2", "Fp:4", "R"],

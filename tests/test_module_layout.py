@@ -405,7 +405,14 @@ def test_every_package_name_the_benchmark_reads_resolves():
     """The benchmark reads names off the package that nothing in it reads,
     and tier-1 never runs it: every name that `perfbench/` imports from a
     `schurify` module, and every attribute it reads off an imported
-    `schurify` module (`ch.decomp_oracle`), exists."""
+    `schurify` module (`ch.decomp_oracle`), exists.  And every call whose
+    callee this walk resolves to a package function or class binds to its
+    signature: the count of positional arguments and the keyword names
+    (`codet.heredity_of_T(Th, sample_b=...)`).  A call with a `*` or `**`
+    splat is skipped, and so is a call on anything past the modules, such as
+    an instance's method (`cb.unimodular()`) or a class's
+    (`ch.DecompInput.from_base`): the walk cannot see what it calls."""
+    import inspect
     from importlib import import_module
     from types import ModuleType
 
@@ -418,7 +425,7 @@ def test_every_package_name_the_benchmark_reads_resolves():
         except ImportError:
             return None
 
-    missing, read = [], set()
+    missing, read, called = [], set(), set()
     for source, tree in _benchmark_sources().items():
         bound: dict[str, object] = {}  # a local name -> the package object bound to it
         for node in ast.walk(tree):
@@ -434,20 +441,44 @@ def test_every_package_name_the_benchmark_reads_resolves():
                     if (obj := member(module, alias.name)) is None:
                         missing.append(f"{source}: from {node.module} import {alias.name}")
                     bound[alias.asname or alias.name] = obj
-        for node in ast.walk(tree):
+
+        def resolve(node: ast.expr, record: bool):
+            """The package object that a name or a read a.b.c names, or None
+            past the modules; each read off a module is checked when
+            `record` is set."""
             chain = []  # a read a.b.c as [a, b, c]
             while isinstance(node, ast.Attribute):
                 chain.insert(0, node.attr)
                 node = node.value
-            if not (chain and isinstance(node, ast.Name)):
-                continue
+            if not isinstance(node, ast.Name):
+                return None
             chain.insert(0, node.id)
             obj = bound.get(node.id)
             for depth, name in enumerate(chain[1:], 2):
                 if not isinstance(obj, ModuleType):
-                    break  # past the modules: an attribute of a package object
-                read.add(".".join(chain[:depth]))
-                if (obj := member(obj, name)) is None:
+                    return None  # past the modules: an attribute of a package object
+                if record:
+                    read.add(".".join(chain[:depth]))
+                if (obj := member(obj, name)) is None and record:
                     missing.append(f"{source}: {'.'.join(chain[:depth])}")
+            return obj
+
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute):
+                resolve(node, record=True)
+            if not isinstance(node, ast.Call):
+                continue
+            callee = resolve(node.func, record=False)
+            splat = any(isinstance(a, ast.Starred) for a in node.args) or any(
+                k.arg is None for k in node.keywords)
+            if splat or not callable(callee):
+                continue
+            called.add(ast.unparse(node.func))
+            try:
+                inspect.signature(callee).bind(*node.args, **{k.arg: k.value for k in node.keywords})
+            except TypeError as exc:
+                missing.append(f"{source}:{node.lineno}: {ast.unparse(node)}: {exc}")
     assert not missing, missing
+    assert {"codet.heredity_of_T", "ch.decomp_formula", "ch.LRCache",
+            "build_schur"} <= called, sorted(called)
     assert {"ch.decomp_oracle", "codet.CodetBasis", "codet.heredity_of_T"} <= read, sorted(read)

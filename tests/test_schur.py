@@ -548,3 +548,25 @@ def test_eta_checks_membership_from_the_word(T122):
     assert Tb.eta((("e0", 1, 1), ("e0", 1, 2))) == {(("e0", 1, 1), ("e0", 1, 2)): 1}
     with pytest.raises(ValueError):
         Tb.eta(word)  # e1 is not in the truncation
+
+
+def test_the_letters_are_bounded_before_one_is_listed(monkeypatch):
+    """dim(A) n^2 letters up to `MAX_LETTERS` are listed; past it a
+    ValueError names the bound before any is."""
+    from schurify import schur
+    from schurify.triples import TriContext
+
+    class Listed(Exception):
+        pass
+
+    def listed(self):
+        raise Listed
+
+    monkeypatch.setattr(TriContext, "letters", property(listed))
+    alg, data, tau = make_algebra("trivial")
+    assert schur.MAX_LETTERS == 250_000
+    with pytest.raises(Listed):
+        build_schur(alg, data, 500, 1, tau)
+    with pytest.raises(ValueError, match=r"^dim\(A\) n\^2 = 1 \* 501\^2 = 251001 letters is past "
+                                         r"the bound of 250000$"):
+        build_schur(alg, data, 501, 1, tau)
