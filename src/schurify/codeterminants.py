@@ -346,9 +346,9 @@ class CodetBasis:
         if stray:
             self._name_stray(key, cols, expansions, stray)
         if len(reached) < len(cols):
-            index, block_key = T.ctx.index, T.ctx.block_key
+            block_key = T.ctx.block_key
             for orbit in T.orbits_with_profile(0, key[0]):
-                w = tuple([index[lt] for lt in orbit])
+                w = T.indices(orbit)
                 if w not in reached and block_key(w) == key:
                     raise AssertionError(f"codeterminant block {key}: "
                                          f"no column reaches its orbit {orbit}")
@@ -445,8 +445,7 @@ class CodetBasis:
 
     def solve(self, x: Element) -> dict[CodetKey, int]:
         """Expand an integral element in the standard codeterminant basis."""
-        index = self.T.ctx.index
-        return self.solve_terms({tuple([index[lt] for lt in orbit]): c for orbit, c in x.items()})
+        return self.solve_terms({self.T.indices(orbit): c for orbit, c in x.items()})
 
 
 # ---------------------------------------------------------------------------

@@ -28,11 +28,12 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from . import exactla
-from .base_algebra import X_SIDE, Y_SIDE, BasedSuperalgebra, DecompInput, HeredityData, base_decomp_numbers
+from .base_algebra import (X_SIDE, Y_SIDE, BasedSuperalgebra, DecompInput, HeredityData,
+                           base_decomp_numbers, make_trivial)
 from .characters import LRCache, _column_terms, _pad_bold, char_standard_tableaux, lr_expand
 from .partitions import Partition, gen_multipartitions, leq, pad, size, trim
 from .rings import QQ, CoefficientRing, GradedSuperScalar
-from .schur import SchurAlgebra
+from .schur import SchurAlgebra, build_schur
 from .triples import OnLookup
 
 
@@ -218,9 +219,6 @@ class ClassicalDecomp:
         self._by_size: dict[int, DecompMatrix] = OnLookup(self._matrix)
 
     def _matrix(self, e: int) -> DecompMatrix:
-        from .base_algebra import make_trivial
-        from .schur import build_schur
-
         alg, data, tau = make_trivial()
         return decomp_oracle(build_schur(alg, data, self.n, e, tau), self.ring)
 

@@ -43,7 +43,7 @@ from itertools import islice
 
 from .base_algebra import SIDES, Side
 from .base_heredity import HeredityReport
-from .partitions import leq
+from .partitions import leq, pad
 from .schur import SchurAlgebra
 from .triples import OnLookup
 
@@ -217,7 +217,7 @@ def _axioms_c_and_b(T: SchurAlgebra, sample_b: int | None, report: HeredityRepor
         return mu != lam and leq(lam, mu)
 
     # axiom (c): idempotent absorption against X and Y elements
-    padded = {bold: tuple(tuple(c) + (0,) * (T.n - len(c)) for c in bold) for bold in cb.shapes}
+    padded = {bold: tuple(pad(c, T.n) for c in bold) for bold in cb.shapes}
 
     def name(side: Side) -> str:
         return f"{side.name}_{side.pick('S', 'T')}"
@@ -242,11 +242,10 @@ def _axioms_c_and_b(T: SchurAlgebra, sample_b: int | None, report: HeredityRepor
             return {}
         return T.product_terms(a[0], b[1], a[2] * b[2])
 
-    index = T.ctx.index
     idem = {}
     for bold in cb.shapes:
         (orbit, c), = T.idempotent_bold(bold).items()
-        idem[bold] = factors(tuple([index[lt] for lt in orbit]), c)
+        idem[bold] = factors(T.indices(orbit), c)
     for bold in cb.shapes:
         for side in SIDES:
             nm = name(side)
@@ -275,7 +274,7 @@ def _axioms_c_and_b(T: SchurAlgebra, sample_b: int | None, report: HeredityRepor
     def meeting(key) -> list:
         side, weight = key
         factor = side.pick(lefts, rights)
-        return [(orbit, factor[tuple([index[lt] for lt in orbit])])
+        return [(orbit, factor[T.indices(orbit)])
                 for orbit in islice(T.orbits_with_profile(side.pick(1, 0), weight), sample_b)]
 
     candidates = OnLookup(meeting)

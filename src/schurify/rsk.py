@@ -62,7 +62,7 @@ def _reverse_insert(P: list[list[Letter]], alphabet: Alphabet, row: int) -> Lett
 
 def rsk(ctx: TriContext, word: TriWord) -> tuple[Multipartition, Tableau, Tableau]:
     """Map an admissible orbit word to (shape, S in Std^X, T in Std^Y)."""
-    if not ctx.is_admissible(word):
+    if ctx.sort_signed([ctx.index[lt] for lt in word])[0] is None:
         raise ValueError("inadmissible word")
     ax, ay = ctx.x_alphabet, ctx.y_alphabet
     comps_P: list[Tableau] = []
@@ -102,8 +102,8 @@ def rsk(ctx: TriContext, word: TriWord) -> tuple[Multipartition, Tableau, Tablea
 def rsk_inv(ctx: TriContext, S: Tableau, T: Tableau) -> TriWord:
     """Inverse of rsk; returns the canonical orbit word."""
     ax, ay = ctx.x_alphabet, ctx.y_alphabet
-    to_label = ctx.label_of
-    letters: list[tuple[str, int, int]] = []
+    to_label, index = ctx.label_of, ctx.index
+    word: list[int] = []
     for i_pos, i in enumerate(ctx.data.labels):
         P = [list(row) for row in S[i_pos]] if i_pos < len(S) else []
         Q = [list(row) for row in T[i_pos]] if i_pos < len(T) else []
@@ -123,6 +123,8 @@ def rsk_inv(ctx: TriContext, S: Tableau, T: Tableau) -> TriWord:
             bottom = _reverse_insert(P, ax, r)
             s, y = t
             rr, x = bottom
-            letters.append((to_label[(i, x, y)], rr, s))
-    rep, _sign = ctx.canonicalize(tuple(letters))
-    return rep
+            word.append(index[to_label[(i, x, y)], rr, s])
+    rep, _sign = ctx.sort_signed(word)
+    if rep is None:
+        raise ValueError(f"repeated odd letter in {ctx.word(word)}")
+    return ctx.word(rep)

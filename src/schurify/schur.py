@@ -22,14 +22,16 @@ rule (`triples.odd_sign`) and sorted, and the terms it returns are keyed by
 index words.  A right factor (`right_factor`) makes the arrangements the
 kernel reads one slot group at a time, on the first request for the group's
 slot word, by placing each slot's letters in every distinct order at that
-slot's places; a group no product asks for is never made.  `orbit_product`
-and `mult_orbits` turn the terms into `TriWord`s, the keys of Elements; the
-codeterminant walk, the heredity check and the Gram matrices keep them on
-indices.
+slot's places; a group no product asks for is never made.  Every
+`TriWord` enters through `indices`, which refuses a word that is not d
+letters of this algebra, or through `eta`, and leaves through
+`TriContext.word`: `mult_orbits` turns the terms into the keys of Elements,
+and the codeterminant walk, the heredity check and the Gram matrices keep
+them on indices.
 
 The kernel factors have two lifetimes.  `lefts` and `rights` map an index
 word to its factor, made on first lookup and kept for the life of the
-algebra, so a word that `orbit_product` and the codeterminant walk both use
+algebra, so a word that `mult_orbits` and the codeterminant walk both use
 is made once.  `heredity_of_T` reads them and keeps what it makes beyond
 them for its own call only: kept here, they raised the tracemalloc peak of
 `verify` on zigzag:1 n=d=3 from 7.00 to 7.25 MB.  No product is kept
@@ -57,6 +59,11 @@ Element = dict[TriWord, int]
 # stays under 1 s up to it on a 2-vCPU host (zigzag:1 at n=223, trivial at
 # n=500), and 5 000 000 letters (zigzag:1 at n=1000) ran out of memory
 MAX_LETTERS = 250_000
+# the most counts, (letters + 1)(d + 1) of them, that `rank` reads off
+# (`_counts`): `dim` stays under 1 s and 100 MB up to it on a 2-vCPU host,
+# at most 0.27 s and 90.7 MB on trivial, zigzag:1 and zigzag:2 with letters
+# from 1 to 150 000, and went past 100 MB at 700 000 (trivial at n=29, d=830)
+MAX_COUNTS = 600_000
 
 
 class SchurAlgebra:
@@ -77,6 +84,9 @@ class SchurAlgebra:
         if (count := len(alg.basis) * n * n) > MAX_LETTERS:
             raise ValueError(f"dim(A) n^2 = {len(alg.basis)} * {n}^2 = {count} letters "
                              f"is past the bound of {MAX_LETTERS}")
+        if (counts := (count + 1) * (d + 1)) > MAX_COUNTS:
+            raise ValueError(f"(dim(A) n^2 + 1)(d + 1) = {count + 1} * {d + 1} = {counts} counts "
+                             f"is past the bound of {MAX_COUNTS}")
         self.alg = alg
         self.data = data
         self.n = n
@@ -92,7 +102,7 @@ class SchurAlgebra:
         # `self.right_factor` is when the word is first looked up
         self.lefts: dict[tuple[int, ...], tuple] = OnLookup(lambda w: self.left_factor(w))
         self.rights: dict[tuple[int, ...], tuple] = OnLookup(lambda w: self.right_factor(w))
-        self._profiles: dict[TriWord, tuple] = OnLookup(self.ctx.weight_profiles)
+        self._profiles = OnLookup(lambda o: self.ctx.block_key(self.indices(o))[:2])
 
     @cached_property
     def orbits(self) -> list[TriWord]:
@@ -222,27 +232,15 @@ class SchurAlgebra:
 
     # -- multiplication ----------------------------------------------------
     def mult_orbits(self, o1: TriWord, o2: TriWord) -> Element:
-        """eta_{o1} * eta_{o2}: 0 when the factors' weight profiles do not
-        meet, else `orbit_product`.  No product is kept: on `verify` for
-        zigzag:1 n=d=3 (seeds 1-3), about 2 400 calls stop at the profile
-        check and 268-283 compute a product, of which only 24-32 (about one
-        in ten) repeat an earlier pair."""
+        """eta_{o1} * eta_{o2}, the one product on `TriWord`s: 0 when their
+        weight profiles do not meet, else `product_terms`.  No product is
+        kept: on `verify` for zigzag:1 n=d=3 (seeds 1-3), about 2 400 calls
+        stop at the profile check and 268-283 compute a product, of which
+        only 24-32 (about one in ten) repeat an earlier pair."""
         if self.profiles(o1)[1] != self.profiles(o2)[0]:
             return {}
-        return self.orbit_product(o1, o2)
-
-    def orbit_product(self, o1: TriWord, o2: TriWord) -> Element:
-        """Structure constants: eta_{o1} * eta_{o2} as an integer Element, by
-        `product_terms` on the factors of the orbits' index words in `lefts`
-        and `rights`."""
-        index = self.ctx.index
-        return self.element(self.product_terms(self.lefts[tuple([index[lt] for lt in o1])],
-                                               self.rights[tuple([index[lt] for lt in o2])]))
-
-    def element(self, terms: dict[tuple[int, ...], int]) -> Element:
-        """Terms keyed by words of letter indices, keyed by `TriWord`s."""
-        word = self.ctx.word
-        return {word(w): c for w, c in terms.items()}
+        terms = self.product_terms(self.lefts[self.indices(o1)], self.rights[self.indices(o2)])
+        return {self.ctx.word(w): c for w, c in terms.items()}
 
     def product_terms(self, left: tuple, right: tuple, sign: int = 1) -> dict[tuple[int, ...], int]:
         """The product kernel: sign * eta_{o1} * eta_{o2}, for o1 read by
@@ -355,47 +353,50 @@ class SchurAlgebra:
             return {}
         return {self.ctx.word(rep): sign}
 
-    def indices(self, word: TriWord) -> list[int]:
-        """The letter indices of a word of d letters of this algebra;
-        ValueError naming any other word."""
+    def indices(self, word: TriWord) -> tuple[int, ...]:
+        """The index word of a word of d letters of this algebra, the one
+        way in from a `TriWord`; ValueError naming any other word."""
         index, has = self.ctx.index, self._has_index
-        out = [index.get(lt) for lt in word]
+        out = tuple([index.get(lt) for lt in word])
         if len(out) != self.d or not all(i is not None and has[i] for i in out):
             raise ValueError(f"orbit {word} not in this algebra")
         return out
 
     # -- distinguished elements -------------------------------------------
     def idempotent_bold(self, bold) -> Element:
-        """e_lambda for a tuple of compositions (one per color)."""
+        """e_lambda for a tuple of compositions (one per color), by `eta`,
+        which refuses a color whose idempotent this algebra drops."""
         word = []
         for pos, comp in enumerate(bold):
             i = self.data.labels[pos]
             for r, width in enumerate(comp, start=1):
                 word += [(self.data.e[i], r, r)] * width
-        rep, sign = self.ctx.canonicalize(tuple(word))
-        assert sign == 1
-        return {rep: 1}
+        return self.eta(tuple(word))
 
     def unit(self) -> Element:
         """The sum of e_bold over the tuples of compositions `bold` (one per
-        color, n parts each, total size d).  Distinct tuples give distinct
-        orbits, each with coefficient 1."""
+        color, n parts each, total size d) that fill only colors whose
+        idempotent this algebra keeps: 1, or xi^e on a truncation.
+        Distinct tuples give distinct orbits, each with coefficient 1."""
+        kept = [self.keep_basis is None or self.data.e[i] in self.keep_basis for i in self.data.labels]
         out: Element = {}
         for bold in gen_multicompositions(self.n, self.d, len(self.data.labels) - 1):
-            out.update(self.idempotent_bold(bold))
+            if all(keep or not any(comp) for keep, comp in zip(kept, bold)):
+                out.update(self.idempotent_bold(bold))
         return out
 
     # -- anti-involution ---------------------------------------------------
     def involution(self, x: Element) -> Element:
+        """tau on each orbit, (b, r, s) -> (tau(b), s, r), by `eta`."""
         if self.tau is None:
             raise ValueError("no anti-involution on the base algebra")
         if not self.tau.is_standard(self.data) and self.keep_basis is None:
             raise ValueError("anti-involution is not standard")
         out: Element = {}
         for orbit, c in x.items():
-            word = tuple((self.tau.image[b], s, r) for (b, r, s) in orbit)
-            rep, sign = self.ctx.canonicalize(word)
-            out[rep] = out.get(rep, 0) + c * sign
+            image = tuple((self.tau.image[b], s, r) for (b, r, s) in orbit)
+            for rep, sign in self.eta(image).items():
+                out[rep] = out.get(rep, 0) + c * sign
         return {k: v for k, v in out.items() if v}
 
     # -- truncation --------------------------------------------------------

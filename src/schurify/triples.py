@@ -11,16 +11,18 @@ the word sorted under the fixed total order:
 
 A letter's index is its place in that order (`TriContext.letters`).  Signs,
 canonical words and multiplicity factorials are computed one way, on words
-of indices: the sign of a word is the parity of the inversions among its odd
+of letter indices only: a word of letters becomes one through
+`SchurAlgebra.indices` (the RSK reads `index` itself) and comes back through
+`word`.  The sign of a word is the parity of the inversions among its odd
 letters (`odd_sign`, which `sort_signed` and the product kernel read), and a
 factorial is read off the runs of a sorted word (`run_factorial`).  The
 per-index tables (profile slot on each side, degree, parity) give a word of
 indices its block key (`block_key`), and a sorted word's runs give its place
-among the orbits (`run_key`).  These
-tables, the pair map both ways (`pair_of`, `label_of`), the letter products
-(the kernel's flat `product_table`, each made by `letter_product`) and the
-table of standard tableaux by side and shape (`standard_tableaux`) belong to
-the context, which an algebra and its truncations share.
+among the orbits (`run_key`).  These tables, the pair map both ways
+(`pair_of`, `label_of`), the letter products (the kernel's flat
+`product_table`, each made by `letter_product`) and the table of standard
+tableaux by side and shape (`standard_tableaux`) belong to the context,
+which an algebra and its truncations share.
 """
 from __future__ import annotations
 
@@ -184,20 +186,6 @@ class TriContext:
         letters = self.letters
         return tuple([letters[i] for i in indices])
 
-    # -- orbits ------------------------------------------------------------
-    def is_admissible(self, word: TriWord) -> bool:
-        index = self.index
-        return self.sort_signed([index[w] for w in word])[0] is not None
-
-    def canonicalize(self, word: TriWord) -> tuple[TriWord, int]:
-        """Sort into the canonical representative; returns (rep, sign).  An
-        inadmissible word, which repeats an odd letter, raises ValueError."""
-        index = self.index
-        rep, sign = self.sort_signed([index[w] for w in word])
-        if rep is None:
-            raise ValueError(f"repeated odd letter in {word}")
-        return self.word(rep), sign
-
     # -- weight profiles and block keys -----------------------------------
     @cached_property
     def slots(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -227,11 +215,6 @@ class TriContext:
             par += odd[i]
         nested = self.nested
         return nested[tuple(alpha)], nested[tuple(beta)], deg, par % 2
-
-    def weight_profiles(self, word: TriWord):
-        """(alpha(b, r), beta(b, s)): left/right idempotent weight profiles."""
-        index = self.index
-        return self.block_key([index[lt] for lt in word])[:2]
 
     @cached_property
     def nested(self) -> dict[tuple[int, ...], tuple[tuple[int, ...], ...]]:

@@ -62,10 +62,10 @@
   pairs `verify` only counts), truncate_base / make_zigzag_bar (the
   base-level truncation eAe), skew_char (skew characters by filling
   enumeration) and check_skew_chars, shape_of, tableau_weight,
-  tableau_from_json, block_keys and index_expansion.  They are the paper's
-  structures and readings that no command runs, kept here for the tests
-  that check them; they read the production algebra's contexts, kernel
-  factors and `idempotent_bold`.
+  tableau_from_json, block_keys, index_expansion and as_orbits.  They are
+  the paper's structures and readings that no command runs, kept here for
+  the tests that check them; they read the production algebra's contexts,
+  kernel factors and `idempotent_bold`.
 - add / scale / std: x + c * y for Elements or characters, an integer
   multiple of a graded super-scalar, and a `CodetBasis`'s standard tableaux
   of one side.
@@ -578,6 +578,12 @@ def block_keys(cb):
     """The keys of the blocks with codeterminant columns of a `CodetBasis`,
     each once, in sorted order: those of the walk's pass (`cb._filed`)."""
     return (key for key, _cols in cb._filed())
+
+
+def as_orbits(T, terms):
+    """Terms keyed by words of letter indices, as an Element of `T`: keyed
+    by `TriWord`s."""
+    return {T.ctx.word(w): c for w, c in terms.items()}
 
 
 def index_expansion(cb, key):

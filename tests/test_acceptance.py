@@ -7,6 +7,7 @@ import pytest
 
 from helpers import (
     add,
+    as_orbits,
     cellular_basis,
     check_skew_chars,
     coproduct,
@@ -105,7 +106,7 @@ def test_criterion_04_straightening(T122, cb122):
         back = {}
         for key, c in solved.items():
             assert leq(mu, key[0]), (o, key)  # triangularity of supports
-            back = add(back, T122.element(index_expansion(cb122, key)), c)
+            back = add(back, as_orbits(T122, index_expansion(cb122, key)), c)
         assert back == {o: 1}, o  # round-trip is the identity
 
 

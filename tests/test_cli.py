@@ -502,6 +502,22 @@ def test_a_letter_count_past_its_bound_exits_2_before_any_work(monkeypatch):
         f"= 5000000 letters is past the bound of {schur.MAX_LETTERS}"), res.output
 
 
+def test_a_degree_past_its_bound_exits_2_before_any_work(monkeypatch):
+    """`dim` on zigzag:1 at n = 3, d = 1 000 000 would make 46 000 046
+    counts and ran out of memory: it is one `error:` line naming the bound,
+    before a count is made."""
+    from schurify import schur
+
+    def uncounted(self):
+        raise AssertionError("a count was made")
+
+    monkeypatch.setattr(schur.SchurAlgebra, "_counts", property(uncounted))
+    res = _usage_error("dim", "--algebra", "zigzag:1", "-n", "3", "-d", "1000000")
+    errors = [line for line in res.output.splitlines() if "error:" in line]
+    assert len(errors) == 1 and errors[0].endswith(
+        f"= 46 * 1000001 = 46000046 counts is past the bound of {schur.MAX_COUNTS}"), res.output
+
+
 def test_bad_sizes_exit_2():
     _usage_error("dim", "--algebra", "trivial", "-n", "0", "-d", "1")
     _usage_error("dim", "--algebra", "trivial", "-n", "1", "-d", "-1")
@@ -1011,7 +1027,7 @@ OPTIONS = {
                   "semisimple:801", "zigzag:99999999999", "zigzag: 3", "zigzag:1_0",
                   "semisimple:+2", "zigzag:\u0663"],
     "-n": ["1", "2", "0", "-1", "x"],
-    "-d": ["0", "1", "2", "-1", "1.5"],
+    "-d": ["0", "1", "2", "-1", "1.5", "300000"],
     "--field": ["Q", "Z", "Fp:2", "Fp:4", "R"],
     "--out": ["json", "csv", "xml"],
     "--output": ["out.txt", "missing/out.txt"],

@@ -11,6 +11,7 @@ import pytest
 
 from helpers import (
     add,
+    as_orbits,
     assert_reaped,
     block_keys,
     cellular_basis,
@@ -107,7 +108,7 @@ def test_straighten_standard_fixed(T122, cb):
     rng = random.Random(4)
     for key in rng.sample(cb.keys, 40):
         assert st.straighten_codet(key) == {key: 1}
-        assert cb.solve(T122.element(index_expansion(cb, key))) == {key: 1}
+        assert cb.solve(as_orbits(T122, index_expansion(cb, key))) == {key: 1}
 
 
 def test_straighten_triangular_and_roundtrip(T122, cb):
@@ -121,7 +122,7 @@ def test_straighten_triangular_and_roundtrip(T122, cb):
         back = {}
         for key, c in exp.items():
             assert leq(mu, key[0]), (o, key)
-            back = add(back, T122.element(index_expansion(cb, key)), c)
+            back = add(back, as_orbits(T122, index_expansion(cb, key)), c)
         assert back == {o: 1}, o
 
 
@@ -789,7 +790,7 @@ def test_unimodularity_check_takes_determinants_alone(monkeypatch):
     assert len(expanded) == len(set(expanded)) == len(cb.keys) and set(expanded) == set(cb.keys)
     assert not cb._factored  # no walk-built block is kept
 
-    mat = [[T.element(index_expansion(cb, col)).get(orbit, 0) for col in cols] for orbit in rows]
+    mat = [[as_orbits(T, index_expansion(cb, col)).get(orbit, 0) for col in cols] for orbit in rows]
     x = [(-1) ** j * (j + 1) for j in range(len(cols))]
     v = {orbit: c for orbit, row in zip(rows, mat)
          if (c := sum(m * xj for m, xj in zip(row, x)))}

@@ -7,6 +7,7 @@ import pytest
 
 from helpers import (
     add,
+    as_orbits,
     coproduct,
     coproducts_star,
     double_coproduct,
@@ -325,7 +326,7 @@ def test_uncached_product_against_tensor_oracle(spec, truncated):
     for k in range(200):
         a = rng.choice(T.orbits)
         b = rng.choice(by_left[T.profiles(a)[1]] if k % 2 else T.orbits)
-        prod = T.orbit_product(a, b)
+        prod = as_orbits(T, T.product_terms(T.lefts[T.indices(a)], T.rights[T.indices(b)]))
         assert prod == tensor_eta_product(T, a, b), (a, b)
         if T.profiles(a)[1] != T.profiles(b)[0]:
             apart += 1
@@ -550,6 +551,38 @@ def test_eta_checks_membership_from_the_word(T122):
         Tb.eta(word)  # e1 is not in the truncation
 
 
+@pytest.mark.parametrize("spec, kept, terms", [("zigzag:1", 1, 3), ("zigzag:2", 2, 10)])
+def test_the_unit_of_a_truncation_is_its_idempotent(spec, kept, terms):
+    """zigzag-bar at n=d=2 keeps the idempotents of all colors but the
+    last: its unit is xi^e, one e_bold per multicomposition over the kept
+    colors (3 on zigzag-bar:1, where T has 10), each a word of the
+    truncation, and it is a two-sided unit on every orbit."""
+    alg, data, tau = make_algebra(spec)
+    Tb = build_schur(alg, data, 2, 2, tau).truncate(data.labels[:-1])
+    one = Tb.unit()
+    for orbit in one:
+        Tb.indices(orbit)
+    assert len(one) == terms == len(list(gen_multicompositions(2, 2, kept - 1)))
+    for orbit in Tb.orbits:
+        x = {orbit: 1}
+        assert Tb.mul(one, x) == x == Tb.mul(x, one), orbit
+
+
+@pytest.mark.parametrize("call", [
+    lambda T, o: T.mult_orbits(T.orbits[0], o),
+    lambda T, o: T.profiles(o),
+    lambda T, o: T.involution({o: 1}),
+    lambda T, o: T.idempotent_bold(((), (2,))),
+], ids=["mult_orbits", "profiles", "involution", "idempotent_bold"])
+def test_a_truncation_refuses_an_orbit_with_a_dropped_idempotent(T122, call):
+    """zigzag-bar:1 at n=d=2 drops e1: an orbit that holds it is refused,
+    not multiplied, profiled or mapped, and so is the e_bold it fills."""
+    Tb = T122.truncate([0])
+    orbit = next(o for o in T122.orbits if ("e1", 1, 1) in o)
+    with pytest.raises(ValueError, match=r"^orbit .* not in this algebra$"):
+        call(Tb, orbit)
+
+
 def test_the_letters_are_bounded_before_one_is_listed(monkeypatch):
     """dim(A) n^2 letters up to `MAX_LETTERS` are listed; past it a
     ValueError names the bound before any is."""
@@ -570,3 +603,16 @@ def test_the_letters_are_bounded_before_one_is_listed(monkeypatch):
     with pytest.raises(ValueError, match=r"^dim\(A\) n\^2 = 1 \* 501\^2 = 251001 letters is past "
                                          r"the bound of 250000$"):
         build_schur(alg, data, 501, 1, tau)
+
+
+def test_the_counts_are_bounded_before_one_is_made():
+    """(dim(A) n^2 + 1)(d + 1) counts up to `MAX_COUNTS` are made; past it a
+    ValueError names the bound before any is."""
+    from schurify import schur
+
+    alg, data, tau = make_algebra("trivial")
+    assert schur.MAX_COUNTS == 600_000
+    assert build_schur(alg, data, 1, 299_999, tau).rank == 1  # 2 * 300 000 counts
+    with pytest.raises(ValueError, match=r"^\(dim\(A\) n\^2 \+ 1\)\(d \+ 1\) = 2 \* 300001 = "
+                                         r"600002 counts is past the bound of 600000$"):
+        build_schur(alg, data, 1, 300_000, tau)
