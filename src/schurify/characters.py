@@ -255,7 +255,7 @@ def char_standard_tableaux(T: SchurAlgebra, bold) -> dict:
     T.base_decomp  # raises unless A's heredity axioms hold
     by_weight: dict = {}
     bold = _pad_bold(bold, len(T.data.labels))
-    for _S, (weight, deg, par) in T.ctx.standard_tableaux[X_SIDE, bold]:
+    for _S, (weight, deg, par), *_ in T.ctx.standard_tableaux[X_SIDE, bold]:
         terms = by_weight.setdefault(weight, {})
         terms[deg, par] = terms.get((deg, par), 0) + 1
     return {w: GradedSuperScalar(terms) for w, terms in by_weight.items()}

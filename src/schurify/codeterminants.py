@@ -33,15 +33,13 @@ failure text or signed determinant.  The first solve that meets a block
 builds it with what a solve needs and keeps it.  Neither the check nor a
 solve lists orbits.
 
-A tableau enters the walk, the heredity check and the Gram matrices as the
-index word of X_S or Y_T and its sign, read straight off the tableau
-(`CodetBasis.index_word`) once per tableau; the heredity check reads them
-off the walk's shares (`CodetBasis.tableau_shares`), and the basis keeps no
-Element per tableau.  The standard tableaux and their shares of the block
-keys, (weight, degree, parity), come from one table on the algebra's context
-(`TriContext.standard_tableaux`), each tableau's share read in one pass over
-its letters; the blocks, the heredity check, the Gram matrices and the
-tableau characters all read that table.
+A tableau is read once, into one table on the algebra's context
+(`TriContext.standard_tableaux`): each standard tableau with the sorted
+index word of X_S or Y_T, its sign, and its share of the block keys,
+(weight, degree, parity), read off that word's block key.  The blocks, the
+heredity check, the Gram matrices and the tableau characters all read that
+table; the heredity check reads the words and signs off the walk's shares
+(`CodetBasis.tableau_shares`), and the basis keeps no Element per tableau.
 The walk's tableau shares take their kernel factors from the algebra's
 tables (`SchurAlgebra.lefts`, `.rights`), kept for its life;
 `heredity_of_T` keeps the factors it makes beyond those for its own call,
@@ -55,7 +53,7 @@ All expansions are integral; any non-integral coefficient aborts loudly.
 """
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable, Iterator, Mapping
+from collections.abc import Iterable, Iterator, Mapping
 from functools import cached_property
 from operator import mul
 from typing import NamedTuple
@@ -64,8 +62,8 @@ from .base_algebra import SIDES, X_SIDE, Y_SIDE, Side
 from .exactla import Block, unit_determinant
 from .partitions import gen_multipartitions
 from .schur import Element, SchurAlgebra
-from .tableaux import Tableau
-from .triples import OnLookup, TriWord, run_key
+from .tableaux import Tableau, own_word
+from .triples import OnLookup, run_key
 
 CodetKey = tuple[tuple[tuple[int, ...], ...], Tableau, Tableau]  # (shape, S, T)
 
@@ -74,24 +72,9 @@ CodetKey = tuple[tuple[tuple[int, ...], ...], Tableau, Tableau]  # (shape, S, T)
 # tableau <-> orbit words
 # ---------------------------------------------------------------------------
 
-def _word(tab: Tableau, rows, side: Side) -> TriWord:
-    """The row-major content of `tab` paired with a row word of the same
-    length: an X letter (l, x) against row m gives (x, l, m), a Y letter
-    (y, m, l)."""
-    content = [entry for comp in tab for row in comp for entry in row]
-    assert len(content) == len(rows)
-    r, s = side.orient([l for (l, _z) in content], rows)
-    return tuple(zip([z for (_l, z) in content], r, s))
-
-
-def _own_word(tab: Tableau, side: Side) -> TriWord:
-    """The word of X_S or Y_T: a tableau against its own rows."""
-    return _word(tab, [m for comp in tab for m, row in enumerate(comp, start=1) for _ in row], side)
-
-
 def side_element(T: SchurAlgebra, tab: Tableau, side: Side) -> Element:
     """X_S or Y_T: the orbit element of a tableau against its own rows."""
-    return T.eta(_own_word(tab, side))
+    return T.eta(own_word(tab, side))
 
 
 def codet_element(T: SchurAlgebra, S: Tableau, Tb: Tableau) -> Element:
@@ -136,11 +119,11 @@ class CodetBasis:
 
     @cached_property
     def std_x(self) -> dict:
-        return {bold: [S for S, _share in xs] for bold, (xs, _ys) in self._tableau_blocks.items()}
+        return {bold: [S for S, *_ in xs] for bold, (xs, _ys) in self._tableau_blocks.items()}
 
     @cached_property
     def std_y(self) -> dict:
-        return {bold: [Tb for Tb, _share in ys] for bold, (_xs, ys) in self._tableau_blocks.items()}
+        return {bold: [Tb for Tb, *_ in ys] for bold, (_xs, ys) in self._tableau_blocks.items()}
 
     @cached_property
     def keys(self) -> list[CodetKey]:
@@ -160,24 +143,6 @@ class CodetBasis:
         )
         return S, S
 
-    def index_word(self, tab: Tableau, side: Side) -> tuple[tuple[int, ...], int]:
-        """X_S or Y_T as the index word of its one orbit, and its sign, read
-        straight off the tableau: its word (`_own_word`), that word's letter
-        indices, sorted with its sign by `TriContext.sort_signed`.  With the
-        checks of `SchurAlgebra.eta`, a word that is not d letters of T
-        raises ValueError, and so does one that repeats an odd letter."""
-        word = _own_word(tab, side)
-        rep, sign = self.T.ctx.sort_signed(self.T.indices(word))
-        if rep is None:
-            raise ValueError(f"repeated odd letter in {word}")
-        return rep, sign
-
-    def kernel_factor(self, tab: Tableau, side: Side, make: Callable) -> tuple:
-        """X_S or Y_T as a factor of the product kernel, `make` of its index
-        word (a factor's maker or a table's lookup), and its sign."""
-        word, sign = self.index_word(tab, side)
-        return make(word), sign
-
     def _expand(self, x: _Share, y: _Share) -> dict[tuple[int, ...], int]:
         """X_S * Y_T keyed by words of letter indices, from the shares of S
         and T; an expansion is used once, to build its column."""
@@ -185,43 +150,45 @@ class CodetBasis:
 
     def pairing(self, y: tuple, x: tuple) -> dict[tuple[int, ...], int]:
         """Y_T * X_S keyed by words of letter indices, from Y_T as a left
-        factor and X_S as a right one (`kernel_factor`); a Gram matrix reads
-        each such product once."""
+        factor and X_S as a right one, each with its sign; a Gram matrix
+        reads each such product once."""
         (left, sy), (right, sx) = y, x
         return self.T.product_terms(left, right, sy * sx)
 
     # -- blocked change of basis ------------------------------------------
     @cached_property
     def _tableau_blocks(self) -> dict:
-        """shape -> ([(S, its share)], [(T, its share)]) of the block keys,
-        (weight, degree, parity mod 2), in the order of the standard
-        tableaux: the context's table (`TriContext.standard_tableaux`)."""
+        """shape -> ([(S, share, word, sign)], [(T, share, word, sign)]), each
+        tableau with its share of the block keys (weight, degree, parity mod
+        2) and the index word and sign of X_S or Y_T, in the order of the
+        standard tableaux: the context's table
+        (`TriContext.standard_tableaux`)."""
         table = self.T.ctx.standard_tableaux
         return {bold: tuple(table[side, bold] for side in SIDES) for bold in self.shapes}
 
     @cached_property
     def _shares(self) -> tuple[dict, dict]:
         """The standard tableaux indexed by their share of the block keys,
-        each with its factor from `T.lefts` or `T.rights` (`_Share`), on the
-        first lookup of its weight: weight -> [(shape index, degree, parity
-        mod 2, share of S)] on the X side, in the order of `keys`, and weight
-        -> (shape index, degree, parity mod 2) -> [share of T] on the Y side."""
+        each with the factor of its word from `T.lefts` or `T.rights` and its
+        sign (`_Share`), on the first lookup of its weight: weight -> [(shape
+        index, degree, parity mod 2, share of S)] on the X side, in the order
+        of `keys`, and weight -> (shape index, degree, parity mod 2) ->
+        [share of T] on the Y side."""
         entries: tuple[dict, dict] = ({}, {})
         for k, (bold, shares) in enumerate(self._tableau_blocks.items()):
             for by_weight, tabs in zip(entries, shares):
-                for tab, (weight, deg, par) in tabs:
-                    by_weight.setdefault(weight, []).append((k, deg, par, tab, bold))
+                for entry in tabs:
+                    by_weight.setdefault(entry[1][0], []).append((k, bold, entry))
         left, right = self.T.lefts.__getitem__, self.T.rights.__getitem__
 
         def xs(weight) -> list:
-            return [(k, deg, par, _Share(tab, bold, *self.kernel_factor(tab, X_SIDE, left)))
-                    for k, deg, par, tab, bold in entries[0].get(weight, ())]
+            return [(k, deg, par, _Share(tab, bold, left(word), sign))
+                    for k, bold, (tab, (_w, deg, par), word, sign) in entries[0].get(weight, ())]
 
         def ys(weight) -> dict:
             out: dict = {}
-            for k, deg, par, tab, bold in entries[1].get(weight, ()):
-                share = _Share(tab, bold, *self.kernel_factor(tab, Y_SIDE, right))
-                out.setdefault((k, deg, par), []).append(share)
+            for k, bold, (tab, (_w, deg, par), word, sign) in entries[1].get(weight, ()):
+                out.setdefault((k, deg, par), []).append(_Share(tab, bold, right(word), sign))
             return out
 
         return OnLookup(xs), OnLookup(ys)
@@ -245,7 +212,7 @@ class CodetBasis:
     def _weights(self) -> tuple[list, list]:
         """Per side, the sorted weights of the standard tableaux."""
         return tuple(sorted({share[0] for tabs in self._tableau_blocks.values()
-                             for _tab, share in tabs[side]}) for side in (0, 1))
+                             for _tab, share, *_ in tabs[side]}) for side in (0, 1))
 
     def _filed(self, weights: Iterable | None = None) -> Iterator[tuple[tuple, list]]:
         """Each block key with codeterminant columns whose X weight is in
@@ -259,7 +226,7 @@ class CodetBasis:
         past the weight (at most 990 keys of 249 944 at zigzag:1 n=d=4)."""
         xs_of, ys_of = self._shares
         groups = [[(share, ys_of[share[0]][k, share[1], share[2]])
-                   for share in dict.fromkeys(s for _tab, s in y_tabs)]
+                   for share in dict.fromkeys(s for _tab, s, *_ in y_tabs)]
                   for k, (_x_tabs, y_tabs) in enumerate(self._tableau_blocks.values())]
         for alpha in self._weights[0] if weights is None else weights:
             cols: dict = {}

@@ -28,8 +28,8 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from . import exactla
-from .base_algebra import (X_SIDE, Y_SIDE, BasedSuperalgebra, DecompInput, HeredityData,
-                           base_decomp_numbers, make_trivial)
+from .base_algebra import (BasedSuperalgebra, DecompInput, HeredityData, base_decomp_numbers,
+                           make_trivial)
 from .characters import LRCache, _column_terms, _pad_bold, char_standard_tableaux, lr_expand
 from .partitions import Partition, gen_multipartitions, leq, pad, size, trim
 from .rings import QQ, CoefficientRing, GradedSuperScalar
@@ -125,15 +125,15 @@ def gram_blocks(T: SchurAlgebra, bold) -> dict[tuple, list[list[int]]]:
     blk = cb.factor(key)
     dual = blk.dual_row(unit_key)
     of_share: dict = {}
-    for Tb, share in ys:
-        of_share.setdefault(share, []).append(Tb)
-    lefts = OnLookup(lambda share: [(Tb, cb.kernel_factor(Tb, Y_SIDE, T.left_factor))
-                                    for Tb in of_share.get(share, ())])
+    for Tb, share, word, sign in ys:
+        of_share.setdefault(share, []).append((Tb, word, sign))
+    lefts = OnLookup(lambda share: [(Tb, (T.left_factor(word), sign))
+                                    for Tb, word, sign in of_share.get(share, ())])
     gram: dict = {}
-    for S, (weight, deg, par) in xs:
+    for S, (weight, deg, par), word, sign in xs:
         row = []
         columns = lefts[weight, -deg, par]
-        x = cb.kernel_factor(S, X_SIDE, T.right_factor) if columns else None
+        x = (T.right_factor(word), sign) if columns else None
         for Tb, y in columns:
             num = 0
             for w, c in cb.pairing(y, x).items():

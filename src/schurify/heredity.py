@@ -253,7 +253,7 @@ def _axioms_c_and_b(T: SchurAlgebra, sample_b: int | None, report: HeredityRepor
             elt_e, e_elt, emu_elt = (" ".join(side.orient(a, b))
                                      for a, b in ((nm, "e"), ("e", nm), ("e_mu", nm)))
             initial = side.pick(*cb.initial_tableau_pair(bold))
-            for tab, (weight, _deg, _par) in side.pick(*cb._tableau_blocks[bold]):
+            for tab, (weight, _deg, _par), *_ in side.pick(*cb._tableau_blocks[bold]):
                 share = side.pick(*shares)[tab]
                 elt, terms = factors(share.factor[0], share.sign), {share.factor[0]: share.sign}
                 witness = f"{side.pick('S', 'T')} = {tab}"
@@ -282,7 +282,7 @@ def _axioms_c_and_b(T: SchurAlgebra, sample_b: int | None, report: HeredityRepor
     for bold in cb.shapes:
         for side in SIDES:
             other_initial = side.orient(*cb.initial_tableau_pair(bold))[1]
-            for tab, (weight, _deg, _par) in side.pick(*cb._tableau_blocks[bold]):
+            for tab, (weight, _deg, _par), *_ in side.pick(*cb._tableau_blocks[bold]):
                 share = side.pick(*shares)[tab]
                 factor = side.pick(rights, lefts)[share.factor[0]]
                 for orbit, a in candidates[side, weight]:

@@ -147,6 +147,11 @@ def comp_row_word(comp: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(r for r, width in enumerate(comp, start=1) for _ in range(width))
 
 
+def row_word(bold) -> list[int]:
+    """The row index of each cell of a multicomposition, row-major, 1-based."""
+    return [m for comp in bold for m in comp_row_word(comp)]
+
+
 def to_json(bold: Multipartition) -> list:
     return [list(c) for c in bold]
 

@@ -102,7 +102,7 @@ class SchurAlgebra:
         # `self.right_factor` is when the word is first looked up
         self.lefts: dict[tuple[int, ...], tuple] = OnLookup(lambda w: self.left_factor(w))
         self.rights: dict[tuple[int, ...], tuple] = OnLookup(lambda w: self.right_factor(w))
-        self._profiles = OnLookup(lambda o: self.ctx.block_key(self.indices(o))[:2])
+        self._profiles = OnLookup(lambda o: self.ctx.block_key(self._canonical(o))[:2])
 
     @cached_property
     def orbits(self) -> list[TriWord]:
@@ -202,8 +202,19 @@ class SchurAlgebra:
 
     # -- helpers -----------------------------------------------------------
     def profiles(self, orbit: TriWord):
-        """(alpha, beta) idempotent weight profiles of an orbit, kept."""
+        """(alpha, beta) idempotent weight profiles of a canonical orbit,
+        kept; ValueError for a word that is not one (`_canonical`)."""
         return self._profiles[orbit]
+
+    def _canonical(self, orbit: TriWord) -> tuple[int, ...]:
+        """The index word of a canonical orbit (`indices`); ValueError for a
+        word that is not sorted or that repeats an odd letter, whose product
+        the kernel, reading the left word as its one arrangement, would get
+        wrong.  `profiles` checks each word once."""
+        word = self.indices(orbit)
+        if self.ctx.sort_signed(word)[0] != word:
+            raise ValueError(f"orbit {orbit} is not canonical")
+        return word
 
     def left_factor(self, word: tuple[int, ...]) -> tuple:
         """A left factor of `product_terms`, made afresh from its canonical
@@ -233,7 +244,8 @@ class SchurAlgebra:
     # -- multiplication ----------------------------------------------------
     def mult_orbits(self, o1: TriWord, o2: TriWord) -> Element:
         """eta_{o1} * eta_{o2}, the one product on `TriWord`s: 0 when their
-        weight profiles do not meet, else `product_terms`.  No product is
+        weight profiles do not meet, else `product_terms`; ValueError when
+        either is not a canonical orbit (`profiles`).  No product is
         kept: on `verify` for zigzag:1 n=d=3 (seeds 1-3), about 2 400 calls
         stop at the profile check and 268-283 compute a product, of which
         only 24-32 (about one in ten) repeat an earlier pair."""

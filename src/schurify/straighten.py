@@ -17,14 +17,15 @@ Only the commands that straighten load this module: `straighten` and
 from __future__ import annotations
 
 from .base_algebra import SIDES, Side
-from .codeterminants import CodetKey, _word, codet_element, side_element
-from .partitions import comp_row_word, trim
+from .codeterminants import CodetKey, codet_element, side_element
+from .partitions import comp_row_word, row_word, trim
 from .schur import Element, SchurAlgebra
 from .tableaux import (
     Tableau,
     column_violation,
     is_standard,
     row_standardize,
+    side_word,
     word as tableau_word,
 )
 from .triples import TriWord
@@ -195,7 +196,7 @@ class Straightener:
         lam_bold = tuple(lam if k == pos else c for k, c in enumerate(bold))
         mid = self._mid_element(bold, lam_bold, side)
 
-        aux = T.eta(_word(tab, [m for comp in lam_bold for m in comp_row_word(comp)], side))
+        aux = T.eta(side_word(tab, row_word(lam_bold), side))
         if not aux:
             raise AssertionError(f"auxiliary {side.name} element vanished")
         lead = _decompose_one_sided(T, bold, T.mul(*side.orient(aux, mid)), side)

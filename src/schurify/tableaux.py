@@ -10,9 +10,10 @@ of rows, each row a tuple of colored letters.  A tableau is standard when
 the keys weakly increase along each row, strictly after an odd letter, and
 increase strictly down each column, weakly below an odd letter
 (`Alphabet.breaks_row`, `Alphabet.breaks_column`).  `enumerate_tableaux`
-lists the standard tableaux of a shape; the program reads them, with their
-shares (`flat_share`), from the context's table
-(`triples.TriContext.standard_tableaux`).
+lists the standard tableaux of a shape, and `side_word` turns a tableau
+into the word of an orbit; the program reads both from the context's table
+(`triples.TriContext.standard_tableaux`), which holds each tableau with its
+index word, its sign and its share of the block keys.
 """
 from __future__ import annotations
 
@@ -20,7 +21,7 @@ from functools import cached_property
 from itertools import product
 
 from .base_algebra import BasedSuperalgebra, HeredityData, Side, absorbing_colors
-from .partitions import Multipartition
+from .partitions import Multipartition, row_word
 
 Letter = tuple[int, str]                      # (l, color label)
 Tableau = tuple[tuple[tuple[Letter, ...], ...], ...]
@@ -39,15 +40,6 @@ class Alphabet:
     def absorbers(self) -> dict[str, int]:
         """Basis element -> the j with e_j z = z (X side) or z e_j = z (Y side)."""
         return absorbing_colors(self.alg, self.data, self.side)
-
-    @cached_property
-    def letter_shares(self) -> dict[Letter, tuple[int, int, int]]:
-        """Letter (l, z) -> (its cell in a flat weight, the degree of z, the
-        parity of z), for each z with an absorbing color j: a flat weight
-        counts j's letter l at n * (place of j in the labels) + l - 1."""
-        place = {j: k for k, j in enumerate(self.data.labels)}
-        return {(l, z): (self.n * place[j] + l - 1, self.alg.degree[z], self.alg.parity[z])
-                for z, j in self.absorbers.items() for l in range(1, self.n + 1)}
 
     def _absorbing_color(self, z: str) -> int:
         j = self.absorbers.get(z)
@@ -111,6 +103,26 @@ def word(T: Tableau) -> tuple[Letter, ...]:
     return tuple(entry for comp in T for row in comp for entry in row)
 
 
+def side_word(T: Tableau, rows, side: Side) -> tuple:
+    """The reading word of `T` against a row word of the same length, as a
+    word of `triples` letters: an X letter (l, x) against row m gives
+    (x, l, m), a Y letter (y, m, l).  The one place the program turns a
+    tableau into the word of an orbit."""
+    ls, zs = [], []
+    for comp in T:
+        for row in comp:
+            for l, z in row:
+                ls.append(l)
+                zs.append(z)
+    assert len(ls) == len(rows)
+    return tuple(zip(zs, *side.orient(ls, rows)))
+
+
+def own_word(T: Tableau, side: Side) -> tuple:
+    """The word of X_S or Y_T: a tableau against its own rows."""
+    return side_word(T, row_word([len(row) for row in comp] for comp in T), side)
+
+
 def column_violation(comp, alphabet: Alphabet) -> tuple[int, int] | None:
     """The first column violation in one component of a tableau: the 1-based
     (row, column) of the upper of two cells that break their column, first in
@@ -171,28 +183,6 @@ def enumerate_tableaux(bold: Multipartition, alphabet: Alphabet) -> list[Tableau
         backtrack([], [], 0)
         comps.append(fills)
     return list(product(*comps))
-
-
-# ---------------------------------------------------------------------------
-# weights and degrees
-# ---------------------------------------------------------------------------
-
-def flat_share(T: Tableau, alphabet: Alphabet) -> tuple[tuple[int, ...], int, int]:
-    """A tableau's (flat weight, degree, parity mod 2), in one pass over its
-    letters through `Alphabet.letter_shares`; `TriContext.standard_tableaux`
-    cuts the flat weight into one composition per color label through
-    `TriContext.nested`."""
-    shares = alphabet.letter_shares
-    flat = [0] * (alphabet.n * len(alphabet.data.labels))
-    deg = par = 0
-    for comp in T:
-        for row in comp:
-            for letter in row:
-                cell, dz, pz = shares[letter]
-                flat[cell] += 1
-                deg += dz
-                par += pz
-    return tuple(flat), deg, par % 2
 
 
 def to_json(T: Tableau) -> list:

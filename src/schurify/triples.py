@@ -21,8 +21,9 @@ indices its block key (`block_key`), and a sorted word's runs give its place
 among the orbits (`run_key`).  These tables, the pair map both ways
 (`pair_of`, `label_of`), the letter products (the kernel's flat
 `product_table`, each made by `letter_product`) and the table of standard
-tableaux by side and shape (`standard_tableaux`) belong to the context,
-which an algebra and its truncations share.
+tableaux by side and shape (`standard_tableaux`, each tableau with the
+sorted index word of X_S or Y_T, its sign and its share of the block keys)
+belong to the context, which an algebra and its truncations share.
 """
 from __future__ import annotations
 
@@ -30,7 +31,8 @@ from collections.abc import Callable
 from functools import cached_property
 
 from .base_algebra import X_SIDE, Y_SIDE, BasedSuperalgebra, HeredityData, Side, strict_pairs
-from .tableaux import Alphabet, Tableau, enumerate_tableaux, flat_share
+from .partitions import row_word
+from .tableaux import Alphabet, enumerate_tableaux, side_word
 
 TriLetter = tuple[str, int, int]
 TriWord = tuple[TriLetter, ...]
@@ -219,31 +221,38 @@ class TriContext:
     @cached_property
     def nested(self) -> dict[tuple[int, ...], tuple[tuple[int, ...], ...]]:
         """A flattened profile -> it cut into one block of n per color, made
-        on first lookup: block keys and tableau shares
-        (`standard_tableaux`) are cut through it, so equal weights are one
+        on first lookup: block keys, and so the tableau shares of
+        `standard_tableaux`, are cut through it, so equal weights are one
         tuple."""
         n = self.n
         return OnLookup(lambda flat: tuple(flat[k:k + n] for k in range(0, len(flat), n)))
 
     @cached_property
-    def standard_tableaux(self) -> dict[tuple[Side, tuple], tuple[tuple[Tableau, tuple], ...]]:
+    def standard_tableaux(self) -> dict[tuple[Side, tuple], tuple[tuple, ...]]:
         """(side, shape with one component per color) -> the shape's standard
         tableaux over the side's alphabet, in the order of
-        `enumerate_tableaux`, each with its share of the block keys (weight,
-        degree, parity mod 2), made on first lookup: one pass over its
-        letters (`flat_share`), the weight cut through `nested`, and equal
-        shares one tuple.  The codeterminant blocks, the heredity check, the
-        Gram matrices and the tableau characters all read the tableaux here,
-        so an algebra and its truncations list each side and shape once."""
-        nested, shared = self.nested, {}
+        `enumerate_tableaux`, made on first lookup, each as (tableau, share,
+        word, sign): the sorted index word of X_S or Y_T, the tableau against
+        its own rows (`tableaux.side_word`), the `odd_sign` of the unsorted
+        word, and the share of the block keys (weight, degree, parity mod 2)
+        read off the word's `block_key`, equal shares one tuple.  The
+        codeterminant blocks, the heredity check, the Gram matrices and the
+        tableau characters all read a tableau here, so an algebra and its
+        truncations read each side and shape once.  A shape with more than n
+        rows in a component has no X_S word and raises ValueError."""
+        index, odd, shared = self.index, self.odd, {}
 
         def make(key) -> tuple:
-            alphabet = self.alphabet(key[0])
-            out = []
-            for tab in enumerate_tableaux(key[1], alphabet):
-                flat, deg, par = flat_share(tab, alphabet)
-                share = (nested[flat], deg, par)
-                out.append((tab, shared.setdefault(share, share)))
+            side, bold = key
+            if any(len(comp) > self.n for comp in bold):  # a row past n is no letter
+                raise ValueError(f"shape {bold} has a component with more than n = {self.n} rows")
+            out, rows = [], row_word(bold)
+            for tab in enumerate_tableaux(bold, self.alphabet(side)):
+                word = [index[letter] for letter in side_word(tab, rows, side)]
+                alpha, beta, deg, par = self.block_key(word)
+                share = (side.pick(alpha, beta), deg, par)
+                out.append((tab, shared.setdefault(share, share), tuple(sorted(word)),
+                            odd_sign(word, odd)))
             return tuple(out)
 
         return OnLookup(make)

@@ -147,7 +147,7 @@ def run_checks(T: SchurAlgebra, seed: int, ring: CoefficientRing,
         count = 0
         for bold in partitions.gen_multipartitions(T.n, T.d, len(T.data.labels) - 1):
             kept = sum(all(absorbers.get(z) in colors for _l, z in tableau_word(S))
-                       for S, _share in table[X_SIDE, bold])
+                       for S, *_ in table[X_SIDE, bold])
             count += kept * kept
         assert count == T.rank, f"cellular pair count {count} != rank {T.rank}"
         return f"rank {T.rank} == cellular pair count"

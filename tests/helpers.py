@@ -62,10 +62,11 @@
   pairs `verify` only counts), truncate_base / make_zigzag_bar (the
   base-level truncation eAe), skew_char (skew characters by filling
   enumeration) and check_skew_chars, shape_of, tableau_weight,
-  tableau_from_json, block_keys, index_expansion and as_orbits.  They are
-  the paper's structures and readings that no command runs, kept here for
-  the tests that check them; they read the production algebra's contexts,
-  kernel factors and `idempotent_bold`.
+  tableau_from_json, tableau_entry, block_keys, table_word, table_words,
+  index_expansion and as_orbits.  They are the paper's structures and
+  readings that no command runs, kept here for the tests that check them;
+  they read the production algebra's contexts, kernel factors and
+  `idempotent_bold`.
 - add / scale / std: x + c * y for Elements or characters, an integer
   multiple of a graded super-scalar, and a `CodetBasis`'s standard tableaux
   of one side.
@@ -102,7 +103,7 @@ from schurify.cli import main
 from schurify.partitions import conjugate, gen_multicompositions, leq, pad, partitions_of, trim
 from schurify.rings import GradedSuperScalar
 from schurify.schur import SchurAlgebra
-from schurify.tableaux import word as tableau_word
+from schurify.tableaux import own_word, word as tableau_word
 
 
 # ---------------------------------------------------------------------------
@@ -586,14 +587,29 @@ def as_orbits(T, terms):
     return {T.ctx.word(w): c for w, c in terms.items()}
 
 
+def table_word(T, side, bold, tab):
+    """(index word, sign) of X_S or Y_T for a standard tableau of shape
+    `bold`, read from the context's table of standard tableaux."""
+    return next((word, sign) for t, _share, word, sign in T.ctx.standard_tableaux[side, bold]
+                if t == tab)
+
+
+def table_words(cb, sides=SIDES):
+    """The index words of X_S and Y_T in the context's table of standard
+    tableaux, over every shape of a `CodetBasis` and the given sides."""
+    table = cb.T.ctx.standard_tableaux
+    return {word for side in sides for bold in cb.shapes
+            for _tab, _share, word, _sign in table[side, bold]}
+
+
 def index_expansion(cb, key):
     """The codeterminant X_S * Y_T of `key` keyed by words of letter indices:
-    the product kernel on the factors of S and T in the algebra's tables."""
-    _bold, S, Tb = key
+    the product kernel on the factors of S and T in the algebra's tables,
+    their words and signs read from the context's table."""
+    bold, S, Tb = key
     T = cb.T
-    left, sx = cb.kernel_factor(S, X_SIDE, T.lefts.__getitem__)
-    right, sy = cb.kernel_factor(Tb, Y_SIDE, T.rights.__getitem__)
-    return T.product_terms(left, right, sx * sy)
+    (x, sx), (y, sy) = table_word(T, X_SIDE, bold, S), table_word(T, Y_SIDE, bold, Tb)
+    return T.product_terms(T.lefts[x], T.rights[y], sx * sy)
 
 
 # ---------------------------------------------------------------------------
@@ -910,6 +926,15 @@ def tableau_share(T, tab, side):
     colors = [z for (_l, z) in tableau_word(tab)]
     return (tableau_weight(tab, T.ctx.alphabet(side)), sum(T.alg.degree[z] for z in colors),
             sum(T.alg.parity[z] for z in colors) % 2)
+
+
+def tableau_entry(T, tab, side):
+    """(share, word, sign) of a standard tableau, read afresh: the word of
+    X_S or Y_T (`tableaux.own_word`), its letter indices (`T.indices`) sorted
+    with their sign (`sort_signed`), and the share (`tableau_share`).  The
+    reference for the context's table of standard tableaux."""
+    word, sign = T.ctx.sort_signed(T.indices(own_word(tab, side)))
+    return tableau_share(T, tab, side), word, sign
 
 
 def full_gram(T, bold):

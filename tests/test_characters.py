@@ -150,6 +150,17 @@ def test_char_standard_trivial_base(lr):
         assert v == expected, lam
 
 
+def test_a_label_with_more_than_n_rows_is_refused(zz1):
+    """At n=1, ((), (1, 1)) has a standard X tableau (an odd letter over
+    itself) but no label: its second row is no letter of T, so the table of
+    standard tableaux, and with it `char_standard_tableaux`, refuses the
+    shape, as the CLI refuses the label."""
+    alg, data, tau = zz1
+    T = build_schur(alg, data, 1, 2, tau)
+    with pytest.raises(ValueError, match=r"more than n = 1 rows"):
+        ch.char_standard_tableaux(T, ((), (1, 1)))
+
+
 def test_char_standard_zigzag_example(zz1, lr):
     alg, data, tau = zz1
     T = build_schur(alg, data, 1, 1, tau)

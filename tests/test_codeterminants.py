@@ -25,11 +25,13 @@ from helpers import (
     lu_solve,
     orbit_profiles,
     std,
+    table_words,
+    tableau_entry,
     tableau_share,
     tableau_weight,
     truncation_idempotent,
 )
-from schurify import codeterminants as codet, heredity
+from schurify import codeterminants as codet, heredity, triples
 from schurify.base_algebra import SIDES, X_SIDE, Y_SIDE, make_algebra
 from schurify.decomposition import decomp_oracle, gram_blocks
 from schurify.exactla import Block, unit_determinant
@@ -198,8 +200,9 @@ def test_gram_homogeneity_failure_names_its_pair(monkeypatch):
     S1 = ((((1, "e0"),),), (((1, "a0_1"),),))
     T1 = ((((1, "e0"),),), (((1, "a1_0"),),))
     xs, ys = cb._tableau_blocks[bold]
-    assert dict(xs)[S1] == (((2, 0), (0, 0)), 1, 1) == dict(ys)[T1]
-    shifted = [(Tb, (w, deg - 2 * (Tb == T1), par)) for Tb, (w, deg, par) in ys]
+    share = {tab: share for tab, share, _word, _sign in (*xs, *ys)}
+    assert share[S1] == (((2, 0), (0, 0)), 1, 1) == share[T1]
+    shifted = [(Tb, (w, deg - 2 * (Tb == T1), par), *rest) for Tb, (w, deg, par), *rest in ys]
     monkeypatch.setitem(cb._tableau_blocks, bold, (xs, shifted))
     with pytest.raises(AssertionError) as exc:
         gram_blocks(T, bold)
@@ -589,28 +592,28 @@ def test_unimodularity_lists_no_orbits_and_caches_no_expansion(monkeypatch):
 
 
 def test_tableau_elements_made_once(monkeypatch):
-    """The unimodularity check makes no X_S or Y_T Element, and makes the
-    index word of each tableau once."""
+    """The unimodularity check makes no X_S or Y_T Element, and lists the
+    standard tableaux of each side and shape once, in the context's table,
+    which holds each tableau's index word."""
     alg, data, tau = make_algebra("zigzag:1")
     T = build_schur(alg, data, 2, 2, tau)
     cb = T.codet_basis
     elements, made = [], []
-    real_element, real_word = codet.side_element, codet.CodetBasis.index_word
+    real_element, real_enumerate = codet.side_element, triples.enumerate_tableaux
 
     def counted_element(T_, tab, side):
         elements.append((side.name, tab))
         return real_element(T_, tab, side)
 
-    def counted_word(self, tab, side):
-        made.append((side.name, tab))
-        return real_word(self, tab, side)
+    def counted_enumerate(bold, alphabet):
+        made.append((alphabet.side.name, bold))
+        return real_enumerate(bold, alphabet)
 
     monkeypatch.setattr(codet, "side_element", counted_element)
-    monkeypatch.setattr(codet.CodetBasis, "index_word", counted_word)
+    monkeypatch.setattr(triples, "enumerate_tableaux", counted_enumerate)
     assert cb.unimodular()
     assert not elements
-    assert len(made) == len(set(made)) == sum(
-        len(cb.std_x[bold]) + len(cb.std_y[bold]) for bold in cb.shapes)
+    assert sorted(made) == sorted((side.name, bold) for side in SIDES for bold in cb.shapes)
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -628,8 +631,7 @@ def test_walk_and_heredity_make_each_tableau_factor_once(monkeypatch, n):
                             lambda self, w, real=real, seen=made[side]: seen.append(w) or real(self, w))
     assert heredity_of_T(T, sample_b=10).ok
     cb = T.codet_basis
-    words = {cb.index_word(tab, side)[0]
-             for side in SIDES for bold in cb.shapes for tab in std(cb, side)[bold]}
+    words = table_words(cb)
     for side, seen in made.items():
         on_tableaux = [w for w in seen if w in words]
         assert set(on_tableaux) == words, side
@@ -644,8 +646,7 @@ def test_heredity_makes_each_tableau_factor_once(monkeypatch):
     T = build_schur(alg, data, 2, 2, tau)
     cb = T.codet_basis
     assert cb.unimodular()
-    words = {cb.index_word(tab, side)[0]
-             for side in SIDES for bold in cb.shapes for tab in std(cb, side)[bold]}
+    words = table_words(cb)
     made = {"left": [], "right": []}
     for side in made:
         real = getattr(SchurAlgebra, f"{side}_factor")
@@ -685,7 +686,7 @@ def test_mult_orbits_and_walk_share_the_tableau_factors(monkeypatch):
     monkeypatch.setattr(SchurAlgebra, "left_factor",
                         lambda self, w: made.append(w) or real(self, w))
     cb = T.codet_basis
-    words = {cb.index_word(S, X_SIDE)[0] for bold in cb.shapes for S in cb.std_x[bold]}
+    words = table_words(cb, [X_SIDE])
     for w in words:
         orbit = T.ctx.word(w)
         meets = next(T.orbits_with_profile(0, T.profiles(orbit)[1]))
@@ -696,27 +697,46 @@ def test_mult_orbits_and_walk_share_the_tableau_factors(monkeypatch):
 
 
 def test_index_word_refuses_words_outside_T():
-    """`index_word` reads X_S off the tableau with the checks of
-    `SchurAlgebra.eta`: a word of the wrong length raises ValueError naming
-    it, and so does a word that repeats an odd letter.  A word with a letter
-    outside a truncation is refused the same way by the truncation's
-    `indices` and `eta`, which guard its products."""
+    """A word with a letter outside a truncation is refused by the
+    truncation's `indices` and `eta`, which guard its products, with a
+    ValueError naming it.  (That each tableau's index word in the context's
+    table is d letters of T, with a sign of +-1, is pinned by
+    `test_the_tableau_table_holds_each_word_sign_and_share`.)"""
     alg, data, tau = make_algebra("zigzag:1")
     T = build_schur(alg, data, 2, 2, tau)
-    cb, truncated = T.codet_basis, T.truncate([0])
+    truncated = T.truncate([0])
     outside = next(o for o in T.orbits if any(b not in truncated.keep_basis for b, _r, _s in o))
     for refuse in (truncated.indices, truncated.eta):
         with pytest.raises(ValueError, match=re.escape(f"orbit {outside} not in this algebra")):
             refuse(outside)
-    short = build_schur(alg, data, 2, 1, tau).codet_basis.std_x[((1,), ())][0]
-    word = codet._own_word(short, X_SIDE)
-    with pytest.raises(ValueError, match=re.escape(f"orbit {word} not in this algebra")):
-        cb.index_word(short, X_SIDE)
-    odd = next(b for b in alg.basis if alg.parity[b])
-    repeated = ((((1, odd), (1, odd)),), ())
-    word = codet._own_word(repeated, X_SIDE)
-    with pytest.raises(ValueError, match=re.escape(f"repeated odd letter in {word}")):
-        cb.index_word(repeated, X_SIDE)
+
+
+TABLE_CASES = [("zigzag:1", 2), ("zigzag:1", 3), ("zigzag:2", 3), ("trivial", 3)]
+
+
+@pytest.mark.parametrize("spec,n", TABLE_CASES)
+def test_the_tableau_table_holds_each_word_sign_and_share(spec, n):
+    """Every entry (tab, share, word, sign) of the context's table of
+    standard tableaux, on both sides and every shape at n = d, matches the
+    reference that reads the tableau afresh (`tableau_entry`): the word of
+    X_S or Y_T through `tableaux.own_word`, `T.indices` and `sort_signed`,
+    and the share through `tableau_share`.  Every sign is +-1 and every word
+    is d letters of T.  At zigzag:1 n=2 the table is also the one that the
+    truncation of zigzag-bar:1 shares."""
+    alg, data, tau = make_algebra(spec)
+    T = build_schur(alg, data, n, n, tau)
+    ctx = T.ctx
+    if (spec, n) == ("zigzag:1", 2):
+        assert T.truncate(data.labels[:-1]).ctx is ctx
+    shapes = T.codet_basis.shapes
+    for side in SIDES:
+        for bold in shapes:
+            entries = ctx.standard_tableaux[side, bold]
+            assert entries
+            for tab, share, word, sign in entries:
+                assert (share, word, sign) == tableau_entry(T, tab, side), (side.name, tab)
+                assert sign in (1, -1)
+                assert T.indices(ctx.word(word)) == word
 
 
 def test_axiom_a_failure_names_its_witness(monkeypatch):

@@ -583,6 +583,28 @@ def test_a_truncation_refuses_an_orbit_with_a_dropped_idempotent(T122, call):
         call(Tb, orbit)
 
 
+def test_a_word_that_is_not_canonical_is_refused():
+    """On zigzag:1 at n=2, d=3, the kernel would read an unsorted
+    arrangement o1 of an orbit as its canonical word and give its product
+    with o2 the wrong sign (-1 where the sorted o1 gives +1).  `mult_orbits`,
+    with o1 on either side, and `profiles` refuse o1, and a sorted word that
+    repeats an odd letter, while the sorted o1 keeps its product."""
+    alg, data, tau = make_algebra("zigzag:1")
+    T = build_schur(alg, data, 2, 3, tau)
+    o1 = (("e1", 2, 2), ("a0_1", 1, 2), ("a0_1", 1, 1))
+    o2 = (("e1", 1, 1), ("e1", 2, 1), ("a1_0", 2, 1))
+    canonical = (("a0_1", 1, 1), ("a0_1", 1, 2), ("e1", 2, 2))
+    assert T.ctx.word(sorted(T.indices(o1))) == canonical
+    assert T.mult_orbits(canonical, o2) == {(("a0_1", 1, 1), ("e1", 2, 1), ("c0", 1, 1)): 1}
+    repeated = (("a0_1", 1, 1), ("a0_1", 1, 1), ("e1", 2, 2))
+    for word, call in [(o1, lambda: T.mult_orbits(o1, o2)), (o1, lambda: T.mult_orbits(o2, o1)),
+                       (o1, lambda: T.profiles(o1)), (repeated, lambda: T.profiles(repeated)),
+                       (repeated, lambda: T.mult_orbits(repeated, o2))]:
+        with pytest.raises(ValueError, match=re.escape(f"orbit {word} is not canonical")):
+            call()
+    assert T.mult_orbits(canonical, o2) == {(("a0_1", 1, 1), ("e1", 2, 1), ("c0", 1, 1)): 1}
+
+
 def test_the_letters_are_bounded_before_one_is_listed(monkeypatch):
     """dim(A) n^2 letters up to `MAX_LETTERS` are listed; past it a
     ValueError names the bound before any is."""
