@@ -48,12 +48,22 @@ def _ring(args: argparse.Namespace) -> CoefficientRing:
     f = args.field
     if f == "Q":
         return QQ
-    if f.startswith("Fp:"):
+    p = f.removeprefix("Fp:")
+    if p != f and p.isascii() and p.isdigit():
         try:
-            return GF(int(f.split(":", 1)[1]))
+            return GF(int(p))
         except ValueError:
             pass
     raise UsageError(f"unknown field {f!r} (expected Q | Fp:p, p a prime below 2^31)")
+
+
+def _integer(text: str) -> int:
+    """An integer option, `-n`, `-d` or `--seed`: ASCII digits after at most
+    one `-`, where `int` would also read `0_2`, `+2` or an Arabic-Indic
+    two."""
+    if text.isascii() and text.removeprefix("-").isdigit():
+        return int(text)
+    raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
 
 
 def _lr_cache(args: argparse.Namespace) -> LRCache:
@@ -86,6 +96,15 @@ def _require_qh(args: argparse.Namespace, T) -> None:
             "quasi-heredity operations need n >= d: the standard codeterminant "
             "basis is indexed by tableaux with at most n rows per column"
         )
+
+
+def _labels(T) -> tuple:
+    """T's labels (`SchurAlgebra.labels`): a label set past its bound is a
+    usage error, raised before any work."""
+    try:
+        return T.labels
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
 
 
 def _output_error(path: str, exc: OSError) -> UsageError:
@@ -184,7 +203,8 @@ def _make_T(args: argparse.Namespace):
 
 def _int_json(text: str):
     """JSON given on the command line, whose numbers must be integers: a
-    float, or a boolean, which Python would read as 0 or 1, is refused."""
+    float, or a boolean, which Python would read as 0 or 1, is refused, and
+    so is JSON nested past the interpreter's recursion limit."""
 
     def no_float(token: str):
         raise ValueError(f"{token} is not an integer")
@@ -195,8 +215,11 @@ def _int_json(text: str):
         for v in obj.values() if isinstance(obj, dict) else obj if isinstance(obj, list) else ():
             no_bool(v)
 
-    obj = json.loads(text, parse_float=no_float)
-    no_bool(obj)
+    try:
+        obj = json.loads(text, parse_float=no_float)
+        no_bool(obj)
+    except RecursionError:
+        raise ValueError("JSON nested too deeply") from None
     return obj
 
 
@@ -252,7 +275,7 @@ def _command(*options, csv=True):
 def build(args: argparse.Namespace) -> None:
     """Construct the algebra and report its shape."""
     T = _make_T(args)
-    labels = partitions.gen_multipartitions(args.n, args.d, len(T.data.labels) - 1)
+    labels = _labels(T)
     _emit(args, {
         "config": {"algebra": args.algebra, "n": str(args.n), "d": str(args.d),
                    "field": args.field, "out": args.out, "seed": str(args.seed)},
@@ -287,6 +310,7 @@ def straighten(args: argparse.Namespace) -> int | None:
 
     T = _make_T(args)
     _require_qh(args, T)
+    _labels(T)
     x = _orbit_from_json(T, args.orbit)
     if not x:
         raise UsageError(f"orbit {args.orbit} repeats an odd letter")
@@ -343,7 +367,7 @@ def decomp(args: argparse.Namespace) -> int | None:
     cache = _lr_cache(args)
     T = _make_T(args)
     _require_qh(args, T)
-    labels = partitions.gen_multipartitions(args.n, args.d, len(T.data.labels) - 1)
+    labels = _labels(T)
     matrices = {}
     if args.method in ("oracle", "both"):
         matrices["oracle"] = decomp_oracle(T, ring).entries
@@ -374,9 +398,10 @@ def blocks(args: argparse.Namespace) -> None:
     ring = _ring(args)
     T = _make_T(args)
     _require_qh(args, T)
+    _labels(T)
     D = decomp_oracle(T, ring)
     fine = linking_blocks(D.labels, D.entries)
-    coarse = block_decomposition(T.alg, T.data, args.n, args.d)
+    coarse = block_decomposition(T)
     _emit(args, {
         "linking_blocks": [[partitions.to_json(l) for l in blk] for blk in fine],
         "base_block_decomposition": [
@@ -397,6 +422,7 @@ def verify(args: argparse.Namespace) -> int:
 
     cache = _lr_cache(args)
     T = _make_T(args)
+    _labels(T)
     results = run_checks(T, args.seed, _ring(args), cache)
 
     width = max(len(n) for n, _ok, _w in results)
@@ -419,13 +445,13 @@ def _parser() -> tuple[argparse.ArgumentParser, dict]:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--algebra", default="zigzag:1",
                         help="zigzag:L | zigzag-bar:L | trivial | semisimple:m")
-    common.add_argument("-n", type=int, default=2)
-    common.add_argument("-d", type=int, default=2)
+    common.add_argument("-n", type=_integer, default=2)
+    common.add_argument("-d", type=_integer, default=2)
     common.add_argument("--field", default="Q", help="Q | Fp:p")
     common.add_argument("--out", choices=["json", "csv"], default="json")
     common.add_argument("--output", help="write to file instead of stdout")
     common.add_argument("--cache-dir")
-    common.add_argument("--seed", type=int, default=0)
+    common.add_argument("--seed", type=_integer, default=0)
     parser = argparse.ArgumentParser(
         prog="schurify", description="Exact computations in generalized Schur algebras.",
         allow_abbrev=False)

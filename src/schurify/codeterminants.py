@@ -33,13 +33,13 @@ failure text or signed determinant.  The first solve that meets a block
 builds it with what a solve needs and keeps it.  Neither the check nor a
 solve lists orbits.
 
-A tableau is read once, into one table on the algebra's context
+The shapes are the algebra's labels (`SchurAlgebra.labels`).  A tableau
+is read once, into one table on the algebra's context
 (`TriContext.standard_tableaux`): each standard tableau with the sorted
 index word of X_S or Y_T, its sign, and its share of the block keys,
 (weight, degree, parity), read off that word's block key.  The blocks, the
-heredity check, the Gram matrices and the tableau characters all read that
-table; the heredity check reads the words and signs off the walk's shares
-(`CodetBasis.tableau_shares`), and the basis keeps no Element per tableau.
+heredity check, the Gram matrices and the tableau characters each read that
+table themselves, and the basis keeps no Element per tableau.
 The walk's tableau shares take their kernel factors from the algebra's
 tables (`SchurAlgebra.lefts`, `.rights`), kept for its life;
 `heredity_of_T` keeps the factors it makes beyond those for its own call,
@@ -60,7 +60,6 @@ from typing import NamedTuple
 
 from .base_algebra import SIDES, X_SIDE, Y_SIDE, Side
 from .exactla import Block, unit_determinant
-from .partitions import gen_multipartitions
 from .schur import Element, SchurAlgebra
 from .tableaux import Tableau, own_word
 from .triples import OnLookup, run_key
@@ -113,23 +112,20 @@ class CodetBasis:
         self._factored: dict = {}
 
     @cached_property
-    def shapes(self) -> list:
-        ell = len(self.T.data.labels) - 1
-        return list(gen_multipartitions(self.T.n, self.T.d, ell))
-
-    @cached_property
     def std_x(self) -> dict:
-        return {bold: [S for S, *_ in xs] for bold, (xs, _ys) in self._tableau_blocks.items()}
+        table = self.T.ctx.standard_tableaux
+        return {bold: [S for S, *_ in table[X_SIDE, bold]] for bold in self.T.labels}
 
     @cached_property
     def std_y(self) -> dict:
-        return {bold: [Tb for Tb, *_ in ys] for bold, (_xs, ys) in self._tableau_blocks.items()}
+        table = self.T.ctx.standard_tableaux
+        return {bold: [Tb for Tb, *_ in table[Y_SIDE, bold]] for bold in self.T.labels}
 
     @cached_property
     def keys(self) -> list[CodetKey]:
         return [
             (bold, S, Tb)
-            for bold in self.shapes
+            for bold in self.T.labels
             for S in self.std_x[bold]
             for Tb in self.std_y[bold]
         ]
@@ -157,16 +153,6 @@ class CodetBasis:
 
     # -- blocked change of basis ------------------------------------------
     @cached_property
-    def _tableau_blocks(self) -> dict:
-        """shape -> ([(S, share, word, sign)], [(T, share, word, sign)]), each
-        tableau with its share of the block keys (weight, degree, parity mod
-        2) and the index word and sign of X_S or Y_T, in the order of the
-        standard tableaux: the context's table
-        (`TriContext.standard_tableaux`)."""
-        table = self.T.ctx.standard_tableaux
-        return {bold: tuple(table[side, bold] for side in SIDES) for bold in self.shapes}
-
-    @cached_property
     def _shares(self) -> tuple[dict, dict]:
         """The standard tableaux indexed by their share of the block keys,
         each with the factor of its word from `T.lefts` or `T.rights` and its
@@ -174,10 +160,11 @@ class CodetBasis:
         index, degree, parity mod 2, share of S)] on the X side, in the order
         of `keys`, and weight -> (shape index, degree, parity mod 2) ->
         [share of T] on the Y side."""
+        table = self.T.ctx.standard_tableaux
         entries: tuple[dict, dict] = ({}, {})
-        for k, (bold, shares) in enumerate(self._tableau_blocks.items()):
-            for by_weight, tabs in zip(entries, shares):
-                for entry in tabs:
+        for k, bold in enumerate(self.T.labels):
+            for side, by_weight in zip(SIDES, entries):
+                for entry in table[side, bold]:
                     by_weight.setdefault(entry[1][0], []).append((k, bold, entry))
         left, right = self.T.lefts.__getitem__, self.T.rights.__getitem__
 
@@ -209,14 +196,16 @@ class CodetBasis:
         return cols
 
     @cached_property
-    def _weights(self) -> tuple[list, list]:
-        """Per side, the sorted weights of the standard tableaux."""
-        return tuple(sorted({share[0] for tabs in self._tableau_blocks.values()
-                             for _tab, share, *_ in tabs[side]}) for side in (0, 1))
+    def x_weights(self) -> list:
+        """The sorted weights of the standard X tableaux: the X weights of
+        the walk."""
+        table = self.T.ctx.standard_tableaux
+        return sorted({share[0] for bold in self.T.labels
+                       for _tab, share, *_ in table[X_SIDE, bold]})
 
     def _filed(self, weights: Iterable | None = None) -> Iterator[tuple[tuple, list]]:
         """Each block key with codeterminant columns whose X weight is in
-        `weights` (by default every X weight, `_weights[0]`), once and in
+        `weights` (by default every X weight, `x_weights`), once and in
         sorted order when the weights are, with its columns as [(share of
         S, [shares of T])], in the order of `keys`.  Each shape's Y shares
         are grouped by their share of the block keys, and one pass per X
@@ -225,25 +214,17 @@ class CodetBasis:
         column under its key (alpha, beta, degree, parity); nothing is kept
         past the weight (at most 990 keys of 249 944 at zigzag:1 n=d=4)."""
         xs_of, ys_of = self._shares
+        table = self.T.ctx.standard_tableaux
         groups = [[(share, ys_of[share[0]][k, share[1], share[2]])
-                   for share in dict.fromkeys(s for _tab, s, *_ in y_tabs)]
-                  for k, (_x_tabs, y_tabs) in enumerate(self._tableau_blocks.values())]
-        for alpha in self._weights[0] if weights is None else weights:
+                   for share in dict.fromkeys(s for _tab, s, *_ in table[Y_SIDE, bold])]
+                  for k, bold in enumerate(self.T.labels)]
+        for alpha in self.x_weights if weights is None else weights:
             cols: dict = {}
             for k, dx, px, x in xs_of[alpha]:
                 for (beta, dy, py), ys in groups[k]:
                     cols.setdefault((alpha, beta, dx + dy, (px + py) % 2), []).append((x, ys))
             for key in sorted(cols):
                 yield key, cols[key]
-
-    def tableau_shares(self) -> tuple[dict, dict]:
-        """Per side, X then Y, each standard tableau -> its share (`_Share`),
-        every share made: the heredity check reads each tableau's index
-        word and sign here."""
-        xs_of, ys_of = self._shares
-        return ({x.tab: x for weight in self._weights[0] for *_, x in xs_of[weight]},
-                {y.tab: y for weight in self._weights[1]
-                 for ys in ys_of[weight].values() for y in ys})
 
     @cached_property
     def _digits(self) -> tuple[int, ...]:

@@ -28,10 +28,9 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from . import exactla
-from .base_algebra import (BasedSuperalgebra, DecompInput, HeredityData, base_decomp_numbers,
-                           make_trivial)
+from .base_algebra import SIDES, DecompInput, base_decomp_numbers, make_trivial
 from .characters import LRCache, _column_terms, _pad_bold, char_standard_tableaux, lr_expand
-from .partitions import Partition, gen_multipartitions, leq, pad, size, trim
+from .partitions import Partition, leq, pad, size, trim
 from .rings import QQ, CoefficientRing, GradedSuperScalar
 from .schur import SchurAlgebra, build_schur
 from .triples import OnLookup
@@ -96,7 +95,9 @@ def gram_blocks(T: SchurAlgebra, bold) -> dict[tuple, list[list[int]]]:
 
     A row is a standard X tableau S, keyed by its (weight, degree, parity mod
     2); its columns are the standard Y tableaux of that weight, degree minus
-    the row's and the same parity, in the order of `std_y`.  Only those
+    the row's and the same parity, in the order of `std_y`.  Each tableau's
+    index word, sign and share are read off its entry of the context's
+    table (`TriContext.standard_tableaux`).  Only those
     pairs are multiplied, each once by `CodetBasis.pairing`.  The product is
     graded, so Y_T X_S is homogeneous of degree deg T + deg S and parity
     par T + par S; and its profiles are the padded shape on both sides,
@@ -118,7 +119,7 @@ def gram_blocks(T: SchurAlgebra, bold) -> dict[tuple, list[list[int]]]:
     and then dropped: kept in the algebra's tables, they raised the
     tracemalloc peak of `decomp` on zigzag:2 n=d=3 from 6.14 to 7.14 MB."""
     cb, ctx = T.codet_basis, T.ctx
-    xs, ys = cb._tableau_blocks[bold]
+    xs, ys = (ctx.standard_tableaux[side, bold] for side in SIDES)
     unit_key = (bold, *cb.initial_tableau_pair(bold))
     padded = tuple(pad(c, T.n) for c in bold)
     key = (padded, padded, 0, 0)
@@ -173,12 +174,12 @@ def char_irreducible(T: SchurAlgebra, bold, ring: CoefficientRing) -> dict:
 
 
 def decomp_oracle(T: SchurAlgebra, ring: CoefficientRing | None = None) -> DecompMatrix:
-    """Graded decomposition matrix over the field, solved unitriangularly
-    from oracle characters: ch Delta = D . ch L."""
+    """Graded decomposition matrix over the field on T's labels, solved
+    unitriangularly from oracle characters: ch Delta = D . ch L."""
     if T.n < T.d:
         raise ValueError("requires n >= d")
     ring = ring or QQ
-    labels = gen_multipartitions(T.n, T.d, len(T.data.labels) - 1)
+    labels = T.labels
     chd = {lam: char_standard_tableaux(T, lam) for lam in labels}
     chl = {lam: char_irreducible(T, lam, ring) for lam in labels}
     weight_of = {lam: tuple(pad(c, T.n) for c in lam) for lam in labels}
@@ -264,15 +265,14 @@ def blocks(labels, D) -> tuple[tuple, ...]:
     return tuple(tuple(v) for v in sorted(comps.values(), key=lambda v: min(map(repr, v))))
 
 
-def block_decomposition(alg: BasedSuperalgebra, data: HeredityData,
-                        n: int, d: int) -> dict[tuple, tuple]:
-    """Coarse decomposition induced by the base algebra's blocks: labels are
-    grouped by the vector of sizes landing in each base block."""
-    dd = base_decomp_numbers(alg, data)
-    base_blocks = blocks(data.labels, dd)
+def block_decomposition(T: SchurAlgebra) -> dict[tuple, tuple]:
+    """Coarse decomposition induced by the base algebra's blocks: T's labels
+    are grouped by the vector of sizes landing in each base block."""
+    data = T.data
+    base_blocks = blocks(data.labels, base_decomp_numbers(T.alg, data))
     pos = {i: k for k, i in enumerate(data.labels)}
     out: dict[tuple, list] = {}
-    for lam in gen_multipartitions(n, d, len(data.labels) - 1):
+    for lam in T.labels:
         nu = tuple(
             sum(size(trim(lam[pos[i]])) for i in blk) for blk in base_blocks
         )

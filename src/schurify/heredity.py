@@ -10,8 +10,8 @@ algebra for the standard codeterminant structure of `codeterminants`.
       (`CodetBasis.solve_terms`).
 
 The products run through the product kernel on index words, each
-tableau's word and sign read off the walk's shares
-(`CodetBasis.tableau_shares`).
+tableau's word and sign read off its entry of the context's table
+(`TriContext.standard_tableaux`).
 
 Axiom (a)'s walk runs on two processes (`Started`), which exchange only
 the indices of runs of X weights.  `verify` builds a `Started` before its
@@ -106,7 +106,7 @@ class Started:
 
     def __init__(self, T: SchurAlgebra, sample_b: int | None):
         self.T, self.sample_b, self.pid = T, sample_b, None
-        weights = T.codet_basis._weights[0]
+        weights = T.codet_basis.x_weights
         size = max(1, -(-len(weights) // RUNS))
         self.runs = [weights[i:i + size] for i in range(0, len(weights), size)]
         self.queue, fill = os.pipe()
@@ -181,7 +181,7 @@ class Started:
         what they found or raised."""
         T, cb = self.T, self.T.codet_basis
         report, products = HeredityReport(), HeredityReport()
-        count = sum(len(cb.std_x[bold]) * len(cb.std_y[bold]) for bold in cb.shapes)
+        count = sum(len(cb.std_x[bold]) * len(cb.std_y[bold]) for bold in T.labels)
         if count != T.rank:
             report.fail("axiom (a)", f"{count} codeterminants vs rank {T.rank}")
         raised = None
@@ -210,14 +210,14 @@ class Started:
 
 def _axioms_c_and_b(T: SchurAlgebra, sample_b: int | None, report: HeredityReport) -> None:
     """Axioms (c) and (b), their failures recorded in `report`."""
-    cb = T.codet_basis
+    cb, table = T.codet_basis, T.ctx.standard_tableaux
 
     @cache
     def strictly_greater(mu, lam) -> bool:
         return mu != lam and leq(lam, mu)
 
     # axiom (c): idempotent absorption against X and Y elements
-    padded = {bold: tuple(pad(c, T.n) for c in bold) for bold in cb.shapes}
+    padded = {bold: tuple(pad(c, T.n) for c in bold) for bold in T.labels}
 
     def name(side: Side) -> str:
         return f"{side.name}_{side.pick('S', 'T')}"
@@ -225,14 +225,19 @@ def _axioms_c_and_b(T: SchurAlgebra, sample_b: int | None, report: HeredityRepor
     # the products run on index words through the product kernel, each
     # factor one orbit as (left factor, right factor, coefficient, weight
     # profiles of its own word as in its block key), 0 without the kernel
-    # when the profiles do not meet.  A tableau's index word and sign
-    # are read off its share of the walk (`CodetBasis.tableau_shares`).  A
-    # word's factors come from the algebra's tables when they hold it, as
-    # they hold each share's own, else are made and kept for axioms (c) and
-    # (b) both, until it returns
+    # when the profiles do not meet.  A tableau's index word and sign are
+    # read off its entry of the context's table.  Before the first product,
+    # each X_S is made a left factor and each Y_T a right one in the
+    # algebra's tables, as the walk makes them; a word's factors come from
+    # those tables when they hold it, else are made and kept for axioms (c)
+    # and (b) both, until it returns
+    for side in SIDES:
+        own = side.pick(T.lefts, T.rights)
+        for bold in T.labels:
+            for _tab, _share, word, _sign in table[side, bold]:
+                own[word]  # made and kept on its first lookup
     lefts = OnLookup(lambda w: T.lefts.get(w) or T.left_factor(w))
     rights = OnLookup(lambda w: T.rights.get(w) or T.right_factor(w))
-    shares = cb.tableau_shares()
 
     def factors(word, c) -> tuple:
         return lefts[word], rights[word], c, T.ctx.block_key(word)[:2]
@@ -243,26 +248,25 @@ def _axioms_c_and_b(T: SchurAlgebra, sample_b: int | None, report: HeredityRepor
         return T.product_terms(a[0], b[1], a[2] * b[2])
 
     idem = {}
-    for bold in cb.shapes:
+    for bold in T.labels:
         (orbit, c), = T.idempotent_bold(bold).items()
         idem[bold] = factors(T.indices(orbit), c)
-    for bold in cb.shapes:
+    for bold in T.labels:
         for side in SIDES:
             nm = name(side)
             # "X_S e", "e X_S" and "e_mu X_S" on the X side, mirrored on Y
             elt_e, e_elt, emu_elt = (" ".join(side.orient(a, b))
                                      for a, b in ((nm, "e"), ("e", nm), ("e_mu", nm)))
             initial = side.pick(*cb.initial_tableau_pair(bold))
-            for tab, (weight, _deg, _par), *_ in side.pick(*cb._tableau_blocks[bold]):
-                share = side.pick(*shares)[tab]
-                elt, terms = factors(share.factor[0], share.sign), {share.factor[0]: share.sign}
+            for tab, (weight, _deg, _par), word, sign in table[side, bold]:
+                elt, terms = factors(word, sign), {word: sign}
                 witness = f"{side.pick('S', 'T')} = {tab}"
                 if times(*side.orient(elt, idem[bold])) != terms:
                     report.fail("axiom (c)", f"{elt_e} != {nm} at {bold}: {witness}")
                 want = terms if tab == initial else {}
                 if times(*side.orient(idem[bold], elt)) != want:
                     report.fail("axiom (c)", f"{e_elt} wrong at {bold}: {witness}")
-                for bold2 in cb.shapes:
+                for bold2 in T.labels:
                     want = terms if padded[bold2] == weight else {}
                     if times(*side.orient(idem[bold2], elt)) != want:
                         report.fail("axiom (c)", f"{emu_elt} not diagonal at {bold}: "
@@ -279,14 +283,13 @@ def _axioms_c_and_b(T: SchurAlgebra, sample_b: int | None, report: HeredityRepor
 
     candidates = OnLookup(meeting)
 
-    for bold in cb.shapes:
+    for bold in T.labels:
         for side in SIDES:
             other_initial = side.orient(*cb.initial_tableau_pair(bold))[1]
-            for tab, (weight, _deg, _par), *_ in side.pick(*cb._tableau_blocks[bold]):
-                share = side.pick(*shares)[tab]
-                factor = side.pick(rights, lefts)[share.factor[0]]
+            for tab, (weight, _deg, _par), word, sign in table[side, bold]:
+                factor = side.pick(rights, lefts)[word]
                 for orbit, a in candidates[side, weight]:
-                    prod = T.product_terms(*side.orient(a, factor), share.sign)
+                    prod = T.product_terms(*side.orient(a, factor), sign)
                     if not prod:
                         continue
                     for key in cb.solve_terms(prod):

@@ -13,8 +13,10 @@ sums bounded), then, where the sizes agree, by dominance in each component
 """
 from __future__ import annotations
 
+import operator
 from functools import cache
 from itertools import accumulate, product
+from math import prod
 from typing import Iterator
 
 Partition = tuple[int, ...]
@@ -133,6 +135,27 @@ def gen_multipartitions(n: int, d: int, ell: int) -> tuple[Multipartition, ...]:
     return tuple(sorted(_per_color(d, ell, lambda k: partitions_of(k, n)), key=linear_key))
 
 
+def count_multipartitions(n: int, d: int, ell: int, most: int) -> int:
+    """How many multipartitions `gen_multipartitions(n, d, ell)` lists, or
+    most + 1 once they are more than `most`, listing none: a sum over the
+    compositions of d into ell+1 sizes, each adding at least one, of the
+    products of the counts of partitions with at most n parts, themselves
+    capped at most + 1."""
+    past = most + 1
+    # counts[k]: the partitions of k with at most n parts, those whose parts
+    # are at most n
+    counts = [1] + [0] * d
+    for part in range(1, min(n, d) + 1):
+        for k in range(part, d + 1):
+            counts[k] = min(counts[k] + counts[k - part], past)
+    total = 0
+    for sizes in compositions(d, ell + 1):
+        total += prod(map(counts.__getitem__, sizes))
+        if total > most:
+            return past
+    return total
+
+
 def gen_multicompositions(n: int, d: int, ell: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
     """All tuples of ell+1 compositions with n parts each, total size d."""
     return _per_color(d, ell, lambda k: tuple(compositions(k, n)))
@@ -157,4 +180,5 @@ def to_json(bold: Multipartition) -> list:
 
 
 def from_json(obj: list) -> Multipartition:
-    return tuple(trim(tuple(int(x) for x in c)) for c in obj)
+    """A label from JSON, its parts ints: TypeError for any other part."""
+    return tuple(trim(tuple(map(operator.index, c))) for c in obj)

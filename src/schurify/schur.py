@@ -49,7 +49,7 @@ from itertools import accumulate, permutations, product
 from typing import Iterator
 
 from .base_algebra import AntiInvolution, BasedSuperalgebra, DecompInput, HeredityData
-from .partitions import gen_multicompositions
+from .partitions import count_multipartitions, gen_multicompositions, gen_multipartitions
 from .triples import OnLookup, TriContext, TriLetter, TriWord, odd_sign, run_key
 
 Element = dict[TriWord, int]
@@ -64,6 +64,11 @@ MAX_LETTERS = 250_000
 # at most 0.27 s and 90.7 MB on trivial, zigzag:1 and zigzag:2 with letters
 # from 1 to 150 000, and went past 100 MB at 700 000 (trivial at n=29, d=830)
 MAX_COUNTS = 600_000
+# the most label slots, labels times colors, that `labels` lists: `build`
+# stays under 1 s and 100 MB up to it on a 2-vCPU host, at most 0.68 s and
+# 80.9 MB on trivial, zigzag:1, zigzag:2, zigzag:5 and semisimple:3 and :40
+# just under it, and went past 100 MB at 53 174 (trivial at n=d=42)
+MAX_LABEL_SLOTS = 40_000
 
 
 class SchurAlgebra:
@@ -185,6 +190,20 @@ class SchurAlgebra:
         """The number of canonical orbits, read off `_counts` without
         listing them."""
         return self._counts[0][self.d]
+
+    @cached_property
+    def labels(self) -> tuple:
+        """The labels of the standard modules, the shapes of the standard
+        codeterminants: the multipartitions of d, one component per color,
+        each of at most n parts, in the order of `partitions.linear_key`;
+        ValueError, before one is listed, when they fill more than
+        `MAX_LABEL_SLOTS` label slots (labels times colors)."""
+        n, d, colors = self.n, self.d, len(self.data.labels)
+        most = MAX_LABEL_SLOTS // colors
+        if count_multipartitions(n, d, colors - 1, most) > most:
+            raise ValueError(f"more than {most} labels x {colors} colors at n={n}, d={d} "
+                             f"is past the bound of {MAX_LABEL_SLOTS} label slots")
+        return gen_multipartitions(n, d, colors - 1)
 
     @cached_property
     def base_decomp(self) -> DecompInput:

@@ -27,6 +27,7 @@ belong to the context, which an algebra and its truncations share.
 """
 from __future__ import annotations
 
+import operator
 from collections.abc import Callable
 from functools import cached_property
 
@@ -272,7 +273,8 @@ class TriContext:
 
     @staticmethod
     def from_json(obj: list) -> TriWord:
-        return tuple((str(e["b"]), int(e["r"]), int(e["s"])) for e in obj)
+        """A word from JSON, its r and s ints: TypeError for any other."""
+        return tuple((str(e["b"]), operator.index(e["r"]), operator.index(e["s"])) for e in obj)
 
 
 def odd_sign(word, odd) -> int:

@@ -118,11 +118,11 @@ def run_checks(T: SchurAlgebra, seed: int, ring: CoefficientRing,
         if T.is_truncation:
             return cellular_rank()
         cb = T.codet_basis
-        total = sum(len(cb.std_x[bold]) * len(cb.std_y[bold]) for bold in cb.shapes)
+        total = sum(len(cb.std_x[bold]) * len(cb.std_y[bold]) for bold in T.labels)
         assert total == T.rank, f"standard codeterminant count {total} != rank {T.rank}"
         # RSK on a sample: a bijection from orbits onto codeterminant keys,
         # the standard pairs (S, T) of one shape
-        std = {bold: (set(cb.std_x[bold]), set(cb.std_y[bold])) for bold in cb.shapes}
+        std = {bold: (set(cb.std_x[bold]), set(cb.std_y[bold])) for bold in T.labels}
         preimage = {}
         for o in sample(min(30, T.rank)):
             image = rsk(T.ctx, o)
@@ -145,7 +145,7 @@ def run_checks(T: SchurAlgebra, seed: int, ring: CoefficientRing,
         colors = {i for i in T.data.labels if T.data.e[i] in T.keep_basis}
         absorbers, table = T.ctx.x_alphabet.absorbers, T.ctx.standard_tableaux
         count = 0
-        for bold in partitions.gen_multipartitions(T.n, T.d, len(T.data.labels) - 1):
+        for bold in T.labels:
             kept = sum(all(absorbers.get(z) in colors for _l, z in tableau_word(S))
                        for S, *_ in table[X_SIDE, bold])
             count += kept * kept
@@ -172,12 +172,11 @@ def run_checks(T: SchurAlgebra, seed: int, ring: CoefficientRing,
         return f"axioms (a)-(c), (b) on the first {sample_b} orbits per tableau"
 
     def c_chars():
-        labels = partitions.gen_multipartitions(T.n, T.d, len(T.data.labels) - 1)
-        for lam in labels:
+        for lam in T.labels:
             a = char_standard_tableaux(T, lam)
             b = char_standard_formula(T, lam, cache)
             assert a == b, f"tableaux and formula characters differ at lam = {_labels_json(lam)}"
-        return f"{len(labels)} labels, two methods"
+        return f"{len(T.labels)} labels, two methods"
 
     def c_decomp():
         inp = T.base_decomp  # raises, naming the failure, unless A's axioms hold

@@ -552,7 +552,7 @@ def eager_codet_blocks(cb):
     T = cb.T
     blocks = {}
     keys = iter(cb.keys)  # shape by shape, in the order of product(std_x, std_y)
-    for bold in cb.shapes:
+    for bold in T.labels:
         xs, ys = ([tableau_share(T, tab, side) for tab in std(cb, side)[bold]]
                   for side in SIDES)
         for ((alpha, dx, px), (beta, dy, py)), key in zip(product(xs, ys), keys):
@@ -598,7 +598,7 @@ def table_words(cb, sides=SIDES):
     """The index words of X_S and Y_T in the context's table of standard
     tableaux, over every shape of a `CodetBasis` and the given sides."""
     table = cb.T.ctx.standard_tableaux
-    return {word for side in sides for bold in cb.shapes
+    return {word for side in sides for bold in cb.T.labels
             for _tab, _share, word, _sign in table[side, bold]}
 
 
@@ -774,7 +774,7 @@ def cellular_basis(T, colors):
     absorbers = T.ctx.x_alphabet.absorbers
     cb = T.codet_basis
     out = {}
-    for bold in cb.shapes:
+    for bold in T.labels:
         tabs = [S for S in cb.std_x[bold]
                 if all(absorbers.get(z) in colors for (_l, z) in tableau_word(S))]
         xs = [codet.side_element(T, S, X_SIDE) for S in tabs]
@@ -1017,7 +1017,7 @@ def heredity_oracle(T, sample_b=None):
         return elt_of[side.name, tab]
 
     # axiom (a): the blocks with columns, in the order the keys meet them
-    count = sum(len(cb.std_x[bold]) * len(cb.std_y[bold]) for bold in cb.shapes)
+    count = sum(len(cb.std_x[bold]) * len(cb.std_y[bold]) for bold in T.labels)
     if count != len(T.orbits):
         failures.append(f"axiom (a): {count} codeterminants vs rank {len(T.orbits)}")
     blocks = {key: (rows, cols) for key, (rows, cols) in eager_codet_blocks(cb).items() if cols}
@@ -1056,10 +1056,10 @@ def heredity_oracle(T, sample_b=None):
         return f"{side.name}_{side.pick('S', 'T')}"
 
     # axiom (c)
-    idem = {bold: T.idempotent_bold(bold) for bold in cb.shapes}
-    padded = {bold: tuple(tuple(c) + (0,) * (T.n - len(c)) for c in bold) for bold in cb.shapes}
+    idem = {bold: T.idempotent_bold(bold) for bold in T.labels}
+    padded = {bold: tuple(tuple(c) + (0,) * (T.n - len(c)) for c in bold) for bold in T.labels}
     ok_c = True
-    for bold in cb.shapes:
+    for bold in T.labels:
         for side in SIDES:
             nm = name(side)
             elt_e, e_elt, emu_elt = (" ".join(side.orient(a, b))
@@ -1075,7 +1075,7 @@ def heredity_oracle(T, sample_b=None):
                     ok_c = False
                     failures.append(f"axiom (c): {e_elt} wrong at {bold}: {witness}")
                 w = weight(tab, side)
-                for bold2 in cb.shapes:
+                for bold2 in T.labels:
                     want = elt if padded[bold2] == w else {}
                     if tensor_mul(T, *side.orient(idem[bold2], elt)) != want:
                         ok_c = False
@@ -1090,7 +1090,7 @@ def heredity_oracle(T, sample_b=None):
         return meeting if sample_b is None else meeting[:sample_b]
 
     ok_b = True
-    for bold in cb.shapes:
+    for bold in T.labels:
         for side in SIDES:
             other_initial = side.orient(*cb.initial_tableau_pair(bold))[1]
             for tab in std(cb, side)[bold]:

@@ -209,7 +209,7 @@ def test_criterion_11_blocks(T122):
     parts = dec.blocks(D.labels, D.entries)
     assert len(parts) == 1  # T^Z_z(2,2) is a single block
     alg, data, tau = make_algebra("semisimple:2")
-    groups = dec.block_decomposition(alg, data, 2, 2)
+    groups = dec.block_decomposition(build_schur(alg, data, 2, 2, tau))
     assert len(groups) == 3  # |Lambda(2,2)| summands for A = k + k
 
 

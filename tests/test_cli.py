@@ -518,6 +518,68 @@ def test_a_degree_past_its_bound_exits_2_before_any_work(monkeypatch):
         f"= 46 * 1000001 = 46000046 counts is past the bound of {schur.MAX_COUNTS}"), res.output
 
 
+@pytest.mark.parametrize("cmd", ["build", "straighten", "decomp", "blocks", "verify", "dim"])
+def test_a_label_set_past_its_bound_exits_2_before_any_work(cmd, monkeypatch, tmp_path):
+    """With the bound on label slots lowered to 9, zigzag:1 at n = d = 2,
+    5 labels of 2 colors, is past it: each command that lists the labels
+    is one `error:` line naming the bound, before a tableau is listed, and
+    `dim`, which lists none, runs."""
+    from schurify import schur, triples
+
+    def unlisted(*args):
+        raise AssertionError("a tableau was listed")
+
+    monkeypatch.setattr(schur, "MAX_LABEL_SLOTS", 9)
+    monkeypatch.setattr(triples, "enumerate_tableaux", unlisted)
+    args = [cmd, "--algebra", "zigzag:1", "-n", "2", "-d", "2", "--cache-dir", str(tmp_path),
+            *ONE_PROCESS_CASES.get(cmd, [])]
+    if cmd == "dim":
+        res = run(*args)
+        assert (res.exit_code, json.loads(res.output)) == (0, {"rank": "202"}), res.output
+        return
+    res = _usage_error(*args)
+    errors = [line for line in res.output.splitlines() if "error:" in line]
+    assert len(errors) == 1 and errors[0].endswith(
+        "more than 4 labels x 2 colors at n=2, d=2 is past the bound of 9 label slots"), res.output
+
+
+@pytest.mark.parametrize("option, value", [("-n", "0_2"), ("-n", "+2"), ("-d", "\u0662"),
+                                           ("--seed", "1_0"), ("--field", "Fp:0_3"),
+                                           ("--field", "Fp: 3"), ("--field", "Fp:\u0663")])
+def test_a_command_line_integer_is_ascii_digits_only(option, value):
+    """`int` reads each of these values, an underscore, a sign, a space or
+    an Arabic-Indic digit in it, as an integer: each is one `error:` line."""
+    res = _usage_error("dim", "--algebra", "trivial", "-n", "1", "-d", "1", option, value)
+    assert len([line for line in res.output.splitlines() if "error:" in line]) == 1, res.output
+
+
+@pytest.mark.parametrize("args", [
+    ["char", "--label", '[["1"], [1]]'],
+    ["straighten", "--orbit", '[{"b": "e0", "r": "0_1", "s": 1}, {"b": "e0", "r": 2, "s": 2}]'],
+    ["mul", "--left", '[{"b": "e0", "r": 1, "s": "2"}, {"b": "e0", "r": 2, "s": 1}]',
+     "--right", ORBIT],
+])
+def test_an_integer_in_json_is_a_json_integer(args, tmp_path):
+    """A label's parts and an orbit's r and s are JSON integers: a string
+    that `int` would read is one `error:` line."""
+    res = _usage_error(*args, "--algebra", "zigzag:1", "-n", "2", "-d", "2",
+                       "--cache-dir", str(tmp_path))
+    assert len([line for line in res.output.splitlines() if "error:" in line]) == 1, res.output
+
+
+@pytest.mark.parametrize("option", ["char --label", "straighten --orbit", "mul --left"])
+def test_deeply_nested_json_is_a_usage_error(option, tmp_path):
+    """JSON nested 50 000 deep, which the parser cannot read without
+    passing the recursion limit, is one `error:` line, not a traceback."""
+    cmd, flag = option.split()
+    nested = "[" * 50_000 + "]" * 50_000
+    right = ["--right", ORBIT] if cmd == "mul" else []
+    res = _usage_error(cmd, flag, nested, *right, "--algebra", "zigzag:1", "-n", "2", "-d", "2",
+                       "--cache-dir", str(tmp_path))
+    errors = [line for line in res.output.splitlines() if "error:" in line]
+    assert len(errors) == 1 and "RecursionError" not in res.output, res.output[-300:]
+
+
 def test_bad_sizes_exit_2():
     _usage_error("dim", "--algebra", "trivial", "-n", "0", "-d", "1")
     _usage_error("dim", "--algebra", "trivial", "-n", "1", "-d", "-1")
@@ -1019,20 +1081,21 @@ FUZZ_BOUNDS = {"zigzag": 1, "semisimple": 2}
 ORBITS = ['[{"b": "1", "r": 1, "s": 1}]', '[{"b": "e0", "r": 1, "s": 2}, {"b": "e0", "r": 2, "s": 1}]',
           '[{"b": "e0", "r": 1, "s": 1}]', '[{"b": "a0_1", "r": 1, "s": 2}]',
           '[{"b": "a0_1", "r": 1, "s": 1}, {"b": "a0_1", "r": 1, "s": 1}]', "[]", '[{"b": "e0"}]',
-          "[1.5]", "nope"]
-LABELS = ["[[1]]", "[[], [1]]", "[[1], [1]]", "[[2]]", "[[1, 1]]", "[[]]", "[[true]]", "[1]", "{}"]
+          "[1.5]", "nope", '[{"b": "e0", "r": "0_1", "s": 1}]']
+LABELS = ["[[1]]", "[[], [1]]", "[[1], [1]]", "[[2]]", "[[1, 1]]", "[[]]", "[[true]]", "[1]", "{}",
+          '[["1"], [1]]']
 OPTIONS = {
     "--algebra": ["trivial", "zigzag:1", "zigzag-bar:1", "semisimple:2", "zigzag:0", "bogus",
                   "zigzag:2", "zigzag-bar:2", "semisimple:3", "zigzag:301", "zigzag-bar:301",
                   "semisimple:801", "zigzag:99999999999", "zigzag: 3", "zigzag:1_0",
                   "semisimple:+2", "zigzag:\u0663"],
-    "-n": ["1", "2", "0", "-1", "x"],
-    "-d": ["0", "1", "2", "-1", "1.5", "300000"],
-    "--field": ["Q", "Z", "Fp:2", "Fp:4", "R"],
+    "-n": ["1", "2", "0", "-1", "x", "0_2", "+2"],
+    "-d": ["0", "1", "2", "-1", "1.5", "300000", "\u0662"],
+    "--field": ["Q", "Z", "Fp:2", "Fp:4", "R", "Fp:0_3", "Fp: 3", "Fp:\u0663"],
     "--out": ["json", "csv", "xml"],
     "--output": ["out.txt", "missing/out.txt"],
     "--cache-dir": ["", "cache", "cfg.txt"],
-    "--seed": ["0", "7", "x"],
+    "--seed": ["0", "7", "x", "1_0"],
 }
 OWN_OPTIONS = {  # each command's own options, the required ones first
     "mul": {"--left": ORBITS, "--right": ORBITS},

@@ -52,7 +52,7 @@ def test_basis_count_and_unimodularity(T122, cb):
 
 
 def test_initial_codeterminant_is_idempotent(T122, cb):
-    for bold in cb.shapes:
+    for bold in T122.labels:
         S, Tb = cb.initial_tableau_pair(bold)
         e = T122.idempotent_bold(bold)
         assert codet.codet_element(T122, S, Tb) == e
@@ -63,7 +63,7 @@ def test_idempotent_action_on_tableau_elements(T122, cb):
     from schurify.partitions import gen_multicompositions, pad
 
     mus = gen_multicompositions(2, 2, 1)
-    for bold in cb.shapes:
+    for bold in T122.labels:
         for S in cb.std_x[bold]:
             xs = codet.side_element(T122, S, X_SIDE)
             w = tuple(pad(c, 2) for c in tableau_weight(S, T122.ctx.x_alphabet))
@@ -154,7 +154,7 @@ def test_a_truncation_is_refused():
 
 
 def test_standard_module_gram(T122, cb):
-    for bold in cb.shapes:
+    for bold in T122.labels:
         blocks = gram_blocks(T122, bold)
         # normalized at the initial tableau
         S0, T0 = cb.initial_tableau_pair(bold)
@@ -175,7 +175,7 @@ def test_gram_blocks_match_the_full_gram(spec, n, d):
     alg, data, tau = make_algebra(spec)
     T = build_schur(alg, data, n, d, tau)
     cb = T.codet_basis
-    for bold in cb.shapes:
+    for bold in T.labels:
         full = full_gram(T, bold)
         blocks = gram_entries(T, bold, gram_blocks(T, bold))
         assert any(full.values()), bold
@@ -199,11 +199,11 @@ def test_gram_homogeneity_failure_names_its_pair(monkeypatch):
     bold = ((1,), (1,))
     S1 = ((((1, "e0"),),), (((1, "a0_1"),),))
     T1 = ((((1, "e0"),),), (((1, "a1_0"),),))
-    xs, ys = cb._tableau_blocks[bold]
+    xs, ys = (T.ctx.standard_tableaux[side, bold] for side in SIDES)
     share = {tab: share for tab, share, _word, _sign in (*xs, *ys)}
     assert share[S1] == (((2, 0), (0, 0)), 1, 1) == share[T1]
     shifted = [(Tb, (w, deg - 2 * (Tb == T1), par), *rest) for Tb, (w, deg, par), *rest in ys]
-    monkeypatch.setitem(cb._tableau_blocks, bold, (xs, shifted))
+    monkeypatch.setitem(T.ctx.standard_tableaux, (Y_SIDE, bold), shifted)
     with pytest.raises(AssertionError) as exc:
         gram_blocks(T, bold)
     assert str(exc.value) == f"Gram pairing not homogeneous at {bold}: S = {S1}, T = {T1}"
@@ -237,7 +237,7 @@ def test_gram_blocks_make_one_product_per_entry(monkeypatch):
     monkeypatch.setattr(codet.CodetBasis, "pairing", counted_pairing)
     monkeypatch.setattr(codet.CodetBasis, "factor", counted_factor)
     units = []
-    for bold in cb.shapes:
+    for bold in T.labels:
         products.clear()
         factored.clear()
         blocks = gram_blocks(T, bold)
@@ -361,7 +361,7 @@ def test_axiom_c_failures_name_their_witness(monkeypatch):
     assert diagonal, rep.failures
     weights = {((1, 1), (0, 0)), ((2, 0), (0, 0))}
     named = set()
-    for shape in cb.shapes:
+    for shape in T.labels:
         for side in SIDES:
             for tab in std(cb, side)[shape]:
                 if tableau_weight(tab, T.ctx.alphabet(side)) in weights:
@@ -471,7 +471,7 @@ def test_the_n4_walk_on_every_15th_x_weight_is_pinned(monkeypatch):
     (every block here has last pivot 1) and passes the doubled block."""
     alg, data, tau = make_algebra("zigzag:1")
     cb = build_schur(alg, data, 4, 4, tau).codet_basis
-    weights = cb._weights[0][::15]
+    weights = cb.x_weights[::15]
     real = codet.CodetBasis._expand
     tally = [0, 0]
 
@@ -613,7 +613,7 @@ def test_tableau_elements_made_once(monkeypatch):
     monkeypatch.setattr(triples, "enumerate_tableaux", counted_enumerate)
     assert cb.unimodular()
     assert not elements
-    assert sorted(made) == sorted((side.name, bold) for side in SIDES for bold in cb.shapes)
+    assert sorted(made) == sorted((side.name, bold) for side in SIDES for bold in T.labels)
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -728,7 +728,7 @@ def test_the_tableau_table_holds_each_word_sign_and_share(spec, n):
     ctx = T.ctx
     if (spec, n) == ("zigzag:1", 2):
         assert T.truncate(data.labels[:-1]).ctx is ctx
-    shapes = T.codet_basis.shapes
+    shapes = T.labels
     for side in SIDES:
         for bold in shapes:
             entries = ctx.standard_tableaux[side, bold]
@@ -1234,7 +1234,7 @@ def test_runs_of_many_weights_share_the_walk(monkeypatch, tmp_path, forks, faili
     alg, data, tau = make_algebra("zigzag:1")
     T = build_schur(alg, data, 3, 3, tau)
     cb = T.codet_basis
-    keys, weights = list(block_keys(cb)), cb._weights[0]
+    keys, weights = list(block_keys(cb)), cb.x_weights
     late = [key for key in keys if key[0] == weights[23]][-1]
     if failing:
         _double_last_columns(monkeypatch, cb, [late, keys[-1]])

@@ -212,7 +212,7 @@ def test_oracle_multiplies_only_equal_weight_pairs(monkeypatch):
     assert cb.unimodular()
     pairs = sum(
         tableau_weight(S, T.ctx.x_alphabet) == tableau_weight(Tb, T.ctx.y_alphabet)
-        for bold in cb.shapes for S in cb.std_x[bold] for Tb in cb.std_y[bold]
+        for bold in T.labels for S in cb.std_x[bold] for Tb in cb.std_y[bold]
     )
     calls = []
     real = CodetBasis.pairing
@@ -244,7 +244,7 @@ def test_blocks_semisimple_singletons():
 def test_block_decomposition_k_plus_k():
     """A = k + k at n = d = 2 splits into |Lambda(2,2)| = 3 summands."""
     alg, data, tau = make_algebra("semisimple:2")
-    groups = dec.block_decomposition(alg, data, 2, 2)
+    groups = dec.block_decomposition(build_schur(alg, data, 2, 2, tau))
     assert len(groups) == 3
     assert sorted(len(v) for v in groups.values()) == [1, 2, 2]
     total = sum(len(v) for v in groups.values())

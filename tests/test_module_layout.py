@@ -155,6 +155,29 @@ def test_no_module_imports_a_name_it_never_reads():
     assert {path: names for path in paths if (names := unused_imports(path))} == {}
 
 
+def private_reads(path: str) -> list[str]:
+    """Each read of an attribute with one leading underscore off anything
+    but `self` or `cls`, as `module.py:line name`; `os._exit`, the one such
+    name of the standard library the package reads, is exempt."""
+    with open(path, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    return [f"{os.path.basename(path)}:{node.lineno} {ast.unparse(node)}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+            and node.attr.startswith("_") and not node.attr.startswith("__")
+            and not (isinstance(node.value, ast.Name) and node.value.id in ("self", "cls"))
+            and ast.unparse(node) != "os._exit"]
+
+
+def test_no_module_reads_a_private_member_of_another_object():
+    """A member with one leading underscore is read only through `self` or
+    `cls`: no module reaches into another object's internals, its own
+    module's objects included."""
+    paths = [os.path.join(PACKAGE, name) for name in sorted(os.listdir(PACKAGE))
+             if name.endswith(".py")]
+    assert [read for path in paths for read in private_reads(path)] == []
+
+
 # the commands of the reachability run, each as its arguments: `dim`,
 # `build` and `verify` over Q and F_2 on an algebra, its truncation and a
 # semisimple one, and every other command once, each product nonzero; a
